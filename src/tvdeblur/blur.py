@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 from scipy.signal import convolve2d
 
-from .transforms import TransformKind, apply_1d, tensor_apply_2d
+from .transforms import TransformKind, apply_1d, probe_dense, tensor_apply_2d
 
 
 class BoundaryCondition(Enum):
@@ -316,7 +316,8 @@ class StructuredBlurOperator:
     # -- helpers --------------------------------------------------------------
 
     def dense(self) -> np.ndarray:
-        return dense_blur_matrix(self.psf, self.bc, self.n)
+        """Reference operator as a dense matrix (small sizes only)."""
+        return probe_dense(self.apply, (self.n,) * self.ndim)
 
     def _check_shape(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -324,23 +325,3 @@ class StructuredBlurOperator:
         if u.shape != expected:
             raise ValueError(f"expected shape {expected}, got {u.shape}")
         return u
-
-
-def dense_blur_matrix(psf: SymmetricPsf, bc: BoundaryCondition, n: int) -> np.ndarray:
-    """Dense blur matrix assembled by probing unit vectors (testing oracle).
-
-    Guardrails keep this to desk scale: n <= 256 in 1D, n <= 32 in 2D.
-    """
-    limit = 256 if psf.ndim == 1 else 32
-    if n > limit:
-        raise ValueError(
-            f"dense blur oracle limited to n <= {limit} for {psf.ndim}D, got {n}"
-        )
-    op = StructuredBlurOperator(psf, bc, n)
-    size = n if psf.ndim == 1 else n * n
-    cols = np.empty((size, size))
-    for k in range(size):
-        e = np.zeros(size)
-        e[k] = 1.0
-        cols[:, k] = op.apply(e if psf.ndim == 1 else e.reshape(n, n)).reshape(-1)
-    return cols

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .blur import BoundaryCondition, StructuredBlurOperator, dense_blur_matrix, save_psf
+from .blur import BoundaryCondition, StructuredBlurOperator, save_psf
 from .krylov import (
     IndefiniteOperatorError,
     SolverBreakdownError,
@@ -40,17 +40,6 @@ _NUMERICAL = (
     IndefinitePreconditionerError,
     InvalidScalingError,
 )
-
-_BC = {
-    "zero": BoundaryCondition.ZERO_DIRICHLET,
-    "periodic": BoundaryCondition.PERIODIC,
-    "reflective": BoundaryCondition.REFLECTIVE,
-    "anti_reflective": BoundaryCondition.ANTI_REFLECTIVE,
-}
-_LBC = {
-    "zero_neumann": DiffusionBc.ZERO_NEUMANN,
-    "anti_reflective": DiffusionBc.ANTI_REFLECTIVE,
-}
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,8 +89,8 @@ def _cmd_gen(args) -> int:
 def _cmd_restore(args) -> int:
     spec, (psf, observed, u_true) = _make_problem(args)
     config = RestorationConfig(
-        bc_h=_BC[args.bc],
-        bc_l=_LBC[args.l_bc],
+        bc_h=BoundaryCondition(args.bc),
+        bc_l=DiffusionBc(args.l_bc),
         formulation=Formulation(args.formulation),
         preconditioner=PrecondSelector(args.precond),
         alpha=args.alpha,
@@ -109,7 +98,6 @@ def _cmd_restore(args) -> int:
         fp_tol=spec.fp_tolerance(),
         fp_max=args.fp_max,
         inner=spec.inner_config(),
-        spacing=spec.spacing,
     )
     report = restore(observed, psf, config, u_true=u_true)
     out = args.out_dir
@@ -160,16 +148,14 @@ def _cmd_spectra(args) -> int:
     )
     psf, observed, _ = harness.make_problem(spec, args.n)
     h_op = StructuredBlurOperator(psf, bc_h, args.n)
-    l_op = DiffusionOperator(observed, args.beta, bc_l,
-                             spacing=spec.spacing)
-    h_dense = dense_blur_matrix(psf, bc_h, args.n)
+    l_op = DiffusionOperator(observed, args.beta, bc_l)
+    h_dense = h_op.dense()
     back = h_dense if formulation is Formulation.REBLUR else h_dense.T
     a_dense = back @ h_dense + args.alpha * l_op.dense()
-    if bc_h is BoundaryCondition.REFLECTIVE:
-        base = "R"
-    else:
-        base = "P" if formulation is Formulation.REBLUR else "M"
-    kind = {"x": base, "d_x": f"D_{base}", "x_d": f"{base}_D"}[args.precond]
+    kind = RestorationConfig(
+        bc_h=bc_h, bc_l=bc_l, formulation=formulation, alpha=args.alpha,
+        beta=args.beta, preconditioner=PrecondSelector(args.precond),
+    ).resolved_kind()
     precond = assemble_preconditioner(kind, h_op, l_op, args.alpha)
     diag = spectral_diagnostic(a_dense, precond.dense())
     out = args.out_dir
@@ -198,12 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_restore = sub.add_parser("restore", help="run a single restoration")
     _add_problem_flags(p_restore)
-    p_restore.add_argument("--bc", default="reflective", choices=sorted(_BC))
-    p_restore.add_argument("--l-bc", default="zero_neumann", choices=sorted(_LBC))
+    p_restore.add_argument("--bc", default="reflective",
+                           choices=sorted(bc.value for bc in BoundaryCondition))
+    p_restore.add_argument("--l-bc", default="zero_neumann",
+                           choices=sorted(bc.value for bc in DiffusionBc))
     p_restore.add_argument("--formulation", default="normal",
-                           choices=("normal", "reblur"))
+                           choices=[f.value for f in Formulation])
     p_restore.add_argument("--precond", default="none",
-                           choices=("none", "diag", "x", "d_x", "x_d"))
+                           choices=[s.value for s in PrecondSelector])
     p_restore.add_argument("--alpha", type=float, required=True)
     p_restore.add_argument("--beta", type=float, required=True)
     p_restore.add_argument("--fp-max", type=int, default=100)

@@ -59,14 +59,6 @@ CONFIGURATIONS: dict[str, tuple[BoundaryCondition, DiffusionBc, Formulation]] = 
                      DiffusionBc.ANTI_REFLECTIVE, Formulation.REBLUR),
 }
 
-PRECOND_SELECTORS = {
-    "none": PrecondSelector.NONE,
-    "diag": PrecondSelector.DIAG,
-    "x": PrecondSelector.X,
-    "d_x": PrecondSelector.D_X,
-    "x_d": PrecondSelector.X_D,
-}
-
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
 
 _RECOVERABLE = (
@@ -236,7 +228,6 @@ class BenchmarkSpec:
     fp_max: int = 100
     inner_tol: float | None = None    # None: 1e-6 (1D) / 1e-5 (2D)
     inner_max: int | None = None      # None: 1000 (1D) / 2000 (2D)
-    spacing: float = 1.0              # diffusion grid spacing (unit grid)
     save_restored: bool = True
 
     def __post_init__(self) -> None:
@@ -247,7 +238,8 @@ class BenchmarkSpec:
         unknown = [c for c in self.configurations if c not in CONFIGURATIONS]
         if unknown:
             raise ValueError(f"unknown configuration labels: {unknown}")
-        unknown = [p for p in self.preconditioners if p not in PRECOND_SELECTORS]
+        selectors = {s.value for s in PrecondSelector}
+        unknown = [p for p in self.preconditioners if p not in selectors]
         if unknown:
             raise ValueError(f"unknown preconditioner selectors: {unknown}")
         if self.dimension == 2 and self.psf_kind == "out_of_focus":
@@ -335,13 +327,12 @@ def run_cell(spec: BenchmarkSpec, config_label: str, alpha: float, beta: float,
         bc_h=bc_h,
         bc_l=bc_l,
         formulation=formulation,
-        preconditioner=PRECOND_SELECTORS[selector_label],
+        preconditioner=PrecondSelector(selector_label),
         alpha=alpha,
         beta=beta,
         fp_tol=spec.fp_tolerance(),
         fp_max=spec.fp_max,
         inner=spec.inner_config(),
-        spacing=spec.spacing,
     )
     try:
         report = restore(observed, psf, config, u_true=u_true)
@@ -506,17 +497,40 @@ def read_pgm(path) -> np.ndarray:
 # sweep config files (key = value, comma-separated lists)
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"n", "alpha", "beta", "config", "precond"}
+def _items(parse):
+    return lambda text: tuple(parse(item.strip()) for item in text.split(",")
+                              if item.strip())
+
+
+#: sweep file key -> (BenchmarkSpec field, value parser)
+_SWEEP_KEYS = {
+    "dimension": ("dimension", int),
+    "n": ("ns", _items(int)),
+    "alpha": ("alphas", _items(float)),
+    "beta": ("betas", _items(float)),
+    "config": ("configurations", _items(str)),
+    "precond": ("preconditioners", _items(str)),
+    "nsr": ("nsr", float),
+    "seed": ("seed", int),
+    "psf": ("psf_kind", str),
+    "psf_m": ("psf_half_width", int),
+    "psf_sigma": ("psf_sigma", float),
+    "fp_tol": ("fp_tol", float),
+    "fp_max": ("fp_max", int),
+    "inner_tol": ("inner_tol", float),
+    "inner_max": ("inner_max", int),
+    "save_restored": ("save_restored",
+                      lambda text: text.lower() in ("1", "true", "yes", "on")),
+}
 
 
 def parse_sweep_config(path) -> BenchmarkSpec:
     """Parse the plain-text sweep format: ``key = value`` lines.
 
-    Lists are comma separated; ``#`` starts a comment.  Keys: dimension, n,
-    alpha, beta, config, precond, nsr, seed, psf, psf_m, psf_sigma, fp_tol,
-    fp_max, inner_tol, inner_max, save_restored.
+    Lists are comma separated; ``#`` starts a comment; a repeated key keeps
+    its last value.  A key missing from ``_SWEEP_KEYS`` is an error.
     """
-    values: dict[str, str] = {}
+    kwargs = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -525,44 +539,9 @@ def parse_sweep_config(path) -> BenchmarkSpec:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-
-    def split(key: str) -> list[str]:
-        return [item.strip() for item in values[key].split(",") if item.strip()]
-
-    kwargs = {}
-    if "dimension" in values:
-        kwargs["dimension"] = int(values["dimension"])
-    if "n" in values:
-        kwargs["ns"] = tuple(int(x) for x in split("n"))
-    if "alpha" in values:
-        kwargs["alphas"] = tuple(float(x) for x in split("alpha"))
-    if "beta" in values:
-        kwargs["betas"] = tuple(float(x) for x in split("beta"))
-    if "config" in values:
-        kwargs["configurations"] = tuple(split("config"))
-    if "precond" in values:
-        kwargs["preconditioners"] = tuple(split("precond"))
-    if "nsr" in values:
-        kwargs["nsr"] = float(values["nsr"])
-    if "seed" in values:
-        kwargs["seed"] = int(values["seed"])
-    if "psf" in values:
-        kwargs["psf_kind"] = values["psf"]
-    if "psf_m" in values:
-        kwargs["psf_half_width"] = int(values["psf_m"])
-    if "psf_sigma" in values:
-        kwargs["psf_sigma"] = float(values["psf_sigma"])
-    if "fp_tol" in values:
-        kwargs["fp_tol"] = float(values["fp_tol"])
-    if "fp_max" in values:
-        kwargs["fp_max"] = int(values["fp_max"])
-    if "inner_tol" in values:
-        kwargs["inner_tol"] = float(values["inner_tol"])
-    if "inner_max" in values:
-        kwargs["inner_max"] = int(values["inner_max"])
-    if "save_restored" in values:
-        kwargs["save_restored"] = values["save_restored"].lower() in (
-            "1", "true", "yes", "on",
-        )
+            key = key.strip()
+            if key not in _SWEEP_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            name, parse = _SWEEP_KEYS[key]
+            kwargs[name] = parse(value.strip())
     return BenchmarkSpec(**kwargs)

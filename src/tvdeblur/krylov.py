@@ -15,7 +15,7 @@ system.  Genuine breakdowns (vanishing recurrence scalars) raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class IndefiniteOperatorError(RuntimeError):
 class KrylovConfig:
     tol: float = 1e-6
     max_iterations: int = 1000
-    record_history: bool = False
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
@@ -63,7 +62,7 @@ class KrylovConfig:
 class SolveOutcome:
     solution: np.ndarray
     iterations: int
-    residual_history: np.ndarray
+    residual_history: np.ndarray  # ||r_k|| / ||r_0|| for k = 1..iterations
     converged: bool
 
 
@@ -105,8 +104,7 @@ def pcg(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig()) -> So
         rel = _norm(r) / r0_norm
         if not np.isfinite(rel):
             raise SolverDivergenceError("pcg", k)
-        if config.record_history:
-            history.append(rel)
+        history.append(rel)
         if rel < config.tol:
             return SolveOutcome(x, k, np.array(history), True)
         z = apply_minv(r)
@@ -150,8 +148,7 @@ def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig())
             raise SolverDivergenceError("pbicgstab", k)
         if rel < config.tol:
             x += alpha * p_hat
-            if config.record_history:
-                history.append(rel)
+            history.append(rel)
             return SolveOutcome(x, k, np.array(history), True)
         s_hat = apply_minv(s)
         t = apply_a(s_hat)
@@ -166,8 +163,7 @@ def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig())
         rel = _norm(r) / r0_norm
         if not np.isfinite(rel):
             raise SolverDivergenceError("pbicgstab", k)
-        if config.record_history:
-            history.append(rel)
+        history.append(rel)
         if rel < config.tol:
             return SolveOutcome(x, k, np.array(history), True)
         rho = rho_next

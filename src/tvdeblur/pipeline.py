@@ -14,7 +14,9 @@ the diagonally scaled system instead and maps the solution back, which is
 spectrally equivalent to the ``d_x`` wrap on the unscaled system.
 
 The loop starts from ``u_0 = v`` and stops when the relative change
-``||u_k - u_{k-1}|| / ||u_k||`` drops below ``fp_tol`` (or at ``fp_max``).
+``||u_k - u_{k-1}|| / ||u_k||`` drops below ``fp_tol`` or the iterate does
+not change at all (as for zero data, where ``||u_k|| = 0``), or at
+``fp_max``.
 """
 
 from __future__ import annotations
@@ -46,10 +48,20 @@ class PrecondSelector(Enum):
     X_D = "x_d"
 
 
+#: (blur BC, formulation) -> preconditioner family
 _BASE_KIND = {
     (BoundaryCondition.REFLECTIVE, Formulation.NORMAL): "R",
     (BoundaryCondition.ANTI_REFLECTIVE, Formulation.NORMAL): "M",
     (BoundaryCondition.ANTI_REFLECTIVE, Formulation.REBLUR): "P",
+}
+
+#: selector -> preconditioner label, ``{}`` standing for the family
+_LABELS = {
+    PrecondSelector.NONE: "I",
+    PrecondSelector.DIAG: "D",
+    PrecondSelector.X: "{}",
+    PrecondSelector.D_X: "D_{}",
+    PrecondSelector.X_D: "{}_D",
 }
 
 
@@ -72,14 +84,10 @@ class RestorationConfig:
     fp_tol: float = 1e-3
     fp_max: int = 100
     inner: KrylovConfig = field(default_factory=KrylovConfig)
-    use_fast_blur: bool = True
-    spacing: float = 1.0  # grid spacing of the diffusion discretization
 
     def validate(self) -> None:
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigurationError("alpha and beta must be positive")
-        if self.spacing <= 0:
-            raise ConfigurationError("spacing must be positive")
         if self.fp_tol <= 0 or self.fp_max < 1:
             raise ConfigurationError("fp_tol must be positive and fp_max >= 1")
         if self.formulation is Formulation.REBLUR and \
@@ -95,21 +103,12 @@ class RestorationConfig:
                     "anti-reflective blur boundary conditions"
                 )
 
-    def base_kind(self) -> str | None:
-        return _BASE_KIND.get((self.bc_h, self.formulation))
-
     def resolved_kind(self) -> str | None:
         """Preconditioner label, e.g. selector d_x in the R family -> D_R."""
-        base = self.base_kind()
+        base = _BASE_KIND.get((self.bc_h, self.formulation))
         if base is None:
             return None
-        return {
-            PrecondSelector.NONE: "I",
-            PrecondSelector.DIAG: "D",
-            PrecondSelector.X: base,
-            PrecondSelector.D_X: f"D_{base}",
-            PrecondSelector.X_D: f"{base}_D",
-        }[self.preconditioner]
+        return _LABELS[self.preconditioner].format(base)
 
 
 @dataclass
@@ -165,8 +164,9 @@ def scale_system(apply_a, rhs: np.ndarray, l_op: DiffusionOperator,
 
 
 def _system_operators(h_op: StructuredBlurOperator, config: RestorationConfig):
-    """(forward, adjoint-or-reblur) applies honoring the fast-path flag."""
-    fast = config.use_fast_blur and h_op.bc in (
+    """(forward, adjoint-or-reblur) applies, transform-diagonalized when the
+    blur BC allows it."""
+    fast = h_op.bc in (
         BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE
     )
     apply_h = h_op.apply_fast if fast else h_op.apply
@@ -197,6 +197,8 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
                  and config.bc_l is DiffusionBc.ZERO_NEUMANN)
     solver = pcg if symmetric else pbicgstab
 
+    selector = config.preconditioner
+    kind = config.resolved_kind()
     u = v.copy()
     inner_iterations: list[int] = []
     gradient_norms: list[float] = []
@@ -204,7 +206,7 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     inner_converged = True
     steps = 0
     for _ in range(config.fp_max):
-        l_op = DiffusionOperator(u, config.beta, config.bc_l, config.spacing)
+        l_op = DiffusionOperator(u, config.beta, config.bc_l)
 
         def apply_a(w, _l=l_op):
             return apply_back(apply_h(w)) + alpha * _l.apply(w)
@@ -213,12 +215,9 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
             (apply_back(apply_h(u)) - rhs + alpha * l_op.apply(u)).ravel()
         )))
 
-        selector = config.preconditioner
         if selector is PrecondSelector.X_D:
             bundle = scale_system(apply_a, rhs, l_op, alpha)
-            precond = assemble_preconditioner(
-                f"{config.base_kind()}_D", h_op, l_op, alpha
-            )
+            precond = assemble_preconditioner(kind, h_op, l_op, alpha)
             outcome = solver(bundle.apply, precond.apply_inverse, bundle.rhs,
                              bundle.scale_iterate(u), config.inner)
             u_next = bundle.unscale(outcome.solution)
@@ -233,8 +232,6 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
                     )
                 apply_minv = lambda w, _d=d: w / _d  # noqa: E731
             else:
-                kind = config.base_kind() if selector is PrecondSelector.X \
-                    else f"D_{config.base_kind()}"
                 precond = assemble_preconditioner(kind, h_op, l_op, alpha)
                 apply_minv = precond.apply_inverse
             outcome = solver(apply_a, apply_minv, rhs, u, config.inner)
@@ -246,14 +243,14 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
         change = float(np.linalg.norm((u_next - u).ravel()))
         u = u_next
         scale = float(np.linalg.norm(u.ravel()))
-        if scale > 0 and change / scale < config.fp_tol:
+        # an unchanged iterate is a fixed point even where u = 0
+        if change == 0.0 or (scale > 0 and change / scale < config.fp_tol):
             fp_converged = True
             break
 
     final_gradient = float(np.linalg.norm(el_residual(
         u, v, h_op, alpha, config.beta, bc_l=config.bc_l,
         reblur=config.formulation is Formulation.REBLUR,
-        spacing=config.spacing,
     ).ravel()))
 
     rre = None

@@ -35,26 +35,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _fft
-from scipy.linalg import hankel, toeplitz
 
-from .transforms import TransformKind, apply_1d, tensor_apply_2d
+from .blur import BoundaryCondition
+from .transforms import TransformKind, apply_1d, probe_dense, tensor_apply_2d
 
 logger = logging.getLogger(__name__)
 
 Bands1D = dict[int, np.ndarray]
 Bands2D = dict[tuple[int, int], np.ndarray]
 
-#: preconditioner kind -> (transform algebra, plain diagonal scaling wrap,
-#: scaled-system variant)
+#: preconditioner family -> (transform algebra, blur boundary condition)
 _FAMILIES = {
-    "R": TransformKind.DCT,
-    "M": TransformKind.SINE_HAT,
-    "P": TransformKind.ANTI_REFLECTIVE,
+    "R": (TransformKind.DCT, BoundaryCondition.REFLECTIVE),
+    "M": (TransformKind.SINE_HAT, BoundaryCondition.ANTI_REFLECTIVE),
+    "P": (TransformKind.ANTI_REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE),
 }
-
-PRECONDITIONER_KINDS = (
-    "R", "D_R", "R_D", "M", "D_M", "M_D", "P", "D_P", "P_D",
-)
 
 
 class IndefinitePreconditionerError(RuntimeError):
@@ -68,10 +63,6 @@ class IndefinitePreconditionerError(RuntimeError):
         self.kind = kind
         self.alpha = alpha
         self.min_eigenvalue = min_eigenvalue
-
-
-class TauConsistencyError(ValueError):
-    """Input claimed to be in the sine algebra is not, beyond tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +259,6 @@ def sinehat_project(a, n: int | None = None) -> np.ndarray:
     return _eigs_any(TransformKind.SINE_HAT, a, n)
 
 
-def tau_extract_z(b, tol: float = 1e-8) -> np.ndarray:
-    """Recover the representer z of a sine-algebra matrix from its first column.
-
-    A sine-algebra matrix equals ``Toeplitz(z) - Hankel`` built from z
-    shifted by two, hence ``z[k] = col[k] + z[k+2]`` with two trailing zeros.
-    Raises :class:`TauConsistencyError` when the reconstruction misses ``b``
-    beyond ``tol`` (relative to its Frobenius norm).
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if b.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {b.shape}")
-    col = b[:, 0]
-    z = col.copy()
-    for k in range(n - 3, -1, -1):
-        z[k] += z[k + 2]
-    residual = np.linalg.norm(b - tau_dense_from_z(z))
-    if residual > tol * max(1.0, np.linalg.norm(b)):
-        raise TauConsistencyError(
-            f"matrix is not in the sine algebra (residual {residual:.3e})"
-        )
-    return z
-
-
-def tau_dense_from_z(z: np.ndarray) -> np.ndarray:
-    """Dense sine-algebra matrix with representer z (oracle helper)."""
-    z = np.asarray(z, dtype=float)
-    shifted = np.concatenate([z[2:], [0.0, 0.0]])
-    return toeplitz(z) - hankel(shifted, shifted[::-1])
-
-
 @dataclass(frozen=True)
 class ArProjection:
     """Anti-reflective-algebra approximation in factored form."""
@@ -477,17 +437,8 @@ class FactoredPreconditioner:
         return self._diagonalized(b, self._inverse_eigenvalues)
 
     def dense(self) -> np.ndarray:
-        """Materialize by probing (oracle use)."""
-        size = self.eigenvalues.size
-        if size > 4096:
-            raise ValueError("dense() is a desk-scale oracle")
-        n = self.eigenvalues.shape[0]
-        out = np.empty((size, size))
-        for k in range(size):
-            e = np.zeros(size)
-            e[k] = 1.0
-            out[:, k] = self.apply(e if self.ndim == 1 else e.reshape(n, n)).reshape(-1)
-        return out
+        """The preconditioner as a dense matrix (small sizes only)."""
+        return probe_dense(self.apply, self.eigenvalues.shape)
 
 
 def _scaled_bands_1d(bands: Bands1D, s: np.ndarray) -> Bands1D:
@@ -525,18 +476,13 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
     diagonally scaled system and uses
     ``|lam_H|^2 |lam_D|^2 + alpha * proj(scaled L)``.
     """
-    from .blur import BoundaryCondition  # local import to avoid a cycle
-
-    if kind not in PRECONDITIONER_KINDS:
+    base = kind.removeprefix("D_").removesuffix("_D")
+    # a family letter with at most one of the two wraps
+    if base not in _FAMILIES or len(kind) > len(base) + 2:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    base = kind.replace("D_", "").replace("_D", "")
-    transform = _FAMILIES[base]
-    expected_bc = (
-        BoundaryCondition.REFLECTIVE if base == "R"
-        else BoundaryCondition.ANTI_REFLECTIVE
-    )
+    transform, expected_bc = _FAMILIES[base]
     if h_op.bc is not expected_bc:
         raise ValueError(
             f"preconditioner {kind!r} requires a blur operator with "

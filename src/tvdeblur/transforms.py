@@ -171,42 +171,18 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
     return apply_1d(kind, out, inverse=inverse, transpose=transpose, axis=1)
 
 
-def dense_matrix(kind: TransformKind, n: int, inverse: bool = False) -> np.ndarray:
-    """Materialize a transform matrix from its defining formula (small n only).
+def probe_dense(apply, shape) -> np.ndarray:
+    """Dense matrix of the linear map ``apply`` on arrays of ``shape``.
 
-    Intended for oracles and diagnostics; fast paths never call this.
+    Column k is the image of the k-th unit vector (row-major order).  Desk
+    scale only: at most 4096 unknowns.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if kind is TransformKind.DCT:
-        i = np.arange(n)[:, None]
-        j = np.arange(n)[None, :]
-        c = np.sqrt((2.0 - (j == 0)) / n) * np.cos((2 * i + 1) * j * np.pi / (2 * n))
-        return c.T if inverse else c
-    if kind is TransformKind.DST1:
-        ij = np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
-        return np.sqrt(2.0 / (n + 1)) * np.sin(ij * np.pi / (n + 1))
-    if n < 3:
-        raise ValueError(f"{kind.value} requires n >= 3")
-    s = dense_matrix(TransformKind.DST1, n - 2)
-    if kind is TransformKind.SINE_HAT:
-        out = np.zeros((n, n))
-        out[0, 0] = 1.0
-        out[-1, -1] = 1.0
-        out[1:-1, 1:-1] = s
-        return out
-    if kind is TransformKind.ANTI_REFLECTIVE:
-        p = 1.0 - np.arange(1, n - 1) / (n - 1)
-        out = np.zeros((n, n))
-        out[0, 0] = 1.0
-        out[-1, -1] = 1.0
-        if not inverse:
-            out[1:-1, 0] = p
-            out[1:-1, -1] = p[::-1]
-            out[1:-1, 1:-1] = s
-        else:
-            out[1:-1, 0] = -s @ p
-            out[1:-1, -1] = -s @ p[::-1]
-            out[1:-1, 1:-1] = s
-        return out
-    raise ValueError(f"unknown transform kind: {kind!r}")
+    size = int(np.prod(shape))
+    if size > 4096:
+        raise ValueError(f"dense probing is limited to 4096 unknowns, got {size}")
+    out = np.empty((size, size))
+    for k in range(size):
+        e = np.zeros(size)
+        e[k] = 1.0
+        out[:, k] = apply(e.reshape(shape)).reshape(-1)
+    return out

@@ -23,6 +23,8 @@ from enum import Enum
 
 import numpy as np
 
+from .transforms import probe_dense
+
 
 class DiffusionBc(Enum):
     ZERO_NEUMANN = "zero_neumann"
@@ -39,29 +41,25 @@ def _extend(u: np.ndarray, bc: DiffusionBc) -> np.ndarray:
     return np.pad(u, 1, **_PAD[bc])
 
 
-def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN,
-                           spacing: float = 1.0):
+def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN):
     """Midpoint coefficients ``1 / sqrt(|grad u|^2 + beta^2)`` on cell edges.
 
     1D returns one array of length n+1 (boundary edges included); 2D returns
     ``(horizontal, vertical)`` arrays of shapes n x (n+1) and (n+1) x n.
-    Gradients are divided differences over ``spacing`` (default unit grid).
     Boundary edges use ghost values extended by ``bc``, so all coefficients
     lie in ``(0, 1/beta]``.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
     u = np.asarray(u, dtype=float)
     ext = _extend(u, bc)
     if u.ndim == 1:
-        d = np.diff(ext) / spacing
+        d = np.diff(ext)
         return 1.0 / np.sqrt(d * d + beta * beta)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square grid, got shape {u.shape}")
-    dh = np.diff(ext, axis=1) / spacing  # (n+2) x (n+1)
-    dv = np.diff(ext, axis=0) / spacing  # (n+1) x (n+2)
+    dh = np.diff(ext, axis=1)  # (n+2) x (n+1)
+    dv = np.diff(ext, axis=0)  # (n+1) x (n+2)
     # transverse gradient at an edge midpoint: four-point average of the
     # one-sided differences at the edge endpoints
     trans_h = 0.25 * (dv[:-1, :-1] + dv[1:, :-1] + dv[:-1, 1:] + dv[1:, 1:])
@@ -80,18 +78,16 @@ class DiffusionOperator:
     coefficient arrays.
     """
 
-    def __init__(self, u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN,
-                 spacing: float = 1.0) -> None:
+    def __init__(self, u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN) -> None:
         u = np.asarray(u, dtype=float)
         self.bc = bc
         self.beta = float(beta)
-        self.spacing = float(spacing)
         self.ndim = u.ndim
         self.n = u.shape[0]
         if u.ndim == 1:
-            self.a = diffusion_coefficients(u, beta, bc, spacing)
+            self.a = diffusion_coefficients(u, beta, bc)
         else:
-            self.a_h, self.a_v = diffusion_coefficients(u, beta, bc, spacing)
+            self.a_h, self.a_v = diffusion_coefficients(u, beta, bc)
 
     def apply(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -99,13 +95,12 @@ class DiffusionOperator:
         if w.shape != expected:
             raise ValueError(f"expected shape {expected}, got {w.shape}")
         ext = _extend(w, self.bc)
-        inv_h2 = 1.0 / (self.spacing * self.spacing)
         if self.ndim == 1:
             flux = self.a * np.diff(ext)
-            return -inv_h2 * np.diff(flux)
+            return -np.diff(flux)
         flux_h = self.a_h * np.diff(ext[1:-1, :], axis=1)
         flux_v = self.a_v * np.diff(ext[:, 1:-1], axis=0)
-        return -inv_h2 * (np.diff(flux_h, axis=1) + np.diff(flux_v, axis=0))
+        return -(np.diff(flux_h, axis=1) + np.diff(flux_v, axis=0))
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal, accounting for ghost-value substitution at borders."""
@@ -132,8 +127,7 @@ class DiffusionOperator:
             diag[-1] -= 2.0 * a[-1]
             upper[0] += a[0]
             lower[-1] += a[-1]
-        inv_h2 = 1.0 / (self.spacing * self.spacing)
-        return {0: inv_h2 * diag, 1: inv_h2 * upper, -1: inv_h2 * lower}
+        return {0: diag, 1: upper, -1: lower}
 
     def block_banded(self) -> dict[tuple[int, int], np.ndarray]:
         """5-point stencil as block bands: (block offset, inner offset) -> grid.
@@ -165,31 +159,22 @@ class DiffusionOperator:
             inner_lo[:, -1] += ah[:, -1]
             block_up[0, :] += av[0, :]
             block_lo[-1, :] += av[-1, :]
-        inv_h2 = 1.0 / (self.spacing * self.spacing)
         return {
-            (0, 0): inv_h2 * diag,
-            (0, 1): inv_h2 * inner_up,
-            (0, -1): inv_h2 * inner_lo,
-            (1, 0): inv_h2 * block_up,
-            (-1, 0): inv_h2 * block_lo,
+            (0, 0): diag,
+            (0, 1): inner_up,
+            (0, -1): inner_lo,
+            (1, 0): block_up,
+            (-1, 0): block_lo,
         }
 
     def dense(self) -> np.ndarray:
-        """Assemble the operator densely by probing (small sizes, oracles)."""
-        size = self.n if self.ndim == 1 else self.n * self.n
-        if size > 4096:
-            raise ValueError("dense() is a desk-scale oracle")
-        out = np.empty((size, size))
-        for k in range(size):
-            e = np.zeros(size)
-            e[k] = 1.0
-            out[:, k] = self.apply(e if self.ndim == 1 else e.reshape(self.n, self.n)).reshape(-1)
-        return out
+        """The operator as a dense matrix (small sizes only)."""
+        return probe_dense(self.apply, (self.n,) * self.ndim)
 
 
 def el_residual(u, v, h_op, alpha: float, beta: float,
                 bc_l: DiffusionBc = DiffusionBc.ZERO_NEUMANN,
-                reblur: bool = False, spacing: float = 1.0) -> np.ndarray:
+                reblur: bool = False) -> np.ndarray:
     """First-order optimality residual of the smoothed-TV objective.
 
     ``g(u) = H*(H u - v) + alpha L(u) u`` with the adjoint replaced by the
@@ -201,4 +186,4 @@ def el_residual(u, v, h_op, alpha: float, beta: float,
     v = np.asarray(v, dtype=float)
     residual = h_op.apply(u) - v
     back = h_op.reblur_apply(residual) if reblur else h_op.apply_transpose(residual)
-    return back + alpha * DiffusionOperator(u, beta, bc_l, spacing).apply(u)
+    return back + alpha * DiffusionOperator(u, beta, bc_l).apply(u)

@@ -15,7 +15,6 @@ import oracles
 from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
 from tvdeblur.harness import (
     CONFIGURATIONS,
-    PRECOND_SELECTORS,
     BenchmarkSpec,
     make_problem,
     read_csv,
@@ -56,7 +55,7 @@ def run_benchmark_cell(problem, config_label, alpha, selector, n,
     bc_h, bc_l, formulation = CONFIGURATIONS[config_label]
     config = RestorationConfig(
         bc_h=bc_h, bc_l=bc_l, formulation=formulation,
-        preconditioner=PRECOND_SELECTORS[selector],
+        preconditioner=PrecondSelector(selector),
         alpha=alpha, beta=beta,
         inner=KrylovConfig(tol=1e-6, max_iterations=max_iterations),
     )

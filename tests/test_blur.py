@@ -9,7 +9,6 @@ from tvdeblur.blur import (
     StructuredBlurOperator,
     SymmetricPsf,
     UnsupportedBoundaryConditionError,
-    dense_blur_matrix,
     load_psf,
     save_psf,
     symbol_eval,
@@ -117,13 +116,13 @@ def test_apply_matches_dense_oracle(bc, n, rng):
     u = rng.standard_normal(n)
     np.testing.assert_allclose(op.apply(u), dense @ u, atol=1e-12)
     np.testing.assert_allclose(op.apply_transpose(u), dense.T @ u, atol=1e-12)
-    np.testing.assert_allclose(dense_blur_matrix(psf, bc, n), dense, atol=1e-13)
+    np.testing.assert_allclose(op.dense(), dense, atol=1e-13)
 
 
 def test_dense_structure_zero_and_periodic():
     psf = uniform_psf(2)
     n = 9
-    a_zero = dense_blur_matrix(psf, BoundaryCondition.ZERO_DIRICHLET, n)
+    a_zero = StructuredBlurOperator(psf, BoundaryCondition.ZERO_DIRICHLET, n).dense()
     # banded symmetric Toeplitz
     for i in range(n):
         for j in range(n):
@@ -131,7 +130,7 @@ def test_dense_structure_zero_and_periodic():
                 assert a_zero[i, j] == 0.0
             if i + 1 < n and j + 1 < n:
                 assert abs(a_zero[i, j] - a_zero[i + 1, j + 1]) < 1e-15
-    a_per = dense_blur_matrix(psf, BoundaryCondition.PERIODIC, n)
+    a_per = StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, n).dense()
     for i in range(1, n):
         np.testing.assert_allclose(a_per[i], np.roll(a_per[0], i), atol=1e-15)
 
@@ -139,7 +138,7 @@ def test_dense_structure_zero_and_periodic():
 def test_row_sums_are_one():
     psf = uniform_psf(3)
     for bc in (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE):
-        dense = dense_blur_matrix(psf, bc, 14)
+        dense = StructuredBlurOperator(psf, bc, 14).dense()
         np.testing.assert_allclose(dense.sum(axis=1), np.ones(14), atol=1e-12)
 
 
@@ -149,7 +148,7 @@ def test_row_sums_are_one():
 def test_ar_similarity_is_diagonal_and_grid_matches():
     psf = uniform_psf(2)
     n = 8
-    a = dense_blur_matrix(psf, BoundaryCondition.ANTI_REFLECTIVE, n)
+    a = StructuredBlurOperator(psf, BoundaryCondition.ANTI_REFLECTIVE, n).dense()
     t = oracles.dense_ar(n)
     sim = np.linalg.solve(t, a @ t)
     off = sim - np.diag(np.diag(sim))
@@ -169,7 +168,7 @@ def test_identity_psf_eigenvalues_are_one():
 def test_reflective_eigenvalues_match_similarity():
     psf = uniform_psf(1)
     n = 8
-    a = dense_blur_matrix(psf, BoundaryCondition.REFLECTIVE, n)
+    a = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n).dense()
     c = oracles.dense_dct(n)
     sim = c.T @ a @ c
     assert np.linalg.norm(sim - np.diag(np.diag(sim))) < 1e-12
@@ -220,7 +219,7 @@ def test_2d_eigenvalues_diagonalize_dense(rng):
     for bc, kind in ((BoundaryCondition.REFLECTIVE, "dct"),
                      (BoundaryCondition.ANTI_REFLECTIVE, "ar")):
         op = StructuredBlurOperator(psf, bc, n)
-        a = dense_blur_matrix(psf, bc, n)
+        a = op.dense()
         x1 = oracles.dense_dct(n) if kind == "dct" else oracles.dense_ar(n)
         xx = np.kron(x1, x1)
         sim = np.linalg.solve(xx, a @ xx)
@@ -238,7 +237,7 @@ def test_2d_apply_matches_oracle_and_fast_path(rng):
         op = StructuredBlurOperator(psf, bc, n)
         expected = oracles.blur_2d(u, psf.coefficients, bc.value)
         np.testing.assert_allclose(op.apply(u), expected, atol=1e-12)
-        dense = dense_blur_matrix(psf, bc, n)
+        dense = op.dense()
         np.testing.assert_allclose(dense @ u.reshape(-1),
                                    op.apply(u).reshape(-1), atol=1e-12)
         np.testing.assert_allclose(op.apply_transpose(u).reshape(-1),
@@ -270,7 +269,7 @@ def test_errors():
     with pytest.raises(UnsupportedBoundaryConditionError):
         op.apply_fast(np.zeros(16))
     with pytest.raises(ValueError):
-        dense_blur_matrix(psf, BoundaryCondition.PERIODIC, 300)
+        StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, 5000).dense()
     with pytest.raises(ValueError):
         op.apply(np.zeros(7))
 

@@ -287,6 +287,10 @@ def test_parse_sweep_config(tmp_path):
     bad.write_text("dimension 1\n")
     with pytest.raises(ValueError):
         parse_sweep_config(bad)
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("n = 64\nalpah = 1e-2\n")
+    with pytest.raises(ValueError, match=r"typo\.cfg:2: unknown key 'alpah'"):
+        parse_sweep_config(typo)
 
 
 # -- CLI ----------------------------------------------------------------------------

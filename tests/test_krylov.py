@@ -56,9 +56,34 @@ def test_pcg_residuals_decrease_over_windows(rng):
     a = m @ m.T + 30 * np.eye(30)
     b = rng.standard_normal(30)
     out = pcg(matvec(a), None, b, np.zeros(30),
-              KrylovConfig(tol=1e-12, max_iterations=200, record_history=True))
+              KrylovConfig(tol=1e-12, max_iterations=200))
     h = out.residual_history
     assert all(h[i + 5] < h[i] for i in range(len(h) - 5))
+
+
+def test_residual_history_has_one_entry_per_iteration(rng):
+    m = rng.standard_normal((12, 12))
+    spd = m @ m.T + 12 * np.eye(12)
+    b = rng.standard_normal(12)
+    cfg = KrylovConfig(tol=1e-10, max_iterations=200)
+    cases = [
+        (pcg, matvec(spd), b),
+        (pbicgstab, matvec(spd + np.triu(m, 1)), b),
+        (pcg, matvec(spd), np.zeros(12)),        # zero residual at the start
+        (pbicgstab, matvec(spd), np.zeros(12)),
+        (pbicgstab, matvec(np.eye(12)), b),      # converges at the half step
+    ]
+    for solver, apply_a, rhs in cases:
+        out = solver(apply_a, None, rhs, np.zeros(12), cfg)
+        assert out.converged
+        assert len(out.residual_history) == out.iterations
+        if out.iterations:
+            assert out.residual_history[-1] < cfg.tol
+    capped = KrylovConfig(tol=1e-14, max_iterations=3)
+    for solver in (pcg, pbicgstab):
+        out = solver(matvec(spd), None, b, np.zeros(12), capped)
+        assert not out.converged
+        assert len(out.residual_history) == out.iterations == 3
 
 
 def test_pcg_rejects_indefinite_operator(rng):

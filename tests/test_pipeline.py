@@ -182,6 +182,17 @@ def test_fp_termination_change_below_tolerance():
     assert not capped.fp_converged
 
 
+def test_zero_data_converges_in_one_step():
+    psf, _, _ = small_problem()
+    for selector in PrecondSelector:
+        cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                                beta=0.1, preconditioner=selector)
+        rep = restore(np.zeros(64), psf, cfg)
+        assert rep.fp_steps == 1 and rep.fp_converged and rep.inner_converged
+        assert rep.inner_iterations == [0]
+        assert np.all(rep.restored == 0.0)
+
+
 def test_gradient_norm_decreases_overall():
     psf, observed, u_true = small_problem(n=128)
     cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
@@ -209,13 +220,18 @@ def test_anti_reflective_configurations_run(label, bc_h, bc_l, formulation):
     assert rep.rre < 0.5
 
 
-def test_fast_blur_path_matches_reference_path():
+def test_fast_blur_path_matches_reference_path(monkeypatch):
     psf, observed, u_true = small_problem()
-    kw = dict(bc_h=BoundaryCondition.ANTI_REFLECTIVE, alpha=1e-3, beta=0.1,
-              preconditioner=PrecondSelector.X,
-              inner=KrylovConfig(tol=1e-10, max_iterations=3000))
-    fast = restore(observed, psf, RestorationConfig(**kw))
-    slow = restore(observed, psf, RestorationConfig(**kw, use_fast_blur=False))
+    cfg = RestorationConfig(bc_h=BoundaryCondition.ANTI_REFLECTIVE, alpha=1e-3,
+                            beta=0.1, preconditioner=PrecondSelector.X,
+                            inner=KrylovConfig(tol=1e-10, max_iterations=3000))
+    fast = restore(observed, psf, cfg)
+    # route the transform-diagonalized applies to the pad/convolve/crop ones
+    monkeypatch.setattr(StructuredBlurOperator, "apply_fast",
+                        StructuredBlurOperator.apply)
+    monkeypatch.setattr(StructuredBlurOperator, "apply_transpose_fast",
+                        StructuredBlurOperator.apply_transpose)
+    slow = restore(observed, psf, cfg)
     np.testing.assert_allclose(fast.restored, slow.restored, atol=1e-6)
     assert fast.fp_steps == slow.fp_steps
 

@@ -8,7 +8,6 @@ from tvdeblur.precond import (
     ArProjection,
     FactoredPreconditioner,
     IndefinitePreconditionerError,
-    TauConsistencyError,
     ar_membership_residual,
     ar_project,
     assemble_preconditioner,
@@ -17,8 +16,6 @@ from tvdeblur.precond import (
     sine_project,
     sinehat_project,
     spectral_diagnostic,
-    tau_dense_from_z,
-    tau_extract_z,
 )
 from tvdeblur.transforms import TransformKind
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
@@ -128,29 +125,6 @@ def test_banded_projection_matches_dense(kind, rng):
         a, bands = random_banded(rng, n, bandwidth=2)
         np.testing.assert_allclose(PROJECTIONS[kind](bands, n),
                                    PROJECTIONS[kind](a), atol=1e-12)
-
-
-# -- sine-algebra representer ---------------------------------------------------
-
-
-def test_tau_extract_identity_and_zero():
-    e1 = np.zeros(6)
-    e1[0] = 1.0
-    np.testing.assert_allclose(tau_extract_z(np.eye(6)), e1, atol=1e-14)
-    np.testing.assert_allclose(tau_extract_z(np.zeros((6, 6))), np.zeros(6),
-                               atol=1e-14)
-
-
-def test_tau_round_trip(rng):
-    lam = rng.standard_normal(6)
-    member = dense_member(TransformKind.DST1, lam)
-    z = tau_extract_z(member)
-    np.testing.assert_allclose(tau_dense_from_z(z), member, atol=1e-12)
-
-
-def test_tau_rejects_non_members(rng):
-    with pytest.raises(TauConsistencyError):
-        tau_extract_z(rng.standard_normal((6, 6)))
 
 
 # -- anti-reflective projection --------------------------------------------------
@@ -339,8 +313,9 @@ def test_assemble_rejects_wrong_boundary_conditions():
     h_op, l_op = make_1d_ops("R")
     with pytest.raises(ValueError):
         assemble_preconditioner("M", h_op, l_op, 1e-3)
-    with pytest.raises(ValueError):
-        assemble_preconditioner("Q", h_op, l_op, 1e-3)
+    for kind in ("Q", "D_R_D", "D_D_R", "RD", "D_"):
+        with pytest.raises(ValueError, match="unknown preconditioner kind"):
+            assemble_preconditioner(kind, h_op, l_op, 1e-3)
     with pytest.raises(ValueError):
         assemble_preconditioner("R", h_op, l_op, -1.0)
 

@@ -125,19 +125,6 @@ def test_2d_zero_neumann_symmetric_psd(rng):
     assert np.linalg.eigvalsh((dense + dense.T) / 2).min() > -1e-10
 
 
-def test_spacing_scales_stencil(rng):
-    u = rng.standard_normal(8)
-    w = rng.standard_normal(8)
-    unit = DiffusionOperator(u, 0.2)
-    # with spacing h, gradients divide by h and the stencil by h^2
-    h = 0.05
-    scaled = DiffusionOperator(u, 0.2, spacing=h)
-    a_expected = 1.0 / np.sqrt((np.diff(np.pad(u, 1, mode="symmetric")) / h) ** 2
-                               + 0.04)
-    np.testing.assert_allclose(scaled.a, a_expected, atol=1e-14)
-    assert unit.apply(w).shape == scaled.apply(w).shape
-
-
 def test_shape_mismatch_rejected(rng):
     op = DiffusionOperator(rng.standard_normal(6), 0.1)
     with pytest.raises(ValueError):
