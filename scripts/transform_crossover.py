@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Per-axis FFT against cached-matrix product for 2D tensor transforms.
+
+For each transform kind and grid side n, prints the best-of-k time of one
+forward 2D tensor apply done two ways: the 1D ``scipy.fft`` transform along
+each axis, and the two products ``m @ G @ m.T`` with the cached dense matrix
+``m`` of the 1D apply.  ``tensor_apply_2d`` takes the product for
+n <= ``transforms._GEMM_MAX_N``; this table is the evidence for that cutoff.
+The environment (versions, cores, CPU, BLAS thread variables) is printed
+first, because the crossover depends on the machine.
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/transform_crossover.py
+"""
+
+import argparse
+import os
+import platform
+from time import perf_counter
+
+import numpy as np
+import scipy
+
+from tvdeblur import transforms
+from tvdeblur.transforms import TransformKind, apply_1d
+
+SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine()
+
+
+def best_us(fn, repeats: int) -> float:
+    fn()  # fill caches before timing
+    best = np.inf
+    for _ in range(repeats):
+        t0 = perf_counter()
+        fn()
+        best = min(best, perf_counter() - t0)
+    return best * 1e6
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    args = parser.parse_args()
+
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"scipy {scipy.__version__}, nproc {len(os.sched_getaffinity(0))}")
+    print(f"cpu {cpu_model()}")
+    print("threads " + ", ".join(f"{v}={os.environ.get(v)}" for v in THREAD_VARS))
+    print(f"best of {args.repeats}, us; cutoff _GEMM_MAX_N = "
+          f"{transforms._GEMM_MAX_N}")
+    print(f"{'kind':<16}{'n':>5}{'per-axis':>11}{'matrix':>11}{'ratio':>8}")
+    rng = np.random.default_rng(0)
+    for kind in TransformKind:
+        for n in args.sizes:
+            g = rng.standard_normal((n, n))
+            m = transforms._matrix_1d(kind, False, False, n)
+            per_axis = best_us(
+                lambda: apply_1d(kind, apply_1d(kind, g, axis=0), axis=1),
+                args.repeats)
+            product = best_us(lambda: m @ g @ m.T, args.repeats)
+            print(f"{kind.value:<16}{n:>5}{per_axis:>11.1f}{product:>11.1f}"
+                  f"{per_axis / product:>8.2f}")
+
+
+if __name__ == "__main__":
+    main()

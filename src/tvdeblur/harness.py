@@ -543,5 +543,10 @@ def parse_sweep_config(path) -> BenchmarkSpec:
             if key not in _SWEEP_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             name, parse = _SWEEP_KEYS[key]
-            kwargs[name] = parse(value.strip())
+            try:
+                kwargs[name] = parse(value.strip())
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad value for {key!r}: {exc}"
+                ) from exc
     return BenchmarkSpec(**kwargs)

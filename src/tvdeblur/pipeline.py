@@ -179,11 +179,27 @@ def _system_operators(h_op: StructuredBlurOperator, config: RestorationConfig):
     return apply_h, back
 
 
+def _check_shapes(data: tuple, kernel: tuple) -> None:
+    """Reject data the blur operator cannot take, naming both shapes."""
+    if len(data) not in (1, 2):
+        problem = "data must be 1D or 2D"
+    elif len(data) != len(kernel):
+        problem = f"{len(data)}D data needs a {len(data)}D PSF"
+    elif len(data) == 2 and data[0] != data[1]:
+        problem = "2D data must be square"
+    else:
+        return
+    raise ConfigurationError(
+        f"{problem}: data shape {data}, PSF shape {kernel}"
+    )
+
+
 def restore(v, psf: SymmetricPsf, config: RestorationConfig,
             u_true=None) -> RestorationReport:
     """Run the fixed-point restoration of observed data ``v``."""
     config.validate()
     v = np.asarray(v, dtype=float)
+    _check_shapes(v.shape, psf.coefficients.shape)
     if not np.all(np.isfinite(v)):
         raise ConfigurationError("observed data must be finite")
     started = time.perf_counter()

@@ -15,11 +15,13 @@ Three one-dimensional transforms and their tensor-product (2D) extensions:
   columns sample the linear ramps ``1 - x`` and ``x`` and whose interior
   columns are sine waves.  With ``Shat = diag(1, S_{n-2}, 1)`` it factors as
   ``T = Shat (I + U)`` and ``T^{-1} = (I - U) Shat`` where ``U`` holds two
-  correction columns, so ``T`` is never formed densely: every apply costs one
+  correction columns, so a 1D apply never forms ``T`` densely: it costs one
   fast sine transform plus O(n) boundary work.
 
-All applies run in O(n log n) (O(n^2 log n) for 2D tensor applies) via
-``scipy.fft``.  Transform data cached per size is read-only, so transform
+1D applies run in O(n log n) via ``scipy.fft``.  2D tensor applies on
+grids with n <= 144 are two products with the cached dense n x n matrix of
+the 1D apply, O(n^3); larger grids take the 1D transform along each axis,
+O(n^2 log n).  Transform data cached per size is read-only, so transform
 applications are safe to share across threads.
 """
 
@@ -156,17 +158,41 @@ def apply_1d(kind: TransformKind, v, inverse: bool = False, transpose: bool = Fa
     raise ValueError(f"unknown transform kind: {kind!r}")
 
 
+# Largest grid side applied as two dense products.  Up to here the products
+# match or beat the per-axis FFTs for the three sine-based kinds at every n
+# measured, and their cost does not depend on how n (or n - 1) factors: at
+# n = 128 the anti-reflective DST-I needs a length-254 = 2 * 127 FFT.  The
+# DCT loses up to 27% as a product at smooth n from 120 to 144 and 30-52%
+# above, which bounds the cutoff.  Measured by scripts/transform_crossover.py.
+_GEMM_MAX_N = 144
+
+
+@lru_cache(maxsize=16)
+def _matrix_1d(kind: TransformKind, inverse: bool, transpose: bool,
+               n: int) -> np.ndarray:
+    """Read-only dense n x n matrix of the 1D apply with these flags."""
+    m = apply_1d(kind, np.eye(n), inverse=inverse, transpose=transpose, axis=0)
+    m.setflags(write=False)
+    return m
+
+
 def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
                     transpose: bool = False) -> np.ndarray:
     """Apply the tensor product X (x) X to a square grid.
 
-    Realized as the 1D transform over all columns (axis 0) followed by all
-    rows (axis 1); for a grid G this computes ``X G X^T`` and its
-    inverse/transpose variants.
+    For a grid G this computes ``X G X^T`` and its inverse/transpose
+    variants.  With n <= ``_GEMM_MAX_N`` it is the two products
+    ``m @ G @ m.T`` with the cached matrix ``m`` of the 1D apply; larger
+    grids take the 1D transform over all columns (axis 0) and then all rows
+    (axis 1).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"tensor transform needs a square grid, got shape {g.shape}")
+    n = g.shape[0]
+    if n <= _GEMM_MAX_N:
+        m = _matrix_1d(kind, inverse, transpose, n)
+        return m @ g @ m.T
     out = apply_1d(kind, g, inverse=inverse, transpose=transpose, axis=0)
     return apply_1d(kind, out, inverse=inverse, transpose=transpose, axis=1)
 

@@ -36,6 +36,17 @@ def dense_ar(n: int) -> np.ndarray:
     return out
 
 
+def kron_apply_2d(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(X kron X) vec(G) for row-major vec, one Kronecker row block at a time.
+
+    Output row i is the row block ``kron(X[i], X)`` of the n^2 x n^2 product
+    applied to vec(G), so memory stays at n^3 entries.
+    """
+    n = g.shape[0]
+    flat = g.reshape(-1)
+    return np.stack([np.kron(x[i:i + 1], x) @ flat for i in range(n)])
+
+
 def extend_1d(u: np.ndarray, m: int, bc: str) -> np.ndarray:
     """Boundary extension written out from the scalar rules."""
     n = len(u)

@@ -14,6 +14,8 @@ from tvdeblur.blur import (
     symbol_eval,
 )
 from tvdeblur.harness import gen_psf
+from tvdeblur.precond import assemble_preconditioner
+from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 ALL_BCS = list(BoundaryCondition)
 
@@ -247,6 +249,30 @@ def test_2d_apply_matches_oracle_and_fast_path(rng):
         np.testing.assert_allclose(op.apply_fast(u), op.apply(u), atol=1e-10)
         np.testing.assert_allclose(op.apply_transpose_fast(u),
                                    op.apply_transpose(u), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [5, 127, 128, 129, 145])
+@pytest.mark.parametrize("bc,kind,l_bc", [
+    (BoundaryCondition.REFLECTIVE, "R_D", DiffusionBc.ZERO_NEUMANN),
+    (BoundaryCondition.ANTI_REFLECTIVE, "P_D", DiffusionBc.ANTI_REFLECTIVE),
+])
+def test_2d_fast_paths_across_dense_product_cutoff(n, bc, kind, l_bc, rng):
+    """Fast applies and preconditioner round trips on both sides of the
+    n <= 144 dense-product cutoff of the 2D transforms, at the smallest legal
+    and the prime-adjacent sizes."""
+    psf = gen_psf("gaussian", 2, 1.0)
+    op = StructuredBlurOperator(psf, bc, n)
+    u = rng.standard_normal((n, n))
+    scale = np.max(np.abs(u))
+    np.testing.assert_allclose(op.apply_fast(u), op.apply(u), rtol=0,
+                               atol=1e-10 * scale)
+    np.testing.assert_allclose(op.apply_transpose_fast(u),
+                               op.apply_transpose(u), rtol=0,
+                               atol=1e-10 * scale)
+    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, l_bc)
+    fp = assemble_preconditioner(kind, op, l_op, 1e-2)
+    np.testing.assert_allclose(fp.apply(fp.apply_inverse(u)), u, rtol=0,
+                               atol=1e-9 * scale)
 
 
 def test_reblur_alias_is_forward_apply(rng):

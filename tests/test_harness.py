@@ -291,6 +291,11 @@ def test_parse_sweep_config(tmp_path):
     typo.write_text("n = 64\nalpah = 1e-2\n")
     with pytest.raises(ValueError, match=r"typo\.cfg:2: unknown key 'alpah'"):
         parse_sweep_config(typo)
+    value = tmp_path / "value.cfg"
+    value.write_text("n = 64\n\nalpha = 1e-2, abc\n")
+    with pytest.raises(ValueError, match=r"value\.cfg:3: bad value for 'alpha': "
+                                         r"could not convert string to float: 'abc'"):
+        parse_sweep_config(value)
 
 
 # -- CLI ----------------------------------------------------------------------------

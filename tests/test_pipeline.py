@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,6 +44,29 @@ def test_config_invariants():
                 RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE,
                                   alpha=1e-3, beta=0.1,
                                   formulation=Formulation.REBLUR))
+
+
+@pytest.mark.parametrize("data,coefficients,problem", [
+    (np.ones(20), np.full((3, 3), 1 / 9), "1D data needs a 1D PSF"),
+    (np.ones((20, 20)), np.full(3, 1 / 3), "2D data needs a 2D PSF"),
+    (np.ones((20, 21)), np.full((3, 3), 1 / 9), "2D data must be square"),
+    (np.ones((4, 4, 4)), np.full((3, 3), 1 / 9), "data must be 1D or 2D"),
+])
+def test_shape_mismatch_fails_before_any_operator(monkeypatch, data,
+                                                  coefficients, problem):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("blur operator built before shape validation")
+
+    monkeypatch.setattr("tvdeblur.pipeline.StructuredBlurOperator", no_operator)
+    psf = SymmetricPsf(coefficients)
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                            beta=0.1)
+    with pytest.raises(ConfigurationError) as info:
+        restore(data, psf, cfg)
+    message = str(info.value)
+    assert message.startswith(problem)
+    assert f"data shape {data.shape}" in message
+    assert f"PSF shape {coefficients.shape}" in message
 
 
 def test_resolved_kind_labels():
@@ -242,3 +269,32 @@ def test_zero_dirichlet_and_periodic_supported_without_transform_preconditioner(
         cfg = RestorationConfig(bc_h=bc, alpha=1e-3, beta=0.1)
         rep = restore(observed, psf, cfg, u_true=u_true)
         assert rep.fp_converged
+
+
+_RESTORE_2D_BYTES = """
+import sys
+from tvdeblur.harness import BenchmarkSpec, run_cell
+spec = BenchmarkSpec(dimension=2, ns=(64,), nsr=0.001, seed=2023,
+                     psf_kind="gaussian")
+cell = run_cell(spec, "AR+Reblur+AR", 1e-2, 0.01, 64, "x_d")
+sys.stdout.buffer.write(cell.report.restored.tobytes())
+"""
+
+
+def test_2d_restore_is_byte_identical_across_blas_threads():
+    """2D transforms run as BLAS matrix products; a fixed-seed restore must
+    not depend on how many threads BLAS uses."""
+    outputs = []
+    for pinned in (True, False):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if pinned:
+                env[var] = "1"
+            else:
+                env.pop(var, None)
+        proc = subprocess.run([sys.executable, "-c", _RESTORE_2D_BYTES],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 64 * 64 * 8
+    assert outputs[0] == outputs[1]

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import dense_ar, dense_dct, dense_dst1, dense_sinehat
+from oracles import dense_ar, dense_dct, dense_dst1, dense_sinehat, kron_apply_2d
+from tvdeblur import transforms
 from tvdeblur.transforms import (
     TransformKind,
     apply_1d,
@@ -139,6 +140,58 @@ def test_tensor_ar_round_trip(rng):
         atol=1e-10)
 
 
+def dense_transform(kind, n, inverse, transpose):
+    """Dense matrix of one 1D apply, built from the oracle formulas."""
+    if kind is TransformKind.DST1:
+        return dense_dst1(n)
+    if kind is TransformKind.SINE_HAT:
+        return dense_sinehat(n)
+    if kind is TransformKind.DCT:
+        c = dense_dct(n)
+        return c.T if inverse != transpose else c
+    t = dense_ar(n)
+    t = np.linalg.inv(t) if inverse else t
+    return t.T if transpose else t
+
+
+# both sides of transforms._GEMM_MAX_N = 144, the smallest legal sizes and
+# the prime-adjacent lengths around 128
+TENSOR_SIZES = (3, 4, 5, 64, 127, 128, 129, 144, 145)
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("n", TENSOR_SIZES)
+def test_tensor_apply_matches_per_axis_and_kronecker(n, rng):
+    g = rng.standard_normal((n, n))
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    for kind in TransformKind:
+        for inverse, transpose in FLAGS:
+            got = tensor_apply_2d(kind, g, inverse=inverse, transpose=transpose)
+            per_axis = apply_1d(kind, apply_1d(kind, g, inverse, transpose, axis=0),
+                                inverse, transpose, axis=1)
+            x = dense_transform(kind, n, inverse, transpose)
+            # the explicit Kronecker product costs n^4; past n = 64 use the
+            # identity (X kron X) vec(G) = vec(X G X^T) on the oracle matrix
+            oracle = kron_apply_2d(x, g) if n <= 64 else x @ g @ x.T
+            what = f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
+            assert rel(got, per_axis) < 1e-13, what
+            assert rel(got, oracle) < 1e-13, what
+
+
+def test_tensor_matrix_cache_is_read_only():
+    for kind in TransformKind:
+        m = transforms._matrix_1d(kind, True, False, 8)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    out = tensor_apply_2d(TransformKind.DCT, np.eye(8))
+    assert out.flags.writeable and not np.shares_memory(
+        out, transforms._matrix_1d(TransformKind.DCT, False, False, 8))
+
+
 def test_rejects_empty_and_tiny():
     with pytest.raises(ValueError):
         dst1_apply(np.array([]))
@@ -149,8 +202,16 @@ def test_rejects_empty_and_tiny():
             ar_apply(np.ones(n))
         with pytest.raises(ValueError):
             sinehat_apply(np.ones(n))
-    with pytest.raises(ValueError):
-        tensor_apply_2d(TransformKind.DST1, np.ones((3, 4)))
+        with pytest.raises(ValueError, match=f"T_n requires length >= 3, got {n}"):
+            tensor_apply_2d(TransformKind.ANTI_REFLECTIVE, np.ones((n, n)))
+        with pytest.raises(ValueError, match=f"Shat_n requires length >= 3, got {n}"):
+            tensor_apply_2d(TransformKind.SINE_HAT, np.ones((n, n)))
+    for kind in TransformKind:
+        for shape in ((3, 4), (145, 144), (4,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="needs a square grid"):
+                tensor_apply_2d(kind, np.ones(shape))
+        with pytest.raises(ValueError):
+            tensor_apply_2d(kind, np.ones((0, 0)))
 
 
 @given(v=finite_vectors, c=st.floats(-10, 10, allow_nan=False))
