@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
-"""Per-axis FFT against cached-matrix product for 2D tensor transforms.
+"""FFT against cached-matrix products for 2D transforms and assembly.
 
-For each transform kind and grid side n, prints the best-of-k time of one
-forward 2D tensor apply done two ways: the 1D ``scipy.fft`` transform along
-each axis, and the two products ``m @ G @ m.T`` with the cached dense matrix
-``m`` of the 1D apply.  ``tensor_apply_2d`` takes the product for
-n <= ``transforms._GEMM_MAX_N``; this table is the evidence for that cutoff.
-The environment (versions, cores, CPU, BLAS thread variables) is printed
-first, because the crossover depends on the machine.
+The first table gives, for each transform kind and grid side n, the
+best-of-k time of one forward 2D tensor apply done two ways: the 1D
+``scipy.fft`` transform along each axis, and the two products
+``m @ G @ m.T`` with the cached dense matrix ``m`` of the 1D apply.
+``tensor_apply_2d`` takes the product for n <= ``transforms._GEMM_MAX_N``.
+
+The second table gives the best-of-k time of one 2D
+``assemble_preconditioner`` call for R, R_D, M_D and P_D, with the band sums
+of the projections done two ways: the FFT closed forms (selected by
+setting the cutoff to 0) and the products with the cached band matrices
+that ``precond`` uses up to the same cutoff.  Together the tables are the
+evidence for that cutoff.  The environment (versions, cores, CPU, BLAS
+thread variables) is printed first, because the crossover depends on the
+machine.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/transform_crossover.py
 """
@@ -21,9 +28,15 @@ import numpy as np
 import scipy
 
 from tvdeblur import transforms
+from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator
+from tvdeblur.harness import gen_psf
+from tvdeblur.precond import assemble_preconditioner
 from tvdeblur.transforms import TransformKind, apply_1d
+from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256)
+ASSEMBLY_SIZES = (64, 120, 127, 128, 129, 144)
+ASSEMBLY_KINDS = ("R", "R_D", "M_D", "P_D")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -46,6 +59,39 @@ def best_us(fn, repeats: int) -> float:
         fn()
         best = min(best, perf_counter() - t0)
     return best * 1e6
+
+
+def assembly_table(sizes, repeats: int) -> None:
+    """Best-of-k 2D assembly, FFT band forms against cached products."""
+    print(f"{'kind':<16}{'n':>5}{'fft':>11}{'products':>11}{'ratio':>8}")
+    rng = np.random.default_rng(0)
+    psf = gen_psf("gaussian", 16, 8.0)
+    alpha = 1e-2
+    cutoff = transforms._GEMM_MAX_N
+    for kind in ASSEMBLY_KINDS:
+        for n in sizes:
+            bc = BoundaryCondition.REFLECTIVE if kind.startswith("R") \
+                else BoundaryCondition.ANTI_REFLECTIVE
+            l_bc = DiffusionBc.ANTI_REFLECTIVE if kind.startswith("P") \
+                else DiffusionBc.ZERO_NEUMANN
+            h_op = StructuredBlurOperator(psf, bc, n)
+            # a smooth iterate with mild noise, as in a late fixed-point step
+            x = np.linspace(0.0, 3.0, n)
+            u = np.add.outer(np.sin(x), np.cos(2 * x))
+            u += 0.01 * rng.standard_normal((n, n))
+            l_op = DiffusionOperator(u, 0.01, l_bc)
+            times = []
+            for limit in (0, cutoff):
+                transforms._GEMM_MAX_N = limit
+                try:
+                    times.append(best_us(
+                        lambda: assemble_preconditioner(kind, h_op, l_op, alpha),
+                        repeats) / 1e3)
+                finally:
+                    transforms._GEMM_MAX_N = cutoff
+            fft, product = times
+            print(f"{kind:<16}{n:>5}{fft:>11.2f}{product:>11.2f}"
+                  f"{fft / product:>8.2f}")
 
 
 def main() -> None:
@@ -72,6 +118,8 @@ def main() -> None:
             product = best_us(lambda: m @ g @ m.T, args.repeats)
             print(f"{kind.value:<16}{n:>5}{per_axis:>11.1f}{product:>11.1f}"
                   f"{per_axis / product:>8.2f}")
+    print(f"\nassemble_preconditioner, best of {args.repeats}, ms")
+    assembly_table(ASSEMBLY_SIZES, args.repeats)
 
 
 if __name__ == "__main__":

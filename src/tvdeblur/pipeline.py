@@ -200,6 +200,13 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     config.validate()
     v = np.asarray(v, dtype=float)
     _check_shapes(v.shape, psf.coefficients.shape)
+    if u_true is not None:
+        u_true = np.asarray(u_true, dtype=float)
+        if u_true.shape != v.shape:
+            raise ConfigurationError(
+                f"u_true must have the data's shape: data shape {v.shape}, "
+                f"u_true shape {u_true.shape}"
+            )
     if not np.all(np.isfinite(v)):
         raise ConfigurationError("observed data must be finite")
     started = time.perf_counter()
@@ -271,7 +278,6 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
 
     rre = None
     if u_true is not None:
-        u_true = np.asarray(u_true, dtype=float)
         rre = float(np.linalg.norm((u - u_true).ravel())
                     / np.linalg.norm(u_true.ravel()))
 

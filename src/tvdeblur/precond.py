@@ -10,9 +10,14 @@ diagonalized by one fast transform:
 
 For the three orthogonal algebras the Frobenius-closest member of the
 algebra to a matrix ``A`` has eigenvalues ``diag(X^T A X)``; for banded
-``A`` each band contributes a closed-form quadratic trigonometric sum that
-is evaluated for all frequencies at once with a single FFT, so projecting a
-bandwidth-b matrix costs O(b n log n) and never materializes anything dense.
+``A`` each band contributes a quadratic trigonometric sum
+``sum_i band[i] X[i, t] X[i + d, t]`` for all frequencies t at once.  When
+the transformed length n is at most ``transforms._GEMM_MAX_N`` (144, the
+cutoff of the 2D tensor products) that sum is the product ``band @ P_d``
+with the cached read-only matrix ``P_d = X[:n-d] * X[d:]``, O(b n^2) for
+bandwidth b and independent of how n factors; longer lengths evaluate the
+closed form with one FFT of length about 2n, O(b n log n), and never
+materialize anything dense.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
 unitary): it projects the interior onto the sine algebra, recovers the
@@ -25,17 +30,20 @@ Two-level (2D) versions apply the one-dimensional map blockwise, regroup
 indices with the vec permutation (outer and inner indices swapped), and
 apply it blockwise again.  For the orthogonal algebras this reproduces the
 Frobenius-optimal member of the tensor algebra; the whole construction runs
-on block-band coefficient arrays with batched FFTs in O(n^2 log n).
+on block-band coefficient arrays with batched band sums: O(n^3) matrix
+products for n <= 144, batched FFTs in O(n^2 log n) above.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as _fft
 
+from . import transforms
 from .blur import BoundaryCondition
 from .transforms import TransformKind, apply_1d, probe_dense, tensor_apply_2d
 
@@ -70,10 +78,24 @@ class IndefinitePreconditionerError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _band_products(kind: TransformKind, d: int, n: int) -> np.ndarray:
+    """Read-only ``P_d[i, t] = X[i, t] * X[i + d, t]`` for the n x n matrix X.
+
+    ``band @ P_d`` is one band's contribution to diag(X^T A X).  X is the
+    cached matrix of the 1D forward apply, C for the DCT and S for the DST-I.
+    """
+    m = transforms._matrix_1d(kind, False, False, n)
+    p = m[: n - d] * m[d:]
+    p.setflags(write=False)
+    return p
+
+
 def _cosine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
     """Contribution of one band to diag(C^T A C), batched over leading axes.
 
-    Uses cos(u)cos(v) = (cos(u+v) + cos(u-v))/2: the frequency-sum part is a
+    Up to ``_GEMM_MAX_N`` it is ``band @ P_d``.  Above, it uses
+    cos(u)cos(v) = (cos(u+v) + cos(u-v))/2: the frequency-sum part is a
     length-2n FFT of the band placed on odd/even slots, the difference part
     collapses to the band total.
     """
@@ -84,6 +106,8 @@ def _cosine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
         return np.zeros(band.shape[:-1] + (n,))
     if band.shape[-1] != length:
         raise ValueError(f"band for offset {offset} must have length {length}")
+    if n <= transforms._GEMM_MAX_N:
+        return band @ _band_products(TransformKind.DCT, d, n)
     arr = np.zeros(band.shape[:-1] + (2 * n,))
     arr[..., d + 1: d + 1 + 2 * length: 2] = band
     freq_sum = _fft.rfft(arr, axis=-1)[..., :n].real
@@ -95,7 +119,10 @@ def _cosine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
 
 
 def _sine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """Contribution of one band to diag(S A S), batched over leading axes."""
+    """Contribution of one band to diag(S A S), batched over leading axes.
+
+    Up to ``_GEMM_MAX_N`` it is ``band @ P_d``; above, one length-2(n+1) FFT.
+    """
     d = abs(offset)
     band = np.asarray(band, dtype=float)
     length = n - d
@@ -103,6 +130,8 @@ def _sine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
         return np.zeros(band.shape[:-1] + (n,))
     if band.shape[-1] != length:
         raise ValueError(f"band for offset {offset} must have length {length}")
+    if n <= transforms._GEMM_MAX_N:
+        return band @ _band_products(TransformKind.DST1, d, n)
     arr = np.zeros(band.shape[:-1] + (2 * (n + 1),))
     arr[..., d + 2: d + 2 + 2 * length: 2] = band
     freq_sum = _fft.rfft(arr, axis=-1)[..., 1: n + 1].real
@@ -126,10 +155,19 @@ def _z_from_sine_eigenvalues(lam: np.ndarray) -> np.ndarray:
     """First-column representer z of S diag(lam) S via back-substitution.
 
     The first column of a sine-algebra matrix equals ``z`` minus its own
-    entries shifted up by two, so ``z[k] = col[k] + z[k+2]``.
+    entries shifted up by two, so ``z[k] = col[k] + z[k+2]``.  The DST-I
+    giving that column is a product with the cached matrix S up to
+    ``_GEMM_MAX_N``.
     """
-    col = _fft.dst(lam * _first_sine_column(lam.shape[-1]), type=1, norm="ortho",
-                   axis=-1)
+    n = lam.shape[-1]
+    # no named temporary: holding one more batch-sized array alive slowed
+    # the n = 256 assembly by about 15%
+    if n <= transforms._GEMM_MAX_N:
+        s = transforms._matrix_1d(TransformKind.DST1, False, False, n)
+        col = (lam * _first_sine_column(n)) @ s.T
+    else:
+        col = _fft.dst(lam * _first_sine_column(n), type=1, norm="ortho",
+                       axis=-1)
     z = col.copy()
     length = z.shape[-1]
     for parity in (length - 1, length - 2):

@@ -41,6 +41,29 @@ def _extend(u: np.ndarray, bc: DiffusionBc) -> np.ndarray:
     return np.pad(u, 1, **_PAD[bc])
 
 
+def _ghost_diff(w: np.ndarray, bc: DiffusionBc, axis: int = 0) -> np.ndarray:
+    """``np.diff(_extend(w, bc), axis=axis)`` on w's own lines, unpadded.
+
+    The two ghost differences repeat ``np.pad``'s arithmetic, so the bytes
+    are the same: a symmetric ghost equals the border sample, giving 0.0;
+    an odd reflection's ghost is ``2*w[0] - w[1]``; a length-1 axis is
+    extended by its edge value, giving 0.0 under both rules.
+    """
+    lead = (slice(None),) * axis
+    n = w.shape[axis]
+    d = np.empty(w.shape[:axis] + (n + 1,) + w.shape[axis + 1:])
+    np.subtract(w[lead + (slice(1, None),)], w[lead + (slice(None, -1),)],
+                out=d[lead + (slice(1, -1),)])
+    if bc is DiffusionBc.ZERO_NEUMANN or n == 1:
+        d[lead + (0,)] = 0.0
+        d[lead + (-1,)] = 0.0
+    else:
+        first, last = w[lead + (0,)], w[lead + (-1,)]
+        d[lead + (0,)] = first - (2 * first - w[lead + (1,)])
+        d[lead + (-1,)] = (2 * last - w[lead + (-2,)]) - last
+    return d
+
+
 def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN):
     """Midpoint coefficients ``1 / sqrt(|grad u|^2 + beta^2)`` on cell edges.
 
@@ -90,17 +113,28 @@ class DiffusionOperator:
             self.a_h, self.a_v = diffusion_coefficients(u, beta, bc)
 
     def apply(self, w) -> np.ndarray:
+        """``L w``: fluxes ``a * (difference across each edge)``, then their
+        negated divergence.
+
+        Boundary edges take their difference from the ghost value that
+        ``np.pad`` would give under ``bc``; it is computed in place rather
+        than by padding ``w``, with the same bytes.
+        """
         w = np.asarray(w, dtype=float)
         expected = (self.n,) if self.ndim == 1 else (self.n, self.n)
         if w.shape != expected:
             raise ValueError(f"expected shape {expected}, got {w.shape}")
-        ext = _extend(w, self.bc)
         if self.ndim == 1:
-            flux = self.a * np.diff(ext)
+            flux = _ghost_diff(w, self.bc)
+            flux *= self.a
             return -np.diff(flux)
-        flux_h = self.a_h * np.diff(ext[1:-1, :], axis=1)
-        flux_v = self.a_v * np.diff(ext[:, 1:-1], axis=0)
-        return -(np.diff(flux_h, axis=1) + np.diff(flux_v, axis=0))
+        flux_h = _ghost_diff(w, self.bc, axis=1)
+        flux_h *= self.a_h
+        flux_v = _ghost_diff(w, self.bc, axis=0)
+        flux_v *= self.a_v
+        out = np.diff(flux_h, axis=1)
+        out += np.diff(flux_v, axis=0)
+        return np.negative(out, out=out)
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal, accounting for ghost-value substitution at borders."""

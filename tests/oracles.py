@@ -122,3 +122,26 @@ def diffusion_dense_1d(a: np.ndarray, bc: str) -> np.ndarray:
                 mirror = 1 if j < 0 else n - 2
                 rows[i, mirror] += coeff
     return rows
+
+
+_DIFFUSION_PAD = {
+    "zero_neumann": {"mode": "symmetric"},
+    "anti_reflective": {"mode": "reflect", "reflect_type": "odd"},
+}
+
+
+def diffusion_apply_padded(w: np.ndarray, coefficients, bc: str) -> np.ndarray:
+    """Diffusion apply on ``w`` padded by one ghost value per side.
+
+    ``coefficients`` is the edge array ``a`` in 1D and ``(a_h, a_v)`` in
+    2D; ghosts come from ``np.pad`` (symmetric for zero Neumann, odd
+    reflection for anti-reflective).
+    """
+    ext = np.pad(w, 1, **_DIFFUSION_PAD[bc])
+    if w.ndim == 1:
+        flux = coefficients * np.diff(ext)
+        return -np.diff(flux)
+    a_h, a_v = coefficients
+    flux_h = a_h * np.diff(ext[1:-1, :], axis=1)
+    flux_v = a_v * np.diff(ext[:, 1:-1], axis=0)
+    return -(np.diff(flux_h, axis=1) + np.diff(flux_v, axis=0))

@@ -46,14 +46,21 @@ def test_config_invariants():
                                   formulation=Formulation.REBLUR))
 
 
-@pytest.mark.parametrize("data,coefficients,problem", [
-    (np.ones(20), np.full((3, 3), 1 / 9), "1D data needs a 1D PSF"),
-    (np.ones((20, 20)), np.full(3, 1 / 3), "2D data needs a 2D PSF"),
-    (np.ones((20, 21)), np.full((3, 3), 1 / 9), "2D data must be square"),
-    (np.ones((4, 4, 4)), np.full((3, 3), 1 / 9), "data must be 1D or 2D"),
+@pytest.mark.parametrize("data,coefficients,u_true,problem", [
+    (np.ones(20), np.full((3, 3), 1 / 9), None, "1D data needs a 1D PSF"),
+    (np.ones((20, 20)), np.full(3, 1 / 3), None, "2D data needs a 2D PSF"),
+    (np.ones((20, 21)), np.full((3, 3), 1 / 9), None, "2D data must be square"),
+    (np.ones((4, 4, 4)), np.full((3, 3), 1 / 9), None, "data must be 1D or 2D"),
+    (np.ones(20), np.full(3, 1 / 3), np.ones((20, 1)),
+     "u_true must have the data's shape"),
+    (np.ones(20), np.full(3, 1 / 3), np.ones(10),
+     "u_true must have the data's shape"),
+    (np.ones((20, 20)), np.full((3, 3), 1 / 9), np.ones(400),
+     "u_true must have the data's shape"),
 ])
 def test_shape_mismatch_fails_before_any_operator(monkeypatch, data,
-                                                  coefficients, problem):
+                                                  coefficients, u_true,
+                                                  problem):
     def no_operator(*args, **kwargs):
         raise AssertionError("blur operator built before shape validation")
 
@@ -62,11 +69,14 @@ def test_shape_mismatch_fails_before_any_operator(monkeypatch, data,
     cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
                             beta=0.1)
     with pytest.raises(ConfigurationError) as info:
-        restore(data, psf, cfg)
+        restore(data, psf, cfg, u_true=u_true)
     message = str(info.value)
     assert message.startswith(problem)
     assert f"data shape {data.shape}" in message
-    assert f"PSF shape {coefficients.shape}" in message
+    if u_true is None:
+        assert f"PSF shape {coefficients.shape}" in message
+    else:
+        assert f"u_true shape {u_true.shape}" in message
 
 
 def test_resolved_kind_labels():

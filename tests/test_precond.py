@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from tvdeblur import precond, transforms
 from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
 from tvdeblur.harness import gen_psf
 from tvdeblur.precond import (
@@ -125,6 +126,57 @@ def test_banded_projection_matches_dense(kind, rng):
         a, bands = random_banded(rng, n, bandwidth=2)
         np.testing.assert_allclose(PROJECTIONS[kind](bands, n),
                                    PROJECTIONS[kind](a), atol=1e-12)
+
+
+def oracle_eigenvalues(kind, a):
+    """Projection eigenvalues from the formula-built transform matrices.
+
+    diag(X^T A X) for the orthogonal kinds; for the anti-reflective kind the
+    interior sine eigenvalues bordered by ``2 sum(z) - z[0]``, with z taken
+    from the first column of ``S diag(lam) S`` by ``z[k] = col[k] + z[k+2]``.
+    """
+    n = a.shape[0]
+    if kind in (TransformKind.DCT, TransformKind.DST1):
+        x = oracles.dense_dct(n) if kind is TransformKind.DCT \
+            else oracles.dense_dst1(n)
+        return np.einsum("it,ij,jt->t", x, a, x)
+    lam = oracle_eigenvalues(TransformKind.DST1, a[1:-1, 1:-1])
+    if kind is TransformKind.SINE_HAT:
+        return np.concatenate([[a[0, 0]], lam, [a[-1, -1]]])
+    s = oracles.dense_dst1(n - 2)
+    z = s @ (lam * s[:, 0])
+    for k in range(n - 5, -1, -1):
+        z[k] += z[k + 2]
+    border = 2.0 * z.sum() - z[0]
+    return np.concatenate([[border], lam, [border]])
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("n", [5, 64, 127, 128, 129, 144, 145, 146, 147, 203])
+def test_banded_projection_matches_oracle_across_product_cutoff(kind, n, rng):
+    """Band sums as cached products (transformed length <= 144) and as FFT
+    closed forms (above); n = 146, 147 put the interior length of the
+    bordered kinds at 144 and 145."""
+    a, bands = random_banded(rng, n, bandwidth=2)
+    if kind is TransformKind.ANTI_REFLECTIVE:
+        got = ar_project(bands, n).eigenvalues
+    else:
+        got = PROJECTIONS[kind](bands, n)
+    expected = oracle_eigenvalues(kind, a)
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", [TransformKind.DCT, TransformKind.DST1])
+def test_band_products_are_read_only(kind):
+    n, d = 126, 1
+    p = precond._band_products(kind, d, n)
+    x = oracles.dense_dct(n) if kind is TransformKind.DCT \
+        else oracles.dense_dst1(n)
+    np.testing.assert_allclose(p, x[: n - d] * x[d:], rtol=0, atol=1e-15)
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0, 0] = 1.0
 
 
 # -- anti-reflective projection --------------------------------------------------
@@ -307,6 +359,34 @@ def test_apply_inverse_round_trip_2d(base, variant, rng):
     fp = assemble_preconditioner(kind, h_op, l_op, 1e-3)
     b = rng.standard_normal((n, n))
     np.testing.assert_allclose(fp.apply(fp.apply_inverse(b)), b, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["R_D", "M_D", "P_D"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_assembled_2d_products_match_fft_band_forms(kind, n, monkeypatch, rng):
+    """Assembly through cached products equals assembly through the FFT
+    band forms, which a cutoff of 0 selects."""
+    alpha = 1e-2
+    psf = gen_psf("gaussian", 3, 1.5)
+    bc = BoundaryCondition.REFLECTIVE if kind == "R_D" \
+        else BoundaryCondition.ANTI_REFLECTIVE
+    l_bc = DiffusionBc.ANTI_REFLECTIVE if kind == "P_D" \
+        else DiffusionBc.ZERO_NEUMANN
+    h_op = StructuredBlurOperator(psf, bc, n)
+    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, l_bc)
+    hits = precond._band_products.cache_info()
+    products = assemble_preconditioner(kind, h_op, l_op, alpha).eigenvalues
+    after = precond._band_products.cache_info()
+    assert after.hits + after.misses > hits.hits + hits.misses
+
+    def no_products(*args):
+        raise AssertionError("cached band products used above the cutoff")
+
+    monkeypatch.setattr(transforms, "_GEMM_MAX_N", 0)
+    monkeypatch.setattr(precond, "_band_products", no_products)
+    fft = assemble_preconditioner(kind, h_op, l_op, alpha).eigenvalues
+    np.testing.assert_allclose(products, fft, rtol=0,
+                               atol=1e-12 * np.max(np.abs(fft)))
 
 
 def test_assemble_rejects_wrong_boundary_conditions():

@@ -69,6 +69,20 @@ def test_apply_matches_row_by_row_oracle(rng):
         np.testing.assert_allclose(op.dense(), dense, atol=1e-13)
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 128, 203])
+def test_apply_is_byte_identical_to_padded_formula(ndim, n, rng):
+    """The ghost differences written in place repeat np.pad's arithmetic."""
+    shape = (n,) * ndim
+    for bc in BOTH:
+        op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc)
+        coefficients = op.a if ndim == 1 else (op.a_h, op.a_v)
+        for _ in range(3):
+            w = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            expected = oracles.diffusion_apply_padded(w, coefficients, bc.value)
+            assert op.apply(w).tobytes() == expected.tobytes()
+
+
 def test_bands_and_diagonal_match_dense(rng):
     u = rng.standard_normal(9)
     for bc in BOTH:
