@@ -190,20 +190,6 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
     return clean + noise
 
 
-def rre(u_restored: np.ndarray, u_true: np.ndarray) -> float:
-    """Relative restoration error ||u_restored - u_true|| / ||u_true||."""
-    u_restored = np.asarray(u_restored, dtype=float)
-    u_true = np.asarray(u_true, dtype=float)
-    if u_restored.shape != u_true.shape:
-        raise ValueError(
-            f"shape mismatch: {u_restored.shape} vs {u_true.shape}"
-        )
-    denom = np.linalg.norm(u_true.ravel())
-    if denom == 0:
-        raise ValueError("reference signal has zero norm")
-    return float(np.linalg.norm((u_restored - u_true).ravel()) / denom)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ _BASE_KIND = {
     (BoundaryCondition.ANTI_REFLECTIVE, Formulation.REBLUR): "P",
 }
 
+#: largest data norm whose inner product with itself is still finite
+_MAX_DATA_NORM = float(np.sqrt(np.finfo(float).max))
+
 #: selector -> preconditioner label, ``{}`` standing for the family
 _LABELS = {
     PrecondSelector.NONE: "I",
@@ -194,6 +197,19 @@ def _check_shapes(data: tuple, kernel: tuple) -> None:
     )
 
 
+def _check_reference(data: tuple, u_true: np.ndarray) -> None:
+    """Reject a ``u_true`` the RRE cannot use, naming both shapes."""
+    if u_true.shape != data:
+        problem = "u_true must have the data's shape"
+    elif np.linalg.norm(u_true.ravel()) == 0:
+        problem = "u_true must have nonzero norm"
+    else:
+        return
+    raise ConfigurationError(
+        f"{problem}: data shape {data}, u_true shape {u_true.shape}"
+    )
+
+
 def restore(v, psf: SymmetricPsf, config: RestorationConfig,
             u_true=None) -> RestorationReport:
     """Run the fixed-point restoration of observed data ``v``."""
@@ -202,13 +218,15 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     _check_shapes(v.shape, psf.coefficients.shape)
     if u_true is not None:
         u_true = np.asarray(u_true, dtype=float)
-        if u_true.shape != v.shape:
-            raise ConfigurationError(
-                f"u_true must have the data's shape: data shape {v.shape}, "
-                f"u_true shape {u_true.shape}"
-            )
+        _check_reference(v.shape, u_true)
     if not np.all(np.isfinite(v)):
         raise ConfigurationError("observed data must be finite")
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(v.ravel()) > _MAX_DATA_NORM:
+            raise ConfigurationError(
+                f"observed data norm exceeds sqrt(finfo(float).max) = "
+                f"{_MAX_DATA_NORM!r}: the solver's inner products would overflow"
+            )
     started = time.perf_counter()
     n = v.shape[0]
     h_op = StructuredBlurOperator(psf, config.bc_h, n)

@@ -17,7 +17,10 @@ cutoff of the 2D tensor products) that sum is the product ``band @ P_d``
 with the cached read-only matrix ``P_d = X[:n-d] * X[d:]``, O(b n^2) for
 bandwidth b and independent of how n factors; longer lengths evaluate the
 closed form with one FFT of length about 2n, O(b n log n), and never
-materialize anything dense.
+materialize anything dense.  Projections take band dicts only,
+``{offset: values}`` in 1D and ``{(block offset, inner offset):
+coefficients}`` in 2D; a dense matrix is the band dict with every diagonal
+filled.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
 unitary): it projects the interior onto the sine algebra, recovers the
@@ -182,181 +185,42 @@ def _first_sine_column(n: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(t * np.pi / (n + 1))
 
 
-def _ar_parts_banded(bands, n: int):
-    """Interior sine eigenvalues, z, and border value of the AR map."""
-    interior = _interior_bands(bands, n)
-    shape = next(iter(bands.values())).shape[:-1] if bands else ()
-    lam_int = np.zeros(shape + (n - 2,))
-    for d, band in interior.items():
-        lam_int += _sine_band_form(band, d, n - 2)
-    z = _z_from_sine_eigenvalues(lam_int)
-    border = 2.0 * z.sum(axis=-1) - z[..., 0]
-    return lam_int, z, border
+def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
+    """Algebra eigenvalues of the order-n banded matrix ``bands``.
 
-
-def _eigs_banded(kind: TransformKind, bands, n: int) -> np.ndarray:
-    """Algebra eigenvalues of a banded matrix; batched over leading axes."""
+    ``bands`` maps a diagonal offset to its values, indexed by the smaller of
+    row/column; the values may carry leading batch axes.  The DCT and DST-I
+    results are the Frobenius-closest members ``X diag(result) X^T``.  The
+    bordered-sine result is ``(a[0,0], sine eigenvalues of the interior,
+    a[n-1,n-1])``; the anti-reflective one borders the same interior
+    eigenvalues by the (1,1) entry of the bordered matrix.
+    """
     if kind is TransformKind.DCT:
         parts = [_cosine_band_form(b, d, n) for d, b in bands.items()]
         return sum(parts) if parts else np.zeros(n)
     if kind is TransformKind.DST1:
         parts = [_sine_band_form(b, d, n) for d, b in bands.items()]
         return sum(parts) if parts else np.zeros(n)
-    if kind in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
-        if n < 3:
-            raise ValueError(f"{kind.value} projection requires n >= 3")
-        shape = next(iter(bands.values())).shape[:-1] if bands else ()
-        out = np.zeros(shape + (n,))
-        if kind is TransformKind.SINE_HAT:
-            diag_band = bands.get(0)
-            if diag_band is not None:
-                out[..., 0] = diag_band[..., 0]
-                out[..., -1] = diag_band[..., -1]
-            interior = _interior_bands(bands, n)
-            lam_int = np.zeros(shape + (n - 2,))
-            for d, band in interior.items():
-                lam_int += _sine_band_form(band, d, n - 2)
-            out[..., 1:-1] = lam_int
-            return out
-        if n < 5:
-            raise ValueError("anti-reflective projection requires n >= 5")
-        lam_int, _, border = _ar_parts_banded(bands, n)
-        out[..., 0] = border
-        out[..., 1:-1] = lam_int
-        out[..., -1] = border
-        return out
-    raise ValueError(f"unknown projection kind: {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# dense inputs (desk-scale oracles and small operators)
-# ---------------------------------------------------------------------------
-
-
-def _diag_sandwich(kind: TransformKind, a: np.ndarray) -> np.ndarray:
-    """diag(X^T A X) for an orthogonal transform, via fast applies."""
-    m = apply_1d(kind, a, inverse=True, axis=0)
-    m = apply_1d(kind, m, inverse=True, axis=1)
-    return np.diagonal(m).copy()
-
-
-def _eigs_dense(kind: TransformKind, a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if kind in (TransformKind.DCT, TransformKind.DST1):
-        return _diag_sandwich(kind, a)
-    if n < 3:
-        raise ValueError(f"{kind.value} projection requires n >= 3")
+    if kind not in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
+        raise ValueError(f"unknown projection kind: {kind!r}")
+    smallest = 3 if kind is TransformKind.SINE_HAT else 5
+    if n < smallest:
+        raise ValueError(f"{kind.value} projection requires n >= {smallest}")
+    shape = next(iter(bands.values())).shape[:-1] if bands else ()
+    lam_int = np.zeros(shape + (n - 2,))
+    for d, band in _interior_bands(bands, n).items():
+        lam_int += _sine_band_form(band, d, n - 2)
+    out = np.zeros(shape + (n,))
+    out[..., 1:-1] = lam_int
     if kind is TransformKind.SINE_HAT:
-        out = np.empty(n)
-        out[0] = a[0, 0]
-        out[-1] = a[-1, -1]
-        out[1:-1] = _diag_sandwich(TransformKind.DST1, a[1:-1, 1:-1])
-        return out
-    if kind is TransformKind.ANTI_REFLECTIVE:
-        if n < 5:
-            raise ValueError("anti-reflective projection requires n >= 5")
-        lam_int = _diag_sandwich(TransformKind.DST1, a[1:-1, 1:-1])
-        z = _z_from_sine_eigenvalues(lam_int)
-        border = 2.0 * z.sum() - z[0]
-        return np.concatenate([[border], lam_int, [border]])
-    raise ValueError(f"unknown projection kind: {kind!r}")
-
-
-def _eigs_any(kind: TransformKind, a, n: int | None = None) -> np.ndarray:
-    if isinstance(a, dict):
-        if n is None:
-            n = max(band.shape[-1] + abs(d) for d, band in a.items())
-        return _eigs_banded(kind, a, n)
-    return _eigs_dense(kind, np.asarray(a, dtype=float))
-
-
-def cosine_project(a, n: int | None = None) -> np.ndarray:
-    """Eigenvalues of the Frobenius-closest cosine-algebra matrix to ``a``.
-
-    ``a`` is either a dense square array or a band dict ``{offset: values}``
-    (values indexed by the smaller of row/column).  The projected matrix is
-    ``C diag(result) C^T``.
-    """
-    return _eigs_any(TransformKind.DCT, a, n)
-
-
-def sine_project(a, n: int | None = None) -> np.ndarray:
-    """Eigenvalues of the Frobenius-closest sine-algebra matrix to ``a``."""
-    return _eigs_any(TransformKind.DST1, a, n)
-
-
-def sinehat_project(a, n: int | None = None) -> np.ndarray:
-    """Eigenvalues of the closest bordered-sine-algebra matrix to ``a``.
-
-    The result is ``(a[0,0], sine eigenvalues of the interior, a[n-1,n-1])``:
-    the bordered transform fixes the two border coordinates, so the
-    projection acts independently on corners and interior.
-    """
-    return _eigs_any(TransformKind.SINE_HAT, a, n)
-
-
-@dataclass(frozen=True)
-class ArProjection:
-    """Anti-reflective-algebra approximation in factored form."""
-
-    n: int
-    z: np.ndarray
-    interior_eigenvalues: np.ndarray
-    border_value: float
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.border_value], self.interior_eigenvalues, [self.border_value]]
-        )
-
-    def dense(self) -> np.ndarray:
-        """Bordered matrix: sine interior plus cumulative-sum edge columns."""
-        n = self.n
-        suffix = np.cumsum(self.z[::-1])[::-1]
-        xi = 2.0 * suffix - self.z
-        s = apply_1d(TransformKind.DST1, np.eye(n - 2), axis=0)
-        out = np.zeros((n, n))
-        out[1:-1, 1:-1] = (s * self.interior_eigenvalues) @ s
-        out[: n - 2, 0] = xi
-        out[n - 1: 1: -1, n - 1] = xi
-        return out
-
-
-def ar_project(a, n: int | None = None) -> ArProjection:
-    """Anti-reflective-algebra approximation of ``a`` (dense or band dict).
-
-    Builds the sine projection of the interior, extracts its representer z,
-    and borders it so the result lies in the anti-reflective algebra; the two
-    border eigenvalues equal the top-left entry of the bordered matrix.
-    """
-    if isinstance(a, dict):
-        if n is None:
-            n = max(band.shape[-1] + abs(d) for d, band in a.items())
-        if n < 5:
-            raise ValueError("anti-reflective projection requires n >= 5")
-        lam_int, z, border = _ar_parts_banded(a, n)
+        diag_band = bands.get(0)
+        if diag_band is not None:
+            out[..., 0] = diag_band[..., 0]
+            out[..., -1] = diag_band[..., -1]
     else:
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        if n < 5:
-            raise ValueError("anti-reflective projection requires n >= 5")
-        lam_int = _diag_sandwich(TransformKind.DST1, a[1:-1, 1:-1])
         z = _z_from_sine_eigenvalues(lam_int)
-        border = 2.0 * z.sum() - z[0]
-    return ArProjection(n=n, z=z, interior_eigenvalues=lam_int,
-                        border_value=float(border))
-
-
-def ar_membership_residual(matrix: np.ndarray) -> float:
-    """Off-diagonal mass of T^{-1} A T, normalized by ||A||_F (diagnostic)."""
-    a = np.asarray(matrix, dtype=float)
-    m = apply_1d(TransformKind.ANTI_REFLECTIVE, a, inverse=True, axis=0)
-    m = apply_1d(TransformKind.ANTI_REFLECTIVE, m.T, transpose=True, axis=0).T
-    off = m - np.diag(np.diag(m))
-    return float(np.linalg.norm(off) / max(1.0, np.linalg.norm(a)))
+        out[..., 0] = out[..., -1] = 2.0 * z.sum(axis=-1) - z[..., 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,49 +228,27 @@ def ar_membership_residual(matrix: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def level2_project(kind: TransformKind, a, n: int | None = None) -> np.ndarray:
-    """Two-level algebra eigenvalues of a block-structured operator.
+def level2_project(kind: TransformKind, blocks: Bands2D, n: int) -> np.ndarray:
+    """Two-level algebra eigenvalues of a block-banded operator.
 
-    ``a`` is either a block-band dict ``{(block offset, inner offset):
-    coefficients[k, i]}`` (never densified; batched FFTs give O(n^2 log n))
-    or, for oracle use only, a dense n^2-by-n^2 array with n <= 32.
-
-    Returns the n-by-n eigenvalue grid ``lam[s, t]`` aligned with the tensor
-    transform: ``s`` indexes the block-level (axis 0) frequency, ``t`` the
-    inner one.  The construction applies the one-level map blockwise, swaps
-    outer/inner indices with the vec permutation, and applies it blockwise
-    again.
+    ``blocks`` maps ``(block offset, inner offset)`` to coefficients[k, i]
+    and is never densified.  Returns the n-by-n eigenvalue grid ``lam[s, t]``
+    aligned with the tensor transform: ``s`` indexes the block-level
+    (axis 0) frequency, ``t`` the inner one.  The construction applies the
+    one-level map blockwise, swaps outer/inner indices with the vec
+    permutation, and applies it blockwise again.
     """
-    if isinstance(a, dict):
-        if n is None:
-            n = max(band.shape[-1] + abs(d) for (_, d), band in a.items())
-        by_block_offset: dict[int, Bands1D] = {}
-        for (do, di), band in a.items():
-            by_block_offset.setdefault(do, {})[di] = np.asarray(band, dtype=float)
-        stage2_bands: Bands1D = {}
-        for do, inner_bands in by_block_offset.items():
-            # level 1: eigenvalues of every block A_{k, k+do}, batched over k
-            lam_blocks = _eigs_banded(kind, inner_bands, n)
-            # regrouped matrices G_t have lam_blocks[:, t] on block offset do
-            stage2_bands[do] = lam_blocks.T
-        grid = _eigs_banded(kind, stage2_bands, n)  # grid[t, s]
-        return grid.T
-    a = np.asarray(a, dtype=float)
-    if n is None:
-        n = int(round(np.sqrt(a.shape[0])))
-    if a.shape != (n * n, n * n):
-        raise ValueError(f"expected a {n * n}x{n * n} matrix, got {a.shape}")
-    if n > 32:
-        raise ValueError("dense two-level projection is an oracle, n <= 32")
-    blocks = a.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    lam_blocks = np.empty((n, n, n))
-    for k in range(n):
-        for l in range(n):
-            lam_blocks[k, l] = _eigs_dense(kind, blocks[k, l])
-    grid = np.empty((n, n))
-    for t in range(n):
-        grid[:, t] = _eigs_dense(kind, lam_blocks[:, :, t])
-    return grid
+    by_block_offset: dict[int, Bands1D] = {}
+    for (do, di), band in blocks.items():
+        by_block_offset.setdefault(do, {})[di] = np.asarray(band, dtype=float)
+    stage2_bands: Bands1D = {}
+    for do, inner_bands in by_block_offset.items():
+        # level 1: eigenvalues of every block A_{k, k+do}, batched over k
+        lam_blocks = project(kind, inner_bands, n)
+        # regrouped matrices G_t have lam_blocks[:, t] on block offset do
+        stage2_bands[do] = lam_blocks.T
+    grid = project(kind, stage2_bands, n)  # grid[t, s]
+    return grid.T
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +374,12 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
 
     if ndim == 1:
         l_struct = l_op.bands()
-        project = lambda bands: _eigs_banded(transform, bands, n)  # noqa: E731
+        eigs_of = lambda bands: project(transform, bands, n)  # noqa: E731
         scale = _scaled_bands_1d
         diag_bands = lambda v: {0: v}  # noqa: E731
     else:
         l_struct = l_op.block_banded()
-        project = lambda blocks: level2_project(transform, blocks, n)  # noqa: E731
+        eigs_of = lambda blocks: level2_project(transform, blocks, n)  # noqa: E731
         scale = _scaled_blocks_2d
         diag_bands = lambda v: {(0, 0): v}  # noqa: E731
 
@@ -548,11 +390,11 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
 
     if kind.endswith("_D"):
         s = d ** -0.5
-        lam_d = project(diag_bands(s))
-        lam_lt = project(scale(l_struct, s))
+        lam_d = eigs_of(diag_bands(s))
+        lam_lt = eigs_of(scale(l_struct, s))
         eigs = lam_h * lam_h * lam_d * lam_d + alpha * lam_lt
         return FactoredPreconditioner(kind, transform, eigs, alpha)
-    eigs = lam_h * lam_h + alpha * project(l_struct)
+    eigs = lam_h * lam_h + alpha * eigs_of(l_struct)
     d_sqrt = np.sqrt(d) if kind.startswith("D_") else None
     return FactoredPreconditioner(kind, transform, eigs, alpha, d_sqrt=d_sqrt)
 

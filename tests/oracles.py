@@ -36,6 +36,58 @@ def dense_ar(n: int) -> np.ndarray:
     return out
 
 
+def bands_of(a: np.ndarray) -> dict:
+    """Every diagonal of a square matrix: ``{offset: values}``, with values
+    indexed by the smaller of row/column (``np.diagonal``'s order)."""
+    n = a.shape[0]
+    return {d: np.diagonal(a, d) for d in range(1 - n, n)}
+
+
+def block_bands_of(a: np.ndarray, n: int) -> dict:
+    """Every block band of an n^2 x n^2 matrix of n x n blocks:
+    ``{(block offset, inner offset): coefficients[k, i]}``, with k and i
+    indexed by the smaller block and inner index."""
+    blocks = a.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [K, L, i, j]
+    out = {}
+    for do in range(1 - n, n):
+        by_block = np.diagonal(blocks, do, axis1=0, axis2=1)  # [i, j, k]
+        for di in range(1 - n, n):
+            out[(do, di)] = np.diagonal(by_block, di, axis1=0, axis2=1)
+    return out
+
+
+def sine_representer(lam: np.ndarray) -> np.ndarray:
+    """z with first column of ``S diag(lam) S`` equal to z[k] - z[k+2]."""
+    s = dense_dst1(len(lam))
+    z = s @ (lam * s[:, 0])
+    for k in range(len(lam) - 3, -1, -1):
+        z[k] += z[k + 2]
+    return z
+
+
+def ar_bordered(lam: np.ndarray) -> np.ndarray:
+    """Sine-algebra interior ``S diag(lam) S`` bordered by the first/last
+    columns ``2 (suffix sums of z) - z`` that place it in the
+    anti-reflective algebra."""
+    m = len(lam)
+    s = dense_dst1(m)
+    z = sine_representer(lam)
+    xi = 2.0 * np.cumsum(z[::-1])[::-1] - z
+    out = np.zeros((m + 2, m + 2))
+    out[1:-1, 1:-1] = s @ np.diag(lam) @ s
+    out[:m, 0] = xi
+    out[:1:-1, -1] = xi
+    return out
+
+
+def ar_membership_residual(a: np.ndarray) -> float:
+    """Off-diagonal mass of T^{-1} A T, normalized by max(1, ||A||_F)."""
+    t = dense_ar(a.shape[0])
+    sim = np.linalg.solve(t, a @ t)
+    off = sim - np.diag(np.diag(sim))
+    return float(np.linalg.norm(off) / max(1.0, np.linalg.norm(a)))
+
+
 def kron_apply_2d(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(X kron X) vec(G) for row-major vec, one Kronecker row block at a time.
 

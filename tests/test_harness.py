@@ -20,7 +20,6 @@ from tvdeblur.harness import (
     parse_sweep_config,
     read_csv,
     read_pgm,
-    rre,
     run_sweep,
     write_csv,
     write_pgm,
@@ -140,20 +139,6 @@ def test_observe_noise_ratio_is_exact(nsr):
     noisy = blur_and_observe(u, psf, 64, nsr=nsr, seed=3)
     ratio = np.linalg.norm(noisy - clean) / np.linalg.norm(clean)
     assert abs(ratio - nsr) < 1e-12
-
-
-def test_rre_trivial_values(rng):
-    u = rng.standard_normal(20)
-    assert rre(u, u) == 0.0
-    assert rre(np.zeros(20), u) == 1.0
-    eps = 1e-3
-    perturbed = u.copy()
-    perturbed[0] += eps
-    assert abs(rre(perturbed, u) - eps / np.linalg.norm(u)) < 1e-15
-    with pytest.raises(ValueError):
-        rre(u, np.zeros(20))
-    with pytest.raises(ValueError):
-        rre(u, u[:10])
 
 
 # -- file formats -----------------------------------------------------------------

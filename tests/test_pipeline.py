@@ -57,6 +57,8 @@ def test_config_invariants():
      "u_true must have the data's shape"),
     (np.ones((20, 20)), np.full((3, 3), 1 / 9), np.ones(400),
      "u_true must have the data's shape"),
+    (np.ones(20), np.full(3, 1 / 3), np.zeros(20),
+     "u_true must have nonzero norm"),
 ])
 def test_shape_mismatch_fails_before_any_operator(monkeypatch, data,
                                                   coefficients, u_true,
@@ -77,6 +79,32 @@ def test_shape_mismatch_fails_before_any_operator(monkeypatch, data,
         assert f"PSF shape {coefficients.shape}" in message
     else:
         assert f"u_true shape {u_true.shape}" in message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_data_restores():
+    """1e150 is below the data-norm bound sqrt(finfo(float).max)."""
+    psf, observed, u_true = small_problem()
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                            beta=0.1)
+    report = restore(1e150 * observed, psf, cfg, u_true=1e150 * u_true)
+    assert report.fp_converged and report.inner_converged
+    assert np.all(np.isfinite(report.restored)) and np.isfinite(report.rre)
+
+
+def test_oversized_data_fails_before_any_operator(monkeypatch):
+    """At 1e160 the data norm exceeds sqrt(finfo(float).max), and PCG's
+    first inner product would overflow."""
+    def no_operator(*args, **kwargs):
+        raise AssertionError("blur operator built before the data-norm check")
+
+    psf, observed, _ = small_problem()
+    monkeypatch.setattr("tvdeblur.pipeline.StructuredBlurOperator", no_operator)
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                            beta=0.1)
+    with pytest.raises(ConfigurationError,
+                       match=r"exceeds sqrt\(finfo\(float\)\.max\) = 1\.34"):
+        restore(1e160 * observed, psf, cfg)
 
 
 def test_resolved_kind_labels():

@@ -6,26 +6,23 @@ from tvdeblur import precond, transforms
 from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
 from tvdeblur.harness import gen_psf
 from tvdeblur.precond import (
-    ArProjection,
     FactoredPreconditioner,
     IndefinitePreconditionerError,
-    ar_membership_residual,
-    ar_project,
     assemble_preconditioner,
-    cosine_project,
     level2_project,
-    sine_project,
-    sinehat_project,
+    project,
     spectral_diagnostic,
 )
 from tvdeblur.transforms import TransformKind
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
-PROJECTIONS = {
-    TransformKind.DCT: cosine_project,
-    TransformKind.DST1: sine_project,
-    TransformKind.SINE_HAT: sinehat_project,
-}
+AR = TransformKind.ANTI_REFLECTIVE
+ORTHOGONAL = [TransformKind.DCT, TransformKind.DST1, TransformKind.SINE_HAT]
+
+
+def project_dense(kind, a):
+    """Production projection of a dense matrix given as all of its bands."""
+    return project(kind, oracles.bands_of(a), a.shape[0])
 
 
 def dense_member(kind, lam):
@@ -58,12 +55,12 @@ def random_banded(rng, n, bandwidth=1):
 # -- optimality, linearity, SPD preservation -----------------------------------
 
 
-@pytest.mark.parametrize("kind", list(PROJECTIONS))
+@pytest.mark.parametrize("kind", ORTHOGONAL)
 @pytest.mark.parametrize("n", [6, 8])
 def test_projection_beats_random_perturbations(kind, n, rng):
     """Frobenius-minimizer brute check against 100 in-algebra perturbations."""
     a = rng.standard_normal((n, n))
-    lam = PROJECTIONS[kind](a)
+    lam = project_dense(kind, a)
     best = np.linalg.norm(dense_member(kind, lam) - a)
     for _ in range(100):
         delta = rng.standard_normal(n) * rng.uniform(1e-3, 1.0)
@@ -71,39 +68,39 @@ def test_projection_beats_random_perturbations(kind, n, rng):
         assert best <= other + 1e-12
 
 
-@pytest.mark.parametrize("kind", list(PROJECTIONS))
+@pytest.mark.parametrize("kind", ORTHOGONAL)
 def test_projection_fixes_algebra_members_and_identity(kind, rng):
     n = 8
     lam = rng.standard_normal(n)
     member = dense_member(kind, lam)
-    np.testing.assert_allclose(PROJECTIONS[kind](member), lam, atol=1e-10)
-    np.testing.assert_allclose(PROJECTIONS[kind](np.eye(n)), np.ones(n),
+    np.testing.assert_allclose(project_dense(kind, member), lam, atol=1e-10)
+    np.testing.assert_allclose(project_dense(kind, np.eye(n)), np.ones(n),
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", list(PROJECTIONS))
+@pytest.mark.parametrize("kind", ORTHOGONAL)
 def test_projection_linearity(kind, rng):
     n = 7
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
     gamma = 1.7
-    lhs = PROJECTIONS[kind](a + gamma * b)
-    rhs = PROJECTIONS[kind](a) + gamma * PROJECTIONS[kind](b)
+    lhs = project_dense(kind, a + gamma * b)
+    rhs = project_dense(kind, a) + gamma * project_dense(kind, b)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", list(PROJECTIONS))
+@pytest.mark.parametrize("kind", ORTHOGONAL)
 @pytest.mark.parametrize("n", [6, 16])
 def test_projection_preserves_positive_definiteness(kind, n, rng):
     b = rng.standard_normal((n, n))
     spd = b @ b.T + n * np.eye(n)
-    assert np.all(PROJECTIONS[kind](spd) > 0)
+    assert np.all(project_dense(kind, spd) > 0)
 
 
 def test_classical_laplacian_is_in_sine_algebra():
     n = 9
     lap = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    lam = sine_project(lap)
+    lam = project_dense(TransformKind.DST1, lap)
     expected = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     np.testing.assert_allclose(lam, expected, atol=1e-12)
     np.testing.assert_allclose(dense_member(TransformKind.DST1, lam), lap,
@@ -113,19 +110,11 @@ def test_classical_laplacian_is_in_sine_algebra():
 def test_sinehat_of_diagonal_matrix(rng):
     n = 7
     d = rng.standard_normal(n)
-    lam = sinehat_project(np.diag(d))
+    lam = project_dense(TransformKind.SINE_HAT, np.diag(d))
     assert lam[0] == d[0] and lam[-1] == d[-1]
-    np.testing.assert_allclose(lam[1:-1], sine_project(np.diag(d[1:-1])),
-                               atol=1e-14)
-
-
-@pytest.mark.parametrize("kind", [TransformKind.DCT, TransformKind.DST1,
-                                  TransformKind.SINE_HAT])
-def test_banded_projection_matches_dense(kind, rng):
-    for n in (6, 9, 16):
-        a, bands = random_banded(rng, n, bandwidth=2)
-        np.testing.assert_allclose(PROJECTIONS[kind](bands, n),
-                                   PROJECTIONS[kind](a), atol=1e-12)
+    np.testing.assert_allclose(
+        lam[1:-1], project_dense(TransformKind.DST1, np.diag(d[1:-1])),
+        atol=1e-14)
 
 
 def oracle_eigenvalues(kind, a):
@@ -139,29 +128,39 @@ def oracle_eigenvalues(kind, a):
     if kind in (TransformKind.DCT, TransformKind.DST1):
         x = oracles.dense_dct(n) if kind is TransformKind.DCT \
             else oracles.dense_dst1(n)
-        return np.einsum("it,ij,jt->t", x, a, x)
+        return np.einsum("it,ij,jt->t", x, a, x, optimize=True)
     lam = oracle_eigenvalues(TransformKind.DST1, a[1:-1, 1:-1])
     if kind is TransformKind.SINE_HAT:
         return np.concatenate([[a[0, 0]], lam, [a[-1, -1]]])
-    s = oracles.dense_dst1(n - 2)
-    z = s @ (lam * s[:, 0])
-    for k in range(n - 5, -1, -1):
-        z[k] += z[k + 2]
+    z = oracles.sine_representer(lam)
     border = 2.0 * z.sum() - z[0]
     return np.concatenate([[border], lam, [border]])
 
 
+def oracle_level2(kind, blocks, n):
+    """Two-level eigenvalues from ``oracle_eigenvalues``: applied to every
+    n x n block, regrouped by frequency, and applied again.  Returns
+    ``grid[s, t]`` with s the block-level frequency."""
+    lam_blocks = np.zeros((n, n, n))  # [block row, block column, t]
+    for do in {do for do, _ in blocks}:
+        for k in range(n - abs(do)):
+            block = sum(np.diag(arr[k], di)
+                        for (bo, di), arr in blocks.items() if bo == do)
+            lam_blocks[k + max(0, -do), k + max(0, do)] = \
+                oracle_eigenvalues(kind, block)
+    return np.stack([oracle_eigenvalues(kind, lam_blocks[:, :, t])
+                     for t in range(n)], axis=1)
+
+
 @pytest.mark.parametrize("kind", list(TransformKind))
-@pytest.mark.parametrize("n", [5, 64, 127, 128, 129, 144, 145, 146, 147, 203])
+@pytest.mark.parametrize("n", [5, 6, 9, 16, 64, 127, 128, 129, 144, 145, 146,
+                               147, 203])
 def test_banded_projection_matches_oracle_across_product_cutoff(kind, n, rng):
     """Band sums as cached products (transformed length <= 144) and as FFT
     closed forms (above); n = 146, 147 put the interior length of the
     bordered kinds at 144 and 145."""
     a, bands = random_banded(rng, n, bandwidth=2)
-    if kind is TransformKind.ANTI_REFLECTIVE:
-        got = ar_project(bands, n).eigenvalues
-    else:
-        got = PROJECTIONS[kind](bands, n)
+    got = project(kind, bands, n)
     expected = oracle_eigenvalues(kind, a)
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
@@ -183,37 +182,38 @@ def test_band_products_are_read_only(kind):
 
 
 def test_ar_project_identity():
-    proj = ar_project(np.eye(8))
-    np.testing.assert_allclose(proj.dense(), np.eye(8), atol=1e-12)
-    np.testing.assert_allclose(proj.eigenvalues, np.ones(8), atol=1e-12)
+    lam = project_dense(AR, np.eye(8))
+    np.testing.assert_allclose(oracles.ar_bordered(lam[1:-1]), np.eye(8),
+                               atol=1e-12)
+    np.testing.assert_allclose(lam, np.ones(8), atol=1e-12)
 
 
 def test_ar_project_fixes_blur_matrix():
     psf = SymmetricPsf(np.full(3, 1 / 3.0))
     a = oracles.dense_blur_1d(psf.coefficients, "anti_reflective", 8)
-    proj = ar_project(a)
-    np.testing.assert_allclose(proj.dense(), a, atol=1e-10)
+    lam = project_dense(AR, a)
+    np.testing.assert_allclose(oracles.ar_bordered(lam[1:-1]), a, atol=1e-10)
     op = StructuredBlurOperator(psf, BoundaryCondition.ANTI_REFLECTIVE, 8)
-    np.testing.assert_allclose(proj.eigenvalues, op.eigenvalues(), atol=1e-10)
+    np.testing.assert_allclose(lam, op.eigenvalues(), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [6, 8, 16])
 def test_ar_membership(n, rng):
     a, bands = random_banded(rng, n)
-    proj = ar_project(a)
-    assert ar_membership_residual(proj.dense()) < 1e-8
+    lam = project(AR, bands, n)
+    bordered = oracles.ar_bordered(lam[1:-1])
+    assert oracles.ar_membership_residual(bordered) < 1e-8
     # eigenvalue layout: T^{-1} AR(A) T recovers the stored eigenvalues
     t = oracles.dense_ar(n)
-    sim = np.linalg.solve(t, proj.dense() @ t)
-    np.testing.assert_allclose(np.diag(sim), proj.eigenvalues, atol=1e-10)
-    # banded input agrees with the dense path
-    proj_b = ar_project(bands, n)
-    np.testing.assert_allclose(proj_b.eigenvalues, proj.eigenvalues, atol=1e-12)
+    sim = np.linalg.solve(t, bordered @ t)
+    np.testing.assert_allclose(np.diag(sim), lam, atol=1e-10)
+    # banded input agrees with the formula oracle
+    np.testing.assert_allclose(lam, oracle_eigenvalues(AR, a), atol=1e-12)
 
 
 def test_ar_project_requires_interior():
     with pytest.raises(ValueError):
-        ar_project(np.eye(4))
+        project_dense(AR, np.eye(4))
 
 
 # -- two-level projections -------------------------------------------------------
@@ -222,7 +222,7 @@ def test_ar_project_requires_interior():
 def test_level2_identity():
     n = 6
     for kind in TransformKind:
-        lam = level2_project(kind, np.eye(n * n), n)
+        lam = level2_project(kind, oracles.block_bands_of(np.eye(n * n), n), n)
         np.testing.assert_allclose(lam, np.ones((n, n)), atol=1e-12)
 
 
@@ -230,7 +230,7 @@ def test_level2_laplacian_eigenvalues():
     n = 6
     lap1 = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     lap2 = np.kron(lap1, np.eye(n)) + np.kron(np.eye(n), lap1)
-    lam = level2_project(TransformKind.DST1, lap2, n)
+    lam = level2_project(TransformKind.DST1, oracles.block_bands_of(lap2, n), n)
     freqs = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     np.testing.assert_allclose(lam, freqs[:, None] + freqs[None, :], atol=1e-12)
     s2 = np.kron(oracles.dense_dst1(n), oracles.dense_dst1(n))
@@ -251,9 +251,9 @@ def test_level2_block_banded_matches_dense_argmin(rng):
                 kr, ir = k + max(0, -do), i + max(0, -di)
                 kc, ic = k + max(0, do), i + max(0, di)
                 dense[kr * n + ir, kc * n + ic] = arr[k, i]
-    for kind in (TransformKind.DCT, TransformKind.DST1, TransformKind.SINE_HAT):
+    for kind in ORTHOGONAL:
         lam = level2_project(kind, blocks, n)
-        np.testing.assert_allclose(lam, level2_project(kind, dense, n),
+        np.testing.assert_allclose(lam, oracle_level2(kind, blocks, n),
                                    atol=1e-12)
         # Frobenius argmin over the tensor algebra: diag((X (x) X)^T A (X (x) X))
         x = {TransformKind.DCT: oracles.dense_dct(n),
@@ -262,28 +262,35 @@ def test_level2_block_banded_matches_dense_argmin(rng):
         xx = np.kron(x, x)
         np.testing.assert_allclose(lam.reshape(-1), np.diag(xx.T @ dense @ xx),
                                    atol=1e-12)
-    lam_ar = level2_project(TransformKind.ANTI_REFLECTIVE, blocks, n)
-    np.testing.assert_allclose(
-        lam_ar, level2_project(TransformKind.ANTI_REFLECTIVE, dense, n),
-        atol=1e-12)
+    np.testing.assert_allclose(level2_project(AR, blocks, n),
+                               oracle_level2(AR, blocks, n), atol=1e-12)
 
 
-def test_level2_dense_guardrail(rng):
-    with pytest.raises(ValueError):
-        level2_project(TransformKind.DCT, np.eye(33 * 33), 33)
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("n", [6, 147])
+def test_level2_matches_formula_oracle(kind, n, rng):
+    """At n = 147 both the DCT length and the interior length 145 are above
+    the product cutoff, so every band sum takes its batched FFT form."""
+    blocks = {(do, di): rng.standard_normal((n - abs(do), n - abs(di)))
+              for do in (-1, 0, 1) for di in (-1, 0, 1)}
+    expected = oracle_level2(kind, blocks, n)
+    np.testing.assert_allclose(level2_project(kind, blocks, n), expected,
+                               rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_level2_sinehat_of_ar_blur_is_the_eigenvalue_mesh():
     psf = gen_psf("gaussian", 2, 1.0)
     op = StructuredBlurOperator(psf, BoundaryCondition.ANTI_REFLECTIVE, 8)
-    lam = level2_project(TransformKind.SINE_HAT, op.dense(), 8)
+    lam = level2_project(TransformKind.SINE_HAT,
+                         oracles.block_bands_of(op.dense(), 8), 8)
     np.testing.assert_allclose(lam, op.eigenvalues(), atol=1e-12)
 
 
 def test_level2_cosine_fixes_reflective_blur():
     psf = gen_psf("gaussian", 2, 1.0)
     op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, 8)
-    lam = level2_project(TransformKind.DCT, op.dense(), 8)
+    lam = level2_project(TransformKind.DCT,
+                         oracles.block_bands_of(op.dense(), 8), 8)
     np.testing.assert_allclose(lam, op.eigenvalues(), atol=1e-12)
 
 
@@ -305,8 +312,8 @@ def test_assembled_r_matches_dense_formula():
     alpha = 1e-3
     h_op, l_op = make_1d_ops("R")
     h = h_op.dense()
-    ref = h.T @ h + alpha * dense_member(TransformKind.DCT,
-                                         cosine_project(l_op.dense()))
+    ref = h.T @ h + alpha * dense_member(
+        TransformKind.DCT, oracle_eigenvalues(TransformKind.DCT, l_op.dense()))
     got = assemble_preconditioner("R", h_op, l_op, alpha).dense()
     np.testing.assert_allclose(got, ref, atol=1e-10)
 
@@ -317,8 +324,8 @@ def test_assembled_p_d_matches_transform_product_form():
     n = 8
     d = 1.0 + alpha * l_op.diagonal()
     s = np.diag(d ** -0.5)
-    lam_d = ar_project(np.diag(np.diag(s))).eigenvalues
-    lam_lt = ar_project(s @ l_op.dense() @ s).eigenvalues
+    lam_d = oracle_eigenvalues(AR, np.diag(np.diag(s)))
+    lam_lt = oracle_eigenvalues(AR, s @ l_op.dense() @ s)
     lam_h = h_op.eigenvalues()
     ref = dense_member(TransformKind.ANTI_REFLECTIVE,
                        lam_h ** 2 * lam_d ** 2 + alpha * lam_lt)
