@@ -24,6 +24,7 @@ from .pipeline import (
     InvalidScalingError,
     PrecondSelector,
     RestorationConfig,
+    StepSystem,
     restore,
 )
 from .precond import (
@@ -31,6 +32,7 @@ from .precond import (
     assemble_preconditioner,
     spectral_diagnostic,
 )
+from .transforms import probe_dense
 from .tv import DiffusionBc, DiffusionOperator
 
 _NUMERICAL = (
@@ -147,17 +149,17 @@ def _cmd_spectra(args) -> int:
         dimension=1, ns=(args.n,), nsr=args.nsr, seed=args.seed,
     )
     psf, observed, _ = harness.make_problem(spec, args.n)
-    h_op = StructuredBlurOperator(psf, bc_h, args.n)
-    l_op = DiffusionOperator(observed, args.beta, bc_l)
-    h_dense = h_op.dense()
-    back = h_dense if formulation is Formulation.REBLUR else h_dense.T
-    a_dense = back @ h_dense + args.alpha * l_op.dense()
-    kind = RestorationConfig(
+    config = RestorationConfig(
         bc_h=bc_h, bc_l=bc_l, formulation=formulation, alpha=args.alpha,
         beta=args.beta, preconditioner=PrecondSelector(args.precond),
-    ).resolved_kind()
-    precond = assemble_preconditioner(kind, h_op, l_op, args.alpha)
-    diag = spectral_diagnostic(a_dense, precond.dense())
+    )
+    kind = config.resolved_kind()
+    h_op = StructuredBlurOperator(psf, bc_h, args.n)
+    system = StepSystem(h_op, config, observed)
+    system.freeze(DiffusionOperator(observed, args.beta, bc_l))
+    precond = assemble_preconditioner(kind, h_op, system.l_op, args.alpha)
+    diag = spectral_diagnostic(probe_dense(system.apply, observed.shape),
+                               precond.dense())
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     harness.write_csv(

@@ -8,15 +8,16 @@ solves one linear system
 
 with a Krylov method: conjugate gradient when the system is symmetric
 (normal form with the zero-Neumann diffusion operator), BiCGstab otherwise.
-The inner solve starts from the previous iterate and may be preconditioned
-by any of the transform-algebra preconditioners; the ``x_d`` selector solves
-the diagonally scaled system instead and maps the solution back, which is
+``StepSystem`` is the one place that defines this system.  The inner solve
+starts from the previous iterate and may be preconditioned by any of the
+transform-algebra preconditioners; the ``x_d`` selector solves the
+diagonally scaled system instead and maps the solution back, which is
 spectrally equivalent to the ``d_x`` wrap on the unscaled system.
 
 The loop starts from ``u_0 = v`` and stops when the relative change
 ``||u_k - u_{k-1}|| / ||u_k||`` drops below ``fp_tol`` or the iterate does
 not change at all (as for zero data, where ``||u_k|| = 0``), or at
-``fp_max``.
+``fp_max``.  A norm that overflows raises ``SolverDivergenceError``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
-from .krylov import KrylovConfig, pbicgstab, pcg
+from .krylov import KrylovConfig, SolverDivergenceError, pbicgstab, pcg
 from .precond import assemble_preconditioner
 from .tv import DiffusionBc, DiffusionOperator, el_residual
 
@@ -128,58 +129,61 @@ class RestorationReport:
     wall_time: float
 
 
-@dataclass
-class ScaledSystem:
-    """Diagonally scaled system bundle: applies, right-hand side, back-map."""
+class StepSystem:
+    """The linear system ``A u = (B H + alpha L) u = B v`` of each step.
 
-    d: np.ndarray
-    d_inv_sqrt: np.ndarray
-    apply: object
-    rhs: np.ndarray
+    ``B`` is ``H*`` (normal form) or the re-blur ``H'``, both
+    transform-diagonalized when the blur BC allows it.  Built once per
+    restoration; ``freeze`` hands it each step's diffusion operator ``L``,
+    and ``scale`` gives the scaled system ``D^{-1/2} A D^{-1/2}``.
+    """
 
-    def scale_iterate(self, u: np.ndarray) -> np.ndarray:
-        return u / self.d_inv_sqrt
+    def __init__(self, h_op: StructuredBlurOperator, config: RestorationConfig,
+                 v: np.ndarray) -> None:
+        fast = h_op.bc in (BoundaryCondition.REFLECTIVE,
+                           BoundaryCondition.ANTI_REFLECTIVE)
+        self.forward = h_op.apply_fast if fast else h_op.apply
+        if config.formulation is Formulation.REBLUR or \
+                h_op.bc is BoundaryCondition.REFLECTIVE:  # H symmetric
+            self.back = self.forward
+        else:
+            self.back = h_op.apply_transpose_fast if fast else h_op.apply_transpose
+        self.alpha = config.alpha
+        self.rhs = self.back(v)
+        self.l_op = None
+        self.s = None
+
+    def freeze(self, l_op: DiffusionOperator) -> None:
+        """Take the diffusion operator frozen at the step's iterate."""
+        self.l_op = l_op
+        self.s = None
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        return self.back(self.forward(w)) + self.alpha * self.l_op.apply(w)
+
+    def gradient_norm(self, u: np.ndarray) -> float:
+        return float(np.linalg.norm((self.apply(u) - self.rhs).ravel()))
+
+    def diagonal(self) -> np.ndarray:
+        """``D = I + alpha diag L``, rejected unless every entry is positive."""
+        d = 1.0 + self.alpha * self.l_op.diagonal()
+        if np.min(d) <= 0:
+            raise InvalidScalingError(
+                f"D = I + alpha diag L has nonpositive entries "
+                f"(min {float(np.min(d))!r})"
+            )
+        return d
+
+    def scale(self, u: np.ndarray) -> tuple:
+        """(apply, right-hand side, ``u``) of the scaled system."""
+        self.s = self.diagonal() ** -0.5
+        return self.apply_scaled, self.s * self.rhs, u / self.s
+
+    def apply_scaled(self, w: np.ndarray) -> np.ndarray:
+        return self.s * self.apply(self.s * w)
 
     def unscale(self, u_tilde: np.ndarray) -> np.ndarray:
-        return self.d_inv_sqrt * u_tilde
-
-
-def scale_system(apply_a, rhs: np.ndarray, l_op: DiffusionOperator,
-                 alpha: float) -> ScaledSystem:
-    """Symmetric diagonal scaling of ``A u = rhs`` by ``D = I + alpha diag L``.
-
-    Returns applies for ``D^{-1/2} A D^{-1/2}``, the scaled right-hand side,
-    and the map taking the scaled solution back to the original variables.
-    """
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    d = 1.0 + alpha * l_op.diagonal()
-    if np.min(d) <= 0:
-        raise InvalidScalingError(
-            f"diagonal scaling has nonpositive entries (min {float(np.min(d))!r})"
-        )
-    s = d ** -0.5
-
-    def apply_scaled(w: np.ndarray) -> np.ndarray:
-        return s * apply_a(s * w)
-
-    return ScaledSystem(d=d, d_inv_sqrt=s, apply=apply_scaled, rhs=s * rhs)
-
-
-def _system_operators(h_op: StructuredBlurOperator, config: RestorationConfig):
-    """(forward, adjoint-or-reblur) applies, transform-diagonalized when the
-    blur BC allows it."""
-    fast = h_op.bc in (
-        BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE
-    )
-    apply_h = h_op.apply_fast if fast else h_op.apply
-    if config.formulation is Formulation.REBLUR:
-        back = apply_h
-    elif h_op.bc is BoundaryCondition.REFLECTIVE:
-        back = apply_h  # symmetric operator
-    else:
-        back = h_op.apply_transpose_fast if fast else h_op.apply_transpose
-    return apply_h, back
+        return self.s * u_tilde
 
 
 def _check_shapes(data: tuple, kernel: tuple) -> None:
@@ -230,15 +234,14 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     started = time.perf_counter()
     n = v.shape[0]
     h_op = StructuredBlurOperator(psf, config.bc_h, n)
-    apply_h, apply_back = _system_operators(h_op, config)
-    alpha = config.alpha
-    rhs = apply_back(v)
+    system = StepSystem(h_op, config, v)
 
     symmetric = (config.formulation is Formulation.NORMAL
                  and config.bc_l is DiffusionBc.ZERO_NEUMANN)
     solver = pcg if symmetric else pbicgstab
 
     selector = config.preconditioner
+    scaled = selector is PrecondSelector.X_D
     kind = config.resolved_kind()
     u = v.copy()
     inner_iterations: list[int] = []
@@ -248,49 +251,37 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     steps = 0
     for _ in range(config.fp_max):
         l_op = DiffusionOperator(u, config.beta, config.bc_l)
+        system.freeze(l_op)
+        gradient_norms.append(system.gradient_norm(u))
 
-        def apply_a(w, _l=l_op):
-            return apply_back(apply_h(w)) + alpha * _l.apply(w)
-
-        gradient_norms.append(float(np.linalg.norm(
-            (apply_back(apply_h(u)) - rhs + alpha * l_op.apply(u)).ravel()
-        )))
-
-        if selector is PrecondSelector.X_D:
-            bundle = scale_system(apply_a, rhs, l_op, alpha)
-            precond = assemble_preconditioner(kind, h_op, l_op, alpha)
-            outcome = solver(bundle.apply, precond.apply_inverse, bundle.rhs,
-                             bundle.scale_iterate(u), config.inner)
-            u_next = bundle.unscale(outcome.solution)
+        apply_a, rhs, u0 = (system.scale(u) if scaled
+                            else (system.apply, system.rhs, u))
+        if selector is PrecondSelector.NONE:
+            apply_minv = None
+        elif selector is PrecondSelector.DIAG:
+            apply_minv = lambda w, _d=system.diagonal(): w / _d  # noqa: E731
         else:
-            if selector is PrecondSelector.NONE:
-                apply_minv = None
-            elif selector is PrecondSelector.DIAG:
-                d = 1.0 + alpha * l_op.diagonal()
-                if np.min(d) <= 0:
-                    raise InvalidScalingError(
-                        "diagonal preconditioner has nonpositive entries"
-                    )
-                apply_minv = lambda w, _d=d: w / _d  # noqa: E731
-            else:
-                precond = assemble_preconditioner(kind, h_op, l_op, alpha)
-                apply_minv = precond.apply_inverse
-            outcome = solver(apply_a, apply_minv, rhs, u, config.inner)
-            u_next = outcome.solution
+            precond = assemble_preconditioner(kind, h_op, l_op, config.alpha)
+            apply_minv = precond.apply_inverse
+        outcome = solver(apply_a, apply_minv, rhs, u0, config.inner)
+        u_next = system.unscale(outcome.solution) if scaled else outcome.solution
 
         steps += 1
         inner_iterations.append(outcome.iterations)
         inner_converged = inner_converged and outcome.converged
-        change = float(np.linalg.norm((u_next - u).ravel()))
+        with np.errstate(over="ignore"):
+            change = float(np.linalg.norm((u_next - u).ravel()))
+            scale = float(np.linalg.norm(u_next.ravel()))
+        if not np.isfinite(change + scale):  # change / inf would read as 0
+            raise SolverDivergenceError("fixed-point loop", steps)
         u = u_next
-        scale = float(np.linalg.norm(u.ravel()))
         # an unchanged iterate is a fixed point even where u = 0
         if change == 0.0 or (scale > 0 and change / scale < config.fp_tol):
             fp_converged = True
             break
 
     final_gradient = float(np.linalg.norm(el_residual(
-        u, v, h_op, alpha, config.beta, bc_l=config.bc_l,
+        u, v, h_op, config.alpha, config.beta, bc_l=config.bc_l,
         reblur=config.formulation is Formulation.REBLUR,
     ).ravel()))
 

@@ -68,8 +68,8 @@ class IndefinitePreconditionerError(RuntimeError):
 
     def __init__(self, kind: str, alpha: float, min_eigenvalue: float) -> None:
         super().__init__(
-            f"preconditioner {kind!r} is indefinite at alpha={alpha!r} "
-            f"(smallest eigenvalue {min_eigenvalue!r})"
+            f"preconditioner {kind!r} is indefinite at alpha={float(alpha)!r} "
+            f"(smallest eigenvalue {float(min_eigenvalue)!r})"
         )
         self.kind = kind
         self.alpha = alpha

@@ -24,8 +24,8 @@ from tvdeblur.krylov import KrylovConfig, pbicgstab, pcg
 from tvdeblur.pipeline import (
     PrecondSelector,
     RestorationConfig,
+    StepSystem,
     restore,
-    scale_system,
 )
 from tvdeblur.precond import assemble_preconditioner, project
 from tvdeblur.transforms import TransformKind
@@ -412,27 +412,21 @@ def test_criterion_10_scaled_equivalence():
         bc_h, bc_l, formulation = CONFIGURATIONS[label]
         h_op = StructuredBlurOperator(psf, bc_h, n)
         l_op = DiffusionOperator(observed, beta, bc_l)
-        reblur = formulation.value == "reblur"
-
-        def apply_a(w):
-            forward = h_op.apply_fast(w)
-            back = h_op.apply_fast(forward) if reblur \
-                else h_op.apply_transpose_fast(forward)
-            return back + alpha * l_op.apply(w)
-
-        rhs = h_op.apply_fast(observed) if reblur \
-            else h_op.apply_transpose_fast(observed)
-        solver = pbicgstab if reblur else pcg
+        system = StepSystem(h_op, RestorationConfig(
+            bc_h=bc_h, bc_l=bc_l, formulation=formulation, alpha=alpha,
+            beta=beta), observed)
+        system.freeze(l_op)
+        solver = pbicgstab if formulation.value == "reblur" else pcg
         cfg = KrylovConfig(tol=1e-8, max_iterations=3000)
 
         wrapped = assemble_preconditioner(f"D_{base}", h_op, l_op, alpha)
-        direct = solver(apply_a, wrapped.apply_inverse, rhs, observed, cfg)
+        direct = solver(system.apply, wrapped.apply_inverse, system.rhs,
+                        observed, cfg)
 
-        bundle = scale_system(apply_a, rhs, l_op, alpha)
+        apply_scaled, rhs, u0 = system.scale(observed)
         plain = assemble_preconditioner(base, h_op, l_op, alpha)
-        scaled = solver(bundle.apply, plain.apply_inverse, bundle.rhs,
-                        bundle.scale_iterate(observed), cfg)
-        diff = np.abs(direct.solution - bundle.unscale(scaled.solution)).max()
+        scaled = solver(apply_scaled, plain.apply_inverse, rhs, u0, cfg)
+        diff = np.abs(direct.solution - system.unscale(scaled.solution)).max()
         if diff > 1e-7:
             failures.append(f"{label}: iterates differ by {diff:.2e}")
     acceptance_report.record(10, not failures)

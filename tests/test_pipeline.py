@@ -5,19 +5,21 @@ import sys
 import numpy as np
 import pytest
 
+from tvdeblur import pipeline
 from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
 from tvdeblur.harness import BenchmarkSpec, gen_psf, gen_signal_1d, make_problem
-from tvdeblur.krylov import KrylovConfig, pcg
+from tvdeblur.krylov import KrylovConfig, SolverDivergenceError, pcg
 from tvdeblur.pipeline import (
     ConfigurationError,
     Formulation,
     InvalidScalingError,
     PrecondSelector,
     RestorationConfig,
+    StepSystem,
     restore,
-    scale_system,
 )
-from tvdeblur.precond import assemble_preconditioner
+from tvdeblur.precond import IndefinitePreconditionerError
+from tvdeblur.transforms import probe_dense
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 
@@ -107,6 +109,52 @@ def test_oversized_data_fails_before_any_operator(monkeypatch):
         restore(1e160 * observed, psf, cfg)
 
 
+@pytest.mark.parametrize("factor,fails", [(1e153, False), (1.7e153, True)])
+def test_iterate_norm_overflow_is_not_convergence(factor, fails):
+    """Just below the data-norm bound the restored iterate, sharper than the
+    data, can have a norm that overflows; the relative change would then read
+    0 and fake convergence."""
+    psf, observed, _ = small_problem()
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=0.1,
+                            beta=0.01)
+    if fails:
+        with pytest.raises(SolverDivergenceError,
+                           match="fixed-point loop .* at iteration 1"):
+            restore(factor * observed, psf, cfg)
+    else:
+        report = restore(factor * observed, psf, cfg)
+        assert report.fp_converged and report.fp_steps == 2
+
+
+@pytest.mark.parametrize("bc_l", [DiffusionBc.ANTI_REFLECTIVE,
+                                  DiffusionBc.ZERO_NEUMANN])
+def test_indefinite_p_d_on_rough_2d_data_has_no_fallback(monkeypatch, rng,
+                                                         bc_l):
+    """AR+Reblur/x_d on standard-normal 64x64 data, Gaussian PSF m=16,
+    sigma=8, alpha=1e-2, beta=0.01: the assembled P_D has a negative
+    eigenvalue at step 1, and restore reports it instead of falling back to
+    another preconditioner."""
+    kinds = []
+    assemble = pipeline.assemble_preconditioner
+
+    def recording(kind, *args):
+        kinds.append(kind)
+        return assemble(kind, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_preconditioner", recording)
+    cfg = RestorationConfig(bc_h=BoundaryCondition.ANTI_REFLECTIVE, bc_l=bc_l,
+                            formulation=Formulation.REBLUR,
+                            alpha=np.float64(1e-2), beta=0.01,
+                            preconditioner=PrecondSelector.X_D)
+    with pytest.raises(IndefinitePreconditionerError) as info:
+        restore(rng.standard_normal((64, 64)), gen_psf("gaussian", 16, 8.0),
+                cfg)
+    assert kinds == ["P_D"]
+    assert info.value.kind == "P_D" and info.value.min_eigenvalue < 0
+    assert str(info.value).startswith(
+        "preconditioner 'P_D' is indefinite at alpha=0.01 (smallest eigenvalue -")
+
+
 def test_resolved_kind_labels():
     cfg = RestorationConfig(bc_h=BoundaryCondition.ANTI_REFLECTIVE, alpha=1e-3,
                             beta=0.1, formulation=Formulation.REBLUR,
@@ -117,49 +165,65 @@ def test_resolved_kind_labels():
     assert cfg.resolved_kind() == "R_D"
 
 
-def test_scale_system_dense_identity(rng):
-    n = 8
+def reflective_system(n, l_op, alpha, rhs_data):
     psf = SymmetricPsf(np.full(3, 1 / 3.0))
     h_op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n)
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=alpha,
+                            beta=0.1)
+    system = StepSystem(h_op, cfg, rhs_data)
+    system.freeze(l_op)
+    return h_op, system
+
+
+def test_step_system_scaling_dense_identity(rng):
+    n = 8
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
     alpha = 1e-2
+    h_op, system = reflective_system(n, l_op, alpha, rng.standard_normal(n))
     h = h_op.dense()
-    l = l_op.dense()
-    a = h.T @ h + alpha * l
-
-    def apply_a(w):
-        return a @ w
-
-    rhs = rng.standard_normal(n)
-    bundle = scale_system(apply_a, rhs, l_op, alpha)
-    s = np.diag(bundle.d_inv_sqrt)
-    expected = s @ a @ s
-    probed = np.column_stack([bundle.apply(e) for e in np.eye(n)])
-    np.testing.assert_allclose(probed, expected, atol=1e-12)
-    np.testing.assert_allclose(bundle.rhs, bundle.d_inv_sqrt * rhs, atol=1e-14)
+    a = h.T @ h + alpha * l_op.dense()
+    np.testing.assert_allclose(probe_dense(system.apply, (n,)), a, atol=1e-12)
     u = rng.standard_normal(n)
-    np.testing.assert_allclose(bundle.unscale(bundle.scale_iterate(u)), u,
-                               atol=1e-14)
+    apply_scaled, rhs, u_scaled = system.scale(u)
+    s = np.diag(system.s)
+    np.testing.assert_allclose(system.s, system.diagonal() ** -0.5, atol=1e-14)
+    np.testing.assert_allclose(probe_dense(apply_scaled, (n,)), s @ a @ s,
+                               atol=1e-12)
+    np.testing.assert_allclose(rhs, system.s * system.rhs, atol=1e-14)
+    np.testing.assert_allclose(system.unscale(u_scaled), u, atol=1e-14)
 
 
-def test_scale_system_small_alpha_is_identity(rng):
+def test_step_system_small_alpha_scaling_is_identity(rng):
     n = 6
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
-    bundle = scale_system(lambda w: w, np.ones(n), l_op, 1e-300)
-    np.testing.assert_allclose(bundle.d, np.ones(n), atol=1e-12)
-    np.testing.assert_allclose(bundle.apply(np.ones(n)), np.ones(n), atol=1e-12)
+    _, system = reflective_system(n, l_op, 1e-300, np.ones(n))
+    apply_scaled, rhs, _ = system.scale(np.ones(n))
+    np.testing.assert_allclose(system.diagonal(), np.ones(n), atol=1e-12)
+    np.testing.assert_allclose(apply_scaled(np.ones(n)),
+                               system.apply(np.ones(n)), atol=1e-12)
+    np.testing.assert_allclose(rhs, system.rhs, atol=1e-12)
 
 
-def test_scale_system_rejects_nonpositive_diagonal(rng):
+@pytest.mark.parametrize("selector", [PrecondSelector.DIAG,
+                                      PrecondSelector.X_D])
+def test_nonpositive_diagonal_fails_in_step_system(selector):
     # 2D anti-reflective diffusion can have negative border diagonal entries
     # (transverse averaging makes the two border edge coefficients differ);
-    # once alpha is large enough the scaling diagonal turns nonpositive.
-    u = rng.standard_normal((8, 8)) * 5.0
-    l_op = DiffusionOperator(u, 0.01, DiffusionBc.ANTI_REFLECTIVE)
-    assert l_op.diagonal().min() < 0
-    alpha = 2.0 / abs(l_op.diagonal().min())
-    with pytest.raises(InvalidScalingError):
-        scale_system(lambda w: w, np.ones((8, 8)), l_op, alpha)
+    # once alpha is large enough D = I + alpha diag L turns nonpositive, and
+    # the diagonal and the scaled-system selectors both stop at that check.
+    v = np.random.default_rng(0).standard_normal((8, 8)) * 5.0
+    diag_l = DiffusionOperator(v, 0.01, DiffusionBc.ANTI_REFLECTIVE).diagonal()
+    assert diag_l.min() < 0
+    cfg = RestorationConfig(bc_h=BoundaryCondition.ANTI_REFLECTIVE,
+                            bc_l=DiffusionBc.ANTI_REFLECTIVE,
+                            formulation=Formulation.REBLUR,
+                            alpha=2.0 / abs(diag_l.min()), beta=0.01,
+                            preconditioner=selector)
+    with pytest.raises(InvalidScalingError,
+                       match=r"D = I \+ alpha diag L has nonpositive entries "
+                             r"\(min -1\.0\)") as info:
+        restore(v, SymmetricPsf(np.full((3, 3), 1 / 9)), cfg)
+    assert info.traceback[-1].name == "diagonal"
 
 
 def test_scalar_diagonal_scaling_commutes(rng):
@@ -167,18 +231,24 @@ def test_scalar_diagonal_scaling_commutes(rng):
     n = 12
 
     class ScalarDiagOperator:
+        """SPD stand-in for L whose diagonal reads 3 everywhere."""
+        k = rng.standard_normal((n, n))
+        k = k @ k.T + n * np.eye(n)
+
+        def apply(self, w):
+            return self.k @ w
+
         def diagonal(self):
             return np.full(n, 3.0)
 
-    a = rng.standard_normal((n, n))
-    a = a @ a.T + n * np.eye(n)
-    rhs = rng.standard_normal(n)
+    _, system = reflective_system(n, ScalarDiagOperator(), 0.5,
+                                  rng.standard_normal(n))
     cfg = KrylovConfig(tol=1e-10, max_iterations=200)
-    plain = pcg(lambda w: a @ w, None, rhs, np.zeros(n), cfg)
-    bundle = scale_system(lambda w: a @ w, rhs, ScalarDiagOperator(), 0.5)
-    scaled = pcg(bundle.apply, None, bundle.rhs, np.zeros(n), cfg)
+    plain = pcg(system.apply, None, system.rhs, np.zeros(n), cfg)
+    apply_scaled, rhs, u0 = system.scale(np.zeros(n))
+    scaled = pcg(apply_scaled, None, rhs, u0, cfg)
     assert plain.iterations == scaled.iterations
-    np.testing.assert_allclose(bundle.unscale(scaled.solution), plain.solution,
+    np.testing.assert_allclose(system.unscale(scaled.solution), plain.solution,
                                atol=1e-8)
 
 
