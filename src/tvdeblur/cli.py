@@ -13,35 +13,17 @@ import numpy as np
 
 from . import harness
 from .blur import BoundaryCondition, StructuredBlurOperator, save_psf
-from .krylov import (
-    IndefiniteOperatorError,
-    SolverBreakdownError,
-    SolverDivergenceError,
-)
 from .pipeline import (
     ConfigurationError,
     Formulation,
-    InvalidScalingError,
     PrecondSelector,
     RestorationConfig,
     StepSystem,
     restore,
 )
-from .precond import (
-    IndefinitePreconditionerError,
-    assemble_preconditioner,
-    spectral_diagnostic,
-)
+from .precond import assemble_preconditioner, spectral_diagnostic
 from .transforms import probe_dense
 from .tv import DiffusionBc, DiffusionOperator
-
-_NUMERICAL = (
-    SolverBreakdownError,
-    SolverDivergenceError,
-    IndefiniteOperatorError,
-    IndefinitePreconditionerError,
-    InvalidScalingError,
-)
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,7 +45,7 @@ def _make_problem(args) -> tuple:
         ns=(args.n,),
         nsr=args.nsr,
         seed=args.seed,
-        psf_kind="out_of_focus" if args.dim == 1 else "gaussian",
+        psf_kind=harness.PSF_KINDS[args.dim],
         psf_half_width=args.psf_m,
         psf_sigma=args.psf_sigma,
     )
@@ -157,8 +139,10 @@ def _cmd_spectra(args) -> int:
     h_op = StructuredBlurOperator(psf, bc_h, args.n)
     system = StepSystem(h_op, config, observed)
     system.freeze(DiffusionOperator(observed, args.beta, bc_l))
+    # x_d preconditions the scaled system D^{-1/2} A D^{-1/2} that restore solves
+    apply_a = system.scale(observed)[0] if args.precond == "x_d" else system.apply
     precond = assemble_preconditioner(kind, h_op, system.l_op, args.alpha)
-    diag = spectral_diagnostic(probe_dense(system.apply, observed.shape),
+    diag = spectral_diagnostic(probe_dense(apply_a, observed.shape),
                                precond.dense())
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -225,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL as exc:
+    except harness.NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigurationError, ValueError) as exc:

@@ -38,13 +38,12 @@ from .krylov import (
 )
 from .pipeline import (
     Formulation,
-    InvalidScalingError,
     PrecondSelector,
     RestorationConfig,
     RestorationReport,
     restore,
 )
-from .precond import IndefinitePreconditionerError
+from .precond import IndefinitePreconditionerError, InvalidScalingError
 from .tv import DiffusionBc
 
 #: configuration label -> (blur BC, diffusion BC, formulation)
@@ -61,7 +60,11 @@ CONFIGURATIONS: dict[str, tuple[BoundaryCondition, DiffusionBc, Formulation]] = 
 
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
 
-_RECOVERABLE = (
+#: dimension -> the benchmark kernel of that dimension
+PSF_KINDS = {1: "out_of_focus", 2: "gaussian"}
+
+#: numerical failures: a sweep stars the cell, the CLI exits with code 3
+NUMERICAL_FAILURES = (
     SolverBreakdownError,
     SolverDivergenceError,
     IndefiniteOperatorError,
@@ -228,8 +231,12 @@ class BenchmarkSpec:
         unknown = [p for p in self.preconditioners if p not in selectors]
         if unknown:
             raise ValueError(f"unknown preconditioner selectors: {unknown}")
-        if self.dimension == 2 and self.psf_kind == "out_of_focus":
-            raise ValueError("2D sweeps use the gaussian psf")
+        if self.psf_kind != PSF_KINDS[self.dimension]:
+            raise ValueError(
+                f"psf kind {self.psf_kind!r} does not fit dimension "
+                f"{self.dimension}: {self.dimension}D sweeps use the "
+                f"{PSF_KINDS[self.dimension]!r} psf"
+            )
 
     def resolve_half_width(self, n: int) -> int:
         return self.psf_half_width if self.psf_half_width is not None \
@@ -277,7 +284,6 @@ class SweepResult:
     cells: list[SweepCell]
     alpha_opt: dict[str, float] = field(default_factory=dict)
     min_rre: dict[str, float] = field(default_factory=dict)
-    files: list[Path] = field(default_factory=list)
 
     def cell(self, config: str, alpha: float, beta: float, n: int,
              preconditioner: str) -> SweepCell:
@@ -292,12 +298,12 @@ def make_problem(spec: BenchmarkSpec, n: int):
     """(psf, observed data, true field-of-view data) for one grid size."""
     m = spec.resolve_half_width(n)
     if spec.dimension == 1:
-        psf = gen_psf("out_of_focus", m)
+        psf = gen_psf(spec.psf_kind, m)
         extended, fov = gen_signal_1d(n, m)
         u_true = extended[fov]
     else:
         sigma = spec.psf_sigma if spec.psf_sigma is not None else max(m / 2.0, 1.0)
-        psf = gen_psf("gaussian", m, sigma)
+        psf = gen_psf(spec.psf_kind, m, sigma)
         extended, fov = gen_image_2d(n, m)
         u_true = extended[fov]
     observed = blur_and_observe(extended, psf, n, spec.nsr, spec.seed)
@@ -322,7 +328,7 @@ def run_cell(spec: BenchmarkSpec, config_label: str, alpha: float, beta: float,
     )
     try:
         report = restore(observed, psf, config, u_true=u_true)
-    except _RECOVERABLE as exc:
+    except NUMERICAL_FAILURES as exc:
         return SweepCell(config_label, alpha, beta, n, selector_label,
                          report=None, failure=str(exc))
     return SweepCell(config_label, alpha, beta, n, selector_label, report=report)
@@ -363,7 +369,7 @@ def run_sweep(spec: BenchmarkSpec, out_dir=None) -> SweepResult:
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result.files.extend(_write_sweep_files(spec, result, problems, out_dir))
+        _write_sweep_files(spec, result, problems, out_dir)
     return result
 
 
@@ -374,11 +380,9 @@ def _cell_stem(cell: SweepCell) -> str:
 
 
 def _write_sweep_files(spec: BenchmarkSpec, result: SweepResult, problems,
-                       out_dir: Path) -> list[Path]:
-    files = []
+                       out_dir: Path) -> None:
     table = out_dir / "iterations.csv"
     write_csv(table, TABLE_HEADER, [cell.row() for cell in result.cells])
-    files.append(table)
 
     curve = out_dir / "rre_vs_alpha.csv"
     rows = [
@@ -388,7 +392,6 @@ def _write_sweep_files(spec: BenchmarkSpec, result: SweepResult, problems,
     ]
     write_csv(curve, ("config", "preconditioner", "alpha", "beta", "n", "rre"),
               rows)
-    files.append(curve)
 
     if spec.save_restored:
         for cell in result.cells:
@@ -405,8 +408,6 @@ def _write_sweep_files(spec: BenchmarkSpec, result: SweepResult, problems,
                 path = out_dir / f"{stem}.pgm"
                 write_pgm(path, cell.report.restored,
                           lo=float(u_true.min()), hi=float(u_true.max()))
-            files.append(path)
-    return files
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 
 from .blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
 from .krylov import KrylovConfig, SolverDivergenceError, pbicgstab, pcg
-from .precond import assemble_preconditioner
+from .precond import InvalidScalingError  # noqa: F401  (re-exported)
+from .precond import assemble_preconditioner, scaling_diagonal
 from .tv import DiffusionBc, DiffusionOperator, el_residual
 
 
@@ -71,10 +72,6 @@ _LABELS = {
 
 class ConfigurationError(ValueError):
     """Invalid restoration configuration, detected before any compute."""
-
-
-class InvalidScalingError(ValueError):
-    """Diagonal scaling is not positive, the scaled system is undefined."""
 
 
 @dataclass(frozen=True)
@@ -166,13 +163,7 @@ class StepSystem:
 
     def diagonal(self) -> np.ndarray:
         """``D = I + alpha diag L``, rejected unless every entry is positive."""
-        d = 1.0 + self.alpha * self.l_op.diagonal()
-        if np.min(d) <= 0:
-            raise InvalidScalingError(
-                f"D = I + alpha diag L has nonpositive entries "
-                f"(min {float(np.min(d))!r})"
-            )
-        return d
+        return scaling_diagonal(self.l_op, self.alpha)
 
     def scale(self, u: np.ndarray) -> tuple:
         """(apply, right-hand side, ``u``) of the scaled system."""

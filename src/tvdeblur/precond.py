@@ -9,25 +9,23 @@ diagonalized by one fast transform:
 * anti-reflective ``{T diag(v) T^{-1}}``       (non-orthogonal transform).
 
 For the three orthogonal algebras the Frobenius-closest member of the
-algebra to a matrix ``A`` has eigenvalues ``diag(X^T A X)``; for banded
-``A`` each band contributes a quadratic trigonometric sum
-``sum_i band[i] X[i, t] X[i + d, t]`` for all frequencies t at once.  When
-the transformed length n is at most ``transforms._GEMM_MAX_N`` (144, the
-cutoff of the 2D tensor products) that sum is the product ``band @ P_d``
-with the cached read-only matrix ``P_d = X[:n-d] * X[d:]``, O(b n^2) for
-bandwidth b and independent of how n factors; longer lengths evaluate the
-closed form with one FFT of length about 2n, O(b n log n), and never
-materialize anything dense.  Projections take band dicts only,
-``{offset: values}`` in 1D and ``{(block offset, inner offset):
-coefficients}`` in 2D; a dense matrix is the band dict with every diagonal
-filled.
+algebra to ``A`` has eigenvalues ``diag(X^T A X)``; the band at offset d of
+a banded ``A`` adds ``sum_i band[i] X[i, t] X[i + d, t]`` for all t at once.
+Up to the length ``transforms._GEMM_MAX_N`` (144, the 2D tensor-product
+cutoff) that sum is ``band @ P_d`` with the cached read-only matrix
+``P_d = X[:n-d] * X[d:]``, O(b n^2) for bandwidth b; longer lengths use one
+FFT of length about 2n, O(b n log n), and materialize nothing dense.
+Projections take band dicts only: ``{offset: values}`` in 1D and
+``{(block offset, inner offset): coefficients}`` in 2D.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
-unitary): it projects the interior onto the sine algebra, recovers the
-first-column representer ``z`` of that sine matrix by back-substitution, and
-fills the first/last columns with the cumulative sums that place the result
-inside the anti-reflective algebra.  Its two border eigenvalues equal the
-(1,1) entry of the bordered matrix.
+unitary): it projects the interior (order L = n - 2) onto the sine algebra
+and borders it with the two ramp columns of the anti-reflective algebra.  The
+border eigenvalue is the bordered (1,1) entry ``sum_m (m+1) col[m]`` of the
+interior's first column ``col = S diag(lam) S[:, 0]``; as ``sum_j j sin(j x)
+= (-1)^(t+1) (L+1) sin(x) / (4 sin^2(x/2))`` at ``x = t pi / (L+1)``, it is
+``sum_t (-1)^(t+1) (1 + cos(x)) lam_t``.  The weights alternate in sign, so a
+positive interior need not give a positive border.
 
 Two-level (2D) versions apply the one-dimensional map blockwise, regroup
 indices with the vec permutation (outer and inner indices swapped), and
@@ -76,6 +74,19 @@ class IndefinitePreconditionerError(RuntimeError):
         self.min_eigenvalue = min_eigenvalue
 
 
+class InvalidScalingError(ValueError):
+    """Diagonal scaling is not positive, the scaled system is undefined."""
+
+
+def scaling_diagonal(l_op, alpha: float) -> np.ndarray:
+    """``D = I + alpha diag L``, rejected unless every entry is positive."""
+    d = 1.0 + alpha * l_op.diagonal()
+    if np.min(d) <= 0:
+        raise InvalidScalingError("D = I + alpha diag L has nonpositive "
+                                  f"entries (min {float(np.min(d))!r})")
+    return d
+
+
 # ---------------------------------------------------------------------------
 # banded quadratic forms: sum_i band[i] * X[i, t] * X[i + d, t] for all t
 # ---------------------------------------------------------------------------
@@ -94,13 +105,14 @@ def _band_products(kind: TransformKind, d: int, n: int) -> np.ndarray:
     return p
 
 
-def _cosine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """Contribution of one band to diag(C^T A C), batched over leading axes.
+def _band_form(kind: TransformKind, band: np.ndarray, offset: int,
+               n: int) -> np.ndarray:
+    """Contribution of one band to diag(X^T A X), batched over leading axes.
 
-    Up to ``_GEMM_MAX_N`` it is ``band @ P_d``.  Above, it uses
-    cos(u)cos(v) = (cos(u+v) + cos(u-v))/2: the frequency-sum part is a
-    length-2n FFT of the band placed on odd/even slots, the difference part
-    collapses to the band total.
+    X is C (DCT) or S (DST-I); an empty band gives zeros.  Up to
+    ``_GEMM_MAX_N`` it is ``band @ P_d``.  Above, the product-to-sum identity
+    makes the frequency-sum part one FFT of the band on odd/even slots
+    (length 2n or 2(n+1)) and collapses the difference part to the band total.
     """
     d = abs(offset)
     band = np.asarray(band, dtype=float)
@@ -110,79 +122,32 @@ def _cosine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
     if band.shape[-1] != length:
         raise ValueError(f"band for offset {offset} must have length {length}")
     if n <= transforms._GEMM_MAX_N:
-        return band @ _band_products(TransformKind.DCT, d, n)
-    arr = np.zeros(band.shape[:-1] + (2 * n,))
-    arr[..., d + 1: d + 1 + 2 * length: 2] = band
-    freq_sum = _fft.rfft(arr, axis=-1)[..., :n].real
-    t = np.arange(n)
-    gamma = t * np.pi / (2 * n)
-    rho2 = np.where(t == 0, 1.0, 2.0) / n
+        return band @ _band_products(kind, d, n)
     total = band.sum(axis=-1, keepdims=True)
-    return 0.5 * rho2 * (total * np.cos(2 * d * gamma) + freq_sum)
-
-
-def _sine_band_form(band: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """Contribution of one band to diag(S A S), batched over leading axes.
-
-    Up to ``_GEMM_MAX_N`` it is ``band @ P_d``; above, one length-2(n+1) FFT.
-    """
-    d = abs(offset)
-    band = np.asarray(band, dtype=float)
-    length = n - d
-    if length <= 0 or band.shape[-1] == 0:
-        return np.zeros(band.shape[:-1] + (n,))
-    if band.shape[-1] != length:
-        raise ValueError(f"band for offset {offset} must have length {length}")
-    if n <= transforms._GEMM_MAX_N:
-        return band @ _band_products(TransformKind.DST1, d, n)
+    if kind is TransformKind.DCT:
+        arr = np.zeros(band.shape[:-1] + (2 * n,))
+        arr[..., d + 1: d + 1 + 2 * length: 2] = band
+        freq_sum = _fft.rfft(arr, axis=-1)[..., :n].real
+        t = np.arange(n)
+        gamma = t * np.pi / (2 * n)
+        rho2 = np.where(t == 0, 1.0, 2.0) / n
+        return 0.5 * rho2 * (total * np.cos(2 * d * gamma) + freq_sum)
     arr = np.zeros(band.shape[:-1] + (2 * (n + 1),))
     arr[..., d + 2: d + 2 + 2 * length: 2] = band
     freq_sum = _fft.rfft(arr, axis=-1)[..., 1: n + 1].real
     t = np.arange(1, n + 1)
     theta = np.pi / (n + 1)
-    total = band.sum(axis=-1, keepdims=True)
     return (total * np.cos(d * t * theta) - freq_sum) / (n + 1)
 
 
-def _interior_bands(bands, n: int):
-    """Bands of the (2:n-1, 2:n-1) submatrix of a banded matrix."""
-    out = {}
-    for d, band in bands.items():
-        sliced = np.asarray(band, dtype=float)[..., 1: n - 1 - abs(d)]
-        if sliced.shape[-1] > 0:
-            out[d] = sliced
-    return out
-
-
-def _z_from_sine_eigenvalues(lam: np.ndarray) -> np.ndarray:
-    """First-column representer z of S diag(lam) S via back-substitution.
-
-    The first column of a sine-algebra matrix equals ``z`` minus its own
-    entries shifted up by two, so ``z[k] = col[k] + z[k+2]``.  The DST-I
-    giving that column is a product with the cached matrix S up to
-    ``_GEMM_MAX_N``.
-    """
-    n = lam.shape[-1]
-    # no named temporary: holding one more batch-sized array alive slowed
-    # the n = 256 assembly by about 15%
-    if n <= transforms._GEMM_MAX_N:
-        s = transforms._matrix_1d(TransformKind.DST1, False, False, n)
-        col = (lam * _first_sine_column(n)) @ s.T
-    else:
-        col = _fft.dst(lam * _first_sine_column(n), type=1, norm="ortho",
-                       axis=-1)
-    z = col.copy()
-    length = z.shape[-1]
-    for parity in (length - 1, length - 2):
-        if parity < 0:
-            continue
-        z[..., parity::-2] = np.cumsum(col[..., parity::-2], axis=-1)
-    return z
-
-
-def _first_sine_column(n: int) -> np.ndarray:
-    t = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(t * np.pi / (n + 1))
+@lru_cache(maxsize=16)
+def _border_weights(length: int) -> np.ndarray:
+    """Read-only ``w[t] = (-1)^(t+1) (1 + cos(t pi / (L+1)))``, t = 1..L:
+    ``lam_int @ w`` is the anti-reflective border eigenvalue."""
+    t = np.arange(1, length + 1)
+    w = np.where(t % 2 == 1, 1.0, -1.0) * (1.0 + np.cos(t * np.pi / (length + 1)))
+    w.setflags(write=False)
+    return w
 
 
 def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
@@ -193,13 +158,10 @@ def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
     results are the Frobenius-closest members ``X diag(result) X^T``.  The
     bordered-sine result is ``(a[0,0], sine eigenvalues of the interior,
     a[n-1,n-1])``; the anti-reflective one borders the same interior
-    eigenvalues by the (1,1) entry of the bordered matrix.
+    eigenvalues by the (1,1) entry of the bordered matrix, ``lam_int @ w``.
     """
-    if kind is TransformKind.DCT:
-        parts = [_cosine_band_form(b, d, n) for d, b in bands.items()]
-        return sum(parts) if parts else np.zeros(n)
-    if kind is TransformKind.DST1:
-        parts = [_sine_band_form(b, d, n) for d, b in bands.items()]
+    if kind in (TransformKind.DCT, TransformKind.DST1):
+        parts = [_band_form(kind, b, d, n) for d, b in bands.items()]
         return sum(parts) if parts else np.zeros(n)
     if kind not in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
         raise ValueError(f"unknown projection kind: {kind!r}")
@@ -208,8 +170,9 @@ def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
         raise ValueError(f"{kind.value} projection requires n >= {smallest}")
     shape = next(iter(bands.values())).shape[:-1] if bands else ()
     lam_int = np.zeros(shape + (n - 2,))
-    for d, band in _interior_bands(bands, n).items():
-        lam_int += _sine_band_form(band, d, n - 2)
+    for d, band in bands.items():
+        interior = np.asarray(band, dtype=float)[..., 1: n - 1 - abs(d)]
+        lam_int += _band_form(TransformKind.DST1, interior, d, n - 2)
     out = np.zeros(shape + (n,))
     out[..., 1:-1] = lam_int
     if kind is TransformKind.SINE_HAT:
@@ -218,8 +181,7 @@ def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
             out[..., 0] = diag_band[..., 0]
             out[..., -1] = diag_band[..., -1]
     else:
-        z = _z_from_sine_eigenvalues(lam_int)
-        out[..., 0] = out[..., -1] = 2.0 * z.sum(axis=-1) - z[..., 0]
+        out[..., 0] = out[..., -1] = lam_int @ _border_weights(n - 2)
     return out
 
 
@@ -330,7 +292,6 @@ def _scaled_bands_1d(bands: Bands1D, s: np.ndarray) -> Bands1D:
 
 
 def _scaled_blocks_2d(blocks: Bands2D, s: np.ndarray) -> Bands2D:
-    n = s.shape[0]
     out = {}
     for (do, di), band in blocks.items():
         r0, c0 = max(0, -do), max(0, -di)
@@ -368,11 +329,10 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
             f"preconditioner {kind!r} requires a blur operator with "
             f"{expected_bc.value!r} boundary conditions, got {h_op.bc.value!r}"
         )
-    ndim = h_op.ndim
     lam_h = h_op.eigenvalues()
     n = h_op.n
 
-    if ndim == 1:
+    if h_op.ndim == 1:
         l_struct = l_op.bands()
         eigs_of = lambda bands: project(transform, bands, n)  # noqa: E731
         scale = _scaled_bands_1d
@@ -383,19 +343,15 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
         scale = _scaled_blocks_2d
         diag_bands = lambda v: {(0, 0): v}  # noqa: E731
 
-    diag_l = l_op.diagonal()
-    d = 1.0 + alpha * diag_l
-    if np.min(d) <= 0:
-        raise IndefinitePreconditionerError(kind, alpha, float(np.min(d)))
-
     if kind.endswith("_D"):
-        s = d ** -0.5
+        s = scaling_diagonal(l_op, alpha) ** -0.5
         lam_d = eigs_of(diag_bands(s))
         lam_lt = eigs_of(scale(l_struct, s))
         eigs = lam_h * lam_h * lam_d * lam_d + alpha * lam_lt
         return FactoredPreconditioner(kind, transform, eigs, alpha)
     eigs = lam_h * lam_h + alpha * eigs_of(l_struct)
-    d_sqrt = np.sqrt(d) if kind.startswith("D_") else None
+    # kind is the base or its D_ wrap here
+    d_sqrt = np.sqrt(scaling_diagonal(l_op, alpha)) if kind != base else None
     return FactoredPreconditioner(kind, transform, eigs, alpha, d_sqrt=d_sqrt)
 
 

@@ -241,6 +241,11 @@ def test_spec_validation():
         BenchmarkSpec(preconditioners=("bogus",))
     with pytest.raises(ValueError):
         BenchmarkSpec(dimension=2)  # 2D needs the gaussian psf
+    # make_problem runs each dimension's own kernel, and no other
+    for dimension, kind in ((1, "gaussian"), (2, "banana")):
+        with pytest.raises(ValueError, match=rf"psf kind '{kind}' does not "
+                                             rf"fit dimension {dimension}"):
+            BenchmarkSpec(dimension=dimension, psf_kind=kind)
 
 
 def test_parse_sweep_config(tmp_path):
@@ -281,6 +286,12 @@ def test_parse_sweep_config(tmp_path):
     with pytest.raises(ValueError, match=r"value\.cfg:3: bad value for 'alpha': "
                                          r"could not convert string to float: 'abc'"):
         parse_sweep_config(value)
+    kernel = tmp_path / "kernel.cfg"
+    kernel.write_text("dimension = 1\nn = 64\npsf = gaussian\n")
+    with pytest.raises(ValueError, match=r"psf kind 'gaussian' does not fit "
+                                         r"dimension 1: 1D sweeps use the "
+                                         r"'out_of_focus' psf"):
+        parse_sweep_config(kernel)
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -337,6 +348,18 @@ def test_cli_sweep_and_spectra(tmp_path):
     header, rows = read_csv(out2 / "spectrum.csv")
     assert header == ["real", "imag"] and len(rows) == 48
     assert (out2 / "spectrum_histogram.txt").read_text().count("\n") >= 10
+
+
+def test_cli_spectra_x_d_probes_the_scaled_system(tmp_path, capsys):
+    """x_d preconditions D^{-1/2} A D^{-1/2}; on the unscaled A the same
+    preconditioner clusters 68.8% of the eigenvalues."""
+    out = tmp_path / "spectra"
+    assert cli_main(["spectra", "--n", "64", "--config", "R", "--precond",
+                     "x_d", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "preconditioner R_D: 75.0% of eigenvalues within 0.1 of 1; "
+        f"histogram -> {out / 'spectrum_histogram.txt'}\n"
+    )
 
 
 def test_cli_entry_point_runs():

@@ -204,12 +204,14 @@ def test_step_system_small_alpha_scaling_is_identity(rng):
 
 
 @pytest.mark.parametrize("selector", [PrecondSelector.DIAG,
+                                      PrecondSelector.D_X,
                                       PrecondSelector.X_D])
 def test_nonpositive_diagonal_fails_in_step_system(selector):
     # 2D anti-reflective diffusion can have negative border diagonal entries
     # (transverse averaging makes the two border edge coefficients differ);
     # once alpha is large enough D = I + alpha diag L turns nonpositive, and
-    # the diagonal and the scaled-system selectors both stop at that check.
+    # the diagonal, the D_X wrap and the scaled-system selectors all stop at
+    # that one check.
     v = np.random.default_rng(0).standard_normal((8, 8)) * 5.0
     diag_l = DiffusionOperator(v, 0.01, DiffusionBc.ANTI_REFLECTIVE).diagonal()
     assert diag_l.min() < 0
@@ -222,7 +224,7 @@ def test_nonpositive_diagonal_fails_in_step_system(selector):
                        match=r"D = I \+ alpha diag L has nonpositive entries "
                              r"\(min -1\.0\)") as info:
         restore(v, SymmetricPsf(np.full((3, 3), 1 / 9)), cfg)
-    assert info.traceback[-1].name == "diagonal"
+    assert info.traceback[-1].name == "scaling_diagonal"
 
 
 def test_scalar_diagonal_scaling_commutes(rng):
