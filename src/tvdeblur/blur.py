@@ -15,7 +15,8 @@ field of view are supplied by one of four boundary extensions:
                          rank-2 column correction; diagonalized by the
                          anti-reflective transform).
 
-Reference semantics for every extension is pad / convolve / crop; the
+Reference semantics for every extension is pad / convolve / crop, with
+the convolution computed by :func:`convolve_valid` in plain numpy; the
 transform-diagonalized fast path exists only for the reflective and
 anti-reflective cases and must agree with the reference to rounding.
 """
@@ -26,9 +27,9 @@ import warnings
 from enum import Enum
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .transforms import TransformKind, apply_1d, probe_dense, tensor_apply_2d
+from .transforms import TransformKind, apply_1d, tensor_apply_2d
 
 
 class BoundaryCondition(Enum):
@@ -167,6 +168,18 @@ def pad_extend(u: np.ndarray, m: int, bc: BoundaryCondition) -> np.ndarray:
     return np.pad(np.asarray(u, dtype=float), m, **_PAD_MODES[bc])
 
 
+def convolve_valid(ext: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Valid convolution of ``ext`` with the kernel ``h`` of the same ndim.
+
+    Each output sample is the kernel, flipped, against one window of
+    ``ext``; in 2D the windows are a strided view, so nothing is copied.
+    """
+    if h.ndim == 1:
+        return np.convolve(ext, h, mode="valid")
+    return np.einsum("ijkl,kl->ij", sliding_window_view(ext, h.shape),
+                     h[::-1, ::-1])
+
+
 def _fold_axis0(w: np.ndarray, m: int, bc: BoundaryCondition) -> np.ndarray:
     """Adjoint of :func:`pad_extend` along the leading axis."""
     if m == 0:
@@ -228,21 +241,17 @@ class StructuredBlurOperator:
         m = self.psf.half_width
         if m == 0:
             return u.copy()
-        ext = pad_extend(u, m, self.bc)
-        if self.ndim == 1:
-            return np.convolve(ext, self.psf.coefficients, mode="valid")
-        return convolve2d(ext, self.psf.coefficients, mode="valid")
+        return convolve_valid(pad_extend(u, m, self.bc), self.psf.coefficients)
 
     def apply_transpose(self, u) -> np.ndarray:
         u = self._check_shape(u)
         m = self.psf.half_width
         if m == 0:
             return self.apply(u)
-        h = self.psf.coefficients
+        # the full convolution is the valid one of u zero-padded by 2m
+        full = convolve_valid(np.pad(u, 2 * m), self.psf.coefficients)
         if self.ndim == 1:
-            full = np.convolve(u, h, mode="full")
             return _fold_axis0(full, m, self.bc)
-        full = convolve2d(u, h, mode="full")
         folded = _fold_axis(full, m, self.bc, axis=0)
         return _fold_axis(folded, m, self.bc, axis=1)
 
@@ -314,10 +323,6 @@ class StructuredBlurOperator:
         )
 
     # -- helpers --------------------------------------------------------------
-
-    def dense(self) -> np.ndarray:
-        """Reference operator as a dense matrix (small sizes only)."""
-        return probe_dense(self.apply, (self.n,) * self.ndim)
 
     def _check_shape(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)

@@ -9,27 +9,30 @@ The harness reproduces a deblurring benchmark protocol at desk scale:
    extended truth, cropped to the field of view) and add seeded Gaussian
    noise with a prescribed noise-to-signal ratio;
 3. run restorations over a grid of (configuration, alpha, beta, n,
-   preconditioner) cells and emit CSV tables, RRE-versus-alpha curves, and
-   restored outputs (two-column CSV in 1D, 8-bit PGM in 2D).
+   preconditioner) cells and emit CSV tables, RRE-versus-alpha curves, a
+   per-cell JSON-lines log, and restored outputs (two-column CSV in 1D,
+   8-bit PGM in 2D).
 
 Noise uses ``numpy.random.Generator(PCG64(seed))`` with
 ``standard_normal`` -- a named, portable 64-bit generator whose streams are
 stable across platforms -- so a fixed seed reproduces observations bit for
 bit.  Cells that fail to converge (or raise a numerical error) are recorded
-as ``*`` and never abort a sweep.
+as ``*`` in the tables, with their reason in ``cells.jsonl``, and never abort
+a sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import convolve2d
 
-from .blur import BoundaryCondition, SymmetricPsf
+from .blur import BoundaryCondition, SymmetricPsf, convolve_valid
 from .krylov import (
     IndefiniteOperatorError,
     KrylovConfig,
@@ -173,13 +176,8 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
     if nsr < 0:
         raise ValueError(f"noise-to-signal ratio must be >= 0, got {nsr}")
     u_extended = np.asarray(u_extended, dtype=float)
-    h = psf.coefficients
-    if psf.ndim == 1:
-        clean = np.convolve(u_extended, h, mode="valid")
-        expected = (n,)
-    else:
-        clean = convolve2d(u_extended, h, mode="valid")
-        expected = (n, n)
+    clean = convolve_valid(u_extended, psf.coefficients)
+    expected = (n,) * psf.ndim
     if clean.shape != expected:
         raise ValueError(
             f"extended input of shape {u_extended.shape} does not crop to "
@@ -263,11 +261,33 @@ class SweepCell:
     preconditioner: str
     report: RestorationReport | None
     failure: str | None = None
+    wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:
         return (self.report is not None and self.report.fp_converged
                 and self.report.inner_converged)
+
+    @property
+    def status(self) -> str:
+        """``ok``; ``unconverged`` (a report, not converged); ``starred``
+        (a numerical failure, no report)."""
+        if self.report is None:
+            return "starred"
+        return "ok" if self.ok else "unconverged"
+
+    def record(self) -> dict:
+        """The cell as one JSON-ready record, failure reason included."""
+        rep = self.report
+        return {
+            "config": self.config, "selector": self.preconditioner,
+            "alpha": self.alpha, "beta": self.beta, "n": self.n,
+            "status": self.status, "reason": self.failure,
+            "fp_steps": rep.fp_steps if rep else 0,
+            "inner_iterations": rep.inner_iterations if rep else [],
+            "rre": rep.rre if rep else None,
+            "wall_time": self.wall_time,
+        }
 
     def row(self) -> tuple:
         label = f"{self.config}/{self.preconditioner}"
@@ -326,12 +346,23 @@ def run_cell(spec: BenchmarkSpec, config_label: str, alpha: float, beta: float,
         fp_max=spec.fp_max,
         inner=spec.inner_config(),
     )
+    started = time.perf_counter()
     try:
         report = restore(observed, psf, config, u_true=u_true)
     except NUMERICAL_FAILURES as exc:
         return SweepCell(config_label, alpha, beta, n, selector_label,
-                         report=None, failure=str(exc))
-    return SweepCell(config_label, alpha, beta, n, selector_label, report=report)
+                         report=None, failure=str(exc),
+                         wall_time=time.perf_counter() - started)
+    failure = None
+    if not report.inner_converged:
+        failure = (f"an inner solve stopped at its iteration limit "
+                   f"{config.inner.max_iterations}")
+    elif not report.fp_converged:
+        failure = (f"fixed-point loop did not reach tolerance "
+                   f"{config.fp_tol!r} in {config.fp_max} steps")
+    return SweepCell(config_label, alpha, beta, n, selector_label,
+                     report=report, failure=failure,
+                     wall_time=time.perf_counter() - started)
 
 
 def run_sweep(spec: BenchmarkSpec, out_dir=None) -> SweepResult:
@@ -392,6 +423,10 @@ def _write_sweep_files(spec: BenchmarkSpec, result: SweepResult, problems,
     ]
     write_csv(curve, ("config", "preconditioner", "alpha", "beta", "n", "rre"),
               rows)
+
+    with open(out_dir / "cells.jsonl", "w", encoding="ascii") as fh:
+        for cell in result.cells:
+            fh.write(json.dumps(cell.record()) + "\n")
 
     if spec.save_restored:
         for cell in result.cells:

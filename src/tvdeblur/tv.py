@@ -23,8 +23,6 @@ from enum import Enum
 
 import numpy as np
 
-from .transforms import probe_dense
-
 
 class DiffusionBc(Enum):
     ZERO_NEUMANN = "zero_neumann"
@@ -200,10 +198,6 @@ class DiffusionOperator:
             (1, 0): block_up,
             (-1, 0): block_lo,
         }
-
-    def dense(self) -> np.ndarray:
-        """The operator as a dense matrix (small sizes only)."""
-        return probe_dense(self.apply, (self.n,) * self.ndim)
 
 
 def el_residual(u, v, h_op, alpha: float, beta: float,

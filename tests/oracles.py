@@ -3,9 +3,18 @@
 These are intentionally independent of the package's fast paths: transforms
 come from their entry formulas, blur matrices from the scalar boundary rules
 and the convolution sum, diffusion matrices from the stencil definition.
+:func:`dense_of` probes an operator's reference apply column by column.
 """
 
 import numpy as np
+
+from tvdeblur.transforms import probe_dense
+
+
+def dense_of(op) -> np.ndarray:
+    """A blur or diffusion operator's ``apply`` as a dense matrix (small
+    sizes only)."""
+    return probe_dense(op.apply, (op.n,) * op.ndim)
 
 
 def dense_dst1(n: int) -> np.ndarray:

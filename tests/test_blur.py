@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import convolve2d
 
 import oracles
 from tvdeblur.blur import (
@@ -9,6 +10,7 @@ from tvdeblur.blur import (
     StructuredBlurOperator,
     SymmetricPsf,
     UnsupportedBoundaryConditionError,
+    convolve_valid,
     load_psf,
     save_psf,
     symbol_eval,
@@ -118,13 +120,14 @@ def test_apply_matches_dense_oracle(bc, n, rng):
     u = rng.standard_normal(n)
     np.testing.assert_allclose(op.apply(u), dense @ u, atol=1e-12)
     np.testing.assert_allclose(op.apply_transpose(u), dense.T @ u, atol=1e-12)
-    np.testing.assert_allclose(op.dense(), dense, atol=1e-13)
+    np.testing.assert_allclose(oracles.dense_of(op), dense, atol=1e-13)
 
 
 def test_dense_structure_zero_and_periodic():
     psf = uniform_psf(2)
     n = 9
-    a_zero = StructuredBlurOperator(psf, BoundaryCondition.ZERO_DIRICHLET, n).dense()
+    a_zero = oracles.dense_of(
+        StructuredBlurOperator(psf, BoundaryCondition.ZERO_DIRICHLET, n))
     # banded symmetric Toeplitz
     for i in range(n):
         for j in range(n):
@@ -132,7 +135,7 @@ def test_dense_structure_zero_and_periodic():
                 assert a_zero[i, j] == 0.0
             if i + 1 < n and j + 1 < n:
                 assert abs(a_zero[i, j] - a_zero[i + 1, j + 1]) < 1e-15
-    a_per = StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, n).dense()
+    a_per = oracles.dense_of(StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, n))
     for i in range(1, n):
         np.testing.assert_allclose(a_per[i], np.roll(a_per[0], i), atol=1e-15)
 
@@ -140,7 +143,7 @@ def test_dense_structure_zero_and_periodic():
 def test_row_sums_are_one():
     psf = uniform_psf(3)
     for bc in (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE):
-        dense = StructuredBlurOperator(psf, bc, 14).dense()
+        dense = oracles.dense_of(StructuredBlurOperator(psf, bc, 14))
         np.testing.assert_allclose(dense.sum(axis=1), np.ones(14), atol=1e-12)
 
 
@@ -150,7 +153,8 @@ def test_row_sums_are_one():
 def test_ar_similarity_is_diagonal_and_grid_matches():
     psf = uniform_psf(2)
     n = 8
-    a = StructuredBlurOperator(psf, BoundaryCondition.ANTI_REFLECTIVE, n).dense()
+    a = oracles.dense_of(
+        StructuredBlurOperator(psf, BoundaryCondition.ANTI_REFLECTIVE, n))
     t = oracles.dense_ar(n)
     sim = np.linalg.solve(t, a @ t)
     off = sim - np.diag(np.diag(sim))
@@ -170,7 +174,7 @@ def test_identity_psf_eigenvalues_are_one():
 def test_reflective_eigenvalues_match_similarity():
     psf = uniform_psf(1)
     n = 8
-    a = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n).dense()
+    a = oracles.dense_of(StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n))
     c = oracles.dense_dct(n)
     sim = c.T @ a @ c
     assert np.linalg.norm(sim - np.diag(np.diag(sim))) < 1e-12
@@ -221,7 +225,7 @@ def test_2d_eigenvalues_diagonalize_dense(rng):
     for bc, kind in ((BoundaryCondition.REFLECTIVE, "dct"),
                      (BoundaryCondition.ANTI_REFLECTIVE, "ar")):
         op = StructuredBlurOperator(psf, bc, n)
-        a = op.dense()
+        a = oracles.dense_of(op)
         x1 = oracles.dense_dct(n) if kind == "dct" else oracles.dense_ar(n)
         xx = np.kron(x1, x1)
         sim = np.linalg.solve(xx, a @ xx)
@@ -239,7 +243,7 @@ def test_2d_apply_matches_oracle_and_fast_path(rng):
         op = StructuredBlurOperator(psf, bc, n)
         expected = oracles.blur_2d(u, psf.coefficients, bc.value)
         np.testing.assert_allclose(op.apply(u), expected, atol=1e-12)
-        dense = op.dense()
+        dense = oracles.dense_of(op)
         np.testing.assert_allclose(dense @ u.reshape(-1),
                                    op.apply(u).reshape(-1), atol=1e-12)
         np.testing.assert_allclose(op.apply_transpose(u).reshape(-1),
@@ -249,6 +253,41 @@ def test_2d_apply_matches_oracle_and_fast_path(rng):
         np.testing.assert_allclose(op.apply_fast(u), op.apply(u), atol=1e-10)
         np.testing.assert_allclose(op.apply_transpose_fast(u),
                                    op.apply_transpose(u), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [5, 31, 32, 33, 127, 128, 129])
+@pytest.mark.parametrize("width", ["1", "n//4", "n-1"])
+def test_convolve_valid_matches_convolve2d(n, width, rng):
+    """The 2D helper against scipy's convolve2d, with a nonsymmetric kernel
+    so a missing flip shows: in ``apply``'s valid use on the padded input,
+    and in ``apply_transpose``'s use, where the valid convolution of the
+    input zero-padded by 2m is the full one.  The full use at m = n - 1 for
+    n >= 127 is left out: ~1e10 multiply-adds, some 10 s each."""
+    m = {"1": 1, "n//4": max(n // 4, 1), "n-1": n - 1}[width]
+    h = rng.standard_normal((2 * m + 1, 2 * m + 1))
+    u = rng.standard_normal((n, n))
+    ext = np.pad(u, m, mode="reflect", reflect_type="odd")
+    uses = [(ext, convolve2d(ext, h, mode="valid"))]
+    if not (width == "n-1" and n >= 127):
+        uses.append((np.pad(u, 2 * m), convolve2d(u, h, mode="full")))
+    for x, expected in uses:
+        got = convolve_valid(x, h)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n,m", [(5, 1), (33, 8), (64, 8), (129, 16)])
+@pytest.mark.parametrize("bc", ALL_BCS)
+def test_2d_apply_transpose_is_the_adjoint(n, m, bc, rng):
+    """<H x, y> = <x, H^T y> to rounding, at the prime-adjacent sizes too."""
+    op = StructuredBlurOperator(gen_psf("gaussian", m, m / 2.0), bc, n)
+    x = rng.standard_normal((n, n))
+    y = rng.standard_normal((n, n))
+    hx, hty = op.apply(x), op.apply_transpose(y)
+    scale = np.linalg.norm(hx) * np.linalg.norm(y) + \
+        np.linalg.norm(x) * np.linalg.norm(hty)
+    assert abs(np.vdot(hx, y) - np.vdot(x, hty)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n", [5, 127, 128, 129, 145])
@@ -295,7 +334,8 @@ def test_errors():
     with pytest.raises(UnsupportedBoundaryConditionError):
         op.apply_fast(np.zeros(16))
     with pytest.raises(ValueError):
-        StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, 5000).dense()
+        oracles.dense_of(
+            StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, 5000))
     with pytest.raises(ValueError):
         op.apply(np.zeros(7))
 

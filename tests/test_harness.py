@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -195,6 +196,12 @@ def test_sweep_rows_and_files(tiny_sweep_spec, tmp_path):
     assert len(restored) == 4
     header2, rows2 = read_csv(tmp_path / restored[0])
     assert header2 == ["x", "u"] and len(rows2) == 64
+    lines = (tmp_path / "cells.jsonl").read_text(encoding="ascii").splitlines()
+    for cell, record in zip(result.cells, map(json.loads, lines), strict=True):
+        assert record["status"] == "ok" and record["reason"] is None
+        assert record["inner_iterations"] == cell.report.inner_iterations
+        assert record["fp_steps"] == cell.report.fp_steps
+        assert record["rre"] == cell.report.rre
 
 
 def test_sweep_deterministic_bytes(tiny_sweep_spec, tmp_path):
@@ -216,6 +223,36 @@ def test_sweep_marks_nonconvergent_cells_with_star(tmp_path):
     assert not result.cells[0].ok
     header, rows = read_csv(tmp_path / "iterations.csv")
     assert rows[0][4:] == ["*", "*", "*"]
+
+
+def test_sweep_cells_log_keeps_each_star_reason(tmp_path):
+    """cells.jsonl says why a cell is starred: here an inner solve starved
+    at one iteration, and P_D indefinite for anti-reflective diffusion at a
+    large alpha (raised at the first step, before any solve)."""
+    spec = BenchmarkSpec(
+        dimension=1, ns=(64,), alphas=(100.0,), betas=(0.1,),
+        configurations=("R", "AR+Reblur+AR"), preconditioners=("x_d",),
+        nsr=0.01, seed=11, inner_max=1, save_restored=False,
+    )
+    result = run_sweep(spec, out_dir=tmp_path)
+    lines = (tmp_path / "cells.jsonl").read_text(encoding="ascii").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == len(result.cells) == 2
+    starved, indefinite = records
+    assert {k: starved[k] for k in ("config", "selector", "alpha", "beta", "n",
+                                    "status")} == {
+        "config": "R", "selector": "x_d", "alpha": 100.0, "beta": 0.1,
+        "n": 64, "status": "unconverged"}
+    assert starved["reason"] == "an inner solve stopped at its iteration limit 1"
+    assert starved["fp_steps"] == len(starved["inner_iterations"]) >= 1
+    assert set(starved["inner_iterations"]) == {1}
+    assert indefinite["status"] == "starred"
+    assert indefinite["reason"].startswith(
+        "preconditioner 'P_D' is indefinite at alpha=100.0")
+    assert indefinite["fp_steps"] == 0 and indefinite["inner_iterations"] == []
+    assert all(r["wall_time"] > 0 for r in records)
+    _, rows = read_csv(tmp_path / "iterations.csv")
+    assert [row[4:] for row in rows] == [["*", "*", "*"]] * 2
 
 
 def test_sweep_2d_writes_pgm(tmp_path):
@@ -360,6 +397,22 @@ def test_cli_spectra_x_d_probes_the_scaled_system(tmp_path, capsys):
         "preconditioner R_D: 75.0% of eigenvalues within 0.1 of 1; "
         f"histogram -> {out / 'spectrum_histogram.txt'}\n"
     )
+
+
+_IMPORT_CLI = """
+import sys
+import tvdeblur.cli
+print(" ".join(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules))
+"""
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    """scipy.signal (which loads scipy.stats) would be most of a cold
+    start's import time; the package convolves in numpy instead."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_cli_entry_point_runs():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from tvdeblur import pipeline
 from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
 from tvdeblur.harness import BenchmarkSpec, gen_psf, gen_signal_1d, make_problem
@@ -179,8 +180,8 @@ def test_step_system_scaling_dense_identity(rng):
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
     alpha = 1e-2
     h_op, system = reflective_system(n, l_op, alpha, rng.standard_normal(n))
-    h = h_op.dense()
-    a = h.T @ h + alpha * l_op.dense()
+    h = oracles.dense_of(h_op)
+    a = h.T @ h + alpha * oracles.dense_of(l_op)
     np.testing.assert_allclose(probe_dense(system.apply, (n,)), a, atol=1e-12)
     u = rng.standard_normal(n)
     apply_scaled, rhs, u_scaled = system.scale(u)

@@ -282,7 +282,7 @@ def test_level2_sinehat_of_ar_blur_is_the_eigenvalue_mesh():
     psf = gen_psf("gaussian", 2, 1.0)
     op = StructuredBlurOperator(psf, BoundaryCondition.ANTI_REFLECTIVE, 8)
     lam = level2_project(TransformKind.SINE_HAT,
-                         oracles.block_bands_of(op.dense(), 8), 8)
+                         oracles.block_bands_of(oracles.dense_of(op), 8), 8)
     np.testing.assert_allclose(lam, op.eigenvalues(), atol=1e-12)
 
 
@@ -290,7 +290,7 @@ def test_level2_cosine_fixes_reflective_blur():
     psf = gen_psf("gaussian", 2, 1.0)
     op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, 8)
     lam = level2_project(TransformKind.DCT,
-                         oracles.block_bands_of(op.dense(), 8), 8)
+                         oracles.block_bands_of(oracles.dense_of(op), 8), 8)
     np.testing.assert_allclose(lam, op.eigenvalues(), atol=1e-12)
 
 
@@ -311,9 +311,9 @@ def make_1d_ops(base, n=8, beta=0.1, seed=11):
 def test_assembled_r_matches_dense_formula():
     alpha = 1e-3
     h_op, l_op = make_1d_ops("R")
-    h = h_op.dense()
+    h = oracles.dense_of(h_op)
     ref = h.T @ h + alpha * dense_member(
-        TransformKind.DCT, oracle_eigenvalues(TransformKind.DCT, l_op.dense()))
+        TransformKind.DCT, oracle_eigenvalues(TransformKind.DCT, oracles.dense_of(l_op)))
     got = assemble_preconditioner("R", h_op, l_op, alpha).dense()
     np.testing.assert_allclose(got, ref, atol=1e-10)
 
@@ -325,7 +325,7 @@ def test_assembled_p_d_matches_transform_product_form():
     d = 1.0 + alpha * l_op.diagonal()
     s = np.diag(d ** -0.5)
     lam_d = oracle_eigenvalues(AR, np.diag(np.diag(s)))
-    lam_lt = oracle_eigenvalues(AR, s @ l_op.dense() @ s)
+    lam_lt = oracle_eigenvalues(AR, s @ oracles.dense_of(l_op) @ s)
     lam_h = h_op.eigenvalues()
     ref = dense_member(TransformKind.ANTI_REFLECTIVE,
                        lam_h ** 2 * lam_d ** 2 + alpha * lam_lt)
@@ -433,8 +433,8 @@ def test_spectral_diagnostic_runs_at_n64():
     h_op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n)
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
     alpha = 1e-3
-    h = h_op.dense()
-    a = h.T @ h + alpha * l_op.dense()
+    h = oracles.dense_of(h_op)
+    a = h.T @ h + alpha * oracles.dense_of(l_op)
     m = assemble_preconditioner("D_R", h_op, l_op, alpha).dense()
     diag = spectral_diagnostic(a, m)
     assert diag.eigenvalues.shape == (n,)
