@@ -23,7 +23,7 @@ SPECS = (
                   preconditioners=SELECTORS),
     BenchmarkSpec(dimension=2, ns=(64,), nsr=1e-3, alphas=(1e-2,),
                   betas=(0.01,), configurations=tuple(CONFIGURATIONS),
-                  preconditioners=SELECTORS, psf_kind="gaussian"),
+                  preconditioners=SELECTORS),
 )
 
 

@@ -116,25 +116,6 @@ def save_psf(psf: SymmetricPsf, path) -> None:
                 fh.write(" ".join(repr(float(value)) for value in row) + "\n")
 
 
-def load_psf(path) -> SymmetricPsf:
-    """Read a PSF written by :func:`save_psf`; token count selects 1D vs 2D."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"empty PSF file: {path}")
-    m = int(tokens[0])
-    values = np.array([float(t) for t in tokens[1:]])
-    size = 2 * m + 1
-    if values.size == size:
-        return SymmetricPsf(values)
-    if values.size == size * size:
-        return SymmetricPsf(values.reshape(size, size))
-    raise ValueError(
-        f"PSF file {path}: expected {size} or {size * size} coefficients, "
-        f"got {values.size}"
-    )
-
-
 def symbol_eval(psf: SymmetricPsf, y):
     """Evaluate the PSF symbol: the trigonometric polynomial whose Fourier
     coefficients are the kernel entries.

@@ -45,7 +45,6 @@ def _make_problem(args) -> tuple:
         ns=(args.n,),
         nsr=args.nsr,
         seed=args.seed,
-        psf_kind=harness.PSF_KINDS[args.dim],
         psf_half_width=args.psf_m,
         psf_sigma=args.psf_sigma,
     )

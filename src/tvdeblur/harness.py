@@ -208,7 +208,7 @@ class BenchmarkSpec:
     preconditioners: tuple[str, ...] = ("x_d",)
     nsr: float = 0.01
     seed: int = 2023
-    psf_kind: str = "out_of_focus"
+    psf_kind: str | None = None       # None: PSF_KINDS[dimension]
     psf_half_width: int | None = None  # None: ceil(n / 20)
     psf_sigma: float | None = None
     fp_tol: float | None = None       # None: 1e-3 (1D) / 1e-4 (2D)
@@ -229,6 +229,8 @@ class BenchmarkSpec:
         unknown = [p for p in self.preconditioners if p not in selectors]
         if unknown:
             raise ValueError(f"unknown preconditioner selectors: {unknown}")
+        if self.psf_kind is None:
+            self.psf_kind = PSF_KINDS[self.dimension]
         if self.psf_kind != PSF_KINDS[self.dimension]:
             raise ValueError(
                 f"psf kind {self.psf_kind!r} does not fit dimension "
@@ -304,14 +306,6 @@ class SweepResult:
     cells: list[SweepCell]
     alpha_opt: dict[str, float] = field(default_factory=dict)
     min_rre: dict[str, float] = field(default_factory=dict)
-
-    def cell(self, config: str, alpha: float, beta: float, n: int,
-             preconditioner: str) -> SweepCell:
-        for c in self.cells:
-            if (c.config == config and c.alpha == alpha and c.beta == beta
-                    and c.n == n and c.preconditioner == preconditioner):
-                return c
-        raise KeyError((config, alpha, beta, n, preconditioner))
 
 
 def make_problem(spec: BenchmarkSpec, n: int):
@@ -406,7 +400,8 @@ def run_sweep(spec: BenchmarkSpec, out_dir=None) -> SweepResult:
 
 def _cell_stem(cell: SweepCell) -> str:
     config = cell.config.replace("+", "_")
-    return (f"restored_{config}_a{cell.alpha!r}_b{cell.beta!r}_n{cell.n}"
+    alpha, beta = float(cell.alpha), float(cell.beta)
+    return (f"restored_{config}_a{alpha!r}_b{beta!r}_n{cell.n}"
             f"_{cell.preconditioner}")
 
 
@@ -460,20 +455,12 @@ def write_csv(path, header, rows) -> None:
 
 
 def _format_field(x):
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
+    # np.float64 is a float subclass whose repr is "np.float64(...)"
+    if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, np.integer):
         return int(x)
     return x
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    return rows[0], rows[1:]
 
 
 def write_pgm(path, image: np.ndarray, lo: float, hi: float) -> None:
@@ -486,33 +473,6 @@ def write_pgm(path, image: np.ndarray, lo: float, hi: float) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read binary (P5) PGM files written by :func:`write_pgm`."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(buf) and buf[pos] in b" \t\r\n":
-            pos += 1
-        if pos < len(buf) and buf[pos: pos + 1] == b"#":
-            while pos < len(buf) and buf[pos] not in b"\r\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(buf) and buf[pos] not in b" \t\r\n":
-            pos += 1
-        tokens.append(buf[start:pos])
-    if tokens[0] != b"P5":
-        raise ValueError(f"not a binary PGM file: {path}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise ValueError("only 8-bit PGM supported")
-    pos += 1  # single whitespace after maxval
-    data = np.frombuffer(buf, dtype=np.uint8, count=width * height, offset=pos)
-    return data.reshape(height, width)
 
 
 # ---------------------------------------------------------------------------

@@ -41,45 +41,42 @@ class TransformKind(Enum):
     SINE_HAT = "sine_hat"
 
 
-def _check_nonempty(v: np.ndarray, axis: int) -> None:
-    if v.shape[axis] == 0:
+def _check_nonempty(v: np.ndarray) -> None:
+    if v.shape[-1] == 0:
         raise ValueError("transform input must be non-empty")
 
 
-def _check_interior(v: np.ndarray, axis: int, what: str) -> None:
-    if v.shape[axis] < 3:
-        raise ValueError(f"{what} requires length >= 3, got {v.shape[axis]}")
+def _check_interior(v: np.ndarray, what: str) -> None:
+    if v.shape[-1] < 3:
+        raise ValueError(f"{what} requires length >= 3, got {v.shape[-1]}")
 
 
-def dst1_apply(v, axis: int = -1) -> np.ndarray:
+def dst1_apply(v) -> np.ndarray:
     """Apply the symmetric, self-inverse type-I sine transform S_n."""
     v = np.asarray(v, dtype=float)
-    _check_nonempty(v, axis)
-    return _fft.dst(v, type=1, norm="ortho", axis=axis)
+    _check_nonempty(v)
+    return _fft.dst(v, type=1, norm="ortho")
 
 
-def dct_apply(v, inverse: bool = False, axis: int = -1) -> np.ndarray:
+def dct_apply(v, inverse: bool = False) -> np.ndarray:
     """Apply the orthogonal cosine matrix C_n (forward) or its transpose.
 
     Forward is synthesis (``C v``), inverse is analysis (``C^T v``); they
     compose to the identity.
     """
     v = np.asarray(v, dtype=float)
-    _check_nonempty(v, axis)
+    _check_nonempty(v)
     if inverse:
-        return _fft.dct(v, type=2, norm="ortho", axis=axis)
-    return _fft.idct(v, type=2, norm="ortho", axis=axis)
+        return _fft.dct(v, type=2, norm="ortho")
+    return _fft.idct(v, type=2, norm="ortho")
 
 
-def sinehat_apply(v, axis: int = -1) -> np.ndarray:
+def sinehat_apply(v) -> np.ndarray:
     """Apply Shat_n = diag(1, S_{n-2}, 1): borders pass through unchanged."""
     v = np.asarray(v, dtype=float)
-    _check_interior(v, axis, "Shat_n")
+    _check_interior(v, "Shat_n")
     out = v.copy()
-    interior = [slice(None)] * v.ndim
-    interior[axis] = slice(1, -1)
-    interior = tuple(interior)
-    out[interior] = _fft.dst(v[interior], type=1, norm="ortho", axis=axis)
+    out[..., 1:-1] = _fft.dst(v[..., 1:-1], type=1, norm="ortho")
     return out
 
 
@@ -95,7 +92,7 @@ def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q_left, q_right
 
 
-def ar_apply(v, inverse: bool = False, transpose: bool = False, axis: int = -1) -> np.ndarray:
+def ar_apply(v, inverse: bool = False, transpose: bool = False) -> np.ndarray:
     """Apply T_n, T_n^{-1}, T_n^T or T_n^{-T} via the rank-2 factorization.
 
     ``T = Shat (I + U)`` where the only nonzero columns of ``U`` are the
@@ -103,58 +100,47 @@ def ar_apply(v, inverse: bool = False, transpose: bool = False, axis: int = -1) 
     for adjoints of anti-reflective blur operators.
     """
     v = np.asarray(v, dtype=float)
-    _check_interior(v, axis, "T_n")
-    n = v.shape[axis]
-    q_left, q_right = _ar_corrections(n)
-    idx = [slice(None)] * v.ndim
-    idx[axis] = slice(1, -1)
-    interior = tuple(idx)
-    idx[axis] = slice(0, 1)
-    first = tuple(idx)
-    idx[axis] = slice(-1, None)
-    last = tuple(idx)
-    shape = [1] * v.ndim
-    shape[axis] = n - 2
-    ql = q_left.reshape(shape)
-    qr = q_right.reshape(shape)
+    _check_interior(v, "T_n")
+    ql, qr = _ar_corrections(v.shape[-1])
+    first, interior, last = v[..., :1], v[..., 1:-1], v[..., -1:]
 
     out = v.copy()
     if not transpose:
         if not inverse:
             # T v = Shat (v + U v)
-            out[interior] += v[first] * ql + v[last] * qr
-            out[interior] = _fft.dst(out[interior], type=1, norm="ortho", axis=axis)
+            out[..., 1:-1] += first * ql + last * qr
+            out[..., 1:-1] = _fft.dst(out[..., 1:-1], type=1, norm="ortho")
         else:
             # T^{-1} v = (I - U) Shat v
-            out[interior] = _fft.dst(v[interior], type=1, norm="ortho", axis=axis)
-            out[interior] -= v[first] * ql + v[last] * qr
+            out[..., 1:-1] = _fft.dst(interior, type=1, norm="ortho")
+            out[..., 1:-1] -= first * ql + last * qr
     else:
         if not inverse:
             # T^T v = (I + U^T) Shat v
-            out[interior] = _fft.dst(v[interior], type=1, norm="ortho", axis=axis)
-            out[first] += np.sum(out[interior] * ql, axis=axis, keepdims=True)
-            out[last] += np.sum(out[interior] * qr, axis=axis, keepdims=True)
+            out[..., 1:-1] = _fft.dst(interior, type=1, norm="ortho")
+            out[..., :1] += np.sum(out[..., 1:-1] * ql, axis=-1, keepdims=True)
+            out[..., -1:] += np.sum(out[..., 1:-1] * qr, axis=-1, keepdims=True)
         else:
             # T^{-T} v = Shat (I - U^T) v
-            out[first] -= np.sum(v[interior] * ql, axis=axis, keepdims=True)
-            out[last] -= np.sum(v[interior] * qr, axis=axis, keepdims=True)
-            out[interior] = _fft.dst(v[interior], type=1, norm="ortho", axis=axis)
+            out[..., :1] -= np.sum(interior * ql, axis=-1, keepdims=True)
+            out[..., -1:] -= np.sum(interior * qr, axis=-1, keepdims=True)
+            out[..., 1:-1] = _fft.dst(interior, type=1, norm="ortho")
     return out
 
 
-def apply_1d(kind: TransformKind, v, inverse: bool = False, transpose: bool = False,
-             axis: int = -1) -> np.ndarray:
-    """Dispatch a 1D transform apply along ``axis``."""
+def apply_1d(kind: TransformKind, v, inverse: bool = False,
+             transpose: bool = False) -> np.ndarray:
+    """Dispatch a 1D transform apply along the last axis."""
     if kind is TransformKind.DST1:
-        return dst1_apply(v, axis=axis)
+        return dst1_apply(v)
     if kind is TransformKind.SINE_HAT:
-        return sinehat_apply(v, axis=axis)
+        return sinehat_apply(v)
     if kind is TransformKind.DCT:
         if transpose:
             inverse = not inverse
-        return dct_apply(v, inverse=inverse, axis=axis)
+        return dct_apply(v, inverse=inverse)
     if kind is TransformKind.ANTI_REFLECTIVE:
-        return ar_apply(v, inverse=inverse, transpose=transpose, axis=axis)
+        return ar_apply(v, inverse=inverse, transpose=transpose)
     raise ValueError(f"unknown transform kind: {kind!r}")
 
 
@@ -171,7 +157,9 @@ _GEMM_MAX_N = 144
 def _matrix_1d(kind: TransformKind, inverse: bool, transpose: bool,
                n: int) -> np.ndarray:
     """Read-only dense n x n matrix of the 1D apply with these flags."""
-    m = apply_1d(kind, np.eye(n), inverse=inverse, transpose=transpose, axis=0)
+    # row i of the batched apply is the image of e_i, i.e. column i of m
+    m = np.ascontiguousarray(
+        apply_1d(kind, np.eye(n), inverse=inverse, transpose=transpose).T)
     m.setflags(write=False)
     return m
 
@@ -183,8 +171,8 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
     For a grid G this computes ``X G X^T`` and its inverse/transpose
     variants.  With n <= ``_GEMM_MAX_N`` it is the two products
     ``m @ G @ m.T`` with the cached matrix ``m`` of the 1D apply; larger
-    grids take the 1D transform over all columns (axis 0) and then all rows
-    (axis 1).
+    grids take the 1D transform over all columns (the rows of ``G^T``) and
+    then over all rows.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -193,8 +181,8 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
     if n <= _GEMM_MAX_N:
         m = _matrix_1d(kind, inverse, transpose, n)
         return m @ g @ m.T
-    out = apply_1d(kind, g, inverse=inverse, transpose=transpose, axis=0)
-    return apply_1d(kind, out, inverse=inverse, transpose=transpose, axis=1)
+    cols = apply_1d(kind, g.T, inverse=inverse, transpose=transpose).T
+    return apply_1d(kind, cols, inverse=inverse, transpose=transpose)
 
 
 def probe_dense(apply, shape) -> np.ndarray:

@@ -102,7 +102,6 @@ class DiffusionOperator:
     def __init__(self, u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN) -> None:
         u = np.asarray(u, dtype=float)
         self.bc = bc
-        self.beta = float(beta)
         self.ndim = u.ndim
         self.n = u.shape[0]
         if u.ndim == 1:

@@ -11,7 +11,6 @@ from tvdeblur.blur import (
     SymmetricPsf,
     UnsupportedBoundaryConditionError,
     convolve_valid,
-    load_psf,
     save_psf,
     symbol_eval,
 )
@@ -47,18 +46,24 @@ def test_psf_renormalizes_with_warning():
     assert abs(psf.coefficients.sum() - 1.0) < 1e-15
 
 
-def test_psf_text_round_trip(tmp_path):
+def test_psf_text_format(tmp_path):
+    """First line the half-width m, then the coefficients row-major as
+    exact float reprs: one per line in 1D, one row per line in 2D."""
     psf = uniform_psf(3)
     path = tmp_path / "psf.txt"
     save_psf(psf, path)
-    again = load_psf(path)
-    np.testing.assert_array_equal(psf.coefficients, again.coefficients)
-    assert path.read_text().splitlines()[0] == "3"
+    text = path.read_text(encoding="ascii")
+    assert text.splitlines()[0] == "3" and len(text.splitlines()) == 1 + 7
+    tokens = text.split()
+    np.testing.assert_array_equal([float(t) for t in tokens[1:]],
+                                  psf.coefficients)
 
     psf2 = gen_psf("gaussian", 2, 1.0)
     save_psf(psf2, path)
-    again2 = load_psf(path)
-    np.testing.assert_array_equal(psf2.coefficients, again2.coefficients)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "2" and len(lines) == 1 + 5
+    rows = [[float(t) for t in line.split()] for line in lines[1:]]
+    np.testing.assert_array_equal(rows, psf2.coefficients)
 
 
 # -- symbol -------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 from tvdeblur import harness
-from tvdeblur.blur import load_psf
 from tvdeblur.cli import main as cli_main
 from tvdeblur.harness import (
     BenchmarkSpec,
@@ -19,8 +21,6 @@ from tvdeblur.harness import (
     gen_psf,
     gen_signal_1d,
     parse_sweep_config,
-    read_csv,
-    read_pgm,
     run_sweep,
     write_csv,
     write_pgm,
@@ -145,32 +145,37 @@ def test_observe_noise_ratio_is_exact(nsr):
 # -- file formats -----------------------------------------------------------------
 
 
-def test_pgm_round_trip(tmp_path, rng):
+def read_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="ascii") as fh:
+        return list(csv.reader(fh))
+
+
+def test_pgm_bytes(tmp_path, rng):
     img = rng.uniform(-1.0, 3.0, size=(17, 17))
     path = tmp_path / "img.pgm"
     write_pgm(path, img, lo=-1.0, hi=3.0)
-    data = read_pgm(path)
-    assert data.dtype == np.uint8 and data.shape == (17, 17)
-    write_pgm(tmp_path / "again.pgm", data.astype(float), lo=0.0, hi=255.0)
-    np.testing.assert_array_equal(read_pgm(tmp_path / "again.pgm"), data)
+    payload = np.round((img + 1.0) / 4.0 * 255.0).astype(np.uint8)
+    assert path.read_bytes() == b"P5\n17 17\n255\n" + payload.tobytes()
+    write_pgm(tmp_path / "again.pgm", payload.astype(float), lo=0.0, hi=255.0)
+    assert (tmp_path / "again.pgm").read_bytes() == path.read_bytes()
 
 
 def test_pgm_clipping(tmp_path):
     img = np.array([[-10.0, 0.0], [1.0, 10.0]])
     path = tmp_path / "clip.pgm"
     write_pgm(path, img, lo=0.0, hi=1.0)
-    np.testing.assert_array_equal(read_pgm(path),
-                                  [[0, 0], [255, 255]])
+    assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 0, 255, 255])
 
 
 def test_csv_format(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [(1, 0.5), ("*", 2.0)])
+    # numpy scalars are written as the plain numbers
+    write_csv(path, ("a", "b"),
+              [(1, 0.5), ("*", 2.0), (np.int64(1), np.float64(0.5))])
     text = path.read_text()
-    assert text == "a,b\n1,0.5\n*,2.0\n"
-    header, rows = read_csv(path)
-    assert header == ["a", "b"]
-    assert rows == [["1", "0.5"], ["*", "2.0"]]
+    assert text == "a,b\n1,0.5\n*,2.0\n1,0.5\n"
+    assert read_rows(path) == [["a", "b"], ["1", "0.5"], ["*", "2.0"],
+                               ["1", "0.5"]]
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -188,13 +193,13 @@ def tiny_sweep_spec():
 def test_sweep_rows_and_files(tiny_sweep_spec, tmp_path):
     result = run_sweep(tiny_sweep_spec, out_dir=tmp_path)
     assert len(result.cells) == 4
-    header, rows = read_csv(tmp_path / "iterations.csv")
+    header, *rows = read_rows(tmp_path / "iterations.csv")
     assert tuple(header) == TABLE_HEADER
     assert len(rows) == 4
     assert "R" in result.alpha_opt and "AR+Reblur+AR" in result.alpha_opt
     restored = sorted(p.name for p in tmp_path.glob("restored_*.csv"))
     assert len(restored) == 4
-    header2, rows2 = read_csv(tmp_path / restored[0])
+    header2, *rows2 = read_rows(tmp_path / restored[0])
     assert header2 == ["x", "u"] and len(rows2) == 64
     lines = (tmp_path / "cells.jsonl").read_text(encoding="ascii").splitlines()
     for cell, record in zip(result.cells, map(json.loads, lines), strict=True):
@@ -221,7 +226,7 @@ def test_sweep_marks_nonconvergent_cells_with_star(tmp_path):
     )
     result = run_sweep(spec, out_dir=tmp_path)
     assert not result.cells[0].ok
-    header, rows = read_csv(tmp_path / "iterations.csv")
+    _, *rows = read_rows(tmp_path / "iterations.csv")
     assert rows[0][4:] == ["*", "*", "*"]
 
 
@@ -251,22 +256,43 @@ def test_sweep_cells_log_keeps_each_star_reason(tmp_path):
         "preconditioner 'P_D' is indefinite at alpha=100.0")
     assert indefinite["fp_steps"] == 0 and indefinite["inner_iterations"] == []
     assert all(r["wall_time"] > 0 for r in records)
-    _, rows = read_csv(tmp_path / "iterations.csv")
+    _, *rows = read_rows(tmp_path / "iterations.csv")
     assert [row[4:] for row in rows] == [["*", "*", "*"]] * 2
+
+
+def test_sweep_over_numpy_alphas_writes_plain_numbers(tmp_path):
+    """np.float64 is a float subclass whose repr reads "np.float64(0.01)";
+    CSV cells and file names carry the plain float instead."""
+    spec = BenchmarkSpec(
+        dimension=1, ns=(64,), alphas=tuple(np.logspace(-2, -1, 2)),
+        betas=(0.1,), configurations=("R",), preconditioners=("x_d",),
+        nsr=0.01, seed=11,
+    )
+    run_sweep(spec, out_dir=tmp_path)
+    for name in ("iterations.csv", "rre_vs_alpha.csv"):
+        header, *rows = read_rows(tmp_path / name)
+        column = header.index("alpha")
+        assert [float(row[column]) for row in rows] == [0.01, 0.1]
+        assert "np." not in (tmp_path / name).read_text(encoding="ascii")
+    names = sorted(p.name for p in tmp_path.glob("restored_*"))
+    assert names == ["restored_R_a0.01_b0.1_n64_x_d.csv",
+                     "restored_R_a0.1_b0.1_n64_x_d.csv"]
 
 
 def test_sweep_2d_writes_pgm(tmp_path):
     spec = BenchmarkSpec(
         dimension=2, ns=(32,), alphas=(1e-2,), betas=(0.01,),
         configurations=("R",), preconditioners=("x_d",),
-        nsr=0.001, seed=5, psf_kind="gaussian", psf_half_width=3,
-        psf_sigma=1.5,
+        nsr=0.001, seed=5, psf_half_width=3, psf_sigma=1.5,
     )
+    assert spec.psf_kind == "gaussian"
     result = run_sweep(spec, out_dir=tmp_path)
     assert result.cells[0].ok
     pgms = list(tmp_path.glob("restored_*.pgm"))
-    assert len(pgms) == 1
-    assert read_pgm(pgms[0]).shape == (32, 32)
+    assert [p.name for p in pgms] == ["restored_R_a0.01_b0.01_n32_x_d.pgm"]
+    data = pgms[0].read_bytes()
+    assert data.startswith(b"P5\n32 32\n255\n")
+    assert len(data) == len(b"P5\n32 32\n255\n") + 32 * 32
 
 
 def test_spec_validation():
@@ -276,8 +302,9 @@ def test_spec_validation():
         BenchmarkSpec(configurations=("bogus",))
     with pytest.raises(ValueError):
         BenchmarkSpec(preconditioners=("bogus",))
-    with pytest.raises(ValueError):
-        BenchmarkSpec(dimension=2)  # 2D needs the gaussian psf
+    # the kernel follows the dimension unless given
+    assert BenchmarkSpec(dimension=1).psf_kind == "out_of_focus"
+    assert BenchmarkSpec(dimension=2).psf_kind == "gaussian"
     # make_problem runs each dimension's own kernel, and no other
     for dimension, kind in ((1, "gaussian"), (2, "banana")):
         with pytest.raises(ValueError, match=rf"psf kind '{kind}' does not "
@@ -331,6 +358,44 @@ def test_parse_sweep_config(tmp_path):
         parse_sweep_config(kernel)
 
 
+REPO = Path(__file__).resolve().parents[1]
+ALL_CONFIGURATIONS = ("R", "AR+Sine+ZN", "AR+Reblur+ZN", "AR+Reblur+AR")
+
+
+def test_committed_sweep_files():
+    """The experiment grids live in scripts/*.cfg; each parses to exactly
+    the spec its experiment runs, the 23-point RRE alpha grid included."""
+    want = {
+        "benchmark_1d": BenchmarkSpec(
+            dimension=1, ns=(203,), alphas=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+            betas=(0.1,), configurations=ALL_CONFIGURATIONS,
+            preconditioners=("none", "diag", "x", "d_x", "x_d"), nsr=0.01,
+            seed=2023, inner_max=20000, save_restored=False),
+        "rre_curves_1d": BenchmarkSpec(
+            dimension=1, ns=(203,),
+            alphas=tuple(10.0 ** e for e in np.arange(-6.0, -0.49, 0.25)),
+            betas=(0.1,), configurations=ALL_CONFIGURATIONS,
+            preconditioners=("x_d",), nsr=0.01, seed=2023, save_restored=False),
+        "smoke_2d": BenchmarkSpec(
+            dimension=2, ns=(64,), alphas=(1e-1, 1e-2, 1e-3), betas=(0.01,),
+            configurations=ALL_CONFIGURATIONS, preconditioners=("none", "x_d"),
+            nsr=0.001, seed=2023),
+    }
+    files = sorted(p.stem for p in (REPO / "scripts").glob("*.cfg"))
+    assert files == sorted(want)
+    for name, spec in want.items():
+        got = parse_sweep_config(REPO / "scripts" / f"{name}.cfg")
+        assert got == spec, name
+        assert all(type(a) is float for a in got.alphas), name
+    assert len(want["rre_curves_1d"].alphas) == 23
+
+
+def test_readme_lists_every_sweep_key():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The keys\s+are (.*?);", text, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(harness._SWEEP_KEYS)
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 
@@ -340,7 +405,11 @@ def test_cli_gen_and_restore(tmp_path):
     assert code == 0
     assert (out / "true.csv").exists()
     assert (out / "observed.csv").exists()
-    assert load_psf(out / "psf.txt").half_width == 4
+    # psf.txt: the half-width m, then the 2m + 1 coefficients
+    tokens = (out / "psf.txt").read_text(encoding="ascii").split()
+    assert tokens[0] == "4" and len(tokens) == 1 + 9
+    np.testing.assert_array_equal([float(t) for t in tokens[1:]],
+                                  gen_psf("out_of_focus", 4).coefficients)
 
     out2 = tmp_path / "run"
     code = cli_main([
@@ -382,7 +451,7 @@ def test_cli_sweep_and_spectra(tmp_path):
 
     out2 = tmp_path / "spectra"
     assert cli_main(["spectra", "--n", "48", "--out-dir", str(out2)]) == 0
-    header, rows = read_csv(out2 / "spectrum.csv")
+    header, *rows = read_rows(out2 / "spectrum.csv")
     assert header == ["real", "imag"] and len(rows) == 48
     assert (out2 / "spectrum_histogram.txt").read_text().count("\n") >= 10
 
