@@ -5,8 +5,9 @@ Runs the 4 configurations x 5 preconditioner selectors at 1D n=203
 (alpha 1e-1 and 1e-3, beta 0.1) and at 2D n=64 (alpha 1e-2, beta 0.01), all
 at noise seed 2023, and prints one record per cell: the sha256 of
 ``restored.tobytes()``, the per-step inner iterations, the fixed-point
-steps, the RRE and the final gradient norm, or the failure of a starred
-cell.  Two checkouts restore identically when their outputs are equal:
+steps, the RRE, the per-step and final gradient norms, or the failure of
+a starred cell.  Two checkouts restore identically when their outputs are
+equal:
 
     PYTHONPATH=src python3 scripts/restore_digest.py > digest.json
 """
@@ -42,6 +43,7 @@ def main() -> None:
                     sha256=hashlib.sha256(report.restored.tobytes()).hexdigest(),
                     inner_iterations=report.inner_iterations,
                     fp_steps=report.fp_steps, rre=report.rre,
+                    gradient_norms=report.gradient_norms,
                     final_gradient_norm=report.final_gradient_norm)
             records.append(record)
     print(json.dumps(records, indent=1))

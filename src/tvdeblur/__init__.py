@@ -4,12 +4,12 @@ Modules:
 
 * ``transforms`` -- fast cosine / sine / anti-reflective transforms,
 * ``blur``       -- matrix-free blur operators under four boundary rules,
-* ``tv``         -- lagged-diffusivity diffusion operator and optimality
-                    residual,
+* ``tv``         -- lagged-diffusivity diffusion operator,
 * ``precond``    -- transform-algebra projections and factored
                     preconditioners,
 * ``krylov``     -- preconditioned CG / BiCGstab,
-* ``pipeline``   -- the outer fixed-point restoration loop,
+* ``pipeline``   -- the outer fixed-point restoration loop and its
+                    optimality residual,
 * ``harness``    -- benchmark generation, parameter sweeps, file output,
 * ``cli``        -- the ``tvdeblur`` command.
 """

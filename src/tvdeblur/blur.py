@@ -61,7 +61,7 @@ class SymmetricPsf:
     """
 
     def __init__(self, coefficients) -> None:
-        h = np.asarray(coefficients, dtype=float)
+        h = np.array(coefficients, dtype=float)  # a copy: frozen below
         if h.ndim not in (1, 2):
             raise ValueError("PSF must be 1D or 2D")
         if h.ndim == 2 and h.shape[0] != h.shape[1]:
@@ -194,11 +194,13 @@ class StructuredBlurOperator:
     ``apply`` is the pad/convolve/crop reference; ``apply_fast`` uses the
     transform diagonalization available for reflective and anti-reflective
     extensions.  ``apply_transpose`` is the exact algebraic transpose
-    (full-convolve then fold the margins back), needed because the
-    anti-reflective operator is not symmetric.  ``reblur_apply`` is the
-    operator built from the 180-degree-rotated kernel; for the symmetric
-    kernels handled here it coincides with ``apply`` and is kept as a named
-    alias so re-blurred systems read naturally.
+    (full-convolve then fold the margins back) and ``apply_transpose_fast``
+    its diagonalized form; the anti-reflective operator is not symmetric.
+    ``reblur_apply`` is the operator built from the 180-degree-rotated
+    kernel; for the symmetric kernels handled here it coincides with
+    ``apply``.  ``apply_transpose`` and ``reblur_apply`` are reference
+    applies that the fast path is checked against; no restoration calls
+    them.
 
     Operators are immutable after construction and safe for concurrent
     applies.

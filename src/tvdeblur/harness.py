@@ -209,7 +209,7 @@ class BenchmarkSpec:
     nsr: float = 0.01
     seed: int = 2023
     psf_kind: str | None = None       # None: PSF_KINDS[dimension]
-    psf_half_width: int | None = None  # None: ceil(n / 20)
+    psf_half_width: int | None = None  # None: default_half_width(n, dimension)
     psf_sigma: float | None = None
     fp_tol: float | None = None       # None: 1e-3 (1D) / 1e-4 (2D)
     fp_max: int = 100
@@ -222,6 +222,10 @@ class BenchmarkSpec:
             raise ValueError("dimension must be 1 or 2")
         if self.nsr < 0:
             raise ValueError("nsr must be nonnegative")
+        for name, values in (("alpha", self.alphas), ("beta", self.betas)):
+            bad = [x for x in values if not x > 0]
+            if bad:
+                raise ValueError(f"{name} must be positive, got {float(bad[0])!r}")
         unknown = [c for c in self.configurations if c not in CONFIGURATIONS]
         if unknown:
             raise ValueError(f"unknown configuration labels: {unknown}")
@@ -479,6 +483,18 @@ def write_pgm(path, image: np.ndarray, lo: float, hi: float) -> None:
 # sweep config files (key = value, comma-separated lists)
 # ---------------------------------------------------------------------------
 
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _flag(text: str) -> bool:
+    try:
+        return _FLAGS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_FLAGS)}, "
+                         f"got {text!r}") from None
+
+
 def _items(parse):
     return lambda text: tuple(parse(item.strip()) for item in text.split(",")
                               if item.strip())
@@ -501,8 +517,7 @@ _SWEEP_KEYS = {
     "fp_max": ("fp_max", int),
     "inner_tol": ("inner_tol", float),
     "inner_max": ("inner_max", int),
-    "save_restored": ("save_restored",
-                      lambda text: text.lower() in ("1", "true", "yes", "on")),
+    "save_restored": ("save_restored", _flag),
 }
 
 

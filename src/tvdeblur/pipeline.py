@@ -8,7 +8,8 @@ solves one linear system
 
 with a Krylov method: conjugate gradient when the system is symmetric
 (normal form with the zero-Neumann diffusion operator), BiCGstab otherwise.
-``StepSystem`` is the one place that defines this system.  The inner solve
+``StepSystem`` is the one place that defines this system, and
+``el_residual`` its one optimality residual.  The inner solve
 starts from the previous iterate and may be preconditioned by any of the
 transform-algebra preconditioners; the ``x_d`` selector solves the
 diagonally scaled system instead and maps the solution back, which is
@@ -32,7 +33,7 @@ from .blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
 from .krylov import KrylovConfig, SolverDivergenceError, pbicgstab, pcg
 from .precond import InvalidScalingError  # noqa: F401  (re-exported)
 from .precond import assemble_preconditioner, scaling_diagonal
-from .tv import DiffusionBc, DiffusionOperator, el_residual
+from .tv import DiffusionBc, DiffusionOperator
 
 
 class Formulation(Enum):
@@ -130,9 +131,13 @@ class StepSystem:
     """The linear system ``A u = (B H + alpha L) u = B v`` of each step.
 
     ``B`` is ``H*`` (normal form) or the re-blur ``H'``, both
-    transform-diagonalized when the blur BC allows it.  Built once per
-    restoration; ``freeze`` hands it each step's diffusion operator ``L``,
-    and ``scale`` gives the scaled system ``D^{-1/2} A D^{-1/2}``.
+    transform-diagonalized when the blur BC allows it.  A symmetric PSF
+    gives a symmetric ``H`` under the zero, periodic and reflective
+    extensions, and its re-blur ``H'`` is ``H``; so ``B = H`` except for
+    the normal form under anti-reflective blur, which needs the transpose.
+    Built once per restoration; ``freeze`` hands it each step's diffusion
+    operator ``L``, and ``scale`` gives the scaled system
+    ``D^{-1/2} A D^{-1/2}``.
     """
 
     def __init__(self, h_op: StructuredBlurOperator, config: RestorationConfig,
@@ -140,11 +145,11 @@ class StepSystem:
         fast = h_op.bc in (BoundaryCondition.REFLECTIVE,
                            BoundaryCondition.ANTI_REFLECTIVE)
         self.forward = h_op.apply_fast if fast else h_op.apply
-        if config.formulation is Formulation.REBLUR or \
-                h_op.bc is BoundaryCondition.REFLECTIVE:  # H symmetric
-            self.back = self.forward
+        if h_op.bc is BoundaryCondition.ANTI_REFLECTIVE and \
+                config.formulation is Formulation.NORMAL:
+            self.back = h_op.apply_transpose_fast
         else:
-            self.back = h_op.apply_transpose_fast if fast else h_op.apply_transpose
+            self.back = self.forward
         self.alpha = config.alpha
         self.rhs = self.back(v)
         self.l_op = None
@@ -157,9 +162,6 @@ class StepSystem:
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         return self.back(self.forward(w)) + self.alpha * self.l_op.apply(w)
-
-    def gradient_norm(self, u: np.ndarray) -> float:
-        return float(np.linalg.norm((self.apply(u) - self.rhs).ravel()))
 
     def diagonal(self) -> np.ndarray:
         """``D = I + alpha diag L``, rejected unless every entry is positive."""
@@ -175,6 +177,15 @@ class StepSystem:
 
     def unscale(self, u_tilde: np.ndarray) -> np.ndarray:
         return self.s * u_tilde
+
+
+def el_residual(system: StepSystem, u: np.ndarray) -> np.ndarray:
+    """First-order optimality residual ``(B H + alpha L) u - B v``.
+
+    With ``L`` frozen at ``u`` this is the gradient of the smoothed-TV
+    objective, ``B (H u - v) + alpha L(u) u``; ``restore`` freezes it so.
+    """
+    return system.apply(u) - system.rhs
 
 
 def _check_shapes(data: tuple, kernel: tuple) -> None:
@@ -243,7 +254,7 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     for _ in range(config.fp_max):
         l_op = DiffusionOperator(u, config.beta, config.bc_l)
         system.freeze(l_op)
-        gradient_norms.append(system.gradient_norm(u))
+        gradient_norms.append(float(np.linalg.norm(el_residual(system, u).ravel())))
 
         apply_a, rhs, u0 = (system.scale(u) if scaled
                             else (system.apply, system.rhs, u))
@@ -271,10 +282,8 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
             fp_converged = True
             break
 
-    final_gradient = float(np.linalg.norm(el_residual(
-        u, v, h_op, config.alpha, config.beta, bc_l=config.bc_l,
-        reblur=config.formulation is Formulation.REBLUR,
-    ).ravel()))
+    system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
+    final_gradient = float(np.linalg.norm(el_residual(system, u).ravel()))
 
     rre = None
     if u_true is not None:

@@ -1,4 +1,4 @@
-"""Lagged-diffusivity diffusion operator and first-order optimality residual.
+"""Lagged-diffusivity diffusion operator of the smoothed-TV penalty.
 
 The smoothed total-variation penalty contributes the elliptic term
 ``-div(a grad u)`` with coefficient ``a = 1 / sqrt(|grad u|^2 + beta^2)``
@@ -142,7 +142,9 @@ class DiffusionOperator:
     def bands(self) -> dict[int, np.ndarray]:
         """Tridiagonal representation: offset -> band values.
 
-        ``bands[d][i]`` is the matrix entry at row i, column i + d.
+        ``bands[d][i]`` is entry (i, i + d) for ``d >= 0`` and (i - d, i)
+        for ``d < 0``: values are indexed by the smaller of row and column,
+        as ``np.diagonal`` gives them.
         """
         if self.ndim != 1:
             raise ValueError("bands() is the 1D representation")
@@ -164,8 +166,10 @@ class DiffusionOperator:
         """5-point stencil as block bands: (block offset, inner offset) -> grid.
 
         Block index is the grid row (axis 0), inner index the grid column.
-        ``blocks[(do, di)][k, i]`` is the entry coupling cell (k, i) to cell
-        (k + do, i + di).
+        Along each axis a value is indexed by the smaller of the two cells'
+        indices: ``blocks[(0, 1)][k, i]`` couples cell (k, i) to (k, i + 1),
+        ``blocks[(0, -1)][k, i]`` couples (k, i + 1) to (k, i), and likewise
+        ``(1, 0)`` and ``(-1, 0)`` along the block index.
         """
         if self.ndim != 2:
             raise ValueError("block_banded() is the 2D representation")
@@ -197,20 +201,3 @@ class DiffusionOperator:
             (1, 0): block_up,
             (-1, 0): block_lo,
         }
-
-
-def el_residual(u, v, h_op, alpha: float, beta: float,
-                bc_l: DiffusionBc = DiffusionBc.ZERO_NEUMANN,
-                reblur: bool = False) -> np.ndarray:
-    """First-order optimality residual of the smoothed-TV objective.
-
-    ``g(u) = H*(H u - v) + alpha L(u) u`` with the adjoint replaced by the
-    rotated-kernel operator when ``reblur`` is set.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    residual = h_op.apply(u) - v
-    back = h_op.reblur_apply(residual) if reblur else h_op.apply_transpose(residual)
-    return back + alpha * DiffusionOperator(u, beta, bc_l).apply(u)

@@ -3,18 +3,34 @@
 These are intentionally independent of the package's fast paths: transforms
 come from their entry formulas, blur matrices from the scalar boundary rules
 and the convolution sum, diffusion matrices from the stencil definition.
-:func:`dense_of` probes an operator's reference apply column by column.
+:func:`dense_of` probes an operator's reference apply column by column, and
+:func:`el_residual` is the optimality residual on the reference applies.
 """
 
 import numpy as np
 
 from tvdeblur.transforms import probe_dense
+from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 
 def dense_of(op) -> np.ndarray:
     """A blur or diffusion operator's ``apply`` as a dense matrix (small
     sizes only)."""
     return probe_dense(op.apply, (op.n,) * op.ndim)
+
+
+def el_residual(u, v, h_op, alpha: float, beta: float,
+                bc_l: DiffusionBc = DiffusionBc.ZERO_NEUMANN,
+                reblur: bool = False) -> np.ndarray:
+    """First-order optimality residual of the smoothed-TV objective on the
+    reference blur applies.
+
+    ``g(u) = H*(H u - v) + alpha L(u) u`` with the adjoint replaced by the
+    rotated-kernel operator when ``reblur`` is set.
+    """
+    residual = h_op.apply(u) - v
+    back = h_op.reblur_apply(residual) if reblur else h_op.apply_transpose(residual)
+    return back + alpha * DiffusionOperator(u, beta, bc_l).apply(u)
 
 
 def dense_dst1(n: int) -> np.ndarray:

@@ -46,6 +46,15 @@ def test_psf_renormalizes_with_warning():
     assert abs(psf.coefficients.sum() - 1.0) < 1e-15
 
 
+def test_psf_keeps_caller_array_writeable():
+    h = np.array([0.25, 0.5, 0.25])  # float64 summing to 1: nothing to convert
+    psf = SymmetricPsf(h)
+    assert h.flags.writeable
+    assert not psf.coefficients.flags.writeable
+    h[0] = 0.0
+    np.testing.assert_array_equal(psf.coefficients, [0.25, 0.5, 0.25])
+
+
 def test_psf_text_format(tmp_path):
     """First line the half-width m, then the coefficients row-major as
     exact float reprs: one per line in 1D, one row per line in 2D."""

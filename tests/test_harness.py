@@ -302,6 +302,13 @@ def test_spec_validation():
         BenchmarkSpec(configurations=("bogus",))
     with pytest.raises(ValueError):
         BenchmarkSpec(preconditioners=("bogus",))
+    # a nonpositive alpha or beta fails before any cell runs, naming it
+    with pytest.raises(ValueError, match=r"alpha must be positive, got 0\.0"):
+        BenchmarkSpec(alphas=(1e-2, 0))
+    with pytest.raises(ValueError, match=r"beta must be positive, got -0\.1"):
+        BenchmarkSpec(betas=(0.1, -0.1))
+    with pytest.raises(ValueError, match=r"alpha must be positive, got nan"):
+        BenchmarkSpec(alphas=(float("nan"),))
     # the kernel follows the dimension unless given
     assert BenchmarkSpec(dimension=1).psf_kind == "out_of_focus"
     assert BenchmarkSpec(dimension=2).psf_kind == "gaussian"
@@ -350,6 +357,15 @@ def test_parse_sweep_config(tmp_path):
     with pytest.raises(ValueError, match=r"value\.cfg:3: bad value for 'alpha': "
                                          r"could not convert string to float: 'abc'"):
         parse_sweep_config(value)
+    flag = tmp_path / "flag.cfg"
+    flag.write_text("n = 64\nsave_restored = ture\n")
+    with pytest.raises(ValueError, match=r"flag\.cfg:2: bad value for "
+                                         r"'save_restored': .*got 'ture'"):
+        parse_sweep_config(flag)
+    for text, value in (("ON", True), ("yes", True), ("0", False),
+                        ("Off", False)):
+        flag.write_text(f"save_restored = {text}\n")
+        assert parse_sweep_config(flag).save_restored is value
     kernel = tmp_path / "kernel.cfg"
     kernel.write_text("dimension = 1\nn = 64\npsf = gaussian\n")
     with pytest.raises(ValueError, match=r"psf kind 'gaussian' does not fit "
@@ -448,6 +464,11 @@ def test_cli_sweep_and_spectra(tmp_path):
     out = tmp_path / "sweep"
     assert cli_main(["sweep", str(cfg), "--out-dir", str(out)]) == 0
     assert (out / "iterations.csv").exists()
+    # a nonpositive alpha stops the sweep before its first cell
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + "alpha = 1e-3, 0\n")
+    assert cli_main(["sweep", str(bad), "--out-dir", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
 
     out2 = tmp_path / "spectra"
     assert cli_main(["spectra", "--n", "48", "--out-dir", str(out2)]) == 0

@@ -17,6 +17,7 @@ from tvdeblur.pipeline import (
     PrecondSelector,
     RestorationConfig,
     StepSystem,
+    el_residual,
     restore,
 )
 from tvdeblur.precond import IndefinitePreconditionerError
@@ -165,12 +166,14 @@ def test_resolved_kind_labels():
     assert cfg.resolved_kind() == "R_D"
 
 
-def reflective_system(n, l_op, alpha, rhs_data):
-    psf = SymmetricPsf(np.full(3, 1 / 3.0))
-    h_op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n)
-    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=alpha,
-                            beta=0.1)
-    system = StepSystem(h_op, cfg, rhs_data)
+def step_system(l_op, alpha, v, psf=SymmetricPsf(np.full(3, 1 / 3.0)),
+                bc_h=BoundaryCondition.REFLECTIVE,
+                formulation=Formulation.NORMAL):
+    """A restore's ``StepSystem`` for data ``v`` with ``l_op`` frozen in."""
+    h_op = StructuredBlurOperator(psf, bc_h, v.shape[0])
+    cfg = RestorationConfig(bc_h=bc_h, alpha=alpha, beta=0.1,
+                            formulation=formulation)
+    system = StepSystem(h_op, cfg, v)
     system.freeze(l_op)
     return h_op, system
 
@@ -179,7 +182,7 @@ def test_step_system_scaling_dense_identity(rng):
     n = 8
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
     alpha = 1e-2
-    h_op, system = reflective_system(n, l_op, alpha, rng.standard_normal(n))
+    h_op, system = step_system(l_op, alpha, rng.standard_normal(n))
     h = oracles.dense_of(h_op)
     a = h.T @ h + alpha * oracles.dense_of(l_op)
     np.testing.assert_allclose(probe_dense(system.apply, (n,)), a, atol=1e-12)
@@ -196,12 +199,106 @@ def test_step_system_scaling_dense_identity(rng):
 def test_step_system_small_alpha_scaling_is_identity(rng):
     n = 6
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
-    _, system = reflective_system(n, l_op, 1e-300, np.ones(n))
+    _, system = step_system(l_op, 1e-300, np.ones(n))
     apply_scaled, rhs, _ = system.scale(np.ones(n))
     np.testing.assert_allclose(system.diagonal(), np.ones(n), atol=1e-12)
     np.testing.assert_allclose(apply_scaled(np.ones(n)),
                                system.apply(np.ones(n)), atol=1e-12)
     np.testing.assert_allclose(rhs, system.rhs, atol=1e-12)
+
+
+#: (blur BC, formulation, diffusion BC) of every valid restore system
+SYSTEM_CASES = [
+    (bc_h, formulation, bc_l)
+    for bc_h in BoundaryCondition
+    for formulation in Formulation
+    if formulation is Formulation.NORMAL
+    or bc_h is BoundaryCondition.ANTI_REFLECTIVE
+    for bc_l in DiffusionBc
+]
+
+
+@pytest.mark.parametrize("n,h", [
+    (9, np.array([1.0, 2.0, 3.0, 2.0, 1.0]) / 9.0),
+    (5, np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
+def test_el_residual_matches_dense_gradient(rng, n, h, bc_h, formulation, bc_l):
+    """``el_residual`` is ``B (H u - v) + alpha L(u) u`` with every matrix
+    built from its defining formula: ``B`` is ``H^T``, or the blur of the
+    rotated kernel in the re-blurred form.  The matrix-free reference
+    ``oracles.el_residual`` gives the same vector."""
+    alpha, beta = 1e-2, 0.2
+    shape = (n,) * h.ndim
+    u = rng.standard_normal(shape)
+    v = rng.standard_normal(shape)
+    l_op = DiffusionOperator(u, beta, bc_l)
+    h_op, system = step_system(l_op, alpha, v, SymmetricPsf(h), bc_h,
+                               formulation)
+    if h.ndim == 1:
+        def blur(kernel):
+            return oracles.dense_blur_1d(kernel, bc_h.value, n)
+        l_dense = oracles.diffusion_dense_1d(l_op.a, bc_l.value)
+    else:
+        def blur(kernel):
+            return probe_dense(
+                lambda w: oracles.blur_2d(w, kernel, bc_h.value), shape)
+        l_dense = probe_dense(lambda w: oracles.diffusion_apply_padded(
+            w, (l_op.a_h, l_op.a_v), bc_l.value), shape)
+    h_dense = blur(h)
+    reblur = formulation is Formulation.REBLUR
+    b_dense = blur(np.flip(h)) if reblur else h_dense.T
+    expected = (b_dense @ (h_dense @ u.ravel() - v.ravel())
+                + alpha * (l_dense @ u.ravel()))
+    np.testing.assert_allclose(el_residual(system, u).ravel(), expected,
+                               atol=1e-12)
+    reference = oracles.el_residual(u, v, h_op, alpha, beta, bc_l=bc_l,
+                                    reblur=reblur)
+    np.testing.assert_allclose(reference.ravel(), expected, atol=1e-12)
+
+
+def test_el_residual_constant_reflective_is_zero():
+    n = 10
+    u = np.full(n, 1.5)
+    _, system = step_system(DiffusionOperator(u, 0.1), 1e-2, u.copy())
+    np.testing.assert_allclose(el_residual(system, u), np.zeros(n), atol=1e-13)
+
+
+def test_el_residual_small_alpha_limit(rng):
+    # with H = identity and noiseless data the residual is alpha * L u
+    n = 12
+    u = rng.standard_normal(n)
+    alpha = 1e-9
+    l_op = DiffusionOperator(u, 0.1)
+    _, system = step_system(l_op, alpha, u.copy(), SymmetricPsf([1.0]))
+    bound = alpha * np.linalg.norm(l_op.apply(u))
+    assert np.linalg.norm(el_residual(system, u)) <= bound + 1e-15
+
+
+@pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
+def test_restore_gradient_norms_on_fast_operators(monkeypatch, bc_h,
+                                                  formulation, bc_l):
+    """No restore runs the reference transpose or re-blur, and its first
+    and final gradient norms equal the reference residual's at ``v`` and
+    at the restored iterate."""
+    psf, observed, _ = small_problem()
+    cfg = RestorationConfig(bc_h=bc_h, alpha=1e-3, beta=0.1, bc_l=bc_l,
+                            formulation=formulation, fp_max=3)
+
+    def refuse(self, u):
+        raise AssertionError("a restore ran a reference blur transpose")
+
+    with monkeypatch.context() as patched:
+        for name in ("apply_transpose", "reblur_apply"):
+            patched.setattr(StructuredBlurOperator, name, refuse)
+        rep = restore(observed, psf, cfg)
+    h_op = StructuredBlurOperator(psf, bc_h, observed.shape[0])
+    reblur = formulation is Formulation.REBLUR
+    for u, norm in ((observed, rep.gradient_norms[0]),
+                    (rep.restored, rep.final_gradient_norm)):
+        reference = oracles.el_residual(u, observed, h_op, cfg.alpha, cfg.beta,
+                                        bc_l=bc_l, reblur=reblur)
+        assert norm == pytest.approx(np.linalg.norm(reference), rel=1e-9)
 
 
 @pytest.mark.parametrize("selector", [PrecondSelector.DIAG,
@@ -243,8 +340,7 @@ def test_scalar_diagonal_scaling_commutes(rng):
         def diagonal(self):
             return np.full(n, 3.0)
 
-    _, system = reflective_system(n, ScalarDiagOperator(), 0.5,
-                                  rng.standard_normal(n))
+    _, system = step_system(ScalarDiagOperator(), 0.5, rng.standard_normal(n))
     cfg = KrylovConfig(tol=1e-10, max_iterations=200)
     plain = pcg(system.apply, None, system.rhs, np.zeros(n), cfg)
     apply_scaled, rhs, u0 = system.scale(np.zeros(n))

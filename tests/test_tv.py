@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
-from tvdeblur.tv import DiffusionBc, DiffusionOperator, diffusion_coefficients, el_residual
+from tvdeblur.tv import DiffusionBc, DiffusionOperator, diffusion_coefficients
 
 BOTH = (DiffusionBc.ZERO_NEUMANN, DiffusionBc.ANTI_REFLECTIVE)
 
@@ -143,43 +142,3 @@ def test_shape_mismatch_rejected(rng):
     op = DiffusionOperator(rng.standard_normal(6), 0.1)
     with pytest.raises(ValueError):
         op.apply(np.zeros(7))
-
-
-def test_el_residual_constant_reflective_is_zero():
-    psf = SymmetricPsf(np.full(3, 1 / 3.0))
-    n = 10
-    h_op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n)
-    u = np.full(n, 1.5)
-    g = el_residual(u, u.copy(), h_op, alpha=1e-2, beta=0.1)
-    np.testing.assert_allclose(g, np.zeros(n), atol=1e-13)
-
-
-def test_el_residual_matches_dense_assembly(rng):
-    psf = SymmetricPsf(np.full(3, 1 / 3.0))
-    n = 9
-    alpha, beta = 1e-2, 0.2
-    u = rng.standard_normal(n)
-    v = rng.standard_normal(n)
-    for bc_h in (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE):
-        h_op = StructuredBlurOperator(psf, bc_h, n)
-        h_dense = oracles.dense_of(h_op)
-        l_dense = oracles.dense_of(DiffusionOperator(u, beta))
-        expected = h_dense.T @ (h_dense @ u - v) + alpha * (l_dense @ u)
-        got = el_residual(u, v, h_op, alpha, beta)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-        # re-blurred variant swaps the adjoint for the rotated-kernel blur
-        expected_rb = h_dense @ (h_dense @ u - v) + alpha * (l_dense @ u)
-        got_rb = el_residual(u, v, h_op, alpha, beta, reblur=True)
-        np.testing.assert_allclose(got_rb, expected_rb, atol=1e-12)
-
-
-def test_el_residual_small_alpha_limit(rng):
-    # with H = identity and noiseless data the residual is alpha * L u
-    psf = SymmetricPsf([1.0])
-    n = 12
-    u = rng.standard_normal(n)
-    h_op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n)
-    alpha = 1e-9
-    g = el_residual(u, u.copy(), h_op, alpha, beta=0.1)
-    bound = alpha * np.linalg.norm(DiffusionOperator(u, 0.1).apply(u))
-    assert np.linalg.norm(g) <= bound + 1e-15
