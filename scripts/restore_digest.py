@@ -15,7 +15,8 @@ equal:
 import hashlib
 import json
 
-from tvdeblur.harness import CONFIGURATIONS, BenchmarkSpec, run_sweep
+from tvdeblur.harness import BenchmarkSpec, run_sweep
+from tvdeblur.pipeline import CONFIGURATIONS
 
 SELECTORS = ("none", "diag", "x", "d_x", "x_d")
 SPECS = (

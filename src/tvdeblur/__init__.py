@@ -8,8 +8,9 @@ Modules:
 * ``precond``    -- transform-algebra projections and factored
                     preconditioners,
 * ``krylov``     -- preconditioned CG / BiCGstab,
-* ``pipeline``   -- the outer fixed-point restoration loop and its
-                    optimality residual,
+* ``pipeline``   -- the configuration table, the outer fixed-point
+                    restoration loop, each step's system and solve, and
+                    its optimality residual,
 * ``harness``    -- benchmark generation, parameter sweeps, file output,
 * ``cli``        -- the ``tvdeblur`` command.
 """

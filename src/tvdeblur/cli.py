@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .blur import BoundaryCondition, StructuredBlurOperator, save_psf
+from .blur import BoundaryCondition, save_psf
 from .pipeline import (
+    CONFIGURATIONS,
     ConfigurationError,
     Formulation,
     PrecondSelector,
@@ -21,7 +22,7 @@ from .pipeline import (
     StepSystem,
     restore,
 )
-from .precond import assemble_preconditioner, spectral_diagnostic
+from .precond import CLUSTER_RADIUS, spectral_diagnostic
 from .transforms import probe_dense
 from .tv import DiffusionBc, DiffusionOperator
 
@@ -33,7 +34,8 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nsr", type=float, default=0.01,
                         help="noise-to-signal ratio")
     parser.add_argument("--psf-m", type=int, default=None,
-                        help="psf half-width (default: ceil(n/20))")
+                        help="psf half-width (default: ceil(n/20) in 1D, "
+                             "ceil(n/8) in 2D)")
     parser.add_argument("--psf-sigma", type=float, default=None,
                         help="gaussian psf width (2D; default m/2)")
     parser.add_argument("--out-dir", type=Path, default=Path("out"))
@@ -125,7 +127,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectra(args) -> int:
     if args.n > 128:
         raise ConfigurationError("spectra diagnostic is dense; use n <= 128")
-    bc_h, bc_l, formulation = harness.CONFIGURATIONS[args.config]
+    bc_h, bc_l, formulation, _ = CONFIGURATIONS[args.config]
     spec = harness.BenchmarkSpec(
         dimension=1, ns=(args.n,), nsr=args.nsr, seed=args.seed,
     )
@@ -134,15 +136,13 @@ def _cmd_spectra(args) -> int:
         bc_h=bc_h, bc_l=bc_l, formulation=formulation, alpha=args.alpha,
         beta=args.beta, preconditioner=PrecondSelector(args.precond),
     )
-    kind = config.resolved_kind()
-    h_op = StructuredBlurOperator(psf, bc_h, args.n)
-    system = StepSystem(h_op, config, observed)
+    config.validate()
+    system = StepSystem(psf, config, observed)
     system.freeze(DiffusionOperator(observed, args.beta, bc_l))
-    # x_d preconditions the scaled system D^{-1/2} A D^{-1/2} that restore solves
-    apply_a = system.scale(observed)[0] if args.precond == "x_d" else system.apply
-    precond = assemble_preconditioner(kind, h_op, system.l_op, args.alpha)
-    diag = spectral_diagnostic(probe_dense(apply_a, observed.shape),
-                               precond.dense())
+    # the operator and preconditioner of restore's first step
+    apply_a, apply_minv, _, _, _ = system.krylov_problem(observed)
+    diag = spectral_diagnostic(
+        probe_dense(lambda w: apply_minv(apply_a(w)), observed.shape))
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     harness.write_csv(
@@ -151,8 +151,8 @@ def _cmd_spectra(args) -> int:
     )
     hist_path = out / "spectrum_histogram.txt"
     hist_path.write_text("\n".join(diag.histogram_lines()) + "\n", encoding="ascii")
-    print(f"preconditioner {kind}: {diag.cluster_fraction:.1%} of eigenvalues "
-          f"within {diag.cluster_radius} of 1; histogram -> {hist_path}")
+    print(f"preconditioner {system.kind}: {diag.cluster_fraction:.1%} of "
+          f"eigenvalues within {CLUSTER_RADIUS} of 1; histogram -> {hist_path}")
     return 0
 
 
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--nsr", type=float, default=0.01)
     p_spectra.add_argument("--seed", type=int, default=2023)
     p_spectra.add_argument("--config", default="R",
-                           choices=sorted(harness.CONFIGURATIONS))
+                           choices=sorted(CONFIGURATIONS))
     p_spectra.add_argument("--precond", default="d_x",
                            choices=("x", "d_x", "x_d"))
     p_spectra.add_argument("--out-dir", type=Path, default=Path("out"))

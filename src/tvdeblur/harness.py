@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blur import BoundaryCondition, SymmetricPsf, convolve_valid
+from .blur import SymmetricPsf, convolve_valid
 from .krylov import (
     IndefiniteOperatorError,
     KrylovConfig,
@@ -40,26 +40,13 @@ from .krylov import (
     SolverDivergenceError,
 )
 from .pipeline import (
-    Formulation,
+    CONFIGURATIONS,
     PrecondSelector,
     RestorationConfig,
     RestorationReport,
     restore,
 )
 from .precond import IndefinitePreconditionerError, InvalidScalingError
-from .tv import DiffusionBc
-
-#: configuration label -> (blur BC, diffusion BC, formulation)
-CONFIGURATIONS: dict[str, tuple[BoundaryCondition, DiffusionBc, Formulation]] = {
-    "R": (BoundaryCondition.REFLECTIVE, DiffusionBc.ZERO_NEUMANN,
-          Formulation.NORMAL),
-    "AR+Sine+ZN": (BoundaryCondition.ANTI_REFLECTIVE, DiffusionBc.ZERO_NEUMANN,
-                   Formulation.NORMAL),
-    "AR+Reblur+ZN": (BoundaryCondition.ANTI_REFLECTIVE, DiffusionBc.ZERO_NEUMANN,
-                     Formulation.REBLUR),
-    "AR+Reblur+AR": (BoundaryCondition.ANTI_REFLECTIVE,
-                     DiffusionBc.ANTI_REFLECTIVE, Formulation.REBLUR),
-}
 
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
 
@@ -173,8 +160,8 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
     so no boundary model enters the data.  Noise is white Gaussian rescaled
     to ``||noise|| = nsr * ||clean||`` exactly.
     """
-    if nsr < 0:
-        raise ValueError(f"noise-to-signal ratio must be >= 0, got {nsr}")
+    if not (math.isfinite(nsr) and nsr >= 0):
+        raise ValueError(f"noise-to-signal ratio must be finite and >= 0, got {nsr!r}")
     u_extended = np.asarray(u_extended, dtype=float)
     clean = convolve_valid(u_extended, psf.coefficients)
     expected = (n,) * psf.ndim
@@ -220,12 +207,16 @@ class BenchmarkSpec:
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        if self.nsr < 0:
-            raise ValueError("nsr must be nonnegative")
+        if not (math.isfinite(self.nsr) and self.nsr >= 0):
+            raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
+        for axis in ("ns", "alphas", "betas", "configurations", "preconditioners"):
+            if not getattr(self, axis):
+                raise ValueError(f"sweep axis {axis!r} is empty")
         for name, values in (("alpha", self.alphas), ("beta", self.betas)):
-            bad = [x for x in values if not x > 0]
+            bad = [x for x in values if not (math.isfinite(x) and x > 0)]
             if bad:
-                raise ValueError(f"{name} must be positive, got {float(bad[0])!r}")
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {float(bad[0])!r}")
         unknown = [c for c in self.configurations if c not in CONFIGURATIONS]
         if unknown:
             raise ValueError(f"unknown configuration labels: {unknown}")
@@ -329,10 +320,10 @@ def make_problem(spec: BenchmarkSpec, n: int):
 
 
 def run_cell(spec: BenchmarkSpec, config_label: str, alpha: float, beta: float,
-             n: int, selector_label: str, problem=None) -> SweepCell:
-    """Run a single sweep cell; numerical failures become starred cells."""
-    bc_h, bc_l, formulation = CONFIGURATIONS[config_label]
-    psf, observed, u_true = problem if problem is not None else make_problem(spec, n)
+             n: int, selector_label: str, problem) -> SweepCell:
+    """Run one cell on ``make_problem(spec, n)``; numerical failures are starred."""
+    bc_h, bc_l, formulation, _ = CONFIGURATIONS[config_label]
+    psf, observed, u_true = problem
     config = RestorationConfig(
         bc_h=bc_h,
         bc_l=bc_l,
@@ -510,7 +501,6 @@ _SWEEP_KEYS = {
     "precond": ("preconditioners", _items(str)),
     "nsr": ("nsr", float),
     "seed": ("seed", int),
-    "psf": ("psf_kind", str),
     "psf_m": ("psf_half_width", int),
     "psf_sigma": ("psf_sigma", float),
     "fp_tol": ("fp_tol", float),

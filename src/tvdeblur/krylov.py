@@ -52,8 +52,8 @@ class KrylovConfig:
     max_iterations: int = 1000
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

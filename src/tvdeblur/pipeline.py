@@ -8,8 +8,9 @@ solves one linear system
 
 with a Krylov method: conjugate gradient when the system is symmetric
 (normal form with the zero-Neumann diffusion operator), BiCGstab otherwise.
-``StepSystem`` is the one place that defines this system, and
-``el_residual`` its one optimality residual.  The inner solve
+``CONFIGURATIONS`` is the one table of the benchmark configurations.
+``StepSystem`` defines each step's system and, in ``krylov_problem``, its
+solve; ``el_residual`` is its one optimality residual.  The inner solve
 starts from the previous iterate and may be preconditioned by any of the
 transform-algebra preconditioners; the ``x_d`` selector solves the
 diagonally scaled system instead and maps the solution back, which is
@@ -23,6 +24,7 @@ not change at all (as for zero data, where ``||u_k|| = 0``), or at
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,12 +53,20 @@ class PrecondSelector(Enum):
     X_D = "x_d"
 
 
-#: (blur BC, formulation) -> preconditioner family
-_BASE_KIND = {
-    (BoundaryCondition.REFLECTIVE, Formulation.NORMAL): "R",
-    (BoundaryCondition.ANTI_REFLECTIVE, Formulation.NORMAL): "M",
-    (BoundaryCondition.ANTI_REFLECTIVE, Formulation.REBLUR): "P",
+_AR = BoundaryCondition.ANTI_REFLECTIVE
+_ZN = DiffusionBc.ZERO_NEUMANN
+
+#: label -> (blur BC, diffusion BC, formulation, preconditioner family)
+CONFIGURATIONS: dict[str, tuple[BoundaryCondition, DiffusionBc, Formulation, str]] = {
+    "R": (BoundaryCondition.REFLECTIVE, _ZN, Formulation.NORMAL, "R"),
+    "AR+Sine+ZN": (_AR, _ZN, Formulation.NORMAL, "M"),
+    "AR+Reblur+ZN": (_AR, _ZN, Formulation.REBLUR, "P"),
+    "AR+Reblur+AR": (_AR, DiffusionBc.ANTI_REFLECTIVE, Formulation.REBLUR, "P"),
 }
+
+#: (blur BC, formulation) -> preconditioner family
+_BASE_KIND = {(bc_h, formulation): family
+              for bc_h, _, formulation, family in CONFIGURATIONS.values()}
 
 #: largest data norm whose inner product with itself is still finite
 _MAX_DATA_NORM = float(np.sqrt(np.finfo(float).max))
@@ -88,10 +98,13 @@ class RestorationConfig:
     inner: KrylovConfig = field(default_factory=KrylovConfig)
 
     def validate(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigurationError("alpha and beta must be positive")
-        if self.fp_tol <= 0 or self.fp_max < 1:
-            raise ConfigurationError("fp_tol must be positive and fp_max >= 1")
+        for name in ("alpha", "beta", "fp_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}")
+        if self.fp_max < 1:
+            raise ConfigurationError("fp_max must be at least 1")
         if self.formulation is Formulation.REBLUR and \
                 self.bc_h is not BoundaryCondition.ANTI_REFLECTIVE:
             raise ConfigurationError(
@@ -130,18 +143,20 @@ class RestorationReport:
 class StepSystem:
     """The linear system ``A u = (B H + alpha L) u = B v`` of each step.
 
-    ``B`` is ``H*`` (normal form) or the re-blur ``H'``, both
-    transform-diagonalized when the blur BC allows it.  A symmetric PSF
-    gives a symmetric ``H`` under the zero, periodic and reflective
-    extensions, and its re-blur ``H'`` is ``H``; so ``B = H`` except for
-    the normal form under anti-reflective blur, which needs the transpose.
+    ``H`` blurs by ``psf`` under ``config.bc_h``; ``B`` is ``H*`` (normal
+    form) or the re-blur ``H'``, both transform-diagonalized when the blur
+    BC allows it.  A symmetric PSF gives a symmetric ``H`` under the zero,
+    periodic and reflective extensions, and its re-blur ``H'`` is ``H``;
+    so ``B = H`` except for the normal form under anti-reflective blur,
+    which needs the transpose.
     Built once per restoration; ``freeze`` hands it each step's diffusion
-    operator ``L``, and ``scale`` gives the scaled system
-    ``D^{-1/2} A D^{-1/2}``.
+    operator ``L``, ``scale`` gives the scaled system
+    ``D^{-1/2} A D^{-1/2}``, and ``krylov_problem`` the step's solve.
     """
 
-    def __init__(self, h_op: StructuredBlurOperator, config: RestorationConfig,
+    def __init__(self, psf: SymmetricPsf, config: RestorationConfig,
                  v: np.ndarray) -> None:
+        self.h_op = h_op = StructuredBlurOperator(psf, config.bc_h, v.shape[0])
         fast = h_op.bc in (BoundaryCondition.REFLECTIVE,
                            BoundaryCondition.ANTI_REFLECTIVE)
         self.forward = h_op.apply_fast if fast else h_op.apply
@@ -151,32 +166,41 @@ class StepSystem:
         else:
             self.back = self.forward
         self.alpha = config.alpha
+        self.selector = config.preconditioner
+        self.kind = config.resolved_kind()
         self.rhs = self.back(v)
         self.l_op = None
-        self.s = None
 
     def freeze(self, l_op: DiffusionOperator) -> None:
         """Take the diffusion operator frozen at the step's iterate."""
         self.l_op = l_op
-        self.s = None
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         return self.back(self.forward(w)) + self.alpha * self.l_op.apply(w)
 
-    def diagonal(self) -> np.ndarray:
-        """``D = I + alpha diag L``, rejected unless every entry is positive."""
-        return scaling_diagonal(self.l_op, self.alpha)
-
     def scale(self, u: np.ndarray) -> tuple:
-        """(apply, right-hand side, ``u``) of the scaled system."""
-        self.s = self.diagonal() ** -0.5
-        return self.apply_scaled, self.s * self.rhs, u / self.s
+        """(apply, rhs, start, map back) of ``D^{-1/2} A D^{-1/2}`` from ``u``."""
+        s = scaling_diagonal(self.l_op, self.alpha) ** -0.5
+        return (lambda w: s * self.apply(s * w)), s * self.rhs, u / s, \
+            (lambda u_tilde: s * u_tilde)
 
-    def apply_scaled(self, w: np.ndarray) -> np.ndarray:
-        return self.s * self.apply(self.s * w)
-
-    def unscale(self, u_tilde: np.ndarray) -> np.ndarray:
-        return self.s * u_tilde
+    def krylov_problem(self, u: np.ndarray) -> tuple:
+        """(apply, preconditioner solve or None, right-hand side, start,
+        map back) of the step's solve from ``u`` for the configured
+        preconditioner selector."""
+        if self.selector is PrecondSelector.X_D:
+            apply, rhs, start, back = self.scale(u)
+        else:
+            apply, rhs, start, back = self.apply, self.rhs, u, lambda x: x
+        if self.selector is PrecondSelector.NONE:
+            solve = None
+        elif self.selector is PrecondSelector.DIAG:
+            d = scaling_diagonal(self.l_op, self.alpha)
+            solve = lambda w: w / d  # noqa: E731
+        else:
+            solve = assemble_preconditioner(self.kind, self.h_op, self.l_op,
+                                            self.alpha).apply_inverse
+        return apply, solve, rhs, start, back
 
 
 def el_residual(system: StepSystem, u: np.ndarray) -> np.ndarray:
@@ -234,17 +258,12 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
                 f"{_MAX_DATA_NORM!r}: the solver's inner products would overflow"
             )
     started = time.perf_counter()
-    n = v.shape[0]
-    h_op = StructuredBlurOperator(psf, config.bc_h, n)
-    system = StepSystem(h_op, config, v)
+    system = StepSystem(psf, config, v)
 
     symmetric = (config.formulation is Formulation.NORMAL
                  and config.bc_l is DiffusionBc.ZERO_NEUMANN)
     solver = pcg if symmetric else pbicgstab
 
-    selector = config.preconditioner
-    scaled = selector is PrecondSelector.X_D
-    kind = config.resolved_kind()
     u = v.copy()
     inner_iterations: list[int] = []
     gradient_norms: list[float] = []
@@ -252,21 +271,12 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     inner_converged = True
     steps = 0
     for _ in range(config.fp_max):
-        l_op = DiffusionOperator(u, config.beta, config.bc_l)
-        system.freeze(l_op)
+        system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
         gradient_norms.append(float(np.linalg.norm(el_residual(system, u).ravel())))
 
-        apply_a, rhs, u0 = (system.scale(u) if scaled
-                            else (system.apply, system.rhs, u))
-        if selector is PrecondSelector.NONE:
-            apply_minv = None
-        elif selector is PrecondSelector.DIAG:
-            apply_minv = lambda w, _d=system.diagonal(): w / _d  # noqa: E731
-        else:
-            precond = assemble_preconditioner(kind, h_op, l_op, config.alpha)
-            apply_minv = precond.apply_inverse
+        apply_a, apply_minv, rhs, u0, back = system.krylov_problem(u)
         outcome = solver(apply_a, apply_minv, rhs, u0, config.inner)
-        u_next = system.unscale(outcome.solution) if scaled else outcome.solution
+        u_next = back(outcome.solution)
 
         steps += 1
         inner_iterations.append(outcome.iterations)

@@ -46,7 +46,7 @@ from scipy import fft as _fft
 
 from . import transforms
 from .blur import BoundaryCondition
-from .transforms import TransformKind, apply_1d, probe_dense, tensor_apply_2d
+from .transforms import TransformKind, apply_1d, tensor_apply_2d
 
 logger = logging.getLogger(__name__)
 
@@ -278,10 +278,6 @@ class FactoredPreconditioner:
             return self._diagonalized(scaled, self._inverse_eigenvalues) / self.d_sqrt
         return self._diagonalized(b, self._inverse_eigenvalues)
 
-    def dense(self) -> np.ndarray:
-        """The preconditioner as a dense matrix (small sizes only)."""
-        return probe_dense(self.apply, self.eigenvalues.shape)
-
 
 def _scaled_bands_1d(bands: Bands1D, s: np.ndarray) -> Bands1D:
     out = {}
@@ -360,6 +356,10 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
 # ---------------------------------------------------------------------------
 
 
+#: histogram bins, and the distance from 1 of a clustered eigenvalue
+_BINS, CLUSTER_RADIUS = 20, 0.1
+
+
 @dataclass
 class SpectralDiagnostic:
     """Eigenvalues of a dense preconditioned matrix plus a cluster summary."""
@@ -367,7 +367,6 @@ class SpectralDiagnostic:
     eigenvalues: np.ndarray
     histogram: np.ndarray
     bin_edges: np.ndarray
-    cluster_radius: float
     cluster_fraction: float
 
     def histogram_lines(self) -> list[str]:
@@ -380,21 +379,18 @@ class SpectralDiagnostic:
         return lines
 
 
-def spectral_diagnostic(a_dense: np.ndarray, m_dense: np.ndarray,
-                        bins: int = 20, cluster_radius: float = 0.1) -> SpectralDiagnostic:
-    """Eigenvalues of M^{-1} A with a histogram and cluster-at-one report."""
+def spectral_diagnostic(preconditioned: np.ndarray) -> SpectralDiagnostic:
+    """Eigenvalues of the dense ``M^{-1} A``, histogram and cluster-at-one report."""
     from scipy.linalg import eigvals
 
-    prec = np.linalg.solve(m_dense, a_dense)
-    eigs = eigvals(prec)
+    eigs = eigvals(preconditioned)
     real = np.real(eigs)
-    hist, edges = np.histogram(real, bins=bins)
-    fraction = float(np.mean(np.abs(eigs - 1.0) <= cluster_radius))
+    hist, edges = np.histogram(real, bins=_BINS)
+    fraction = float(np.mean(np.abs(eigs - 1.0) <= CLUSTER_RADIUS))
     order = np.argsort(real)
     return SpectralDiagnostic(
         eigenvalues=eigs[order],
         histogram=hist,
         bin_edges=edges,
-        cluster_radius=cluster_radius,
         cluster_fraction=fraction,
     )

@@ -3,7 +3,8 @@
 These are intentionally independent of the package's fast paths: transforms
 come from their entry formulas, blur matrices from the scalar boundary rules
 and the convolution sum, diffusion matrices from the stencil definition.
-:func:`dense_of` probes an operator's reference apply column by column, and
+:func:`dense_of` probes an operator's reference apply column by column,
+:func:`dense_preconditioner` a factored preconditioner's apply, and
 :func:`el_residual` is the optimality residual on the reference applies.
 """
 
@@ -17,6 +18,12 @@ def dense_of(op) -> np.ndarray:
     """A blur or diffusion operator's ``apply`` as a dense matrix (small
     sizes only)."""
     return probe_dense(op.apply, (op.n,) * op.ndim)
+
+
+def dense_preconditioner(precond) -> np.ndarray:
+    """A factored preconditioner's ``apply`` as a dense matrix (small sizes
+    only)."""
+    return probe_dense(precond.apply, precond.eigenvalues.shape)
 
 
 def el_residual(u, v, h_op, alpha: float, beta: float,

@@ -13,6 +13,7 @@ from scipy.signal import convolve2d
 
 from tvdeblur import harness
 from tvdeblur.cli import main as cli_main
+from tvdeblur.pipeline import CONFIGURATIONS
 from tvdeblur.harness import (
     BenchmarkSpec,
     TABLE_HEADER,
@@ -130,6 +131,14 @@ def test_observe_seed_reproducibility():
     np.testing.assert_array_equal(a, b)
     c = blur_and_observe(u, psf, 64, nsr=0.01, seed=8)
     assert np.any(a != c)
+
+
+@pytest.mark.parametrize("nsr", [-0.01, float("nan"), float("inf")])
+def test_observe_rejects_bad_noise_ratio(nsr):
+    u, _ = gen_signal_1d(64, 4)
+    with pytest.raises(ValueError, match=r"noise-to-signal ratio must be "
+                                         rf"finite and >= 0, got {nsr!r}"):
+        blur_and_observe(u, gen_psf("out_of_focus", 4), 64, nsr=nsr, seed=3)
 
 
 @given(nsr=st.floats(1e-6, 0.5))
@@ -302,13 +311,6 @@ def test_spec_validation():
         BenchmarkSpec(configurations=("bogus",))
     with pytest.raises(ValueError):
         BenchmarkSpec(preconditioners=("bogus",))
-    # a nonpositive alpha or beta fails before any cell runs, naming it
-    with pytest.raises(ValueError, match=r"alpha must be positive, got 0\.0"):
-        BenchmarkSpec(alphas=(1e-2, 0))
-    with pytest.raises(ValueError, match=r"beta must be positive, got -0\.1"):
-        BenchmarkSpec(betas=(0.1, -0.1))
-    with pytest.raises(ValueError, match=r"alpha must be positive, got nan"):
-        BenchmarkSpec(alphas=(float("nan"),))
     # the kernel follows the dimension unless given
     assert BenchmarkSpec(dimension=1).psf_kind == "out_of_focus"
     assert BenchmarkSpec(dimension=2).psf_kind == "gaussian"
@@ -317,6 +319,27 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=rf"psf kind '{kind}' does not "
                                              rf"fit dimension {dimension}"):
             BenchmarkSpec(dimension=dimension, psf_kind=kind)
+
+
+@pytest.mark.parametrize("settings,message", [
+    (dict(alphas=(1e-2, 0)), r"alpha must be finite and positive, got 0\.0"),
+    (dict(betas=(0.1, -0.1)), r"beta must be finite and positive, got -0\.1"),
+    (dict(alphas=(float("nan"),)), r"alpha must be finite and positive, got nan"),
+    (dict(alphas=(float("inf"),)), r"alpha must be finite and positive, got inf"),
+    (dict(betas=(float("inf"),)), r"beta must be finite and positive, got inf"),
+    (dict(nsr=float("nan")), r"nsr must be finite and nonnegative, got nan"),
+    (dict(nsr=float("inf")), r"nsr must be finite and nonnegative, got inf"),
+    (dict(nsr=-0.01), r"nsr must be finite and nonnegative, got -0\.01"),
+    (dict(ns=()), r"sweep axis 'ns' is empty"),
+    (dict(alphas=()), r"sweep axis 'alphas' is empty"),
+    (dict(betas=()), r"sweep axis 'betas' is empty"),
+    (dict(configurations=()), r"sweep axis 'configurations' is empty"),
+    (dict(preconditioners=()), r"sweep axis 'preconditioners' is empty"),
+])
+def test_spec_rejects_bad_settings(settings, message):
+    """A bad setting fails before any cell runs, naming the field."""
+    with pytest.raises(ValueError, match=message):
+        BenchmarkSpec(**settings)
 
 
 def test_parse_sweep_config(tmp_path):
@@ -366,16 +389,19 @@ def test_parse_sweep_config(tmp_path):
                         ("Off", False)):
         flag.write_text(f"save_restored = {text}\n")
         assert parse_sweep_config(flag).save_restored is value
+    # the kernel follows the dimension: there is no key to name it
     kernel = tmp_path / "kernel.cfg"
-    kernel.write_text("dimension = 1\nn = 64\npsf = gaussian\n")
-    with pytest.raises(ValueError, match=r"psf kind 'gaussian' does not fit "
-                                         r"dimension 1: 1D sweeps use the "
-                                         r"'out_of_focus' psf"):
+    kernel.write_text("dimension = 1\nn = 64\npsf = out_of_focus\n")
+    with pytest.raises(ValueError, match=r"kernel\.cfg:3: unknown key 'psf'"):
         parse_sweep_config(kernel)
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("n = 64\nalpha =\n")
+    with pytest.raises(ValueError, match=r"sweep axis 'alphas' is empty"):
+        parse_sweep_config(empty)
 
 
 REPO = Path(__file__).resolve().parents[1]
-ALL_CONFIGURATIONS = ("R", "AR+Sine+ZN", "AR+Reblur+ZN", "AR+Reblur+AR")
+ALL_CONFIGURATIONS = tuple(CONFIGURATIONS)
 
 
 def test_committed_sweep_files():
@@ -438,13 +464,20 @@ def test_cli_gen_and_restore(tmp_path):
     assert "rre:" in report and "fp_steps:" in report
 
 
-def test_cli_exit_code_on_configuration_error(tmp_path):
+@pytest.mark.parametrize("flags,message", [
+    (["--formulation", "reblur"], "re-blurred formulation requires"),
+    (["--alpha", "nan"], "alpha must be finite and positive, got nan"),
+    (["--beta", "inf"], "beta must be finite and positive, got inf"),
+    (["--nsr", "nan"], "nsr must be finite and nonnegative, got nan"),
+])
+def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
+                                              message):
     code = cli_main([
-        "restore", "--n", "64", "--bc", "reflective", "--formulation",
-        "reblur", "--alpha", "1e-3", "--beta", "0.1",
-        "--out-dir", str(tmp_path),
+        "restore", "--n", "64", "--bc", "reflective", "--alpha", "1e-3",
+        "--beta", "0.1", "--out-dir", str(tmp_path), *flags,
     ])
     assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_nonconvergence(tmp_path):
@@ -469,6 +502,12 @@ def test_cli_sweep_and_spectra(tmp_path):
     bad.write_text(cfg.read_text() + "alpha = 1e-3, 0\n")
     assert cli_main(["sweep", str(bad), "--out-dir", str(tmp_path / "bad")]) == 2
     assert not (tmp_path / "bad").exists()
+    # so does an empty axis
+    empty = tmp_path / "empty.cfg"
+    empty.write_text(cfg.read_text() + "alpha =\n")
+    assert cli_main(["sweep", str(empty), "--out-dir",
+                     str(tmp_path / "empty")]) == 2
+    assert not (tmp_path / "empty").exists()
 
     out2 = tmp_path / "spectra"
     assert cli_main(["spectra", "--n", "48", "--out-dir", str(out2)]) == 0

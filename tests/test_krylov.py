@@ -17,9 +17,14 @@ def matvec(a):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        KrylovConfig(tol=0.0)
-    with pytest.raises(ValueError):
         KrylovConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match=r"tol must be finite and positive, "
+                                         rf"got {tol!r}"):
+        KrylovConfig(tol=tol)
 
 
 def test_pcg_identity_converges_in_one_iteration(rng):

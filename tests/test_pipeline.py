@@ -50,6 +50,20 @@ def test_config_invariants():
                                   formulation=Formulation.REBLUR))
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "fp_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"),
+                                   float("-inf")])
+def test_settings_must_be_finite_and_positive(field, value):
+    """A bad alpha, beta or fp_tol fails before any compute, naming it."""
+    settings = dict(alpha=1e-3, beta=0.1, fp_tol=1e-3)
+    settings[field] = value
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, **settings)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{field} must be finite and positive, "
+                             rf"got {value!r}$"):
+        restore(np.ones(16), SymmetricPsf([1.0]), cfg)
+
+
 @pytest.mark.parametrize("data,coefficients,u_true,problem", [
     (np.ones(20), np.full((3, 3), 1 / 9), None, "1D data needs a 1D PSF"),
     (np.ones((20, 20)), np.full(3, 1 / 3), None, "2D data needs a 2D PSF"),
@@ -168,14 +182,14 @@ def test_resolved_kind_labels():
 
 def step_system(l_op, alpha, v, psf=SymmetricPsf(np.full(3, 1 / 3.0)),
                 bc_h=BoundaryCondition.REFLECTIVE,
-                formulation=Formulation.NORMAL):
+                formulation=Formulation.NORMAL,
+                selector=PrecondSelector.NONE):
     """A restore's ``StepSystem`` for data ``v`` with ``l_op`` frozen in."""
-    h_op = StructuredBlurOperator(psf, bc_h, v.shape[0])
     cfg = RestorationConfig(bc_h=bc_h, alpha=alpha, beta=0.1,
-                            formulation=formulation)
-    system = StepSystem(h_op, cfg, v)
+                            formulation=formulation, preconditioner=selector)
+    system = StepSystem(psf, cfg, v)
     system.freeze(l_op)
-    return h_op, system
+    return system.h_op, system
 
 
 def test_step_system_scaling_dense_identity(rng):
@@ -184,27 +198,67 @@ def test_step_system_scaling_dense_identity(rng):
     alpha = 1e-2
     h_op, system = step_system(l_op, alpha, rng.standard_normal(n))
     h = oracles.dense_of(h_op)
-    a = h.T @ h + alpha * oracles.dense_of(l_op)
+    l_dense = oracles.dense_of(l_op)
+    a = h.T @ h + alpha * l_dense
     np.testing.assert_allclose(probe_dense(system.apply, (n,)), a, atol=1e-12)
+    s = (1.0 + alpha * np.diag(l_dense)) ** -0.5
     u = rng.standard_normal(n)
-    apply_scaled, rhs, u_scaled = system.scale(u)
-    s = np.diag(system.s)
-    np.testing.assert_allclose(system.s, system.diagonal() ** -0.5, atol=1e-14)
-    np.testing.assert_allclose(probe_dense(apply_scaled, (n,)), s @ a @ s,
-                               atol=1e-12)
-    np.testing.assert_allclose(rhs, system.s * system.rhs, atol=1e-14)
-    np.testing.assert_allclose(system.unscale(u_scaled), u, atol=1e-14)
+    apply_scaled, rhs, u_scaled, unscale = system.scale(u)
+    np.testing.assert_allclose(probe_dense(apply_scaled, (n,)),
+                               np.diag(s) @ a @ np.diag(s), atol=1e-12)
+    np.testing.assert_allclose(rhs, s * system.rhs, atol=1e-14)
+    np.testing.assert_allclose(u_scaled, u / s, atol=1e-14)
+    np.testing.assert_allclose(unscale(u_scaled), u, atol=1e-14)
 
 
 def test_step_system_small_alpha_scaling_is_identity(rng):
     n = 6
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
     _, system = step_system(l_op, 1e-300, np.ones(n))
-    apply_scaled, rhs, _ = system.scale(np.ones(n))
-    np.testing.assert_allclose(system.diagonal(), np.ones(n), atol=1e-12)
+    apply_scaled, rhs, u_scaled, _ = system.scale(np.ones(n))
+    np.testing.assert_allclose(u_scaled, np.ones(n), atol=1e-12)
     np.testing.assert_allclose(apply_scaled(np.ones(n)),
                                system.apply(np.ones(n)), atol=1e-12)
     np.testing.assert_allclose(rhs, system.rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("selector", list(PrecondSelector))
+@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
+def test_krylov_problem_dense_per_selector(rng, label, selector):
+    """``krylov_problem`` is the selector's definition: the solve ``M^{-1}``
+    and operator ``A`` it returns multiply to ``A``, ``D^{-1} A``,
+    ``X^{-1} A`` or ``D_X^{-1} A`` on the unscaled system, and to
+    ``X_D^{-1} S A S`` with ``S = D^{-1/2}`` for ``x_d``, whose start and
+    map back go through ``S``.  ``D`` and ``A`` come from dense oracles."""
+    n, alpha = 9, 1e-2
+    bc_h, bc_l, formulation, family = pipeline.CONFIGURATIONS[label]
+    l_op = DiffusionOperator(rng.standard_normal(n), 0.1, bc_l)
+    h_op, system = step_system(l_op, alpha, rng.standard_normal(n),
+                               SymmetricPsf(np.full(3, 1 / 3.0)), bc_h,
+                               formulation, selector)
+    h = oracles.dense_of(h_op)
+    b = h if formulation is Formulation.REBLUR else h.T
+    a = b @ h + alpha * oracles.dense_of(l_op)
+    s = (1.0 + alpha * np.diag(oracles.dense_of(l_op))) ** -0.5
+    u = rng.standard_normal(n)
+    apply_a, solve, rhs, start, back = system.krylov_problem(u)
+    kind = {PrecondSelector.X: family, PrecondSelector.D_X: f"D_{family}",
+            PrecondSelector.X_D: f"{family}_D"}.get(selector)
+    m = (np.eye(n) if selector is PrecondSelector.NONE
+         else np.diag(s ** -2) if selector is PrecondSelector.DIAG
+         else oracles.dense_preconditioner(
+             pipeline.assemble_preconditioner(kind, h_op, l_op, alpha)))
+    if selector is PrecondSelector.X_D:
+        a, want_rhs, want_start = np.diag(s) @ a @ np.diag(s), s * system.rhs, u / s
+    else:
+        want_rhs, want_start = system.rhs, u
+    np.testing.assert_allclose(probe_dense(apply_a, (n,)), a, atol=1e-12)
+    precond_a = (probe_dense(lambda w: solve(apply_a(w)), (n,))
+                 if solve else probe_dense(apply_a, (n,)))
+    np.testing.assert_allclose(precond_a, np.linalg.solve(m, a), atol=1e-9)
+    np.testing.assert_allclose(rhs, want_rhs, atol=1e-14)
+    np.testing.assert_allclose(start, want_start, atol=1e-14)
+    np.testing.assert_allclose(back(start), u, atol=1e-14)
 
 
 #: (blur BC, formulation, diffusion BC) of every valid restore system
@@ -343,10 +397,10 @@ def test_scalar_diagonal_scaling_commutes(rng):
     _, system = step_system(ScalarDiagOperator(), 0.5, rng.standard_normal(n))
     cfg = KrylovConfig(tol=1e-10, max_iterations=200)
     plain = pcg(system.apply, None, system.rhs, np.zeros(n), cfg)
-    apply_scaled, rhs, u0 = system.scale(np.zeros(n))
+    apply_scaled, rhs, u0, unscale = system.scale(np.zeros(n))
     scaled = pcg(apply_scaled, None, rhs, u0, cfg)
     assert plain.iterations == scaled.iterations
-    np.testing.assert_allclose(system.unscale(scaled.solution), plain.solution,
+    np.testing.assert_allclose(unscale(scaled.solution), plain.solution,
                                atol=1e-8)
 
 
@@ -479,10 +533,10 @@ def test_zero_dirichlet_and_periodic_supported_without_transform_preconditioner(
 
 _RESTORE_2D_BYTES = """
 import sys
-from tvdeblur.harness import BenchmarkSpec, run_cell
-spec = BenchmarkSpec(dimension=2, ns=(64,), nsr=0.001, seed=2023,
-                     psf_kind="gaussian")
-cell = run_cell(spec, "AR+Reblur+AR", 1e-2, 0.01, 64, "x_d")
+from tvdeblur.harness import BenchmarkSpec, make_problem, run_cell
+spec = BenchmarkSpec(dimension=2, ns=(64,), nsr=0.001, seed=2023)
+cell = run_cell(spec, "AR+Reblur+AR", 1e-2, 0.01, 64, "x_d",
+                make_problem(spec, 64))
 sys.stdout.buffer.write(cell.report.restored.tobytes())
 """
 
