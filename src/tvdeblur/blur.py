@@ -202,6 +202,14 @@ class StructuredBlurOperator:
     applies that the fast path is checked against; no restoration calls
     them.
 
+    ``apply_squared_fast`` is ``H H`` as one diagonalized apply, with the
+    squared eigenvalues: ``H H = C diag(lam^2) C^T`` under reflective and
+    ``T diag(lam^2) T^{-1}`` under anti-reflective extension.  It is the
+    data term ``B H`` wherever ``B = H``: reflective blur, and the
+    re-blurred anti-reflective form.  The normal anti-reflective form needs
+    ``H^T H``, which takes two applies, since ``T`` is not orthogonal
+    (``T^T T != I``).
+
     Operators are immutable after construction and safe for concurrent
     applies.
     """
@@ -216,6 +224,7 @@ class StructuredBlurOperator:
         self.n = int(n)
         self.ndim = psf.ndim
         self._eigenvalues: np.ndarray | None = None
+        self._squared_eigenvalues: np.ndarray | None = None
 
     # -- reference semantics -------------------------------------------------
 
@@ -282,14 +291,24 @@ class StructuredBlurOperator:
             self._eigenvalues = lam
         return self._eigenvalues
 
+    def squared_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``H H`` in the same basis: ``eigenvalues() ** 2``,
+        cached read-only like them."""
+        if self._squared_eigenvalues is None:
+            lam2 = self.eigenvalues() ** 2
+            lam2.setflags(write=False)
+            self._squared_eigenvalues = lam2
+        return self._squared_eigenvalues
+
     def apply_fast(self, u) -> np.ndarray:
         """Diagonalized apply: analysis, eigenvalue scaling, synthesis."""
-        u = self._check_shape(u)
-        kind = self.transform
-        lam = self.eigenvalues()
-        if self.ndim == 1:
-            return apply_1d(kind, lam * apply_1d(kind, u, inverse=True))
-        return tensor_apply_2d(kind, lam * tensor_apply_2d(kind, u, inverse=True))
+        return self._diagonalized_apply(u, self.eigenvalues())
+
+    def apply_squared_fast(self, u) -> np.ndarray:
+        """``H H u`` as one diagonalized apply, at the cost of one
+        ``apply_fast``: analysis, scaling by the squared eigenvalues,
+        synthesis."""
+        return self._diagonalized_apply(u, self.squared_eigenvalues())
 
     def apply_transpose_fast(self, u) -> np.ndarray:
         u = self._check_shape(u)
@@ -306,6 +325,14 @@ class StructuredBlurOperator:
         )
 
     # -- helpers --------------------------------------------------------------
+
+    def _diagonalized_apply(self, u, lam: np.ndarray) -> np.ndarray:
+        """Synthesis of ``lam`` times the analysis of ``u``."""
+        u = self._check_shape(u)
+        kind = self.transform
+        if self.ndim == 1:
+            return apply_1d(kind, lam * apply_1d(kind, u, inverse=True))
+        return tensor_apply_2d(kind, lam * tensor_apply_2d(kind, u, inverse=True))
 
     def _check_shape(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)

@@ -144,8 +144,9 @@ def gen_psf(kind: str, m: int, sigma: float | None = None) -> SymmetricPsf:
         h = np.where(np.abs(idx) < m, 1.0, 0.0)
         return SymmetricPsf(h / h.sum())
     if kind == "gaussian":
-        if sigma is None or sigma <= 0:
-            raise ValueError("gaussian psf needs sigma > 0")
+        if sigma is None or not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(
+                f"gaussian psf sigma must be finite and positive, got {sigma!r}")
         idx = np.arange(-m, m + 1, dtype=float)
         g = np.exp(-(idx[:, None] ** 2 + idx[None, :] ** 2) / (2.0 * sigma * sigma))
         return SymmetricPsf(g / g.sum())
@@ -212,6 +213,10 @@ class BenchmarkSpec:
         for axis in ("ns", "alphas", "betas", "configurations", "preconditioners"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis!r} is empty")
+        if self.psf_sigma is not None and \
+                not (math.isfinite(self.psf_sigma) and self.psf_sigma > 0):
+            raise ValueError(f"psf_sigma must be finite and positive, "
+                             f"got {float(self.psf_sigma)!r}")
         for name, values in (("alpha", self.alphas), ("beta", self.betas)):
             bad = [x for x in values if not (math.isfinite(x) and x > 0)]
             if bad:

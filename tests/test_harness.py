@@ -104,6 +104,11 @@ def test_gen_psf_errors():
         gen_psf("gaussian", 2)
     with pytest.raises(ValueError):
         gen_psf("motion", 2)
+    # an infinite sigma would give a flat box kernel, a nan one a nan kernel
+    for sigma in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=rf"^gaussian psf sigma must be "
+                                             rf"finite and positive, got {sigma}$"):
+            gen_psf("gaussian", 2, sigma)
 
 
 # -- observation ------------------------------------------------------------------
@@ -335,6 +340,12 @@ def test_spec_validation():
     (dict(betas=()), r"sweep axis 'betas' is empty"),
     (dict(configurations=()), r"sweep axis 'configurations' is empty"),
     (dict(preconditioners=()), r"sweep axis 'preconditioners' is empty"),
+    (dict(dimension=2, psf_sigma=float("inf")),
+     r"psf_sigma must be finite and positive, got inf"),
+    (dict(dimension=2, psf_sigma=float("nan")),
+     r"psf_sigma must be finite and positive, got nan"),
+    (dict(dimension=2, psf_sigma=0.0),
+     r"psf_sigma must be finite and positive, got 0\.0"),
 ])
 def test_spec_rejects_bad_settings(settings, message):
     """A bad setting fails before any cell runs, naming the field."""
@@ -469,6 +480,10 @@ def test_cli_gen_and_restore(tmp_path):
     (["--alpha", "nan"], "alpha must be finite and positive, got nan"),
     (["--beta", "inf"], "beta must be finite and positive, got inf"),
     (["--nsr", "nan"], "nsr must be finite and nonnegative, got nan"),
+    (["--dim", "2", "--n", "32", "--psf-sigma", "inf"],
+     "psf_sigma must be finite and positive, got inf"),
+    (["--dim", "2", "--n", "32", "--psf-sigma", "nan"],
+     "psf_sigma must be finite and positive, got nan"),
 ])
 def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
                                               message):
@@ -508,6 +523,14 @@ def test_cli_sweep_and_spectra(tmp_path):
     assert cli_main(["sweep", str(empty), "--out-dir",
                      str(tmp_path / "empty")]) == 2
     assert not (tmp_path / "empty").exists()
+
+    # and so does a gaussian width that is not finite
+    wide = tmp_path / "wide.cfg"
+    wide.write_text("dimension = 2\nn = 32\nalpha = 1e-2\nbeta = 0.01\n"
+                    "config = R\nprecond = x_d\npsf_sigma = inf\n")
+    assert cli_main(["sweep", str(wide), "--out-dir",
+                     str(tmp_path / "wide")]) == 2
+    assert not (tmp_path / "wide").exists()
 
     out2 = tmp_path / "spectra"
     assert cli_main(["spectra", "--n", "48", "--out-dir", str(out2)]) == 0

@@ -222,43 +222,58 @@ def test_step_system_small_alpha_scaling_is_identity(rng):
     np.testing.assert_allclose(rhs, system.rhs, atol=1e-12)
 
 
-@pytest.mark.parametrize("selector", list(PrecondSelector))
-@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
-def test_krylov_problem_dense_per_selector(rng, label, selector):
+def check_krylov_problem(rng, n, h, label, selector):
     """``krylov_problem`` is the selector's definition: the solve ``M^{-1}``
     and operator ``A`` it returns multiply to ``A``, ``D^{-1} A``,
     ``X^{-1} A`` or ``D_X^{-1} A`` on the unscaled system, and to
     ``X_D^{-1} S A S`` with ``S = D^{-1/2}`` for ``x_d``, whose start and
     map back go through ``S``.  ``D`` and ``A`` come from dense oracles."""
-    n, alpha = 9, 1e-2
+    alpha = 1e-2
+    shape = (n,) * h.ndim
     bc_h, bc_l, formulation, family = pipeline.CONFIGURATIONS[label]
-    l_op = DiffusionOperator(rng.standard_normal(n), 0.1, bc_l)
-    h_op, system = step_system(l_op, alpha, rng.standard_normal(n),
-                               SymmetricPsf(np.full(3, 1 / 3.0)), bc_h,
-                               formulation, selector)
-    h = oracles.dense_of(h_op)
-    b = h if formulation is Formulation.REBLUR else h.T
-    a = b @ h + alpha * oracles.dense_of(l_op)
-    s = (1.0 + alpha * np.diag(oracles.dense_of(l_op))) ** -0.5
-    u = rng.standard_normal(n)
+    l_op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc_l)
+    h_op, system = step_system(l_op, alpha, rng.standard_normal(shape),
+                               SymmetricPsf(h), bc_h, formulation, selector)
+    h_dense = oracles.dense_of(h_op)
+    b = h_dense if formulation is Formulation.REBLUR else h_dense.T
+    l_dense = oracles.dense_of(l_op)
+    a = b @ h_dense + alpha * l_dense
+    s = ((1.0 + alpha * np.diag(l_dense)) ** -0.5).reshape(shape)
+    u = rng.standard_normal(shape)
     apply_a, solve, rhs, start, back = system.krylov_problem(u)
     kind = {PrecondSelector.X: family, PrecondSelector.D_X: f"D_{family}",
             PrecondSelector.X_D: f"{family}_D"}.get(selector)
-    m = (np.eye(n) if selector is PrecondSelector.NONE
-         else np.diag(s ** -2) if selector is PrecondSelector.DIAG
+    m = (np.eye(n ** h.ndim) if selector is PrecondSelector.NONE
+         else np.diag(s.ravel() ** -2) if selector is PrecondSelector.DIAG
          else oracles.dense_preconditioner(
              pipeline.assemble_preconditioner(kind, h_op, l_op, alpha)))
     if selector is PrecondSelector.X_D:
-        a, want_rhs, want_start = np.diag(s) @ a @ np.diag(s), s * system.rhs, u / s
+        a = np.diag(s.ravel()) @ a @ np.diag(s.ravel())
+        want_rhs, want_start = s * system.rhs, u / s
     else:
         want_rhs, want_start = system.rhs, u
-    np.testing.assert_allclose(probe_dense(apply_a, (n,)), a, atol=1e-12)
-    precond_a = (probe_dense(lambda w: solve(apply_a(w)), (n,))
-                 if solve else probe_dense(apply_a, (n,)))
+    np.testing.assert_allclose(probe_dense(apply_a, shape), a, atol=1e-12)
+    precond_a = (probe_dense(lambda w: solve(apply_a(w)), shape)
+                 if solve else probe_dense(apply_a, shape))
     np.testing.assert_allclose(precond_a, np.linalg.solve(m, a), atol=1e-9)
     np.testing.assert_allclose(rhs, want_rhs, atol=1e-14)
     np.testing.assert_allclose(start, want_start, atol=1e-14)
     np.testing.assert_allclose(back(start), u, atol=1e-14)
+
+
+@pytest.mark.parametrize("selector", list(PrecondSelector))
+@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
+def test_krylov_problem_dense_per_selector(rng, label, selector):
+    check_krylov_problem(rng, 9, np.full(3, 1 / 3.0), label, selector)
+
+
+@pytest.mark.parametrize("selector", list(PrecondSelector))
+@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
+def test_krylov_problem_dense_per_selector_2d(rng, label, selector):
+    """On a 2D grid, where ``R`` and ``AR+Reblur`` apply ``B H`` as one
+    squared diagonalized apply."""
+    check_krylov_problem(rng, 5, np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0])
+                         / 16.0, label, selector)
 
 
 #: (blur BC, formulation, diffusion BC) of every valid restore system
@@ -270,6 +285,45 @@ SYSTEM_CASES = [
     or bc_h is BoundaryCondition.ANTI_REFLECTIVE
     for bc_l in DiffusionBc
 ]
+
+
+@pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
+def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l):
+    """In 1D the data term stays ``back(forward(w))`` bit for bit in every
+    system, so 1D restorations keep their bytes."""
+    n, alpha = 33, 1e-2
+    l_op = DiffusionOperator(rng.standard_normal(n), 0.1, bc_l)
+    _, system = step_system(l_op, alpha, rng.standard_normal(n),
+                            SymmetricPsf(np.full(5, 0.2)), bc_h, formulation)
+    w = rng.standard_normal(n)
+    np.testing.assert_array_equal(
+        system.apply(w), system.back(system.forward(w)) + alpha * l_op.apply(w))
+
+
+@pytest.mark.parametrize("label,transforms", [
+    ("R", 2), ("AR+Sine+ZN", 4), ("AR+Reblur+ZN", 2), ("AR+Reblur+AR", 2),
+])
+def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
+                                              transforms):
+    """A 2D matvec runs two tensor transforms where ``B = H`` (one squared
+    apply), and four for ``AR+Sine+ZN``, whose ``H^T H`` needs both."""
+    from tvdeblur import blur
+
+    n = 16
+    bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
+    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc_l)
+    _, system = step_system(l_op, 1e-2, rng.standard_normal((n, n)),
+                            gen_psf("gaussian", 2, 1.0), bc_h, formulation)
+    calls = []
+    tensor_apply_2d = blur.tensor_apply_2d
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return tensor_apply_2d(*args, **kwargs)
+
+    monkeypatch.setattr(blur, "tensor_apply_2d", counting)
+    system.apply(rng.standard_normal((n, n)))
+    assert len(calls) == transforms
 
 
 @pytest.mark.parametrize("n,h", [
