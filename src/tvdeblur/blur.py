@@ -17,8 +17,8 @@ field of view are supplied by one of four boundary extensions:
 
 Reference semantics for every extension is pad / convolve / crop, with
 the convolution computed by :func:`convolve_valid` in plain numpy; the
-transform-diagonalized fast path exists only for the reflective and
-anti-reflective cases and must agree with the reference to rounding.
+fast path, for the extensions in ``FAST_TRANSFORMS``, is one
+:func:`diagonalized_apply` and must agree with the reference to rounding.
 """
 
 from __future__ import annotations
@@ -49,6 +49,25 @@ _PAD_MODES = {
     BoundaryCondition.REFLECTIVE: {"mode": "symmetric"},
     BoundaryCondition.ANTI_REFLECTIVE: {"mode": "reflect", "reflect_type": "odd"},
 }
+
+
+#: blur BC -> the transform diagonalizing the blur of a symmetric PSF
+FAST_TRANSFORMS = {
+    BoundaryCondition.REFLECTIVE: TransformKind.DCT,
+    BoundaryCondition.ANTI_REFLECTIVE: TransformKind.ANTI_REFLECTIVE,
+}
+
+
+def diagonalized_apply(kind: TransformKind, lam: np.ndarray, u: np.ndarray,
+                       transpose: bool = False) -> np.ndarray:
+    """``X diag(lam) X^{-1} u`` (``X^{-T} diag(lam) X^T u`` with
+    ``transpose``) for transform ``kind``: the apply of every fast blur and
+    preconditioner.  ``u.ndim`` picks the 1D or the tensor transform."""
+    apply = apply_1d if u.ndim == 1 else tensor_apply_2d
+    if transpose:
+        return apply(kind, lam * apply(kind, u, transpose=True), inverse=True,
+                     transpose=True)
+    return apply(kind, lam * apply(kind, u, inverse=True))
 
 
 class SymmetricPsf:
@@ -191,9 +210,9 @@ def _fold_axis(w: np.ndarray, m: int, bc: BoundaryCondition, axis: int) -> np.nd
 class StructuredBlurOperator:
     """Matrix-free blur under a chosen boundary extension.
 
-    ``apply`` is the pad/convolve/crop reference; ``apply_fast`` uses the
-    transform diagonalization available for reflective and anti-reflective
-    extensions.  ``apply_transpose`` is the exact algebraic transpose
+    ``apply`` is the pad/convolve/crop reference; ``apply_fast`` is one
+    :func:`diagonalized_apply` in the transform ``FAST_TRANSFORMS`` gives
+    the extension.  ``apply_transpose`` is the exact algebraic transpose
     (full-convolve then fold the margins back) and ``apply_transpose_fast``
     its diagonalized form; the anti-reflective operator is not symmetric.
     ``reblur_apply`` is the operator built from the 180-degree-rotated
@@ -255,34 +274,24 @@ class StructuredBlurOperator:
 
     @property
     def transform(self) -> TransformKind:
-        if self.bc is BoundaryCondition.REFLECTIVE:
-            return TransformKind.DCT
-        if self.bc is BoundaryCondition.ANTI_REFLECTIVE:
-            return TransformKind.ANTI_REFLECTIVE
-        raise UnsupportedBoundaryConditionError(
-            f"no fast transform for boundary condition {self.bc.value!r}"
-        )
-
-    def eigenvalue_grid(self) -> np.ndarray:
-        """Angles whose symbol samples are the operator eigenvalues (1D grid)."""
-        n = self.n
-        if self.bc is BoundaryCondition.REFLECTIVE:
-            return np.arange(n) * np.pi / n
-        if self.bc is BoundaryCondition.ANTI_REFLECTIVE:
-            return np.concatenate([np.arange(n - 1) * np.pi / (n - 1), [0.0]])
-        raise UnsupportedBoundaryConditionError(
-            f"eigenvalues undefined for boundary condition {self.bc.value!r}"
-        )
+        try:
+            return FAST_TRANSFORMS[self.bc]
+        except KeyError:
+            raise UnsupportedBoundaryConditionError(
+                f"no fast transform for boundary condition {self.bc.value!r}"
+            ) from None
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the operator in its transform basis.
-
-        1D: symbol samples on the grid above.  2D: samples of the bivariate
-        symbol on the tensor grid, returned as an n-by-n array aligned with
-        the tensor transform axes.
+        """Eigenvalues of the operator in its transform basis: symbol
+        samples at ``j pi / n`` (DCT) or at ``j pi / (n-1)``, j < n-1, and 0
+        (anti-reflective); in 2D on the n-by-n tensor grid of those angles.
         """
         if self._eigenvalues is None:
-            y = self.eigenvalue_grid()
+            n = self.n
+            if self.transform is TransformKind.DCT:
+                y = np.arange(n) * np.pi / n
+            else:
+                y = np.concatenate([np.arange(n - 1) * np.pi / (n - 1), [0.0]])
             if self.ndim == 1:
                 lam = symbol_eval(self.psf, y)
             else:
@@ -302,37 +311,21 @@ class StructuredBlurOperator:
 
     def apply_fast(self, u) -> np.ndarray:
         """Diagonalized apply: analysis, eigenvalue scaling, synthesis."""
-        return self._diagonalized_apply(u, self.eigenvalues())
+        return diagonalized_apply(self.transform, self.eigenvalues(),
+                                  self._check_shape(u))
 
     def apply_squared_fast(self, u) -> np.ndarray:
         """``H H u`` as one diagonalized apply, at the cost of one
         ``apply_fast``: analysis, scaling by the squared eigenvalues,
         synthesis."""
-        return self._diagonalized_apply(u, self.squared_eigenvalues())
+        return diagonalized_apply(self.transform, self.squared_eigenvalues(),
+                                  self._check_shape(u))
 
     def apply_transpose_fast(self, u) -> np.ndarray:
-        u = self._check_shape(u)
-        kind = self.transform
-        lam = self.eigenvalues()
-        if self.ndim == 1:
-            return apply_1d(
-                kind, lam * apply_1d(kind, u, transpose=True), inverse=True,
-                transpose=True,
-            )
-        return tensor_apply_2d(
-            kind, lam * tensor_apply_2d(kind, u, transpose=True), inverse=True,
-            transpose=True,
-        )
+        return diagonalized_apply(self.transform, self.eigenvalues(),
+                                  self._check_shape(u), transpose=True)
 
     # -- helpers --------------------------------------------------------------
-
-    def _diagonalized_apply(self, u, lam: np.ndarray) -> np.ndarray:
-        """Synthesis of ``lam`` times the analysis of ``u``."""
-        u = self._check_shape(u)
-        kind = self.transform
-        if self.ndim == 1:
-            return apply_1d(kind, lam * apply_1d(kind, u, inverse=True))
-        return tensor_apply_2d(kind, lam * tensor_apply_2d(kind, u, inverse=True))
 
     def _check_shape(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)

@@ -9,8 +9,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
 from .blur import BoundaryCondition, save_psf
 from .pipeline import (
@@ -58,15 +56,8 @@ def _cmd_gen(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     save_psf(psf, out / "psf.txt")
-    if args.dim == 1:
-        x = (np.arange(args.n) + 0.5) / args.n
-        harness.write_csv(out / "true.csv", ("x", "u"), list(zip(x, u_true)))
-        harness.write_csv(out / "observed.csv", ("x", "v"),
-                          list(zip(x, observed)))
-    else:
-        lo, hi = float(u_true.min()), float(u_true.max())
-        harness.write_pgm(out / "true.pgm", u_true, lo, hi)
-        harness.write_pgm(out / "observed.pgm", observed, lo, hi)
+    harness.write_field(out / "true", u_true, u_true)
+    harness.write_field(out / "observed", observed, u_true, column="v")
     print(f"wrote benchmark inputs to {out}")
     return 0
 
@@ -87,13 +78,7 @@ def _cmd_restore(args) -> int:
     report = restore(observed, psf, config, u_true=u_true)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    if args.dim == 1:
-        x = (np.arange(args.n) + 0.5) / args.n
-        harness.write_csv(out / "restored.csv", ("x", "u"),
-                          list(zip(x, report.restored)))
-    else:
-        harness.write_pgm(out / "restored.pgm", report.restored,
-                          lo=float(u_true.min()), hi=float(u_true.max()))
+    harness.write_field(out / "restored", report.restored, u_true)
     summary = [
         f"config: bc={args.bc} l_bc={args.l_bc} formulation={args.formulation} "
         f"precond={args.precond} alpha={args.alpha!r} beta={args.beta!r} n={args.n}",

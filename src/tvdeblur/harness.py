@@ -213,6 +213,10 @@ class BenchmarkSpec:
         for axis in ("ns", "alphas", "betas", "configurations", "preconditioners"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis!r} is empty")
+        if self.psf_sigma is not None and self.dimension == 1:
+            raise ValueError(f"psf_sigma is the width of the 2D gaussian psf; "
+                             f"1D sweeps use the {PSF_KINDS[1]!r} psf, which "
+                             f"takes none")
         if self.psf_sigma is not None and \
                 not (math.isfinite(self.psf_sigma) and self.psf_sigma > 0):
             raise ValueError(f"psf_sigma must be finite and positive, "
@@ -378,7 +382,8 @@ def run_sweep(spec: BenchmarkSpec, out_dir=None) -> SweepResult:
                         ))
     result = SweepResult(spec=spec, cells=cells)
 
-    # RRE-versus-alpha summary per configuration (first n/beta/selector axis)
+    # RRE-versus-alpha summary per configuration: the best RRE over every
+    # n, beta and selector of it
     for config_label in spec.configurations:
         best_alpha, best_rre = None, None
         for cell in cells:
@@ -425,19 +430,9 @@ def _write_sweep_files(spec: BenchmarkSpec, result: SweepResult, problems,
 
     if spec.save_restored:
         for cell in result.cells:
-            if not cell.ok:
-                continue
-            _, _, u_true = problems[cell.n]
-            stem = _cell_stem(cell)
-            if spec.dimension == 1:
-                path = out_dir / f"{stem}.csv"
-                x = (np.arange(cell.n) + 0.5) / cell.n
-                write_csv(path, ("x", "u"),
-                          list(zip(x, cell.report.restored)))
-            else:
-                path = out_dir / f"{stem}.pgm"
-                write_pgm(path, cell.report.restored,
-                          lo=float(u_true.min()), hi=float(u_true.max()))
+            if cell.ok:
+                write_field(out_dir / _cell_stem(cell), cell.report.restored,
+                            problems[cell.n][2])
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +447,18 @@ def write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_field(x) for x in row])
+
+
+def write_field(stem, u: np.ndarray, u_true: np.ndarray,
+                column: str = "u") -> None:
+    """Write a 1D field to ``stem.csv`` as (x, column) rows at the cell
+    midpoints, a 2D one to ``stem.pgm`` scaled from ``u_true``'s range."""
+    if u.ndim == 1:
+        x = (np.arange(u.shape[0]) + 0.5) / u.shape[0]
+        write_csv(f"{stem}.csv", ("x", column), list(zip(x, u)))
+    else:
+        write_pgm(f"{stem}.pgm", u, lo=float(u_true.min()),
+                  hi=float(u_true.max()))
 
 
 def _format_field(x):

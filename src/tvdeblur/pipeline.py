@@ -34,10 +34,16 @@ from enum import Enum
 
 import numpy as np
 
-from .blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
+from .blur import (
+    FAST_TRANSFORMS,
+    BoundaryCondition,
+    StructuredBlurOperator,
+    SymmetricPsf,
+)
 from .krylov import KrylovConfig, SolverDivergenceError, pbicgstab, pcg
 from .precond import InvalidScalingError  # noqa: F401  (re-exported)
-from .precond import assemble_preconditioner, scaling_diagonal
+from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
+from .transforms import MIN_BORDERED_N
 from .tv import DiffusionBc, DiffusionOperator
 
 
@@ -73,6 +79,9 @@ _BASE_KIND = {(bc_h, formulation): family
 
 #: largest data norm whose inner product with itself is still finite
 _MAX_DATA_NORM = float(np.sqrt(np.finfo(float).max))
+
+#: selectors that assemble a transform-algebra preconditioner
+_ASSEMBLED = (PrecondSelector.X, PrecondSelector.D_X, PrecondSelector.X_D)
 
 #: selector -> preconditioner label, ``{}`` standing for the family
 _LABELS = {
@@ -113,8 +122,7 @@ class RestorationConfig:
             raise ConfigurationError(
                 "the re-blurred formulation requires anti-reflective blur BCs"
             )
-        if self.preconditioner in (PrecondSelector.X, PrecondSelector.D_X,
-                                   PrecondSelector.X_D):
+        if self.preconditioner in _ASSEMBLED:
             if (self.bc_h, self.formulation) not in _BASE_KIND:
                 raise ConfigurationError(
                     "transform-algebra preconditioners need reflective or "
@@ -147,20 +155,20 @@ class StepSystem:
     """The linear system ``A u = (B H + alpha L) u = B v`` of each step.
 
     ``H`` blurs by ``psf`` under ``config.bc_h``; ``B`` is ``H*`` (normal
-    form) or the re-blur ``H'``, both transform-diagonalized when the blur
-    BC allows it.  A symmetric PSF gives a symmetric ``H`` under the zero,
-    periodic and reflective extensions, and its re-blur ``H'`` is ``H``;
-    so ``B = H`` except for the normal form under anti-reflective blur,
-    which needs the transpose.
+    form) or the re-blur ``H'``, both transform-diagonalized when
+    ``blur.FAST_TRANSFORMS`` holds the blur BC.  A symmetric PSF gives a
+    symmetric ``H`` under the zero, periodic and reflective extensions, and
+    its re-blur ``H'`` is ``H``; so ``B = H`` except for the normal form
+    under anti-reflective blur, which needs the transpose.
 
     ``data_term`` is the callable ``B H``, chosen once here.  For 2D data
     with ``B = H`` under a fast BC (the ``R``, ``AR+Reblur+ZN`` and
-    ``AR+Reblur+AR`` configurations) it is ``H H`` as one diagonalized
-    apply with the squared eigenvalues: two tensor transforms per matvec,
-    not four.  ``AR+Sine+ZN`` composes ``H^T`` with ``H``, because the
-    anti-reflective transform ``T`` is not orthogonal and
-    ``H^T H = T^{-T} diag(lam) T^T T diag(lam) T^{-1}`` is no member of the
-    algebra.  Zero and periodic blur compose the reference applies, and 1D
+    ``AR+Reblur+AR`` configurations) it is ``H H`` as one
+    ``blur.diagonalized_apply`` with the squared eigenvalues: two tensor
+    transforms per matvec, not four.  ``AR+Sine+ZN`` composes ``H^T`` with
+    ``H``, because the anti-reflective transform ``T`` is not orthogonal
+    and ``H^T H = T^{-T} diag(lam) T^T T diag(lam) T^{-1}`` is no member of
+    the algebra.  Zero and periodic blur compose the reference applies, and 1D
     data composes two applies in every configuration, so 1D restorations
     keep their bytes.
     Built once per restoration; ``freeze`` hands it each step's diffusion
@@ -171,8 +179,7 @@ class StepSystem:
     def __init__(self, psf: SymmetricPsf, config: RestorationConfig,
                  v: np.ndarray) -> None:
         self.h_op = h_op = StructuredBlurOperator(psf, config.bc_h, v.shape[0])
-        fast = h_op.bc in (BoundaryCondition.REFLECTIVE,
-                           BoundaryCondition.ANTI_REFLECTIVE)
+        fast = h_op.bc in FAST_TRANSFORMS
         transposed = (h_op.bc is BoundaryCondition.ANTI_REFLECTIVE
                       and config.formulation is Formulation.NORMAL)
         self.forward = h_op.apply_fast if fast else h_op.apply
@@ -248,10 +255,33 @@ def _check_shapes(data: tuple, kernel: tuple) -> None:
     )
 
 
+def _check_sizes(n: int, psf: SymmetricPsf, config: RestorationConfig) -> None:
+    """Reject a grid side the configured operators cannot take, naming
+    ``n``, the configuration and the limit, before any operator is built."""
+    m = psf.half_width
+    family = _BASE_KIND.get((config.bc_h, config.formulation))
+    if m >= n:
+        what, limit = f"a PSF of half-width {m}", m + 1
+    elif config.bc_h is _AR and n < MIN_BORDERED_N:
+        what, limit = "the anti-reflective transform", MIN_BORDERED_N
+    elif config.preconditioner in _ASSEMBLED and \
+            n < (limit := smallest_order(family)):
+        what = f"preconditioner {config.resolved_kind()!r}"
+    else:
+        return
+    raise ConfigurationError(
+        f"n={n} is too small for {what} ({config.bc_h.value} blur, "
+        f"{config.formulation.value} form, selector "
+        f"{config.preconditioner.value}): it needs n >= {limit}"
+    )
+
+
 def _check_reference(data: tuple, u_true: np.ndarray) -> None:
     """Reject a ``u_true`` the RRE cannot use, naming both shapes."""
     if u_true.shape != data:
         problem = "u_true must have the data's shape"
+    elif not np.all(np.isfinite(u_true)):
+        problem = "u_true must be finite"
     elif np.linalg.norm(u_true.ravel()) == 0:
         problem = "u_true must have nonzero norm"
     else:
@@ -267,6 +297,7 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     config.validate()
     v = np.asarray(v, dtype=float)
     _check_shapes(v.shape, psf.coefficients.shape)
+    _check_sizes(v.shape[0], psf, config)
     if u_true is not None:
         u_true = np.asarray(u_true, dtype=float)
         _check_reference(v.shape, u_true)

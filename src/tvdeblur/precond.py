@@ -16,7 +16,8 @@ cutoff) that sum is ``band @ P_d`` with the cached read-only matrix
 ``P_d = X[:n-d] * X[d:]``, O(b n^2) for bandwidth b; longer lengths use one
 FFT of length about 2n, O(b n log n), and materialize nothing dense.
 Projections take band dicts only: ``{offset: values}`` in 1D and
-``{(block offset, inner offset): coefficients}`` in 2D.
+``{(block offset, inner offset): coefficients}`` in 2D.  Preconditioners
+apply and solve with ``blur.diagonalized_apply``, as the blur operators do.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
 unitary): it projects the interior (order L = n - 2) onto the sine algebra
@@ -45,8 +46,9 @@ import numpy as np
 from scipy import fft as _fft
 
 from . import transforms
-from .blur import BoundaryCondition
-from .transforms import TransformKind, apply_1d, tensor_apply_2d
+from .blur import BoundaryCondition, diagonalized_apply
+# apply_1d and tensor_apply_2d stay importable here for bench/spans.py
+from .transforms import TransformKind, apply_1d, tensor_apply_2d  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +61,16 @@ _FAMILIES = {
     "M": (TransformKind.SINE_HAT, BoundaryCondition.ANTI_REFLECTIVE),
     "P": (TransformKind.ANTI_REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE),
 }
+
+
+#: smallest order of each bordered projection
+MIN_PROJECTION_N = {TransformKind.SINE_HAT: transforms.MIN_BORDERED_N,
+                    TransformKind.ANTI_REFLECTIVE: 5}
+
+
+def smallest_order(family: str) -> int:
+    """Smallest n at which a preconditioner of ``family`` can be assembled."""
+    return MIN_PROJECTION_N.get(_FAMILIES[family][0], 1)
 
 
 class IndefinitePreconditionerError(RuntimeError):
@@ -165,7 +177,7 @@ def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
         return sum(parts) if parts else np.zeros(n)
     if kind not in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
         raise ValueError(f"unknown projection kind: {kind!r}")
-    smallest = 3 if kind is TransformKind.SINE_HAT else 5
+    smallest = MIN_PROJECTION_N[kind]
     if n < smallest:
         raise ValueError(f"{kind.value} projection requires n >= {smallest}")
     shape = next(iter(bands.values())).shape[:-1] if bands else ()
@@ -251,32 +263,21 @@ class FactoredPreconditioner:
         self.eigenvalues = lam
         self._inverse_eigenvalues = 1.0 / np.maximum(lam, floor)
 
-    @property
-    def ndim(self) -> int:
-        return self.eigenvalues.ndim
-
-    def _diagonalized(self, b: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        if self.ndim == 1:
-            coeff = apply_1d(self.transform, b, inverse=True)
-            return apply_1d(self.transform, lam * coeff)
-        coeff = tensor_apply_2d(self.transform, b, inverse=True)
-        return tensor_apply_2d(self.transform, lam * coeff)
-
     def apply(self, b) -> np.ndarray:
         """Multiply by the preconditioner matrix."""
         b = np.asarray(b, dtype=float)
-        if self.d_sqrt is not None:
-            return self.d_sqrt * self._diagonalized(self.d_sqrt * b,
-                                                    self.eigenvalues)
-        return self._diagonalized(b, self.eigenvalues)
+        if self.d_sqrt is None:
+            return diagonalized_apply(self.transform, self.eigenvalues, b)
+        return self.d_sqrt * diagonalized_apply(
+            self.transform, self.eigenvalues, self.d_sqrt * b)
 
     def apply_inverse(self, b) -> np.ndarray:
         """Solve M y = b."""
         b = np.asarray(b, dtype=float)
-        if self.d_sqrt is not None:
-            scaled = b / self.d_sqrt
-            return self._diagonalized(scaled, self._inverse_eigenvalues) / self.d_sqrt
-        return self._diagonalized(b, self._inverse_eigenvalues)
+        if self.d_sqrt is None:
+            return diagonalized_apply(self.transform, self._inverse_eigenvalues, b)
+        return diagonalized_apply(self.transform, self._inverse_eigenvalues,
+                                  b / self.d_sqrt) / self.d_sqrt
 
 
 def _scaled_bands_1d(bands: Bands1D, s: np.ndarray) -> Bands1D:
@@ -325,7 +326,7 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
             f"preconditioner {kind!r} requires a blur operator with "
             f"{expected_bc.value!r} boundary conditions, got {h_op.bc.value!r}"
         )
-    lam_h = h_op.eigenvalues()
+    lam_h2 = h_op.squared_eigenvalues()
     n = h_op.n
 
     if h_op.ndim == 1:
@@ -343,9 +344,9 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
         s = scaling_diagonal(l_op, alpha) ** -0.5
         lam_d = eigs_of(diag_bands(s))
         lam_lt = eigs_of(scale(l_struct, s))
-        eigs = lam_h * lam_h * lam_d * lam_d + alpha * lam_lt
+        eigs = lam_h2 * lam_d * lam_d + alpha * lam_lt
         return FactoredPreconditioner(kind, transform, eigs, alpha)
-    eigs = lam_h * lam_h + alpha * eigs_of(l_struct)
+    eigs = lam_h2 + alpha * eigs_of(l_struct)
     # kind is the base or its D_ wrap here
     d_sqrt = np.sqrt(scaling_diagonal(l_op, alpha)) if kind != base else None
     return FactoredPreconditioner(kind, transform, eigs, alpha, d_sqrt=d_sqrt)

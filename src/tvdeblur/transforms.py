@@ -46,9 +46,14 @@ def _check_nonempty(v: np.ndarray) -> None:
         raise ValueError("transform input must be non-empty")
 
 
+#: smallest length of the bordered transforms SINE_HAT and ANTI_REFLECTIVE
+MIN_BORDERED_N = 3
+
+
 def _check_interior(v: np.ndarray, what: str) -> None:
-    if v.shape[-1] < 3:
-        raise ValueError(f"{what} requires length >= 3, got {v.shape[-1]}")
+    if v.shape[-1] < MIN_BORDERED_N:
+        raise ValueError(f"{what} requires length >= {MIN_BORDERED_N}, "
+                         f"got {v.shape[-1]}")
 
 
 def dst1_apply(v) -> np.ndarray:

@@ -11,11 +11,13 @@ from tvdeblur.blur import (
     SymmetricPsf,
     UnsupportedBoundaryConditionError,
     convolve_valid,
+    diagonalized_apply,
     save_psf,
     symbol_eval,
 )
 from tvdeblur.harness import gen_psf
 from tvdeblur.precond import assemble_preconditioner
+from tvdeblur.transforms import TransformKind, _matrix_1d
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 ALL_BCS = list(BoundaryCondition)
@@ -347,6 +349,28 @@ def test_squared_fast_apply_is_two_fast_applies(shape, bc, rng):
     assert not lam2.flags.writeable
     assert op.squared_eigenvalues() is lam2
     np.testing.assert_array_equal(lam2, op.eigenvalues() ** 2)
+
+
+@pytest.mark.parametrize("n", [5, 144, 145])
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_diagonalized_apply_matches_dense(kind, transpose, ndim, n, rng):
+    """``X diag(lam) X^{-1} u`` (``X^{-T} diag(lam) X^T u`` transposed) from
+    the dense transform matrix, on both sides of the 2D dense-product
+    cutoff; in 2D ``X`` acts on both axes."""
+    x = _matrix_1d(kind, False, False, n)
+    left, right = (np.linalg.inv(x).T, x.T) if transpose else \
+        (x, np.linalg.inv(x))
+    shape = (n,) * ndim
+    lam = rng.uniform(0.5, 2.0, shape)
+    u = rng.standard_normal(shape)
+    if ndim == 1:
+        want = left @ (lam * (right @ u))
+    else:
+        want = left @ (lam * (right @ u @ right.T)) @ left.T
+    got = diagonalized_apply(kind, lam, u, transpose=transpose)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_reblur_alias_is_forward_apply(rng):

@@ -346,6 +346,10 @@ def test_spec_validation():
      r"psf_sigma must be finite and positive, got nan"),
     (dict(dimension=2, psf_sigma=0.0),
      r"psf_sigma must be finite and positive, got 0\.0"),
+    (dict(dimension=1, psf_sigma=5.0),
+     r"psf_sigma is the width of the 2D gaussian psf"),
+    (dict(psf_sigma=float("nan")),
+     r"psf_sigma is the width of the 2D gaussian psf"),
 ])
 def test_spec_rejects_bad_settings(settings, message):
     """A bad setting fails before any cell runs, naming the field."""
@@ -484,6 +488,8 @@ def test_cli_gen_and_restore(tmp_path):
      "psf_sigma must be finite and positive, got inf"),
     (["--dim", "2", "--n", "32", "--psf-sigma", "nan"],
      "psf_sigma must be finite and positive, got nan"),
+    (["--dim", "1", "--psf-sigma", "5"],
+     "psf_sigma is the width of the 2D gaussian psf"),
 ])
 def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
                                               message):
@@ -493,6 +499,15 @@ def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
     ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_gen_exit_code_on_1d_psf_sigma(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert cli_main(["gen", "--dim", "1", "--n", "64", "--psf-sigma", "5",
+                     "--out-dir", str(out)]) == 2
+    assert "psf_sigma is the width of the 2D gaussian psf" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exit_code_on_nonconvergence(tmp_path):
@@ -531,6 +546,12 @@ def test_cli_sweep_and_spectra(tmp_path):
     assert cli_main(["sweep", str(wide), "--out-dir",
                      str(tmp_path / "wide")]) == 2
     assert not (tmp_path / "wide").exists()
+    # and a gaussian width in a 1D sweep, whose kernel takes none
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text(cfg.read_text() + "psf_sigma = 5\n")
+    assert cli_main(["sweep", str(narrow), "--out-dir",
+                     str(tmp_path / "narrow")]) == 2
+    assert not (tmp_path / "narrow").exists()
 
     out2 = tmp_path / "spectra"
     assert cli_main(["spectra", "--n", "48", "--out-dir", str(out2)]) == 0

@@ -77,6 +77,10 @@ def test_settings_must_be_finite_and_positive(field, value):
      "u_true must have the data's shape"),
     (np.ones(20), np.full(3, 1 / 3), np.zeros(20),
      "u_true must have nonzero norm"),
+    (np.ones(20), np.full(3, 1 / 3), np.r_[np.ones(19), np.nan],
+     "u_true must be finite"),
+    (np.ones((20, 20)), np.full((3, 3), 1 / 9), np.full((20, 20), np.inf),
+     "u_true must be finite"),
 ])
 def test_shape_mismatch_fails_before_any_operator(monkeypatch, data,
                                                   coefficients, u_true,
@@ -97,6 +101,71 @@ def test_shape_mismatch_fails_before_any_operator(monkeypatch, data,
         assert f"PSF shape {coefficients.shape}" in message
     else:
         assert f"u_true shape {u_true.shape}" in message
+
+
+def _size_limits(label: str, selector: str) -> list[int]:
+    """Smallest sizes ``label``/``selector`` takes with a 3-tap PSF, in the
+    order they are checked: the anti-reflective transform needs 3, the
+    ``P`` family's projection 5."""
+    limits = [] if label == "R" else [3]
+    if label.startswith("AR+Reblur") and selector in ("x", "d_x", "x_d"):
+        limits.append(5)
+    return limits
+
+
+@pytest.mark.parametrize("selector", [s.value for s in PrecondSelector])
+@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_small_sizes_run_or_fail_before_any_operator(monkeypatch, n, label,
+                                                     selector):
+    """A size below a configuration's limit fails as a configuration error
+    naming n, the configuration and the first limit it misses, before any
+    operator; a size at or above every limit restores."""
+    bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
+    cfg = RestorationConfig(bc_h=bc_h, bc_l=bc_l, formulation=formulation,
+                            preconditioner=PrecondSelector(selector),
+                            alpha=1e-2, beta=0.1)
+    v = np.linspace(1.0, 2.0, n)
+    psf = SymmetricPsf([0.25, 0.5, 0.25])
+    missed = [limit for limit in _size_limits(label, selector) if n < limit]
+    if not missed:
+        report = restore(v, psf, cfg, u_true=v)
+        assert np.all(np.isfinite(report.restored)) and np.isfinite(report.rre)
+        return
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("blur operator built before the size check")
+
+    monkeypatch.setattr("tvdeblur.pipeline.StructuredBlurOperator", no_operator)
+    with pytest.raises(ConfigurationError) as info:
+        restore(v, psf, cfg, u_true=v)
+    message = str(info.value)
+    assert message.startswith(f"n={n} is too small for ")
+    assert message.endswith(f"it needs n >= {missed[0]}")
+    assert (f"({bc_h.value} blur, {formulation.value} form, "
+            f"selector {selector})") in message
+
+
+@pytest.mark.parametrize("shape,coefficients,label,selector,problem", [
+    ((3,), np.full(7, 1 / 7), "R", "x_d", "a PSF of half-width 3"),
+    ((3,), np.full(7, 1 / 7), "AR+Reblur+AR", "none", "a PSF of half-width 3"),
+    ((4, 4), np.full((3, 3), 1 / 9), "AR+Reblur+AR", "x_d",
+     "preconditioner 'P_D'"),
+], ids=["1d-half-width-R", "1d-half-width-AR", "2d-projection"])
+def test_size_errors_name_the_limit(monkeypatch, shape, coefficients, label,
+                                    selector, problem):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("blur operator built before the size check")
+
+    monkeypatch.setattr("tvdeblur.pipeline.StructuredBlurOperator", no_operator)
+    bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
+    cfg = RestorationConfig(bc_h=bc_h, bc_l=bc_l, formulation=formulation,
+                            preconditioner=PrecondSelector(selector),
+                            alpha=1e-2, beta=0.1)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^n={shape[0]} is too small for {problem} "
+                             rf"\(.*\): it needs n >= {shape[0] + 1}$"):
+        restore(np.ones(shape), SymmetricPsf(coefficients), cfg)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
