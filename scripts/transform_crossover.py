@@ -3,7 +3,7 @@
 
 The first table gives, for each transform kind and grid side n, the
 best-of-k time of one forward 2D tensor apply done two ways: the 1D
-``scipy.fft`` transform along each axis, and the two products
+pocketfft transform along each axis, and the two products
 ``m @ G @ m.T`` with the cached dense matrix ``m`` of the 1D apply.
 ``tensor_apply_2d`` takes the product for n <= ``transforms._GEMM_MAX_N``.
 

@@ -15,6 +15,7 @@ system.  Genuine breakdowns (vanishing recurrence scalars) raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,8 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x.ravel()))
+    # the bits of np.linalg.norm, which takes sqrt(x . x) for a real vector
+    return math.sqrt(_dot(x, x))
 
 
 def _identity(x: np.ndarray) -> np.ndarray:

@@ -18,11 +18,15 @@ Three one-dimensional transforms and their tensor-product (2D) extensions:
   correction columns, so a 1D apply never forms ``T`` densely: it costs one
   fast sine transform plus O(n) boundary work.
 
-1D applies run in O(n log n) via ``scipy.fft``.  2D tensor applies on
-grids with n <= 144 are two products with the cached dense n x n matrix of
-the 1D apply, O(n^3); larger grids take the 1D transform along each axis,
-O(n^2 log n).  Transform data cached per size is read-only, so transform
-applications are safe to share across threads.
+1D applies run in O(n log n) in pocketfft's C routines, called through the
+binding that ``scipy.fft`` dispatches to (``scipy.fft._pocketfft.pypocketfft``)
+with the arguments its wrapper passes.  The public ``scipy.fft`` calls spend
+about 10 us per call in dispatch and argument checks, against a 3-15 us
+transform at n = 203; ``tests/`` checks the binding byte for byte against
+them.  2D tensor applies on grids with n <= 144 are two products with the
+cached dense n x n matrix of the 1D apply, O(n^3); larger grids take the 1D
+transform along each axis, O(n^2 log n).  Transform data cached per size is
+read-only, so transform applications are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 
 class TransformKind(Enum):
@@ -56,11 +60,36 @@ def _check_interior(v: np.ndarray, what: str) -> None:
                          f"got {v.shape[-1]}")
 
 
+def _float_input(v) -> np.ndarray:
+    """``v`` as float64 in native byte order and aligned memory, as the C
+    routines need it (copied only if it is not already)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.flags.aligned else v.copy()
+
+
+# pocketfft's arguments as scipy.fft passes them for norm="ortho" on the
+# last axis: norm code 1, one worker, no orthogonalize override
+_LAST_AXIS = (-1,)
+_ORTHO = 1
+
+
+def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I of ``x`` along the last axis, written to ``out``
+    if given (``out`` may be ``x``)."""
+    return _pocketfft.dst(x, 1, _LAST_AXIS, _ORTHO, out, 1, None)
+
+
+def _dct(x: np.ndarray, dct_type: int) -> np.ndarray:
+    """Orthonormal DCT of the given type (2 analysis, 3 synthesis) of
+    ``x`` along the last axis."""
+    return _pocketfft.dct(x, dct_type, _LAST_AXIS, _ORTHO, None, 1, None)
+
+
 def dst1_apply(v) -> np.ndarray:
     """Apply the symmetric, self-inverse type-I sine transform S_n."""
-    v = np.asarray(v, dtype=float)
+    v = _float_input(v)
     _check_nonempty(v)
-    return _fft.dst(v, type=1, norm="ortho")
+    return _dst1(v)
 
 
 def dct_apply(v, inverse: bool = False) -> np.ndarray:
@@ -69,19 +98,17 @@ def dct_apply(v, inverse: bool = False) -> np.ndarray:
     Forward is synthesis (``C v``), inverse is analysis (``C^T v``); they
     compose to the identity.
     """
-    v = np.asarray(v, dtype=float)
+    v = _float_input(v)
     _check_nonempty(v)
-    if inverse:
-        return _fft.dct(v, type=2, norm="ortho")
-    return _fft.idct(v, type=2, norm="ortho")
+    return _dct(v, 2 if inverse else 3)
 
 
 def sinehat_apply(v) -> np.ndarray:
     """Apply Shat_n = diag(1, S_{n-2}, 1): borders pass through unchanged."""
-    v = np.asarray(v, dtype=float)
+    v = _float_input(v)
     _check_interior(v, "Shat_n")
     out = v.copy()
-    out[..., 1:-1] = _fft.dst(v[..., 1:-1], type=1, norm="ortho")
+    _dst1(out[..., 1:-1], out=out[..., 1:-1])
     return out
 
 
@@ -90,8 +117,8 @@ def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Correction columns S_{n-2} p and S_{n-2} J p of the rank-2 factor U."""
     j = np.arange(1, n - 1, dtype=float)
     p = 1.0 - j / (n - 1)
-    q_left = _fft.dst(p, type=1, norm="ortho")
-    q_right = _fft.dst(p[::-1], type=1, norm="ortho")
+    q_left = _dst1(p)
+    q_right = _dst1(p[::-1])
     q_left.setflags(write=False)
     q_right.setflags(write=False)
     return q_left, q_right
@@ -104,32 +131,35 @@ def ar_apply(v, inverse: bool = False, transpose: bool = False) -> np.ndarray:
     cached corrections at positions 1 and n.  Transposed applies are needed
     for adjoints of anti-reflective blur operators.
     """
-    v = np.asarray(v, dtype=float)
+    v = _float_input(v)
     _check_interior(v, "T_n")
     ql, qr = _ar_corrections(v.shape[-1])
     first, interior, last = v[..., :1], v[..., 1:-1], v[..., -1:]
 
+    # the DST-I runs in place on out's interior, which holds v's interior
+    # until then (the border updates leave it alone)
     out = v.copy()
+    out_int = out[..., 1:-1]
     if not transpose:
         if not inverse:
             # T v = Shat (v + U v)
-            out[..., 1:-1] += first * ql + last * qr
-            out[..., 1:-1] = _fft.dst(out[..., 1:-1], type=1, norm="ortho")
+            out_int += first * ql + last * qr
+            _dst1(out_int, out=out_int)
         else:
             # T^{-1} v = (I - U) Shat v
-            out[..., 1:-1] = _fft.dst(interior, type=1, norm="ortho")
-            out[..., 1:-1] -= first * ql + last * qr
+            _dst1(out_int, out=out_int)
+            out_int -= first * ql + last * qr
     else:
         if not inverse:
             # T^T v = (I + U^T) Shat v
-            out[..., 1:-1] = _fft.dst(interior, type=1, norm="ortho")
-            out[..., :1] += np.sum(out[..., 1:-1] * ql, axis=-1, keepdims=True)
-            out[..., -1:] += np.sum(out[..., 1:-1] * qr, axis=-1, keepdims=True)
+            _dst1(out_int, out=out_int)
+            out[..., :1] += np.sum(out_int * ql, axis=-1, keepdims=True)
+            out[..., -1:] += np.sum(out_int * qr, axis=-1, keepdims=True)
         else:
             # T^{-T} v = Shat (I - U^T) v
             out[..., :1] -= np.sum(interior * ql, axis=-1, keepdims=True)
             out[..., -1:] -= np.sum(interior * qr, axis=-1, keepdims=True)
-            out[..., 1:-1] = _fft.dst(interior, type=1, norm="ortho")
+            _dst1(out_int, out=out_int)
     return out
 
 

@@ -6,11 +6,14 @@ and the convolution sum, diffusion matrices from the stencil definition.
 :func:`dense_of` probes an operator's reference apply column by column,
 :func:`dense_preconditioner` a factored preconditioner's apply, and
 :func:`el_residual` is the optimality residual on the reference applies.
+:func:`scipy_apply_1d` is each fast 1D transform through the public
+``scipy.fft`` calls, the reference for the package's direct pocketfft calls.
 """
 
 import numpy as np
+from scipy import fft
 
-from tvdeblur.transforms import probe_dense
+from tvdeblur.transforms import TransformKind, probe_dense
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 
@@ -38,6 +41,44 @@ def el_residual(u, v, h_op, alpha: float, beta: float,
     residual = h_op.apply(u) - v
     back = h_op.reblur_apply(residual) if reblur else h_op.apply_transpose(residual)
     return back + alpha * DiffusionOperator(u, beta, bc_l).apply(u)
+
+
+def scipy_apply_1d(kind: TransformKind, v, inverse: bool = False,
+                   transpose: bool = False) -> np.ndarray:
+    """``transforms.apply_1d`` with every transform a public ``scipy.fft``
+    call, in the same numpy operations around it: what the package's
+    direct calls into pocketfft must reproduce byte for byte."""
+    v = np.asarray(v, dtype=float)
+    if kind is TransformKind.DST1:
+        return fft.dst(v, type=1, norm="ortho")
+    if kind is TransformKind.DCT:
+        if inverse != transpose:
+            return fft.dct(v, type=2, norm="ortho")
+        return fft.idct(v, type=2, norm="ortho")
+    out = v.copy()
+    if kind is TransformKind.SINE_HAT:
+        out[..., 1:-1] = fft.dst(v[..., 1:-1], type=1, norm="ortho")
+        return out
+    p = 1.0 - np.arange(1, v.shape[-1] - 1, dtype=float) / (v.shape[-1] - 1)
+    ql = fft.dst(p, type=1, norm="ortho")
+    qr = fft.dst(p[::-1], type=1, norm="ortho")
+    first, interior, last = v[..., :1], v[..., 1:-1], v[..., -1:]
+    if not transpose:
+        if not inverse:
+            out[..., 1:-1] += first * ql + last * qr
+            out[..., 1:-1] = fft.dst(out[..., 1:-1], type=1, norm="ortho")
+        else:
+            out[..., 1:-1] = fft.dst(interior, type=1, norm="ortho")
+            out[..., 1:-1] -= first * ql + last * qr
+    elif not inverse:
+        out[..., 1:-1] = fft.dst(interior, type=1, norm="ortho")
+        out[..., :1] += np.sum(out[..., 1:-1] * ql, axis=-1, keepdims=True)
+        out[..., -1:] += np.sum(out[..., 1:-1] * qr, axis=-1, keepdims=True)
+    else:
+        out[..., :1] -= np.sum(interior * ql, axis=-1, keepdims=True)
+        out[..., -1:] -= np.sum(interior * qr, axis=-1, keepdims=True)
+        out[..., 1:-1] = fft.dst(interior, type=1, norm="ortho")
+    return out
 
 
 def dense_dst1(n: int) -> np.ndarray:

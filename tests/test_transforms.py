@@ -1,10 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import dense_ar, dense_dct, dense_dst1, dense_sinehat, kron_apply_2d
+from oracles import (
+    dense_ar,
+    dense_dct,
+    dense_dst1,
+    dense_sinehat,
+    kron_apply_2d,
+    scipy_apply_1d,
+)
 from tvdeblur import transforms
 from tvdeblur.transforms import (
     TransformKind,
@@ -179,6 +188,75 @@ def test_tensor_apply_matches_per_axis_and_kronecker(n, rng):
             what = f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
             assert rel(got, per_axis) < 1e-13, what
             assert rel(got, oracle) < 1e-13, what
+
+
+# the smallest legal sizes, the prime-adjacent lengths around 128 and 256,
+# the table1d length 203 with its anti-reflective interior 201, and a long
+# smooth length
+ORACLE_SIZES = (3, 4, 5, 126, 127, 128, 201, 203, 256, 257, 4096)
+
+
+def _layouts(n, rng):
+    """One vector, a (k, n) batch, and the transposed batch that the
+    per-axis 2D path passes (strided, last axis not contiguous)."""
+    yield "vector", rng.standard_normal(n)
+    yield "batch", rng.standard_normal((5, n))
+    yield "transposed batch", rng.standard_normal((n, 5)).T
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_apply_1d_keeps_the_bytes_of_scipy_fft(n, kind, inverse, transpose,
+                                                rng):
+    """The direct pocketfft calls give exactly the public scipy.fft result,
+    and write nothing into the caller's array."""
+    for layout, v in _layouts(n, rng):
+        before = v.copy()
+        got = apply_1d(kind, v, inverse=inverse, transpose=transpose)
+        want = scipy_apply_1d(kind, v, inverse=inverse, transpose=transpose)
+        assert np.array_equal(v, before), f"{layout}: input was written"
+        assert got.dtype == np.float64 and got.shape == v.shape, layout
+        assert np.array_equal(got, want), layout
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("n", (5, 203))
+def test_apply_1d_converts_input_as_scipy_fft_does(n, kind, rng, monkeypatch):
+    """Unaligned, big-endian and integer input is converted to aligned
+    native float64 before the C routine reads it."""
+    binding = transforms._pocketfft
+
+    def checked(transform):
+        def call(x, *args):
+            # some CPUs read unaligned memory without complaint, so a
+            # missing copy would not show in the result
+            assert x.dtype == np.float64 and x.dtype.isnative
+            assert x.flags.aligned
+            return transform(x, *args)
+        return call
+
+    monkeypatch.setattr(transforms, "_pocketfft", SimpleNamespace(
+        dst=checked(binding.dst), dct=checked(binding.dct)))
+    v = rng.standard_normal(n)
+    raw = bytes(1) + v.tobytes()
+    unaligned = np.frombuffer(raw, dtype=np.float64, count=n, offset=1)
+    assert not unaligned.flags.aligned
+    inputs = {
+        "unaligned": unaligned,
+        "big-endian": v.astype(">f8"),
+        "integer": rng.integers(-50, 50, size=(3, n)),
+    }
+    for what, x in inputs.items():
+        before = x.copy()
+        for inverse, transpose in FLAGS:
+            got = apply_1d(kind, x, inverse=inverse, transpose=transpose)
+            want = scipy_apply_1d(kind, np.array(x, dtype=float),
+                                  inverse=inverse, transpose=transpose)
+            assert got.dtype == np.float64 and got.dtype.isnative, what
+            assert np.array_equal(got, want), what
+            assert np.array_equal(x, before), f"{what}: input was written"
 
 
 def test_tensor_matrix_cache_is_read_only():
