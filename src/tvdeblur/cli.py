@@ -16,7 +16,6 @@ from .pipeline import (
     ConfigurationError,
     Formulation,
     PrecondSelector,
-    RestorationConfig,
     StepSystem,
     restore,
 )
@@ -39,7 +38,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("out"))
 
 
-def _make_problem(args) -> tuple:
+def _make_problem(args, **settings) -> tuple:
     spec = harness.BenchmarkSpec(
         dimension=args.dim,
         ns=(args.n,),
@@ -47,6 +46,7 @@ def _make_problem(args) -> tuple:
         seed=args.seed,
         psf_half_width=args.psf_m,
         psf_sigma=args.psf_sigma,
+        **settings,
     )
     return spec, harness.make_problem(spec, args.n)
 
@@ -63,18 +63,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_restore(args) -> int:
-    spec, (psf, observed, u_true) = _make_problem(args)
-    config = RestorationConfig(
-        bc_h=BoundaryCondition(args.bc),
-        bc_l=DiffusionBc(args.l_bc),
-        formulation=Formulation(args.formulation),
-        preconditioner=PrecondSelector(args.precond),
-        alpha=args.alpha,
-        beta=args.beta,
-        fp_tol=spec.fp_tolerance(),
-        fp_max=args.fp_max,
-        inner=spec.inner_config(),
-    )
+    spec, (psf, observed, u_true) = _make_problem(args, fp_max=args.fp_max)
+    config = spec.restoration_config(
+        BoundaryCondition(args.bc), DiffusionBc(args.l_bc),
+        Formulation(args.formulation), args.precond, args.alpha, args.beta)
     report = restore(observed, psf, config, u_true=u_true)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -117,10 +109,8 @@ def _cmd_spectra(args) -> int:
         dimension=1, ns=(args.n,), nsr=args.nsr, seed=args.seed,
     )
     psf, observed, _ = harness.make_problem(spec, args.n)
-    config = RestorationConfig(
-        bc_h=bc_h, bc_l=bc_l, formulation=formulation, alpha=args.alpha,
-        beta=args.beta, preconditioner=PrecondSelector(args.precond),
-    )
+    config = spec.restoration_config(bc_h, bc_l, formulation, args.precond,
+                                     args.alpha, args.beta)
     config.validate()
     system = StepSystem(psf, config, observed)
     system.freeze(DiffusionOperator(observed, args.beta, bc_l))

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blur import SymmetricPsf, convolve_valid
+from .blur import BoundaryCondition, SymmetricPsf, convolve_valid
 from .krylov import (
     IndefiniteOperatorError,
     KrylovConfig,
@@ -41,12 +41,14 @@ from .krylov import (
 )
 from .pipeline import (
     CONFIGURATIONS,
+    Formulation,
     PrecondSelector,
     RestorationConfig,
     RestorationReport,
     restore,
 )
 from .precond import IndefinitePreconditionerError, InvalidScalingError
+from .tv import DiffusionBc
 
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
 
@@ -257,6 +259,22 @@ class BenchmarkSpec:
             (1000 if self.dimension == 1 else 2000)
         return KrylovConfig(tol=tol, max_iterations=max_it)
 
+    def restoration_config(self, bc_h: BoundaryCondition, bc_l: DiffusionBc,
+                           formulation: Formulation, selector: str,
+                           alpha: float, beta: float) -> RestorationConfig:
+        """The restore settings of one cell, with this spec's tolerances."""
+        return RestorationConfig(
+            bc_h=bc_h,
+            bc_l=bc_l,
+            formulation=formulation,
+            preconditioner=PrecondSelector(selector),
+            alpha=alpha,
+            beta=beta,
+            fp_tol=self.fp_tolerance(),
+            fp_max=self.fp_max,
+            inner=self.inner_config(),
+        )
+
 
 @dataclass
 class SweepCell:
@@ -333,17 +351,8 @@ def run_cell(spec: BenchmarkSpec, config_label: str, alpha: float, beta: float,
     """Run one cell on ``make_problem(spec, n)``; numerical failures are starred."""
     bc_h, bc_l, formulation, _ = CONFIGURATIONS[config_label]
     psf, observed, u_true = problem
-    config = RestorationConfig(
-        bc_h=bc_h,
-        bc_l=bc_l,
-        formulation=formulation,
-        preconditioner=PrecondSelector(selector_label),
-        alpha=alpha,
-        beta=beta,
-        fp_tol=spec.fp_tolerance(),
-        fp_max=spec.fp_max,
-        inner=spec.inner_config(),
-    )
+    config = spec.restoration_config(bc_h, bc_l, formulation, selector_label,
+                                     alpha, beta)
     started = time.perf_counter()
     try:
         report = restore(observed, psf, config, u_true=u_true)

@@ -1,6 +1,6 @@
 """Fast trigonometric transforms used to diagonalize structured blur operators.
 
-Three one-dimensional transforms and their tensor-product (2D) extensions:
+Four one-dimensional transforms and their tensor-product (2D) extensions:
 
 * ``DCT`` -- the orthogonal cosine matrix with entries
   ``C[i, j] = sqrt((2 - delta_{j0}) / n) * cos((2i + 1) j pi / (2n))``
@@ -9,24 +9,26 @@ Three one-dimensional transforms and their tensor-product (2D) extensions:
 * ``DST1`` -- the type-I sine matrix
   ``S[i, j] = sqrt(2 / (n + 1)) * sin((i + 1)(j + 1) pi / (n + 1))``,
   which is symmetric and self-inverse.
-* ``SINE_HAT`` -- ``diag(1, S_{n-2}, 1)``: identity on both border samples,
-  type-I sine transform on the interior.  Symmetric, self-inverse.
 * ``ANTI_REFLECTIVE`` -- the non-orthogonal matrix ``T`` whose first/last
   columns sample the linear ramps ``1 - x`` and ``x`` and whose interior
   columns are sine waves.  With ``Shat = diag(1, S_{n-2}, 1)`` it factors as
   ``T = Shat (I + U)`` and ``T^{-1} = (I - U) Shat`` where ``U`` holds two
   correction columns, so a 1D apply never forms ``T`` densely: it costs one
   fast sine transform plus O(n) boundary work.
+* ``SINE_HAT`` -- ``Shat``, i.e. ``T`` with ``U = 0``: identity on both
+  border samples, type-I sine transform on the interior.  Symmetric,
+  self-inverse.
 
-1D applies run in O(n log n) in pocketfft's C routines, called through the
-binding that ``scipy.fft`` dispatches to (``scipy.fft._pocketfft.pypocketfft``)
-with the arguments its wrapper passes.  The public ``scipy.fft`` calls spend
-about 10 us per call in dispatch and argument checks, against a 3-15 us
-transform at n = 203; ``tests/`` checks the binding byte for byte against
-them.  2D tensor applies on grids with n <= 144 are two products with the
-cached dense n x n matrix of the 1D apply, O(n^3); larger grids take the 1D
-transform along each axis, O(n^2 log n).  Transform data cached per size is
-read-only, so transform applications are safe to share across threads.
+:func:`apply_1d` is the one 1D apply of every kind.  It runs in O(n log n)
+in pocketfft's C routines, called through the binding that ``scipy.fft``
+dispatches to (``scipy.fft._pocketfft.pypocketfft``) with the arguments its
+wrapper passes.  The public ``scipy.fft`` calls spend about 10 us per call
+in dispatch and argument checks, against a 3-15 us transform at n = 203;
+``tests/`` checks the binding byte for byte against them.  2D tensor applies
+on grids with n <= 144 are two products with the cached dense n x n matrix
+of the 1D apply, O(n^3); larger grids take the 1D transform along each axis,
+O(n^2 log n).  Transform data cached per size is read-only, so transform
+applications are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -45,19 +47,12 @@ class TransformKind(Enum):
     SINE_HAT = "sine_hat"
 
 
-def _check_nonempty(v: np.ndarray) -> None:
-    if v.shape[-1] == 0:
-        raise ValueError("transform input must be non-empty")
-
-
 #: smallest length of the bordered transforms SINE_HAT and ANTI_REFLECTIVE
 MIN_BORDERED_N = 3
 
-
-def _check_interior(v: np.ndarray, what: str) -> None:
-    if v.shape[-1] < MIN_BORDERED_N:
-        raise ValueError(f"{what} requires length >= {MIN_BORDERED_N}, "
-                         f"got {v.shape[-1]}")
+# name of each bordered transform in its length error
+_BORDERED = {TransformKind.SINE_HAT: "Shat_n",
+             TransformKind.ANTI_REFLECTIVE: "T_n"}
 
 
 def _float_input(v) -> np.ndarray:
@@ -79,40 +74,7 @@ def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.dst(x, 1, _LAST_AXIS, _ORTHO, out, 1, None)
 
 
-def _dct(x: np.ndarray, dct_type: int) -> np.ndarray:
-    """Orthonormal DCT of the given type (2 analysis, 3 synthesis) of
-    ``x`` along the last axis."""
-    return _pocketfft.dct(x, dct_type, _LAST_AXIS, _ORTHO, None, 1, None)
-
-
-def dst1_apply(v) -> np.ndarray:
-    """Apply the symmetric, self-inverse type-I sine transform S_n."""
-    v = _float_input(v)
-    _check_nonempty(v)
-    return _dst1(v)
-
-
-def dct_apply(v, inverse: bool = False) -> np.ndarray:
-    """Apply the orthogonal cosine matrix C_n (forward) or its transpose.
-
-    Forward is synthesis (``C v``), inverse is analysis (``C^T v``); they
-    compose to the identity.
-    """
-    v = _float_input(v)
-    _check_nonempty(v)
-    return _dct(v, 2 if inverse else 3)
-
-
-def sinehat_apply(v) -> np.ndarray:
-    """Apply Shat_n = diag(1, S_{n-2}, 1): borders pass through unchanged."""
-    v = _float_input(v)
-    _check_interior(v, "Shat_n")
-    out = v.copy()
-    _dst1(out[..., 1:-1], out=out[..., 1:-1])
-    return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Correction columns S_{n-2} p and S_{n-2} J p of the rank-2 factor U."""
     j = np.arange(1, n - 1, dtype=float)
@@ -124,22 +86,43 @@ def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q_left, q_right
 
 
-def ar_apply(v, inverse: bool = False, transpose: bool = False) -> np.ndarray:
-    """Apply T_n, T_n^{-1}, T_n^T or T_n^{-T} via the rank-2 factorization.
+def apply_1d(kind: TransformKind, v, inverse: bool = False,
+             transpose: bool = False) -> np.ndarray:
+    """Apply the 1D transform ``kind`` along the last axis of ``v``.
 
-    ``T = Shat (I + U)`` where the only nonzero columns of ``U`` are the
-    cached corrections at positions 1 and n.  Transposed applies are needed
-    for adjoints of anti-reflective blur operators.
+    ``DST1`` and ``SINE_HAT`` are self-inverse and symmetric, so they ignore
+    both flags.  For ``DCT`` forward is synthesis (``C v``) and inverse is
+    analysis (``C^T v``); ``transpose`` swaps the two.  ``ANTI_REFLECTIVE``
+    applies T, T^{-1}, T^T or T^{-T} through ``T = Shat (I + U)``, where the
+    only nonzero columns of ``U`` are the cached corrections at positions 1
+    and n; transposed applies give the adjoints of anti-reflective blurs.
     """
+    if not isinstance(kind, TransformKind):
+        raise ValueError(f"unknown transform kind: {kind!r}")
     v = _float_input(v)
-    _check_interior(v, "T_n")
-    ql, qr = _ar_corrections(v.shape[-1])
-    first, interior, last = v[..., :1], v[..., 1:-1], v[..., -1:]
+    n = v.shape[-1]
+    if kind in _BORDERED:
+        if n < MIN_BORDERED_N:
+            raise ValueError(f"{_BORDERED[kind]} requires length >= "
+                             f"{MIN_BORDERED_N}, got {n}")
+    elif n == 0:
+        raise ValueError("transform input must be non-empty")
+    if kind is TransformKind.DST1:
+        return _dst1(v)
+    if kind is TransformKind.DCT:
+        # pocketfft's type 2 is the analysis C^T v, type 3 the synthesis C v
+        dct_type = 2 if inverse != transpose else 3
+        return _pocketfft.dct(v, dct_type, _LAST_AXIS, _ORTHO, None, 1, None)
 
     # the DST-I runs in place on out's interior, which holds v's interior
     # until then (the border updates leave it alone)
     out = v.copy()
     out_int = out[..., 1:-1]
+    if kind is TransformKind.SINE_HAT:
+        _dst1(out_int, out=out_int)
+        return out
+    ql, qr = _ar_corrections(n)
+    first, interior, last = v[..., :1], v[..., 1:-1], v[..., -1:]
     if not transpose:
         if not inverse:
             # T v = Shat (v + U v)
@@ -161,22 +144,6 @@ def ar_apply(v, inverse: bool = False, transpose: bool = False) -> np.ndarray:
             out[..., -1:] -= np.sum(interior * qr, axis=-1, keepdims=True)
             _dst1(out_int, out=out_int)
     return out
-
-
-def apply_1d(kind: TransformKind, v, inverse: bool = False,
-             transpose: bool = False) -> np.ndarray:
-    """Dispatch a 1D transform apply along the last axis."""
-    if kind is TransformKind.DST1:
-        return dst1_apply(v)
-    if kind is TransformKind.SINE_HAT:
-        return sinehat_apply(v)
-    if kind is TransformKind.DCT:
-        if transpose:
-            inverse = not inverse
-        return dct_apply(v, inverse=inverse)
-    if kind is TransformKind.ANTI_REFLECTIVE:
-        return ar_apply(v, inverse=inverse, transpose=transpose)
-    raise ValueError(f"unknown transform kind: {kind!r}")
 
 
 # Largest grid side applied as two dense products.  Up to here the products

@@ -152,7 +152,9 @@ class DiffusionOperator:
         diag = a[:-1] + a[1:]
         upper = -a[1:-1].copy()
         lower = -a[1:-1].copy()
-        if self.bc is DiffusionBc.ZERO_NEUMANN:
+        # a length-1 axis has zero ghost differences under both rules, as
+        # in _ghost_diff, so it takes the zero-Neumann border
+        if self.bc is DiffusionBc.ZERO_NEUMANN or self.n == 1:
             diag[0] -= a[0]
             diag[-1] -= a[-1]
         else:
@@ -180,7 +182,8 @@ class DiffusionOperator:
         inner_lo = -ah[:, 1:-1].copy()
         block_up = -av[1:-1, :].copy()
         block_lo = -av[1:-1, :].copy()
-        if self.bc is DiffusionBc.ZERO_NEUMANN:
+        # a length-1 axis takes the zero-Neumann border, as in bands()
+        if self.bc is DiffusionBc.ZERO_NEUMANN or n == 1:
             diag[:, 0] -= ah[:, 0]
             diag[:, -1] -= ah[:, -1]
             diag[0, :] -= av[0, :]

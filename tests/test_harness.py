@@ -326,6 +326,24 @@ def test_spec_validation():
             BenchmarkSpec(dimension=dimension, psf_kind=kind)
 
 
+@pytest.mark.parametrize("settings,fp_tol,inner", [
+    (dict(dimension=1), 1e-3, (1e-6, 1000)),
+    (dict(dimension=2), 1e-4, (1e-5, 2000)),
+    (dict(dimension=2, fp_tol=1e-2, fp_max=7, inner_tol=1e-3, inner_max=9),
+     1e-2, (1e-3, 9)),
+])
+def test_restoration_config_takes_the_spec_settings(settings, fp_tol, inner):
+    bc_h, bc_l, formulation, _ = CONFIGURATIONS["AR+Reblur+AR"]
+    spec = BenchmarkSpec(**settings)
+    config = spec.restoration_config(bc_h, bc_l, formulation, "d_x", 1e-2, 0.3)
+    assert (config.bc_h, config.bc_l, config.formulation) == \
+        (bc_h, bc_l, formulation)
+    assert config.preconditioner.value == "d_x"
+    assert (config.alpha, config.beta) == (1e-2, 0.3)
+    assert (config.fp_tol, config.fp_max) == (fp_tol, spec.fp_max)
+    assert (config.inner.tol, config.inner.max_iterations) == inner
+
+
 @pytest.mark.parametrize("settings,message", [
     (dict(alphas=(1e-2, 0)), r"alpha must be finite and positive, got 0\.0"),
     (dict(betas=(0.1, -0.1)), r"beta must be finite and positive, got -0\.1"),
@@ -516,6 +534,7 @@ def test_cli_exit_code_on_nonconvergence(tmp_path):
         "--beta", "0.1", "--fp-max", "1", "--out-dir", str(tmp_path),
     ])
     assert code == 3
+    assert "fp_steps: 1\n" in (tmp_path / "report.txt").read_text()
 
 
 def test_cli_sweep_and_spectra(tmp_path):

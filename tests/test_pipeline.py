@@ -146,6 +146,29 @@ def test_small_sizes_run_or_fail_before_any_operator(monkeypatch, n, label,
             f"selector {selector})") in message
 
 
+# every blur BC and selector that takes n = 1 and reads the bands of L
+ONE_SAMPLE_CASES = [
+    (BoundaryCondition.ZERO_DIRICHLET, "diag"),
+    (BoundaryCondition.PERIODIC, "diag"),
+    *((BoundaryCondition.REFLECTIVE, s) for s in ("diag", "x", "d_x", "x_d")),
+]
+
+
+@pytest.mark.parametrize("bc_h,selector", ONE_SAMPLE_CASES)
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_one_sample_anti_reflective_diffusion_restores(ndim, bc_h, selector):
+    """At n = 1 the anti-reflective diffusion operator is L = 0, and its
+    bands say so: the restore of a 1-tap blur returns the data."""
+    cfg = RestorationConfig(bc_h=bc_h, bc_l=DiffusionBc.ANTI_REFLECTIVE,
+                            preconditioner=PrecondSelector(selector),
+                            alpha=1e-2, beta=0.1)
+    v = np.full((1,) * ndim, 1.5)
+    report = restore(v, SymmetricPsf(np.ones((1,) * ndim)), cfg, u_true=v)
+    assert np.all(np.isfinite(report.restored)) and np.isfinite(report.rre)
+    assert np.isfinite(report.final_gradient_norm)
+    np.testing.assert_allclose(report.restored, v)
+
+
 @pytest.mark.parametrize("shape,coefficients,label,selector,problem", [
     ((3,), np.full(7, 1 / 7), "R", "x_d", "a PSF of half-width 3"),
     ((3,), np.full(7, 1 / 7), "AR+Reblur+AR", "none", "a PSF of half-width 3"),

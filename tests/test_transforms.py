@@ -18,12 +18,11 @@ from tvdeblur import transforms
 from tvdeblur.transforms import (
     TransformKind,
     apply_1d,
-    ar_apply,
-    dct_apply,
-    dst1_apply,
-    sinehat_apply,
     tensor_apply_2d,
 )
+
+DCT, DST1 = TransformKind.DCT, TransformKind.DST1
+AR, SINE_HAT = TransformKind.ANTI_REFLECTIVE, TransformKind.SINE_HAT
 
 SIZES = (4, 8, 16, 33, 64)
 
@@ -34,34 +33,34 @@ finite_vectors = arrays(
 
 
 def test_dst1_zero_vector():
-    assert np.all(dst1_apply(np.zeros(7)) == 0.0)
+    assert np.all(apply_1d(DST1, np.zeros(7)) == 0.0)
 
 
 def test_dst1_n2_frozen():
     # dense S_2 = [[1/sqrt2, 1/sqrt2], [1/sqrt2, -1/sqrt2]]
-    out = dst1_apply(np.array([1.0, 1.0]))
+    out = apply_1d(DST1, np.array([1.0, 1.0]))
     np.testing.assert_allclose(out, [np.sqrt(2.0), 0.0], atol=1e-14)
 
 
 def test_dst1_basis_column():
     e1 = np.zeros(8)
     e1[0] = 1.0
-    np.testing.assert_allclose(dst1_apply(e1), dense_dst1(8)[:, 0], atol=1e-14)
+    np.testing.assert_allclose(apply_1d(DST1, e1), dense_dst1(8)[:, 0], atol=1e-14)
 
 
 def test_dct_first_basis_vector():
     for n in (5, 12):
         e1 = np.zeros(n)
         e1[0] = 1.0
-        np.testing.assert_allclose(dct_apply(e1), np.full(n, np.sqrt(1.0 / n)),
+        np.testing.assert_allclose(apply_1d(DCT, e1), np.full(n, np.sqrt(1.0 / n)),
                                    atol=1e-14)
 
 
 def test_dct_round_trip(rng):
     v = rng.standard_normal(16)
-    np.testing.assert_allclose(dct_apply(dct_apply(v), inverse=True), v,
+    np.testing.assert_allclose(apply_1d(DCT, apply_1d(DCT, v), inverse=True), v,
                                atol=1e-12)
-    assert np.all(dct_apply(np.zeros(9)) == 0.0)
+    assert np.all(apply_1d(DCT, np.zeros(9)) == 0.0)
 
 
 def test_ar_first_column_is_linear_ramp():
@@ -71,19 +70,19 @@ def test_ar_first_column_is_linear_ramp():
     expected = np.zeros(n)
     expected[0] = 1.0
     expected[1:-1] = 1.0 - np.arange(1, n - 1) / (n - 1)
-    np.testing.assert_allclose(ar_apply(e1), expected, atol=1e-12)
+    np.testing.assert_allclose(apply_1d(AR, e1), expected, atol=1e-12)
 
 
 def test_ar_last_column_mirrors_first():
     n = 9
     en = np.zeros(n)
     en[-1] = 1.0
-    np.testing.assert_allclose(ar_apply(en), dense_ar(n)[:, -1], atol=1e-12)
+    np.testing.assert_allclose(apply_1d(AR, en), dense_ar(n)[:, -1], atol=1e-12)
 
 
 def test_ar_round_trip(rng):
     v = rng.standard_normal(16)
-    np.testing.assert_allclose(ar_apply(ar_apply(v), inverse=True), v,
+    np.testing.assert_allclose(apply_1d(AR, apply_1d(AR, v), inverse=True), v,
                                atol=1e-10)
 
 
@@ -101,22 +100,22 @@ def test_dense_rebuild_identities(n):
 def test_fast_applies_match_dense(n, rng):
     v = rng.standard_normal(n)
     scale = np.linalg.norm(v)
-    np.testing.assert_allclose(dst1_apply(v), dense_dst1(n) @ v,
+    np.testing.assert_allclose(apply_1d(DST1, v), dense_dst1(n) @ v,
                                atol=1e-10 * scale)
     c = dense_dct(n)
-    np.testing.assert_allclose(dct_apply(v), c @ v, atol=1e-10 * scale)
-    np.testing.assert_allclose(dct_apply(v, inverse=True), c.T @ v,
+    np.testing.assert_allclose(apply_1d(DCT, v), c @ v, atol=1e-10 * scale)
+    np.testing.assert_allclose(apply_1d(DCT, v, inverse=True), c.T @ v,
                                atol=1e-10 * scale)
     t = dense_ar(n)
     t_inv = np.linalg.inv(t)
-    np.testing.assert_allclose(ar_apply(v), t @ v, atol=1e-10 * scale)
-    np.testing.assert_allclose(ar_apply(v, inverse=True), t_inv @ v,
+    np.testing.assert_allclose(apply_1d(AR, v), t @ v, atol=1e-10 * scale)
+    np.testing.assert_allclose(apply_1d(AR, v, inverse=True), t_inv @ v,
                                atol=1e-10 * scale)
-    np.testing.assert_allclose(ar_apply(v, transpose=True), t.T @ v,
+    np.testing.assert_allclose(apply_1d(AR, v, transpose=True), t.T @ v,
                                atol=1e-10 * scale)
-    np.testing.assert_allclose(ar_apply(v, inverse=True, transpose=True),
+    np.testing.assert_allclose(apply_1d(AR, v, inverse=True, transpose=True),
                                t_inv.T @ v, atol=1e-10 * scale)
-    np.testing.assert_allclose(sinehat_apply(v), dense_sinehat(n) @ v,
+    np.testing.assert_allclose(apply_1d(SINE_HAT, v), dense_sinehat(n) @ v,
                                atol=1e-10 * scale)
 
 
@@ -270,16 +269,27 @@ def test_tensor_matrix_cache_is_read_only():
         out, transforms._matrix_1d(TransformKind.DCT, False, False, 8))
 
 
+def test_per_size_caches_stay_bounded():
+    """A sweep over many lengths keeps at most 16 sizes of correction
+    columns and of dense matrices, and the columns stay read-only."""
+    for n in range(3, 43):
+        apply_1d(AR, np.ones(n))
+        transforms._matrix_1d(DCT, False, False, n)
+    for cache in (transforms._ar_corrections, transforms._matrix_1d):
+        assert cache.cache_info().currsize == 16
+    assert not any(q.flags.writeable for q in transforms._ar_corrections(5))
+
+
 def test_rejects_empty_and_tiny():
     with pytest.raises(ValueError):
-        dst1_apply(np.array([]))
+        apply_1d(DST1, np.array([]))
     with pytest.raises(ValueError):
-        dct_apply(np.array([]))
+        apply_1d(DCT, np.array([]))
     for n in (1, 2):
         with pytest.raises(ValueError):
-            ar_apply(np.ones(n))
+            apply_1d(AR, np.ones(n))
         with pytest.raises(ValueError):
-            sinehat_apply(np.ones(n))
+            apply_1d(SINE_HAT, np.ones(n))
         with pytest.raises(ValueError, match=f"T_n requires length >= 3, got {n}"):
             tensor_apply_2d(TransformKind.ANTI_REFLECTIVE, np.ones((n, n)))
         with pytest.raises(ValueError, match=f"Shat_n requires length >= 3, got {n}"):
@@ -290,19 +300,21 @@ def test_rejects_empty_and_tiny():
                 tensor_apply_2d(kind, np.ones(shape))
         with pytest.raises(ValueError):
             tensor_apply_2d(kind, np.ones((0, 0)))
+    with pytest.raises(ValueError, match="unknown transform kind: 'dct'"):
+        apply_1d("dct", np.ones(4))
 
 
 @given(v=finite_vectors, c=st.floats(-10, 10, allow_nan=False))
 def test_linearity(v, c):
-    for fn in (dst1_apply, dct_apply, ar_apply, sinehat_apply):
-        lhs = fn(c * v)
-        rhs = c * fn(v)
+    for kind in TransformKind:
+        lhs = apply_1d(kind, c * v)
+        rhs = c * apply_1d(kind, v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * (1 + np.abs(rhs).max()))
 
 
 @given(v=finite_vectors)
 def test_ar_factorization_round_trip_property(v):
-    back = ar_apply(ar_apply(v), inverse=True)
+    back = apply_1d(AR, apply_1d(AR, v), inverse=True)
     np.testing.assert_allclose(back, v, atol=1e-9 * (1 + np.abs(v).max()))
 
 
@@ -316,24 +328,24 @@ def test_apply_cost_is_quasilinear():
     """
     import time
 
-    def best_times(fn, args, repeats=30):
+    def best_times(kind, args, repeats=30):
         # the sizes take turns inside one loop, so load from other processes
         # that comes and goes during the test slows both sizes alike
         best = [np.inf] * len(args)
         for _ in range(repeats):
             for i, arg in enumerate(args):
                 t0 = time.perf_counter()
-                fn(arg)
-                fn(arg)
+                apply_1d(kind, arg)
+                apply_1d(kind, arg)
                 best[i] = min(best[i], time.perf_counter() - t0)
         return best
 
     rng = np.random.default_rng(0)
-    cases = [(dct_apply, 1 << 14), (dst1_apply, 3 << 13), (ar_apply, (1 << 14) + 2048)]
-    for fn, n in cases:
+    cases = [(DCT, 1 << 14), (DST1, 3 << 13), (AR, (1 << 14) + 2048)]
+    for kind, n in cases:
         small = rng.standard_normal(n)
         big = rng.standard_normal(2 * n)
-        fn(small), fn(big)  # warm caches
-        t_small, t_big = best_times(fn, (small, big))
+        apply_1d(kind, small), apply_1d(kind, big)  # warm caches
+        t_small, t_big = best_times(kind, (small, big))
         ratio = t_big / t_small
-        assert ratio < 2.5, f"{fn.__name__}: doubling ratio {ratio:.2f} at n={n}"
+        assert ratio < 2.5, f"{kind.name}: doubling ratio {ratio:.2f} at n={n}"

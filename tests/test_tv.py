@@ -82,19 +82,20 @@ def test_apply_is_byte_identical_to_padded_formula(ndim, n, rng):
             assert op.apply(w).tobytes() == expected.tobytes()
 
 
-def test_bands_and_diagonal_match_dense(rng):
-    u = rng.standard_normal(9)
-    for bc in BOTH:
-        op = DiffusionOperator(u, 0.2, bc)
-        dense = oracles.dense_of(op)
-        bands = op.bands()
-        rebuilt = np.zeros_like(dense)
-        for d, band in bands.items():
-            for i, val in enumerate(band):
-                r, c = (i, i + d) if d >= 0 else (i - d, i)
-                rebuilt[r, c] = val
-        np.testing.assert_allclose(rebuilt, dense, atol=1e-13)
-        np.testing.assert_allclose(op.diagonal(), np.diag(dense), atol=1e-13)
+# n = 1 has no edge inside the grid, so both ghost differences are zero
+# and L = 0 under either rule
+@pytest.mark.parametrize("bc", BOTH)
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_bands_and_diagonal_match_dense(n, bc, rng):
+    op = DiffusionOperator(rng.standard_normal(n), 0.2, bc)
+    dense = oracles.dense_of(op)
+    rebuilt = np.zeros_like(dense)
+    for d, band in op.bands().items():
+        for i, val in enumerate(band):
+            r, c = (i, i + d) if d >= 0 else (i - d, i)
+            rebuilt[r, c] = val
+    np.testing.assert_allclose(rebuilt, dense, atol=1e-13)
+    np.testing.assert_allclose(op.diagonal(), np.diag(dense), atol=1e-13)
 
 
 def test_zero_neumann_dense_symmetric_psd():
@@ -112,24 +113,23 @@ def test_anti_reflective_variant_is_nonsymmetric(rng):
     assert np.linalg.norm(dense - dense.T) > 1e-8
 
 
-def test_2d_blocks_and_diagonal_match_dense(rng):
-    u = rng.standard_normal((6, 6))
-    for bc in BOTH:
-        op = DiffusionOperator(u, 0.2, bc)
-        dense = oracles.dense_of(op)
-        n = 6
-        rebuilt = np.zeros_like(dense)
-        for (do, di), arr in op.block_banded().items():
-            for k in range(arr.shape[0]):
-                for i in range(arr.shape[1]):
-                    kr, ir = k + max(0, -do), i + max(0, -di)
-                    kc, ic = k + max(0, do), i + max(0, di)
-                    rebuilt[kr * n + ir, kc * n + ic] = arr[k, i]
-        np.testing.assert_allclose(rebuilt, dense, atol=1e-13)
-        np.testing.assert_allclose(op.diagonal().reshape(-1), np.diag(dense),
-                                   atol=1e-13)
-        np.testing.assert_allclose(dense @ np.ones(n * n), np.zeros(n * n),
-                                   atol=1e-12)
+@pytest.mark.parametrize("bc", BOTH)
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_2d_blocks_and_diagonal_match_dense(n, bc, rng):
+    op = DiffusionOperator(rng.standard_normal((n, n)), 0.2, bc)
+    dense = oracles.dense_of(op)
+    rebuilt = np.zeros_like(dense)
+    for (do, di), arr in op.block_banded().items():
+        for k in range(arr.shape[0]):
+            for i in range(arr.shape[1]):
+                kr, ir = k + max(0, -do), i + max(0, -di)
+                kc, ic = k + max(0, do), i + max(0, di)
+                rebuilt[kr * n + ir, kc * n + ic] = arr[k, i]
+    np.testing.assert_allclose(rebuilt, dense, atol=1e-13)
+    np.testing.assert_allclose(op.diagonal().reshape(-1), np.diag(dense),
+                               atol=1e-13)
+    np.testing.assert_allclose(dense @ np.ones(n * n), np.zeros(n * n),
+                               atol=1e-12)
 
 
 def test_2d_zero_neumann_symmetric_psd(rng):
