@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""FFT against cached-matrix products for 2D transforms and assembly.
+"""FFT against cached-matrix products for 2D transforms, assembly and the
+data term.
 
 The first table gives, for each transform kind and grid side n, the
 best-of-k time of one forward 2D tensor apply done two ways: the 1D
@@ -12,14 +13,29 @@ The second table gives the best-of-k time of one 2D
 of the projections done two ways: the FFT closed forms (selected by
 setting the cutoff to 0) and the products with the cached band matrices
 that ``precond`` uses up to the same cutoff.  Together the tables are the
-evidence for that cutoff.  The environment (versions, cores, CPU, BLAS
-thread variables) is printed first, because the crossover depends on the
-machine.
+evidence for that cutoff.
+
+The third table gives, for each blur BC and formulation, the best-of-k
+time of one 2D data term ``B H`` done two ways: the 2D operator's applies
+(one squared apply where ``B = H`` under a fast BC, else ``B`` after
+``H``, the pad/convolve/crop reference under zero and periodic blur), and
+the Kronecker form ``F0 @ W @ F1.T`` with the dense 1D data terms of the
+separable PSF's axis kernels.  It is the evidence for
+``pipeline._DCT_KRONECKER_MAX_N``.
+
+``--sizes`` gives the grid sides of every table.  The second and third use
+the harness's 2D PSF for each side, the Gaussian of half-width
+m = ceil(n/8) and sigma = m/2.  Each cell repeats its timed call up to
+``--repeats`` times and stops after about a second, which bounds the
+reference data terms at large n.  The environment (versions, cores, CPU,
+BLAS thread variables) is printed first, because the crossovers depend on
+the machine.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/transform_crossover.py
 """
 
 import argparse
+import math
 import os
 import platform
 from time import perf_counter
@@ -27,16 +43,30 @@ from time import perf_counter
 import numpy as np
 import scipy
 
-from tvdeblur import transforms
-from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator
+from tvdeblur import pipeline, transforms
+from tvdeblur.blur import (
+    FAST_TRANSFORMS,
+    BoundaryCondition,
+    StructuredBlurOperator,
+)
 from tvdeblur.harness import gen_psf
-from tvdeblur.precond import assemble_preconditioner
+from tvdeblur.pipeline import Formulation, kronecker_factors
+from tvdeblur.precond import (
+    IndefinitePreconditionerError,
+    assemble_preconditioner,
+)
 from tvdeblur.transforms import TransformKind, apply_1d
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256)
-ASSEMBLY_SIZES = (64, 120, 127, 128, 129, 144)
 ASSEMBLY_KINDS = ("R", "R_D", "M_D", "P_D")
+#: (blur BC, formulation) of every valid 2D data term
+DATA_TERMS = tuple((bc, formulation) for bc in BoundaryCondition
+                   for formulation in Formulation
+                   if formulation is Formulation.NORMAL
+                   or bc is BoundaryCondition.ANTI_REFLECTIVE)
+#: seconds of timed calls after which a cell stops repeating
+CELL_BUDGET_S = 1.0
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -53,19 +83,27 @@ def cpu_model() -> str:
 
 def best_us(fn, repeats: int) -> float:
     fn()  # fill caches before timing
-    best = np.inf
+    best, spent = np.inf, 0.0
     for _ in range(repeats):
         t0 = perf_counter()
         fn()
-        best = min(best, perf_counter() - t0)
+        took = perf_counter() - t0
+        best, spent = min(best, took), spent + took
+        if spent > CELL_BUDGET_S:
+            break
     return best * 1e6
+
+
+def harness_psf(n: int):
+    """The harness's 2D Gaussian for grid side n."""
+    m = math.ceil(n / 8)
+    return gen_psf("gaussian", m, m / 2)
 
 
 def assembly_table(sizes, repeats: int) -> None:
     """Best-of-k 2D assembly, FFT band forms against cached products."""
     print(f"{'kind':<16}{'n':>5}{'fft':>11}{'products':>11}{'ratio':>8}")
     rng = np.random.default_rng(0)
-    psf = gen_psf("gaussian", 16, 8.0)
     alpha = 1e-2
     cutoff = transforms._GEMM_MAX_N
     for kind in ASSEMBLY_KINDS:
@@ -74,24 +112,56 @@ def assembly_table(sizes, repeats: int) -> None:
                 else BoundaryCondition.ANTI_REFLECTIVE
             l_bc = DiffusionBc.ANTI_REFLECTIVE if kind.startswith("P") \
                 else DiffusionBc.ZERO_NEUMANN
-            h_op = StructuredBlurOperator(psf, bc, n)
+            h_op = StructuredBlurOperator(harness_psf(n), bc, n)
             # a smooth iterate with mild noise, as in a late fixed-point step
             x = np.linspace(0.0, 3.0, n)
             u = np.add.outer(np.sin(x), np.cos(2 * x))
             u += 0.01 * rng.standard_normal((n, n))
             l_op = DiffusionOperator(u, 0.01, l_bc)
             times = []
-            for limit in (0, cutoff):
-                transforms._GEMM_MAX_N = limit
-                try:
+            try:
+                for limit in (0, cutoff):
+                    transforms._GEMM_MAX_N = limit
                     times.append(best_us(
                         lambda: assemble_preconditioner(kind, h_op, l_op, alpha),
                         repeats) / 1e3)
-                finally:
-                    transforms._GEMM_MAX_N = cutoff
+            except IndefinitePreconditionerError as err:
+                # the harness PSF of some sides makes P_D indefinite on
+                # this iterate (ROADMAP item 5(a)); the row says so
+                print(f"{kind:<16}{n:>5}  {err}")
+                continue
+            finally:
+                transforms._GEMM_MAX_N = cutoff
             fft, product = times
             print(f"{kind:<16}{n:>5}{fft:>11.2f}{product:>11.2f}"
                   f"{fft / product:>8.2f}")
+
+
+def data_term_table(sizes, repeats: int) -> None:
+    """Best-of-k 2D data term, the operator's applies against the
+    Kronecker products."""
+    print(f"{'kind':<24}{'n':>5}{'operator':>11}{'kronecker':>11}{'ratio':>8}")
+    rng = np.random.default_rng(0)
+    for bc, formulation in DATA_TERMS:
+        transposed = formulation is Formulation.NORMAL and \
+            bc is BoundaryCondition.ANTI_REFLECTIVE
+        for n in sizes:
+            psf = harness_psf(n)
+            h_op = StructuredBlurOperator(psf, bc, n)
+            fast = bc in FAST_TRANSFORMS
+            forward = h_op.apply_fast if fast else h_op.apply
+            back = h_op.apply_transpose_fast if transposed else forward
+            f0, f1 = kronecker_factors(psf.factors(), bc, transposed, n)
+            w = rng.standard_normal((n, n))
+            if fast and not transposed:
+                operator = lambda: h_op.apply_squared_fast(w)  # noqa: E731
+            else:
+                operator = lambda: back(forward(w))  # noqa: E731
+            ms = [best_us(fn, repeats) / 1e3
+                  for fn in (operator, lambda: f0 @ w @ f1.T)]
+            label = f"{bc.value}/{formulation.value}"
+            print(f"{label:<24}{n:>5}{ms[0]:>11.3f}{ms[1]:>11.3f}"
+                  f"{ms[0] / ms[1]:>8.2f}")
 
 
 def main() -> None:
@@ -119,7 +189,11 @@ def main() -> None:
             print(f"{kind.value:<16}{n:>5}{per_axis:>11.1f}{product:>11.1f}"
                   f"{per_axis / product:>8.2f}")
     print(f"\nassemble_preconditioner, best of {args.repeats}, ms")
-    assembly_table(ASSEMBLY_SIZES, args.repeats)
+    assembly_table(args.sizes, args.repeats)
+    print(f"\n2D data term B H, best of {args.repeats}, ms; reflective blur "
+          f"takes the Kronecker form up to _DCT_KRONECKER_MAX_N = "
+          f"{pipeline._DCT_KRONECKER_MAX_N}")
+    data_term_table(args.sizes, args.repeats)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,14 @@ Reference semantics for every extension is pad / convolve / crop, with
 the convolution computed by :func:`convolve_valid` in plain numpy; the
 fast path, for the extensions in ``FAST_TRANSFORMS``, is one
 :func:`diagonalized_apply` and must agree with the reference to rounding.
+
+A separable 2D kernel ``h = a b^T`` (:meth:`SymmetricPsf.factors`) blurs
+under every extension as the Kronecker product ``H W = H_a W H_b^T`` of
+its two 1D blurs, each a dense n x n matrix
+(:meth:`StructuredBlurOperator.matrix`).  ``pipeline.StepSystem`` builds
+its 2D data term from them; non-separable 2D kernels take the transform
+path under the fast extensions and the reference applies under zero and
+periodic extension.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .transforms import TransformKind, apply_1d, tensor_apply_2d
+from . import transforms
+from .transforms import TransformKind, apply_1d, probe_dense, tensor_apply_2d
 
 
 class BoundaryCondition(Enum):
@@ -117,6 +126,26 @@ class SymmetricPsf:
     @property
     def half_width(self) -> int:
         return (self.coefficients.shape[0] - 1) // 2
+
+    def factors(self) -> tuple[SymmetricPsf, SymmetricPsf] | None:
+        """The 1D kernels ``(a, b)`` of a separable 2D kernel, ``h = a b^T``,
+        or None (a 1D or non-separable kernel).
+
+        ``a = h.sum(axis=1)`` blurs along axis 0 and ``b = h.sum(axis=0)``
+        along axis 1, each averaged with its mirror image, which leaves an
+        exactly symmetric kernel's sums unchanged.  They are accepted when
+        ``outer(a, b)`` matches ``h`` within the symmetry check's
+        ``1e-13 max|h|``.
+        """
+        h = self.coefficients
+        if h.ndim != 2:
+            return None
+        a, b = h.sum(axis=1), h.sum(axis=0)
+        a, b = (a + a[::-1]) / 2, (b + b[::-1]) / 2
+        scale = np.max(np.abs(h)) or 1.0
+        if not np.allclose(h, np.outer(a, b), rtol=0.0, atol=1e-13 * scale):
+            return None
+        return SymmetricPsf(a), SymmetricPsf(b)
 
     def __repr__(self) -> str:
         return f"SymmetricPsf(ndim={self.ndim}, half_width={self.half_width})"
@@ -224,10 +253,13 @@ class StructuredBlurOperator:
     ``apply_squared_fast`` is ``H H`` as one diagonalized apply, with the
     squared eigenvalues: ``H H = C diag(lam^2) C^T`` under reflective and
     ``T diag(lam^2) T^{-1}`` under anti-reflective extension.  It is the
-    data term ``B H`` wherever ``B = H``: reflective blur, and the
-    re-blurred anti-reflective form.  The normal anti-reflective form needs
-    ``H^T H``, which takes two applies, since ``T`` is not orthogonal
-    (``T^T T != I``).
+    2D data term ``B H`` of a non-separable kernel wherever ``B = H``:
+    reflective blur, and the re-blurred anti-reflective form.  The normal
+    anti-reflective form needs ``H^T H``, which takes two applies, since
+    ``T`` is not orthogonal (``T^T T != I``).
+
+    ``matrix`` is a 1D operator's dense n x n matrix, one axis factor of
+    the Kronecker blur of a separable 2D kernel.
 
     Operators are immutable after construction and safe for concurrent
     applies.
@@ -324,6 +356,23 @@ class StructuredBlurOperator:
     def apply_transpose_fast(self, u) -> np.ndarray:
         return diagonalized_apply(self.transform, self.eigenvalues(),
                                   self._check_shape(u), transpose=True)
+
+    def matrix(self) -> np.ndarray:
+        """Dense n x n matrix of a 1D operator: ``(X * lam) @ X^{-1}`` from
+        the transform's 1D matrices under a fast BC, else the reference
+        apply probed on the identity.  Above ``_GEMM_MAX_N`` the transform
+        matrices are built without entering the per-size cache."""
+        if self.ndim != 1:
+            raise ValueError("matrix() needs a 1D operator")
+        n = self.n
+        if self.bc not in FAST_TRANSFORMS:
+            return probe_dense(self.apply, (n,))
+        build = transforms._matrix_1d
+        if n > transforms._GEMM_MAX_N:
+            build = build.__wrapped__
+        x, x_inv = (build(self.transform, inverse, False, n)
+                    for inverse in (False, True))
+        return (x * self.eigenvalues()) @ x_inv
 
     # -- helpers --------------------------------------------------------------
 

@@ -10,9 +10,11 @@ with a Krylov method: conjugate gradient when the system is symmetric
 (normal form with the zero-Neumann diffusion operator), BiCGstab otherwise.
 ``CONFIGURATIONS`` is the one table of the benchmark configurations.
 ``StepSystem`` defines each step's system and, in ``krylov_problem``, its
-solve; ``el_residual`` is its one optimality residual.  For 2D data with
-``B = H`` under reflective or anti-reflective blur, the data term ``B H``
-is one diagonalized apply: ``H^T H = C diag(lam^2) C^T`` (reflective) and
+solve; ``el_residual`` is its one optimality residual.  For 2D data with a
+separable PSF the data term ``B H`` is two products with dense n x n
+factors, one per axis, under every blur BC; for a non-separable one with
+``B = H`` under reflective or anti-reflective blur it is one diagonalized
+apply: ``H^T H = C diag(lam^2) C^T`` (reflective) and
 ``H' H = T diag(lam^2) T^{-1}`` (re-blurred anti-reflective).  The inner
 solve starts from the previous iterate and may be preconditioned by any of
 the transform-algebra preconditioners; the ``x_d`` selector solves the
@@ -151,6 +153,29 @@ class RestorationReport:
     wall_time: float
 
 
+#: Largest grid side at which reflective blur takes the Kronecker data term.
+#: The data-term table of scripts/transform_crossover.py (one thread) puts
+#: the products 1.1-2x ahead of the squared apply's per-axis DCTs, in the
+#: median of repeated runs, up to n = 256; from 288 to 512 the two are
+#: within noise of each other, with the DCTs ahead in about half the runs,
+#: and their O(n^2 log n) cost pulls ahead of the products' O(n^3) beyond.
+_DCT_KRONECKER_MAX_N = 256
+
+
+def kronecker_factors(factors: tuple[SymmetricPsf, SymmetricPsf],
+                      bc_h: BoundaryCondition, transposed: bool,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(F0, F1)``, the dense n x n 1D data terms ``F = B H`` of the axis
+    kernels ``(a, b)`` of a separable 2D PSF under ``bc_h``, with
+    ``B = H^T`` when ``transposed`` and ``B = H`` otherwise.  The 2D data
+    term is ``W -> F0 W F1^T``."""
+    def data_matrix(factor: SymmetricPsf) -> np.ndarray:
+        h = StructuredBlurOperator(factor, bc_h, n).matrix()
+        return (h.T if transposed else h) @ h
+
+    return data_matrix(factors[0]), data_matrix(factors[1])
+
+
 class StepSystem:
     """The linear system ``A u = (B H + alpha L) u = B v`` of each step.
 
@@ -162,15 +187,21 @@ class StepSystem:
     under anti-reflective blur, which needs the transpose.
 
     ``data_term`` is the callable ``B H``, chosen once here.  For 2D data
-    with ``B = H`` under a fast BC (the ``R``, ``AR+Reblur+ZN`` and
-    ``AR+Reblur+AR`` configurations) it is ``H H`` as one
+    whose PSF is separable, ``h = a b^T`` (``SymmetricPsf.factors``), the
+    blur under each of the four extensions is a Kronecker product,
+    ``H W = H_a W H_b^T``, so ``B H`` is ``W -> F0 W F1^T`` with the dense
+    n x n 1D data terms ``F = B H`` of the two axis kernels
+    (``kronecker_factors``): two products per matvec, whatever the blur
+    BC, and no ``T^T T`` for ``AR+Sine+ZN``.  Reflective blur above
+    ``_DCT_KRONECKER_MAX_N`` is the one exception.  It, and a non-separable
+    2D PSF with ``B = H`` under a fast BC, take ``H H`` as one
     ``blur.diagonalized_apply`` with the squared eigenvalues: two tensor
-    transforms per matvec, not four.  ``AR+Sine+ZN`` composes ``H^T`` with
-    ``H``, because the anti-reflective transform ``T`` is not orthogonal
-    and ``H^T H = T^{-T} diag(lam) T^T T diag(lam) T^{-1}`` is no member of
-    the algebra.  Zero and periodic blur compose the reference applies, and 1D
-    data composes two applies in every configuration, so 1D restorations
-    keep their bytes.
+    transforms per matvec, not four.  A non-separable ``AR+Sine+ZN`` PSF
+    composes ``H^T`` with ``H``, because the anti-reflective transform
+    ``T`` is not orthogonal and ``H^T H = T^{-T} diag(lam) T^T T diag(lam)
+    T^{-1}`` is no member of the algebra.  Non-separable zero and periodic
+    blur compose the reference applies, and 1D data composes two applies
+    in every configuration, so 1D restorations keep their bytes.
     Built once per restoration; ``freeze`` hands it each step's diffusion
     operator ``L``, ``scale`` gives the scaled system
     ``D^{-1/2} A D^{-1/2}``, and ``krylov_problem`` the step's solve.
@@ -184,12 +215,17 @@ class StepSystem:
                       and config.formulation is Formulation.NORMAL)
         self.forward = h_op.apply_fast if fast else h_op.apply
         self.back = h_op.apply_transpose_fast if transposed else self.forward
+        factors = psf.factors()
+        if factors is not None and (h_op.bc is not BoundaryCondition.REFLECTIVE
+                                    or h_op.n <= _DCT_KRONECKER_MAX_N):
+            f0, f1 = kronecker_factors(factors, h_op.bc, transposed, h_op.n)
+            self.data_term = lambda w: f0 @ w @ f1.T
         # 1D keeps the two applies even where B = H.  The squared apply
         # rounds differently, and that moves the iteration counts of the
         # 1D none/diag cells past the benchmark's +-1-per-step reference
         # gate (ROADMAP item 1).  The way out is one dense B H per restore,
         # built from the squared eigenvalues (ROADMAP item 2(a)).
-        if fast and not transposed and h_op.ndim == 2:
+        elif fast and not transposed and h_op.ndim == 2:
             self.data_term = h_op.apply_squared_fast
         else:
             self.data_term = lambda w: self.back(self.forward(w))

@@ -172,6 +172,22 @@ def kron_apply_2d(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.stack([np.kron(x[i:i + 1], x) @ flat for i in range(n)])
 
 
+def disk_kernel(m: int) -> np.ndarray:
+    """Normalized indicator of the disk ``i^2 + j^2 <= m^2``: quadrantally
+    symmetric and, for m >= 1, not separable."""
+    idx = np.arange(-m, m + 1)
+    h = (idx[:, None] ** 2 + idx[None, :] ** 2 <= m * m).astype(float)
+    return h / h.sum()
+
+
+def two_gaussians_kernel(m: int) -> np.ndarray:
+    """Normalized sum of two Gaussians of widths m/4 and m/2 on
+    ``[-m, m]^2``: quadrantally symmetric and not separable."""
+    r2 = np.add.outer(np.arange(-m, m + 1) ** 2, np.arange(-m, m + 1) ** 2)
+    h = sum(np.exp(-r2 / (2.0 * s * s)) for s in (m / 4.0, m / 2.0))
+    return h / h.sum()
+
+
 def extend_1d(u: np.ndarray, m: int, bc: str) -> np.ndarray:
     """Boundary extension written out from the scalar rules."""
     n = len(u)

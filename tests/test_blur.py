@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 import oracles
+from tvdeblur import transforms
 from tvdeblur.blur import (
     BoundaryCondition,
     StructuredBlurOperator,
@@ -29,6 +30,58 @@ def uniform_psf(m):
 
 
 # -- SymmetricPsf ------------------------------------------------------------
+
+
+#: an anisotropic separable kernel, ``outer(a, b)`` with ``a != b``
+ANISOTROPIC_A = np.array([0.0, 1.0, 2.0, 1.0, 0.0]) / 4.0
+ANISOTROPIC_B = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.array([1.0, 2.0, 1.0]) / 4.0, np.array([1.0, 2.0, 1.0]) / 4.0),
+    (ANISOTROPIC_A, ANISOTROPIC_B),
+], ids=["outer", "anisotropic"])
+def test_factors_of_an_outer_product(a, b):
+    """An outer product gives back its factors, axis 0's first."""
+    got_a, got_b = SymmetricPsf(np.outer(a, b)).factors()
+    np.testing.assert_allclose(got_a.coefficients, a, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(got_b.coefficients, b, rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("m,sigma", [(2, 1.0), (8, 4.0), (16, 8.0), (32, 16.0)])
+def test_factors_of_the_harness_gaussian(m, sigma):
+    psf = gen_psf("gaussian", m, sigma)
+    a, b = psf.factors()
+    np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=1e-15)
+    outer = np.outer(a.coefficients, b.coefficients)
+    assert np.max(np.abs(outer - psf.coefficients)) <= \
+        1e-15 * np.max(psf.coefficients)
+
+
+@pytest.mark.parametrize("h", [
+    oracles.disk_kernel(1), oracles.disk_kernel(4),
+    oracles.two_gaussians_kernel(4), oracles.two_gaussians_kernel(16),
+], ids=["disk-1", "disk-4", "two-gaussians-4", "two-gaussians-16"])
+def test_factors_of_non_separable_kernels_are_none(h):
+    assert SymmetricPsf(h).factors() is None
+
+
+def test_factors_of_a_1d_kernel_are_none():
+    assert uniform_psf(2).factors() is None
+
+
+@pytest.mark.parametrize("offset,separable", [(2e-14, True), (6e-14, False)])
+def test_factors_of_a_nearly_symmetric_kernel(offset, separable):
+    """A kernel inside the symmetry check's tolerance gives exactly symmetric
+    factors or None, never an error: at 6e-14 its raw row sums would fail
+    the 1D symmetry check."""
+    h = gen_psf("gaussian", 16, 8.0).coefficients.copy()
+    h[:16] += offset * h.max()
+    factors = SymmetricPsf(h).factors()
+    assert (factors is not None) is separable
+    for factor in factors or ():
+        np.testing.assert_array_equal(factor.coefficients,
+                                      factor.coefficients[::-1])
 
 
 def test_psf_rejects_asymmetric():
@@ -371,6 +424,52 @@ def test_diagonalized_apply_matches_dense(kind, transpose, ndim, n, rng):
         want = left @ (lam * (right @ u @ right.T)) @ left.T
     got = diagonalized_apply(kind, lam, u, transpose=transpose)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+@pytest.mark.parametrize("n", [3, 8, 33, 145])
+def test_matrix_is_the_dense_1d_operator(bc, n):
+    """``matrix()`` is the 1D operator: the scalar-rule oracle matrix,
+    built as ``(X * lam) @ X^{-1}`` under a fast BC, on both sides of the
+    dense-product cutoff."""
+    psf = SymmetricPsf(np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0)
+    got = StructuredBlurOperator(psf, bc, n).matrix()
+    want = oracles.dense_blur_1d(psf.coefficients, bc.value, n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_matrix_above_the_cutoff_leaves_the_cache_alone():
+    _matrix_1d.cache_clear()
+    psf = SymmetricPsf(np.array([1.0, 2.0, 1.0]) / 4.0)
+    for bc in (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE):
+        StructuredBlurOperator(psf, bc, transforms._GEMM_MAX_N + 1).matrix()
+    assert _matrix_1d.cache_info().currsize == 0
+    StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE,
+                           transforms._GEMM_MAX_N).matrix()
+    assert _matrix_1d.cache_info().currsize == 2
+
+
+def test_matrix_needs_a_1d_operator():
+    op = StructuredBlurOperator(gen_psf("gaussian", 1, 1.0),
+                                BoundaryCondition.REFLECTIVE, 5)
+    with pytest.raises(ValueError, match="1D operator"):
+        op.matrix()
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+@pytest.mark.parametrize("n", [5, 16, 33])
+def test_separable_blur_is_the_kronecker_product(bc, n, rng):
+    """``H W = H_a W H_b^T`` for ``h = outer(a, b)``: the 2D reference apply
+    equals the axis factors' matrices on axes 0 and 1.  The kernel is
+    anisotropic, so an axis swap fails."""
+    psf = SymmetricPsf(np.outer(ANISOTROPIC_A, ANISOTROPIC_B))
+    a, b = psf.factors()
+    h_a, h_b = (StructuredBlurOperator(f, bc, n).matrix() for f in (a, b))
+    w = rng.standard_normal((n, n))
+    want = StructuredBlurOperator(psf, bc, n).apply(w)
+    np.testing.assert_allclose(h_a @ w @ h_b.T, want, rtol=0,
+                               atol=1e-14 * np.max(np.abs(want)))
+    assert np.max(np.abs(h_b @ w @ h_a.T - want)) > 1e-3 * np.max(np.abs(want))
 
 
 def test_reblur_alias_is_forward_apply(rng):

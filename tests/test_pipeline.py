@@ -368,15 +368,16 @@ def test_krylov_problem_dense_per_selector_2d(rng, label, selector):
                          / 16.0, label, selector)
 
 
+#: (blur BC, formulation) of every valid restore system
+DATA_TERMS = [(bc_h, formulation) for bc_h in BoundaryCondition
+              for formulation in Formulation
+              if formulation is Formulation.NORMAL
+              or bc_h is BoundaryCondition.ANTI_REFLECTIVE]
+
+
 #: (blur BC, formulation, diffusion BC) of every valid restore system
-SYSTEM_CASES = [
-    (bc_h, formulation, bc_l)
-    for bc_h in BoundaryCondition
-    for formulation in Formulation
-    if formulation is Formulation.NORMAL
-    or bc_h is BoundaryCondition.ANTI_REFLECTIVE
-    for bc_l in DiffusionBc
-]
+SYSTEM_CASES = [(bc_h, formulation, bc_l) for bc_h, formulation in DATA_TERMS
+                for bc_l in DiffusionBc]
 
 
 @pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
@@ -395,17 +396,22 @@ def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l):
 @pytest.mark.parametrize("label,transforms", [
     ("R", 2), ("AR+Sine+ZN", 4), ("AR+Reblur+ZN", 2), ("AR+Reblur+AR", 2),
 ])
+@pytest.mark.parametrize("separable", [True, False], ids=["gaussian", "disk"])
 def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
-                                              transforms):
-    """A 2D matvec runs two tensor transforms where ``B = H`` (one squared
-    apply), and four for ``AR+Sine+ZN``, whose ``H^T H`` needs both."""
+                                              transforms, separable):
+    """A 2D matvec with a separable PSF runs no tensor transform: it is two
+    products with the dense 1D data terms.  With a non-separable PSF it runs
+    two where ``B = H`` (one squared apply), and four for ``AR+Sine+ZN``,
+    whose ``H^T H`` needs both."""
     from tvdeblur import blur
 
     n = 16
     bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
+    psf = gen_psf("gaussian", 2, 1.0) if separable \
+        else SymmetricPsf(oracles.disk_kernel(2))
     l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc_l)
     _, system = step_system(l_op, 1e-2, rng.standard_normal((n, n)),
-                            gen_psf("gaussian", 2, 1.0), bc_h, formulation)
+                            psf, bc_h, formulation)
     calls = []
     tensor_apply_2d = blur.tensor_apply_2d
 
@@ -415,7 +421,95 @@ def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
 
     monkeypatch.setattr(blur, "tensor_apply_2d", counting)
     system.apply(rng.standard_normal((n, n)))
-    assert len(calls) == transforms
+    assert len(calls) == (0 if separable else transforms)
+
+
+def oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha):
+    """``B H w + alpha L w`` on the scalar-rule blur and diffusion oracles;
+    ``B = H^T`` is the reference fold ``apply_transpose``."""
+    hw = oracles.blur_2d(w, psf.coefficients, bc_h.value)
+    if bc_h is BoundaryCondition.ANTI_REFLECTIVE and \
+            formulation is Formulation.NORMAL:
+        bhw = StructuredBlurOperator(psf, bc_h, w.shape[0]).apply_transpose(hw)
+    else:
+        bhw = oracles.blur_2d(hw, psf.coefficients, bc_h.value)
+    return bhw + alpha * oracles.diffusion_apply_padded(
+        w, (l_op.a_h, l_op.a_v), l_op.bc.value)
+
+
+def separable_psf(n: int, anisotropic: bool) -> SymmetricPsf:
+    """The harness's 2D Gaussian for side n (m = ceil(n/8), sigma = m/2), or
+    with anisotropic widths, the outer product of 1D Gaussians of sigma m/4
+    on axis 0 and m on axis 1."""
+    m = -(-n // 8)
+    if not anisotropic:
+        return gen_psf("gaussian", m, m / 2.0)
+    idx = np.arange(-m, m + 1)
+    a, b = (np.exp(-idx ** 2 / (2.0 * s * s)) for s in (m / 4.0, float(m)))
+    return SymmetricPsf(np.outer(a, b) / (a.sum() * b.sum()))
+
+
+#: (n, anisotropic) of the Kronecker data-term cases
+KRONECKER_CASES = [(n, False) for n in (3, 5, 64, 144, 145)] + \
+    [(5, True), (145, True)]
+
+
+@pytest.mark.parametrize("n,anisotropic", KRONECKER_CASES,
+                         ids=[f"{n}-{'anisotropic' if a else 'gaussian'}"
+                              for n, a in KRONECKER_CASES])
+@pytest.mark.parametrize("bc_h,formulation", DATA_TERMS,
+                         ids=lambda v: v.value)
+def test_2d_kronecker_step_apply_matches_oracle(rng, n, anisotropic, bc_h,
+                                                formulation):
+    """With a separable PSF, ``StepSystem.apply`` is ``B H + alpha L`` to
+    1e-12 relative under every blur BC and formulation: densely at n = 3
+    and 5, on a random grid above, on both sides of the 2D dense-product
+    cutoff.  The anisotropic kernel catches an axis swap."""
+    alpha = 1e-2
+    psf = separable_psf(n, anisotropic)
+    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1)
+    _, system = step_system(l_op, alpha, rng.standard_normal((n, n)), psf,
+                            bc_h, formulation)
+    if n <= 5:
+        def oracle(w):
+            return oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha)
+        got = probe_dense(system.apply, (n, n))
+        want = probe_dense(oracle, (n, n))
+    else:
+        w = rng.standard_normal((n, n))
+        got = system.apply(w)
+        want = oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
+def test_non_separable_2d_step_apply_keeps_the_transform_path(
+        rng, bc_h, formulation, bc_l):
+    """A non-separable 2D PSF keeps the data term of the transform path bit
+    for bit: one squared apply where ``B = H`` under a fast BC, else
+    ``back(forward(w))``."""
+    n, alpha = 16, 1e-2
+    psf = SymmetricPsf(oracles.two_gaussians_kernel(3))
+    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc_l)
+    h_op, system = step_system(l_op, alpha, rng.standard_normal((n, n)), psf,
+                               bc_h, formulation)
+    w = rng.standard_normal((n, n))
+    squared = bc_h in pipeline.FAST_TRANSFORMS and system.back == system.forward
+    data = h_op.apply_squared_fast(w) if squared \
+        else system.back(system.forward(w))
+    np.testing.assert_array_equal(system.apply(w), data + alpha * l_op.apply(w))
+
+
+def test_reflective_kronecker_data_term_stops_at_its_bound(rng):
+    """Reflective blur takes the squared DCT apply above
+    ``_DCT_KRONECKER_MAX_N`` even with a separable PSF, and the Kronecker
+    data term up to it."""
+    bound = pipeline._DCT_KRONECKER_MAX_N
+    psf = gen_psf("gaussian", 2, 1.0)
+    for n, squared in ((bound, False), (bound + 1, True)):
+        l_op = DiffusionOperator(np.zeros((n, n)), 0.1)
+        h_op, system = step_system(l_op, 1e-2, np.zeros((n, n)), psf)
+        assert (system.data_term == h_op.apply_squared_fast) is squared
 
 
 @pytest.mark.parametrize("n,h", [

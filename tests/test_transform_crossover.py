@@ -1,5 +1,5 @@
 """Smoke test of ``scripts/transform_crossover.py``, which reads and sets
-private names of ``transforms``."""
+private names of ``transforms`` and reads ``pipeline``'s."""
 
 import importlib.util
 import sys
@@ -29,7 +29,7 @@ def _table(lines, first_time):
     return rows
 
 
-def test_main_prints_both_tables_and_restores_the_cutoff(monkeypatch, capsys):
+def test_main_prints_every_table_and_restores_the_cutoff(monkeypatch, capsys):
     cutoff = transforms._GEMM_MAX_N
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--sizes", "8",
                                       "--repeats", "1"])
@@ -38,10 +38,13 @@ def test_main_prints_both_tables_and_restores_the_cutoff(monkeypatch, capsys):
 
     transform_rows = _table(lines, "per-axis")
     assert transform_rows == [(kind.value, 8) for kind in TransformKind]
-    # the assembly table keeps its own grid sides, which a PSF of
-    # half-width 16 needs
+    # --sizes drives every table, each with the harness PSF of its side
     assembly_rows = _table(lines, "fft")
     assert assembly_rows == [
-        (kind, n) for kind in transform_crossover.ASSEMBLY_KINDS
-        for n in transform_crossover.ASSEMBLY_SIZES]
+        (kind, 8) for kind in transform_crossover.ASSEMBLY_KINDS]
+    data_term_rows = _table(lines, "operator")
+    assert data_term_rows == [
+        (f"{bc.value}/{formulation.value}", 8)
+        for bc, formulation in transform_crossover.DATA_TERMS]
+    assert len(data_term_rows) == 5
     assert transforms._GEMM_MAX_N == cutoff == 144
