@@ -17,11 +17,10 @@ evidence for that cutoff.
 
 The third table gives, for each blur BC and formulation, the best-of-k
 time of one 2D data term ``B H`` done two ways: the 2D operator's applies
-(one squared apply where ``B = H`` under a fast BC, else ``B`` after
-``H``, the pad/convolve/crop reference under zero and periodic blur), and
-the Kronecker form ``F0 @ W @ F1.T`` with the dense 1D data terms of the
-separable PSF's axis kernels.  It is the evidence for
-``pipeline._DCT_KRONECKER_MAX_N``.
+that a non-separable PSF takes (``pipeline.operator_applies``), and the
+Kronecker form ``F0 @ W @ F1.T`` that ``pipeline.StepSystem`` takes for
+the separable harness PSF, with the dense 1D data terms of its axis
+kernels.
 
 ``--sizes`` gives the grid sides of every table.  The second and third use
 the harness's 2D PSF for each side, the Gaussian of half-width
@@ -43,14 +42,10 @@ from time import perf_counter
 import numpy as np
 import scipy
 
-from tvdeblur import pipeline, transforms
-from tvdeblur.blur import (
-    FAST_TRANSFORMS,
-    BoundaryCondition,
-    StructuredBlurOperator,
-)
+from tvdeblur import transforms
+from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator
 from tvdeblur.harness import gen_psf
-from tvdeblur.pipeline import Formulation, kronecker_factors
+from tvdeblur.pipeline import DATA_TERMS, kronecker_factors, operator_applies
 from tvdeblur.precond import (
     IndefinitePreconditionerError,
     assemble_preconditioner,
@@ -60,11 +55,6 @@ from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256)
 ASSEMBLY_KINDS = ("R", "R_D", "M_D", "P_D")
-#: (blur BC, formulation) of every valid 2D data term
-DATA_TERMS = tuple((bc, formulation) for bc in BoundaryCondition
-                   for formulation in Formulation
-                   if formulation is Formulation.NORMAL
-                   or bc is BoundaryCondition.ANTI_REFLECTIVE)
 #: seconds of timed calls after which a cell stops repeating
 CELL_BUDGET_S = 1.0
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -143,22 +133,14 @@ def data_term_table(sizes, repeats: int) -> None:
     print(f"{'kind':<24}{'n':>5}{'operator':>11}{'kronecker':>11}{'ratio':>8}")
     rng = np.random.default_rng(0)
     for bc, formulation in DATA_TERMS:
-        transposed = formulation is Formulation.NORMAL and \
-            bc is BoundaryCondition.ANTI_REFLECTIVE
         for n in sizes:
             psf = harness_psf(n)
             h_op = StructuredBlurOperator(psf, bc, n)
-            fast = bc in FAST_TRANSFORMS
-            forward = h_op.apply_fast if fast else h_op.apply
-            back = h_op.apply_transpose_fast if transposed else forward
-            f0, f1 = kronecker_factors(psf.factors(), bc, transposed, n)
+            *_, operator = operator_applies(h_op, formulation)
+            f0, f1 = kronecker_factors(psf.factors(), bc, formulation, n)
             w = rng.standard_normal((n, n))
-            if fast and not transposed:
-                operator = lambda: h_op.apply_squared_fast(w)  # noqa: E731
-            else:
-                operator = lambda: back(forward(w))  # noqa: E731
             ms = [best_us(fn, repeats) / 1e3
-                  for fn in (operator, lambda: f0 @ w @ f1.T)]
+                  for fn in (lambda: operator(w), lambda: f0 @ w @ f1.T)]
             label = f"{bc.value}/{formulation.value}"
             print(f"{label:<24}{n:>5}{ms[0]:>11.3f}{ms[1]:>11.3f}"
                   f"{ms[0] / ms[1]:>8.2f}")
@@ -190,9 +172,7 @@ def main() -> None:
                   f"{per_axis / product:>8.2f}")
     print(f"\nassemble_preconditioner, best of {args.repeats}, ms")
     assembly_table(args.sizes, args.repeats)
-    print(f"\n2D data term B H, best of {args.repeats}, ms; reflective blur "
-          f"takes the Kronecker form up to _DCT_KRONECKER_MAX_N = "
-          f"{pipeline._DCT_KRONECKER_MAX_N}")
+    print(f"\n2D data term B H, best of {args.repeats}, ms")
     data_term_table(args.sizes, args.repeats)
 
 

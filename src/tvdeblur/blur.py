@@ -37,8 +37,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import transforms
-from .transforms import TransformKind, apply_1d, probe_dense, tensor_apply_2d
+from .transforms import TransformKind, apply_1d, tensor_apply_2d
 
 
 class BoundaryCondition(Enum):
@@ -358,21 +357,15 @@ class StructuredBlurOperator:
                                   self._check_shape(u), transpose=True)
 
     def matrix(self) -> np.ndarray:
-        """Dense n x n matrix of a 1D operator: ``(X * lam) @ X^{-1}`` from
-        the transform's 1D matrices under a fast BC, else the reference
-        apply probed on the identity.  Above ``_GEMM_MAX_N`` the transform
-        matrices are built without entering the per-size cache."""
+        """Dense n x n matrix of a 1D operator: the reference apply run on
+        all columns of the identity at once, extended along axis 0 and
+        convolved with the kernel."""
         if self.ndim != 1:
             raise ValueError("matrix() needs a 1D operator")
-        n = self.n
-        if self.bc not in FAST_TRANSFORMS:
-            return probe_dense(self.apply, (n,))
-        build = transforms._matrix_1d
-        if n > transforms._GEMM_MAX_N:
-            build = build.__wrapped__
-        x, x_inv = (build(self.transform, inverse, False, n)
-                    for inverse in (False, True))
-        return (x * self.eigenvalues()) @ x_inv
+        m = self.psf.half_width
+        ext = np.pad(np.eye(self.n), ((m, m), (0, 0)), **_PAD_MODES[self.bc])
+        windows = sliding_window_view(ext, 2 * m + 1, axis=0)
+        return windows @ self.psf.coefficients[::-1]
 
     # -- helpers --------------------------------------------------------------
 

@@ -75,6 +75,12 @@ CONFIGURATIONS: dict[str, tuple[BoundaryCondition, DiffusionBc, Formulation, str
     "AR+Reblur+AR": (_AR, DiffusionBc.ANTI_REFLECTIVE, Formulation.REBLUR, "P"),
 }
 
+#: (blur BC, formulation) of every valid restore system: the re-blurred
+#: form needs anti-reflective blur
+DATA_TERMS = tuple((bc_h, formulation) for bc_h in BoundaryCondition
+                   for formulation in Formulation
+                   if formulation is Formulation.NORMAL or bc_h is _AR)
+
 #: (blur BC, formulation) -> preconditioner family
 _BASE_KIND = {(bc_h, formulation): family
               for bc_h, _, formulation, family in CONFIGURATIONS.values()}
@@ -119,8 +125,7 @@ class RestorationConfig:
                     f"{name} must be finite and positive, got {value!r}")
         if self.fp_max < 1:
             raise ConfigurationError("fp_max must be at least 1")
-        if self.formulation is Formulation.REBLUR and \
-                self.bc_h is not BoundaryCondition.ANTI_REFLECTIVE:
+        if (self.bc_h, self.formulation) not in DATA_TERMS:
             raise ConfigurationError(
                 "the re-blurred formulation requires anti-reflective blur BCs"
             )
@@ -153,22 +158,40 @@ class RestorationReport:
     wall_time: float
 
 
-#: Largest grid side at which reflective blur takes the Kronecker data term.
-#: The data-term table of scripts/transform_crossover.py (one thread) puts
-#: the products 1.1-2x ahead of the squared apply's per-axis DCTs, in the
-#: median of repeated runs, up to n = 256; from 288 to 512 the two are
-#: within noise of each other, with the DCTs ahead in about half the runs,
-#: and their O(n^2 log n) cost pulls ahead of the products' O(n^3) beyond.
-_DCT_KRONECKER_MAX_N = 256
+def _transposes(bc_h: BoundaryCondition, formulation: Formulation) -> bool:
+    """Whether ``B`` is ``H^T`` rather than ``H``: the normal form under
+    anti-reflective blur, where ``H`` is not symmetric."""
+    return bc_h is _AR and formulation is Formulation.NORMAL
+
+
+def operator_applies(h_op: StructuredBlurOperator,
+                     formulation: Formulation) -> tuple:
+    """``(H, B, B H)`` as callables on the operator's applies: the
+    transform-diagonalized ones under a fast BC, the references under zero
+    and periodic blur.  ``B H`` is ``H H`` as one squared apply for 2D data
+    with ``B = H`` under a fast BC, else ``B`` after ``H``."""
+    fast = h_op.bc in FAST_TRANSFORMS
+    transposed = _transposes(h_op.bc, formulation)
+    forward = h_op.apply_fast if fast else h_op.apply
+    back = h_op.apply_transpose_fast if transposed else forward
+    # 1D keeps the two applies even where B = H.  The squared apply rounds
+    # differently, and that moves the iteration counts of the 1D none/diag
+    # cells past the benchmark's +-1-per-step reference gate (ROADMAP item
+    # 1).  The way out is one dense B H per restore, built from the squared
+    # eigenvalues (ROADMAP item 2(a)).
+    if fast and not transposed and h_op.ndim == 2:
+        return forward, back, h_op.apply_squared_fast
+    return forward, back, lambda w: back(forward(w))
 
 
 def kronecker_factors(factors: tuple[SymmetricPsf, SymmetricPsf],
-                      bc_h: BoundaryCondition, transposed: bool,
+                      bc_h: BoundaryCondition, formulation: Formulation,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(F0, F1)``, the dense n x n 1D data terms ``F = B H`` of the axis
-    kernels ``(a, b)`` of a separable 2D PSF under ``bc_h``, with
-    ``B = H^T`` when ``transposed`` and ``B = H`` otherwise.  The 2D data
+    kernels ``(a, b)`` of a separable 2D PSF under ``bc_h``.  The 2D data
     term is ``W -> F0 W F1^T``."""
+    transposed = _transposes(bc_h, formulation)
+
     def data_matrix(factor: SymmetricPsf) -> np.ndarray:
         h = StructuredBlurOperator(factor, bc_h, n).matrix()
         return (h.T if transposed else h) @ h
@@ -192,16 +215,16 @@ class StepSystem:
     ``H W = H_a W H_b^T``, so ``B H`` is ``W -> F0 W F1^T`` with the dense
     n x n 1D data terms ``F = B H`` of the two axis kernels
     (``kronecker_factors``): two products per matvec, whatever the blur
-    BC, and no ``T^T T`` for ``AR+Sine+ZN``.  Reflective blur above
-    ``_DCT_KRONECKER_MAX_N`` is the one exception.  It, and a non-separable
-    2D PSF with ``B = H`` under a fast BC, take ``H H`` as one
-    ``blur.diagonalized_apply`` with the squared eigenvalues: two tensor
-    transforms per matvec, not four.  A non-separable ``AR+Sine+ZN`` PSF
-    composes ``H^T`` with ``H``, because the anti-reflective transform
-    ``T`` is not orthogonal and ``H^T H = T^{-T} diag(lam) T^T T diag(lam)
-    T^{-1}`` is no member of the algebra.  Non-separable zero and periodic
-    blur compose the reference applies, and 1D data composes two applies
-    in every configuration, so 1D restorations keep their bytes.
+    BC, and no ``T^T T`` for ``AR+Sine+ZN``.  Otherwise ``data_term``
+    comes from ``operator_applies``: a non-separable 2D PSF with ``B = H``
+    under a fast BC takes ``H H`` as one ``blur.diagonalized_apply`` with
+    the squared eigenvalues, two tensor transforms per matvec, not four.  A
+    non-separable ``AR+Sine+ZN`` PSF composes ``H^T`` with ``H``, because
+    the anti-reflective transform ``T`` is not orthogonal and
+    ``H^T H = T^{-T} diag(lam) T^T T diag(lam) T^{-1}`` is no member of the
+    algebra.  Non-separable zero and periodic blur compose the reference
+    applies, and 1D data composes two applies in every configuration, so
+    1D restorations keep their bytes.
     Built once per restoration; ``freeze`` hands it each step's diffusion
     operator ``L``, ``scale`` gives the scaled system
     ``D^{-1/2} A D^{-1/2}``, and ``krylov_problem`` the step's solve.
@@ -210,25 +233,13 @@ class StepSystem:
     def __init__(self, psf: SymmetricPsf, config: RestorationConfig,
                  v: np.ndarray) -> None:
         self.h_op = h_op = StructuredBlurOperator(psf, config.bc_h, v.shape[0])
-        fast = h_op.bc in FAST_TRANSFORMS
-        transposed = (h_op.bc is BoundaryCondition.ANTI_REFLECTIVE
-                      and config.formulation is Formulation.NORMAL)
-        self.forward = h_op.apply_fast if fast else h_op.apply
-        self.back = h_op.apply_transpose_fast if transposed else self.forward
+        self.forward, self.back, self.data_term = operator_applies(
+            h_op, config.formulation)
         factors = psf.factors()
-        if factors is not None and (h_op.bc is not BoundaryCondition.REFLECTIVE
-                                    or h_op.n <= _DCT_KRONECKER_MAX_N):
-            f0, f1 = kronecker_factors(factors, h_op.bc, transposed, h_op.n)
+        if factors is not None:
+            f0, f1 = kronecker_factors(factors, h_op.bc, config.formulation,
+                                       h_op.n)
             self.data_term = lambda w: f0 @ w @ f1.T
-        # 1D keeps the two applies even where B = H.  The squared apply
-        # rounds differently, and that moves the iteration counts of the
-        # 1D none/diag cells past the benchmark's +-1-per-step reference
-        # gate (ROADMAP item 1).  The way out is one dense B H per restore,
-        # built from the squared eigenvalues (ROADMAP item 2(a)).
-        elif fast and not transposed and h_op.ndim == 2:
-            self.data_term = h_op.apply_squared_fast
-        else:
-            self.data_term = lambda w: self.back(self.forward(w))
         self.alpha = config.alpha
         self.selector = config.preconditioner
         self.kind = config.resolved_kind()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 import oracles
-from tvdeblur import transforms
 from tvdeblur.blur import (
     BoundaryCondition,
     StructuredBlurOperator,
@@ -429,24 +428,12 @@ def test_diagonalized_apply_matches_dense(kind, transpose, ndim, n, rng):
 @pytest.mark.parametrize("bc", ALL_BCS)
 @pytest.mark.parametrize("n", [3, 8, 33, 145])
 def test_matrix_is_the_dense_1d_operator(bc, n):
-    """``matrix()`` is the 1D operator: the scalar-rule oracle matrix,
-    built as ``(X * lam) @ X^{-1}`` under a fast BC, on both sides of the
-    dense-product cutoff."""
+    """``matrix()`` is the 1D operator: the scalar-rule oracle matrix, with
+    no size limit."""
     psf = SymmetricPsf(np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0)
     got = StructuredBlurOperator(psf, bc, n).matrix()
     want = oracles.dense_blur_1d(psf.coefficients, bc.value, n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-
-def test_matrix_above_the_cutoff_leaves_the_cache_alone():
-    _matrix_1d.cache_clear()
-    psf = SymmetricPsf(np.array([1.0, 2.0, 1.0]) / 4.0)
-    for bc in (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTI_REFLECTIVE):
-        StructuredBlurOperator(psf, bc, transforms._GEMM_MAX_N + 1).matrix()
-    assert _matrix_1d.cache_info().currsize == 0
-    StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE,
-                           transforms._GEMM_MAX_N).matrix()
-    assert _matrix_1d.cache_info().currsize == 2
 
 
 def test_matrix_needs_a_1d_operator():

@@ -368,15 +368,9 @@ def test_krylov_problem_dense_per_selector_2d(rng, label, selector):
                          / 16.0, label, selector)
 
 
-#: (blur BC, formulation) of every valid restore system
-DATA_TERMS = [(bc_h, formulation) for bc_h in BoundaryCondition
-              for formulation in Formulation
-              if formulation is Formulation.NORMAL
-              or bc_h is BoundaryCondition.ANTI_REFLECTIVE]
-
-
 #: (blur BC, formulation, diffusion BC) of every valid restore system
-SYSTEM_CASES = [(bc_h, formulation, bc_l) for bc_h, formulation in DATA_TERMS
+SYSTEM_CASES = [(bc_h, formulation, bc_l)
+                for bc_h, formulation in pipeline.DATA_TERMS
                 for bc_l in DiffusionBc]
 
 
@@ -457,7 +451,7 @@ KRONECKER_CASES = [(n, False) for n in (3, 5, 64, 144, 145)] + \
 @pytest.mark.parametrize("n,anisotropic", KRONECKER_CASES,
                          ids=[f"{n}-{'anisotropic' if a else 'gaussian'}"
                               for n, a in KRONECKER_CASES])
-@pytest.mark.parametrize("bc_h,formulation", DATA_TERMS,
+@pytest.mark.parametrize("bc_h,formulation", pipeline.DATA_TERMS,
                          ids=lambda v: v.value)
 def test_2d_kronecker_step_apply_matches_oracle(rng, n, anisotropic, bc_h,
                                                 formulation):
@@ -498,18 +492,6 @@ def test_non_separable_2d_step_apply_keeps_the_transform_path(
     data = h_op.apply_squared_fast(w) if squared \
         else system.back(system.forward(w))
     np.testing.assert_array_equal(system.apply(w), data + alpha * l_op.apply(w))
-
-
-def test_reflective_kronecker_data_term_stops_at_its_bound(rng):
-    """Reflective blur takes the squared DCT apply above
-    ``_DCT_KRONECKER_MAX_N`` even with a separable PSF, and the Kronecker
-    data term up to it."""
-    bound = pipeline._DCT_KRONECKER_MAX_N
-    psf = gen_psf("gaussian", 2, 1.0)
-    for n, squared in ((bound, False), (bound + 1, True)):
-        l_op = DiffusionOperator(np.zeros((n, n)), 0.1)
-        h_op, system = step_system(l_op, 1e-2, np.zeros((n, n)), psf)
-        assert (system.data_term == h_op.apply_squared_fast) is squared
 
 
 @pytest.mark.parametrize("n,h", [

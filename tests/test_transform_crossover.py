@@ -1,11 +1,12 @@
 """Smoke test of ``scripts/transform_crossover.py``, which reads and sets
-private names of ``transforms`` and reads ``pipeline``'s."""
+private names of ``transforms``."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 from tvdeblur import transforms
+from tvdeblur.pipeline import DATA_TERMS
 from tvdeblur.transforms import TransformKind
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "transform_crossover.py"
@@ -45,6 +46,6 @@ def test_main_prints_every_table_and_restores_the_cutoff(monkeypatch, capsys):
     data_term_rows = _table(lines, "operator")
     assert data_term_rows == [
         (f"{bc.value}/{formulation.value}", 8)
-        for bc, formulation in transform_crossover.DATA_TERMS]
+        for bc, formulation in DATA_TERMS]
     assert len(data_term_rows) == 5
     assert transforms._GEMM_MAX_N == cutoff == 144
