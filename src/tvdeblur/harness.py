@@ -331,17 +331,20 @@ class SweepResult:
 
 
 def make_problem(spec: BenchmarkSpec, n: int):
-    """(psf, observed data, true field-of-view data) for one grid size."""
+    """(psf, observed data, true field-of-view data) for one grid size.
+
+    The data come first, so that a grid size below the generators' minimum
+    is reported as such and not as the half-width it implies.
+    """
     m = spec.resolve_half_width(n)
     if spec.dimension == 1:
-        psf = gen_psf(spec.psf_kind, m)
         extended, fov = gen_signal_1d(n, m)
-        u_true = extended[fov]
+        psf = gen_psf(spec.psf_kind, m)
     else:
+        extended, fov = gen_image_2d(n, m)
         sigma = spec.psf_sigma if spec.psf_sigma is not None else max(m / 2.0, 1.0)
         psf = gen_psf(spec.psf_kind, m, sigma)
-        extended, fov = gen_image_2d(n, m)
-        u_true = extended[fov]
+    u_true = extended[fov]
     observed = blur_and_observe(extended, psf, n, spec.nsr, spec.seed)
     return psf, observed, u_true
 

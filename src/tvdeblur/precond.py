@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
 
 from . import transforms
 from .blur import BoundaryCondition, diagonalized_apply
@@ -117,6 +116,13 @@ def _band_products(kind: TransformKind, d: int, n: int) -> np.ndarray:
     return p
 
 
+def _rfft(arr: np.ndarray) -> np.ndarray:
+    """Real FFT along the last axis: pocketfft's r2c with the arguments
+    ``scipy.fft.rfft(arr, axis=-1)`` passes (forward, no normalization,
+    one worker)."""
+    return transforms._pocketfft.r2c(arr, (-1,), True, 0, None, 1)
+
+
 def _band_form(kind: TransformKind, band: np.ndarray, offset: int,
                n: int) -> np.ndarray:
     """Contribution of one band to diag(X^T A X), batched over leading axes.
@@ -139,14 +145,14 @@ def _band_form(kind: TransformKind, band: np.ndarray, offset: int,
     if kind is TransformKind.DCT:
         arr = np.zeros(band.shape[:-1] + (2 * n,))
         arr[..., d + 1: d + 1 + 2 * length: 2] = band
-        freq_sum = _fft.rfft(arr, axis=-1)[..., :n].real
+        freq_sum = _rfft(arr)[..., :n].real
         t = np.arange(n)
         gamma = t * np.pi / (2 * n)
         rho2 = np.where(t == 0, 1.0, 2.0) / n
         return 0.5 * rho2 * (total * np.cos(2 * d * gamma) + freq_sum)
     arr = np.zeros(band.shape[:-1] + (2 * (n + 1),))
     arr[..., d + 2: d + 2 + 2 * length: 2] = band
-    freq_sum = _fft.rfft(arr, axis=-1)[..., 1: n + 1].real
+    freq_sum = _rfft(arr)[..., 1: n + 1].real
     t = np.arange(1, n + 1)
     theta = np.pi / (n + 1)
     return (total * np.cos(d * t * theta) - freq_sum) / (n + 1)

@@ -22,9 +22,11 @@ Four one-dimensional transforms and their tensor-product (2D) extensions:
 :func:`apply_1d` is the one 1D apply of every kind.  It runs in O(n log n)
 in pocketfft's C routines, called through the binding that ``scipy.fft``
 dispatches to (``scipy.fft._pocketfft.pypocketfft``) with the arguments its
-wrapper passes.  The public ``scipy.fft`` calls spend about 10 us per call
-in dispatch and argument checks, against a 3-15 us transform at n = 203;
-``tests/`` checks the binding byte for byte against them.  2D tensor applies
+wrapper passes.  The binding is loaded from its file in scipy's directory,
+so neither ``scipy`` nor ``scipy.fft`` is imported.  The public ``scipy.fft``
+calls spend about 10 us per call in dispatch and argument checks, against a
+3-15 us transform at n = 203; ``tests/`` keeps them as the oracle and checks
+the binding byte for byte against them.  2D tensor applies
 on grids with n <= 144 are two products with the cached dense n x n matrix
 of the 1D apply, O(n^3); larger grids take the 1D transform along each axis,
 O(n^2 log n).  Transform data cached per size is read-only, so transform
@@ -33,11 +35,44 @@ applications are safe to share across threads.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from enum import Enum
 from functools import lru_cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
+
+#: scipy's pocketfft binding, the C routines behind ``scipy.fft``
+_BINDING_NAME = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    """pocketfft's binding, loaded from its file in scipy's directory.
+
+    Importing it by name would first run the ``scipy`` and ``scipy.fft``
+    packages (scipy's array-API layer, ``scipy.special``, ``numpy.testing``,
+    ``numpy.f2py``), which take most of a cold start and which the binding
+    does not need.  ``find_spec`` of the top-level package locates scipy
+    without running it.  The binding keeps its full name, and gives the
+    same bytes whether ``scipy.fft`` is imported before or after it.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    for root in roots or ():
+        finder = FileFinder(os.path.join(root, "fft", "_pocketfft"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_BINDING_NAME)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"cannot find pocketfft's binding {_BINDING_NAME} "
+                      "(tvdeblur needs scipy)", name=_BINDING_NAME)
+
+
+_pocketfft = _load_pocketfft()
 
 
 class TransformKind(Enum):

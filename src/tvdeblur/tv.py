@@ -96,7 +96,9 @@ class DiffusionOperator:
     Immutable after construction; rebuild per fixed-point step.  ``bands``
     (1D) and ``block_banded`` (2D) expose the matrix structure consumed by
     the transform-algebra projections: plain dicts mapping offsets to
-    coefficient arrays.
+    coefficient arrays.  The arrays are built on first use and cached
+    read-only, as a fixed-point step reads them several times (scaling,
+    projection, diagonal wrap).
     """
 
     def __init__(self, u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN) -> None:
@@ -108,6 +110,7 @@ class DiffusionOperator:
             self.a = diffusion_coefficients(u, beta, bc)
         else:
             self.a_h, self.a_v = diffusion_coefficients(u, beta, bc)
+        self._bands: dict | None = None
 
     def apply(self, w) -> np.ndarray:
         """``L w``: fluxes ``a * (difference across each edge)``, then their
@@ -148,6 +151,8 @@ class DiffusionOperator:
         """
         if self.ndim != 1:
             raise ValueError("bands() is the 1D representation")
+        if self._bands is not None:
+            return dict(self._bands)
         a = self.a
         diag = a[:-1] + a[1:]
         upper = -a[1:-1].copy()
@@ -162,7 +167,7 @@ class DiffusionOperator:
             diag[-1] -= 2.0 * a[-1]
             upper[0] += a[0]
             lower[-1] += a[-1]
-        return {0: diag, 1: upper, -1: lower}
+        return self._cache({0: diag, 1: upper, -1: lower})
 
     def block_banded(self) -> dict[tuple[int, int], np.ndarray]:
         """5-point stencil as block bands: (block offset, inner offset) -> grid.
@@ -175,6 +180,8 @@ class DiffusionOperator:
         """
         if self.ndim != 2:
             raise ValueError("block_banded() is the 2D representation")
+        if self._bands is not None:
+            return dict(self._bands)
         n = self.n
         ah, av = self.a_h, self.a_v
         diag = ah[:, :-1] + ah[:, 1:] + av[:-1, :] + av[1:, :]
@@ -197,10 +204,17 @@ class DiffusionOperator:
             inner_lo[:, -1] += ah[:, -1]
             block_up[0, :] += av[0, :]
             block_lo[-1, :] += av[-1, :]
-        return {
+        return self._cache({
             (0, 0): diag,
             (0, 1): inner_up,
             (0, -1): inner_lo,
             (1, 0): block_up,
             (-1, 0): block_lo,
-        }
+        })
+
+    def _cache(self, bands: dict) -> dict:
+        """Freeze ``bands``' arrays and keep them for later calls."""
+        for values in bands.values():
+            values.setflags(write=False)
+        self._bands = bands
+        return dict(bands)

@@ -7,7 +7,8 @@ and the convolution sum, diffusion matrices from the stencil definition.
 :func:`dense_preconditioner` a factored preconditioner's apply, and
 :func:`el_residual` is the optimality residual on the reference applies.
 :func:`scipy_apply_1d` is each fast 1D transform through the public
-``scipy.fft`` calls, the reference for the package's direct pocketfft calls.
+``scipy.fft`` calls, the reference for the package's direct pocketfft calls,
+and :func:`scipy_band_form` the same for the projections' FFT band forms.
 """
 
 import numpy as np
@@ -79,6 +80,30 @@ def scipy_apply_1d(kind: TransformKind, v, inverse: bool = False,
         out[..., -1:] -= np.sum(interior * qr, axis=-1, keepdims=True)
         out[..., 1:-1] = fft.dst(interior, type=1, norm="ortho")
     return out
+
+
+def scipy_band_form(kind: TransformKind, band, offset: int,
+                    n: int) -> np.ndarray:
+    """``precond._band_form`` above its product cutoff, with the FFT a
+    public ``scipy.fft.rfft`` call in the same numpy operations around it."""
+    d = abs(offset)
+    band = np.asarray(band, dtype=float)
+    length = n - d
+    total = band.sum(axis=-1, keepdims=True)
+    if kind is TransformKind.DCT:
+        arr = np.zeros(band.shape[:-1] + (2 * n,))
+        arr[..., d + 1: d + 1 + 2 * length: 2] = band
+        freq_sum = fft.rfft(arr, axis=-1)[..., :n].real
+        t = np.arange(n)
+        gamma = t * np.pi / (2 * n)
+        rho2 = np.where(t == 0, 1.0, 2.0) / n
+        return 0.5 * rho2 * (total * np.cos(2 * d * gamma) + freq_sum)
+    arr = np.zeros(band.shape[:-1] + (2 * (n + 1),))
+    arr[..., d + 2: d + 2 + 2 * length: 2] = band
+    freq_sum = fft.rfft(arr, axis=-1)[..., 1: n + 1].real
+    t = np.arange(1, n + 1)
+    theta = np.pi / (n + 1)
+    return (total * np.cos(d * t * theta) - freq_sum) / (n + 1)
 
 
 def dense_dst1(n: int) -> np.ndarray:

@@ -591,16 +591,46 @@ def test_cli_spectra_x_d_probes_the_scaled_system(tmp_path, capsys):
     )
 
 
-_IMPORT_CLI = """
+@pytest.mark.parametrize("argv", [
+    ["restore", "--n", "0", "--alpha", "1e-3", "--beta", "0.1"],
+    ["restore", "--dim", "2", "--n", "0", "--alpha", "1e-3", "--beta", "0.1"],
+    ["gen", "--n", "0"],
+    ["spectra", "--n", "0"],
+])
+def test_cli_names_n_below_the_smallest_grid(tmp_path, capsys, argv):
+    """n = 0 implies half-width 0; the error names n, not the psf."""
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out-dir", str(out)]) == 2
+    assert "n must be at least 32, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_names_n_below_the_smallest_grid(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("dimension = 1\nn = 0\nalpha = 1e-2\nbeta = 0.1\n"
+                   "config = R\nprecond = none\n")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", str(cfg), "--out-dir", str(out)]) == 2
+    assert "n must be at least 32, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# modules the package uses none of; each is a large share of a cold start
+_UNUSED_AT_IMPORT = ("scipy.signal", "scipy.stats", "scipy.fft",
+                     "scipy.special", "numpy.f2py")
+
+_IMPORT_CLI = f"""
 import sys
 import tvdeblur.cli
-print(" ".join(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules))
+print(" ".join(m for m in {_UNUSED_AT_IMPORT!r} if m in sys.modules))
 """
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
-    """scipy.signal (which loads scipy.stats) would be most of a cold
-    start's import time; the package convolves in numpy instead."""
+def test_cli_import_leaves_out_unused_scipy_and_numpy_packages():
+    """scipy.signal (which loads scipy.stats) and the scipy.fft package
+    (scipy.special, numpy.f2py) would be most of a cold start's import
+    time; the package convolves in numpy and loads pocketfft's binding
+    from its file instead."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -353,6 +353,38 @@ def check_krylov_problem(rng, n, h, label, selector):
     np.testing.assert_allclose(back(start), u, atol=1e-14)
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_x_d_step_builds_the_diffusion_bands_once(ndim, rng, monkeypatch):
+    """Scaling, projection and the projection's diagonal wrap all read the
+    band structure; the operator builds it once and hands out read-only
+    arrays, in dicts of the caller's own."""
+    builds = []
+    cache = DiffusionOperator._cache
+
+    def counted(self, bands):
+        builds.append(ndim)
+        return cache(self, bands)
+
+    monkeypatch.setattr(DiffusionOperator, "_cache", counted)
+    shape = (8,) * ndim
+    u = rng.standard_normal(shape)
+    l_op = DiffusionOperator(u, 0.1)
+    psf = SymmetricPsf(np.full((3,) * ndim, 1 / 3.0 ** ndim))
+    _, system = step_system(l_op, 1e-2, rng.standard_normal(shape), psf,
+                            selector=PrecondSelector.X_D)
+    system.krylov_problem(rng.standard_normal(shape))
+    assert builds == [ndim]
+    name = "bands" if ndim == 1 else "block_banded"
+    getattr(l_op, name)().clear()
+    cached = getattr(l_op, name)()
+    fresh = getattr(DiffusionOperator(u, 0.1), name)()
+    assert builds == [ndim, ndim]
+    assert cached.keys() == fresh.keys()
+    for key, values in cached.items():
+        assert not values.flags.writeable
+        assert values.tobytes() == fresh[key].tobytes()
+
+
 @pytest.mark.parametrize("selector", list(PrecondSelector))
 @pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
 def test_krylov_problem_dense_per_selector(rng, label, selector):

@@ -398,6 +398,22 @@ def test_assembled_2d_products_match_fft_band_forms(kind, n, monkeypatch, rng):
                                atol=1e-12 * np.max(np.abs(fft)))
 
 
+@pytest.mark.parametrize("offset", [0, 1, -1])
+@pytest.mark.parametrize("kind", [TransformKind.DCT, TransformKind.DST1])
+@pytest.mark.parametrize("n", [145, 203, 256])
+def test_fft_band_form_keeps_the_bytes_of_scipy_fft(n, kind, offset, rng):
+    """Above the product cutoff the band form's direct pocketfft call gives
+    exactly the public scipy.fft.rfft result, for one band and a batch."""
+    assert n > transforms._GEMM_MAX_N
+    length = n - abs(offset)
+    for band in (rng.standard_normal(length),
+                 rng.standard_normal((4, length))):
+        got = precond._band_form(kind, band, offset, n)
+        want = oracles.scipy_band_form(kind, band, offset, n)
+        assert got.shape == band.shape[:-1] + (n,)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_assemble_rejects_wrong_boundary_conditions():
     h_op, l_op = make_1d_ops("R")
     with pytest.raises(ValueError):

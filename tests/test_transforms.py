@@ -1,3 +1,7 @@
+import importlib.machinery
+import importlib.util
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,6 +260,55 @@ def test_apply_1d_converts_input_as_scipy_fft_does(n, kind, rng, monkeypatch):
             assert got.dtype == np.float64 and got.dtype.isnative, what
             assert np.array_equal(got, want), what
             assert np.array_equal(x, before), f"{what}: input was written"
+
+
+_BINDING_ORDER = """
+import sys
+import numpy as np
+if sys.argv[1] == "scipy.fft first":
+    import scipy.fft
+from tvdeblur import precond
+from tvdeblur.transforms import TransformKind, apply_1d
+import scipy.fft
+x = np.random.default_rng(5).standard_normal((4, 203))
+pairs = {
+    "dst": (apply_1d(TransformKind.DST1, x),
+            scipy.fft.dst(x, type=1, norm="ortho")),
+    "dct": (apply_1d(TransformKind.DCT, x),
+            scipy.fft.idct(x, type=2, norm="ortho")),
+    "idct": (apply_1d(TransformKind.DCT, x, inverse=True),
+             scipy.fft.dct(x, type=2, norm="ortho")),
+    "rfft": (precond._rfft(x), scipy.fft.rfft(x, axis=-1)),
+}
+print(" ".join(k for k, (a, b) in pairs.items() if a.tobytes() != b.tobytes()))
+"""
+
+
+@pytest.mark.parametrize("order", ["scipy.fft first", "tvdeblur first"])
+def test_binding_keeps_the_bytes_of_scipy_fft_in_either_import_order(order):
+    """The binding loaded from its file and the one scipy.fft imports give
+    the same bytes, whichever a fresh interpreter imports first."""
+    proc = subprocess.run([sys.executable, "-c", _BINDING_ORDER, order],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("scipy_found", [False, True])
+def test_loader_names_the_binding_it_cannot_find(scipy_found, tmp_path,
+                                                 monkeypatch):
+    """No scipy at all, or a scipy directory whose pocketfft folder is
+    empty: either way the ImportError names the binding."""
+    spec = None
+    if scipy_found:
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        (tmp_path / "fft" / "_pocketfft").mkdir(parents=True)
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, package=None: spec)
+    with pytest.raises(ImportError, match="pypocketfft") as err:
+        transforms._load_pocketfft()
+    assert err.value.name == transforms._BINDING_NAME
 
 
 def test_tensor_matrix_cache_is_read_only():
