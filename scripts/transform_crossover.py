@@ -16,11 +16,11 @@ that ``precond`` uses up to the same cutoff.  Together the tables are the
 evidence for that cutoff.
 
 The third table gives, for each blur BC and formulation, the best-of-k
-time of one 2D data term ``B H`` done two ways: the 2D operator's applies
-that a non-separable PSF takes (``pipeline.operator_applies``), and the
-Kronecker form ``F0 @ W @ F1.T`` that ``pipeline.StepSystem`` takes for
-the separable harness PSF, with the dense 1D data terms of its axis
-kernels.
+time of one 2D data term ``B H`` done two ways: ``B`` after ``H`` on the
+2D operator's applies ``(H, B)`` (``pipeline.operator_applies``), which a
+non-separable PSF takes, and the Kronecker form ``F0 @ W @ F1.T`` that
+``pipeline.StepSystem`` takes for the separable harness PSF, with the
+dense 1D data terms of its axis kernels.
 
 ``--sizes`` gives the grid sides of every table.  The second and third use
 the harness's 2D PSF for each side, the Gaussian of half-width
@@ -136,11 +136,11 @@ def data_term_table(sizes, repeats: int) -> None:
         for n in sizes:
             psf = harness_psf(n)
             h_op = StructuredBlurOperator(psf, bc, n)
-            *_, operator = operator_applies(h_op, formulation)
+            forward, back = operator_applies(h_op, formulation)
             f0, f1 = kronecker_factors(psf.factors(), bc, formulation, n)
             w = rng.standard_normal((n, n))
             ms = [best_us(fn, repeats) / 1e3
-                  for fn in (lambda: operator(w), lambda: f0 @ w @ f1.T)]
+                  for fn in (lambda: back(forward(w)), lambda: f0 @ w @ f1.T)]
             label = f"{bc.value}/{formulation.value}"
             print(f"{label:<24}{n:>5}{ms[0]:>11.3f}{ms[1]:>11.3f}"
                   f"{ms[0] / ms[1]:>8.2f}")

@@ -24,8 +24,8 @@ A separable 2D kernel ``h = a b^T`` (:meth:`SymmetricPsf.factors`) blurs
 under every extension as the Kronecker product ``H W = H_a W H_b^T`` of
 its two 1D blurs, each a dense n x n matrix
 (:meth:`StructuredBlurOperator.matrix`).  ``pipeline.StepSystem`` builds
-its 2D data term from them; non-separable 2D kernels take the transform
-path under the fast extensions and the reference applies under zero and
+its 2D data term from them; every other kernel takes the fast applies
+under the fast extensions and the reference applies under zero and
 periodic extension.
 """
 
@@ -249,14 +249,6 @@ class StructuredBlurOperator:
     applies that the fast path is checked against; no restoration calls
     them.
 
-    ``apply_squared_fast`` is ``H H`` as one diagonalized apply, with the
-    squared eigenvalues: ``H H = C diag(lam^2) C^T`` under reflective and
-    ``T diag(lam^2) T^{-1}`` under anti-reflective extension.  It is the
-    2D data term ``B H`` of a non-separable kernel wherever ``B = H``:
-    reflective blur, and the re-blurred anti-reflective form.  The normal
-    anti-reflective form needs ``H^T H``, which takes two applies, since
-    ``T`` is not orthogonal (``T^T T != I``).
-
     ``matrix`` is a 1D operator's dense n x n matrix, one axis factor of
     the Kronecker blur of a separable 2D kernel.
 
@@ -274,7 +266,6 @@ class StructuredBlurOperator:
         self.n = int(n)
         self.ndim = psf.ndim
         self._eigenvalues: np.ndarray | None = None
-        self._squared_eigenvalues: np.ndarray | None = None
 
     # -- reference semantics -------------------------------------------------
 
@@ -331,25 +322,9 @@ class StructuredBlurOperator:
             self._eigenvalues = lam
         return self._eigenvalues
 
-    def squared_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``H H`` in the same basis: ``eigenvalues() ** 2``,
-        cached read-only like them."""
-        if self._squared_eigenvalues is None:
-            lam2 = self.eigenvalues() ** 2
-            lam2.setflags(write=False)
-            self._squared_eigenvalues = lam2
-        return self._squared_eigenvalues
-
     def apply_fast(self, u) -> np.ndarray:
         """Diagonalized apply: analysis, eigenvalue scaling, synthesis."""
         return diagonalized_apply(self.transform, self.eigenvalues(),
-                                  self._check_shape(u))
-
-    def apply_squared_fast(self, u) -> np.ndarray:
-        """``H H u`` as one diagonalized apply, at the cost of one
-        ``apply_fast``: analysis, scaling by the squared eigenvalues,
-        synthesis."""
-        return diagonalized_apply(self.transform, self.squared_eigenvalues(),
                                   self._check_shape(u))
 
     def apply_transpose_fast(self, u) -> np.ndarray:

@@ -10,16 +10,14 @@ with a Krylov method: conjugate gradient when the system is symmetric
 (normal form with the zero-Neumann diffusion operator), BiCGstab otherwise.
 ``CONFIGURATIONS`` is the one table of the benchmark configurations.
 ``StepSystem`` defines each step's system and, in ``krylov_problem``, its
-solve; ``el_residual`` is its one optimality residual.  For 2D data with a
-separable PSF the data term ``B H`` is two products with dense n x n
-factors, one per axis, under every blur BC; for a non-separable one with
-``B = H`` under reflective or anti-reflective blur it is one diagonalized
-apply: ``H^T H = C diag(lam^2) C^T`` (reflective) and
-``H' H = T diag(lam^2) T^{-1}`` (re-blurred anti-reflective).  The inner
-solve starts from the previous iterate and may be preconditioned by any of
-the transform-algebra preconditioners; the ``x_d`` selector solves the
-diagonally scaled system instead and maps the solution back, which is
-spectrally equivalent to the ``d_x`` wrap on the unscaled system.
+solve; ``el_residual`` is its one optimality residual.  The data term
+``B H`` is two products with dense n x n factors, one per axis, for 2D
+data with a separable PSF, under every blur BC; for any other PSF it is
+``B`` after ``H``.  The inner solve starts from the previous iterate and
+may be preconditioned by any of the transform-algebra preconditioners; the
+``x_d`` selector solves the diagonally scaled system instead and maps the
+solution back, which is spectrally equivalent to the ``d_x`` wrap on the
+unscaled system.
 
 The loop starts from ``u_0 = v`` and stops when the relative change
 ``||u_k - u_{k-1}|| / ||u_k||`` drops below ``fp_tol`` or the iterate does
@@ -43,7 +41,6 @@ from .blur import (
     SymmetricPsf,
 )
 from .krylov import KrylovConfig, SolverDivergenceError, pbicgstab, pcg
-from .precond import InvalidScalingError  # noqa: F401  (re-exported)
 from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
 from .transforms import MIN_BORDERED_N
 from .tv import DiffusionBc, DiffusionOperator
@@ -147,15 +144,23 @@ class RestorationConfig:
 @dataclass
 class RestorationReport:
     restored: np.ndarray
-    fp_steps: int
     inner_iterations: list[int]
-    avg_inner: float
     fp_converged: bool
     inner_converged: bool
     gradient_norms: list[float]
     final_gradient_norm: float
     rre: float | None
     wall_time: float
+
+    @property
+    def fp_steps(self) -> int:
+        """Fixed-point steps taken, one inner solve each."""
+        return len(self.inner_iterations)
+
+    @property
+    def avg_inner(self) -> float:
+        """Mean inner iterations per fixed-point step."""
+        return float(np.mean(self.inner_iterations))
 
 
 def _transposes(bc_h: BoundaryCondition, formulation: Formulation) -> bool:
@@ -166,22 +171,13 @@ def _transposes(bc_h: BoundaryCondition, formulation: Formulation) -> bool:
 
 def operator_applies(h_op: StructuredBlurOperator,
                      formulation: Formulation) -> tuple:
-    """``(H, B, B H)`` as callables on the operator's applies: the
+    """``(H, B)`` as callables on the operator's applies: the
     transform-diagonalized ones under a fast BC, the references under zero
-    and periodic blur.  ``B H`` is ``H H`` as one squared apply for 2D data
-    with ``B = H`` under a fast BC, else ``B`` after ``H``."""
-    fast = h_op.bc in FAST_TRANSFORMS
-    transposed = _transposes(h_op.bc, formulation)
-    forward = h_op.apply_fast if fast else h_op.apply
-    back = h_op.apply_transpose_fast if transposed else forward
-    # 1D keeps the two applies even where B = H.  The squared apply rounds
-    # differently, and that moves the iteration counts of the 1D none/diag
-    # cells past the benchmark's +-1-per-step reference gate (ROADMAP item
-    # 1).  The way out is one dense B H per restore, built from the squared
-    # eigenvalues (ROADMAP item 2(a)).
-    if fast and not transposed and h_op.ndim == 2:
-        return forward, back, h_op.apply_squared_fast
-    return forward, back, lambda w: back(forward(w))
+    and periodic blur."""
+    forward = h_op.apply_fast if h_op.bc in FAST_TRANSFORMS else h_op.apply
+    back = h_op.apply_transpose_fast if _transposes(h_op.bc, formulation) \
+        else forward
+    return forward, back
 
 
 def kronecker_factors(factors: tuple[SymmetricPsf, SymmetricPsf],
@@ -209,22 +205,16 @@ class StepSystem:
     its re-blur ``H'`` is ``H``; so ``B = H`` except for the normal form
     under anti-reflective blur, which needs the transpose.
 
-    ``data_term`` is the callable ``B H``, chosen once here.  For 2D data
-    whose PSF is separable, ``h = a b^T`` (``SymmetricPsf.factors``), the
-    blur under each of the four extensions is a Kronecker product,
-    ``H W = H_a W H_b^T``, so ``B H`` is ``W -> F0 W F1^T`` with the dense
-    n x n 1D data terms ``F = B H`` of the two axis kernels
-    (``kronecker_factors``): two products per matvec, whatever the blur
-    BC, and no ``T^T T`` for ``AR+Sine+ZN``.  Otherwise ``data_term``
-    comes from ``operator_applies``: a non-separable 2D PSF with ``B = H``
-    under a fast BC takes ``H H`` as one ``blur.diagonalized_apply`` with
-    the squared eigenvalues, two tensor transforms per matvec, not four.  A
-    non-separable ``AR+Sine+ZN`` PSF composes ``H^T`` with ``H``, because
-    the anti-reflective transform ``T`` is not orthogonal and
-    ``H^T H = T^{-T} diag(lam) T^T T diag(lam) T^{-1}`` is no member of the
-    algebra.  Non-separable zero and periodic blur compose the reference
-    applies, and 1D data composes two applies in every configuration, so
-    1D restorations keep their bytes.
+    ``data_term`` is the callable ``B H``, chosen once here by one of two
+    rules.  For 2D data whose PSF is separable, ``h = a b^T``
+    (``SymmetricPsf.factors``), the blur under each of the four extensions
+    is a Kronecker product, ``H W = H_a W H_b^T``, so ``B H`` is
+    ``W -> F0 W F1^T`` with the dense n x n 1D data terms ``F = B H`` of
+    the two axis kernels (``kronecker_factors``): two products per matvec,
+    whatever the blur BC.  Every other PSF, 1D or non-separable 2D, takes
+    ``back(forward(w))`` on the applies of ``operator_applies``: fast under
+    reflective and anti-reflective blur, the references under zero and
+    periodic blur.
     Built once per restoration; ``freeze`` hands it each step's diffusion
     operator ``L``, ``scale`` gives the scaled system
     ``D^{-1/2} A D^{-1/2}``, and ``krylov_problem`` the step's solve.
@@ -233,10 +223,12 @@ class StepSystem:
     def __init__(self, psf: SymmetricPsf, config: RestorationConfig,
                  v: np.ndarray) -> None:
         self.h_op = h_op = StructuredBlurOperator(psf, config.bc_h, v.shape[0])
-        self.forward, self.back, self.data_term = operator_applies(
-            h_op, config.formulation)
+        forward, back = operator_applies(h_op, config.formulation)
+        self.forward, self.back = forward, back
         factors = psf.factors()
-        if factors is not None:
+        if factors is None:
+            self.data_term = lambda w: back(forward(w))
+        else:
             f0, f1 = kronecker_factors(factors, h_op.bc, config.formulation,
                                        h_op.n)
             self.data_term = lambda w: f0 @ w @ f1.T
@@ -368,7 +360,6 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
     gradient_norms: list[float] = []
     fp_converged = False
     inner_converged = True
-    steps = 0
     for _ in range(config.fp_max):
         system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
         gradient_norms.append(float(np.linalg.norm(el_residual(system, u).ravel())))
@@ -377,14 +368,14 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
         outcome = solver(apply_a, apply_minv, rhs, u0, config.inner)
         u_next = back(outcome.solution)
 
-        steps += 1
         inner_iterations.append(outcome.iterations)
         inner_converged = inner_converged and outcome.converged
         with np.errstate(over="ignore"):
             change = float(np.linalg.norm((u_next - u).ravel()))
             scale = float(np.linalg.norm(u_next.ravel()))
         if not np.isfinite(change + scale):  # change / inf would read as 0
-            raise SolverDivergenceError("fixed-point loop", steps)
+            raise SolverDivergenceError("fixed-point loop",
+                                        len(inner_iterations))
         u = u_next
         # an unchanged iterate is a fixed point even where u = 0
         if change == 0.0 or (scale > 0 and change / scale < config.fp_tol):
@@ -401,9 +392,7 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
 
     return RestorationReport(
         restored=u,
-        fp_steps=steps,
         inner_iterations=inner_iterations,
-        avg_inner=float(np.mean(inner_iterations)) if inner_iterations else 0.0,
         fp_converged=fp_converged,
         inner_converged=inner_converged,
         gradient_norms=gradient_norms,

@@ -332,7 +332,7 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
             f"preconditioner {kind!r} requires a blur operator with "
             f"{expected_bc.value!r} boundary conditions, got {h_op.bc.value!r}"
         )
-    lam_h2 = h_op.squared_eigenvalues()
+    lam_h2 = h_op.eigenvalues() ** 2
     n = h_op.n
 
     if h_op.ndim == 1:

@@ -382,27 +382,6 @@ def test_2d_fast_paths_across_dense_product_cutoff(n, bc, kind, l_bc, rng):
                                atol=1e-9 * scale)
 
 
-@pytest.mark.parametrize("shape", [(8,), (33,), (203,), (3, 3), (127, 127),
-                                   (128, 128), (129, 129), (144, 144),
-                                   (145, 145)],
-                         ids=lambda s: f"{len(s)}d-{s[0]}")
-@pytest.mark.parametrize("bc", [BoundaryCondition.REFLECTIVE,
-                                BoundaryCondition.ANTI_REFLECTIVE])
-def test_squared_fast_apply_is_two_fast_applies(shape, bc, rng):
-    """``apply_squared_fast`` is ``H H``: one diagonalized apply with the
-    squared eigenvalues, on both sides of the 2D dense-product cutoff."""
-    psf = uniform_psf(1) if len(shape) == 1 else gen_psf("gaussian", 1, 1.0)
-    op = StructuredBlurOperator(psf, bc, shape[0])
-    u = rng.standard_normal(shape)
-    twice = op.apply_fast(op.apply_fast(u))
-    got = op.apply_squared_fast(u)
-    assert np.linalg.norm(got - twice) <= 1e-12 * np.linalg.norm(twice)
-    lam2 = op.squared_eigenvalues()
-    assert not lam2.flags.writeable
-    assert op.squared_eigenvalues() is lam2
-    np.testing.assert_array_equal(lam2, op.eigenvalues() ** 2)
-
-
 @pytest.mark.parametrize("n", [5, 144, 145])
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("transpose", [False, True])
@@ -478,8 +457,6 @@ def test_errors():
         op.eigenvalues()
     with pytest.raises(UnsupportedBoundaryConditionError):
         op.apply_fast(np.zeros(16))
-    with pytest.raises(UnsupportedBoundaryConditionError):
-        op.apply_squared_fast(np.zeros(16))
     with pytest.raises(ValueError):
         oracles.dense_of(
             StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, 5000))

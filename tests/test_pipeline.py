@@ -13,14 +13,13 @@ from tvdeblur.krylov import KrylovConfig, SolverDivergenceError, pcg
 from tvdeblur.pipeline import (
     ConfigurationError,
     Formulation,
-    InvalidScalingError,
     PrecondSelector,
     RestorationConfig,
     StepSystem,
     el_residual,
     restore,
 )
-from tvdeblur.precond import IndefinitePreconditionerError
+from tvdeblur.precond import IndefinitePreconditionerError, InvalidScalingError
 from tvdeblur.transforms import probe_dense
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
@@ -391,13 +390,15 @@ def test_krylov_problem_dense_per_selector(rng, label, selector):
     check_krylov_problem(rng, 9, np.full(3, 1 / 3.0), label, selector)
 
 
+@pytest.mark.parametrize("h", [
+    np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0, oracles.disk_kernel(1),
+], ids=["separable", "disk"])
 @pytest.mark.parametrize("selector", list(PrecondSelector))
 @pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
-def test_krylov_problem_dense_per_selector_2d(rng, label, selector):
-    """On a 2D grid, where ``R`` and ``AR+Reblur`` apply ``B H`` as one
-    squared diagonalized apply."""
-    check_krylov_problem(rng, 5, np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0])
-                         / 16.0, label, selector)
+def test_krylov_problem_dense_per_selector_2d(rng, label, selector, h):
+    """On a 2D grid, through both data terms: the Kronecker products of a
+    separable PSF and ``back(forward(w))`` of a non-separable one."""
+    check_krylov_problem(rng, 5, h, label, selector)
 
 
 #: (blur BC, formulation, diffusion BC) of every valid restore system
@@ -406,29 +407,30 @@ SYSTEM_CASES = [(bc_h, formulation, bc_l)
                 for bc_l in DiffusionBc]
 
 
+@pytest.mark.parametrize("shape,h", [
+    ((33,), np.full(5, 0.2)), ((16, 16), oracles.two_gaussians_kernel(3)),
+], ids=["1d", "2d-non-separable"])
 @pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
-def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l):
-    """In 1D the data term stays ``back(forward(w))`` bit for bit in every
-    system, so 1D restorations keep their bytes."""
-    n, alpha = 33, 1e-2
-    l_op = DiffusionOperator(rng.standard_normal(n), 0.1, bc_l)
-    _, system = step_system(l_op, alpha, rng.standard_normal(n),
-                            SymmetricPsf(np.full(5, 0.2)), bc_h, formulation)
-    w = rng.standard_normal(n)
+def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l,
+                                                 shape, h):
+    """In 1D, and in 2D with a non-separable PSF, the data term is
+    ``back(forward(w))`` bit for bit in every system."""
+    alpha = 1e-2
+    l_op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc_l)
+    _, system = step_system(l_op, alpha, rng.standard_normal(shape),
+                            SymmetricPsf(h), bc_h, formulation)
+    w = rng.standard_normal(shape)
     np.testing.assert_array_equal(
         system.apply(w), system.back(system.forward(w)) + alpha * l_op.apply(w))
 
 
-@pytest.mark.parametrize("label,transforms", [
-    ("R", 2), ("AR+Sine+ZN", 4), ("AR+Reblur+ZN", 2), ("AR+Reblur+AR", 2),
-])
+@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
 @pytest.mark.parametrize("separable", [True, False], ids=["gaussian", "disk"])
 def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
-                                              transforms, separable):
+                                              separable):
     """A 2D matvec with a separable PSF runs no tensor transform: it is two
     products with the dense 1D data terms.  With a non-separable PSF it runs
-    two where ``B = H`` (one squared apply), and four for ``AR+Sine+ZN``,
-    whose ``H^T H`` needs both."""
+    four, two for ``H`` and two for ``B``, in every configuration."""
     from tvdeblur import blur
 
     n = 16
@@ -447,7 +449,7 @@ def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
 
     monkeypatch.setattr(blur, "tensor_apply_2d", counting)
     system.apply(rng.standard_normal((n, n)))
-    assert len(calls) == (0 if separable else transforms)
+    assert len(calls) == (0 if separable else 4)
 
 
 def oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha):
@@ -506,24 +508,6 @@ def test_2d_kronecker_step_apply_matches_oracle(rng, n, anisotropic, bc_h,
         got = system.apply(w)
         want = oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
-def test_non_separable_2d_step_apply_keeps_the_transform_path(
-        rng, bc_h, formulation, bc_l):
-    """A non-separable 2D PSF keeps the data term of the transform path bit
-    for bit: one squared apply where ``B = H`` under a fast BC, else
-    ``back(forward(w))``."""
-    n, alpha = 16, 1e-2
-    psf = SymmetricPsf(oracles.two_gaussians_kernel(3))
-    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc_l)
-    h_op, system = step_system(l_op, alpha, rng.standard_normal((n, n)), psf,
-                               bc_h, formulation)
-    w = rng.standard_normal((n, n))
-    squared = bc_h in pipeline.FAST_TRANSFORMS and system.back == system.forward
-    data = h_op.apply_squared_fast(w) if squared \
-        else system.back(system.forward(w))
-    np.testing.assert_array_equal(system.apply(w), data + alpha * l_op.apply(w))
 
 
 @pytest.mark.parametrize("n,h", [
