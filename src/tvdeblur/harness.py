@@ -80,6 +80,17 @@ def default_half_width(n: int, dimension: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_grid(n: int, m: int) -> None:
+    """The generators' bounds on the grid n and the kernel half-width m."""
+    if n < 32:
+        raise ValueError(f"n must be at least 32, got {n}")
+    if m < 0:
+        raise ValueError(f"half-width m must be nonnegative, got {m}")
+    if m >= n / 4:
+        raise ValueError(f"half-width m={m} must be below n/4 = {n / 4:g} "
+                         f"for n={n}")
+
+
 def gen_signal_1d(n: int, m: int) -> tuple[np.ndarray, slice]:
     """Deterministic piecewise test signal sampled on an extended grid.
 
@@ -96,10 +107,7 @@ def gen_signal_1d(n: int, m: int) -> tuple[np.ndarray, slice]:
     Returns the extended signal of length ``n + 2 m`` (sampled at cell
     midpoints) and the field-of-view slice of length ``n``.
     """
-    if n < 32:
-        raise ValueError(f"n must be at least 32, got {n}")
-    if m < 0 or m >= n / 4:
-        raise ValueError(f"half-width m={m} too large for n={n}")
+    _check_grid(n, m)
     total = n + 2 * m
     x = (np.arange(1, total + 1) - 0.5) / total
     baseline_x = np.array([0.0, 0.15, 0.45, 0.70, 0.80, 1.0])
@@ -115,10 +123,7 @@ def gen_image_2d(n: int, m: int) -> tuple[np.ndarray, tuple[slice, slice]]:
     rectangle.  Nonzero along every border.  Returns the extended
     ``(n + 2m) x (n + 2m)`` image and the field-of-view slices.
     """
-    if n < 32:
-        raise ValueError(f"n must be at least 32, got {n}")
-    if m < 0 or m >= n / 4:
-        raise ValueError(f"half-width m={m} too large for n={n}")
+    _check_grid(n, m)
     total = n + 2 * m
     coord = (np.arange(1, total + 1) - 0.5) / total
     yy, xx = np.meshgrid(coord, coord, indexing="ij")
@@ -212,6 +217,11 @@ class BenchmarkSpec:
             raise ValueError("dimension must be 1 or 2")
         if not (math.isfinite(self.nsr) and self.nsr >= 0):
             raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        if self.psf_half_width is not None and self.psf_half_width < 1:
+            raise ValueError(f"psf_half_width must be at least 1, "
+                             f"got {self.psf_half_width!r}")
         for axis in ("ns", "alphas", "betas", "configurations", "preconditioners"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis!r} is empty")

@@ -15,7 +15,8 @@ Up to the length ``transforms._GEMM_MAX_N`` (144, the 2D tensor-product
 cutoff) that sum is ``band @ P_d`` with the cached read-only matrix
 ``P_d = X[:n-d] * X[d:]``, O(b n^2) for bandwidth b; longer lengths use one
 FFT of length about 2n, O(b n log n), and materialize nothing dense.
-Projections take band dicts only: ``{offset: values}`` in 1D and
+Projections take band dicts only, keyed by offset tuples as
+``tv.DiffusionOperator.bands`` gives them: ``{(d,): values}`` in 1D and
 ``{(block offset, inner offset): coefficients}`` in 2D.  Preconditioners
 apply and solve with ``blur.diagonalized_apply``, as the blur operators do.
 
@@ -28,12 +29,13 @@ interior's first column ``col = S diag(lam) S[:, 0]``; as ``sum_j j sin(j x)
 ``sum_t (-1)^(t+1) (1 + cos(x)) lam_t``.  The weights alternate in sign, so a
 positive interior need not give a positive border.
 
-Two-level (2D) versions apply the one-dimensional map blockwise, regroup
-indices with the vec permutation (outer and inner indices swapped), and
-apply it blockwise again.  For the orthogonal algebras this reproduces the
-Frobenius-optimal member of the tensor algebra; the whole construction runs
-on block-band coefficient arrays with batched band sums: O(n^3) matrix
-products for n <= 144, batched FFTs in O(n^2 log n) above.
+In 2D the projection is the same map taken once per level (Di Benedetto
+and Serra-Capizzano's two-level construction): it runs blockwise, the
+indices are regrouped with the vec permutation (outer and inner indices
+swapped), and it runs blockwise again.  For the orthogonal algebras this
+reproduces the Frobenius-optimal member of the tensor algebra; the whole
+construction runs on block-band coefficient arrays with batched band sums:
+O(n^3) matrix products for n <= 144, batched FFTs in O(n^2 log n) above.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .transforms import TransformKind, apply_1d, tensor_apply_2d  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-Bands1D = dict[int, np.ndarray]
-Bands2D = dict[tuple[int, int], np.ndarray]
+#: offset tuple -> band values: ``(d,)`` in 1D, ``(block, inner)`` in 2D
+Bands = dict[tuple[int, ...], np.ndarray]
 
 #: preconditioner family -> (transform algebra, blur boundary condition)
 _FAMILIES = {
@@ -168,18 +170,34 @@ def _border_weights(length: int) -> np.ndarray:
     return w
 
 
-def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
-    """Algebra eigenvalues of the order-n banded matrix ``bands``.
+def project(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
+    """Algebra eigenvalues of the banded matrix ``bands``, of order n per axis.
 
-    ``bands`` maps a diagonal offset to its values, indexed by the smaller of
-    row/column; the values may carry leading batch axes.  The DCT and DST-I
-    results are the Frobenius-closest members ``X diag(result) X^T``.  The
-    bordered-sine result is ``(a[0,0], sine eigenvalues of the interior,
-    a[n-1,n-1])``; the anti-reflective one borders the same interior
-    eigenvalues by the (1,1) entry of the bordered matrix, ``lam_int @ w``.
+    ``bands`` maps an offset tuple to its values, indexed along each axis by
+    the smaller of row/column; in 1D the values may carry leading batch
+    axes.  The DCT and DST-I results are the Frobenius-closest members
+    ``X diag(result) X^T``.  The bordered-sine result is ``(a[0,0], sine
+    eigenvalues of the interior, a[n-1,n-1])``; the anti-reflective one
+    borders the same interior eigenvalues by the (1,1) entry of the bordered
+    matrix, ``lam_int @ w``.
+
+    In 2D, with ``(block offset, inner offset)`` keys, the result is the
+    n-by-n eigenvalue grid ``lam[s, t]`` aligned with the tensor transform:
+    ``s`` indexes the block-level (axis 0) frequency, ``t`` the inner one.
+    The block-banded operator is never densified.
     """
+    if any(len(offset) > 1 for offset in bands):
+        by_block_offset: dict[int, Bands] = {}
+        for (do, di), band in bands.items():
+            by_block_offset.setdefault(do, {})[(di,)] = band
+        # level 1 gives the eigenvalues of every block A_{k, k+do}, batched
+        # over k; the regrouped matrices G_t have lam_blocks[:, t] on block
+        # offset do, and level 2 projects them, giving grid[t, s]
+        regrouped = {(do,): project(kind, inner_bands, n).T
+                     for do, inner_bands in by_block_offset.items()}
+        return project(kind, regrouped, n).T
     if kind in (TransformKind.DCT, TransformKind.DST1):
-        parts = [_band_form(kind, b, d, n) for d, b in bands.items()]
+        parts = [_band_form(kind, b, d, n) for (d,), b in bands.items()]
         return sum(parts) if parts else np.zeros(n)
     if kind not in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
         raise ValueError(f"unknown projection kind: {kind!r}")
@@ -188,47 +206,19 @@ def project(kind: TransformKind, bands: Bands1D, n: int) -> np.ndarray:
         raise ValueError(f"{kind.value} projection requires n >= {smallest}")
     shape = next(iter(bands.values())).shape[:-1] if bands else ()
     lam_int = np.zeros(shape + (n - 2,))
-    for d, band in bands.items():
+    for (d,), band in bands.items():
         interior = np.asarray(band, dtype=float)[..., 1: n - 1 - abs(d)]
         lam_int += _band_form(TransformKind.DST1, interior, d, n - 2)
     out = np.zeros(shape + (n,))
     out[..., 1:-1] = lam_int
     if kind is TransformKind.SINE_HAT:
-        diag_band = bands.get(0)
+        diag_band = bands.get((0,))
         if diag_band is not None:
             out[..., 0] = diag_band[..., 0]
             out[..., -1] = diag_band[..., -1]
     else:
         out[..., 0] = out[..., -1] = lam_int @ _border_weights(n - 2)
     return out
-
-
-# ---------------------------------------------------------------------------
-# two-level (2D) projections
-# ---------------------------------------------------------------------------
-
-
-def level2_project(kind: TransformKind, blocks: Bands2D, n: int) -> np.ndarray:
-    """Two-level algebra eigenvalues of a block-banded operator.
-
-    ``blocks`` maps ``(block offset, inner offset)`` to coefficients[k, i]
-    and is never densified.  Returns the n-by-n eigenvalue grid ``lam[s, t]``
-    aligned with the tensor transform: ``s`` indexes the block-level
-    (axis 0) frequency, ``t`` the inner one.  The construction applies the
-    one-level map blockwise, swaps outer/inner indices with the vec
-    permutation, and applies it blockwise again.
-    """
-    by_block_offset: dict[int, Bands1D] = {}
-    for (do, di), band in blocks.items():
-        by_block_offset.setdefault(do, {})[di] = np.asarray(band, dtype=float)
-    stage2_bands: Bands1D = {}
-    for do, inner_bands in by_block_offset.items():
-        # level 1: eigenvalues of every block A_{k, k+do}, batched over k
-        lam_blocks = project(kind, inner_bands, n)
-        # regrouped matrices G_t have lam_blocks[:, t] on block offset do
-        stage2_bands[do] = lam_blocks.T
-    grid = project(kind, stage2_bands, n)  # grid[t, s]
-    return grid.T
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +276,16 @@ class FactoredPreconditioner:
                                   b / self.d_sqrt) / self.d_sqrt
 
 
-def _scaled_bands_1d(bands: Bands1D, s: np.ndarray) -> Bands1D:
+def _scaled_bands(bands: Bands, s: np.ndarray) -> Bands:
+    """``S A S`` with ``S = diag(s)``: each band scaled by ``s`` at its row,
+    then at its column."""
     out = {}
-    for d, band in bands.items():
-        k = abs(d)
-        out[d] = band * s[: len(s) - k] * s[k:]
-    return out
-
-
-def _scaled_blocks_2d(blocks: Bands2D, s: np.ndarray) -> Bands2D:
-    out = {}
-    for (do, di), band in blocks.items():
-        r0, c0 = max(0, -do), max(0, -di)
-        r1, c1 = max(0, do), max(0, di)
-        rows, cols = band.shape
-        out[(do, di)] = (
-            band
-            * s[r0: r0 + rows, c0: c0 + cols]
-            * s[r1: r1 + rows, c1: c1 + cols]
-        )
+    for offset, band in bands.items():
+        rows = tuple(slice(max(0, -d), max(0, -d) + m)
+                     for d, m in zip(offset, band.shape))
+        cols = tuple(slice(max(0, d), max(0, d) + m)
+                     for d, m in zip(offset, band.shape))
+        out[offset] = band * s[rows] * s[cols]
     return out
 
 
@@ -334,25 +315,14 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
         )
     lam_h2 = h_op.eigenvalues() ** 2
     n = h_op.n
-
-    if h_op.ndim == 1:
-        l_struct = l_op.bands()
-        eigs_of = lambda bands: project(transform, bands, n)  # noqa: E731
-        scale = _scaled_bands_1d
-        diag_bands = lambda v: {0: v}  # noqa: E731
-    else:
-        l_struct = l_op.block_banded()
-        eigs_of = lambda blocks: level2_project(transform, blocks, n)  # noqa: E731
-        scale = _scaled_blocks_2d
-        diag_bands = lambda v: {(0, 0): v}  # noqa: E731
-
+    l_bands = l_op.bands()
     if kind.endswith("_D"):
         s = scaling_diagonal(l_op, alpha) ** -0.5
-        lam_d = eigs_of(diag_bands(s))
-        lam_lt = eigs_of(scale(l_struct, s))
+        lam_d = project(transform, {(0,) * s.ndim: s}, n)
+        lam_lt = project(transform, _scaled_bands(l_bands, s), n)
         eigs = lam_h2 * lam_d * lam_d + alpha * lam_lt
         return FactoredPreconditioner(kind, transform, eigs, alpha)
-    eigs = lam_h2 + alpha * eigs_of(l_struct)
+    eigs = lam_h2 + alpha * project(transform, l_bands, n)
     # kind is the base or its D_ wrap here
     d_sqrt = np.sqrt(scaling_diagonal(l_op, alpha)) if kind != base else None
     return FactoredPreconditioner(kind, transform, eigs, alpha, d_sqrt=d_sqrt)

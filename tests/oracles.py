@@ -11,6 +11,8 @@ and the convolution sum, diffusion matrices from the stencil definition.
 and :func:`scipy_band_form` the same for the projections' FFT band forms.
 """
 
+import itertools
+
 import numpy as np
 from scipy import fft
 
@@ -134,24 +136,33 @@ def dense_ar(n: int) -> np.ndarray:
     return out
 
 
-def bands_of(a: np.ndarray) -> dict:
-    """Every diagonal of a square matrix: ``{offset: values}``, with values
-    indexed by the smaller of row/column (``np.diagonal``'s order)."""
-    n = a.shape[0]
-    return {d: np.diagonal(a, d) for d in range(1 - n, n)}
+def _band_cells(offset: tuple, shape) -> tuple:
+    """Row and column grid indices of every value of the band at ``offset``,
+    indexed along each axis by the smaller of the two cells' indices."""
+    index = np.indices(shape)
+    rows = tuple(i + max(0, -d) for i, d in zip(index, offset))
+    cols = tuple(i + max(0, d) for i, d in zip(index, offset))
+    return rows + cols
 
 
-def block_bands_of(a: np.ndarray, n: int) -> dict:
-    """Every block band of an n^2 x n^2 matrix of n x n blocks:
-    ``{(block offset, inner offset): coefficients[k, i]}``, with k and i
-    indexed by the smaller block and inner index."""
-    blocks = a.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [K, L, i, j]
-    out = {}
-    for do in range(1 - n, n):
-        by_block = np.diagonal(blocks, do, axis1=0, axis2=1)  # [i, j, k]
-        for di in range(1 - n, n):
-            out[(do, di)] = np.diagonal(by_block, di, axis1=0, axis2=1)
-    return out
+def bands_of(a: np.ndarray, ndim: int = 1) -> dict:
+    """Every band of a matrix on the row-major n^ndim grid: ``{offset tuple:
+    values}``, keyed and indexed as ``DiffusionOperator.bands`` (in 1D,
+    ``np.diagonal``'s order; in 2D, ``(block offset, inner offset)``)."""
+    n = round(a.shape[0] ** (1 / ndim))
+    grid = a.reshape((n,) * (2 * ndim))
+    return {offset: grid[_band_cells(offset, [n - abs(d) for d in offset])]
+            for offset in itertools.product(range(1 - n, n), repeat=ndim)}
+
+
+def dense_of_bands(bands: dict, n: int) -> np.ndarray:
+    """The matrix of a band dict on the row-major n^ndim grid, the inverse
+    of :func:`bands_of`."""
+    ndim = len(next(iter(bands)))
+    dense = np.zeros((n,) * (2 * ndim))
+    for offset, values in bands.items():
+        dense[_band_cells(offset, values.shape)] = values
+    return dense.reshape(n ** ndim, n ** ndim)
 
 
 def sine_representer(lam: np.ndarray) -> np.ndarray:
@@ -299,15 +310,16 @@ _DIFFUSION_PAD = {
 def diffusion_apply_padded(w: np.ndarray, coefficients, bc: str) -> np.ndarray:
     """Diffusion apply on ``w`` padded by one ghost value per side.
 
-    ``coefficients`` is the edge array ``a`` in 1D and ``(a_h, a_v)`` in
-    2D; ghosts come from ``np.pad`` (symmetric for zero Neumann, odd
-    reflection for anti-reflective).
+    ``coefficients[k]`` holds the edge coefficients across axis k; ghosts
+    come from ``np.pad`` (symmetric for zero Neumann, odd reflection for
+    anti-reflective).  The divergence sums the last axis first.
     """
     ext = np.pad(w, 1, **_DIFFUSION_PAD[bc])
-    if w.ndim == 1:
-        flux = coefficients * np.diff(ext)
-        return -np.diff(flux)
-    a_h, a_v = coefficients
-    flux_h = a_h * np.diff(ext[1:-1, :], axis=1)
-    flux_v = a_v * np.diff(ext[:, 1:-1], axis=0)
-    return -(np.diff(flux_h, axis=1) + np.diff(flux_v, axis=0))
+    divergence = []
+    for axis in reversed(range(w.ndim)):
+        # the ghosts along this axis, the grid cells along the other
+        lines = ext[tuple(slice(None) if k == axis else slice(1, -1)
+                          for k in range(w.ndim))]
+        flux = coefficients[axis] * np.diff(lines, axis=axis)
+        divergence.append(np.diff(flux, axis=axis))
+    return -sum(divergence[1:], divergence[0])

@@ -71,6 +71,17 @@ def test_signal_rejects_bad_arguments():
         gen_signal_1d(100, 30)
 
 
+@pytest.mark.parametrize("gen", [gen_signal_1d, gen_image_2d])
+@pytest.mark.parametrize("n,m,message", [
+    (16, 2, "n must be at least 32, got 16"),
+    (64, -1, "half-width m must be nonnegative, got -1"),
+    (64, 16, "half-width m=16 must be below n/4 = 16 for n=64"),
+])
+def test_generators_name_the_grid_bound_that_failed(gen, n, m, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen(n, m)
+
+
 def test_image_borders_nonzero():
     img, fov = gen_image_2d(64, 8)
     assert img.shape == (80, 80)
@@ -508,6 +519,10 @@ def test_cli_gen_and_restore(tmp_path):
      "psf_sigma must be finite and positive, got nan"),
     (["--dim", "1", "--psf-sigma", "5"],
      "psf_sigma is the width of the 2D gaussian psf"),
+    (["--psf-m", "-1"], "psf_half_width must be at least 1, got -1"),
+    (["--dim", "2", "--n", "32", "--psf-m", "0"],
+     "psf_half_width must be at least 1, got 0"),
+    (["--seed", "-1"], "seed must be nonnegative, got -1"),
 ])
 def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
                                               message):
@@ -602,6 +617,20 @@ def test_cli_names_n_below_the_smallest_grid(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert cli_main([*argv, "--out-dir", str(out)]) == 2
     assert "n must be at least 32, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("psf_m = -1", "psf_half_width must be at least 1, got -1"),
+    ("seed = -1", "seed must be nonnegative, got -1"),
+])
+def test_cli_sweep_names_a_negative_setting(tmp_path, capsys, line, message):
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("dimension = 1\nn = 64\nalpha = 1e-2\nbeta = 0.1\n"
+                   f"config = R\nprecond = none\n{line}\n")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", str(cfg), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,7 +9,6 @@ from tvdeblur.precond import (
     FactoredPreconditioner,
     IndefinitePreconditionerError,
     assemble_preconditioner,
-    level2_project,
     project,
     spectral_diagnostic,
 )
@@ -41,15 +40,9 @@ def dense_member(kind, lam):
 
 
 def random_banded(rng, n, bandwidth=1):
-    a = np.zeros((n, n))
-    bands = {}
-    for d in range(-bandwidth, bandwidth + 1):
-        band = rng.standard_normal(n - abs(d))
-        bands[d] = band
-        for i, val in enumerate(band):
-            r, c = (i, i + d) if d >= 0 else (i - d, i)
-            a[r, c] = val
-    return a, bands
+    bands = {(d,): rng.standard_normal(n - abs(d))
+             for d in range(-bandwidth, bandwidth + 1)}
+    return oracles.dense_of_bands(bands, n), bands
 
 
 # -- optimality, linearity, SPD preservation -----------------------------------
@@ -222,7 +215,7 @@ def test_ar_project_requires_interior():
 def test_level2_identity():
     n = 6
     for kind in TransformKind:
-        lam = level2_project(kind, oracles.block_bands_of(np.eye(n * n), n), n)
+        lam = project(kind, oracles.bands_of(np.eye(n * n), 2), n)
         np.testing.assert_allclose(lam, np.ones((n, n)), atol=1e-12)
 
 
@@ -230,7 +223,7 @@ def test_level2_laplacian_eigenvalues():
     n = 6
     lap1 = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     lap2 = np.kron(lap1, np.eye(n)) + np.kron(np.eye(n), lap1)
-    lam = level2_project(TransformKind.DST1, oracles.block_bands_of(lap2, n), n)
+    lam = project(TransformKind.DST1, oracles.bands_of(lap2, 2), n)
     freqs = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     np.testing.assert_allclose(lam, freqs[:, None] + freqs[None, :], atol=1e-12)
     s2 = np.kron(oracles.dense_dst1(n), oracles.dense_dst1(n))
@@ -244,15 +237,9 @@ def test_level2_block_banded_matches_dense_argmin(rng):
     for do in (-1, 0, 1):
         for di in (-1, 0, 1):
             blocks[(do, di)] = rng.standard_normal((n - abs(do), n - abs(di)))
-    dense = np.zeros((n * n, n * n))
-    for (do, di), arr in blocks.items():
-        for k in range(arr.shape[0]):
-            for i in range(arr.shape[1]):
-                kr, ir = k + max(0, -do), i + max(0, -di)
-                kc, ic = k + max(0, do), i + max(0, di)
-                dense[kr * n + ir, kc * n + ic] = arr[k, i]
+    dense = oracles.dense_of_bands(blocks, n)
     for kind in ORTHOGONAL:
-        lam = level2_project(kind, blocks, n)
+        lam = project(kind, blocks, n)
         np.testing.assert_allclose(lam, oracle_level2(kind, blocks, n),
                                    atol=1e-12)
         # Frobenius argmin over the tensor algebra: diag((X (x) X)^T A (X (x) X))
@@ -262,7 +249,7 @@ def test_level2_block_banded_matches_dense_argmin(rng):
         xx = np.kron(x, x)
         np.testing.assert_allclose(lam.reshape(-1), np.diag(xx.T @ dense @ xx),
                                    atol=1e-12)
-    np.testing.assert_allclose(level2_project(AR, blocks, n),
+    np.testing.assert_allclose(project(AR, blocks, n),
                                oracle_level2(AR, blocks, n), atol=1e-12)
 
 
@@ -274,27 +261,45 @@ def test_level2_matches_formula_oracle(kind, n, rng):
     blocks = {(do, di): rng.standard_normal((n - abs(do), n - abs(di)))
               for do in (-1, 0, 1) for di in (-1, 0, 1)}
     expected = oracle_level2(kind, blocks, n)
-    np.testing.assert_allclose(level2_project(kind, blocks, n), expected,
+    np.testing.assert_allclose(project(kind, blocks, n), expected,
                                rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_level2_sinehat_of_ar_blur_is_the_eigenvalue_mesh():
     psf = gen_psf("gaussian", 2, 1.0)
     op = StructuredBlurOperator(psf, BoundaryCondition.ANTI_REFLECTIVE, 8)
-    lam = level2_project(TransformKind.SINE_HAT,
-                         oracles.block_bands_of(oracles.dense_of(op), 8), 8)
+    lam = project(TransformKind.SINE_HAT,
+                  oracles.bands_of(oracles.dense_of(op), 2), 8)
     np.testing.assert_allclose(lam, op.eigenvalues(), atol=1e-12)
 
 
 def test_level2_cosine_fixes_reflective_blur():
     psf = gen_psf("gaussian", 2, 1.0)
     op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, 8)
-    lam = level2_project(TransformKind.DCT,
-                         oracles.block_bands_of(oracles.dense_of(op), 8), 8)
+    lam = project(TransformKind.DCT,
+                  oracles.bands_of(oracles.dense_of(op), 2), 8)
     np.testing.assert_allclose(lam, op.eigenvalues(), atol=1e-12)
 
 
 # -- assembled preconditioners ---------------------------------------------------
+
+
+SCALING_CASES = [(1, n) for n in (1, 2, 3, 9)] + [(2, n) for n in (1, 2, 6)]
+
+
+@pytest.mark.parametrize("bc", list(DiffusionBc))
+@pytest.mark.parametrize("ndim,n", SCALING_CASES)
+def test_scaled_bands_are_the_dense_s_l_s(ndim, n, bc, rng):
+    """One scaling rule for both dimensions: every band of ``L`` scaled by
+    ``s`` at its row and at its column gives ``S L S``, ``S = diag(s)``."""
+    l_op = DiffusionOperator(rng.standard_normal((n,) * ndim), 0.2, bc)
+    s = rng.uniform(0.5, 2.0, (n,) * ndim)
+    scaled = precond._scaled_bands(l_op.bands(), s)
+    assert scaled.keys() == l_op.bands().keys()
+    big_s = np.diag(s.reshape(-1))
+    np.testing.assert_allclose(oracles.dense_of_bands(scaled, n),
+                               big_s @ oracles.dense_of(l_op) @ big_s,
+                               atol=1e-13)
 
 
 def make_1d_ops(base, n=8, beta=0.1, seed=11):
