@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """FFT against cached-matrix products for 2D transforms, assembly and the
-data term.
+data term, and the 1D data term against its dense matrix.
 
 The first table gives, for each transform kind and grid side n, the
 best-of-k time of one forward 2D tensor apply done two ways: the 1D
@@ -22,9 +22,18 @@ non-separable PSF takes, and the Kronecker form ``F0 @ W @ F1.T`` that
 ``pipeline.StepSystem`` takes for the separable harness PSF, with the
 dense 1D data terms of its axis kernels.
 
-``--sizes`` gives the grid sides of every table.  The second and third use
-the harness's 2D PSF for each side, the Gaussian of half-width
-m = ceil(n/8) and sigma = m/2.  Each cell repeats its timed call up to
+The fourth table gives, for each blur BC and formulation with a fast
+transform, the best-of-k time of one 1D data term ``B H`` done two ways:
+``pipeline.StepSystem``'s composed apply, which runs ``H`` and then ``B``
+in place on one copy of the vector, and the dense ``F @ w`` with the
+n x n data term ``F = B H`` (``pipeline.data_matrix``).  It is the 1D
+crossover a dense 1D data term would be chosen by; no code reads it yet.
+
+``--sizes`` gives the sizes of every table (by default the 2D tables take
+``SIZES`` and the 1D table ``SIZES_1D``).  The second and third use the
+harness's 2D PSF for each side, the Gaussian of half-width m = ceil(n/8)
+and sigma = m/2; the fourth the harness's 1D out-of-focus PSF of
+half-width ceil(n/20).  Each cell repeats its timed call up to
 ``--repeats`` times and stops after about a second, which bounds the
 reference data terms at large n.  The environment (versions, cores, CPU,
 BLAS thread variables) is printed first, because the crossovers depend on
@@ -43,9 +52,21 @@ import numpy as np
 import scipy
 
 from tvdeblur import transforms
-from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator
-from tvdeblur.harness import gen_psf
-from tvdeblur.pipeline import DATA_TERMS, kronecker_factors, operator_applies
+from tvdeblur.blur import (
+    FAST_TRANSFORMS,
+    BoundaryCondition,
+    StructuredBlurOperator,
+    scratch,
+)
+from tvdeblur.harness import PSF_KINDS, default_half_width, gen_psf
+from tvdeblur.pipeline import (
+    DATA_TERMS,
+    RestorationConfig,
+    StepSystem,
+    data_matrix,
+    kronecker_factors,
+    operator_applies,
+)
 from tvdeblur.precond import (
     IndefinitePreconditionerError,
     assemble_preconditioner,
@@ -54,6 +75,7 @@ from tvdeblur.transforms import TransformKind, apply_1d
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256)
+SIZES_1D = (64, 128, 203, 256, 512, 1024, 2048)
 ASSEMBLY_KINDS = ("R", "R_D", "M_D", "P_D")
 #: seconds of timed calls after which a cell stops repeating
 CELL_BUDGET_S = 1.0
@@ -140,16 +162,39 @@ def data_term_table(sizes, repeats: int) -> None:
             f0, f1 = kronecker_factors(psf.factors(), bc, formulation, n)
             w = rng.standard_normal((n, n))
             ms = [best_us(fn, repeats) / 1e3
-                  for fn in (lambda: back(forward(w)), lambda: f0 @ w @ f1.T)]
+                  for fn in (lambda: back(forward(scratch(w))),
+                             lambda: f0 @ w @ f1.T)]
             label = f"{bc.value}/{formulation.value}"
             print(f"{label:<24}{n:>5}{ms[0]:>11.3f}{ms[1]:>11.3f}"
                   f"{ms[0] / ms[1]:>8.2f}")
 
 
+def data_term_1d_table(sizes, repeats: int) -> None:
+    """Best-of-k 1D data term, the composed fast applies against the dense
+    data term."""
+    print(f"{'kind':<24}{'n':>5}{'composed':>11}{'dense':>11}{'ratio':>8}")
+    rng = np.random.default_rng(0)
+    for bc, formulation in DATA_TERMS:
+        if bc not in FAST_TRANSFORMS:
+            continue
+        for n in sizes:
+            psf = gen_psf(PSF_KINDS[1], default_half_width(n, 1))
+            w = rng.standard_normal(n)
+            config = RestorationConfig(bc_h=bc, alpha=1.0, beta=1.0,
+                                       formulation=formulation)
+            composed = StepSystem(psf, config, w).data_term
+            f = data_matrix(psf, bc, formulation, n)
+            us = [best_us(fn, repeats)
+                  for fn in (lambda: composed(w), lambda: f @ w)]
+            label = f"{bc.value}/{formulation.value}"
+            print(f"{label:<24}{n:>5}{us[0]:>11.1f}{us[1]:>11.1f}"
+                  f"{us[0] / us[1]:>8.2f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--sizes", type=int, nargs="+", default=None)
     args = parser.parse_args()
 
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
@@ -159,9 +204,10 @@ def main() -> None:
     print(f"best of {args.repeats}, us; cutoff _GEMM_MAX_N = "
           f"{transforms._GEMM_MAX_N}")
     print(f"{'kind':<16}{'n':>5}{'per-axis':>11}{'matrix':>11}{'ratio':>8}")
+    sizes = args.sizes or SIZES
     rng = np.random.default_rng(0)
     for kind in TransformKind:
-        for n in args.sizes:
+        for n in sizes:
             g = rng.standard_normal((n, n))
             m = transforms._matrix_1d(kind, False, False, n)
             per_axis = best_us(
@@ -171,9 +217,11 @@ def main() -> None:
             print(f"{kind.value:<16}{n:>5}{per_axis:>11.1f}{product:>11.1f}"
                   f"{per_axis / product:>8.2f}")
     print(f"\nassemble_preconditioner, best of {args.repeats}, ms")
-    assembly_table(args.sizes, args.repeats)
+    assembly_table(sizes, args.repeats)
     print(f"\n2D data term B H, best of {args.repeats}, ms")
-    data_term_table(args.sizes, args.repeats)
+    data_term_table(sizes, args.repeats)
+    print(f"\n1D data term B H, best of {args.repeats}, us")
+    data_term_1d_table(args.sizes or SIZES_1D, args.repeats)
 
 
 if __name__ == "__main__":

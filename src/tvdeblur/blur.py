@@ -18,7 +18,12 @@ field of view are supplied by one of four boundary extensions:
 Reference semantics for every extension is pad / convolve / crop, with
 the convolution computed by :func:`convolve_valid` in plain numpy; the
 fast path, for the extensions in ``FAST_TRANSFORMS``, is one
-:func:`diagonalized_apply` and must agree with the reference to rounding.
+:func:`diagonalized` apply and must agree with the reference to rounding.
+:func:`diagonalized` binds the transform bodies and the eigenvalues once;
+its 1D apply runs analysis, eigenvalue scaling and synthesis in place on
+the array it is given.  The public applies (``apply``, ``apply_fast``,
+:func:`diagonalized_apply`, ...) never write into their argument: a fast
+one runs on a copy (:func:`scratch`).
 
 A separable 2D kernel ``h = a b^T`` (:meth:`SymmetricPsf.factors`) blurs
 under every extension as the Kronecker product ``H W = H_a W H_b^T`` of
@@ -37,7 +42,13 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .transforms import TransformKind, apply_1d, tensor_apply_2d
+# apply_1d stays importable here for bench/spans.py
+from .transforms import (  # noqa: F401
+    TransformKind,
+    apply_1d,
+    body_1d,
+    tensor_apply_2d,
+)
 
 
 class BoundaryCondition(Enum):
@@ -66,16 +77,48 @@ FAST_TRANSFORMS = {
 }
 
 
+def diagonalized(kind: TransformKind, lam: np.ndarray,
+                 transpose: bool = False):
+    """``X diag(lam) X^{-1}`` (``X^{-T} diag(lam) X^T`` with ``transpose``)
+    for transform ``kind``: the apply of every fast blur and preconditioner,
+    as a function of a float64 array that it may overwrite.
+
+    For 1D ``lam`` the analysis, the scaling by ``lam`` and the synthesis
+    run in place on that array, with the transform bodies bound here once.
+    For a 2D ``lam`` they are the tensor transforms, which allocate and
+    only read the array.  :func:`scratch` gives the argument that leaves a
+    caller's array alone.
+    """
+    if lam.ndim == 2:
+        if transpose:
+            return lambda g: tensor_apply_2d(
+                kind, lam * tensor_apply_2d(kind, g, transpose=True),
+                inverse=True, transpose=True)
+        return lambda g: tensor_apply_2d(
+            kind, lam * tensor_apply_2d(kind, g, inverse=True))
+    n = lam.shape[0]
+    analysis = body_1d(kind, not transpose, transpose, n)
+    synthesis = body_1d(kind, transpose, transpose, n)
+
+    def in_place(u):
+        analysis(u, u)
+        u *= lam
+        return synthesis(u, u)
+    return in_place
+
+
+def scratch(u: np.ndarray) -> np.ndarray:
+    """The argument for an apply of :func:`diagonalized` that leaves the
+    float64 array ``u`` alone: a copy of a vector, which the apply
+    transforms in place, and a grid as it is, which it only reads."""
+    return u.copy() if u.ndim == 1 else u
+
+
 def diagonalized_apply(kind: TransformKind, lam: np.ndarray, u: np.ndarray,
                        transpose: bool = False) -> np.ndarray:
-    """``X diag(lam) X^{-1} u`` (``X^{-T} diag(lam) X^T u`` with
-    ``transpose``) for transform ``kind``: the apply of every fast blur and
-    preconditioner.  ``u.ndim`` picks the 1D or the tensor transform."""
-    apply = apply_1d if u.ndim == 1 else tensor_apply_2d
-    if transpose:
-        return apply(kind, lam * apply(kind, u, transpose=True), inverse=True,
-                     transpose=True)
-    return apply(kind, lam * apply(kind, u, inverse=True))
+    """One apply of :func:`diagonalized` to ``u``, which is left alone."""
+    u = np.asarray(u, dtype=float)
+    return diagonalized(kind, lam, transpose)(scratch(u))
 
 
 class SymmetricPsf:
@@ -239,10 +282,12 @@ class StructuredBlurOperator:
     """Matrix-free blur under a chosen boundary extension.
 
     ``apply`` is the pad/convolve/crop reference; ``apply_fast`` is one
-    :func:`diagonalized_apply` in the transform ``FAST_TRANSFORMS`` gives
-    the extension.  ``apply_transpose`` is the exact algebraic transpose
-    (full-convolve then fold the margins back) and ``apply_transpose_fast``
-    its diagonalized form; the anti-reflective operator is not symmetric.
+    :func:`diagonalized` apply in the transform ``FAST_TRANSFORMS`` gives
+    the extension, bound once in ``fast_applies``, whose applies the
+    restore's data term runs in place.  ``apply_transpose`` is the exact
+    algebraic transpose (full-convolve then fold the margins back) and
+    ``apply_transpose_fast`` its diagonalized form; the anti-reflective
+    operator is not symmetric.
     ``reblur_apply`` is the operator built from the 180-degree-rotated
     kernel; for the symmetric kernels handled here it coincides with
     ``apply``.  ``apply_transpose`` and ``reblur_apply`` are reference
@@ -266,6 +311,7 @@ class StructuredBlurOperator:
         self.n = int(n)
         self.ndim = psf.ndim
         self._eigenvalues: np.ndarray | None = None
+        self._fast_applies: tuple | None = None
 
     # -- reference semantics -------------------------------------------------
 
@@ -322,14 +368,22 @@ class StructuredBlurOperator:
             self._eigenvalues = lam
         return self._eigenvalues
 
+    def fast_applies(self) -> tuple:
+        """``(H, H^T)`` as :func:`diagonalized` applies, functions of a
+        float64 array of the operator's shape that they may overwrite
+        (in 1D they run in place on it).  Bound on first use and kept."""
+        if self._fast_applies is None:
+            kind, lam = self.transform, self.eigenvalues()
+            self._fast_applies = (diagonalized(kind, lam),
+                                  diagonalized(kind, lam, transpose=True))
+        return self._fast_applies
+
     def apply_fast(self, u) -> np.ndarray:
         """Diagonalized apply: analysis, eigenvalue scaling, synthesis."""
-        return diagonalized_apply(self.transform, self.eigenvalues(),
-                                  self._check_shape(u))
+        return self.fast_applies()[0](scratch(self._check_shape(u)))
 
     def apply_transpose_fast(self, u) -> np.ndarray:
-        return diagonalized_apply(self.transform, self.eigenvalues(),
-                                  self._check_shape(u), transpose=True)
+        return self.fast_applies()[1](scratch(self._check_shape(u)))
 
     def matrix(self) -> np.ndarray:
         """Dense n x n matrix of a 1D operator: the reference apply run on

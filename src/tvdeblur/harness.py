@@ -48,7 +48,7 @@ from .pipeline import (
     restore,
 )
 from .precond import IndefinitePreconditionerError, InvalidScalingError
-from .tv import DiffusionBc
+from .tv import DiffusionBc, beta_problem
 
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
 
@@ -233,11 +233,13 @@ class BenchmarkSpec:
                 not (math.isfinite(self.psf_sigma) and self.psf_sigma > 0):
             raise ValueError(f"psf_sigma must be finite and positive, "
                              f"got {float(self.psf_sigma)!r}")
-        for name, values in (("alpha", self.alphas), ("beta", self.betas)):
-            bad = [x for x in values if not (math.isfinite(x) and x > 0)]
-            if bad:
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {float(bad[0])!r}")
+        bad = [x for x in self.alphas if not (math.isfinite(x) and x > 0)]
+        if bad:
+            raise ValueError(f"alpha must be finite and positive, "
+                             f"got {float(bad[0])!r}")
+        problems = [p for p in map(beta_problem, map(float, self.betas)) if p]
+        if problems:
+            raise ValueError(problems[0])
         unknown = [c for c in self.configurations if c not in CONFIGURATIONS]
         if unknown:
             raise ValueError(f"unknown configuration labels: {unknown}")

@@ -13,11 +13,14 @@ with a Krylov method: conjugate gradient when the system is symmetric
 solve; ``el_residual`` is its one optimality residual.  The data term
 ``B H`` is two products with dense n x n factors, one per axis, for 2D
 data with a separable PSF, under every blur BC; for any other PSF it is
-``B`` after ``H``.  The inner solve starts from the previous iterate and
-may be preconditioned by any of the transform-algebra preconditioners; the
-``x_d`` selector solves the diagonally scaled system instead and maps the
-solution back, which is spectrally equivalent to the ``d_x`` wrap on the
-unscaled system.
+``B`` after ``H`` on one copy of the vector, which in 1D the bound fast
+applies transform in place.  No apply of a step's system or of its
+preconditioner writes into its argument: the Krylov solvers keep using
+the vectors they pass.  The inner solve starts from the previous iterate
+and may be preconditioned by any of the transform-algebra
+preconditioners; the ``x_d`` selector solves the diagonally scaled system
+instead and maps the solution back, which is spectrally equivalent to the
+``d_x`` wrap on the unscaled system.
 
 The loop starts from ``u_0 = v`` and stops when the relative change
 ``||u_k - u_{k-1}|| / ||u_k||`` drops below ``fp_tol`` or the iterate does
@@ -39,11 +42,12 @@ from .blur import (
     BoundaryCondition,
     StructuredBlurOperator,
     SymmetricPsf,
+    scratch,
 )
 from .krylov import KrylovConfig, SolverDivergenceError, pbicgstab, pcg
 from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
 from .transforms import MIN_BORDERED_N
-from .tv import DiffusionBc, DiffusionOperator
+from .tv import DiffusionBc, DiffusionOperator, beta_problem
 
 
 class Formulation(Enum):
@@ -115,11 +119,14 @@ class RestorationConfig:
     inner: KrylovConfig = field(default_factory=KrylovConfig)
 
     def validate(self) -> None:
-        for name in ("alpha", "beta", "fp_tol"):
+        for name in ("alpha", "fp_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(
                     f"{name} must be finite and positive, got {value!r}")
+        problem = beta_problem(self.beta)
+        if problem:
+            raise ConfigurationError(problem)
         if self.fp_max < 1:
             raise ConfigurationError("fp_max must be at least 1")
         if (self.bc_h, self.formulation) not in DATA_TERMS:
@@ -171,13 +178,22 @@ def _transposes(bc_h: BoundaryCondition, formulation: Formulation) -> bool:
 
 def operator_applies(h_op: StructuredBlurOperator,
                      formulation: Formulation) -> tuple:
-    """``(H, B)`` as callables on the operator's applies: the
-    transform-diagonalized ones under a fast BC, the references under zero
+    """``(H, B)`` as functions of an array that they may overwrite: the
+    operator's bound ``fast_applies`` under a fast BC, which run in place
+    on a 1D array, and the reference applies, which allocate, under zero
     and periodic blur."""
-    forward = h_op.apply_fast if h_op.bc in FAST_TRANSFORMS else h_op.apply
-    back = h_op.apply_transpose_fast if _transposes(h_op.bc, formulation) \
+    if h_op.bc not in FAST_TRANSFORMS:
+        return h_op.apply, h_op.apply
+    forward, transpose = h_op.fast_applies()
+    return forward, transpose if _transposes(h_op.bc, formulation) \
         else forward
-    return forward, back
+
+
+def data_matrix(psf: SymmetricPsf, bc_h: BoundaryCondition,
+                formulation: Formulation, n: int) -> np.ndarray:
+    """The dense n x n data term ``F = B H`` of a 1D kernel under ``bc_h``."""
+    h = StructuredBlurOperator(psf, bc_h, n).matrix()
+    return (h.T if _transposes(bc_h, formulation) else h) @ h
 
 
 def kronecker_factors(factors: tuple[SymmetricPsf, SymmetricPsf],
@@ -186,13 +202,8 @@ def kronecker_factors(factors: tuple[SymmetricPsf, SymmetricPsf],
     """``(F0, F1)``, the dense n x n 1D data terms ``F = B H`` of the axis
     kernels ``(a, b)`` of a separable 2D PSF under ``bc_h``.  The 2D data
     term is ``W -> F0 W F1^T``."""
-    transposed = _transposes(bc_h, formulation)
-
-    def data_matrix(factor: SymmetricPsf) -> np.ndarray:
-        h = StructuredBlurOperator(factor, bc_h, n).matrix()
-        return (h.T if transposed else h) @ h
-
-    return data_matrix(factors[0]), data_matrix(factors[1])
+    return tuple(data_matrix(factor, bc_h, formulation, n)
+                 for factor in factors)
 
 
 class StepSystem:
@@ -214,7 +225,7 @@ class StepSystem:
     whatever the blur BC.  Every other PSF, 1D or non-separable 2D, takes
     ``back(forward(w))`` on the applies of ``operator_applies``: fast under
     reflective and anti-reflective blur, the references under zero and
-    periodic blur.
+    periodic blur, run on one copy of ``w``.
     Built once per restoration; ``freeze`` hands it each step's diffusion
     operator ``L``, ``scale`` gives the scaled system
     ``D^{-1/2} A D^{-1/2}``, and ``krylov_problem`` the step's solve.
@@ -224,10 +235,9 @@ class StepSystem:
                  v: np.ndarray) -> None:
         self.h_op = h_op = StructuredBlurOperator(psf, config.bc_h, v.shape[0])
         forward, back = operator_applies(h_op, config.formulation)
-        self.forward, self.back = forward, back
         factors = psf.factors()
         if factors is None:
-            self.data_term = lambda w: back(forward(w))
+            self.data_term = lambda w: back(forward(scratch(w)))
         else:
             f0, f1 = kronecker_factors(factors, h_op.bc, config.formulation,
                                        h_op.n)
@@ -235,7 +245,7 @@ class StepSystem:
         self.alpha = config.alpha
         self.selector = config.preconditioner
         self.kind = config.resolved_kind()
-        self.rhs = self.back(v)
+        self.rhs = back(scratch(v))
         self.l_op = None
 
     def freeze(self, l_op: DiffusionOperator) -> None:
@@ -243,13 +253,23 @@ class StepSystem:
         self.l_op = l_op
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        return self.data_term(w) + self.alpha * self.l_op.apply(w)
+        """``A w``, summed into the data term's own array: ``w`` is left
+        alone."""
+        out = self.data_term(w)
+        diffusion = self.l_op.apply(w)
+        diffusion *= self.alpha
+        out += diffusion
+        return out
 
     def scale(self, u: np.ndarray) -> tuple:
         """(apply, rhs, start, map back) of ``D^{-1/2} A D^{-1/2}`` from ``u``."""
         s = scaling_diagonal(self.l_op, self.alpha) ** -0.5
-        return (lambda w: s * self.apply(s * w)), s * self.rhs, u / s, \
-            (lambda u_tilde: s * u_tilde)
+
+        def apply(w):
+            out = self.apply(s * w)
+            out *= s
+            return out
+        return apply, s * self.rhs, u / s, (lambda u_tilde: s * u_tilde)
 
     def krylov_problem(self, u: np.ndarray) -> tuple:
         """(apply, preconditioner solve or None, right-hand side, start,

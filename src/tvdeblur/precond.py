@@ -18,7 +18,9 @@ FFT of length about 2n, O(b n log n), and materialize nothing dense.
 Projections take band dicts only, keyed by offset tuples as
 ``tv.DiffusionOperator.bands`` gives them: ``{(d,): values}`` in 1D and
 ``{(block offset, inner offset): coefficients}`` in 2D.  Preconditioners
-apply and solve with ``blur.diagonalized_apply``, as the blur operators do.
+apply and solve with ``blur.diagonalized``, as the blur operators do; the
+solve is bound once per preconditioner and, in 1D, runs in place on one
+copy of its right-hand side.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
 unitary): it projects the interior (order L = n - 2) onto the sine algebra
@@ -41,13 +43,15 @@ O(n^3) matrix products for n <= 144, batched FFTs in O(n^2 log n) above.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import transforms
-from .blur import BoundaryCondition, diagonalized_apply
+from .blur import (BoundaryCondition, diagonalized, diagonalized_apply,
+                   scratch)
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import TransformKind, apply_1d, tensor_apply_2d  # noqa: F401
 
@@ -243,6 +247,7 @@ class FactoredPreconditioner:
     alpha: float
     d_sqrt: np.ndarray | None = None
     _inverse_eigenvalues: np.ndarray = field(init=False, repr=False)
+    _solve: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -258,6 +263,7 @@ class FactoredPreconditioner:
             )
         self.eigenvalues = lam
         self._inverse_eigenvalues = 1.0 / np.maximum(lam, floor)
+        self._solve = diagonalized(self.transform, self._inverse_eigenvalues)
 
     def apply(self, b) -> np.ndarray:
         """Multiply by the preconditioner matrix."""
@@ -268,12 +274,14 @@ class FactoredPreconditioner:
             self.transform, self.eigenvalues, self.d_sqrt * b)
 
     def apply_inverse(self, b) -> np.ndarray:
-        """Solve M y = b."""
+        """Solve M y = b; ``b`` is left alone.  In 1D the solve runs in
+        place on one copy of ``b`` (of ``b / d_sqrt`` with the wrap)."""
         b = np.asarray(b, dtype=float)
         if self.d_sqrt is None:
-            return diagonalized_apply(self.transform, self._inverse_eigenvalues, b)
-        return diagonalized_apply(self.transform, self._inverse_eigenvalues,
-                                  b / self.d_sqrt) / self.d_sqrt
+            return self._solve(scratch(b))
+        y = self._solve(b / self.d_sqrt)
+        y /= self.d_sqrt
+        return y
 
 
 def _scaled_bands(bands: Bands, s: np.ndarray) -> Bands:

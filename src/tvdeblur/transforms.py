@@ -19,18 +19,27 @@ Four one-dimensional transforms and their tensor-product (2D) extensions:
   border samples, type-I sine transform on the interior.  Symmetric,
   self-inverse.
 
-:func:`apply_1d` is the one 1D apply of every kind.  It runs in O(n log n)
-in pocketfft's C routines, called through the binding that ``scipy.fft``
-dispatches to (``scipy.fft._pocketfft.pypocketfft``) with the arguments its
-wrapper passes.  The binding is loaded from its file in scipy's directory,
-so neither ``scipy`` nor ``scipy.fft`` is imported.  The public ``scipy.fft``
-calls spend about 10 us per call in dispatch and argument checks, against a
-3-15 us transform at n = 203; ``tests/`` keeps them as the oracle and checks
-the binding byte for byte against them.  2D tensor applies
-on grids with n <= 144 are two products with the cached dense n x n matrix
-of the 1D apply, O(n^3); larger grids take the 1D transform along each axis,
-O(n^2 log n).  Transform data cached per size is read-only, so transform
-applications are safe to share across threads.
+Each kind has one 1D body per (inverse, transpose) pair, built and cached
+per length by :func:`body_1d` with its DCT type or its anti-reflective
+correction columns bound.  A body transforms an array in place, so the
+blur and preconditioner applies bind their bodies once and run them on one
+buffer.  :func:`apply_1d`, the one-off 1D apply of every kind, runs the
+body on a copy of its input: no apply writes into its argument.
+
+The transforms run in O(n log n) in pocketfft's C routines, called through
+the binding that ``scipy.fft`` dispatches to
+(``scipy.fft._pocketfft.pypocketfft``) with the arguments its wrapper
+passes; pocketfft gives the same bytes in place as out of place.  The
+binding is loaded from its file in scipy's directory, so neither ``scipy``
+nor ``scipy.fft`` is imported.  The public ``scipy.fft`` calls spend about
+10 us per call in dispatch and argument checks, against a 3-15 us
+transform at n = 203; ``tests/`` keeps them as the oracle and checks the
+bodies byte for byte against them.  2D tensor applies on grids with
+n <= 144 are two products with the cached dense n x n matrix of the 1D
+apply, O(n^3); larger grids take the 1D transform along each axis,
+O(n^2 log n).  Transform data cached per size is read-only, and a body
+writes only the array it is given, so transform applications are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -109,6 +118,10 @@ def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.dst(x, 1, _LAST_AXIS, _ORTHO, out, 1, None)
 
 
+def _dst1_in_place(out: np.ndarray) -> np.ndarray:
+    return _dst1(out, out=out)
+
+
 @lru_cache(maxsize=16)
 def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Correction columns S_{n-2} p and S_{n-2} J p of the rank-2 factor U."""
@@ -121,9 +134,18 @@ def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q_left, q_right
 
 
-def apply_1d(kind: TransformKind, v, inverse: bool = False,
-             transpose: bool = False) -> np.ndarray:
-    """Apply the 1D transform ``kind`` along the last axis of ``v``.
+@lru_cache(maxsize=64)
+def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
+    """The one body of the 1D apply of ``kind`` with these flags at length n.
+
+    It is a function ``body(v, out)`` of float64 arrays whose last axis has
+    length n.  ``out`` holds a copy of ``v``, or is ``v`` itself; the body
+    transforms it in place along the last axis and returns it.  Only the
+    sums of ``T^{-T}`` read ``v``, whose memory layout then sets their
+    order, as it does in ``scipy.fft``'s reference form; for a 1D ``v``
+    there is one order.  The DCT type and the anti-reflective corrections
+    are bound here once per (kind, flags, n), and the kind and the length
+    are checked here, once.
 
     ``DST1`` and ``SINE_HAT`` are self-inverse and symmetric, so they ignore
     both flags.  For ``DCT`` forward is synthesis (``C v``) and inverse is
@@ -134,8 +156,6 @@ def apply_1d(kind: TransformKind, v, inverse: bool = False,
     """
     if not isinstance(kind, TransformKind):
         raise ValueError(f"unknown transform kind: {kind!r}")
-    v = _float_input(v)
-    n = v.shape[-1]
     if kind in _BORDERED:
         if n < MIN_BORDERED_N:
             raise ValueError(f"{_BORDERED[kind]} requires length >= "
@@ -143,42 +163,74 @@ def apply_1d(kind: TransformKind, v, inverse: bool = False,
     elif n == 0:
         raise ValueError("transform input must be non-empty")
     if kind is TransformKind.DST1:
-        return _dst1(v)
+        return lambda v, out: _dst1_in_place(out)
     if kind is TransformKind.DCT:
         # pocketfft's type 2 is the analysis C^T v, type 3 the synthesis C v
         dct_type = 2 if inverse != transpose else 3
-        return _pocketfft.dct(v, dct_type, _LAST_AXIS, _ORTHO, None, 1, None)
+        return lambda v, out: _pocketfft.dct(out, dct_type, _LAST_AXIS,
+                                             _ORTHO, out, 1, None)
 
-    # the DST-I runs in place on out's interior, which holds v's interior
-    # until then (the border updates leave it alone)
-    out = v.copy()
-    out_int = out[..., 1:-1]
+    # the bordered kinds run the DST-I in place on out's interior; border
+    # updates leave the interior alone, and interior updates leave the
+    # border samples alone that the corrections read
     if kind is TransformKind.SINE_HAT:
-        _dst1(out_int, out=out_int)
-        return out
+        def sine_hat(v, out):
+            _dst1_in_place(out[..., 1:-1])
+            return out
+        return sine_hat
     ql, qr = _ar_corrections(n)
-    first, interior, last = v[..., :1], v[..., 1:-1], v[..., -1:]
-    if not transpose:
-        if not inverse:
+
+    def corrections(out):
+        """``U v``'s interior: first * ql + last * qr."""
+        u = out[..., :1] * ql
+        u += out[..., -1:] * qr
+        return u
+
+    def border_sums(interior):
+        """``U^T`` on the interior: its sums against ql and qr."""
+        return (np.add.reduce(interior * ql, axis=-1, keepdims=True),
+                np.add.reduce(interior * qr, axis=-1, keepdims=True))
+
+    if not transpose and not inverse:
+        def forward(v, out):
             # T v = Shat (v + U v)
-            out_int += first * ql + last * qr
-            _dst1(out_int, out=out_int)
-        else:
+            interior = out[..., 1:-1]
+            interior += corrections(out)
+            _dst1_in_place(interior)
+            return out
+        return forward
+    if not transpose:
+        def inverse_(v, out):
             # T^{-1} v = (I - U) Shat v
-            _dst1(out_int, out=out_int)
-            out_int -= first * ql + last * qr
-    else:
-        if not inverse:
+            interior = _dst1_in_place(out[..., 1:-1])
+            interior -= corrections(out)
+            return out
+        return inverse_
+    if not inverse:
+        def transpose_(v, out):
             # T^T v = (I + U^T) Shat v
-            _dst1(out_int, out=out_int)
-            out[..., :1] += np.sum(out_int * ql, axis=-1, keepdims=True)
-            out[..., -1:] += np.sum(out_int * qr, axis=-1, keepdims=True)
-        else:
-            # T^{-T} v = Shat (I - U^T) v
-            out[..., :1] -= np.sum(interior * ql, axis=-1, keepdims=True)
-            out[..., -1:] -= np.sum(interior * qr, axis=-1, keepdims=True)
-            _dst1(out_int, out=out_int)
-    return out
+            left, right = border_sums(_dst1_in_place(out[..., 1:-1]))
+            out[..., :1] += left
+            out[..., -1:] += right
+            return out
+        return transpose_
+
+    def inverse_transpose(v, out):
+        # T^{-T} v = Shat (I - U^T) v
+        left, right = border_sums(v[..., 1:-1])
+        out[..., :1] -= left
+        out[..., -1:] -= right
+        _dst1_in_place(out[..., 1:-1])
+        return out
+    return inverse_transpose
+
+
+def apply_1d(kind: TransformKind, v, inverse: bool = False,
+             transpose: bool = False) -> np.ndarray:
+    """Apply the 1D transform ``kind`` along the last axis of ``v``: the
+    body :func:`body_1d` on one copy of ``v``, which is left alone."""
+    v = _float_input(v)
+    return body_1d(kind, inverse, transpose, v.shape[-1])(v, v.copy())
 
 
 # Largest grid side applied as two dense products.  Up to here the products

@@ -24,6 +24,7 @@ transform-algebra projections take.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -38,6 +39,23 @@ _PAD = {
     DiffusionBc.ZERO_NEUMANN: {"mode": "symmetric"},
     DiffusionBc.ANTI_REFLECTIVE: {"mode": "reflect", "reflect_type": "odd"},
 }
+
+
+#: smallest beta whose square is a normal float: below it ``beta * beta``
+#: loses its bits and reaches 0 near 1e-162, and the coefficients of flat
+#: edges, ``1 / sqrt(0 + beta^2)``, overflow or divide by zero
+MIN_BETA = math.sqrt(float(np.finfo(float).tiny))
+
+
+def beta_problem(beta: float) -> str | None:
+    """Why ``beta`` cannot smooth the TV penalty, or None."""
+    if not (math.isfinite(beta) and beta > 0):
+        return f"beta must be finite and positive, got {beta!r}"
+    if beta < MIN_BETA:
+        return (f"beta must be at least sqrt(finfo(float).tiny) = "
+                f"{MIN_BETA!r}, so that beta**2 does not underflow, "
+                f"got {beta!r}")
+    return None
 
 
 def _extend(u: np.ndarray, bc: DiffusionBc) -> np.ndarray:
@@ -75,8 +93,9 @@ def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NE
     other.  Boundary edges use ghost values extended by ``bc``, so all
     coefficients lie in ``(0, 1/beta]``.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    problem = beta_problem(beta)
+    if problem:
+        raise ValueError(problem)
     u = np.asarray(u, dtype=float)
     ext = _extend(u, bc)
     if u.ndim == 1:
@@ -135,10 +154,13 @@ class DiffusionOperator:
         for axis in self._axes:
             flux = _ghost_diff(w, self.bc, axis)
             flux *= self.a[axis]
+            # np.diff(flux, axis=axis), without its per-call setup
+            div = np.subtract(flux[_along(axis, slice(1, None))],
+                              flux[_along(axis, slice(None, -1))])
             if out is None:
-                out = np.diff(flux, axis=axis)
+                out = div
             else:
-                out += np.diff(flux, axis=axis)
+                out += div
         return np.negative(out, out=out)
 
     def diagonal(self) -> np.ndarray:

@@ -327,6 +327,11 @@ def test_spec_validation():
         BenchmarkSpec(configurations=("bogus",))
     with pytest.raises(ValueError):
         BenchmarkSpec(preconditioners=("bogus",))
+    # a beta whose square underflows is rejected, naming beta and the bound
+    with pytest.raises(ValueError, match=r"beta must be at least "
+                                         r"sqrt\(finfo\(float\)\.tiny\) = "
+                                         r"1\.49\d*e-154, .* got 1e-300"):
+        BenchmarkSpec(betas=(0.1, 1e-300))
     # the kernel follows the dimension unless given
     assert BenchmarkSpec(dimension=1).psf_kind == "out_of_focus"
     assert BenchmarkSpec(dimension=2).psf_kind == "gaussian"
@@ -512,6 +517,7 @@ def test_cli_gen_and_restore(tmp_path):
     (["--formulation", "reblur"], "re-blurred formulation requires"),
     (["--alpha", "nan"], "alpha must be finite and positive, got nan"),
     (["--beta", "inf"], "beta must be finite and positive, got inf"),
+    (["--beta", "1e-300"], "beta must be at least sqrt(finfo(float).tiny)"),
     (["--nsr", "nan"], "nsr must be finite and nonnegative, got nan"),
     (["--dim", "2", "--n", "32", "--psf-sigma", "inf"],
      "psf_sigma must be finite and positive, got inf"),

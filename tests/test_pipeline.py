@@ -7,7 +7,12 @@ import pytest
 
 import oracles
 from tvdeblur import pipeline
-from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
+from tvdeblur.blur import (
+    FAST_TRANSFORMS,
+    BoundaryCondition,
+    StructuredBlurOperator,
+    SymmetricPsf,
+)
 from tvdeblur.harness import BenchmarkSpec, gen_psf, gen_signal_1d, make_problem
 from tvdeblur.krylov import KrylovConfig, SolverDivergenceError, pcg
 from tvdeblur.pipeline import (
@@ -19,9 +24,13 @@ from tvdeblur.pipeline import (
     el_residual,
     restore,
 )
-from tvdeblur.precond import IndefinitePreconditionerError, InvalidScalingError
-from tvdeblur.transforms import probe_dense
-from tvdeblur.tv import DiffusionBc, DiffusionOperator
+from tvdeblur.precond import (
+    IndefinitePreconditionerError,
+    InvalidScalingError,
+    assemble_preconditioner,
+)
+from tvdeblur.transforms import TransformKind, apply_1d, probe_dense
+from tvdeblur.tv import MIN_BETA, DiffusionBc, DiffusionOperator
 
 
 def small_problem(n=64, nsr=0.01, seed=2023):
@@ -61,6 +70,25 @@ def test_settings_must_be_finite_and_positive(field, value):
                        match=rf"^{field} must be finite and positive, "
                              rf"got {value!r}$"):
         restore(np.ones(16), SymmetricPsf([1.0]), cfg)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-160, 1e-155,
+                                  float(np.nextafter(MIN_BETA, 0))])
+def test_beta_whose_square_underflows_is_rejected(beta):
+    """Below sqrt(finfo(float).tiny) beta**2 underflows, and the diffusion
+    coefficients of flat edges would divide by zero: the restore fails
+    before any compute, naming beta and the bound."""
+    psf, observed, _ = small_problem(seed=1)
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                            beta=beta, preconditioner=PrecondSelector.X_D)
+    with pytest.raises(ConfigurationError,
+                       match=r"^beta must be at least sqrt\(finfo\(float\)"
+                             rf"\.tiny\) = {MIN_BETA!r}, .* got "
+                             rf"{beta!r}$"):
+        restore(observed, psf, cfg)
+    assert MIN_BETA ** 2 == np.finfo(float).tiny
+    RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                      beta=MIN_BETA).validate()
 
 
 @pytest.mark.parametrize("data,coefficients,u_true,problem", [
@@ -406,21 +434,47 @@ SYSTEM_CASES = [(bc_h, formulation, bc_l)
                 for bc_l in DiffusionBc]
 
 
+def public_applies(h_op, formulation):
+    """``(H, B)`` on the operator's public applies, which allocate: the
+    fast ones under a fast blur BC, ``B = H^T`` in the normal form under
+    anti-reflective blur."""
+    forward = h_op.apply_fast if h_op.bc in FAST_TRANSFORMS else h_op.apply
+    if h_op.bc is BoundaryCondition.ANTI_REFLECTIVE and \
+            formulation is Formulation.NORMAL:
+        return forward, h_op.apply_transpose_fast
+    return forward, forward
+
+
 @pytest.mark.parametrize("shape,h", [
-    ((33,), np.full(5, 0.2)), ((16, 16), oracles.two_gaussians_kernel(3)),
-], ids=["1d", "2d-non-separable"])
+    ((33,), np.full(5, 0.2)), ((203,), np.full(23, 1 / 23)),
+    ((16, 16), oracles.two_gaussians_kernel(3)),
+], ids=["1d", "1d-203", "2d-non-separable"])
 @pytest.mark.parametrize("bc_h,formulation,bc_l", SYSTEM_CASES)
 def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l,
                                                  shape, h):
-    """In 1D, and in 2D with a non-separable PSF, the data term is
-    ``back(forward(w))`` bit for bit in every system."""
+    """In 1D, and in 2D with a non-separable PSF, the data term that runs
+    ``H`` and then ``B`` on one copy of ``w`` gives the bytes of
+    ``back(forward(w))`` on the public applies in every system, and so do
+    ``apply``, the right-hand side and the scaled apply; ``w`` is left
+    alone."""
     alpha = 1e-2
     l_op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc_l)
-    _, system = step_system(l_op, alpha, rng.standard_normal(shape),
-                            SymmetricPsf(h), bc_h, formulation)
+    v = rng.standard_normal(shape)
+    h_op, system = step_system(l_op, alpha, v, SymmetricPsf(h), bc_h,
+                               formulation)
+    forward, back = public_applies(h_op, formulation)
     w = rng.standard_normal(shape)
-    np.testing.assert_array_equal(
-        system.apply(w), system.back(system.forward(w)) + alpha * l_op.apply(w))
+    before = w.copy()
+    want = back(forward(w))
+    np.testing.assert_array_equal(system.data_term(w), want)
+    np.testing.assert_array_equal(system.apply(w),
+                                  want + alpha * l_op.apply(w))
+    np.testing.assert_array_equal(system.rhs, back(v))
+    s = pipeline.scaling_diagonal(l_op, alpha) ** -0.5
+    apply_scaled = system.scale(w)[0]
+    np.testing.assert_array_equal(apply_scaled(w), s * (
+        back(forward(s * w)) + alpha * l_op.apply(s * w)))
+    np.testing.assert_array_equal(w, before)
 
 
 @pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
@@ -744,18 +798,69 @@ def test_anti_reflective_configurations_run(label, bc_h, bc_l, formulation):
     assert rep.rre < 0.5
 
 
+def read_only(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
+@pytest.mark.parametrize("shape,h", [
+    ((33,), np.full(5, 0.2)), ((8, 8), gen_psf("gaussian", 2, 1.0)),
+    ((8, 8), oracles.two_gaussians_kernel(2)),
+], ids=["1d", "2d-separable", "2d-non-separable"])
+def test_applies_leave_read_only_input_alone(rng, label, shape, h):
+    """No apply writes into its argument: each takes a read-only array
+    without raising and leaves it as it was."""
+    bc_h, bc_l, formulation, family = pipeline.CONFIGURATIONS[label]
+    psf = h if isinstance(h, SymmetricPsf) else SymmetricPsf(h)
+    l_op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc_l)
+    v = read_only(rng.standard_normal(shape))
+    h_op, system = step_system(l_op, 1e-2, v, psf, bc_h, formulation)
+    x = read_only(rng.standard_normal(shape))
+    before = x.copy()
+    applies = [h_op.apply_fast, h_op.apply_transpose_fast, l_op.apply,
+               system.apply, system.data_term]
+    if x.ndim == 1:
+        applies += [lambda v, k=kind, i=i, t=t: apply_1d(k, v, i, t)
+                    for kind in TransformKind
+                    for i in (False, True) for t in (False, True)]
+    for variant in ("{}", "D_{}", "{}_D"):
+        fp = assemble_preconditioner(variant.format(family), h_op, l_op, 1e-2)
+        applies += [fp.apply_inverse, fp.apply]
+    for selector in PrecondSelector:
+        _, system = step_system(l_op, 1e-2, v, psf, bc_h, formulation,
+                                selector)
+        apply, solve, *_ = system.krylov_problem(x)
+        applies += [apply] if solve is None else [apply, solve]
+    for apply in applies:
+        apply(x)
+        np.testing.assert_array_equal(x, before)
+
+
 def test_fast_blur_path_matches_reference_path(monkeypatch):
     psf, observed, u_true = small_problem()
     cfg = RestorationConfig(bc_h=BoundaryCondition.ANTI_REFLECTIVE, alpha=1e-3,
                             beta=0.1, preconditioner=PrecondSelector.X,
                             inner=KrylovConfig(tol=1e-10, max_iterations=3000))
     fast = restore(observed, psf, cfg)
-    # route the transform-diagonalized applies to the pad/convolve/crop ones
-    monkeypatch.setattr(StructuredBlurOperator, "apply_fast",
-                        StructuredBlurOperator.apply)
-    monkeypatch.setattr(StructuredBlurOperator, "apply_transpose_fast",
-                        StructuredBlurOperator.apply_transpose)
+    # route the transform-diagonalized applies, which StepSystem takes
+    # bound from fast_applies, to the pad/convolve/crop ones, and count them
+    calls = {"apply": 0, "apply_transpose": 0}
+
+    def counted(name, apply):
+        def run(u):
+            calls[name] += 1
+            return apply(u)
+        return run
+
+    monkeypatch.setattr(
+        StructuredBlurOperator, "fast_applies",
+        lambda op: (counted("apply", op.apply),
+                    counted("apply_transpose", op.apply_transpose)))
     slow = restore(observed, psf, cfg)
+    # every matvec ran the reference H, then the reference H^T
+    assert calls["apply"] == calls["apply_transpose"] - 1 > 0
     np.testing.assert_allclose(fast.restored, slow.restored, atol=1e-6)
     assert fast.fp_steps == slow.fp_steps
 

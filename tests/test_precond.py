@@ -3,7 +3,12 @@ import pytest
 
 import oracles
 from tvdeblur import precond, transforms
-from tvdeblur.blur import BoundaryCondition, StructuredBlurOperator, SymmetricPsf
+from tvdeblur.blur import (
+    BoundaryCondition,
+    StructuredBlurOperator,
+    SymmetricPsf,
+    diagonalized_apply,
+)
 from tvdeblur.harness import gen_psf
 from tvdeblur.precond import (
     FactoredPreconditioner,
@@ -357,6 +362,34 @@ def test_apply_inverse_round_trip_1d(base, variant, n, rng):
     b = rng.standard_normal(n)
     np.testing.assert_allclose(fp.apply(fp.apply_inverse(b)), b, atol=1e-9)
     np.testing.assert_allclose(fp.apply_inverse(fp.apply(b)), b, atol=1e-9)
+
+
+@pytest.mark.parametrize("base", ["R", "M", "P"])
+@pytest.mark.parametrize("variant", ["{}", "D_{}", "{}_D"])
+@pytest.mark.parametrize("n", [5, 203])
+def test_apply_inverse_is_the_diagonalized_solve_byte_for_byte(base, variant,
+                                                               n, rng):
+    """The bound in-place 1D solve gives the bytes of the out-of-place
+    ``X diag(1 / lam) X^{-1} b`` through the public ``scipy.fft`` calls,
+    inside the ``D^{-1/2}`` wrap of the ``D_`` kinds, and so does
+    ``diagonalized_apply``; ``b`` is left alone."""
+    kind = variant.format(base)
+    fp = assemble_preconditioner(kind, *make_1d_ops(base, n=n), 1e-3)
+    t, inv = fp.transform, fp._inverse_eigenvalues
+
+    def solve(x):
+        return oracles.scipy_apply_1d(
+            t, inv * oracles.scipy_apply_1d(t, x, inverse=True))
+
+    b = rng.standard_normal(n)
+    before = b.copy()
+    if fp.d_sqrt is None:
+        want = solve(b)
+    else:
+        want = solve(b / fp.d_sqrt) / fp.d_sqrt
+    assert np.array_equal(fp.apply_inverse(b), want)
+    assert np.array_equal(b, before)
+    assert np.array_equal(diagonalized_apply(t, inv, b), solve(b))
 
 
 @pytest.mark.parametrize("base", ["R", "M", "P"])

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from tvdeblur import transforms
+from tvdeblur.blur import FAST_TRANSFORMS
 from tvdeblur.pipeline import DATA_TERMS
 from tvdeblur.transforms import TransformKind
 
@@ -48,4 +49,10 @@ def test_main_prints_every_table_and_restores_the_cutoff(monkeypatch, capsys):
         (f"{bc.value}/{formulation.value}", 8)
         for bc, formulation in DATA_TERMS]
     assert len(data_term_rows) == 5
+    # the 1D table has one row per fast-BC data term and requested size
+    data_term_1d_rows = _table(lines, "composed")
+    assert data_term_1d_rows == [
+        (f"{bc.value}/{formulation.value}", 8)
+        for bc, formulation in DATA_TERMS if bc in FAST_TRANSFORMS]
+    assert len(data_term_1d_rows) == 3
     assert transforms._GEMM_MAX_N == cutoff == 144

@@ -224,6 +224,28 @@ def test_apply_1d_keeps_the_bytes_of_scipy_fft(n, kind, inverse, transpose,
         assert np.array_equal(got, want), layout
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("n", (3, 4, 5, 126, 201, 203))
+@pytest.mark.parametrize("rows", [None, 3], ids=["vector", "batch"])
+def test_in_place_body_keeps_the_bytes_of_scipy_fft(rows, n, kind, inverse,
+                                                    transpose, rng):
+    """Each body, run in place on an offset view of a larger buffer (as
+    the blur and preconditioner applies run it), gives exactly the public
+    scipy.fft result and writes nothing outside the view."""
+    lead = () if rows is None else (rows,)
+    buffer = rng.standard_normal(lead + (n + 3,))
+    view = buffer[..., 2:2 + n]
+    v, outside = view.copy(), np.delete(buffer, np.s_[2:2 + n], axis=-1)
+    out = transforms.body_1d(kind, inverse, transpose, n)(view, view)
+    assert np.shares_memory(out, buffer) and out.shape == v.shape
+    want = scipy_apply_1d(kind, v, inverse=inverse, transpose=transpose)
+    assert np.array_equal(view, want)
+    assert np.array_equal(np.delete(buffer, np.s_[2:2 + n], axis=-1),
+                          outside)
+
+
 @pytest.mark.parametrize("kind", list(TransformKind))
 @pytest.mark.parametrize("n", (5, 203))
 def test_apply_1d_converts_input_as_scipy_fft_does(n, kind, rng, monkeypatch):
@@ -331,6 +353,17 @@ def test_per_size_caches_stay_bounded():
     for cache in (transforms._ar_corrections, transforms._matrix_1d):
         assert cache.cache_info().currsize == 16
     assert not any(q.flags.writeable for q in transforms._ar_corrections(5))
+
+
+def test_body_cache_stays_bounded():
+    """The bodies hold their lengths' correction columns; a sweep over
+    many lengths keeps 64 of them, four flag pairs for each of 16 sizes."""
+    for n in range(3, 43):
+        for inverse in (False, True):
+            for transpose in (False, True):
+                apply_1d(AR, np.ones(n), inverse, transpose)
+    info = transforms.body_1d.cache_info()
+    assert info.maxsize == info.currsize == 64
 
 
 def test_rejects_empty_and_tiny():

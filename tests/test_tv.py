@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from tvdeblur.tv import DiffusionBc, DiffusionOperator, diffusion_coefficients
+from tvdeblur.tv import (
+    MIN_BETA,
+    DiffusionBc,
+    DiffusionOperator,
+    diffusion_coefficients,
+)
 
 BOTH = (DiffusionBc.ZERO_NEUMANN, DiffusionBc.ANTI_REFLECTIVE)
 
@@ -44,6 +49,18 @@ def test_beta_must_be_positive():
         diffusion_coefficients(np.ones(5), 0.0)
     with pytest.raises(ValueError):
         DiffusionOperator(np.ones(5), -1.0)
+
+
+@pytest.mark.parametrize("beta", [1e-300, float(np.nextafter(MIN_BETA, 0))])
+def test_beta_whose_square_underflows_is_rejected(beta):
+    """A flat edge has coefficient 1 / sqrt(beta**2): inexact while beta**2
+    is subnormal and inf once it underflows to 0."""
+    for shape in ((5,), (4, 4)):
+        with pytest.raises(ValueError, match=r"beta must be at least "
+                                             r"sqrt\(finfo\(float\)\.tiny\)"):
+            DiffusionOperator(np.zeros(shape), beta)
+    (a,) = diffusion_coefficients(np.zeros(5), MIN_BETA)
+    assert np.all(a == 1.0 / MIN_BETA)
 
 
 def test_constants_are_annihilated(rng):
