@@ -64,7 +64,6 @@ from tvdeblur.pipeline import (
     RestorationConfig,
     StepSystem,
     data_matrix,
-    kronecker_factors,
     operator_applies,
 )
 from tvdeblur.precond import (
@@ -159,7 +158,8 @@ def data_term_table(sizes, repeats: int) -> None:
             psf = harness_psf(n)
             h_op = StructuredBlurOperator(psf, bc, n)
             forward, back = operator_applies(h_op, formulation)
-            f0, f1 = kronecker_factors(psf.factors(), bc, formulation, n)
+            f0, f1 = (data_matrix(factor, bc, formulation, n)
+                      for factor in psf.factors())
             w = rng.standard_normal((n, n))
             ms = [best_us(fn, repeats) / 1e3
                   for fn in (lambda: back(forward(scratch(w))),

@@ -22,8 +22,8 @@ fast path, for the extensions in ``FAST_TRANSFORMS``, is one
 :func:`diagonalized` binds the transform bodies and the eigenvalues once;
 its 1D apply runs analysis, eigenvalue scaling and synthesis in place on
 the array it is given.  The public applies (``apply``, ``apply_fast``,
-:func:`diagonalized_apply`, ...) never write into their argument: a fast
-one runs on a copy (:func:`scratch`).
+...) never write into their argument: a fast one runs on a copy
+(:func:`scratch`).
 
 A separable 2D kernel ``h = a b^T`` (:meth:`SymmetricPsf.factors`) blurs
 under every extension as the Kronecker product ``H W = H_a W H_b^T`` of
@@ -89,16 +89,14 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
     only read the array.  :func:`scratch` gives the argument that leaves a
     caller's array alone.
     """
+    # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
+    # synthesis, X or X^{-T}
+    into, back = (not transpose, transpose), (transpose, transpose)
     if lam.ndim == 2:
-        if transpose:
-            return lambda g: tensor_apply_2d(
-                kind, lam * tensor_apply_2d(kind, g, transpose=True),
-                inverse=True, transpose=True)
         return lambda g: tensor_apply_2d(
-            kind, lam * tensor_apply_2d(kind, g, inverse=True))
-    n = lam.shape[0]
-    analysis = body_1d(kind, not transpose, transpose, n)
-    synthesis = body_1d(kind, transpose, transpose, n)
+            kind, lam * tensor_apply_2d(kind, g, *into), *back)
+    analysis = body_1d(kind, *into, lam.shape[0])
+    synthesis = body_1d(kind, *back, lam.shape[0])
 
     def in_place(u):
         analysis(u, u)
@@ -112,13 +110,6 @@ def scratch(u: np.ndarray) -> np.ndarray:
     float64 array ``u`` alone: a copy of a vector, which the apply
     transforms in place, and a grid as it is, which it only reads."""
     return u.copy() if u.ndim == 1 else u
-
-
-def diagonalized_apply(kind: TransformKind, lam: np.ndarray, u: np.ndarray,
-                       transpose: bool = False) -> np.ndarray:
-    """One apply of :func:`diagonalized` to ``u``, which is left alone."""
-    u = np.asarray(u, dtype=float)
-    return diagonalized(kind, lam, transpose)(scratch(u))
 
 
 class SymmetricPsf:

@@ -219,9 +219,12 @@ class BenchmarkSpec:
             raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.psf_half_width is not None and self.psf_half_width < 1:
-            raise ValueError(f"psf_half_width must be at least 1, "
-                             f"got {self.psf_half_width!r}")
+        # the counts and tolerances fail here, naming the setting, before
+        # a sweep generates any problem
+        for name in ("psf_half_width", "fp_max", "inner_max"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
         for axis in ("ns", "alphas", "betas", "configurations", "preconditioners"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis!r} is empty")
@@ -229,14 +232,12 @@ class BenchmarkSpec:
             raise ValueError(f"psf_sigma is the width of the 2D gaussian psf; "
                              f"1D sweeps use the {PSF_KINDS[1]!r} psf, which "
                              f"takes none")
-        if self.psf_sigma is not None and \
-                not (math.isfinite(self.psf_sigma) and self.psf_sigma > 0):
-            raise ValueError(f"psf_sigma must be finite and positive, "
-                             f"got {float(self.psf_sigma)!r}")
-        bad = [x for x in self.alphas if not (math.isfinite(x) and x > 0)]
-        if bad:
-            raise ValueError(f"alpha must be finite and positive, "
-                             f"got {float(bad[0])!r}")
+        positive = [("psf_sigma", self.psf_sigma), ("fp_tol", self.fp_tol),
+                    ("inner_tol", self.inner_tol)]
+        for name, value in positive + [("alpha", x) for x in self.alphas]:
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {float(value)!r}")
         problems = [p for p in map(beta_problem, map(float, self.betas)) if p]
         if problems:
             raise ValueError(problems[0])

@@ -196,16 +196,6 @@ def data_matrix(psf: SymmetricPsf, bc_h: BoundaryCondition,
     return (h.T if _transposes(bc_h, formulation) else h) @ h
 
 
-def kronecker_factors(factors: tuple[SymmetricPsf, SymmetricPsf],
-                      bc_h: BoundaryCondition, formulation: Formulation,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(F0, F1)``, the dense n x n 1D data terms ``F = B H`` of the axis
-    kernels ``(a, b)`` of a separable 2D PSF under ``bc_h``.  The 2D data
-    term is ``W -> F0 W F1^T``."""
-    return tuple(data_matrix(factor, bc_h, formulation, n)
-                 for factor in factors)
-
-
 class StepSystem:
     """The linear system ``A u = (B H + alpha L) u = B v`` of each step.
 
@@ -221,7 +211,7 @@ class StepSystem:
     (``SymmetricPsf.factors``), the blur under each of the four extensions
     is a Kronecker product, ``H W = H_a W H_b^T``, so ``B H`` is
     ``W -> F0 W F1^T`` with the dense n x n 1D data terms ``F = B H`` of
-    the two axis kernels (``kronecker_factors``): two products per matvec,
+    the two axis kernels (``data_matrix``): two products per matvec,
     whatever the blur BC.  Every other PSF, 1D or non-separable 2D, takes
     ``back(forward(w))`` on the applies of ``operator_applies``: fast under
     reflective and anti-reflective blur, the references under zero and
@@ -239,8 +229,8 @@ class StepSystem:
         if factors is None:
             self.data_term = lambda w: back(forward(scratch(w)))
         else:
-            f0, f1 = kronecker_factors(factors, h_op.bc, config.formulation,
-                                       h_op.n)
+            f0, f1 = (data_matrix(factor, h_op.bc, config.formulation, h_op.n)
+                      for factor in factors)
             self.data_term = lambda w: f0 @ w @ f1.T
         self.alpha = config.alpha
         self.selector = config.preconditioner

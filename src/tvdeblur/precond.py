@@ -50,8 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import transforms
-from .blur import (BoundaryCondition, diagonalized, diagonalized_apply,
-                   scratch)
+from .blur import BoundaryCondition, diagonalized, scratch
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import TransformKind, apply_1d, tensor_apply_2d  # noqa: F401
 
@@ -268,10 +267,10 @@ class FactoredPreconditioner:
     def apply(self, b) -> np.ndarray:
         """Multiply by the preconditioner matrix."""
         b = np.asarray(b, dtype=float)
+        apply = diagonalized(self.transform, self.eigenvalues)
         if self.d_sqrt is None:
-            return diagonalized_apply(self.transform, self.eigenvalues, b)
-        return self.d_sqrt * diagonalized_apply(
-            self.transform, self.eigenvalues, self.d_sqrt * b)
+            return apply(scratch(b))
+        return self.d_sqrt * apply(self.d_sqrt * b)
 
     def apply_inverse(self, b) -> np.ndarray:
         """Solve M y = b; ``b`` is left alone.  In 1D the solve runs in

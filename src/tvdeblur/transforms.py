@@ -118,10 +118,6 @@ def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.dst(x, 1, _LAST_AXIS, _ORTHO, out, 1, None)
 
 
-def _dst1_in_place(out: np.ndarray) -> np.ndarray:
-    return _dst1(out, out=out)
-
-
 @lru_cache(maxsize=16)
 def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Correction columns S_{n-2} p and S_{n-2} J p of the rank-2 factor U."""
@@ -140,19 +136,26 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
 
     It is a function ``body(v, out)`` of float64 arrays whose last axis has
     length n.  ``out`` holds a copy of ``v``, or is ``v`` itself; the body
-    transforms it in place along the last axis and returns it.  Only the
-    sums of ``T^{-T}`` read ``v``, whose memory layout then sets their
-    order, as it does in ``scipy.fft``'s reference form; for a 1D ``v``
-    there is one order.  The DCT type and the anti-reflective corrections
-    are bound here once per (kind, flags, n), and the kind and the length
-    are checked here, once.
+    transforms it in place along the last axis and returns it.  The DCT
+    type and the anti-reflective corrections are bound here once per
+    (kind, flags, n), and the kind and the length are checked here, once.
 
     ``DST1`` and ``SINE_HAT`` are self-inverse and symmetric, so they ignore
     both flags.  For ``DCT`` forward is synthesis (``C v``) and inverse is
-    analysis (``C^T v``); ``transpose`` swaps the two.  ``ANTI_REFLECTIVE``
-    applies T, T^{-1}, T^T or T^{-T} through ``T = Shat (I + U)``, where the
-    only nonzero columns of ``U`` are the cached corrections at positions 1
-    and n; transposed applies give the adjoints of anti-reflective blurs.
+    analysis (``C^T v``); ``transpose`` swaps the two.
+
+    ``ANTI_REFLECTIVE`` applies T, T^{-1}, T^T or T^{-T} by one rule;
+    transposed applies give the adjoints of anti-reflective blurs.  The
+    only nonzero columns of ``U`` are the cached corrections ``ql`` and
+    ``qr`` at positions 1 and n, so ``U`` adds the two border samples,
+    times ``ql`` and ``qr``, into the interior, and ``U^T`` adds the
+    interior's sums against ``ql`` and ``qr`` into the two border samples.
+    T and T^T add the update, the inverses subtract it; it runs before the
+    interior's DST-I in ``T = Shat (I + U)`` and ``T^{-T} = Shat (I -
+    U^T)``, and after it in ``T^{-1} = (I - U) Shat`` and ``T^T = (I +
+    U^T) Shat``.  T^{-T} sums ``v``'s interior, whose memory layout then
+    sets the summation order, as it does in ``scipy.fft``'s reference
+    form; for a 1D ``v`` there is one order.
     """
     if not isinstance(kind, TransformKind):
         raise ValueError(f"unknown transform kind: {kind!r}")
@@ -163,66 +166,43 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     elif n == 0:
         raise ValueError("transform input must be non-empty")
     if kind is TransformKind.DST1:
-        return lambda v, out: _dst1_in_place(out)
+        return lambda v, out: _dst1(out, out)
     if kind is TransformKind.DCT:
         # pocketfft's type 2 is the analysis C^T v, type 3 the synthesis C v
         dct_type = 2 if inverse != transpose else 3
         return lambda v, out: _pocketfft.dct(out, dct_type, _LAST_AXIS,
                                              _ORTHO, out, 1, None)
-
-    # the bordered kinds run the DST-I in place on out's interior; border
-    # updates leave the interior alone, and interior updates leave the
-    # border samples alone that the corrections read
     if kind is TransformKind.SINE_HAT:
         def sine_hat(v, out):
-            _dst1_in_place(out[..., 1:-1])
+            interior = out[..., 1:-1]
+            _dst1(interior, interior)
             return out
         return sine_hat
+
+    # the update of the border leaves the interior alone, and that of the
+    # interior leaves the border samples alone that it reads
     ql, qr = _ar_corrections(n)
+    update = np.subtract if inverse else np.add
+    update_first = inverse == transpose
 
-    def corrections(out):
-        """``U v``'s interior: first * ql + last * qr."""
-        u = out[..., :1] * ql
-        u += out[..., -1:] * qr
-        return u
-
-    def border_sums(interior):
-        """``U^T`` on the interior: its sums against ql and qr."""
-        return (np.add.reduce(interior * ql, axis=-1, keepdims=True),
-                np.add.reduce(interior * qr, axis=-1, keepdims=True))
-
-    if not transpose and not inverse:
-        def forward(v, out):
-            # T v = Shat (v + U v)
-            interior = out[..., 1:-1]
-            interior += corrections(out)
-            _dst1_in_place(interior)
-            return out
-        return forward
-    if not transpose:
-        def inverse_(v, out):
-            # T^{-1} v = (I - U) Shat v
-            interior = _dst1_in_place(out[..., 1:-1])
-            interior -= corrections(out)
-            return out
-        return inverse_
-    if not inverse:
-        def transpose_(v, out):
-            # T^T v = (I + U^T) Shat v
-            left, right = border_sums(_dst1_in_place(out[..., 1:-1]))
-            out[..., :1] += left
-            out[..., -1:] += right
-            return out
-        return transpose_
-
-    def inverse_transpose(v, out):
-        # T^{-T} v = Shat (I - U^T) v
-        left, right = border_sums(v[..., 1:-1])
-        out[..., :1] -= left
-        out[..., -1:] -= right
-        _dst1_in_place(out[..., 1:-1])
+    def anti_reflective(v, out):
+        head, interior, tail = out[..., :1], out[..., 1:-1], out[..., -1:]
+        if not update_first:
+            _dst1(interior, interior)
+        if transpose:
+            sums = v[..., 1:-1] if update_first else interior
+            left = np.add.reduce(sums * ql, axis=-1, keepdims=True)
+            right = np.add.reduce(sums * qr, axis=-1, keepdims=True)
+            update(head, left, head)
+            update(tail, right, tail)
+        else:
+            u = head * ql
+            u += tail * qr
+            update(interior, u, interior)
+        if update_first:
+            _dst1(interior, interior)
         return out
-    return inverse_transpose
+    return anti_reflective
 
 
 def apply_1d(kind: TransformKind, v, inverse: bool = False,

@@ -332,6 +332,16 @@ def test_spec_validation():
                                          r"sqrt\(finfo\(float\)\.tiny\) = "
                                          r"1\.49\d*e-154, .* got 1e-300"):
         BenchmarkSpec(betas=(0.1, 1e-300))
+    # the solver settings name themselves, before any problem is generated
+    for settings, message in (
+            (dict(inner_tol=-1.0), r"inner_tol must be finite and positive, "
+                                   r"got -1\.0"),
+            (dict(inner_max=0), r"inner_max must be at least 1, got 0"),
+            (dict(fp_tol=float("nan")), r"fp_tol must be finite and positive, "
+                                        r"got nan"),
+            (dict(fp_max=0), r"fp_max must be at least 1, got 0")):
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(**settings)
     # the kernel follows the dimension unless given
     assert BenchmarkSpec(dimension=1).psf_kind == "out_of_focus"
     assert BenchmarkSpec(dimension=2).psf_kind == "gaussian"
@@ -629,6 +639,10 @@ def test_cli_names_n_below_the_smallest_grid(tmp_path, capsys, argv):
 @pytest.mark.parametrize("line,message", [
     ("psf_m = -1", "psf_half_width must be at least 1, got -1"),
     ("seed = -1", "seed must be nonnegative, got -1"),
+    ("inner_tol = -1", "inner_tol must be finite and positive, got -1.0"),
+    ("inner_max = 0", "inner_max must be at least 1, got 0"),
+    ("fp_tol = -1", "fp_tol must be finite and positive, got -1.0"),
+    ("fp_max = 0", "fp_max must be at least 1, got 0"),
 ])
 def test_cli_sweep_names_a_negative_setting(tmp_path, capsys, line, message):
     cfg = tmp_path / "negative.cfg"

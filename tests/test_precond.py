@@ -7,7 +7,7 @@ from tvdeblur.blur import (
     BoundaryCondition,
     StructuredBlurOperator,
     SymmetricPsf,
-    diagonalized_apply,
+    diagonalized,
 )
 from tvdeblur.harness import gen_psf
 from tvdeblur.precond import (
@@ -372,7 +372,7 @@ def test_apply_inverse_is_the_diagonalized_solve_byte_for_byte(base, variant,
     """The bound in-place 1D solve gives the bytes of the out-of-place
     ``X diag(1 / lam) X^{-1} b`` through the public ``scipy.fft`` calls,
     inside the ``D^{-1/2}`` wrap of the ``D_`` kinds, and so does
-    ``diagonalized_apply``; ``b`` is left alone."""
+    ``diagonalized`` on a copy of ``b``; ``b`` is left alone."""
     kind = variant.format(base)
     fp = assemble_preconditioner(kind, *make_1d_ops(base, n=n), 1e-3)
     t, inv = fp.transform, fp._inverse_eigenvalues
@@ -389,7 +389,7 @@ def test_apply_inverse_is_the_diagonalized_solve_byte_for_byte(base, variant,
         want = solve(b / fp.d_sqrt) / fp.d_sqrt
     assert np.array_equal(fp.apply_inverse(b), want)
     assert np.array_equal(b, before)
-    assert np.array_equal(diagonalized_apply(t, inv, b), solve(b))
+    assert np.array_equal(diagonalized(t, inv)(b.copy()), solve(b))
 
 
 @pytest.mark.parametrize("base", ["R", "M", "P"])
