@@ -111,7 +111,6 @@ def _cmd_spectra(args) -> int:
     psf, observed, _ = harness.make_problem(spec, args.n)
     config = spec.restoration_config(bc_h, bc_l, formulation, args.precond,
                                      args.alpha, args.beta)
-    config.validate()
     system = StepSystem(psf, config, observed)
     system.freeze(DiffusionOperator(observed, args.beta, bc_l))
     # the operator and preconditioner of restore's first step

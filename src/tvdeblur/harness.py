@@ -24,6 +24,7 @@ a sweep.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -48,12 +49,18 @@ from .pipeline import (
     restore,
 )
 from .precond import IndefinitePreconditionerError, InvalidScalingError
-from .tv import DiffusionBc, beta_problem
+from .tv import DiffusionBc
 
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
 
 #: dimension -> the benchmark kernel of that dimension
 PSF_KINDS = {1: "out_of_focus", 2: "gaussian"}
+
+#: dimension -> the value of each ``BenchmarkSpec`` setting left None
+DIMENSION_DEFAULTS = {
+    1: dict(psf_kind=PSF_KINDS[1], fp_tol=1e-3, inner_tol=1e-6, inner_max=1000),
+    2: dict(psf_kind=PSF_KINDS[2], fp_tol=1e-4, inner_tol=1e-5, inner_max=2000),
+}
 
 #: numerical failures: a sweep stars the cell, the CLI exits with code 3
 NUMERICAL_FAILURES = (
@@ -203,25 +210,26 @@ class BenchmarkSpec:
     preconditioners: tuple[str, ...] = ("x_d",)
     nsr: float = 0.01
     seed: int = 2023
-    psf_kind: str | None = None       # None: PSF_KINDS[dimension]
+    psf_kind: str | None = None
     psf_half_width: int | None = None  # None: default_half_width(n, dimension)
-    psf_sigma: float | None = None
-    fp_tol: float | None = None       # None: 1e-3 (1D) / 1e-4 (2D)
+    psf_sigma: float | None = None     # None: max(m / 2, 1)
+    fp_tol: float | None = None
     fp_max: int = 100
-    inner_tol: float | None = None    # None: 1e-6 (1D) / 1e-5 (2D)
-    inner_max: int | None = None      # None: 1000 (1D) / 2000 (2D)
+    inner_tol: float | None = None
+    inner_max: int | None = None
     save_restored: bool = True
 
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
+        for name, default in DIMENSION_DEFAULTS[self.dimension].items():
+            if getattr(self, name) is None:
+                setattr(self, name, default)
         if not (math.isfinite(self.nsr) and self.nsr >= 0):
             raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
-        # the counts and tolerances fail here, naming the setting, before
-        # a sweep generates any problem
-        for name in ("psf_half_width", "fp_max", "inner_max"):
+        for name in ("psf_half_width", "inner_max"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value!r}")
@@ -232,15 +240,11 @@ class BenchmarkSpec:
             raise ValueError(f"psf_sigma is the width of the 2D gaussian psf; "
                              f"1D sweeps use the {PSF_KINDS[1]!r} psf, which "
                              f"takes none")
-        positive = [("psf_sigma", self.psf_sigma), ("fp_tol", self.fp_tol),
-                    ("inner_tol", self.inner_tol)]
-        for name, value in positive + [("alpha", x) for x in self.alphas]:
+        for name in ("psf_sigma", "inner_tol"):
+            value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {float(value)!r}")
-        problems = [p for p in map(beta_problem, map(float, self.betas)) if p]
-        if problems:
-            raise ValueError(problems[0])
         unknown = [c for c in self.configurations if c not in CONFIGURATIONS]
         if unknown:
             raise ValueError(f"unknown configuration labels: {unknown}")
@@ -248,29 +252,20 @@ class BenchmarkSpec:
         unknown = [p for p in self.preconditioners if p not in selectors]
         if unknown:
             raise ValueError(f"unknown preconditioner selectors: {unknown}")
-        if self.psf_kind is None:
-            self.psf_kind = PSF_KINDS[self.dimension]
         if self.psf_kind != PSF_KINDS[self.dimension]:
             raise ValueError(
                 f"psf kind {self.psf_kind!r} does not fit dimension "
                 f"{self.dimension}: {self.dimension}D sweeps use the "
                 f"{PSF_KINDS[self.dimension]!r} psf"
             )
+        # each (alpha, beta) pair's restore settings check themselves
+        cell = *CONFIGURATIONS[self.configurations[0]][:3], self.preconditioners[0]
+        for alpha, beta in itertools.product(self.alphas, self.betas):
+            self.restoration_config(*cell, float(alpha), float(beta))
 
     def resolve_half_width(self, n: int) -> int:
         return self.psf_half_width if self.psf_half_width is not None \
             else default_half_width(n, self.dimension)
-
-    def fp_tolerance(self) -> float:
-        return self.fp_tol if self.fp_tol is not None else \
-            (1e-3 if self.dimension == 1 else 1e-4)
-
-    def inner_config(self) -> KrylovConfig:
-        tol = self.inner_tol if self.inner_tol is not None else \
-            (1e-6 if self.dimension == 1 else 1e-5)
-        max_it = self.inner_max if self.inner_max is not None else \
-            (1000 if self.dimension == 1 else 2000)
-        return KrylovConfig(tol=tol, max_iterations=max_it)
 
     def restoration_config(self, bc_h: BoundaryCondition, bc_l: DiffusionBc,
                            formulation: Formulation, selector: str,
@@ -283,9 +278,10 @@ class BenchmarkSpec:
             preconditioner=PrecondSelector(selector),
             alpha=alpha,
             beta=beta,
-            fp_tol=self.fp_tolerance(),
+            fp_tol=self.fp_tol,
             fp_max=self.fp_max,
-            inner=self.inner_config(),
+            inner=KrylovConfig(tol=self.inner_tol,
+                               max_iterations=self.inner_max),
         )
 
 

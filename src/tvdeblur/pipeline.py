@@ -118,7 +118,7 @@ class RestorationConfig:
     fp_max: int = 100
     inner: KrylovConfig = field(default_factory=KrylovConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha", "fp_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -128,7 +128,7 @@ class RestorationConfig:
         if problem:
             raise ConfigurationError(problem)
         if self.fp_max < 1:
-            raise ConfigurationError("fp_max must be at least 1")
+            raise ConfigurationError(f"fp_max must be at least 1, got {self.fp_max!r}")
         if (self.bc_h, self.formulation) not in DATA_TERMS:
             raise ConfigurationError(
                 "the re-blurred formulation requires anti-reflective blur BCs"
@@ -343,7 +343,6 @@ def _check_reference(data: tuple, u_true: np.ndarray) -> None:
 def restore(v, psf: SymmetricPsf, config: RestorationConfig,
             u_true=None) -> RestorationReport:
     """Run the fixed-point restoration of observed data ``v``."""
-    config.validate()
     v = np.asarray(v, dtype=float)
     _check_shapes(v.shape, psf.coefficients.shape)
     _check_sizes(v.shape[0], psf, config)

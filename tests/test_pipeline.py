@@ -39,17 +39,15 @@ def small_problem(n=64, nsr=0.01, seed=2023):
 
 
 def test_config_invariants():
-    bad = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
-                            beta=0.1, formulation=Formulation.REBLUR)
     with pytest.raises(ConfigurationError):
-        bad.validate()
-    bad = RestorationConfig(bc_h=BoundaryCondition.PERIODIC, alpha=1e-3,
-                            beta=0.1, preconditioner=PrecondSelector.X)
+        RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                          beta=0.1, formulation=Formulation.REBLUR)
     with pytest.raises(ConfigurationError):
-        bad.validate()
+        RestorationConfig(bc_h=BoundaryCondition.PERIODIC, alpha=1e-3,
+                          beta=0.1, preconditioner=PrecondSelector.X)
     with pytest.raises(ConfigurationError):
         RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=-1.0,
-                          beta=0.1).validate()
+                          beta=0.1)
     # errors surface before any compute
     with pytest.raises(ConfigurationError):
         restore(np.ones(16), SymmetricPsf([1.0]),
@@ -62,33 +60,30 @@ def test_config_invariants():
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"),
                                    float("-inf")])
 def test_settings_must_be_finite_and_positive(field, value):
-    """A bad alpha, beta or fp_tol fails before any compute, naming it."""
+    """A bad alpha, beta or fp_tol fails at construction, naming it."""
     settings = dict(alpha=1e-3, beta=0.1, fp_tol=1e-3)
     settings[field] = value
-    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, **settings)
     with pytest.raises(ConfigurationError,
                        match=rf"^{field} must be finite and positive, "
                              rf"got {value!r}$"):
-        restore(np.ones(16), SymmetricPsf([1.0]), cfg)
+        RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, **settings)
 
 
 @pytest.mark.parametrize("beta", [1e-300, 1e-160, 1e-155,
                                   float(np.nextafter(MIN_BETA, 0))])
 def test_beta_whose_square_underflows_is_rejected(beta):
     """Below sqrt(finfo(float).tiny) beta**2 underflows, and the diffusion
-    coefficients of flat edges would divide by zero: the restore fails
-    before any compute, naming beta and the bound."""
-    psf, observed, _ = small_problem(seed=1)
-    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
-                            beta=beta, preconditioner=PrecondSelector.X_D)
+    coefficients of flat edges would divide by zero: the config fails at
+    construction, naming beta and the bound."""
     with pytest.raises(ConfigurationError,
                        match=r"^beta must be at least sqrt\(finfo\(float\)"
                              rf"\.tiny\) = {MIN_BETA!r}, .* got "
                              rf"{beta!r}$"):
-        restore(observed, psf, cfg)
+        RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                          beta=beta, preconditioner=PrecondSelector.X_D)
     assert MIN_BETA ** 2 == np.finfo(float).tiny
     RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
-                      beta=MIN_BETA).validate()
+                      beta=MIN_BETA)
 
 
 @pytest.mark.parametrize("data,coefficients,u_true,problem", [
