@@ -27,6 +27,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -200,7 +201,11 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
 
 @dataclass
 class BenchmarkSpec:
-    """One sweep: the cross product of the listed axes, in listed order."""
+    """One sweep: the cross product of the listed axes, in listed order.
+
+    A setting left None takes ``DIMENSION_DEFAULTS``.  The spec checks its
+    own fields, and the ``RestorationConfig`` it builds for each (alpha,
+    beta) pair checks alpha, beta, fp_tol and fp_max."""
 
     dimension: int = 1
     ns: tuple[int, ...] = (203,)
@@ -212,7 +217,7 @@ class BenchmarkSpec:
     seed: int = 2023
     psf_kind: str | None = None
     psf_half_width: int | None = None  # None: default_half_width(n, dimension)
-    psf_sigma: float | None = None     # None: max(m / 2, 1)
+    psf_sigma: float | None = None
     fp_tol: float | None = None
     fp_max: int = 100
     inner_tol: float | None = None
@@ -229,6 +234,11 @@ class BenchmarkSpec:
             raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        for name, value in [("n", n) for n in self.ns] + [
+                (name, getattr(self, name))
+                for name in ("dimension", "seed", "psf_half_width", "inner_max")]:
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("psf_half_width", "inner_max"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -258,7 +268,6 @@ class BenchmarkSpec:
                 f"{self.dimension}: {self.dimension}D sweeps use the "
                 f"{PSF_KINDS[self.dimension]!r} psf"
             )
-        # each (alpha, beta) pair's restore settings check themselves
         cell = *CONFIGURATIONS[self.configurations[0]][:3], self.preconditioners[0]
         for alpha, beta in itertools.product(self.alphas, self.betas):
             self.restoration_config(*cell, float(alpha), float(beta))
@@ -280,8 +289,7 @@ class BenchmarkSpec:
             beta=beta,
             fp_tol=self.fp_tol,
             fp_max=self.fp_max,
-            inner=KrylovConfig(tol=self.inner_tol,
-                               max_iterations=self.inner_max),
+            inner=KrylovConfig(tol=self.inner_tol, max_iterations=self.inner_max),
         )
 
 

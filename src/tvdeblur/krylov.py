@@ -16,6 +16,7 @@ system.  Genuine breakdowns (vanishing recurrence scalars) raise
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,11 @@ class KrylovConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        count = self.max_iterations
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {count!r}")
 
 
 @dataclass

@@ -31,6 +31,7 @@ not change at all (as for zero data, where ``||u_k|| = 0``), or at
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -108,6 +109,8 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class RestorationConfig:
+    """A restore's settings, checked at construction; ``inner`` checks its own."""
+
     bc_h: BoundaryCondition
     alpha: float
     beta: float
@@ -119,6 +122,12 @@ class RestorationConfig:
     inner: KrylovConfig = field(default_factory=KrylovConfig)
 
     def __post_init__(self) -> None:
+        for name, kind in dict(bc_h=BoundaryCondition, bc_l=DiffusionBc,
+                               formulation=Formulation, inner=KrylovConfig,
+                               preconditioner=PrecondSelector).items():
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigurationError(f"{name} must be a {kind.__name__}, "
+                                         f"got {getattr(self, name)!r}")
         for name in ("alpha", "fp_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -127,6 +136,8 @@ class RestorationConfig:
         problem = beta_problem(self.beta)
         if problem:
             raise ConfigurationError(problem)
+        if not isinstance(self.fp_max, numbers.Integral):
+            raise ConfigurationError(f"fp_max must be an integer, got {self.fp_max!r}")
         if self.fp_max < 1:
             raise ConfigurationError(f"fp_max must be at least 1, got {self.fp_max!r}")
         if (self.bc_h, self.formulation) not in DATA_TERMS:

@@ -401,6 +401,21 @@ def test_spec_rejects_bad_settings(settings, message):
         BenchmarkSpec(**settings)
 
 
+@pytest.mark.parametrize("settings,message", [
+    (dict(fp_max=2.5), r"^fp_max must be an integer, got 2\.5$"),
+    (dict(inner_max=2.5), r"^inner_max must be an integer, got 2\.5$"),
+    (dict(ns=(64.0,)), r"^n must be an integer, got 64\.0$"),
+    (dict(psf_half_width=2.5), r"^psf_half_width must be an integer, got 2\.5$"),
+    (dict(seed=1.5), r"^seed must be an integer, got 1\.5$"),
+    (dict(dimension=1.0), r"^dimension must be an integer, got 1\.0$"),
+])
+def test_spec_counts_must_be_integers(settings, message):
+    """A count or size that is not an integer fails at construction, naming
+    the field and the value, before any problem is generated."""
+    with pytest.raises(ValueError, match=message):
+        BenchmarkSpec(**settings)
+
+
 def test_parse_sweep_config(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -620,6 +635,18 @@ def test_cli_spectra_x_d_probes_the_scaled_system(tmp_path, capsys):
         "preconditioner R_D: 75.0% of eigenvalues within 0.1 of 1; "
         f"histogram -> {out / 'spectrum_histogram.txt'}\n"
     )
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--alpha", "-1"], "alpha must be finite and positive, got -1.0"),
+    (["--beta", "nan"], "beta must be finite and positive, got nan"),
+])
+def test_cli_spectra_names_a_bad_setting(tmp_path, capsys, flags, message):
+    out = tmp_path / "spectra"
+    assert cli_main(["spectra", "--n", "48", *flags,
+                     "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

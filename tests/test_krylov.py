@@ -16,8 +16,16 @@ def matvec(a):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^max_iterations must be at least 1, got 0$"):
         KrylovConfig(max_iterations=0)
+
+
+def test_iteration_limit_must_be_an_integer():
+    """A fractional limit fails at construction, not inside a solve."""
+    with pytest.raises(ValueError,
+                       match=r"^max_iterations must be an integer, got 2\.5$"):
+        KrylovConfig(max_iterations=2.5)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])

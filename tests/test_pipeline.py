@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tvdeblur import pipeline
@@ -13,7 +15,13 @@ from tvdeblur.blur import (
     StructuredBlurOperator,
     SymmetricPsf,
 )
-from tvdeblur.harness import BenchmarkSpec, gen_psf, gen_signal_1d, make_problem
+from tvdeblur.harness import (
+    NUMERICAL_FAILURES,
+    BenchmarkSpec,
+    gen_psf,
+    gen_signal_1d,
+    make_problem,
+)
 from tvdeblur.krylov import KrylovConfig, SolverDivergenceError, pcg
 from tvdeblur.pipeline import (
     ConfigurationError,
@@ -48,12 +56,75 @@ def test_config_invariants():
     with pytest.raises(ConfigurationError):
         RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=-1.0,
                           beta=0.1)
+    with pytest.raises(ConfigurationError,
+                       match=r"^fp_max must be at least 1, got 0$"):
+        RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                          beta=0.1, fp_max=0)
     # errors surface before any compute
     with pytest.raises(ConfigurationError):
         restore(np.ones(16), SymmetricPsf([1.0]),
                 RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE,
                                   alpha=1e-3, beta=0.1,
                                   formulation=Formulation.REBLUR))
+
+
+def test_fp_max_must_be_an_integer():
+    """A fractional step limit fails at construction, not inside restore."""
+    with pytest.raises(ConfigurationError,
+                       match=r"^fp_max must be an integer, got 2\.5$"):
+        RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
+                          beta=0.1, fp_max=2.5)
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("bc_h", "reflective", "BoundaryCondition"),
+    ("bc_l", "zero_neumann", "DiffusionBc"),
+    ("formulation", "normal", "Formulation"),
+    ("preconditioner", "x", "PrecondSelector"),
+    ("inner", None, "KrylovConfig"),
+])
+def test_fields_must_hold_their_type(field, value, kind):
+    """A string is not coerced to its enum: the config names the field, the
+    value and the type it needs."""
+    kwargs = dict(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3, beta=0.1)
+    kwargs[field] = value
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{field} must be a {kind}, got {value!r}$"):
+        RestorationConfig(**kwargs)
+
+
+_SETTING = st.floats(min_value=1e-4, max_value=10.0) | st.floats()
+_COUNT = st.integers(min_value=-1, max_value=3) | st.floats(max_value=3.0)
+_PROPERTY_PROBLEM = small_problem(n=32)
+
+
+@settings(max_examples=300)
+@given(bc_h=st.sampled_from(BoundaryCondition),
+       bc_l=st.sampled_from(DiffusionBc),
+       formulation=st.sampled_from(Formulation),
+       selector=st.sampled_from(PrecondSelector),
+       alpha=_SETTING, beta=_SETTING, fp_tol=_SETTING, fp_max=_COUNT,
+       max_iterations=st.integers(min_value=-1, max_value=50)
+       | st.floats(max_value=50.0))
+def test_a_config_that_constructs_restores(bc_h, bc_l, formulation, selector,
+                                           alpha, beta, fp_tol, fp_max,
+                                           max_iterations):
+    """Every setting fails at construction or not at all: a config that
+    constructs restores, or stops on a numerical failure, and never meets
+    a TypeError or KeyError inside restore."""
+    try:
+        config = RestorationConfig(
+            bc_h=bc_h, bc_l=bc_l, formulation=formulation,
+            preconditioner=selector, alpha=alpha, beta=beta, fp_tol=fp_tol,
+            fp_max=fp_max, inner=KrylovConfig(max_iterations=max_iterations))
+    except ValueError:  # ConfigurationError, or KrylovConfig's own
+        return
+    psf, observed, u_true = _PROPERTY_PROBLEM
+    try:
+        report = restore(observed, psf, config, u_true=u_true)
+    except NUMERICAL_FAILURES:
+        return
+    assert 1 <= report.fp_steps <= fp_max
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "fp_tol"])
