@@ -230,15 +230,15 @@ class BenchmarkSpec:
         for name, default in DIMENSION_DEFAULTS[self.dimension].items():
             if getattr(self, name) is None:
                 setattr(self, name, default)
-        if not (math.isfinite(self.nsr) and self.nsr >= 0):
-            raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         for name, value in [("n", n) for n in self.ns] + [
                 (name, getattr(self, name))
                 for name in ("dimension", "seed", "psf_half_width", "inner_max")]:
             if value is not None and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (math.isfinite(self.nsr) and self.nsr >= 0):
+            raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         for name in ("psf_half_width", "inner_max"):
             value = getattr(self, name)
             if value is not None and value < 1:
