@@ -97,25 +97,27 @@ def pcg(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig()) -> So
     z = apply_minv(r)
     p = z.copy()
     rz = _dot(r, z)
+    work = np.empty_like(r)
     for k in range(1, config.max_iterations + 1):
         q = apply_a(p)
         curvature = _dot(p, q)
-        if not np.isfinite(curvature):
+        if not math.isfinite(curvature):
             raise SolverDivergenceError("pcg", k)
         if curvature <= 0.0:
             raise IndefiniteOperatorError(k, curvature)
         step = rz / curvature
-        x += step * p
-        r -= step * q
+        x += np.multiply(step, p, out=work)
+        r -= np.multiply(step, q, out=work)
         rel = _norm(r) / r0_norm
-        if not np.isfinite(rel):
+        if not math.isfinite(rel):
             raise SolverDivergenceError("pcg", k)
         history.append(rel)
         if rel < config.tol:
             return SolveOutcome(x, k, np.array(history), True)
         z = apply_minv(r)
         rz_next = _dot(r, z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz  # p = z + (rz_next / rz) p
+        p += z
         rz = rz_next
     return SolveOutcome(x, config.max_iterations, np.array(history), False)
 
@@ -136,24 +138,28 @@ def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig())
     omega = 1.0
     v = np.zeros_like(r)
     p = np.zeros_like(r)
+    work = np.empty_like(r)
     for k in range(1, config.max_iterations + 1):
         rho_next = _dot(r_shadow, r)
         if abs(rho_next) < 1e-30 * r0_norm * r0_norm:
             raise SolverBreakdownError("pbicgstab", k, "rho vanished")
         beta = (rho_next / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
+        p -= np.multiply(omega, v, out=work)  # p = r + beta (p - omega v)
+        p *= beta
+        p += r
         p_hat = apply_minv(p)
         v = apply_a(p_hat)
         denom = _dot(r_shadow, v)
         if abs(denom) < 1e-300:
             raise SolverBreakdownError("pbicgstab", k, "shadow angle vanished")
         alpha = rho_next / denom
-        s = r - alpha * v
+        s = r  # s = r - alpha v, in r's place
+        s -= np.multiply(alpha, v, out=work)
         rel = _norm(s) / r0_norm
-        if not np.isfinite(rel):
+        if not math.isfinite(rel):
             raise SolverDivergenceError("pbicgstab", k)
         if rel < config.tol:
-            x += alpha * p_hat
+            x += np.multiply(alpha, p_hat, out=work)
             history.append(rel)
             return SolveOutcome(x, k, np.array(history), True)
         s_hat = apply_minv(s)
@@ -164,10 +170,10 @@ def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig())
         omega = _dot(t, s) / tt
         if abs(omega) < 1e-300:
             raise SolverBreakdownError("pbicgstab", k, "omega vanished")
-        x += alpha * p_hat + omega * s_hat
-        r = s - omega * t
+        x += np.add(np.multiply(alpha, p_hat, out=work), omega * s_hat, out=work)
+        r -= np.multiply(omega, t, out=work)  # r = s - omega t
         rel = _norm(r) / r0_norm
-        if not np.isfinite(rel):
+        if not math.isfinite(rel):
             raise SolverDivergenceError("pbicgstab", k)
         history.append(rel)
         if rel < config.tol:

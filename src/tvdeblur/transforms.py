@@ -149,7 +149,7 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     only nonzero columns of ``U`` are the cached corrections ``ql`` and
     ``qr`` at positions 1 and n, so ``U`` adds the two border samples,
     times ``ql`` and ``qr``, into the interior, and ``U^T`` adds the
-    interior's sums against ``ql`` and ``qr`` into the two border samples.
+    interior's sums against ``ql`` and ``qr``, one reduction, into them.
     T and T^T add the update, the inverses subtract it; it runs before the
     interior's DST-I in ``T = Shat (I + U)`` and ``T^{-T} = Shat (I -
     U^T)``, and after it in ``T^{-1} = (I - U) Shat`` and ``T^T = (I +
@@ -182,22 +182,22 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     # the update of the border leaves the interior alone, and that of the
     # interior leaves the border samples alone that it reads
     ql, qr = _ar_corrections(n)
+    q2 = np.stack([ql, qr])
+    q2.setflags(write=False)
     update = np.subtract if inverse else np.add
     update_first = inverse == transpose
 
     def anti_reflective(v, out):
-        head, interior, tail = out[..., :1], out[..., 1:-1], out[..., -1:]
+        interior = out[..., 1:-1]
         if not update_first:
             _dst1(interior, interior)
         if transpose:
             sums = v[..., 1:-1] if update_first else interior
-            left = np.add.reduce(sums * ql, axis=-1, keepdims=True)
-            right = np.add.reduce(sums * qr, axis=-1, keepdims=True)
-            update(head, left, head)
-            update(tail, right, tail)
+            ends = out[..., ::n - 1]
+            update(ends, np.add.reduce(sums[..., None, :] * q2, axis=-1), ends)
         else:
-            u = head * ql
-            u += tail * qr
+            u = out[..., 0, None] * ql
+            u += out[..., -1, None] * qr
             update(interior, u, interior)
         if update_first:
             _dst1(interior, interior)

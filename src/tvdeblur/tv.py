@@ -16,8 +16,8 @@ the operator's boundary rule: reflection (zero Neumann, giving a symmetric
 positive-semidefinite matrix) or anti-reflection (nonsymmetric).  Both
 variants annihilate constants.
 
-The coefficients are kept once per axis, and the apply, the bands and the
-diagonal are each one loop over the axes, so 1D and 2D share every rule.
+The coefficients are kept once per axis; the apply, the bands and the
+diagonal each run one rule per axis, so 1D and 2D share every rule.
 The bands are keyed by offset tuples in both dimensions, the form the
 transform-algebra projections take.
 """
@@ -62,26 +62,23 @@ def _extend(u: np.ndarray, bc: DiffusionBc) -> np.ndarray:
     return np.pad(u, 1, **_PAD[bc])
 
 
-def _ghost_diff(w: np.ndarray, bc: DiffusionBc, axis: int) -> np.ndarray:
-    """``np.diff(_extend(w, bc), axis=axis)`` on w's own lines, unpadded.
+def _ghost_diff(w: np.ndarray, bc: DiffusionBc, d: np.ndarray) -> np.ndarray:
+    """``np.diff(_extend(w, bc), axis=0)`` on w's own lines, unpadded,
+    written to ``d``, which has one line more than ``w`` along axis 0.
 
     The two ghost differences repeat ``np.pad``'s arithmetic, so the bytes
     are the same: a symmetric ghost equals the border sample, giving 0.0;
     an odd reflection's ghost is ``2*w[0] - w[1]``; a length-1 axis is
     extended by its edge value, giving 0.0 under both rules.
     """
-    lead = (slice(None),) * axis
-    n = w.shape[axis]
-    d = np.empty(w.shape[:axis] + (n + 1,) + w.shape[axis + 1:])
-    np.subtract(w[lead + (slice(1, None),)], w[lead + (slice(None, -1),)],
-                out=d[lead + (slice(1, -1),)])
-    if bc is DiffusionBc.ZERO_NEUMANN or n == 1:
-        d[lead + (0,)] = 0.0
-        d[lead + (-1,)] = 0.0
+    np.subtract(w[1:], w[:-1], out=d[1:-1])
+    if bc is DiffusionBc.ZERO_NEUMANN or len(w) == 1:
+        d[0] = 0.0
+        d[-1] = 0.0
     else:
-        first, last = w[lead + (0,)], w[lead + (-1,)]
-        d[lead + (0,)] = first - (2 * first - w[lead + (1,)])
-        d[lead + (-1,)] = (2 * last - w[lead + (-2,)]) - last
+        first, last = w[0], w[-1]
+        d[0] = first - (2 * first - w[1])
+        d[-1] = (2 * last - w[-2]) - last
     return d
 
 
@@ -150,9 +147,16 @@ class DiffusionOperator:
         expected = (self.n,) * self.ndim
         if w.shape != expected:
             raise ValueError(f"expected shape {expected}, got {w.shape}")
+        if self.ndim == 1:  # the loop's one pass, on the plain indices
+            flux = _ghost_diff(w, self.bc, np.empty(self.n + 1))
+            flux *= self.a[0]
+            out = np.subtract(flux[1:], flux[:-1])
+            return np.negative(out, out=out)
         out = None
         for axis in self._axes:
-            flux = _ghost_diff(w, self.bc, axis)
+            # the ghost rule runs along the first axis of swapped views
+            flux = np.empty(self.a[axis].shape)
+            _ghost_diff(w.swapaxes(0, axis), self.bc, flux.swapaxes(0, axis))
             flux *= self.a[axis]
             # np.diff(flux, axis=axis), without its per-call setup
             div = np.subtract(flux[_along(axis, slice(1, None))],
