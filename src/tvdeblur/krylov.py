@@ -72,7 +72,7 @@ class SolveOutcome:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x.ravel(), y.ravel()))
+    return float(x.ravel().dot(y.ravel()))
 
 
 def _norm(x: np.ndarray) -> float:
