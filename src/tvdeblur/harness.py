@@ -40,6 +40,7 @@ from .krylov import (
     KrylovConfig,
     SolverBreakdownError,
     SolverDivergenceError,
+    is_real,
 )
 from .pipeline import (
     CONFIGURATIONS,
@@ -199,12 +200,12 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkSpec:
     """One sweep: the cross product of the listed axes, in listed order.
 
-    A setting left None takes ``DIMENSION_DEFAULTS``.  The spec checks its
-    own fields, and the ``RestorationConfig`` it builds for each (alpha,
+    A setting left None takes ``DIMENSION_DEFAULTS``.  The frozen spec checks
+    its own fields, and the ``RestorationConfig`` it builds for each (alpha,
     beta) pair checks alpha, beta, fp_tol and fp_max."""
 
     dimension: int = 1
@@ -229,12 +230,17 @@ class BenchmarkSpec:
             raise ValueError("dimension must be 1 or 2")
         for name, default in DIMENSION_DEFAULTS[self.dimension].items():
             if getattr(self, name) is None:
-                setattr(self, name, default)
+                object.__setattr__(self, name, default)
         for name, value in [("n", n) for n in self.ns] + [
                 (name, getattr(self, name))
                 for name in ("dimension", "seed", "psf_half_width", "inner_max")]:
             if value is not None and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value in [("alpha", a) for a in self.alphas] + [
+                ("beta", b) for b in self.betas] + [
+                (name, getattr(self, name)) for name in ("nsr", "psf_sigma", "inner_tol")]:
+            if value is not None and not is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.nsr) and self.nsr >= 0):
             raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
         if self.seed < 0:

@@ -2,10 +2,13 @@
 
 Both solvers are matrix-free: the system and the preconditioner inverse are
 callables, and iterates may be 1D vectors or 2D grids (inner products run
-over the raveled arrays).  Iterations stop when
-``||r_k||_2 / ||r_0||_2 < tol`` or at ``max_iterations``; running out of
-iterations is reported through ``converged=False`` rather than raised, since
-benchmark sweeps record such cells as ``*``.
+over the raveled arrays).  The solvers update in place only the vectors
+they own and keep reading what an apply returns: an apply leaves its
+argument alone and returns a fresh array, or the argument itself, as the
+identity does.  Iterations stop when ``||r_k||_2 / ||r_0||_2 < tol`` or at
+``max_iterations``; running out of iterations is reported through
+``converged=False`` rather than raised, since benchmark sweeps record such
+cells as ``*``.
 
 BiCGstab is right-preconditioned (it iterates on ``A M^{-1}``), so the
 residual entering the stopping rule is the true residual of the original
@@ -48,12 +51,19 @@ class IndefiniteOperatorError(RuntimeError):
         self.iteration = iteration
 
 
+def is_real(value) -> bool:
+    """Whether a setting is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KrylovConfig:
     tol: float = 1e-6
     max_iterations: int = 1000
 
     def __post_init__(self) -> None:
+        if not is_real(self.tol):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         count = self.max_iterations

@@ -45,7 +45,7 @@ from .blur import (
     SymmetricPsf,
     scratch,
 )
-from .krylov import KrylovConfig, SolverDivergenceError, pbicgstab, pcg
+from .krylov import KrylovConfig, SolverDivergenceError, is_real, pbicgstab, pcg
 from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
 from .transforms import MIN_BORDERED_N
 from .tv import DiffusionBc, DiffusionOperator, beta_problem
@@ -127,6 +127,10 @@ class RestorationConfig:
                                preconditioner=PrecondSelector).items():
             if not isinstance(getattr(self, name), kind):
                 raise ConfigurationError(f"{name} must be a {kind.__name__}, "
+                                         f"got {getattr(self, name)!r}")
+        for name in ("alpha", "beta", "fp_tol"):
+            if not is_real(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a real number, "
                                          f"got {getattr(self, name)!r}")
         for name in ("alpha", "fp_tol"):
             value = getattr(self, name)

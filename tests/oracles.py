@@ -6,16 +6,26 @@ and the convolution sum, diffusion matrices from the stencil definition.
 :func:`dense_of` probes an operator's reference apply column by column,
 :func:`dense_preconditioner` a factored preconditioner's apply, and
 :func:`el_residual` is the optimality residual on the reference applies.
+:func:`pcg_loop` and :func:`pbicgstab_loop` are the Krylov solvers with an
+allocating update each, the reference for their in-place loops.
 :func:`scipy_apply_1d` is each fast 1D transform through the public
 ``scipy.fft`` calls, the reference for the package's direct pocketfft calls,
 and :func:`scipy_band_form` the same for the projections' FFT band forms.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy import fft
 
+from tvdeblur.krylov import (
+    IndefiniteOperatorError,
+    KrylovConfig,
+    SolveOutcome,
+    SolverBreakdownError,
+    SolverDivergenceError,
+)
 from tvdeblur.transforms import TransformKind, probe_dense
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
@@ -323,3 +333,109 @@ def diffusion_apply_padded(w: np.ndarray, coefficients, bc: str) -> np.ndarray:
         flux = coefficients[axis] * np.diff(lines, axis=axis)
         divergence.append(np.diff(flux, axis=axis))
     return -sum(divergence[1:], divergence[0])
+
+
+def _loop_dot(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.dot(x.ravel(), y.ravel()))
+
+
+def _loop_norm(x: np.ndarray) -> float:
+    return math.sqrt(_loop_dot(x, x))
+
+
+def pcg_loop(apply_a, apply_minv, b, x0,
+             config: KrylovConfig = KrylovConfig()) -> SolveOutcome:
+    """``krylov.pcg`` as it was written before its in-place updates: each
+    update allocates its result.  The solver must match it byte for byte."""
+    apply_minv = apply_minv or (lambda x: x)
+    b = np.asarray(b, dtype=float)
+    x = np.array(x0, dtype=float, copy=True)
+    r = b - apply_a(x)
+    r0_norm = _loop_norm(r)
+    history: list[float] = []
+    if r0_norm == 0.0:
+        return SolveOutcome(x, 0, np.array(history), True)
+    z = apply_minv(r)
+    p = z.copy()
+    rz = _loop_dot(r, z)
+    for k in range(1, config.max_iterations + 1):
+        q = apply_a(p)
+        curvature = _loop_dot(p, q)
+        if not np.isfinite(curvature):
+            raise SolverDivergenceError("pcg", k)
+        if curvature <= 0.0:
+            raise IndefiniteOperatorError(k, curvature)
+        step = rz / curvature
+        x += step * p
+        r -= step * q
+        rel = _loop_norm(r) / r0_norm
+        if not np.isfinite(rel):
+            raise SolverDivergenceError("pcg", k)
+        history.append(rel)
+        if rel < config.tol:
+            return SolveOutcome(x, k, np.array(history), True)
+        z = apply_minv(r)
+        rz_next = _loop_dot(r, z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return SolveOutcome(x, config.max_iterations, np.array(history), False)
+
+
+def pbicgstab_loop(apply_a, apply_minv, b, x0,
+                   config: KrylovConfig = KrylovConfig()) -> SolveOutcome:
+    """``krylov.pbicgstab`` as it was written before its in-place updates:
+    each update allocates its result.  The solver must match it byte for
+    byte."""
+    apply_minv = apply_minv or (lambda x: x)
+    b = np.asarray(b, dtype=float)
+    x = np.array(x0, dtype=float, copy=True)
+    r = b - apply_a(x)
+    r0_norm = _loop_norm(r)
+    history: list[float] = []
+    if r0_norm == 0.0:
+        return SolveOutcome(x, 0, np.array(history), True)
+    r_shadow = r.copy()
+    rho = 1.0
+    alpha = 1.0
+    omega = 1.0
+    v = np.zeros_like(r)
+    p = np.zeros_like(r)
+    for k in range(1, config.max_iterations + 1):
+        rho_next = _loop_dot(r_shadow, r)
+        if abs(rho_next) < 1e-30 * r0_norm * r0_norm:
+            raise SolverBreakdownError("pbicgstab", k, "rho vanished")
+        beta = (rho_next / rho) * (alpha / omega)
+        p = r + beta * (p - omega * v)
+        p_hat = apply_minv(p)
+        v = apply_a(p_hat)
+        denom = _loop_dot(r_shadow, v)
+        if abs(denom) < 1e-300:
+            raise SolverBreakdownError("pbicgstab", k, "shadow angle vanished")
+        alpha = rho_next / denom
+        s = r - alpha * v
+        rel = _loop_norm(s) / r0_norm
+        if not np.isfinite(rel):
+            raise SolverDivergenceError("pbicgstab", k)
+        if rel < config.tol:
+            x += alpha * p_hat
+            history.append(rel)
+            return SolveOutcome(x, k, np.array(history), True)
+        s_hat = apply_minv(s)
+        t = apply_a(s_hat)
+        tt = _loop_dot(t, t)
+        if tt == 0.0:
+            raise SolverBreakdownError("pbicgstab", k,
+                                       "stabilizer direction vanished")
+        omega = _loop_dot(t, s) / tt
+        if abs(omega) < 1e-300:
+            raise SolverBreakdownError("pbicgstab", k, "omega vanished")
+        x += alpha * p_hat + omega * s_hat
+        r = s - omega * t
+        rel = _loop_norm(r) / r0_norm
+        if not np.isfinite(rel):
+            raise SolverDivergenceError("pbicgstab", k)
+        history.append(rel)
+        if rel < config.tol:
+            return SolveOutcome(x, k, np.array(history), True)
+        rho = rho_next
+    return SolveOutcome(x, config.max_iterations, np.array(history), False)

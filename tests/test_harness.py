@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -414,6 +415,32 @@ def test_spec_counts_must_be_integers(settings, message):
     the field and the value, before any problem is generated."""
     with pytest.raises(ValueError, match=message):
         BenchmarkSpec(**settings)
+
+
+@pytest.mark.parametrize("settings,message", [
+    (dict(nsr="0.01"), r"^nsr must be a real number, got '0\.01'$"),
+    (dict(inner_tol="1e-6"), r"^inner_tol must be a real number, got '1e-6'$"),
+    (dict(dimension=2, ns=(64,), psf_sigma="8"),
+     r"^psf_sigma must be a real number, got '8'$"),
+    (dict(alphas=("1e-3",)), r"^alpha must be a real number, got '1e-3'$"),
+    (dict(betas=(True,)), r"^beta must be a real number, got True$"),
+    (dict(fp_tol="1e-3"), r"^fp_tol must be a real number, got '1e-3'$"),
+])
+def test_spec_settings_must_be_real_numbers(settings, message):
+    """A string or a bool fails at construction, naming the field and the
+    value, rather than as a TypeError or read as a number."""
+    with pytest.raises(ValueError, match=message):
+        BenchmarkSpec(**settings)
+
+
+def test_spec_is_frozen():
+    """A field cannot change after the spec has checked itself: a sweep
+    would otherwise meet the bad value only after generating problems."""
+    spec = BenchmarkSpec(ns=(64,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.alphas = (-1.0,)
+    assert spec.alphas == (1e-3,)
+    assert spec.inner_tol == harness.DIMENSION_DEFAULTS[1]["inner_tol"]
 
 
 def test_parse_sweep_config(tmp_path):

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from oracles import pbicgstab_loop, pcg_loop
 from tvdeblur.krylov import (
     IndefiniteOperatorError,
     KrylovConfig,
@@ -32,6 +35,15 @@ def test_iteration_limit_must_be_an_integer():
 def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match=r"tol must be finite and positive, "
                                          rf"got {tol!r}"):
+        KrylovConfig(tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["1e-6", True])
+def test_tolerance_must_be_a_real_number(tol):
+    """A string or a bool fails at construction, named with the field,
+    not inside numpy's isfinite or as the number 1."""
+    with pytest.raises(ValueError, match=rf"^tol must be a real number, "
+                                         rf"got {re.escape(repr(tol))}$"):
         KrylovConfig(tol=tol)
 
 
@@ -184,3 +196,145 @@ def test_grid_shaped_iterates(rng):
               KrylovConfig(tol=1e-12, max_iterations=50))
     assert out.solution.shape == (5, 5)
     np.testing.assert_allclose(out.solution, b / d, atol=1e-10)
+
+
+# -- the in-place loops against the allocating reference loops ---------------
+
+_SHAPES = {"n5": (5,), "n203": (203,), "grid16": (16, 16)}
+
+
+def _system(shape, symmetric, seed):
+    """A dense operator on arrays of ``shape``: SPD, or nonsymmetric with a
+    dominant diagonal, and its matrix."""
+    size = int(np.prod(shape))
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((size, size))
+    a = m @ m.T + size * np.eye(size) if symmetric else m + 2 * np.sqrt(size) * np.eye(size)
+    return (lambda w: (a @ w.ravel()).reshape(shape)), a
+
+
+def _preconditioner(kind, a, shape, seed):
+    """No preconditioner, the diagonal ``w / d``, or a dense solve with a
+    perturbed copy of ``a`` (SPD where ``a`` is)."""
+    if kind == "none":
+        return None
+    if kind == "diag":
+        d = np.diag(a).reshape(shape)
+        return lambda w: w / d
+    e = np.random.default_rng(seed + 1).standard_normal(a.shape)
+    m = a + 0.1 * (e @ e.T if np.array_equal(a, a.T) else e)
+    return lambda w: np.linalg.solve(m, w.ravel()).reshape(shape)
+
+
+def _outcomes_match(run, reference):
+    """Both solves give the same bytes, count and history, or the same
+    error at the same iteration."""
+    results = []
+    for solve in (run, reference):
+        try:
+            results.append(solve())
+        except (IndefiniteOperatorError, SolverBreakdownError,
+                SolverDivergenceError) as err:
+            results.append(err)
+    got, want = results
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want) and got.iteration == want.iteration
+        return want
+    assert got.solution.tobytes() == want.solution.tobytes()
+    assert got.iterations == want.iterations and got.converged == want.converged
+    assert got.residual_history.tobytes() == want.residual_history.tobytes()
+    return want
+
+
+_CONFIGS = {
+    "converges": KrylovConfig(tol=1e-10, max_iterations=500),
+    "runs_out": KrylovConfig(tol=1e-14, max_iterations=3),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_CONFIGS))
+@pytest.mark.parametrize("precond", ["none", "diag", "dense"])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("solver,reference,symmetric", [
+    (pcg, pcg_loop, True), (pbicgstab, pbicgstab_loop, True),
+    (pbicgstab, pbicgstab_loop, False),
+])
+def test_solver_matches_the_allocating_loop(solver, reference, symmetric,
+                                            shape, precond, config):
+    """The in-place updates keep every operation of the allocating loop:
+    the same solution bytes, count and residual history, converged or
+    out of iterations, from a zero and from a random start."""
+    shape = _SHAPES[shape]
+    apply_a, a = _system(shape, symmetric, seed=len(shape) * 1000 + shape[0])
+    apply_minv = _preconditioner(precond, a, shape, seed=shape[0])
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(shape)
+    for x0 in (np.zeros(shape), rng.standard_normal(shape)):
+        outcome = _outcomes_match(
+            lambda: solver(apply_a, apply_minv, b, x0, _CONFIGS[config]),
+            lambda: reference(apply_a, apply_minv, b, x0, _CONFIGS[config]))
+        assert outcome.converged == (config == "converges")
+        assert not np.array_equal(outcome.solution, x0)
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("solver,reference", [(pcg, pcg_loop),
+                                              (pbicgstab, pbicgstab_loop)])
+def test_solver_matches_the_allocating_loop_on_aliases(solver, reference,
+                                                       shape):
+    """An apply may return its argument: the identity operator with no
+    preconditioner hands the solver its own vectors back, and a zero
+    right-hand side stops before the first iteration."""
+    shape = _SHAPES[shape]
+    b = np.random.default_rng(3).standard_normal(shape)
+    for rhs in (b, np.zeros(shape)):
+        outcome = _outcomes_match(
+            lambda: solver(lambda w: w, None, rhs, np.zeros(shape)),
+            lambda: reference(lambda w: w, None, rhs, np.zeros(shape)))
+        assert outcome.iterations == (1 if rhs is b else 0)
+    scaled = _outcomes_match(  # the scaled identity runs a few iterations
+        lambda: solver(lambda w: w, lambda w: 0.5 * w, b, np.ones(shape)),
+        lambda: reference(lambda w: w, lambda w: 0.5 * w, b, np.ones(shape)))
+    assert scaled.converged
+
+
+def _nan_after(apply_a, calls):
+    """``apply_a`` until its ``calls``-th call, then all NaN."""
+    count = [0]
+
+    def apply(w):
+        count[0] += 1
+        return apply_a(w) if count[0] < calls else np.full_like(w, np.nan)
+    return apply
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("solver,reference,symmetric,case,error", [
+    (pcg, pcg_loop, True, "negated", IndefiniteOperatorError),
+    (pcg, pcg_loop, True, "nan", SolverDivergenceError),
+    (pbicgstab, pbicgstab_loop, False, "nan", SolverDivergenceError),
+    (pbicgstab, pbicgstab_loop, False, "skew", SolverBreakdownError),
+])
+def test_solver_errors_match_the_allocating_loop(solver, reference, symmetric,
+                                                 shape, case, error):
+    """Each error is raised at the reference loop's iteration, with its
+    message: nonpositive curvature, a NaN from the fourth apply on, and
+    a skew-symmetric operator, whose shadow angle vanishes at once."""
+    shape = _SHAPES[shape]
+    apply_a, a = _system(shape, symmetric, seed=shape[0])
+    b = np.random.default_rng(11).standard_normal(shape)
+    if case == "skew":  # from e_1, the shadow angle e_1 . (S e_1) is 0
+        a = a - a.T
+        b = np.zeros(shape)
+        b.flat[0] = 1.0
+    operators = {
+        "negated": lambda: (lambda w: -apply_a(w)),
+        "nan": lambda: _nan_after(apply_a, 4),
+        "skew": lambda: (lambda w: (a @ w.ravel()).reshape(shape)),
+    }
+    config = KrylovConfig(tol=1e-14, max_iterations=50)
+    err = _outcomes_match(
+        lambda: solver(operators[case](), None, b, np.zeros(shape), config),
+        lambda: reference(operators[case](), None, b, np.zeros(shape), config))
+    assert isinstance(err, error)

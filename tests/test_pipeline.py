@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,19 @@ def test_fields_must_hold_their_type(field, value, kind):
     kwargs[field] = value
     with pytest.raises(ConfigurationError,
                        match=rf"^{field} must be a {kind}, got {value!r}$"):
+        RestorationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha", "1e-3"), ("beta", "0.1"), ("fp_tol", "1e-3"), ("alpha", True),
+])
+def test_settings_must_be_real_numbers(field, value):
+    """A string or a bool is not a setting: the config names the field and
+    the value, rather than failing inside isfinite or reading True as 1."""
+    kwargs = dict(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3, beta=0.1)
+    kwargs[field] = value
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be a real "
+                                                 rf"number, got {re.escape(repr(value))}$"):
         RestorationConfig(**kwargs)
 
 

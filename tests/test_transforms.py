@@ -2,6 +2,7 @@ import importlib.machinery
 import importlib.util
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,6 +365,37 @@ def test_body_cache_stays_bounded():
                 apply_1d(AR, np.ones(n), inverse, transpose)
     info = transforms.body_1d.cache_info()
     assert info.maxsize == info.currsize == 64
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_shared_anti_reflective_body_is_thread_safe(inverse, transpose, rng):
+    """One cached body, applied from three threads to their own arrays
+    (two vectors and a batch), gives each thread the bytes of a one-thread
+    run: the body keeps no work buffer between calls."""
+    n, calls = 203, 200
+    body = transforms.body_1d(AR, inverse, transpose, n)
+    inputs = (rng.standard_normal(n), rng.standard_normal(n),
+              rng.standard_normal((3, n)))
+    want = [body(v, v.copy()).tobytes() for v in inputs]
+    got = ([], [], [])
+
+    def run(i):
+        for _ in range(calls):
+            got[i].append(body(inputs[i], inputs[i].copy()).tobytes())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(3):
+        assert got[i] == [want[i]] * calls
 
 
 def test_rejects_empty_and_tiny():
