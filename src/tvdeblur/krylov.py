@@ -163,21 +163,20 @@ def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig())
         if abs(denom) < 1e-300:
             raise SolverBreakdownError("pbicgstab", k, "shadow angle vanished")
         alpha = rho_next / denom
-        s = r  # s = r - alpha v, in r's place
-        s -= np.multiply(alpha, v, out=work)
-        rel = _norm(s) / r0_norm
+        r -= np.multiply(alpha, v, out=work)  # r holds s = r - alpha v
+        rel = _norm(r) / r0_norm
         if not math.isfinite(rel):
             raise SolverDivergenceError("pbicgstab", k)
         if rel < config.tol:
             x += np.multiply(alpha, p_hat, out=work)
             history.append(rel)
             return SolveOutcome(x, k, np.array(history), True)
-        s_hat = apply_minv(s)
+        s_hat = apply_minv(r)
         t = apply_a(s_hat)
         tt = _dot(t, t)
         if tt == 0.0:
             raise SolverBreakdownError("pbicgstab", k, "stabilizer direction vanished")
-        omega = _dot(t, s) / tt
+        omega = _dot(t, r) / tt
         if abs(omega) < 1e-300:
             raise SolverBreakdownError("pbicgstab", k, "omega vanished")
         x += np.add(np.multiply(alpha, p_hat, out=work), omega * s_hat, out=work)

@@ -129,9 +129,8 @@ class RestorationConfig:
                 raise ConfigurationError(f"{name} must be a {kind.__name__}, "
                                          f"got {getattr(self, name)!r}")
         for name in ("alpha", "beta", "fp_tol"):
-            if not is_real(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a real number, "
-                                         f"got {getattr(self, name)!r}")
+            if not is_real(value := getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         for name in ("alpha", "fp_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -186,6 +186,8 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     q2.setflags(write=False)
     update = np.subtract if inverse else np.add
     update_first = inverse == transpose
+    # a vector's border samples as 0-d arrays, which multiply faster than slices
+    vector_ends, batch_ends = ((..., 0), (..., -1)), ((..., 0, None), (..., -1, None))
 
     def anti_reflective(v, out):
         interior = out[..., 1:-1]
@@ -196,8 +198,9 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
             ends = out[..., ::n - 1]
             update(ends, np.add.reduce(sums[..., None, :] * q2, axis=-1), ends)
         else:
-            u = out[..., 0, None] * ql
-            u += out[..., -1, None] * qr
+            first, last = vector_ends if out.ndim == 1 else batch_ends
+            u = out[first] * ql
+            u += out[last] * qr
             update(interior, u, interior)
         if update_first:
             _dst1(interior, interior)

@@ -154,7 +154,6 @@ class DiffusionOperator:
             return np.negative(out, out=out)
         out = None
         for axis in self._axes:
-            # the ghost rule runs along the first axis of swapped views
             flux = np.empty(self.a[axis].shape)
             _ghost_diff(w.swapaxes(0, axis), self.bc, flux.swapaxes(0, axis))
             flux *= self.a[axis]
