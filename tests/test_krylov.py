@@ -209,7 +209,10 @@ def _system(shape, symmetric, seed):
     size = int(np.prod(shape))
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((size, size))
-    a = m @ m.T + size * np.eye(size) if symmetric else m + 2 * np.sqrt(size) * np.eye(size)
+    if symmetric:
+        a = m @ m.T + size * np.eye(size)
+    else:
+        a = m + 2 * np.sqrt(size) * np.eye(size)
     return (lambda w: (a @ w.ravel()).reshape(shape)), a
 
 

@@ -102,8 +102,8 @@ def test_settings_must_be_real_numbers(field, value):
     the value, rather than failing inside isfinite or reading True as 1."""
     kwargs = dict(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3, beta=0.1)
     kwargs[field] = value
-    with pytest.raises(ConfigurationError, match=rf"^{field} must be a real "
-                                                 rf"number, got {re.escape(repr(value))}$"):
+    message = rf"^{field} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigurationError, match=message):
         RestorationConfig(**kwargs)
 
 
