@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
-"""FFT against cached-matrix products for 2D transforms, assembly and the
-data term, and the 1D data term against its dense matrix.
+"""FFT against cached-matrix products for 2D transforms, assembly, 1D
+band forms and the data term, and the 1D data term against its dense matrix.
 
-The first table gives, for each transform kind and grid side n, the
-best-of-k time of one forward 2D tensor apply done two ways: the 1D
-pocketfft transform along each axis, and the two products
-``m @ G @ m.T`` with the cached dense matrix ``m`` of the 1D apply.
-``tensor_apply_2d`` takes the product for n <= ``transforms._GEMM_MAX_N``.
+``transforms._takes_products`` picks between the two for band forms and
+2D tensor applies, by the length and by whether the input is a batch; the
+bounds it reads are printed first.  The first table gives, for each
+transform kind and grid side n, the best-of-k time of one forward 2D
+tensor apply done two ways: the 1D pocketfft transform along each axis,
+and the two products ``m @ G @ m.T`` with the cached dense matrix ``m`` of
+the 1D apply.
 
 The second table gives the best-of-k time of one 2D
-``assemble_preconditioner`` call for R, R_D, M_D and P_D, with the band sums
-of the projections done two ways: the FFT closed forms (selected by
-setting the cutoff to 0) and the products with the cached band matrices
-that ``precond`` uses up to the same cutoff.  Together the tables are the
-evidence for that cutoff.
+``assemble_preconditioner`` call for R, R_D, M_D and P_D, with the band
+forms of the projections done two ways, each called in place of the
+rule's choice: the FFT closed forms, and the products with the cached band
+matrices.  Together the tables are the evidence for the batch bound.
+
+The band-form table gives, for the DCT and the DST-I and each length n,
+the best-of-k time of one vector band form at offset 1 done the same two
+ways: it is the evidence for the vector bound, which the 1D projections
+take.
 
 The third table gives, for each blur BC and formulation, the best-of-k
 time of one 2D data term ``B H`` done two ways: ``B`` after ``H`` on the
@@ -22,7 +28,7 @@ non-separable PSF takes, and the Kronecker form ``F0 @ W @ F1.T`` that
 ``pipeline.StepSystem`` takes for the separable harness PSF, with the
 dense 1D data terms of its axis kernels.
 
-The fourth table gives, for each blur BC and formulation with a fast
+The last table gives, for each blur BC and formulation with a fast
 transform, the best-of-k time of one 1D data term ``B H`` done two ways:
 ``pipeline.StepSystem``'s composed apply, which runs ``H`` and then ``B``
 in place on one copy of the vector, and the dense ``F @ w`` with the
@@ -30,9 +36,10 @@ n x n data term ``F = B H`` (``pipeline.data_matrix``).  It is the 1D
 crossover a dense 1D data term would be chosen by; no code reads it yet.
 
 ``--sizes`` gives the sizes of every table (by default the 2D tables take
-``SIZES`` and the 1D table ``SIZES_1D``).  The second and third use the
-harness's 2D PSF for each side, the Gaussian of half-width m = ceil(n/8)
-and sigma = m/2; the fourth the harness's 1D out-of-focus PSF of
+``SIZES``, the band-form table ``BAND_SIZES`` and the 1D data term table
+``SIZES_1D``).  The assembly and 2D data term tables use the harness's 2D
+PSF for each side, the Gaussian of half-width m = ceil(n/8) and sigma =
+m/2; the 1D data term table the harness's 1D out-of-focus PSF of
 half-width ceil(n/20).  Each cell repeats its timed call up to
 ``--repeats`` times and stops after about a second, which bounds the
 reference data terms at large n.  The environment (versions, cores, CPU,
@@ -51,7 +58,7 @@ from time import perf_counter
 import numpy as np
 import scipy
 
-from tvdeblur import transforms
+from tvdeblur import precond, transforms
 from tvdeblur.blur import (
     FAST_TRANSFORMS,
     BoundaryCondition,
@@ -75,6 +82,7 @@ from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256)
 SIZES_1D = (64, 128, 203, 256, 512, 1024, 2048)
+BAND_SIZES = (144, 201, 203, 256, 384, 512, 768, 1024)
 ASSEMBLY_KINDS = ("R", "R_D", "M_D", "P_D")
 #: seconds of timed calls after which a cell stops repeating
 CELL_BUDGET_S = 1.0
@@ -111,12 +119,21 @@ def harness_psf(n: int):
     return gen_psf("gaussian", m, m / 2)
 
 
+def fft_band_form(kind, band, offset, n):
+    """The band form's FFT path, whatever the rule picks."""
+    return transforms._fft_band_form(kind, band, abs(offset), n)
+
+
+def product_band_form(kind, band, offset, n):
+    """The band form's product path, whatever the rule picks."""
+    return band @ transforms._band_products(kind, abs(offset), n)
+
+
 def assembly_table(sizes, repeats: int) -> None:
     """Best-of-k 2D assembly, FFT band forms against cached products."""
     print(f"{'kind':<16}{'n':>5}{'fft':>11}{'products':>11}{'ratio':>8}")
     rng = np.random.default_rng(0)
     alpha = 1e-2
-    cutoff = transforms._GEMM_MAX_N
     for kind in ASSEMBLY_KINDS:
         for n in sizes:
             bc = BoundaryCondition.REFLECTIVE if kind.startswith("R") \
@@ -131,8 +148,8 @@ def assembly_table(sizes, repeats: int) -> None:
             l_op = DiffusionOperator(u, 0.01, l_bc)
             times = []
             try:
-                for limit in (0, cutoff):
-                    transforms._GEMM_MAX_N = limit
+                for path in (fft_band_form, product_band_form):
+                    precond.band_form = path
                     times.append(best_us(
                         lambda: assemble_preconditioner(kind, h_op, l_op, alpha),
                         repeats) / 1e3)
@@ -142,10 +159,23 @@ def assembly_table(sizes, repeats: int) -> None:
                 print(f"{kind:<16}{n:>5}  {err}")
                 continue
             finally:
-                transforms._GEMM_MAX_N = cutoff
+                precond.band_form = transforms.band_form
             fft, product = times
             print(f"{kind:<16}{n:>5}{fft:>11.2f}{product:>11.2f}"
                   f"{fft / product:>8.2f}")
+
+
+def band_form_table(sizes, repeats: int) -> None:
+    """Best-of-k vector band form at offset 1, FFT against the product."""
+    print(f"{'kind':<16}{'n':>5}{'band-fft':>11}{'product':>11}{'ratio':>8}")
+    rng = np.random.default_rng(0)
+    for kind in (TransformKind.DCT, TransformKind.DST1):
+        for n in sizes:
+            band = rng.standard_normal(n - 1)
+            us = [best_us(lambda: path(kind, band, 1, n), repeats)
+                  for path in (fft_band_form, product_band_form)]
+            print(f"{kind.value:<16}{n:>5}{us[0]:>11.1f}{us[1]:>11.1f}"
+                  f"{us[0] / us[1]:>8.2f}")
 
 
 def data_term_table(sizes, repeats: int) -> None:
@@ -201,8 +231,9 @@ def main() -> None:
           f"scipy {scipy.__version__}, nproc {len(os.sched_getaffinity(0))}")
     print(f"cpu {cpu_model()}")
     print("threads " + ", ".join(f"{v}={os.environ.get(v)}" for v in THREAD_VARS))
-    print(f"best of {args.repeats}, us; cutoff _GEMM_MAX_N = "
-          f"{transforms._GEMM_MAX_N}")
+    print(f"products up to n = {transforms._VECTOR_MAX_N} for one vector, "
+          f"n = {transforms._BATCH_MAX_N} for a batch or a 2D grid")
+    print(f"\n2D tensor apply, best of {args.repeats}, us")
     print(f"{'kind':<16}{'n':>5}{'per-axis':>11}{'matrix':>11}{'ratio':>8}")
     sizes = args.sizes or SIZES
     rng = np.random.default_rng(0)
@@ -218,6 +249,8 @@ def main() -> None:
                   f"{per_axis / product:>8.2f}")
     print(f"\nassemble_preconditioner, best of {args.repeats}, ms")
     assembly_table(sizes, args.repeats)
+    print(f"\nvector band form, best of {args.repeats}, us")
+    band_form_table(args.sizes or BAND_SIZES, args.repeats)
     print(f"\n2D data term B H, best of {args.repeats}, ms")
     data_term_table(sizes, args.repeats)
     print(f"\n1D data term B H, best of {args.repeats}, us")

@@ -9,13 +9,9 @@ diagonalized by one fast transform:
 * anti-reflective ``{T diag(v) T^{-1}}``       (non-orthogonal transform).
 
 For the three orthogonal algebras the Frobenius-closest member of the
-algebra to ``A`` has eigenvalues ``diag(X^T A X)``; the band at offset d of
-a banded ``A`` adds ``sum_i band[i] X[i, t] X[i + d, t]`` for all t at once.
-Up to the length ``transforms._GEMM_MAX_N`` (144, the 2D tensor-product
-cutoff) that sum is ``band @ P_d`` with the cached read-only matrix
-``P_d = X[:n-d] * X[d:]``, O(b n^2) for bandwidth b; longer lengths use one
-FFT of length about 2n, O(b n log n), and materialize nothing dense.
-Projections take band dicts only, keyed by offset tuples as
+algebra to ``A`` has eigenvalues ``diag(X^T A X)``, one
+``transforms.band_form`` per band of a banded ``A``, which takes a dense
+product or an FFT by the length.  Projections take band dicts only, keyed by offset tuples as
 ``tv.DiffusionOperator.bands`` gives them: ``{(d,): values}`` in 1D and
 ``{(block offset, inner offset): coefficients}`` in 2D.  Preconditioners
 apply and solve with ``blur.diagonalized``, as the blur operators do; the
@@ -36,8 +32,7 @@ and Serra-Capizzano's two-level construction): it runs blockwise, the
 indices are regrouped with the vec permutation (outer and inner indices
 swapped), and it runs blockwise again.  For the orthogonal algebras this
 reproduces the Frobenius-optimal member of the tensor algebra; the whole
-construction runs on block-band coefficient arrays with batched band sums:
-O(n^3) matrix products for n <= 144, batched FFTs in O(n^2 log n) above.
+construction runs on block-band coefficient arrays with batched band forms.
 """
 
 from __future__ import annotations
@@ -49,10 +44,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import transforms
 from .blur import BoundaryCondition, diagonalized, scratch
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
-from .transforms import TransformKind, apply_1d, tensor_apply_2d  # noqa: F401
+from .transforms import (MIN_BORDERED_N, TransformKind, apply_1d,  # noqa: F401
+                         band_form, tensor_apply_2d)
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +63,7 @@ _FAMILIES = {
 
 
 #: smallest order of each bordered projection
-MIN_PROJECTION_N = {TransformKind.SINE_HAT: transforms.MIN_BORDERED_N,
+MIN_PROJECTION_N = {TransformKind.SINE_HAT: MIN_BORDERED_N,
                     TransformKind.ANTI_REFLECTIVE: 5}
 
 
@@ -101,66 +96,6 @@ def scaling_diagonal(l_op, alpha: float) -> np.ndarray:
         raise InvalidScalingError("D = I + alpha diag L has nonpositive "
                                   f"entries (min {float(np.min(d))!r})")
     return d
-
-
-# ---------------------------------------------------------------------------
-# banded quadratic forms: sum_i band[i] * X[i, t] * X[i + d, t] for all t
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _band_products(kind: TransformKind, d: int, n: int) -> np.ndarray:
-    """Read-only ``P_d[i, t] = X[i, t] * X[i + d, t]`` for the n x n matrix X.
-
-    ``band @ P_d`` is one band's contribution to diag(X^T A X).  X is the
-    cached matrix of the 1D forward apply, C for the DCT and S for the DST-I.
-    """
-    m = transforms._matrix_1d(kind, False, False, n)
-    p = m[: n - d] * m[d:]
-    p.setflags(write=False)
-    return p
-
-
-def _rfft(arr: np.ndarray) -> np.ndarray:
-    """Real FFT along the last axis: pocketfft's r2c with the arguments
-    ``scipy.fft.rfft(arr, axis=-1)`` passes (forward, no normalization,
-    one worker)."""
-    return transforms._pocketfft.r2c(arr, (-1,), True, 0, None, 1)
-
-
-def _band_form(kind: TransformKind, band: np.ndarray, offset: int,
-               n: int) -> np.ndarray:
-    """Contribution of one band to diag(X^T A X), batched over leading axes.
-
-    X is C (DCT) or S (DST-I); an empty band gives zeros.  Up to
-    ``_GEMM_MAX_N`` it is ``band @ P_d``.  Above, the product-to-sum identity
-    makes the frequency-sum part one FFT of the band on odd/even slots
-    (length 2n or 2(n+1)) and collapses the difference part to the band total.
-    """
-    d = abs(offset)
-    band = np.asarray(band, dtype=float)
-    length = n - d
-    if length <= 0 or band.shape[-1] == 0:
-        return np.zeros(band.shape[:-1] + (n,))
-    if band.shape[-1] != length:
-        raise ValueError(f"band for offset {offset} must have length {length}")
-    if n <= transforms._GEMM_MAX_N:
-        return band @ _band_products(kind, d, n)
-    total = band.sum(axis=-1, keepdims=True)
-    if kind is TransformKind.DCT:
-        arr = np.zeros(band.shape[:-1] + (2 * n,))
-        arr[..., d + 1: d + 1 + 2 * length: 2] = band
-        freq_sum = _rfft(arr)[..., :n].real
-        t = np.arange(n)
-        gamma = t * np.pi / (2 * n)
-        rho2 = np.where(t == 0, 1.0, 2.0) / n
-        return 0.5 * rho2 * (total * np.cos(2 * d * gamma) + freq_sum)
-    arr = np.zeros(band.shape[:-1] + (2 * (n + 1),))
-    arr[..., d + 2: d + 2 + 2 * length: 2] = band
-    freq_sum = _rfft(arr)[..., 1: n + 1].real
-    t = np.arange(1, n + 1)
-    theta = np.pi / (n + 1)
-    return (total * np.cos(d * t * theta) - freq_sum) / (n + 1)
 
 
 @lru_cache(maxsize=16)
@@ -200,7 +135,7 @@ def project(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
                      for do, inner_bands in by_block_offset.items()}
         return project(kind, regrouped, n).T
     if kind in (TransformKind.DCT, TransformKind.DST1):
-        parts = [_band_form(kind, b, d, n) for (d,), b in bands.items()]
+        parts = [band_form(kind, b, d, n) for (d,), b in bands.items()]
         return sum(parts) if parts else np.zeros(n)
     if kind not in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
         raise ValueError(f"unknown projection kind: {kind!r}")
@@ -211,7 +146,7 @@ def project(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
     lam_int = np.zeros(shape + (n - 2,))
     for (d,), band in bands.items():
         interior = np.asarray(band, dtype=float)[..., 1: n - 1 - abs(d)]
-        lam_int += _band_form(TransformKind.DST1, interior, d, n - 2)
+        lam_int += band_form(TransformKind.DST1, interior, d, n - 2)
     out = np.zeros(shape + (n,))
     out[..., 1:-1] = lam_int
     if kind is TransformKind.SINE_HAT:

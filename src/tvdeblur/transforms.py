@@ -34,12 +34,20 @@ binding is loaded from its file in scipy's directory, so neither ``scipy``
 nor ``scipy.fft`` is imported.  The public ``scipy.fft`` calls spend about
 10 us per call in dispatch and argument checks, against a 3-15 us
 transform at n = 203; ``tests/`` keeps them as the oracle and checks the
-bodies byte for byte against them.  2D tensor applies on grids with
-n <= 144 are two products with the cached dense n x n matrix of the 1D
-apply, O(n^3); larger grids take the 1D transform along each axis,
-O(n^2 log n).  Transform data cached per size is read-only, and a body
-writes only the array it is given, so transform applications are safe to
-share across threads.
+bodies byte for byte against them.  Transform data cached per size is
+read-only, and a body writes only the array it is given, so transform
+applications are safe to share across threads.
+
+Band forms diag(X^T A X), the algebra projections' eigenvalues, add
+``sum_i band[i] X[i, t] X[i + d, t]`` for all t per band at offset d of
+``A`` (:func:`band_form`).  One rule, ``_takes_products``, picks for them
+and for the 2D tensor applies between products with a cached dense n x n
+matrix, whose cost does not depend on how n factors, and FFTs, which form
+nothing dense.  Its bound, n <= 144, was measured for 2D tensor applies by
+scripts/transform_crossover.py: there the products match or beat the
+per-axis FFTs for the sine-based kinds at every n measured (at n = 128 the
+anti-reflective DST-I is a length-254 FFT), and the DCT loses up to 27% as
+a product at smooth n from 120 to 144 and 30-52% above.
 """
 
 from __future__ import annotations
@@ -216,13 +224,15 @@ def apply_1d(kind: TransformKind, v, inverse: bool = False,
     return body_1d(kind, inverse, transpose, v.shape[-1])(v, v.copy())
 
 
-# Largest grid side applied as two dense products.  Up to here the products
-# match or beat the per-axis FFTs for the three sine-based kinds at every n
-# measured, and their cost does not depend on how n (or n - 1) factors: at
-# n = 128 the anti-reflective DST-I needs a length-254 = 2 * 127 FFT.  The
-# DCT loses up to 27% as a product at smooth n from 120 to 144 and 30-52%
-# above, which bounds the cutoff.  Measured by scripts/transform_crossover.py.
-_GEMM_MAX_N = 144
+#: longest length taken as products with a cached dense matrix, for one
+#: vector and for a batch (a 2D tensor apply is a batch of rows)
+_VECTOR_MAX_N, _BATCH_MAX_N = 144, 144
+
+
+def _takes_products(n: int, batched: bool) -> bool:
+    """Whether a band form of length n, or a 2D tensor apply of side n, is
+    a product with a cached n x n matrix, not FFTs."""
+    return n <= (_BATCH_MAX_N if batched else _VECTOR_MAX_N)
 
 
 @lru_cache(maxsize=16)
@@ -241,20 +251,76 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
     """Apply the tensor product X (x) X to a square grid.
 
     For a grid G this computes ``X G X^T`` and its inverse/transpose
-    variants.  With n <= ``_GEMM_MAX_N`` it is the two products
-    ``m @ G @ m.T`` with the cached matrix ``m`` of the 1D apply; larger
-    grids take the 1D transform over all columns (the rows of ``G^T``) and
-    then over all rows.
+    variants: the two products ``m @ G @ m.T`` with the cached matrix ``m``
+    of the 1D apply where the rule takes products, else the 1D transform
+    over all columns (the rows of ``G^T``) and then over all rows.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"tensor transform needs a square grid, got shape {g.shape}")
     n = g.shape[0]
-    if n <= _GEMM_MAX_N:
+    if _takes_products(n, batched=True):
         m = _matrix_1d(kind, inverse, transpose, n)
         return m @ g @ m.T
     cols = apply_1d(kind, g.T, inverse=inverse, transpose=transpose).T
     return apply_1d(kind, cols, inverse=inverse, transpose=transpose)
+
+
+@lru_cache(maxsize=16)
+def _band_products(kind: TransformKind, d: int, n: int) -> np.ndarray:
+    """Read-only ``P_d[i, t] = X[i, t] * X[i + d, t]`` for the cached
+    matrix X of the 1D forward apply (C or S): ``band @ P_d`` is a band form."""
+    m = _matrix_1d(kind, False, False, n)
+    p = m[: n - d] * m[d:]
+    p.setflags(write=False)
+    return p
+
+
+def _rfft(arr: np.ndarray) -> np.ndarray:
+    """``scipy.fft.rfft(arr, axis=-1)``: pocketfft's r2c with its arguments."""
+    return _pocketfft.r2c(arr, _LAST_AXIS, True, 0, None, 1)
+
+
+def _fft_band_form(kind: TransformKind, band: np.ndarray, d: int,
+                   n: int) -> np.ndarray:
+    """:func:`band_form` of a float band at offset +-d: the product-to-sum
+    identity makes the frequency-sum part one FFT of the band on odd/even
+    slots (length 2n or 2(n+1)), the difference part the band total."""
+    length = n - d
+    total = band.sum(axis=-1, keepdims=True)
+    if kind is TransformKind.DCT:
+        arr = np.zeros(band.shape[:-1] + (2 * n,))
+        arr[..., d + 1: d + 1 + 2 * length: 2] = band
+        freq_sum = _rfft(arr)[..., :n].real
+        t = np.arange(n)
+        gamma = t * np.pi / (2 * n)
+        rho2 = np.where(t == 0, 1.0, 2.0) / n
+        return 0.5 * rho2 * (total * np.cos(2 * d * gamma) + freq_sum)
+    arr = np.zeros(band.shape[:-1] + (2 * (n + 1),))
+    arr[..., d + 2: d + 2 + 2 * length: 2] = band
+    freq_sum = _rfft(arr)[..., 1: n + 1].real
+    t = np.arange(1, n + 1)
+    theta = np.pi / (n + 1)
+    return (total * np.cos(d * t * theta) - freq_sum) / (n + 1)
+
+
+def band_form(kind: TransformKind, band, offset: int, n: int) -> np.ndarray:
+    """Contribution of one band to diag(X^T A X), batched over leading axes.
+
+    X is C (DCT) or S (DST-I) of order n, and ``band[i]`` couples i and
+    i + |offset|; an empty band gives zeros.  It is ``band @ P_d`` with the
+    cached ``P_d = X[:n-d] * X[d:]`` where the rule takes products, else
+    one FFT."""
+    d = abs(offset)
+    band = np.asarray(band, dtype=float)
+    length = n - d
+    if length <= 0 or band.shape[-1] == 0:
+        return np.zeros(band.shape[:-1] + (n,))
+    if band.shape[-1] != length:
+        raise ValueError(f"band for offset {offset} must have length {length}")
+    if _takes_products(n, batched=band.ndim > 1):
+        return band @ _band_products(kind, d, n)
+    return _fft_band_form(kind, band, d, n)
 
 
 def probe_dense(apply, shape) -> np.ndarray:

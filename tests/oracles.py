@@ -96,7 +96,7 @@ def scipy_apply_1d(kind: TransformKind, v, inverse: bool = False,
 
 def scipy_band_form(kind: TransformKind, band, offset: int,
                     n: int) -> np.ndarray:
-    """``precond._band_form`` above its product cutoff, with the FFT a
+    """``transforms.band_form`` on its FFT path, with the FFT a
     public ``scipy.fft.rfft`` call in the same numpy operations around it."""
     d = abs(offset)
     band = np.asarray(band, dtype=float)

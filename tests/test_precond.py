@@ -150,13 +150,20 @@ def oracle_level2(kind, blocks, n):
                      for t in range(n)], axis=1)
 
 
-@pytest.mark.parametrize("kind", list(TransformKind))
-@pytest.mark.parametrize("n", [5, 6, 9, 16, 64, 127, 128, 129, 144, 145, 146,
-                               147, 203])
+# both sides of each bound of transforms._takes_products, 144 and 384;
+# n = 146, 147 and 386, 387 put the bordered kinds' interior length there.
+# The oracle's border recurrence loses about 1e-12 of the scale past
+# n = 300 (against long double; the projection keeps 4e-14), so the
+# anti-reflective kind, whose interior is the bordered sine's, stops at 203
+PROJECTION_SIZES = [(kind, n) for kind in TransformKind
+                    for n in (5, 6, 9, 16, 64, 127, 128, 129, 144, 145, 146,
+                              147, 203, 384, 385, 386, 387)
+                    if kind is not AR or n <= 203]
+
+
+@pytest.mark.parametrize("kind, n", PROJECTION_SIZES)
 def test_banded_projection_matches_oracle_across_product_cutoff(kind, n, rng):
-    """Band sums as cached products (transformed length <= 144) and as FFT
-    closed forms (above); n = 146, 147 put the interior length of the
-    bordered kinds at 144 and 145."""
+    """Band sums as cached products and as FFT closed forms."""
     a, bands = random_banded(rng, n, bandwidth=2)
     got = project(kind, bands, n)
     expected = oracle_eigenvalues(kind, a)
@@ -167,7 +174,7 @@ def test_banded_projection_matches_oracle_across_product_cutoff(kind, n, rng):
 @pytest.mark.parametrize("kind", [TransformKind.DCT, TransformKind.DST1])
 def test_band_products_are_read_only(kind):
     n, d = 126, 1
-    p = precond._band_products(kind, d, n)
+    p = transforms._band_products(kind, d, n)
     x = oracles.dense_dct(n) if kind is TransformKind.DCT \
         else oracles.dense_dst1(n)
     np.testing.assert_allclose(p, x[: n - d] * x[d:], rtol=0, atol=1e-15)
@@ -412,7 +419,7 @@ def test_apply_inverse_round_trip_2d(base, variant, rng):
 @pytest.mark.parametrize("n", [64, 128])
 def test_assembled_2d_products_match_fft_band_forms(kind, n, monkeypatch, rng):
     """Assembly through cached products equals assembly through the FFT
-    band forms, which a cutoff of 0 selects."""
+    band forms, called in place of the rule's choice."""
     alpha = 1e-2
     psf = gen_psf("gaussian", 3, 1.5)
     bc = BoundaryCondition.REFLECTIVE if kind == "R_D" \
@@ -421,16 +428,15 @@ def test_assembled_2d_products_match_fft_band_forms(kind, n, monkeypatch, rng):
         else DiffusionBc.ZERO_NEUMANN
     h_op = StructuredBlurOperator(psf, bc, n)
     l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, l_bc)
-    hits = precond._band_products.cache_info()
+    hits = transforms._band_products.cache_info()
     products = assemble_preconditioner(kind, h_op, l_op, alpha).eigenvalues
-    after = precond._band_products.cache_info()
+    after = transforms._band_products.cache_info()
     assert after.hits + after.misses > hits.hits + hits.misses
 
-    def no_products(*args):
-        raise AssertionError("cached band products used above the cutoff")
+    def fft_band_form(kind, band, offset, n):
+        return transforms._fft_band_form(kind, band, abs(offset), n)
 
-    monkeypatch.setattr(transforms, "_GEMM_MAX_N", 0)
-    monkeypatch.setattr(precond, "_band_products", no_products)
+    monkeypatch.setattr(precond, "band_form", fft_band_form)
     fft = assemble_preconditioner(kind, h_op, l_op, alpha).eigenvalues
     np.testing.assert_allclose(products, fft, rtol=0,
                                atol=1e-12 * np.max(np.abs(fft)))
@@ -438,18 +444,19 @@ def test_assembled_2d_products_match_fft_band_forms(kind, n, monkeypatch, rng):
 
 @pytest.mark.parametrize("offset", [0, 1, -1])
 @pytest.mark.parametrize("kind", [TransformKind.DCT, TransformKind.DST1])
-@pytest.mark.parametrize("n", [145, 203, 256])
-def test_fft_band_form_keeps_the_bytes_of_scipy_fft(n, kind, offset, rng):
-    """Above the product cutoff the band form's direct pocketfft call gives
-    exactly the public scipy.fft.rfft result, for one band and a batch."""
-    assert n > transforms._GEMM_MAX_N
-    length = n - abs(offset)
-    for band in (rng.standard_normal(length),
-                 rng.standard_normal((4, length))):
-        got = precond._band_form(kind, band, offset, n)
-        want = oracles.scipy_band_form(kind, band, offset, n)
-        assert got.shape == band.shape[:-1] + (n,)
-        assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("batch, n", [((), 385), ((), 409), ((), 512),
+                                      ((4,), 145), ((4,), 203), ((4,), 256)])
+def test_fft_band_form_keeps_the_bytes_of_scipy_fft(batch, n, kind, offset,
+                                                    rng):
+    """Above the rule's product bound the band form's direct pocketfft call
+    gives exactly the public scipy.fft.rfft result, for one band above the
+    vector bound and for a batch above the batch bound."""
+    assert not transforms._takes_products(n, batched=bool(batch))
+    band = rng.standard_normal(batch + (n - abs(offset),))
+    got = transforms.band_form(kind, band, offset, n)
+    want = oracles.scipy_band_form(kind, band, offset, n)
+    assert got.shape == batch + (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_assemble_rejects_wrong_boundary_conditions():

@@ -1,11 +1,11 @@
-"""Smoke test of ``scripts/transform_crossover.py``, which reads and sets
-private names of ``transforms``."""
+"""Smoke test of ``scripts/transform_crossover.py``, which reads private
+names of ``transforms`` and swaps ``precond.band_form`` for each path."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from tvdeblur import transforms
+from tvdeblur import precond, transforms
 from tvdeblur.blur import FAST_TRANSFORMS
 from tvdeblur.pipeline import DATA_TERMS
 from tvdeblur.transforms import TransformKind
@@ -31,12 +31,15 @@ def _table(lines, first_time):
     return rows
 
 
-def test_main_prints_every_table_and_restores_the_cutoff(monkeypatch, capsys):
-    cutoff = transforms._GEMM_MAX_N
+def test_main_prints_every_table_and_restores_the_band_form(monkeypatch,
+                                                           capsys):
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--sizes", "8",
                                       "--repeats", "1"])
     transform_crossover.main()
     lines = capsys.readouterr().out.splitlines()
+    # the bounds the rule reads, for one vector and for a batch
+    assert (f"products up to n = {transforms._VECTOR_MAX_N} for one vector, "
+            f"n = {transforms._BATCH_MAX_N} for a batch or a 2D grid") in lines
 
     transform_rows = _table(lines, "per-axis")
     assert transform_rows == [(kind.value, 8) for kind in TransformKind]
@@ -44,6 +47,10 @@ def test_main_prints_every_table_and_restores_the_cutoff(monkeypatch, capsys):
     assembly_rows = _table(lines, "fft")
     assert assembly_rows == [
         (kind, 8) for kind in transform_crossover.ASSEMBLY_KINDS]
+    # the vector band forms of the two orthogonal kinds
+    band_rows = _table(lines, "band-fft")
+    assert band_rows == [(TransformKind.DCT.value, 8),
+                         (TransformKind.DST1.value, 8)]
     data_term_rows = _table(lines, "operator")
     assert data_term_rows == [
         (f"{bc.value}/{formulation.value}", 8)
@@ -55,4 +62,4 @@ def test_main_prints_every_table_and_restores_the_cutoff(monkeypatch, capsys):
         (f"{bc.value}/{formulation.value}", 8)
         for bc, formulation in DATA_TERMS if bc in FAST_TRANSFORMS]
     assert len(data_term_1d_rows) == 3
-    assert transforms._GEMM_MAX_N == cutoff == 144
+    assert precond.band_form is transforms.band_form

@@ -167,7 +167,7 @@ def dense_transform(kind, n, inverse, transpose):
     return t.T if transpose else t
 
 
-# both sides of transforms._GEMM_MAX_N = 144, the smallest legal sizes and
+# both sides of the 2D product bound n = 144, the smallest legal sizes and
 # the prime-adjacent lengths around 128
 TENSOR_SIZES = (3, 4, 5, 64, 127, 128, 129, 144, 145)
 FLAGS = [(False, False), (True, False), (False, True), (True, True)]
@@ -290,7 +290,7 @@ import sys
 import numpy as np
 if sys.argv[1] == "scipy.fft first":
     import scipy.fft
-from tvdeblur import precond
+from tvdeblur import transforms
 from tvdeblur.transforms import TransformKind, apply_1d
 import scipy.fft
 x = np.random.default_rng(5).standard_normal((4, 203))
@@ -301,7 +301,7 @@ pairs = {
             scipy.fft.idct(x, type=2, norm="ortho")),
     "idct": (apply_1d(TransformKind.DCT, x, inverse=True),
              scipy.fft.dct(x, type=2, norm="ortho")),
-    "rfft": (precond._rfft(x), scipy.fft.rfft(x, axis=-1)),
+    "rfft": (transforms._rfft(x), scipy.fft.rfft(x, axis=-1)),
 }
 print(" ".join(k for k, (a, b) in pairs.items() if a.tobytes() != b.tobytes()))
 """
