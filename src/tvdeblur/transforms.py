@@ -43,11 +43,16 @@ Band forms diag(X^T A X), the algebra projections' eigenvalues, add
 ``A`` (:func:`band_form`).  One rule, ``_takes_products``, picks for them
 and for the 2D tensor applies between products with a cached dense n x n
 matrix, whose cost does not depend on how n factors, and FFTs, which form
-nothing dense.  Its bound, n <= 144, was measured for 2D tensor applies by
-scripts/transform_crossover.py: there the products match or beat the
+nothing dense.  Both bounds were measured by
+scripts/transform_crossover.py.  A batch (a 2D grid is a batch of rows)
+takes products up to n = 144: there the products match or beat the
 per-axis FFTs for the sine-based kinds at every n measured (at n = 128 the
 anti-reflective DST-I is a length-254 FFT), and the DCT loses up to 27% as
-a product at smooth n from 120 to 144 and 30-52% above.
+a product at smooth n from 120 to 144 and 30-52% above.  One vector takes
+them up to n = 384: a vector band form of the DCT or the DST-I at offset 1
+takes 7-16 us as a product up to n = 384 against 15-50 us as an FFT, and
+47-55 against 23-28 us at n = 512 (one thread).  A cached matrix at
+n = 384 holds 1.1 MB.
 """
 
 from __future__ import annotations
@@ -226,7 +231,7 @@ def apply_1d(kind: TransformKind, v, inverse: bool = False,
 
 #: longest length taken as products with a cached dense matrix, for one
 #: vector and for a batch (a 2D tensor apply is a batch of rows)
-_VECTOR_MAX_N, _BATCH_MAX_N = 144, 144
+_VECTOR_MAX_N, _BATCH_MAX_N = 384, 144
 
 
 def _takes_products(n: int, batched: bool) -> bool:

@@ -334,6 +334,22 @@ def test_loader_names_the_binding_it_cannot_find(scipy_found, tmp_path,
     assert err.value.name == transforms._BINDING_NAME
 
 
+def test_rule_picks_products_by_length_and_batch():
+    """One vector band takes products at the table1d lengths and the FFT
+    above the vector bound; a batch or a 2D grid takes the FFT above 144."""
+    assert transforms._takes_products(203, batched=False)
+    assert transforms._takes_products(201, batched=False)
+    assert not transforms._takes_products(512, batched=False)
+    assert not transforms._takes_products(4096, batched=False)
+    assert transforms._takes_products(144, batched=True)
+    assert not transforms._takes_products(150, batched=True)
+    # band_form follows it: a vector band at n = 203 reads a cached matrix
+    before = transforms._band_products.cache_info()
+    transforms.band_form(DCT, np.ones(202), 1, 203)
+    after = transforms._band_products.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+
+
 def test_tensor_matrix_cache_is_read_only():
     for kind in TransformKind:
         m = transforms._matrix_1d(kind, True, False, 8)
