@@ -58,13 +58,10 @@ def beta_problem(beta: float) -> str | None:
     return None
 
 
-def _extend(u: np.ndarray, bc: DiffusionBc) -> np.ndarray:
-    return np.pad(u, 1, **_PAD[bc])
-
-
 def _ghost_diff(w: np.ndarray, bc: DiffusionBc, d: np.ndarray) -> np.ndarray:
-    """``np.diff(_extend(w, bc), axis=0)`` on w's own lines, unpadded,
-    written to ``d``, which has one line more than ``w`` along axis 0.
+    """``np.diff(np.pad(w, 1, **_PAD[bc]), axis=0)`` on w's own lines,
+    unpadded, written to ``d``, which has one line more than ``w`` along
+    axis 0.  The 1D coefficients and the apply take their differences here.
 
     The two ghost differences repeat ``np.pad``'s arithmetic, so the bytes
     are the same: a symmetric ghost equals the border sample, giving 0.0;
@@ -94,12 +91,13 @@ def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NE
     if problem:
         raise ValueError(problem)
     u = np.asarray(u, dtype=float)
-    ext = _extend(u, bc)
     if u.ndim == 1:
-        d = np.diff(ext)
+        d = _ghost_diff(u, bc, np.empty(len(u) + 1))
         return (1.0 / np.sqrt(d * d + beta * beta),)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square grid, got shape {u.shape}")
+    # the corner ghosts of the transverse averages need the padded grid
+    ext = np.pad(u, 1, **_PAD[bc])
     dh = np.diff(ext, axis=1)  # (n+2) x (n+1)
     dv = np.diff(ext, axis=0)  # (n+1) x (n+2)
     # transverse gradient at an edge midpoint: four-point average of the

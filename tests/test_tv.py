@@ -98,6 +98,21 @@ def test_apply_is_byte_identical_to_padded_formula(ndim, n, rng):
             assert op.apply(w).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 203])
+def test_1d_coefficients_are_byte_identical_to_padded_formula(n, rng):
+    """The 1D coefficients take the apply's ghost differences, which
+    repeat the arithmetic of differences of the np.pad extension."""
+    pads = {DiffusionBc.ZERO_NEUMANN: {"mode": "symmetric"},
+            DiffusionBc.ANTI_REFLECTIVE: {"mode": "reflect",
+                                          "reflect_type": "odd"}}
+    for bc in BOTH:
+        for _ in range(3):
+            u = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            d = np.diff(np.pad(u, 1, **pads[bc]))
+            (a,) = diffusion_coefficients(u, 0.05, bc)
+            assert a.tobytes() == (1.0 / np.sqrt(d * d + 0.05 * 0.05)).tobytes()
+
+
 # n = 1 has no edge inside the grid, so both ghost differences are zero
 # and L = 0 under either rule
 @pytest.mark.parametrize("bc", BOTH)
