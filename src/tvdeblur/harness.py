@@ -27,7 +27,6 @@ import csv
 import itertools
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +39,7 @@ from .krylov import (
     KrylovConfig,
     SolverBreakdownError,
     SolverDivergenceError,
+    is_integer,
     is_real,
 )
 from .pipeline import (
@@ -226,6 +226,8 @@ class BenchmarkSpec:
     save_restored: bool = True
 
     def __post_init__(self) -> None:
+        if not is_integer(self.dimension):
+            raise ValueError(f"dimension must be an integer, got {self.dimension!r}")
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
         for name, default in DIMENSION_DEFAULTS[self.dimension].items():
@@ -233,8 +235,8 @@ class BenchmarkSpec:
                 object.__setattr__(self, name, default)
         for name, value in [("n", n) for n in self.ns] + [
                 (name, getattr(self, name))
-                for name in ("dimension", "seed", "psf_half_width", "inner_max")]:
-            if value is not None and not isinstance(value, numbers.Integral):
+                for name in ("seed", "psf_half_width", "inner_max")]:
+            if value is not None and not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, value in [("alpha", a) for a in self.alphas] + [
                 ("beta", b) for b in self.betas] + [

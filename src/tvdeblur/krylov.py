@@ -56,6 +56,11 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """Whether a setting is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KrylovConfig:
     tol: float = 1e-6
@@ -67,7 +72,7 @@ class KrylovConfig:
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         count = self.max_iterations
-        if not isinstance(count, numbers.Integral):
+        if not is_integer(count):
             raise ValueError(f"max_iterations must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"max_iterations must be at least 1, got {count!r}")

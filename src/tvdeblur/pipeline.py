@@ -31,7 +31,6 @@ not change at all (as for zero data, where ``||u_k|| = 0``), or at
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,7 +44,8 @@ from .blur import (
     SymmetricPsf,
     scratch,
 )
-from .krylov import KrylovConfig, SolverDivergenceError, is_real, pbicgstab, pcg
+from .krylov import (KrylovConfig, SolverDivergenceError, is_integer, is_real,
+                     pbicgstab, pcg)
 from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
 from .transforms import MIN_BORDERED_N
 from .tv import DiffusionBc, DiffusionOperator, beta_problem
@@ -139,7 +139,7 @@ class RestorationConfig:
         problem = beta_problem(self.beta)
         if problem:
             raise ConfigurationError(problem)
-        if not isinstance(self.fp_max, numbers.Integral):
+        if not is_integer(self.fp_max):
             raise ConfigurationError(f"fp_max must be an integer, got {self.fp_max!r}")
         if self.fp_max < 1:
             raise ConfigurationError(f"fp_max must be at least 1, got {self.fp_max!r}")

@@ -409,10 +409,17 @@ def test_spec_rejects_bad_settings(settings, message):
     (dict(psf_half_width=2.5), r"^psf_half_width must be an integer, got 2\.5$"),
     (dict(seed=1.5), r"^seed must be an integer, got 1\.5$"),
     (dict(dimension=1.0), r"^dimension must be an integer, got 1\.0$"),
+    (dict(ns=(True,)), r"^n must be an integer, got True$"),
+    (dict(seed=False), r"^seed must be an integer, got False$"),
+    (dict(dimension=True), r"^dimension must be an integer, got True$"),
+    (dict(psf_half_width=True), r"^psf_half_width must be an integer, got True$"),
+    (dict(inner_max=True), r"^inner_max must be an integer, got True$"),
+    (dict(fp_max=True), r"^fp_max must be an integer, got True$"),
 ])
 def test_spec_counts_must_be_integers(settings, message):
-    """A count or size that is not an integer fails at construction, naming
-    the field and the value, before any problem is generated."""
+    """A count or size that is not an integer, or is a bool (an Integral to
+    Python), fails at construction, naming the field and the value, before
+    any problem is generated."""
     with pytest.raises(ValueError, match=message):
         BenchmarkSpec(**settings)
 

@@ -24,11 +24,13 @@ def test_config_validation():
         KrylovConfig(max_iterations=0)
 
 
-def test_iteration_limit_must_be_an_integer():
-    """A fractional limit fails at construction, not inside a solve."""
-    with pytest.raises(ValueError,
-                       match=r"^max_iterations must be an integer, got 2\.5$"):
-        KrylovConfig(max_iterations=2.5)
+@pytest.mark.parametrize("count", [2.5, True, False])
+def test_iteration_limit_must_be_an_integer(count):
+    """A fractional limit, or a bool (an Integral to Python), fails at
+    construction, not inside a solve."""
+    with pytest.raises(ValueError, match=rf"^max_iterations must be an "
+                                         rf"integer, got {count!r}$"):
+        KrylovConfig(max_iterations=count)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])

@@ -69,12 +69,14 @@ def test_config_invariants():
                                   formulation=Formulation.REBLUR))
 
 
-def test_fp_max_must_be_an_integer():
-    """A fractional step limit fails at construction, not inside restore."""
+@pytest.mark.parametrize("count", [2.5, True])
+def test_fp_max_must_be_an_integer(count):
+    """A fractional step limit, or True (an Integral to Python, not a limit
+    of 1), fails at construction, not inside restore."""
     with pytest.raises(ConfigurationError,
-                       match=r"^fp_max must be an integer, got 2\.5$"):
+                       match=rf"^fp_max must be an integer, got {count!r}$"):
         RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
-                          beta=0.1, fp_max=2.5)
+                          beta=0.1, fp_max=count)
 
 
 @pytest.mark.parametrize("field,value,kind", [
