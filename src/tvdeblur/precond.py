@@ -9,14 +9,15 @@ diagonalized by one fast transform:
 * anti-reflective ``{T diag(v) T^{-1}}``       (non-orthogonal transform).
 
 For the three orthogonal algebras the Frobenius-closest member of the
-algebra to ``A`` has eigenvalues ``diag(X^T A X)``, one
-``transforms.band_form`` per band of a banded ``A``, which takes a dense
-product or an FFT by the length.  Projections take band dicts only, keyed by offset tuples as
-``tv.DiffusionOperator.bands`` gives them: ``{(d,): values}`` in 1D and
-``{(block offset, inner offset): coefficients}`` in 2D.  Preconditioners
-apply and solve with ``blur.diagonalized``, as the blur operators do; the
-solve is bound once per preconditioner and, in 1D, runs in place on one
-copy of its right-hand side.
+algebra to ``A`` has eigenvalues ``diag(X^T A X)``, a sum of one
+``transforms.band_form`` per band of a banded ``A``; ``transforms`` picks
+a dense product or an FFT for each.  Projections take band dicts only,
+keyed by offset tuples as ``tv.DiffusionOperator.bands`` gives them:
+``{(d,): values}`` in 1D and ``{(block offset, inner offset):
+coefficients}`` in 2D.  Preconditioners apply and solve with
+``blur.diagonalized``, as the blur operators do; the solve is bound once
+per preconditioner and, in 1D, runs in place on one copy of its
+right-hand side.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
 unitary): it projects the interior (order L = n - 2) onto the sine algebra

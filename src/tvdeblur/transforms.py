@@ -50,8 +50,8 @@ per-axis FFTs for the sine-based kinds at every n measured (at n = 128 the
 anti-reflective DST-I is a length-254 FFT), and the DCT loses up to 27% as
 a product at smooth n from 120 to 144 and 30-52% above.  One vector takes
 them up to n = 384: a vector band form of the DCT or the DST-I at offset 1
-takes 7-16 us as a product up to n = 384 against 15-50 us as an FFT, and
-47-55 against 23-28 us at n = 512 (one thread).  A cached matrix at
+took 7-19 us as a product for n = 201 to 384 against 15-50 us as an FFT,
+and 47-55 against 23-28 us at n = 512 (one thread).  A cached matrix at
 n = 384 holds 1.1 MB.
 """
 
