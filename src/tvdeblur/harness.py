@@ -35,12 +35,12 @@ import numpy as np
 
 from .blur import BoundaryCondition, SymmetricPsf, convolve_valid
 from .krylov import (
+    ConfigurationError,
     IndefiniteOperatorError,
     KrylovConfig,
     SolverBreakdownError,
     SolverDivergenceError,
-    is_integer,
-    is_real,
+    check_settings,
 )
 from .pipeline import (
     CONFIGURATIONS,
@@ -160,9 +160,7 @@ def gen_psf(kind: str, m: int, sigma: float | None = None) -> SymmetricPsf:
         h = np.where(np.abs(idx) < m, 1.0, 0.0)
         return SymmetricPsf(h / h.sum())
     if kind == "gaussian":
-        if sigma is None or not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(
-                f"gaussian psf sigma must be finite and positive, got {sigma!r}")
+        check_settings(("gaussian psf sigma", sigma, "real > 0"))
         idx = np.arange(-m, m + 1, dtype=float)
         g = np.exp(-(idx[:, None] ** 2 + idx[None, :] ** 2) / (2.0 * sigma * sigma))
         return SymmetricPsf(g / g.sum())
@@ -177,8 +175,7 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
     so no boundary model enters the data.  Noise is white Gaussian rescaled
     to ``||noise|| = nsr * ||clean||`` exactly.
     """
-    if not (math.isfinite(nsr) and nsr >= 0):
-        raise ValueError(f"noise-to-signal ratio must be finite and >= 0, got {nsr!r}")
+    check_settings(("noise-to-signal ratio", nsr, "real >= 0"))
     u_extended = np.asarray(u_extended, dtype=float)
     clean = convolve_valid(u_extended, psf.coefficients)
     expected = (n,) * psf.ndim
@@ -226,59 +223,44 @@ class BenchmarkSpec:
     save_restored: bool = True
 
     def __post_init__(self) -> None:
-        if not is_integer(self.dimension):
-            raise ValueError(f"dimension must be an integer, got {self.dimension!r}")
+        check_settings(("dimension", self.dimension, "integer"))
         if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+            raise ConfigurationError("dimension must be 1 or 2")
         for name, default in DIMENSION_DEFAULTS[self.dimension].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        for name, value in [("n", n) for n in self.ns] + [
-                (name, getattr(self, name))
-                for name in ("seed", "psf_half_width", "inner_max")]:
-            if value is not None and not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, value in [("alpha", a) for a in self.alphas] + [
-                ("beta", b) for b in self.betas] + [
-                (name, getattr(self, name)) for name in ("nsr", "psf_sigma", "inner_tol")]:
-            if value is not None and not is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.nsr) and self.nsr >= 0):
-            raise ValueError(f"nsr must be finite and nonnegative, got {self.nsr!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
-        for name in ("psf_half_width", "inner_max"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        check_settings(*[("n", n, "integer") for n in self.ns],
+                       ("seed", self.seed, "integer >= 0"),
+                       ("inner_max", self.inner_max, "integer >= 1"),
+                       ("nsr", self.nsr, "real >= 0"),
+                       ("inner_tol", self.inner_tol, "real > 0"))
+        if self.psf_half_width is not None:
+            check_settings(("psf_half_width", self.psf_half_width, "integer >= 1"))
         for axis in ("ns", "alphas", "betas", "configurations", "preconditioners"):
             if not getattr(self, axis):
-                raise ValueError(f"sweep axis {axis!r} is empty")
-        if self.psf_sigma is not None and self.dimension == 1:
-            raise ValueError(f"psf_sigma is the width of the 2D gaussian psf; "
-                             f"1D sweeps use the {PSF_KINDS[1]!r} psf, which "
-                             f"takes none")
-        for name in ("psf_sigma", "inner_tol"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {float(value)!r}")
+                raise ConfigurationError(f"sweep axis {axis!r} is empty")
         unknown = [c for c in self.configurations if c not in CONFIGURATIONS]
         if unknown:
-            raise ValueError(f"unknown configuration labels: {unknown}")
+            raise ConfigurationError(f"unknown configuration labels: {unknown}")
         selectors = {s.value for s in PrecondSelector}
         unknown = [p for p in self.preconditioners if p not in selectors]
         if unknown:
-            raise ValueError(f"unknown preconditioner selectors: {unknown}")
+            raise ConfigurationError(f"unknown preconditioner selectors: {unknown}")
         if self.psf_kind != PSF_KINDS[self.dimension]:
-            raise ValueError(
+            raise ConfigurationError(
                 f"psf kind {self.psf_kind!r} does not fit dimension "
                 f"{self.dimension}: {self.dimension}D sweeps use the "
                 f"{PSF_KINDS[self.dimension]!r} psf"
             )
+        if self.psf_sigma is not None:
+            if self.dimension == 1:
+                raise ConfigurationError(
+                    f"psf_sigma is the width of the 2D gaussian psf; 1D sweeps "
+                    f"use the {PSF_KINDS[1]!r} psf, which takes none")
+            check_settings(("psf_sigma", self.psf_sigma, "real > 0"))
         cell = *CONFIGURATIONS[self.configurations[0]][:3], self.preconditioners[0]
         for alpha, beta in itertools.product(self.alphas, self.betas):
-            self.restoration_config(*cell, float(alpha), float(beta))
+            self.restoration_config(*cell, alpha, beta)
 
     def resolve_half_width(self, n: int) -> int:
         return self.psf_half_width if self.psf_half_width is not None \

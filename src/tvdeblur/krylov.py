@@ -18,8 +18,10 @@ system.  Genuine breakdowns (vanishing recurrence scalars) raise
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +53,39 @@ class IndefiniteOperatorError(RuntimeError):
         self.iteration = iteration
 
 
-def is_real(value) -> bool:
-    """Whether a setting is a real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+class ConfigurationError(ValueError):
+    """An invalid setting or configuration, detected before any compute."""
 
 
-def is_integer(value) -> bool:
-    """Whether a setting is an integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+#: rule -> (type, the type in words, range test, the range in words); a
+#: real setting's range test holds only within float range, so a value
+#: that float() would overflow is not finite
+_RULES = {
+    "integer": (numbers.Integral, "an integer", None, None),
+    "integer >= 1": (numbers.Integral, "an integer", lambda v: v >= 1, "at least 1"),
+    "integer >= 0": (numbers.Integral, "an integer", lambda v: v >= 0, "nonnegative"),
+    "real > 0": (numbers.Real, "a real number",
+                 lambda v: 0 < v <= sys.float_info.max, "finite and positive"),
+    "real >= 0": (numbers.Real, "a real number",
+                  lambda v: 0 <= v <= sys.float_info.max, "finite and nonnegative"),
+}
+
+
+def check_settings(*settings) -> None:
+    """Check ``(name, value, rule)`` triples in order, a rule being a key of
+    ``_RULES`` or a class; raise ``ConfigurationError`` naming the field and
+    the value at the first that breaks its rule.  A bool is no number, and
+    a real setting is shown as the float it stands for."""
+    for name, value, rule in settings:
+        kind, what, within, bound = _RULES.get(rule) or (
+            rule, f"a {rule.__name__}", None, None)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        if within is not None and not within(value):
+            if kind is numbers.Real:
+                with contextlib.suppress(OverflowError):
+                    value = float(value)
+            raise ConfigurationError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,15 +94,8 @@ class KrylovConfig:
     max_iterations: int = 1000
 
     def __post_init__(self) -> None:
-        if not is_real(self.tol):
-            raise ValueError(f"tol must be a real number, got {self.tol!r}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        count = self.max_iterations
-        if not is_integer(count):
-            raise ValueError(f"max_iterations must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {count!r}")
+        check_settings(("tol", self.tol, "real > 0"),
+                       ("max_iterations", self.max_iterations, "integer >= 1"))
 
 
 @dataclass

@@ -30,7 +30,6 @@ not change at all (as for zero data, where ``||u_k|| = 0``), or at
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,11 +43,11 @@ from .blur import (
     SymmetricPsf,
     scratch,
 )
-from .krylov import (KrylovConfig, SolverDivergenceError, is_integer, is_real,
-                     pbicgstab, pcg)
+from .krylov import (ConfigurationError, KrylovConfig, SolverDivergenceError,
+                     check_settings, pbicgstab, pcg)
 from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
 from .transforms import MIN_BORDERED_N
-from .tv import DiffusionBc, DiffusionOperator, beta_problem
+from .tv import DiffusionBc, DiffusionOperator, check_beta
 
 
 class Formulation(Enum):
@@ -103,10 +102,6 @@ _LABELS = {
 }
 
 
-class ConfigurationError(ValueError):
-    """Invalid restoration configuration, detected before any compute."""
-
-
 @dataclass(frozen=True)
 class RestorationConfig:
     """A restore's settings, checked at construction; ``inner`` checks its own."""
@@ -122,27 +117,14 @@ class RestorationConfig:
     inner: KrylovConfig = field(default_factory=KrylovConfig)
 
     def __post_init__(self) -> None:
-        for name, kind in dict(bc_h=BoundaryCondition, bc_l=DiffusionBc,
-                               formulation=Formulation, inner=KrylovConfig,
-                               preconditioner=PrecondSelector).items():
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigurationError(f"{name} must be a {kind.__name__}, "
-                                         f"got {getattr(self, name)!r}")
-        for name in ("alpha", "beta", "fp_tol"):
-            if not is_real(value := getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-        for name in ("alpha", "fp_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and positive, got {value!r}")
-        problem = beta_problem(self.beta)
-        if problem:
-            raise ConfigurationError(problem)
-        if not is_integer(self.fp_max):
-            raise ConfigurationError(f"fp_max must be an integer, got {self.fp_max!r}")
-        if self.fp_max < 1:
-            raise ConfigurationError(f"fp_max must be at least 1, got {self.fp_max!r}")
+        check_settings(
+            ("bc_h", self.bc_h, BoundaryCondition), ("bc_l", self.bc_l, DiffusionBc),
+            ("formulation", self.formulation, Formulation),
+            ("inner", self.inner, KrylovConfig),
+            ("preconditioner", self.preconditioner, PrecondSelector),
+            ("alpha", self.alpha, "real > 0"), ("fp_tol", self.fp_tol, "real > 0"),
+            ("fp_max", self.fp_max, "integer >= 1"))
+        check_beta(self.beta)
         if (self.bc_h, self.formulation) not in DATA_TERMS:
             raise ConfigurationError(
                 "the re-blurred formulation requires anti-reflective blur BCs"

@@ -29,6 +29,8 @@ from enum import Enum
 
 import numpy as np
 
+from .krylov import ConfigurationError, check_settings
+
 
 class DiffusionBc(Enum):
     ZERO_NEUMANN = "zero_neumann"
@@ -47,15 +49,13 @@ _PAD = {
 MIN_BETA = math.sqrt(float(np.finfo(float).tiny))
 
 
-def beta_problem(beta: float) -> str | None:
-    """Why ``beta`` cannot smooth the TV penalty, or None."""
-    if not (math.isfinite(beta) and beta > 0):
-        return f"beta must be finite and positive, got {beta!r}"
+def check_beta(beta: float) -> None:
+    """Reject a ``beta`` that cannot smooth the TV penalty, naming it."""
+    check_settings(("beta", beta, "real > 0"))
     if beta < MIN_BETA:
-        return (f"beta must be at least sqrt(finfo(float).tiny) = "
-                f"{MIN_BETA!r}, so that beta**2 does not underflow, "
-                f"got {beta!r}")
-    return None
+        raise ConfigurationError(
+            f"beta must be at least sqrt(finfo(float).tiny) = {MIN_BETA!r}, "
+            f"so that beta**2 does not underflow, got {beta!r}")
 
 
 def _ghost_diff(w: np.ndarray, bc: DiffusionBc, d: np.ndarray) -> np.ndarray:
@@ -87,9 +87,7 @@ def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NE
     other.  Boundary edges use ghost values extended by ``bc``, so all
     coefficients lie in ``(0, 1/beta]``.
     """
-    problem = beta_problem(beta)
-    if problem:
-        raise ValueError(problem)
+    check_beta(beta)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         d = _ghost_diff(u, bc, np.empty(len(u) + 1))

@@ -154,7 +154,7 @@ def test_observe_seed_reproducibility():
 def test_observe_rejects_bad_noise_ratio(nsr):
     u, _ = gen_signal_1d(64, 4)
     with pytest.raises(ValueError, match=r"noise-to-signal ratio must be "
-                                         rf"finite and >= 0, got {nsr!r}"):
+                                         rf"finite and nonnegative, got {nsr!r}"):
         blur_and_observe(u, gen_psf("out_of_focus", 4), 64, nsr=nsr, seed=3)
 
 
