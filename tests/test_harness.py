@@ -395,9 +395,19 @@ def test_restoration_config_takes_the_spec_settings(settings, fp_tol, inner):
      r"psf_sigma is the width of the 2D gaussian psf"),
     (dict(psf_sigma=float("nan")),
      r"psf_sigma is the width of the 2D gaussian psf"),
+    pytest.param(dict(nsr=10 ** 400),
+                 rf"^nsr must be finite and nonnegative, got {10 ** 400}$",
+                 id="nsr-int-beyond-float"),
+    pytest.param(dict(alphas=(10 ** 400,)),
+                 rf"^alpha must be finite and positive, got {10 ** 400}$",
+                 id="alpha-int-beyond-float"),
+    pytest.param(dict(dimension=2, ns=(64,), psf_sigma=10 ** 400),
+                 rf"^psf_sigma must be finite and positive, got {10 ** 400}$",
+                 id="psf_sigma-int-beyond-float"),
 ])
 def test_spec_rejects_bad_settings(settings, message):
-    """A bad setting fails before any cell runs, naming the field."""
+    """A bad setting fails before any cell runs, naming the field; an
+    integer beyond float range is not finite."""
     with pytest.raises(ValueError, match=message):
         BenchmarkSpec(**settings)
 
@@ -588,6 +598,7 @@ def test_cli_gen_and_restore(tmp_path):
     (["--dim", "2", "--n", "32", "--psf-m", "0"],
      "psf_half_width must be at least 1, got 0"),
     (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["--fp-max", "0"], "fp_max must be at least 1, got 0"),
 ])
 def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
                                               message):

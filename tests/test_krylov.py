@@ -33,8 +33,10 @@ def test_iteration_limit_must_be_an_integer(count):
         KrylovConfig(max_iterations=count)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf"),
+                                 pytest.param(10 ** 400, id="int-beyond-float")])
 def test_tolerance_must_be_finite_and_positive(tol):
+    """An integer beyond float range is not finite either."""
     with pytest.raises(ValueError, match=r"tol must be finite and positive, "
                                          rf"got {tol!r}"):
         KrylovConfig(tol=tol)

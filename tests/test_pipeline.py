@@ -145,9 +145,11 @@ def test_a_config_that_constructs_restores(bc_h, bc_l, formulation, selector,
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "fp_tol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"),
-                                   float("-inf")])
+                                   float("-inf"),
+                                   pytest.param(10 ** 400, id="int-beyond-float")])
 def test_settings_must_be_finite_and_positive(field, value):
-    """A bad alpha, beta or fp_tol fails at construction, naming it."""
+    """A bad alpha, beta or fp_tol fails at construction, naming it; an
+    integer beyond float range is not finite either."""
     settings = dict(alpha=1e-3, beta=0.1, fp_tol=1e-3)
     settings[field] = value
     with pytest.raises(ConfigurationError,
