@@ -202,9 +202,11 @@ def symbol_eval(psf: SymmetricPsf, y):
     coefficients are the kernel entries.
 
     By symmetry the value is real: ``h[0] + 2 sum_j h[j] cos(j y)`` in 1D,
-    and the quadrantal analog ``sum_{j,k} h[j,k] cos(j y1) cos(k y2)`` in 2D
-    (pass ``y`` as an ``(y1, y2)`` pair).  A normalized kernel gives 1 at
-    ``y = 0``.
+    at each angle of ``y``, and the quadrantal analog
+    ``sum_{j,k} h[j,k] cos(j y1) cos(k y2)`` in 2D, for ``y`` an
+    ``(y1, y2)`` pair, on the grid ``y1 x y2``: vectors of n1 and n2 angles
+    give an n1-by-n2 array, two scalars a float.  The 2D grid is two
+    products, ``c1 @ h @ c2.T``.  A normalized kernel gives 1 at ``y = 0``.
     """
     h = psf.coefficients
     m = psf.half_width
@@ -213,13 +215,10 @@ def symbol_eval(psf: SymmetricPsf, y):
         js = np.arange(1, m + 1)
         val = h[m] + 2.0 * np.cos(np.multiply.outer(y, js)) @ h[m + 1:]
         return val if y.ndim else float(val)
-    y1, y2 = y
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
     js = np.arange(-m, m + 1)
-    c1 = np.cos(np.multiply.outer(y1, js))
-    c2 = np.cos(np.multiply.outer(y2, js))
-    val = np.einsum("...j,jk,...k->...", c1, h, c2)
+    c1, c2 = (np.cos(np.multiply.outer(np.asarray(angles, dtype=float), js))
+              for angles in y)
+    val = c1 @ h @ c2.T
     return val if val.ndim else float(val)
 
 
@@ -351,10 +350,7 @@ class StructuredBlurOperator:
                 y = np.arange(n) * np.pi / n
             else:
                 y = np.concatenate([np.arange(n - 1) * np.pi / (n - 1), [0.0]])
-            if self.ndim == 1:
-                lam = symbol_eval(self.psf, y)
-            else:
-                lam = symbol_eval(self.psf, (y[:, None], y[None, :]))
+            lam = symbol_eval(self.psf, y if self.ndim == 1 else (y, y))
             lam.setflags(write=False)
             self._eigenvalues = lam
         return self._eigenvalues

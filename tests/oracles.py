@@ -11,6 +11,8 @@ allocating update each, the reference for their in-place loops.
 :func:`scipy_apply_1d` is each fast 1D transform through the public
 ``scipy.fft`` calls, the reference for the package's direct pocketfft calls,
 and :func:`scipy_band_form` the same for the projections' FFT band forms.
+:func:`symbol_2d` is the 2D blur symbol as one sum over the kernel, the
+reference for its two-product grid.
 """
 
 import itertools
@@ -216,6 +218,16 @@ def kron_apply_2d(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = g.shape[0]
     flat = g.reshape(-1)
     return np.stack([np.kron(x[i:i + 1], x) @ flat for i in range(n)])
+
+
+def symbol_2d(psf, y1, y2) -> np.ndarray:
+    """The 2D symbol ``sum_{j,k} h[j,k] cos(j y1) cos(k y2)`` as one
+    ``einsum`` over every kernel entry, at each pair of the angles ``y1``
+    and ``y2`` broadcast against each other."""
+    js = np.arange(-psf.half_width, psf.half_width + 1)
+    c1, c2 = (np.cos(np.multiply.outer(np.asarray(y, dtype=float), js))
+              for y in (y1, y2))
+    return np.einsum("...j,jk,...k->...", c1, psf.coefficients, c2)
 
 
 def disk_kernel(m: int) -> np.ndarray:

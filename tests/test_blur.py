@@ -152,6 +152,44 @@ def test_symbol_vectorized_matches_scalar():
         assert abs(symbol_eval(psf, float(y)) - v) < 1e-14
 
 
+@pytest.mark.parametrize("h", [oracles.disk_kernel(3),
+                               oracles.two_gaussians_kernel(8),
+                               np.outer(ANISOTROPIC_A, ANISOTROPIC_B)],
+                         ids=["disk", "two-gaussians", "anisotropic"])
+def test_2d_symbol_grid_matches_the_one_sum_oracle(h, rng):
+    """Two products on the grid y1 x y2 give the einsum's values at every
+    pair; a scalar angle drops its axis, and two give a float."""
+    psf = SymmetricPsf(h)
+    y1 = rng.uniform(0, np.pi, 9)
+    y2 = rng.uniform(0, np.pi, 7)
+    expected = oracles.symbol_2d(psf, y1[:, None], y2[None, :])
+    np.testing.assert_allclose(symbol_eval(psf, (y1, y2)), expected,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(symbol_eval(psf, (y1, y2[3])), expected[:, 3],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(symbol_eval(psf, (y1[2], y2)), expected[2],
+                               rtol=0, atol=1e-15)
+    value = symbol_eval(psf, (float(y1[4]), float(y2[5])))
+    assert isinstance(value, float)
+    assert abs(value - expected[4, 5]) <= 1e-15
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.REFLECTIVE,
+                                BoundaryCondition.ANTI_REFLECTIVE])
+def test_2d_eigenvalues_match_the_one_sum_oracle(bc):
+    """The harness Gaussian at n=128 (m=16): the eigenvalues on the tensor
+    grid of the transform's angles agree with the einsum to rounding."""
+    n = 128
+    op = StructuredBlurOperator(gen_psf("gaussian", 16, 8.0), bc, n)
+    y = np.arange(n) * np.pi / n if bc is BoundaryCondition.REFLECTIVE \
+        else np.concatenate([np.arange(n - 1) * np.pi / (n - 1), [0.0]])
+    expected = oracles.symbol_2d(op.psf, y[:, None], y[None, :])
+    lam = op.eigenvalues()
+    assert lam.shape == (n, n) and not lam.flags.writeable
+    np.testing.assert_allclose(lam, expected, rtol=0,
+                               atol=1e-14 * np.max(np.abs(expected)))
+
+
 # -- blur apply ---------------------------------------------------------------
 
 
