@@ -121,7 +121,9 @@ def scipy_band_form(kind: TransformKind, band, offset: int,
 
 
 def dense_dst1(n: int) -> np.ndarray:
-    ij = np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+    # i j reduced modulo the period 2 (n + 1) first, so that the angle
+    # stays below 2 pi and its rounding does not grow with n^2
+    ij = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
     return np.sqrt(2.0 / (n + 1)) * np.sin(ij * np.pi / (n + 1))
 
 

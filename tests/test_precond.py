@@ -119,8 +119,9 @@ def oracle_eigenvalues(kind, a):
     """Projection eigenvalues from the formula-built transform matrices.
 
     diag(X^T A X) for the orthogonal kinds; for the anti-reflective kind the
-    interior sine eigenvalues bordered by ``2 sum(z) - z[0]``, with z taken
-    from the first column of ``S diag(lam) S`` by ``z[k] = col[k] + z[k+2]``.
+    interior sine eigenvalues bordered by their closed form
+    ``sum_t (-1)^(t+1) (1 + cos(t pi / (L+1))) lam_t``, t = 1..L, summed
+    in long double.
     """
     n = a.shape[0]
     if kind in (TransformKind.DCT, TransformKind.DST1):
@@ -130,8 +131,10 @@ def oracle_eigenvalues(kind, a):
     lam = oracle_eigenvalues(TransformKind.DST1, a[1:-1, 1:-1])
     if kind is TransformKind.SINE_HAT:
         return np.concatenate([[a[0, 0]], lam, [a[-1, -1]]])
-    z = oracles.sine_representer(lam)
-    border = 2.0 * z.sum() - z[0]
+    t = np.arange(1, n - 1, dtype=np.longdouble)
+    pi = np.arccos(np.longdouble(-1))
+    weights = (-1) ** (t + 1) * (1 + np.cos(t * pi / (n - 1)))
+    border = float(np.sum(weights * lam.astype(np.longdouble)))
     return np.concatenate([[border], lam, [border]])
 
 
@@ -151,14 +154,10 @@ def oracle_level2(kind, blocks, n):
 
 
 # both sides of each bound of transforms._takes_products, 144 and 384;
-# n = 146, 147 and 386, 387 put the bordered kinds' interior length there.
-# The oracle's border recurrence loses about 1e-12 of the scale past
-# n = 300 (against long double; the projection keeps 4e-14), so the
-# anti-reflective kind, whose interior is the bordered sine's, stops at 203
+# n = 146, 147 and 386, 387 put the bordered kinds' interior length there
 PROJECTION_SIZES = [(kind, n) for kind in TransformKind
                     for n in (5, 6, 9, 16, 64, 127, 128, 129, 144, 145, 146,
-                              147, 203, 384, 385, 386, 387)
-                    if kind is not AR or n <= 203]
+                              147, 203, 384, 385, 386, 387)]
 
 
 @pytest.mark.parametrize("kind, n", PROJECTION_SIZES)
