@@ -92,12 +92,11 @@ def default_half_width(n: int, dimension: int = 1) -> int:
 def _check_grid(n: int, m: int) -> None:
     """The generators' bounds on the grid n and the kernel half-width m."""
     if n < 32:
-        raise ValueError(f"n must be at least 32, got {n}")
-    if m < 0:
-        raise ValueError(f"half-width m must be nonnegative, got {m}")
+        raise ConfigurationError(f"n must be at least 32, got {n}")
+    check_settings(("half-width m", m, "integer >= 0"))
     if m >= n / 4:
-        raise ValueError(f"half-width m={m} must be below n/4 = {n / 4:g} "
-                         f"for n={n}")
+        raise ConfigurationError(f"half-width m={m} must be below n/4 = "
+                                 f"{n / 4:g} for n={n}")
 
 
 def gen_signal_1d(n: int, m: int) -> tuple[np.ndarray, slice]:
@@ -153,8 +152,7 @@ def gen_psf(kind: str, m: int, sigma: float | None = None) -> SymmetricPsf:
     ``exp(-(i^2 + j^2) / (2 sigma^2))`` truncated to ``[-m, m]^2``,
     normalized.
     """
-    if m < 1:
-        raise ValueError(f"psf half-width must be >= 1, got {m}")
+    check_settings(("psf half-width", m, "integer >= 1"))
     if kind == "out_of_focus":
         idx = np.arange(-m, m + 1)
         h = np.where(np.abs(idx) < m, 1.0, 0.0)
@@ -164,7 +162,7 @@ def gen_psf(kind: str, m: int, sigma: float | None = None) -> SymmetricPsf:
         idx = np.arange(-m, m + 1, dtype=float)
         g = np.exp(-(idx[:, None] ** 2 + idx[None, :] ** 2) / (2.0 * sigma * sigma))
         return SymmetricPsf(g / g.sum())
-    raise ValueError(f"unknown psf kind {kind!r}")
+    raise ConfigurationError(f"unknown psf kind {kind!r}")
 
 
 def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
@@ -180,7 +178,7 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
     clean = convolve_valid(u_extended, psf.coefficients)
     expected = (n,) * psf.ndim
     if clean.shape != expected:
-        raise ValueError(
+        raise ConfigurationError(
             f"extended input of shape {u_extended.shape} does not crop to "
             f"{expected} under half-width {psf.half_width}"
         )

@@ -46,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blur import BoundaryCondition, diagonalized, scratch
+from .krylov import check_settings
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import (MIN_BORDERED_N, TransformKind, apply_1d,  # noqa: F401
                          band_form, tensor_apply_2d)
@@ -248,8 +249,7 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
     # a family letter with at most one of the two wraps
     if base not in _FAMILIES or len(kind) > len(base) + 2:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_settings(("alpha", alpha, "real > 0"))
     transform, expected_bc = _FAMILIES[base]
     if h_op.bc is not expected_bc:
         raise ValueError(

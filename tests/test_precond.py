@@ -10,6 +10,7 @@ from tvdeblur.blur import (
     diagonalized,
 )
 from tvdeblur.harness import gen_psf
+from tvdeblur.krylov import ConfigurationError
 from tvdeblur.precond import (
     FactoredPreconditioner,
     IndefinitePreconditionerError,
@@ -467,6 +468,17 @@ def test_assemble_rejects_wrong_boundary_conditions():
             assemble_preconditioner(kind, h_op, l_op, 1e-3)
     with pytest.raises(ValueError):
         assemble_preconditioner("R", h_op, l_op, -1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf"), "1e-3",
+                                   True])
+def test_assemble_names_a_bad_alpha(alpha):
+    """alpha takes the settings rule, so nan and inf fail as well, before
+    any eigenvalue is computed."""
+    h_op, l_op = make_1d_ops("R")
+    with pytest.raises(ConfigurationError, match=r"^alpha must be (finite "
+                                                 r"and positive|a real number)"):
+        assemble_preconditioner("R", h_op, l_op, alpha)
 
 
 def test_indefinite_preconditioner_reports_kind_and_alpha():
