@@ -473,8 +473,7 @@ def test_assemble_rejects_wrong_boundary_conditions():
 @pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf"), "1e-3",
                                    True])
 def test_assemble_names_a_bad_alpha(alpha):
-    """alpha takes the settings rule, so nan and inf fail as well, before
-    any eigenvalue is computed."""
+    """alpha takes the settings rule, so nan and inf fail as well."""
     h_op, l_op = make_1d_ops("R")
     with pytest.raises(ConfigurationError, match=r"^alpha must be (finite "
                                                  r"and positive|a real number)"):
