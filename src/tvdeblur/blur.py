@@ -16,9 +16,11 @@ field of view are supplied by one of four boundary extensions:
                          anti-reflective transform).
 
 Reference semantics for every extension is pad / convolve / crop, with
-the convolution computed by :func:`convolve_valid` in plain numpy; the
-fast path, for the extensions in ``FAST_TRANSFORMS``, is one
-:func:`diagonalized` apply and must agree with the reference to rounding.
+the convolution computed by :func:`convolve_valid` in plain numpy; a
+separable 2D kernel convolves by its two axis factors, found by the one
+rule that :meth:`SymmetricPsf.factors` applies too.  The fast path, for
+the extensions in ``FAST_TRANSFORMS``, is one :func:`diagonalized` apply
+and must agree with the reference to rounding.
 :func:`diagonalized` binds the transform bodies and the eigenvalues once;
 its 1D apply runs analysis, eigenvalue scaling and synthesis in place on
 the array it is given.  The public applies (``apply``, ``apply_fast``,
@@ -162,23 +164,14 @@ class SymmetricPsf:
 
     def factors(self) -> tuple[SymmetricPsf, SymmetricPsf] | None:
         """The 1D kernels ``(a, b)`` of a separable 2D kernel, ``h = a b^T``,
-        or None (a 1D or non-separable kernel).
-
-        ``a = h.sum(axis=1)`` blurs along axis 0 and ``b = h.sum(axis=0)``
-        along axis 1, each averaged with its mirror image, which leaves an
-        exactly symmetric kernel's sums unchanged.  They are accepted when
-        ``outer(a, b)`` matches ``h`` within the symmetry check's
-        ``1e-13 max|h|``.
+        or None (a 1D or non-separable kernel): the axis factors of
+        :func:`_axis_factors`, the one separability rule, which
+        :func:`convolve_valid` applies too.
         """
-        h = self.coefficients
-        if h.ndim != 2:
+        factors = _axis_factors(self.coefficients) if self.ndim == 2 else None
+        if factors is None:
             return None
-        a, b = h.sum(axis=1), h.sum(axis=0)
-        a, b = (a + a[::-1]) / 2, (b + b[::-1]) / 2
-        scale = np.max(np.abs(h)) or 1.0
-        if not np.allclose(h, np.outer(a, b), rtol=0.0, atol=1e-13 * scale):
-            return None
-        return SymmetricPsf(a), SymmetricPsf(b)
+        return SymmetricPsf(factors[0]), SymmetricPsf(factors[1])
 
     def __repr__(self) -> str:
         return f"SymmetricPsf(ndim={self.ndim}, half_width={self.half_width})"
@@ -229,14 +222,41 @@ def pad_extend(u: np.ndarray, m: int, bc: BoundaryCondition) -> np.ndarray:
     return np.pad(np.asarray(u, dtype=float), m, **_PAD_MODES[bc])
 
 
+def _axis_factors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The axis kernels ``(a, b)`` of a 2D kernel ``h = a b^T``, or None.
+
+    ``a = h.sum(axis=1)`` acts along axis 0 and ``b = h.sum(axis=0)`` along
+    axis 1, each averaged with its mirror image, which leaves an exactly
+    symmetric kernel's sums unchanged.  They are accepted when
+    ``outer(a, b)`` matches ``h`` within the symmetry check's
+    ``1e-13 max|h|``, which a separable kernel of unit sum passes.
+    """
+    a, b = h.sum(axis=1), h.sum(axis=0)
+    a, b = (a + a[::-1]) / 2, (b + b[::-1]) / 2
+    scale = np.max(np.abs(h)) or 1.0
+    if not np.allclose(h, np.outer(a, b), rtol=0.0, atol=1e-13 * scale):
+        return None
+    return a, b
+
+
 def convolve_valid(ext: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Valid convolution of ``ext`` with the kernel ``h`` of the same ndim.
 
     Each output sample is the kernel, flipped, against one window of
     ``ext``; in 2D the windows are a strided view, so nothing is copied.
+    A 2D kernel that :func:`_axis_factors` splits as ``h = a b^T`` convolves
+    by its axis factors, one 1D valid convolution along axis 0 by ``a`` and
+    one along axis 1 by ``b``: (2m+1) multiply-adds per sample and axis in
+    place of (2m+1)^2.  Any other 2D kernel is one ``einsum`` over all
+    its taps.
     """
     if h.ndim == 1:
         return np.convolve(ext, h, mode="valid")
+    factors = _axis_factors(h)
+    if factors is not None:
+        a, b = factors
+        along_0 = sliding_window_view(ext, a.shape[0], axis=0) @ a[::-1]
+        return sliding_window_view(along_0, b.shape[0], axis=1) @ b[::-1]
     return np.einsum("ijkl,kl->ij", sliding_window_view(ext, h.shape),
                      h[::-1, ::-1])
 

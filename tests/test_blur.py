@@ -361,26 +361,59 @@ def test_2d_apply_matches_oracle_and_fast_path(rng):
                                    op.apply_transpose(u), atol=1e-10)
 
 
+def convolution_kernel(kind, m, rng):
+    """A (2m+1)^2 kernel for ``convolve_valid``: a random one, nonsymmetric
+    so a missing flip shows, which takes the ``einsum``; the harness
+    Gaussian; or a symmetric ``outer(a, b)`` with ``a != b`` (a triangle
+    along axis 0, a Gaussian along axis 1).  The last two take the factor
+    branch."""
+    if kind == "random":
+        return rng.standard_normal((2 * m + 1, 2 * m + 1))
+    if kind == "gaussian":
+        return gen_psf("gaussian", m, max(m / 2.0, 1.0)).coefficients
+    idx = np.arange(-m, m + 1, dtype=float)
+    a = m + 1.0 - np.abs(idx)
+    b = np.exp(-idx ** 2 / (2.0 * (m / 3.0 + 1.0) ** 2))
+    return np.outer(a / a.sum(), b / b.sum())
+
+
 @pytest.mark.parametrize("n", [5, 31, 32, 33, 127, 128, 129])
 @pytest.mark.parametrize("width", ["1", "n//4", "n-1"])
-def test_convolve_valid_matches_convolve2d(n, width, rng):
-    """The 2D helper against scipy's convolve2d, with a nonsymmetric kernel
-    so a missing flip shows: in ``apply``'s valid use on the padded input,
-    and in ``apply_transpose``'s use, where the valid convolution of the
-    input zero-padded by 2m is the full one.  The full use at m = n - 1 for
-    n >= 127 is left out: ~1e10 multiply-adds, some 10 s each."""
+@pytest.mark.parametrize("kind", ["random", "gaussian", "anisotropic"])
+def test_convolve_valid_matches_convolve2d(n, width, kind, rng, monkeypatch):
+    """The 2D helper against scipy's convolve2d: in ``apply``'s valid use
+    on the padded input, and in ``apply_transpose``'s use, where the valid
+    convolution of the input zero-padded by 2m is the full one.  The
+    separable kernels convolve by their axis factors, with no ``einsum``;
+    the random one by the ``einsum``.  The oracle runs in long double: in
+    float64 its own rounding over the (2m+1)^2 taps reaches 2e-14 of the
+    output of a unit-sum kernel at m = 127, where the factored sums are
+    within 2e-15.  The full use at m = n - 1 for n >= 127 is left out:
+    ~1e10 multiply-adds, some 10 s each."""
     m = {"1": 1, "n//4": max(n // 4, 1), "n-1": n - 1}[width]
-    h = rng.standard_normal((2 * m + 1, 2 * m + 1))
+    h = convolution_kernel(kind, m, rng)
     u = rng.standard_normal((n, n))
     ext = np.pad(u, m, mode="reflect", reflect_type="odd")
-    uses = [(ext, convolve2d(ext, h, mode="valid"))]
+
+    def oracle(x, mode):
+        wide = convolve2d(x.astype(np.longdouble), h.astype(np.longdouble),
+                          mode=mode)
+        return wide.astype(float)
+    uses = [(ext, oracle(ext, "valid"))]
     if not (width == "n-1" and n >= 127):
-        uses.append((np.pad(u, 2 * m), convolve2d(u, h, mode="full")))
+        uses.append((np.pad(u, 2 * m), oracle(u, "full")))
+    einsum, einsums = np.einsum, []
+
+    def counted_einsum(*args, **kwargs):
+        einsums.append(args[0])
+        return einsum(*args, **kwargs)
+    monkeypatch.setattr(np, "einsum", counted_einsum)
     for x, expected in uses:
         got = convolve_valid(x, h)
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=0,
                                    atol=1e-14 * np.max(np.abs(expected)))
+    assert len(einsums) == (len(uses) if kind == "random" else 0)
 
 
 @pytest.mark.parametrize("n,m", [(5, 1), (33, 8), (64, 8), (129, 16)])
