@@ -347,61 +347,65 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
         _check_reference(v.shape, u_true)
     if not np.all(np.isfinite(v)):
         raise ConfigurationError("observed data must be finite")
-    with np.errstate(over="ignore"):
+    # An alpha or data the settings accept can still overflow the system;
+    # the solvers' finite checks and the fixed-point change check raise
+    # SolverDivergenceError for every non-finite value, so numpy's overflow
+    # and invalid-value warnings would only repeat that failure.
+    with np.errstate(over="ignore", invalid="ignore"):
         if np.linalg.norm(v.ravel()) > _MAX_DATA_NORM:
             raise ConfigurationError(
                 f"observed data norm exceeds sqrt(finfo(float).max) = "
                 f"{_MAX_DATA_NORM!r}: the solver's inner products would overflow"
             )
-    started = time.perf_counter()
-    system = StepSystem(psf, config, v)
+        started = time.perf_counter()
+        system = StepSystem(psf, config, v)
 
-    symmetric = (config.formulation is Formulation.NORMAL
-                 and config.bc_l is DiffusionBc.ZERO_NEUMANN)
-    solver = pcg if symmetric else pbicgstab
+        symmetric = (config.formulation is Formulation.NORMAL
+                     and config.bc_l is DiffusionBc.ZERO_NEUMANN)
+        solver = pcg if symmetric else pbicgstab
 
-    u = v.copy()
-    inner_iterations: list[int] = []
-    gradient_norms: list[float] = []
-    fp_converged = False
-    inner_converged = True
-    for _ in range(config.fp_max):
-        system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
-        gradient_norms.append(float(np.linalg.norm(el_residual(system, u).ravel())))
+        u = v.copy()
+        inner_iterations: list[int] = []
+        gradient_norms: list[float] = []
+        fp_converged = False
+        inner_converged = True
+        for _ in range(config.fp_max):
+            system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
+            gradient_norms.append(
+                float(np.linalg.norm(el_residual(system, u).ravel())))
 
-        apply_a, apply_minv, rhs, u0, back = system.krylov_problem(u)
-        outcome = solver(apply_a, apply_minv, rhs, u0, config.inner)
-        u_next = back(outcome.solution)
+            apply_a, apply_minv, rhs, u0, back = system.krylov_problem(u)
+            outcome = solver(apply_a, apply_minv, rhs, u0, config.inner)
+            u_next = back(outcome.solution)
 
-        inner_iterations.append(outcome.iterations)
-        inner_converged = inner_converged and outcome.converged
-        with np.errstate(over="ignore"):
+            inner_iterations.append(outcome.iterations)
+            inner_converged = inner_converged and outcome.converged
             change = float(np.linalg.norm((u_next - u).ravel()))
             scale = float(np.linalg.norm(u_next.ravel()))
-        if not np.isfinite(change + scale):  # change / inf would read as 0
-            raise SolverDivergenceError("fixed-point loop",
-                                        len(inner_iterations))
-        u = u_next
-        # an unchanged iterate is a fixed point even where u = 0
-        if change == 0.0 or (scale > 0 and change / scale < config.fp_tol):
-            fp_converged = True
-            break
+            if not np.isfinite(change + scale):  # change / inf would read as 0
+                raise SolverDivergenceError("fixed-point loop",
+                                            len(inner_iterations))
+            u = u_next
+            # an unchanged iterate is a fixed point even where u = 0
+            if change == 0.0 or (scale > 0 and change / scale < config.fp_tol):
+                fp_converged = True
+                break
 
-    system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
-    final_gradient = float(np.linalg.norm(el_residual(system, u).ravel()))
+        system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
+        final_gradient = float(np.linalg.norm(el_residual(system, u).ravel()))
 
-    rre = None
-    if u_true is not None:
-        rre = float(np.linalg.norm((u - u_true).ravel())
-                    / np.linalg.norm(u_true.ravel()))
+        rre = None
+        if u_true is not None:
+            rre = float(np.linalg.norm((u - u_true).ravel())
+                        / np.linalg.norm(u_true.ravel()))
 
-    return RestorationReport(
-        restored=u,
-        inner_iterations=inner_iterations,
-        fp_converged=fp_converged,
-        inner_converged=inner_converged,
-        gradient_norms=gradient_norms,
-        final_gradient_norm=final_gradient,
-        rre=rre,
-        wall_time=time.perf_counter() - started,
-    )
+        return RestorationReport(
+            restored=u,
+            inner_iterations=inner_iterations,
+            fp_converged=fp_converged,
+            inner_converged=inner_converged,
+            gradient_norms=gradient_norms,
+            final_gradient_norm=final_gradient,
+            rre=rre,
+            wall_time=time.perf_counter() - started,
+        )

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,30 @@ def test_iterate_norm_overflow_is_not_convergence(factor, fails):
     else:
         report = restore(factor * observed, psf, cfg)
         assert report.fp_converged and report.fp_steps == 2
+
+
+def test_overflowing_alpha_fails_without_numpy_warnings():
+    """An alpha the settings accept can overflow the system: the solvers'
+    finite checks name the failure, with no numpy warning ahead of it."""
+    psf, observed, _ = small_problem()
+    cfg = RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e300,
+                            beta=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverDivergenceError,
+                           match="non-finite values at iteration 1"):
+            restore(observed, psf, cfg)
+
+
+def test_cli_overflowing_alpha_exits_3_without_numpy_warnings(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvdeblur.cli", "restore", "--n", "64",
+         "--alpha", "1e300", "--beta", "0.1", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "numerical failure: pcg produced non-finite values" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("bc_l", [DiffusionBc.ANTI_REFLECTIVE,
