@@ -172,8 +172,8 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
     The clean observation is the valid convolution of the extended signal,
     so no boundary model enters the data; ``convolve_valid`` runs it by the
     kernel's two axis factors when the kernel is separable, as the
-    Gaussian is.  Noise is white Gaussian rescaled
-    to ``||noise|| = nsr * ||clean||`` exactly.
+    Gaussian is.  Noise is white Gaussian rescaled to
+    ``||noise|| = nsr * ||clean||`` exactly.
     """
     check_settings(("noise-to-signal ratio", nsr, "real >= 0"))
     u_extended = np.asarray(u_extended, dtype=float)

@@ -402,10 +402,10 @@ def test_convolve_valid_matches_convolve2d(n, width, kind, rng, monkeypatch):
     uses = [(ext, oracle(ext, "valid"))]
     if not (width == "n-1" and n >= 127):
         uses.append((np.pad(u, 2 * m), oracle(u, "full")))
-    einsum, einsums = np.einsum, []
+    einsum, einsum_calls = np.einsum, []
 
     def counted_einsum(*args, **kwargs):
-        einsums.append(args[0])
+        einsum_calls.append(args[0])
         return einsum(*args, **kwargs)
     monkeypatch.setattr(np, "einsum", counted_einsum)
     for x, expected in uses:
@@ -413,7 +413,7 @@ def test_convolve_valid_matches_convolve2d(n, width, kind, rng, monkeypatch):
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=0,
                                    atol=1e-14 * np.max(np.abs(expected)))
-    assert len(einsums) == (len(uses) if kind == "random" else 0)
+    assert len(einsum_calls) == (len(uses) if kind == "random" else 0)
 
 
 @pytest.mark.parametrize("n,m", [(5, 1), (33, 8), (64, 8), (129, 16)])
