@@ -155,7 +155,8 @@ def assembly_table(sizes, repeats: int) -> None:
                         repeats) / 1e3)
             except IndefinitePreconditionerError as err:
                 # the harness PSF of some sides makes P_D indefinite on
-                # this iterate (ROADMAP item 5(a)); the row says so
+                # this iterate (the ROADMAP's open case "P_D can be
+                # indefinite"); the row says so
                 print(f"{kind:<16}{n:>5}  {err}")
                 continue
             finally:

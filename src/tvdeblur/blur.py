@@ -44,6 +44,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .krylov import ConfigurationError
 # apply_1d stays importable here for bench/spans.py
 from .transforms import (  # noqa: F401
     TransformKind,
@@ -58,10 +59,6 @@ class BoundaryCondition(Enum):
     PERIODIC = "periodic"
     REFLECTIVE = "reflective"
     ANTI_REFLECTIVE = "anti_reflective"
-
-
-class UnsupportedBoundaryConditionError(ValueError):
-    """Raised when an operation needs a transform-diagonalizable extension."""
 
 
 _PAD_MODES = {
@@ -126,13 +123,13 @@ class SymmetricPsf:
     def __init__(self, coefficients) -> None:
         h = np.array(coefficients, dtype=float)  # a copy: frozen below
         if h.ndim not in (1, 2):
-            raise ValueError("PSF must be 1D or 2D")
+            raise ConfigurationError("PSF must be 1D or 2D")
         if h.ndim == 2 and h.shape[0] != h.shape[1]:
-            raise ValueError(f"2D PSF must be square, got {h.shape}")
+            raise ConfigurationError(f"2D PSF must be square, got {h.shape}")
         if h.shape[0] % 2 != 1:
-            raise ValueError(f"PSF needs odd length (2m+1), got {h.shape}")
+            raise ConfigurationError(f"PSF needs odd length (2m+1), got {h.shape}")
         if not np.all(np.isfinite(h)):
-            raise ValueError("PSF coefficients must be finite")
+            raise ConfigurationError("PSF coefficients must be finite")
         scale = np.max(np.abs(h)) or 1.0
         if h.ndim == 1:
             symmetric = np.allclose(h, h[::-1], rtol=0.0, atol=1e-13 * scale)
@@ -142,13 +139,13 @@ class SymmetricPsf:
                 and np.allclose(h, h[:, ::-1], rtol=0.0, atol=1e-13 * scale)
             )
         if not symmetric:
-            raise ValueError("PSF must be symmetric (quadrantally symmetric in 2D)")
+            raise ConfigurationError("PSF must be symmetric (quadrantally symmetric in 2D)")
         total = h.sum()
         if total <= 0:
-            raise ValueError("PSF must have positive sum")
+            raise ConfigurationError("PSF must have positive sum")
         if abs(total - 1.0) > 1e-12:
             warnings.warn(
-                f"PSF sum {total!r} differs from 1; renormalizing", stacklevel=2
+                f"PSF sum {float(total)!r} differs from 1; renormalizing", stacklevel=2
             )
             h = h / total
         self.coefficients = h
@@ -313,7 +310,7 @@ class StructuredBlurOperator:
 
     def __init__(self, psf: SymmetricPsf, bc: BoundaryCondition, n: int) -> None:
         if psf.half_width >= n:
-            raise ValueError(
+            raise ConfigurationError(
                 f"PSF half-width {psf.half_width} must be below size {n}"
             )
         self.psf = psf
@@ -355,7 +352,7 @@ class StructuredBlurOperator:
         try:
             return FAST_TRANSFORMS[self.bc]
         except KeyError:
-            raise UnsupportedBoundaryConditionError(
+            raise ConfigurationError(
                 f"no fast transform for boundary condition {self.bc.value!r}"
             ) from None
 
@@ -397,7 +394,7 @@ class StructuredBlurOperator:
         all columns of the identity at once, extended along axis 0 and
         convolved with the kernel."""
         if self.ndim != 1:
-            raise ValueError("matrix() needs a 1D operator")
+            raise ConfigurationError("matrix() needs a 1D operator")
         m = self.psf.half_width
         ext = np.pad(np.eye(self.n), ((m, m), (0, 0)), **_PAD_MODES[self.bc])
         windows = sliding_window_view(ext, 2 * m + 1, axis=0)
@@ -409,5 +406,5 @@ class StructuredBlurOperator:
         u = np.asarray(u, dtype=float)
         expected = (self.n,) if self.ndim == 1 else (self.n, self.n)
         if u.shape != expected:
-            raise ValueError(f"expected shape {expected}, got {u.shape}")
+            raise ConfigurationError(f"expected shape {expected}, got {u.shape}")
         return u

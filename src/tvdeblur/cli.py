@@ -1,6 +1,7 @@
 """Command-line interface: gen / restore / sweep / spectra.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success; 2 on a ``ConfigurationError``, a bad setting or file;
+3 on a ``NumericalFailure`` or a restore that did not converge.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from pathlib import Path
 
 from . import harness
 from .blur import BoundaryCondition, save_psf
+from .krylov import ConfigurationError, NumericalFailure
 from .pipeline import (
     CONFIGURATIONS,
-    ConfigurationError,
     Formulation,
     PrecondSelector,
     StepSystem,
     restore,
+    unconverged_reason,
 )
 from .precond import CLUSTER_RADIUS, spectral_diagnostic
 from .transforms import probe_dense
@@ -84,8 +86,9 @@ def _cmd_restore(args) -> int:
     ]
     (out / "report.txt").write_text("\n".join(summary) + "\n", encoding="ascii")
     print("\n".join(summary))
-    if not (report.fp_converged and report.inner_converged):
-        print("warning: run did not converge", file=sys.stderr)
+    reason = unconverged_reason(report, config)
+    if reason is not None:
+        print(f"warning: run did not converge: {reason}", file=sys.stderr)
         return 3
     return 0
 
@@ -182,12 +185,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except harness.NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigurationError, ValueError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

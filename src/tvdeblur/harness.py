@@ -16,9 +16,9 @@ The harness reproduces a deblurring benchmark protocol at desk scale:
 Noise uses ``numpy.random.Generator(PCG64(seed))`` with
 ``standard_normal`` -- a named, portable 64-bit generator whose streams are
 stable across platforms -- so a fixed seed reproduces observations bit for
-bit.  Cells that fail to converge (or raise a numerical error) are recorded
-as ``*`` in the tables, with their reason in ``cells.jsonl``, and never abort
-a sweep.
+bit.  Cells that fail to converge (or raise a ``NumericalFailure``) are
+recorded as ``*`` in the tables, with their reason in ``cells.jsonl``, and
+never abort a sweep.
 """
 
 from __future__ import annotations
@@ -34,23 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .blur import BoundaryCondition, SymmetricPsf, convolve_valid
-from .krylov import (
-    ConfigurationError,
-    IndefiniteOperatorError,
-    KrylovConfig,
-    SolverBreakdownError,
-    SolverDivergenceError,
-    check_settings,
-)
-from .pipeline import (
-    CONFIGURATIONS,
-    Formulation,
-    PrecondSelector,
-    RestorationConfig,
-    RestorationReport,
-    restore,
-)
-from .precond import IndefinitePreconditionerError, InvalidScalingError
+from .krylov import (ConfigurationError, KrylovConfig, NumericalFailure,
+                     check_settings)
+from .pipeline import (CONFIGURATIONS, Formulation, PrecondSelector,
+                       RestorationConfig, RestorationReport, restore,
+                       unconverged_reason)
 from .tv import DiffusionBc
 
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
@@ -63,15 +51,6 @@ DIMENSION_DEFAULTS = {
     1: dict(psf_kind=PSF_KINDS[1], fp_tol=1e-3, inner_tol=1e-6, inner_max=1000),
     2: dict(psf_kind=PSF_KINDS[2], fp_tol=1e-4, inner_tol=1e-5, inner_max=2000),
 }
-
-#: numerical failures: a sweep stars the cell, the CLI exits with code 3
-NUMERICAL_FAILURES = (
-    SolverBreakdownError,
-    SolverDivergenceError,
-    IndefiniteOperatorError,
-    IndefinitePreconditionerError,
-    InvalidScalingError,
-)
 
 
 def default_half_width(n: int, dimension: int = 1) -> int:
@@ -366,19 +345,12 @@ def run_cell(spec: BenchmarkSpec, config_label: str, alpha: float, beta: float,
     started = time.perf_counter()
     try:
         report = restore(observed, psf, config, u_true=u_true)
-    except NUMERICAL_FAILURES as exc:
+    except NumericalFailure as exc:
         return SweepCell(config_label, alpha, beta, n, selector_label,
                          report=None, failure=str(exc),
                          wall_time=time.perf_counter() - started)
-    failure = None
-    if not report.inner_converged:
-        failure = (f"an inner solve stopped at its iteration limit "
-                   f"{config.inner.max_iterations}")
-    elif not report.fp_converged:
-        failure = (f"fixed-point loop did not reach tolerance "
-                   f"{config.fp_tol!r} in {config.fp_max} steps")
     return SweepCell(config_label, alpha, beta, n, selector_label,
-                     report=report, failure=failure,
+                     report=report, failure=unconverged_reason(report, config),
                      wall_time=time.perf_counter() - started)
 
 
@@ -493,7 +465,7 @@ def write_pgm(path, image: np.ndarray, lo: float, hi: float) -> None:
     """8-bit binary PGM; values affinely mapped from [lo, hi] and clipped."""
     image = np.asarray(image, dtype=float)
     if hi <= lo:
-        raise ValueError("affine scaling needs hi > lo")
+        raise ConfigurationError("affine scaling needs hi > lo")
     scaled = np.clip((image - lo) / (hi - lo) * 255.0, 0.0, 255.0)
     data = np.round(scaled).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -513,7 +485,7 @@ def _flag(text: str) -> bool:
     try:
         return _FLAGS[text.lower()]
     except KeyError:
-        raise ValueError(f"expected one of {'/'.join(_FLAGS)}, "
+        raise ConfigurationError(f"expected one of {'/'.join(_FLAGS)}, "
                          f"got {text!r}") from None
 
 
@@ -548,23 +520,29 @@ def parse_sweep_config(path) -> BenchmarkSpec:
     Lists are comma separated; ``#`` starts a comment; a repeated key keeps
     its last value.  A key missing from ``_SWEEP_KEYS`` is an error.
     """
+    try:
+        lines = Path(path).read_bytes().splitlines()
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror}") from None
     kwargs = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _SWEEP_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            name, parse = _SWEEP_KEYS[key]
-            try:
-                kwargs[name] = parse(value.strip())
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad value for {key!r}: {exc}"
-                ) from exc
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("ascii").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _SWEEP_KEYS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        name, parse = _SWEEP_KEYS[key]
+        try:
+            kwargs[name] = parse(value.strip())
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{path}:{lineno}: bad value for {key!r}: {exc}"
+            ) from exc
     return BenchmarkSpec(**kwargs)

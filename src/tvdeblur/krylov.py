@@ -14,6 +14,10 @@ BiCGstab is right-preconditioned (it iterates on ``A M^{-1}``), so the
 residual entering the stopping rule is the true residual of the original
 system.  Genuine breakdowns (vanishing recurrence scalars) raise
 :class:`SolverBreakdownError` with the offending iteration.
+
+Each error the package raises, a missing scipy's ImportError aside, derives
+from one of two bases, and callers catch by base: :class:`ConfigurationError`
+for a bad input, :class:`NumericalFailure` for a failure on valid input.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class SolverBreakdownError(RuntimeError):
+class ConfigurationError(ValueError):
+    """A bad setting, argument or file, raised before the work it guards."""
+
+
+class NumericalFailure(RuntimeError):
+    """A computation that failed on valid input; a sweep stars its cell."""
+
+
+class SolverBreakdownError(NumericalFailure):
     """A recurrence scalar vanished; the Krylov basis cannot be extended."""
 
     def __init__(self, method: str, iteration: int, what: str) -> None:
@@ -35,7 +47,7 @@ class SolverBreakdownError(RuntimeError):
         self.iteration = iteration
 
 
-class SolverDivergenceError(RuntimeError):
+class SolverDivergenceError(NumericalFailure):
     """A non-finite quantity appeared during the iteration."""
 
     def __init__(self, method: str, iteration: int) -> None:
@@ -43,7 +55,7 @@ class SolverDivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-class IndefiniteOperatorError(RuntimeError):
+class IndefiniteOperatorError(NumericalFailure):
     """The operator is not positive definite on the Krylov space."""
 
     def __init__(self, iteration: int, curvature: float) -> None:
@@ -51,10 +63,6 @@ class IndefiniteOperatorError(RuntimeError):
             f"pcg met nonpositive curvature {curvature!r} at iteration {iteration}"
         )
         self.iteration = iteration
-
-
-class ConfigurationError(ValueError):
-    """An invalid setting or configuration, detected before any compute."""
 
 
 #: rule -> (type, the type in words, range test, the range in words); a

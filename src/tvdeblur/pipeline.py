@@ -166,6 +166,18 @@ class RestorationReport:
         return float(np.mean(self.inner_iterations))
 
 
+def unconverged_reason(report: RestorationReport,
+                       config: RestorationConfig) -> str | None:
+    """Why a restore under ``config`` did not converge, or None if it did."""
+    if not report.inner_converged:
+        return (f"an inner solve stopped at its iteration limit "
+                f"{config.inner.max_iterations}")
+    if not report.fp_converged:
+        return (f"fixed-point loop did not reach tolerance "
+                f"{config.fp_tol!r} in {config.fp_max} steps")
+    return None
+
+
 def _transposes(bc_h: BoundaryCondition, formulation: Formulation) -> bool:
     """Whether ``B`` is ``H^T`` rather than ``H``: the normal form under
     anti-reflective blur, where ``H`` is not symmetric."""

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blur import BoundaryCondition, diagonalized, scratch
-from .krylov import check_settings
+from .krylov import ConfigurationError, NumericalFailure, check_settings
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import (MIN_BORDERED_N, TransformKind, apply_1d,  # noqa: F401
                          band_form, tensor_apply_2d)
@@ -74,7 +74,7 @@ def smallest_order(family: str) -> int:
     return MIN_PROJECTION_N.get(_FAMILIES[family][0], 1)
 
 
-class IndefinitePreconditionerError(RuntimeError):
+class IndefinitePreconditionerError(NumericalFailure):
     """A factored preconditioner came out with a nonpositive eigenvalue."""
 
     def __init__(self, kind: str, alpha: float, min_eigenvalue: float) -> None:
@@ -87,7 +87,7 @@ class IndefinitePreconditionerError(RuntimeError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class InvalidScalingError(ValueError):
+class InvalidScalingError(NumericalFailure):
     """Diagonal scaling is not positive, the scaled system is undefined."""
 
 
@@ -140,10 +140,10 @@ def project(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
         parts = [band_form(kind, b, d, n) for (d,), b in bands.items()]
         return sum(parts) if parts else np.zeros(n)
     if kind not in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
-        raise ValueError(f"unknown projection kind: {kind!r}")
+        raise ConfigurationError(f"unknown projection kind: {kind!r}")
     smallest = MIN_PROJECTION_N[kind]
     if n < smallest:
-        raise ValueError(f"{kind.value} projection requires n >= {smallest}")
+        raise ConfigurationError(f"{kind.value} projection requires n >= {smallest}")
     shape = next(iter(bands.values())).shape[:-1] if bands else ()
     lam_int = np.zeros(shape + (n - 2,))
     for (d,), band in bands.items():
@@ -248,11 +248,11 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
     base = kind.removeprefix("D_").removesuffix("_D")
     # a family letter with at most one of the two wraps
     if base not in _FAMILIES or len(kind) > len(base) + 2:
-        raise ValueError(f"unknown preconditioner kind {kind!r}")
+        raise ConfigurationError(f"unknown preconditioner kind {kind!r}")
     check_settings(("alpha", alpha, "real > 0"))
     transform, expected_bc = _FAMILIES[base]
     if h_op.bc is not expected_bc:
-        raise ValueError(
+        raise ConfigurationError(
             f"preconditioner {kind!r} requires a blur operator with "
             f"{expected_bc.value!r} boundary conditions, got {h_op.bc.value!r}"
         )

@@ -66,6 +66,8 @@ from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
 
 import numpy as np
 
+from .krylov import ConfigurationError
+
 #: scipy's pocketfft binding, the C routines behind ``scipy.fft``
 _BINDING_NAME = "scipy.fft._pocketfft.pypocketfft"
 
@@ -171,13 +173,13 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     form; for a 1D ``v`` there is one order.
     """
     if not isinstance(kind, TransformKind):
-        raise ValueError(f"unknown transform kind: {kind!r}")
+        raise ConfigurationError(f"unknown transform kind: {kind!r}")
     if kind in _BORDERED:
         if n < MIN_BORDERED_N:
-            raise ValueError(f"{_BORDERED[kind]} requires length >= "
+            raise ConfigurationError(f"{_BORDERED[kind]} requires length >= "
                              f"{MIN_BORDERED_N}, got {n}")
     elif n == 0:
-        raise ValueError("transform input must be non-empty")
+        raise ConfigurationError("transform input must be non-empty")
     if kind is TransformKind.DST1:
         return lambda v, out: _dst1(out, out)
     if kind is TransformKind.DCT:
@@ -262,7 +264,7 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"tensor transform needs a square grid, got shape {g.shape}")
+        raise ConfigurationError(f"tensor transform needs a square grid, got shape {g.shape}")
     n = g.shape[0]
     if _takes_products(n, batched=True):
         m = _matrix_1d(kind, inverse, transpose, n)
@@ -322,7 +324,7 @@ def band_form(kind: TransformKind, band, offset: int, n: int) -> np.ndarray:
     if length <= 0 or band.shape[-1] == 0:
         return np.zeros(band.shape[:-1] + (n,))
     if band.shape[-1] != length:
-        raise ValueError(f"band for offset {offset} must have length {length}")
+        raise ConfigurationError(f"band for offset {offset} must have length {length}")
     if _takes_products(n, batched=band.ndim > 1):
         return band @ _band_products(kind, d, n)
     return _fft_band_form(kind, band, d, n)
@@ -336,7 +338,7 @@ def probe_dense(apply, shape) -> np.ndarray:
     """
     size = int(np.prod(shape))
     if size > 4096:
-        raise ValueError(f"dense probing is limited to 4096 unknowns, got {size}")
+        raise ConfigurationError(f"dense probing is limited to 4096 unknowns, got {size}")
     out = np.empty((size, size))
     for k in range(size):
         e = np.zeros(size)

@@ -93,7 +93,7 @@ def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NE
         d = _ghost_diff(u, bc, np.empty(len(u) + 1))
         return (1.0 / np.sqrt(d * d + beta * beta),)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square grid, got shape {u.shape}")
+        raise ConfigurationError(f"expected a square grid, got shape {u.shape}")
     # the corner ghosts of the transverse averages need the padded grid
     ext = np.pad(u, 1, **_PAD[bc])
     dh = np.diff(ext, axis=1)  # (n+2) x (n+1)
@@ -142,7 +142,7 @@ class DiffusionOperator:
         w = np.asarray(w, dtype=float)
         expected = (self.n,) * self.ndim
         if w.shape != expected:
-            raise ValueError(f"expected shape {expected}, got {w.shape}")
+            raise ConfigurationError(f"expected shape {expected}, got {w.shape}")
         if self.ndim == 1:  # the loop's one pass, on the plain indices
             flux = _ghost_diff(w, self.bc, np.empty(self.n + 1))
             flux *= self.a[0]

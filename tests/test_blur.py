@@ -9,13 +9,13 @@ from tvdeblur.blur import (
     BoundaryCondition,
     StructuredBlurOperator,
     SymmetricPsf,
-    UnsupportedBoundaryConditionError,
     convolve_valid,
     diagonalized,
     save_psf,
     symbol_eval,
 )
 from tvdeblur.harness import gen_psf
+from tvdeblur.krylov import ConfigurationError
 from tvdeblur.precond import assemble_preconditioner
 from tvdeblur.transforms import TransformKind, _matrix_1d
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
@@ -98,6 +98,8 @@ def test_psf_renormalizes_with_warning():
     with pytest.warns(UserWarning):
         psf = SymmetricPsf([1.0, 2.0, 1.0])
     assert abs(psf.coefficients.sum() - 1.0) < 1e-15
+    with pytest.warns(UserWarning, match=r"^PSF sum 0\.5 differs"):
+        SymmetricPsf([1, -1.5, 1])
 
 
 def test_psf_keeps_caller_array_writeable():
@@ -524,9 +526,9 @@ def test_errors():
     with pytest.raises(ValueError):
         StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, 4)  # m >= n
     op = StructuredBlurOperator(psf, BoundaryCondition.PERIODIC, 16)
-    with pytest.raises(UnsupportedBoundaryConditionError):
+    with pytest.raises(ConfigurationError, match="no fast transform"):
         op.eigenvalues()
-    with pytest.raises(UnsupportedBoundaryConditionError):
+    with pytest.raises(ConfigurationError, match="no fast transform"):
         op.apply_fast(np.zeros(16))
     with pytest.raises(ValueError):
         oracles.dense_of(

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
-from tvdeblur import harness
+from tvdeblur import cli, harness
 from tvdeblur.cli import main as cli_main
 from tvdeblur.pipeline import CONFIGURATIONS
 from tvdeblur.harness import (
@@ -27,6 +27,7 @@ from tvdeblur.harness import (
     write_csv,
     write_pgm,
 )
+from tvdeblur.precond import InvalidScalingError
 
 
 # -- generators -----------------------------------------------------------------
@@ -619,13 +620,58 @@ def test_cli_gen_exit_code_on_1d_psf_sigma(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_exit_code_on_nonconvergence(tmp_path):
+def test_cli_exit_code_on_nonconvergence(tmp_path, capsys):
     code = cli_main([
         "restore", "--n", "64", "--bc", "reflective", "--alpha", "1e-3",
         "--beta", "0.1", "--fp-max", "1", "--out-dir", str(tmp_path),
     ])
     assert code == 3
     assert "fp_steps: 1\n" in (tmp_path / "report.txt").read_text()
+    assert capsys.readouterr().err == (
+        "warning: run did not converge: fixed-point loop did not reach "
+        "tolerance 0.001 in 1 steps\n")
+
+
+RESTORE_ARGS = ["restore", "--n", "64", "--alpha", "1e-3", "--beta", "0.1"]
+
+
+def test_cli_lets_a_plain_value_error_propagate(tmp_path, monkeypatch):
+    """A ValueError that is no ConfigurationError is a bug, not a bad input:
+    the CLI does not report it as one."""
+    def broken(*args, **kwargs):
+        raise ValueError("a bug inside numpy")
+    monkeypatch.setattr(cli, "restore", broken)
+    with pytest.raises(ValueError, match="a bug inside numpy"):
+        cli_main([*RESTORE_ARGS, "--out-dir", str(tmp_path)])
+
+
+def test_cli_reports_invalid_scaling_as_a_numerical_failure(tmp_path, capsys,
+                                                           monkeypatch):
+    def unscalable(*args, **kwargs):
+        raise InvalidScalingError("D = I + alpha diag L has nonpositive entries")
+    monkeypatch.setattr(cli, "restore", unscalable)
+    assert cli_main([*RESTORE_ARGS, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: D = I + alpha diag L has nonpositive entries\n")
+
+
+@pytest.mark.parametrize("name,content,problem", [
+    ("missing.cfg", None, ": No such file or directory"),
+    ("folder.cfg", "directory", ": Is a directory"),
+    ("binary.cfg", b"n = 64\nalpha = 1e-3\xff\n",
+     ":2: 'ascii' codec can't decode byte 0xff in position 12"),
+], ids=["missing", "directory", "not-ascii"])
+def test_cli_sweep_names_a_file_it_cannot_read(tmp_path, capsys, name, content,
+                                               problem):
+    cfg = tmp_path / name
+    if content == "directory":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_bytes(content)
+    assert cli_main(["sweep", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {cfg}{problem}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_and_spectra(tmp_path):

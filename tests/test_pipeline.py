@@ -18,13 +18,13 @@ from tvdeblur.blur import (
     SymmetricPsf,
 )
 from tvdeblur.harness import (
-    NUMERICAL_FAILURES,
     BenchmarkSpec,
     gen_psf,
     gen_signal_1d,
     make_problem,
 )
-from tvdeblur.krylov import KrylovConfig, SolverDivergenceError, pcg
+from tvdeblur.krylov import (KrylovConfig, NumericalFailure,
+                             SolverDivergenceError, pcg)
 from tvdeblur.pipeline import (
     ConfigurationError,
     Formulation,
@@ -33,6 +33,7 @@ from tvdeblur.pipeline import (
     StepSystem,
     el_residual,
     restore,
+    unconverged_reason,
 )
 from tvdeblur.precond import (
     IndefinitePreconditionerError,
@@ -134,12 +135,12 @@ def test_a_config_that_constructs_restores(bc_h, bc_l, formulation, selector,
             bc_h=bc_h, bc_l=bc_l, formulation=formulation,
             preconditioner=selector, alpha=alpha, beta=beta, fp_tol=fp_tol,
             fp_max=fp_max, inner=KrylovConfig(max_iterations=max_iterations))
-    except ValueError:  # ConfigurationError, or KrylovConfig's own
+    except ConfigurationError:
         return
     psf, observed, u_true = _PROPERTY_PROBLEM
     try:
         report = restore(observed, psf, config, u_true=u_true)
-    except NUMERICAL_FAILURES:
+    except NumericalFailure:
         return
     assert 1 <= report.fp_steps <= fp_max
 
@@ -396,6 +397,22 @@ def test_indefinite_p_d_on_rough_2d_data_has_no_fallback(monkeypatch, bc_l):
     assert info.value.kind == "P_D" and info.value.min_eigenvalue < 0
     assert str(info.value).startswith(
         "preconditioner 'P_D' is indefinite at alpha=0.01 (smallest eigenvalue -")
+
+
+def test_unconverged_reason_names_the_limit_that_stopped_the_run():
+    """The one reason a sweep cell records and the CLI prints."""
+    psf, observed, _ = small_problem()
+    base = dict(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3, beta=0.1,
+                preconditioner=PrecondSelector.X_D)
+    starved = RestorationConfig(**base, fp_max=2,
+                                inner=KrylovConfig(max_iterations=1))
+    assert unconverged_reason(restore(observed, psf, starved), starved) == \
+        "an inner solve stopped at its iteration limit 1"
+    short = RestorationConfig(**base, fp_max=1)
+    assert unconverged_reason(restore(observed, psf, short), short) == \
+        "fixed-point loop did not reach tolerance 0.001 in 1 steps"
+    ample = RestorationConfig(**base)
+    assert unconverged_reason(restore(observed, psf, ample), ample) is None
 
 
 def test_resolved_kind_labels():
