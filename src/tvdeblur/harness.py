@@ -486,7 +486,7 @@ def _flag(text: str) -> bool:
         return _FLAGS[text.lower()]
     except KeyError:
         raise ConfigurationError(f"expected one of {'/'.join(_FLAGS)}, "
-                         f"got {text!r}") from None
+                                 f"got {text!r}") from None
 
 
 def _items(parse):

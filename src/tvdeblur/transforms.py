@@ -177,7 +177,7 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     if kind in _BORDERED:
         if n < MIN_BORDERED_N:
             raise ConfigurationError(f"{_BORDERED[kind]} requires length >= "
-                             f"{MIN_BORDERED_N}, got {n}")
+                                     f"{MIN_BORDERED_N}, got {n}")
     elif n == 0:
         raise ConfigurationError("transform input must be non-empty")
     if kind is TransformKind.DST1:
