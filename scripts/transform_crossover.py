@@ -30,8 +30,8 @@ dense 1D data terms of its axis kernels.
 
 The last table gives, for each blur BC and formulation with a fast
 transform, the best-of-k time of one 1D data term ``B H`` done two ways:
-``pipeline.StepSystem``'s composed apply, which runs ``H`` and then ``B``
-in place on one copy of the vector, and the dense ``F @ w`` with the
+``pipeline.StepSystem``'s composed apply, which runs ``H`` and then
+``B``, and the dense ``F @ w`` with the
 n x n data term ``F = B H`` (``pipeline.data_matrix``).  It is the 1D
 crossover a dense 1D data term would be chosen by; no code reads it yet.
 
@@ -63,7 +63,6 @@ from tvdeblur.blur import (
     FAST_TRANSFORMS,
     BoundaryCondition,
     StructuredBlurOperator,
-    scratch,
 )
 from tvdeblur.harness import PSF_KINDS, default_half_width, gen_psf
 from tvdeblur.pipeline import (
@@ -193,7 +192,7 @@ def data_term_table(sizes, repeats: int) -> None:
                       for factor in psf.factors())
             w = rng.standard_normal((n, n))
             ms = [best_us(fn, repeats) / 1e3
-                  for fn in (lambda: back(forward(scratch(w))),
+                  for fn in (lambda: back(forward(w)),
                              lambda: f0 @ w @ f1.T)]
             label = f"{bc.value}/{formulation.value}"
             print(f"{label:<24}{n:>5}{ms[0]:>11.3f}{ms[1]:>11.3f}"

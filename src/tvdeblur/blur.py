@@ -21,11 +21,8 @@ separable 2D kernel convolves by its two axis factors, found by the one
 rule that :meth:`SymmetricPsf.factors` applies too.  The fast path, for
 the extensions in ``FAST_TRANSFORMS``, is one :func:`diagonalized` apply
 and must agree with the reference to rounding.
-:func:`diagonalized` binds the transform bodies and the eigenvalues once;
-its 1D apply runs analysis, eigenvalue scaling and synthesis in place on
-the array it is given.  The public applies (``apply``, ``apply_fast``,
-...) never write into their argument: a fast one runs on a copy
-(:func:`scratch`).
+:func:`diagonalized` binds the transform bodies and the eigenvalues once.
+No apply here, reference or fast, 1D or 2D, writes into its argument.
 
 A separable 2D kernel ``h = a b^T`` (:meth:`SymmetricPsf.factors`) blurs
 under every extension as the Kronecker product ``H W = H_a W H_b^T`` of
@@ -80,13 +77,12 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
                  transpose: bool = False):
     """``X diag(lam) X^{-1}`` (``X^{-T} diag(lam) X^T`` with ``transpose``)
     for transform ``kind``: the apply of every fast blur and preconditioner,
-    as a function of a float64 array that it may overwrite.
+    as a function of a float64 array that it leaves alone.
 
     For 1D ``lam`` the analysis, the scaling by ``lam`` and the synthesis
-    run in place on that array, with the transform bodies bound here once.
-    For a 2D ``lam`` they are the tensor transforms, which allocate and
-    only read the array.  :func:`scratch` gives the argument that leaves a
-    caller's array alone.
+    run in place on one copy of the array, with the transform bodies bound
+    here once.  For a 2D ``lam`` they are the tensor transforms, which
+    allocate.
     """
     # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
     # synthesis, X or X^{-T}
@@ -97,18 +93,11 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
     analysis = body_1d(kind, *into, lam.shape[0])
     synthesis = body_1d(kind, *back, lam.shape[0])
 
-    def in_place(u):
-        analysis(u, u)
-        u *= lam
-        return synthesis(u, u)
-    return in_place
-
-
-def scratch(u: np.ndarray) -> np.ndarray:
-    """The argument for an apply of :func:`diagonalized` that leaves the
-    float64 array ``u`` alone: a copy of a vector, which the apply
-    transforms in place, and a grid as it is, which it only reads."""
-    return u.copy() if u.ndim == 1 else u
+    def on_copy(u):
+        out = analysis(u, u.copy())
+        out *= lam
+        return synthesis(out, out)
+    return on_copy
 
 
 class SymmetricPsf:
@@ -291,7 +280,7 @@ class StructuredBlurOperator:
     ``apply`` is the pad/convolve/crop reference; ``apply_fast`` is one
     :func:`diagonalized` apply in the transform ``FAST_TRANSFORMS`` gives
     the extension, bound once in ``fast_applies``, whose applies the
-    restore's data term runs in place.  ``apply_transpose`` is the exact
+    restore's data term calls.  ``apply_transpose`` is the exact
     algebraic transpose (full-convolve then fold the margins back) and
     ``apply_transpose_fast`` its diagonalized form; the anti-reflective
     operator is not symmetric.
@@ -374,8 +363,8 @@ class StructuredBlurOperator:
 
     def fast_applies(self) -> tuple:
         """``(H, H^T)`` as :func:`diagonalized` applies, functions of a
-        float64 array of the operator's shape that they may overwrite
-        (in 1D they run in place on it).  Bound on first use and kept."""
+        float64 array of the operator's shape that they leave alone.
+        Bound on first use and kept."""
         if self._fast_applies is None:
             kind, lam = self.transform, self.eigenvalues()
             self._fast_applies = (diagonalized(kind, lam),
@@ -384,10 +373,10 @@ class StructuredBlurOperator:
 
     def apply_fast(self, u) -> np.ndarray:
         """Diagonalized apply: analysis, eigenvalue scaling, synthesis."""
-        return self.fast_applies()[0](scratch(self._check_shape(u)))
+        return self.fast_applies()[0](self._check_shape(u))
 
     def apply_transpose_fast(self, u) -> np.ndarray:
-        return self.fast_applies()[1](scratch(self._check_shape(u)))
+        return self.fast_applies()[1](self._check_shape(u))
 
     def matrix(self) -> np.ndarray:
         """Dense n x n matrix of a 1D operator: the reference apply run on

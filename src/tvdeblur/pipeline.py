@@ -13,8 +13,7 @@ with a Krylov method: conjugate gradient when the system is symmetric
 solve; ``el_residual`` is its one optimality residual.  The data term
 ``B H`` is two products with dense n x n factors, one per axis, for 2D
 data with a separable PSF, under every blur BC; for any other PSF it is
-``B`` after ``H`` on one copy of the vector, which in 1D the bound fast
-applies transform in place.  No apply of a step's system or of its
+``B`` after ``H``.  No apply of a step's system, of its blur or of its
 preconditioner writes into its argument: the Krylov solvers keep using
 the vectors they pass.  The inner solve starts from the previous iterate
 and may be preconditioned by any of the transform-algebra
@@ -36,13 +35,8 @@ from enum import Enum
 
 import numpy as np
 
-from .blur import (
-    FAST_TRANSFORMS,
-    BoundaryCondition,
-    StructuredBlurOperator,
-    SymmetricPsf,
-    scratch,
-)
+from .blur import (FAST_TRANSFORMS, BoundaryCondition, StructuredBlurOperator,
+                   SymmetricPsf)
 from .krylov import (ConfigurationError, KrylovConfig, SolverDivergenceError,
                      check_settings, pbicgstab, pcg)
 from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
@@ -186,10 +180,9 @@ def _transposes(bc_h: BoundaryCondition, formulation: Formulation) -> bool:
 
 def operator_applies(h_op: StructuredBlurOperator,
                      formulation: Formulation) -> tuple:
-    """``(H, B)`` as functions of an array that they may overwrite: the
-    operator's bound ``fast_applies`` under a fast BC, which run in place
-    on a 1D array, and the reference applies, which allocate, under zero
-    and periodic blur."""
+    """``(H, B)`` as functions of an array that they leave alone: the
+    operator's bound ``fast_applies`` under a fast BC, and the reference
+    applies under zero and periodic blur."""
     if h_op.bc not in FAST_TRANSFORMS:
         return h_op.apply, h_op.apply
     forward, transpose = h_op.fast_applies()
@@ -223,7 +216,7 @@ class StepSystem:
     whatever the blur BC.  Every other PSF, 1D or non-separable 2D, takes
     ``back(forward(w))`` on the applies of ``operator_applies``: fast under
     reflective and anti-reflective blur, the references under zero and
-    periodic blur, run on one copy of ``w``.
+    periodic blur.
     Built once per restoration; ``freeze`` hands it each step's diffusion
     operator ``L``, ``scale`` gives the scaled system
     ``D^{-1/2} A D^{-1/2}``, and ``krylov_problem`` the step's solve.
@@ -235,7 +228,7 @@ class StepSystem:
         forward, back = operator_applies(h_op, config.formulation)
         factors = psf.factors()
         if factors is None:
-            self.data_term = lambda w: back(forward(scratch(w)))
+            self.data_term = lambda w: back(forward(w))
         else:
             f0, f1 = (data_matrix(factor, h_op.bc, config.formulation, h_op.n)
                       for factor in factors)
@@ -243,7 +236,7 @@ class StepSystem:
         self.alpha = config.alpha
         self.selector = config.preconditioner
         self.kind = config.resolved_kind()
-        self.rhs = back(scratch(v))
+        self.rhs = back(v)
         self.l_op = None
 
     def freeze(self, l_op: DiffusionOperator) -> None:

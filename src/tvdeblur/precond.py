@@ -15,9 +15,8 @@ a dense product or an FFT for each.  Projections take band dicts only,
 keyed by offset tuples as ``tv.DiffusionOperator.bands`` gives them:
 ``{(d,): values}`` in 1D and ``{(block offset, inner offset):
 coefficients}`` in 2D.  Preconditioners apply and solve with
-``blur.diagonalized``, as the blur operators do; the solve is bound once
-per preconditioner and, in 1D, runs in place on one copy of its
-right-hand side.
+``blur.diagonalized``, as the blur operators do, and leave their
+argument alone; the solve is bound once per preconditioner.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
 unitary): it projects the interior (order L = n - 2) onto the sine algebra
@@ -45,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blur import BoundaryCondition, diagonalized, scratch
+from .blur import BoundaryCondition, diagonalized
 from .krylov import ConfigurationError, NumericalFailure, check_settings
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import (MIN_BORDERED_N, TransformKind, apply_1d,  # noqa: F401
@@ -206,15 +205,14 @@ class FactoredPreconditioner:
         b = np.asarray(b, dtype=float)
         apply = diagonalized(self.transform, self.eigenvalues)
         if self.d_sqrt is None:
-            return apply(scratch(b))
+            return apply(b)
         return self.d_sqrt * apply(self.d_sqrt * b)
 
     def apply_inverse(self, b) -> np.ndarray:
-        """Solve M y = b; ``b`` is left alone.  In 1D the solve runs in
-        place on one copy of ``b`` (of ``b / d_sqrt`` with the wrap)."""
+        """Solve M y = b; ``b`` is left alone."""
         b = np.asarray(b, dtype=float)
         if self.d_sqrt is None:
-            return self._solve(scratch(b))
+            return self._solve(b)
         y = self._solve(b / self.d_sqrt)
         y /= self.d_sqrt
         return y

@@ -462,7 +462,7 @@ def test_2d_fast_paths_across_dense_product_cutoff(n, bc, kind, l_bc, rng):
 def test_diagonalized_apply_matches_dense(kind, transpose, ndim, n, rng):
     """``X diag(lam) X^{-1} u`` (``X^{-T} diag(lam) X^T u`` transposed) from
     the dense transform matrix, on both sides of the 2D dense-product
-    cutoff; in 2D ``X`` acts on both axes."""
+    cutoff; in 2D ``X`` acts on both axes.  ``u`` keeps its bytes."""
     x = _matrix_1d(kind, False, False, n)
     left, right = (np.linalg.inv(x).T, x.T) if transpose else \
         (x, np.linalg.inv(x))
@@ -473,8 +473,10 @@ def test_diagonalized_apply_matches_dense(kind, transpose, ndim, n, rng):
         want = left @ (lam * (right @ u))
     else:
         want = left @ (lam * (right @ u @ right.T)) @ left.T
-    got = diagonalized(kind, lam, transpose)(u.copy())
+    before = u.tobytes()
+    got = diagonalized(kind, lam, transpose)(u)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert u.tobytes() == before
 
 
 @pytest.mark.parametrize("bc", ALL_BCS)

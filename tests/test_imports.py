@@ -93,6 +93,6 @@ def test_a_private_read_is_found():
     source = ("import numpy as np\nimport tvdeblur.tv as tv\n"
               "from tvdeblur import blur\nfrom . import transforms\n"
               "from .krylov import _norm, check_settings\n"
-              "blur._pad(np._x, blur.scratch, tv._extend, transforms.__doc__)\n")
+              "blur._pad(np._x, blur.diagonalized, tv._extend, transforms.__doc__)\n")
     assert private_reads(source) == {"krylov._norm", "blur._pad",
                                      "tv._extend"}
