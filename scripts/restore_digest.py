@@ -3,7 +3,22 @@
 
 Runs the 4 configurations x 5 preconditioner selectors at 1D n=203
 (alpha 1e-1 and 1e-3, beta 0.1) and at 2D n=64 (alpha 1e-2, beta 0.01), all
-at noise seed 2023, and prints one record per cell: the sha256 of
+at noise seed 2023.  Ten more cells reach the data terms that the sweep's
+separable Gaussian and its fast blur BCs never take:
+
+* the reference data term: zero and periodic blur at 1D n=203, normal
+  form with the zero-Neumann diffusion BC, selectors ``none`` and
+  ``diag``, alpha 1e-1 and 1e-3, beta 0.1 (labels ``zero+ZN`` and
+  ``periodic+ZN``);
+* the 2D tensor-transform data term: the sweep's 2D n=64 data restored
+  with the non-separable disk PSF of half-width 8 (``i^2 + j^2 <= 64``,
+  normalized), ``R`` and ``AR+Reblur+AR`` with ``x_d``, alpha 1e-2, beta
+  0.01 (labels ``R+disk8`` and ``AR+Reblur+AR+disk8``).
+
+No label of these cells is a configuration of the sweep, so their keys
+cannot collide with its cells.
+
+It prints one record per cell: the sha256 of
 ``restored.tobytes()``, the per-step inner iterations, the fixed-point
 steps, the RRE, the per-step and final gradient norms, or the failure of
 a starred cell.  Two checkouts restore identically when their outputs are
@@ -31,36 +46,72 @@ SELECTORS = ("none", "diag", "x", "d_x", "x_d")
 KEY = ("dim", "n", "config", "alpha", "selector")
 
 
+def _record(key: tuple, report, failure: str | None) -> dict:
+    """The record of one cell, keyed by ``KEY``: a report's fingerprint, or
+    the failure of a starred cell, which has no report."""
+    record = dict(zip(KEY, key))
+    if report is None:
+        record["failure"] = failure
+    else:
+        record.update(
+            sha256=hashlib.sha256(report.restored.tobytes()).hexdigest(),
+            inner_iterations=report.inner_iterations,
+            fp_steps=report.fp_steps, rre=report.rre,
+            gradient_norms=report.gradient_norms,
+            final_gradient_norm=report.final_gradient_norm)
+    return record
+
+
 def digest() -> list:
     # imported here, so that --compare runs without the package on the path
-    from tvdeblur.harness import BenchmarkSpec, run_sweep
-    from tvdeblur.pipeline import CONFIGURATIONS
+    import numpy as np
 
-    specs = (
-        BenchmarkSpec(dimension=1, ns=(203,), nsr=0.01, alphas=(1e-1, 1e-3),
-                      betas=(0.1,), configurations=tuple(CONFIGURATIONS),
-                      preconditioners=SELECTORS),
-        BenchmarkSpec(dimension=2, ns=(64,), nsr=1e-3, alphas=(1e-2,),
-                      betas=(0.01,), configurations=tuple(CONFIGURATIONS),
-                      preconditioners=SELECTORS),
-    )
-    records = []
-    for spec in specs:
-        for cell in run_sweep(spec).cells:
-            record = {"dim": spec.dimension, "n": cell.n,
-                      "config": cell.config, "alpha": cell.alpha,
-                      "selector": cell.preconditioner}
-            report = cell.report
-            if report is None:
-                record["failure"] = cell.failure
-            else:
-                record.update(
-                    sha256=hashlib.sha256(report.restored.tobytes()).hexdigest(),
-                    inner_iterations=report.inner_iterations,
-                    fp_steps=report.fp_steps, rre=report.rre,
-                    gradient_norms=report.gradient_norms,
-                    final_gradient_norm=report.final_gradient_norm)
-            records.append(record)
+    from tvdeblur.blur import BoundaryCondition, SymmetricPsf
+    from tvdeblur.harness import BenchmarkSpec, make_problem, run_sweep
+    from tvdeblur.krylov import NumericalFailure
+    from tvdeblur.pipeline import CONFIGURATIONS, Formulation, restore
+    from tvdeblur.tv import DiffusionBc
+
+    spec_1d = BenchmarkSpec(dimension=1, ns=(203,), nsr=0.01,
+                            alphas=(1e-1, 1e-3), betas=(0.1,),
+                            configurations=tuple(CONFIGURATIONS),
+                            preconditioners=SELECTORS)
+    spec_2d = BenchmarkSpec(dimension=2, ns=(64,), nsr=1e-3, alphas=(1e-2,),
+                            betas=(0.01,),
+                            configurations=tuple(CONFIGURATIONS),
+                            preconditioners=SELECTORS)
+    records = [_record((spec.dimension, cell.n, cell.config, cell.alpha,
+                        cell.preconditioner), cell.report, cell.failure)
+               for spec in (spec_1d, spec_2d)
+               for cell in run_sweep(spec).cells]
+
+    def run(key, problem, config):
+        psf, observed, u_true = problem
+        try:
+            report = restore(observed, psf, config, u_true=u_true)
+        except NumericalFailure as exc:
+            return _record(key, None, str(exc))
+        return _record(key, report, None)
+
+    problem = make_problem(spec_1d, 203)
+    for bc in (BoundaryCondition.ZERO_DIRICHLET, BoundaryCondition.PERIODIC):
+        for selector in ("none", "diag"):
+            for alpha in spec_1d.alphas:
+                config = spec_1d.restoration_config(
+                    bc, DiffusionBc.ZERO_NEUMANN, Formulation.NORMAL,
+                    selector, alpha, 0.1)
+                records.append(run((1, 203, f"{bc.value}+ZN", alpha,
+                                    selector), problem, config))
+
+    i = np.arange(-8, 9)
+    disk = (i[:, None] ** 2 + i[None, :] ** 2 <= 64).astype(float)
+    _, observed, u_true = make_problem(spec_2d, 64)
+    problem = SymmetricPsf(disk / disk.sum()), observed, u_true
+    for label in ("R", "AR+Reblur+AR"):
+        config = spec_2d.restoration_config(*CONFIGURATIONS[label][:3],
+                                            "x_d", 1e-2, 0.01)
+        records.append(run((2, 64, f"{label}+disk8", 1e-2, "x_d"), problem,
+                           config))
     return records
 
 
