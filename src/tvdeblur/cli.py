@@ -55,8 +55,7 @@ def _make_problem(args, **settings) -> tuple:
 
 def _cmd_gen(args) -> int:
     spec, (psf, observed, u_true) = _make_problem(args)
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = harness.make_out_dir(args.out_dir)
     save_psf(psf, out / "psf.txt")
     harness.write_field(out / "true", u_true, u_true)
     harness.write_field(out / "observed", observed, u_true, column="v")
@@ -69,9 +68,8 @@ def _cmd_restore(args) -> int:
     config = spec.restoration_config(
         BoundaryCondition(args.bc), DiffusionBc(args.l_bc),
         Formulation(args.formulation), args.precond, args.alpha, args.beta)
+    out = harness.make_out_dir(args.out_dir)
     report = restore(observed, psf, config, u_true=u_true)
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     harness.write_field(out / "restored", report.restored, u_true)
     summary = [
         f"config: bc={args.bc} l_bc={args.l_bc} formulation={args.formulation} "
@@ -114,14 +112,13 @@ def _cmd_spectra(args) -> int:
     psf, observed, _ = harness.make_problem(spec, args.n)
     config = spec.restoration_config(bc_h, bc_l, formulation, args.precond,
                                      args.alpha, args.beta)
+    out = harness.make_out_dir(args.out_dir)
     system = StepSystem(psf, config, observed)
     system.freeze(DiffusionOperator(observed, args.beta, bc_l))
     # the operator and preconditioner of restore's first step
     apply_a, apply_minv, _, _, _ = system.krylov_problem(observed)
     diag = spectral_diagnostic(
         probe_dense(lambda w: apply_minv(apply_a(w)), observed.shape))
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     harness.write_csv(
         out / "spectrum.csv", ("real", "imag"),
         [(float(e.real), float(e.imag)) for e in diag.eigenvalues],

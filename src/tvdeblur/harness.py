@@ -129,7 +129,8 @@ def gen_psf(kind: str, m: int, sigma: float | None = None) -> SymmetricPsf:
     ``out_of_focus``: constant on ``|i| < m`` and zero at ``|i| = m`` (the
     strict inequality leaves zero end taps), normalized.  ``gaussian``:
     ``exp(-(i^2 + j^2) / (2 sigma^2))`` truncated to ``[-m, m]^2``,
-    normalized.
+    normalized; a sigma whose square underflows to 0 is rejected, and one
+    whose ``1 / (2 sigma^2)`` overflows gives the one-tap kernel.
     """
     check_settings(("psf half-width", m, "integer >= 1"))
     if kind == "out_of_focus":
@@ -139,7 +140,12 @@ def gen_psf(kind: str, m: int, sigma: float | None = None) -> SymmetricPsf:
     if kind == "gaussian":
         check_settings(("gaussian psf sigma", sigma, "real > 0"))
         idx = np.arange(-m, m + 1, dtype=float)
-        g = np.exp(-(idx[:, None] ** 2 + idx[None, :] ** 2) / (2.0 * sigma * sigma))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g = np.exp(-(idx[:, None] ** 2 + idx[None, :] ** 2)
+                       / (2.0 * sigma * sigma))
+        if not np.all(np.isfinite(g)):
+            raise ConfigurationError(f"gaussian psf sigma {float(sigma)!r} is "
+                                     "too small: its square underflows")
         return SymmetricPsf(g / g.sum())
     raise ConfigurationError(f"unknown psf kind {kind!r}")
 
@@ -152,7 +158,8 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
     so no boundary model enters the data; ``convolve_valid`` runs it by the
     kernel's two axis factors when the kernel is separable, as the
     Gaussian is.  Noise is white Gaussian rescaled to
-    ``||noise|| = nsr * ||clean||`` exactly.
+    ``||noise|| = nsr * ||clean||`` exactly; a ratio so large that the
+    noisy data overflow is rejected.
     """
     check_settings(("noise-to-signal ratio", nsr, "real >= 0"))
     u_extended = np.asarray(u_extended, dtype=float)
@@ -167,8 +174,14 @@ def blur_and_observe(u_extended: np.ndarray, psf: SymmetricPsf, n: int,
         return clean
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.standard_normal(clean.shape)
-    noise = g * (nsr * np.linalg.norm(clean.ravel()) / np.linalg.norm(g.ravel()))
-    return clean + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = g * (nsr * np.linalg.norm(clean.ravel())
+                     / np.linalg.norm(g.ravel()))
+        observed = clean + noise
+    if not np.all(np.isfinite(observed)):
+        raise ConfigurationError(f"noise-to-signal ratio {float(nsr)!r} "
+                                 "overflows the noisy data")
+    return observed
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +375,8 @@ def run_sweep(spec: BenchmarkSpec, out_dir=None) -> SweepResult:
     """
     cells: list[SweepCell] = []
     problems = {n: make_problem(spec, n) for n in spec.ns}
+    if out_dir is not None:
+        out_dir = make_out_dir(out_dir)
     for config_label in spec.configurations:
         for n in spec.ns:
             for beta in spec.betas:
@@ -388,8 +403,6 @@ def run_sweep(spec: BenchmarkSpec, out_dir=None) -> SweepResult:
             result.min_rre[config_label] = best_rre
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_sweep_files(spec, result, problems, out_dir)
     return result
 
@@ -429,6 +442,18 @@ def _write_sweep_files(spec: BenchmarkSpec, result: SweepResult, problems,
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
+
+
+def make_out_dir(path) -> Path:
+    """Create the output directory ``path`` and its parents, before any
+    work that writes there; one that cannot be created raises
+    ``ConfigurationError`` ``<path>: <reason>``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror}") from None
+    return path
 
 
 def write_csv(path, header, rows) -> None:

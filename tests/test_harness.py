@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,22 @@ def test_gen_psf_gaussian_small_sigma_is_identity_like():
     assert psf.coefficients[3, 3] > 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+def test_gen_psf_gaussian_width_whose_square_underflows(sigma):
+    """A width whose ``1 / (2 sigma^2)`` overflows gives the one-tap kernel,
+    and one whose square underflows to 0 is rejected; neither warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if sigma == 1e-160:
+            psf = gen_psf("gaussian", 2, sigma)
+            np.testing.assert_array_equal(psf.coefficients,
+                                          np.pad([[1.0]], 2))
+            return
+        with pytest.raises(ValueError, match=r"^gaussian psf sigma 1e-170 "
+                                             r"is too small"):
+            gen_psf("gaussian", 2, sigma)
+
+
 def test_gen_psf_errors():
     with pytest.raises(ValueError):
         gen_psf("out_of_focus", 0)
@@ -157,6 +174,16 @@ def test_observe_rejects_bad_noise_ratio(nsr):
     with pytest.raises(ValueError, match=r"noise-to-signal ratio must be "
                                          rf"finite and nonnegative, got {nsr!r}"):
         blur_and_observe(u, gen_psf("out_of_focus", 4), 64, nsr=nsr, seed=3)
+
+
+def test_observe_rejects_a_noise_ratio_that_overflows():
+    u, _ = gen_signal_1d(64, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^noise-to-signal ratio 1e\+308 "
+                                             r"overflows the noisy data$"):
+            blur_and_observe(u, gen_psf("out_of_focus", 4), 64, nsr=1e308,
+                             seed=3)
 
 
 @given(nsr=st.floats(1e-6, 0.5))
@@ -600,6 +627,9 @@ def test_cli_gen_and_restore(tmp_path):
      "psf_half_width must be at least 1, got 0"),
     (["--seed", "-1"], "seed must be nonnegative, got -1"),
     (["--fp-max", "0"], "fp_max must be at least 1, got 0"),
+    (["--nsr", "1e308"], "noise-to-signal ratio 1e+308 overflows"),
+    (["--dim", "2", "--n", "32", "--psf-sigma", "1e-170"],
+     "gaussian psf sigma 1e-170 is too small: its square underflows"),
 ])
 def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
                                               message):
@@ -611,12 +641,20 @@ def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
     assert message in capsys.readouterr().err
 
 
-def test_cli_gen_exit_code_on_1d_psf_sigma(tmp_path, capsys):
+@pytest.mark.parametrize("flags,message", [
+    (["--dim", "1", "--n", "64", "--psf-sigma", "5"],
+     "psf_sigma is the width of the 2D gaussian psf"),
+    (["--n", "64", "--nsr", "1e308"], "noise-to-signal ratio 1e+308"),
+    (["--dim", "2", "--n", "32", "--psf-sigma", "1e-170"],
+     "gaussian psf sigma 1e-170 is too small"),
+], ids=["1d-psf-sigma", "nsr-overflow", "sigma-underflow"])
+def test_cli_gen_writes_nothing_on_a_bad_setting(tmp_path, capsys, flags,
+                                                  message):
     out = tmp_path / "gen"
-    assert cli_main(["gen", "--dim", "1", "--n", "64", "--psf-sigma", "5",
-                     "--out-dir", str(out)]) == 2
-    assert "psf_sigma is the width of the 2D gaussian psf" in \
-        capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["gen", *flags, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -633,6 +671,27 @@ def test_cli_exit_code_on_nonconvergence(tmp_path, capsys):
 
 
 RESTORE_ARGS = ["restore", "--n", "64", "--alpha", "1e-3", "--beta", "0.1"]
+
+
+@pytest.mark.parametrize("command", ["gen", "restore", "sweep", "spectra"])
+def test_cli_out_dir_that_cannot_be_created(tmp_path, capsys, monkeypatch,
+                                            command):
+    """An output directory below a file is a configuration error, found
+    before any restore or diagnostic runs."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+    for module, name in ((cli, "restore"), (harness, "restore"),
+                         (cli, "StepSystem")):
+        monkeypatch.setattr(module, name, not_reached)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n = 64\nalpha = 1e-3\nbeta = 0.1\n")
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    argv = {"gen": ["gen", "--n", "64"], "restore": RESTORE_ARGS,
+            "sweep": ["sweep", str(cfg)], "spectra": ["spectra", "--n", "48"]}
+    assert cli_main([*argv[command], "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: {out}: Not a directory\n"
 
 
 def test_cli_lets_a_plain_value_error_propagate(tmp_path, monkeypatch):
