@@ -30,10 +30,10 @@ dense 1D data terms of its axis kernels.
 
 The last table gives, for each blur BC and formulation with a fast
 transform, the best-of-k time of one 1D data term ``B H`` done two ways:
-``pipeline.StepSystem``'s composed apply, which runs ``H`` and then
-``B``, and the dense ``F @ w`` with the
-n x n data term ``F = B H`` (``pipeline.data_matrix``).  It is the 1D
-crossover a dense 1D data term would be chosen by; no code reads it yet.
+``pipeline.StepSystem``'s composed apply, which runs ``H`` and then ``B``,
+and the dense ``F @ w`` with the n x n data term ``F = B H``
+(``pipeline.data_matrix``).  It is the 1D crossover a dense 1D data term
+would be chosen by; no code reads it yet.
 
 ``--sizes`` gives the sizes of every table (by default the 2D tables take
 ``SIZES``, the band-form table ``BAND_SIZES`` and the 1D data term table
