@@ -18,7 +18,10 @@ field of view are supplied by one of four boundary extensions:
 Reference semantics for every extension is pad / convolve / crop, with
 the convolution computed by :func:`convolve_valid` in plain numpy; a
 separable 2D kernel convolves by its two axis factors, found by the one
-rule that :meth:`SymmetricPsf.factors` applies too.  The fast path, for
+rule that :meth:`SymmetricPsf.factors` applies too.  Along an axis the
+blur is ``C E``, the valid convolution ``C`` after ``E``, the (n+2m) x n
+matrix of :func:`pad_extend`; the reference transpose is ``E^T C^T``, with
+``C^T`` the full convolution of a symmetric kernel.  The fast path, for
 the extensions in ``FAST_TRANSFORMS``, is one :func:`diagonalized` apply
 and must agree with the reference to rounding.
 :func:`diagonalized` binds the transform bodies and the eigenvalues once.
@@ -203,9 +206,12 @@ def symbol_eval(psf: SymmetricPsf, y):
 
 def pad_extend(u: np.ndarray, m: int, bc: BoundaryCondition) -> np.ndarray:
     """Extend ``u`` by ``m`` samples on every side per the boundary rule."""
-    if m == 0:
-        return np.asarray(u, dtype=float)
     return np.pad(np.asarray(u, dtype=float), m, **_PAD_MODES[bc])
+
+
+def _extension_matrix(n: int, m: int, bc: BoundaryCondition) -> np.ndarray:
+    """``E``, the (n+2m) x n matrix of :func:`pad_extend` along one axis."""
+    return np.pad(np.eye(n), ((m, m), (0, 0)), **_PAD_MODES[bc])
 
 
 def _axis_factors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -247,33 +253,6 @@ def convolve_valid(ext: np.ndarray, h: np.ndarray) -> np.ndarray:
                      h[::-1, ::-1])
 
 
-def _fold_axis0(w: np.ndarray, m: int, bc: BoundaryCondition) -> np.ndarray:
-    """Adjoint of :func:`pad_extend` along the leading axis."""
-    if m == 0:
-        return w.copy()
-    core = w[m:-m].copy()
-    left, right = w[:m], w[m + core.shape[0]:]
-    if bc is BoundaryCondition.ZERO_DIRICHLET:
-        return core
-    if bc is BoundaryCondition.PERIODIC:
-        core[-m:] += left
-        core[:m] += right
-        return core
-    if bc is BoundaryCondition.REFLECTIVE:
-        core[:m] += left[::-1]
-        core[-m:] += right[::-1]
-        return core
-    core[0] += 2.0 * left.sum(axis=0)
-    core[1:m + 1] -= left[::-1]
-    core[-1] += 2.0 * right.sum(axis=0)
-    core[-m - 1:-1] -= right[::-1]
-    return core
-
-
-def _fold_axis(w: np.ndarray, m: int, bc: BoundaryCondition, axis: int) -> np.ndarray:
-    return np.moveaxis(_fold_axis0(np.moveaxis(w, axis, 0), m, bc), 0, axis)
-
-
 class StructuredBlurOperator:
     """Matrix-free blur under a chosen boundary extension.
 
@@ -281,9 +260,10 @@ class StructuredBlurOperator:
     :func:`diagonalized` apply in the transform ``FAST_TRANSFORMS`` gives
     the extension, bound once in ``fast_applies``, whose applies the
     restore's data term calls.  ``apply_transpose`` is the exact
-    algebraic transpose (full-convolve then fold the margins back) and
-    ``apply_transpose_fast`` its diagonalized form; the anti-reflective
-    operator is not symmetric.
+    algebraic transpose ``E^T C^T``, with the dense ``E`` that ``matrix``
+    builds too: O(n (n+2m)) memory and, in 2D, ``E^T (C^T u) E`` in
+    O(n (n+2m)^2) multiply-adds.  ``apply_transpose_fast`` is its
+    diagonalized form; the anti-reflective operator is not symmetric.
     ``reblur_apply`` is the operator built from the 180-degree-rotated
     kernel; for the symmetric kernels handled here it coincides with
     ``apply``.  ``apply_transpose`` and ``reblur_apply`` are reference
@@ -313,22 +293,16 @@ class StructuredBlurOperator:
 
     def apply(self, u) -> np.ndarray:
         u = self._check_shape(u)
-        m = self.psf.half_width
-        if m == 0:
-            return u.copy()
-        return convolve_valid(pad_extend(u, m, self.bc), self.psf.coefficients)
+        return convolve_valid(pad_extend(u, self.psf.half_width, self.bc),
+                              self.psf.coefficients)
 
     def apply_transpose(self, u) -> np.ndarray:
         u = self._check_shape(u)
         m = self.psf.half_width
-        if m == 0:
-            return self.apply(u)
         # the full convolution is the valid one of u zero-padded by 2m
         full = convolve_valid(np.pad(u, 2 * m), self.psf.coefficients)
-        if self.ndim == 1:
-            return _fold_axis0(full, m, self.bc)
-        folded = _fold_axis(full, m, self.bc, axis=0)
-        return _fold_axis(folded, m, self.bc, axis=1)
+        e = _extension_matrix(self.n, m, self.bc)
+        return e.T @ full if self.ndim == 1 else e.T @ full @ e
 
     # ``H'``: blur operator of the kernel rotated by 180 degrees, which for a
     # symmetric kernel is the kernel itself.
@@ -379,14 +353,14 @@ class StructuredBlurOperator:
         return self.fast_applies()[1](self._check_shape(u))
 
     def matrix(self) -> np.ndarray:
-        """Dense n x n matrix of a 1D operator: the reference apply run on
-        all columns of the identity at once, extended along axis 0 and
-        convolved with the kernel."""
+        """Dense n x n matrix ``C E`` of a 1D operator: the valid
+        convolution ``C`` of the extension matrix ``E``, the reference apply
+        run on all columns of the identity at once."""
         if self.ndim != 1:
             raise ConfigurationError("matrix() needs a 1D operator")
         m = self.psf.half_width
-        ext = np.pad(np.eye(self.n), ((m, m), (0, 0)), **_PAD_MODES[self.bc])
-        windows = sliding_window_view(ext, 2 * m + 1, axis=0)
+        windows = sliding_window_view(_extension_matrix(self.n, m, self.bc),
+                                      2 * m + 1, axis=0)
         return windows @ self.psf.coefficients[::-1]
 
     # -- helpers --------------------------------------------------------------

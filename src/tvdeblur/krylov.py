@@ -142,6 +142,10 @@ def pcg(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig()) -> So
     rz = _dot(r, z)
     work = np.empty_like(r)
     for k in range(1, config.max_iterations + 1):
+        if not math.isfinite(rz):  # rz divides at this iteration's end
+            raise SolverDivergenceError("pcg", k)
+        if rz == 0.0:
+            raise SolverBreakdownError("pcg", k, "r . z vanished")
         q = apply_a(p)
         curvature = _dot(p, q)
         if not math.isfinite(curvature):

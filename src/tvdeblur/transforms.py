@@ -114,13 +114,6 @@ _BORDERED = {TransformKind.SINE_HAT: "Shat_n",
              TransformKind.ANTI_REFLECTIVE: "T_n"}
 
 
-def _float_input(v) -> np.ndarray:
-    """``v`` as float64 in native byte order and aligned memory, as the C
-    routines need it (copied only if it is not already)."""
-    v = np.asarray(v, dtype=float)
-    return v if v.flags.aligned else v.copy()
-
-
 # pocketfft's arguments as scipy.fft passes them for norm="ortho" on the
 # last axis: norm code 1, one worker, no orthogonalize override
 _LAST_AXIS = (-1,)
@@ -226,8 +219,9 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
 def apply_1d(kind: TransformKind, v, inverse: bool = False,
              transpose: bool = False) -> np.ndarray:
     """Apply the 1D transform ``kind`` along the last axis of ``v``: the
-    body :func:`body_1d` on one copy of ``v``, which is left alone."""
-    v = _float_input(v)
+    body :func:`body_1d` on one copy of ``v``, which is left alone; the C
+    routines read only that copy, aligned native float64."""
+    v = np.asarray(v, dtype=float)
     return body_1d(kind, inverse, transpose, v.shape[-1])(v, v.copy())
 
 

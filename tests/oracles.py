@@ -373,6 +373,10 @@ def pcg_loop(apply_a, apply_minv, b, x0,
     p = z.copy()
     rz = _loop_dot(r, z)
     for k in range(1, config.max_iterations + 1):
+        if not np.isfinite(rz):
+            raise SolverDivergenceError("pcg", k)
+        if rz == 0.0:
+            raise SolverBreakdownError("pcg", k, "r . z vanished")
         q = apply_a(p)
         curvature = _loop_dot(p, q)
         if not np.isfinite(curvature):

@@ -195,12 +195,18 @@ def test_2d_eigenvalues_match_the_one_sum_oracle(bc):
 # -- blur apply ---------------------------------------------------------------
 
 
-def test_identity_psf_is_identity(rng):
-    psf = SymmetricPsf([1.0])
-    u = rng.standard_normal(10)
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_identity_psf_is_identity(ndim, rng):
+    """The one-tap kernel takes the general pad/convolve path and gives the
+    input's bytes back in a new array, forward and transposed."""
+    psf = SymmetricPsf(np.ones((1,) * ndim))
+    u = rng.standard_normal((10,) * ndim)
     for bc in ALL_BCS:
         op = StructuredBlurOperator(psf, bc, 10)
-        np.testing.assert_array_equal(op.apply(u), u)
+        for apply in (op.apply, op.apply_transpose):
+            got = apply(u)
+            assert got.tobytes() == u.tobytes()
+            assert got.shape == u.shape and not np.shares_memory(got, u)
 
 
 def test_constant_preserved_by_mirroring_extensions():
@@ -364,45 +370,57 @@ def test_2d_apply_matches_oracle_and_fast_path(rng):
 
 
 def convolution_kernel(kind, m, rng):
-    """A (2m+1)^2 kernel for ``convolve_valid``: a random one, nonsymmetric
-    so a missing flip shows, which takes the ``einsum``; the harness
-    Gaussian; or a symmetric ``outer(a, b)`` with ``a != b`` (a triangle
-    along axis 0, a Gaussian along axis 1).  The last two take the factor
-    branch."""
+    """A (2m+1)^2 kernel for ``convolve_valid`` and the 1D factors of a
+    separable one, or None: a random kernel, nonsymmetric so a missing flip
+    shows, which takes the ``einsum``; the harness Gaussian; or a symmetric
+    ``outer(a, b)`` with ``a != b`` (a triangle along axis 0, a Gaussian
+    along axis 1).  The last two take the factor branch.  The factors come
+    from the kernels' definitions, not from ``convolve_valid``'s rule: the
+    harness Gaussian is the outer product of two normalized 1D Gaussians to
+    rounding."""
     if kind == "random":
-        return rng.standard_normal((2 * m + 1, 2 * m + 1))
-    if kind == "gaussian":
-        return gen_psf("gaussian", m, max(m / 2.0, 1.0)).coefficients
+        return rng.standard_normal((2 * m + 1, 2 * m + 1)), None
     idx = np.arange(-m, m + 1, dtype=float)
+    if kind == "gaussian":
+        sigma = max(m / 2.0, 1.0)
+        g = np.exp(-idx ** 2 / (2.0 * sigma * sigma))
+        return gen_psf("gaussian", m, sigma).coefficients, (g / g.sum(),) * 2
     a = m + 1.0 - np.abs(idx)
     b = np.exp(-idx ** 2 / (2.0 * (m / 3.0 + 1.0) ** 2))
-    return np.outer(a / a.sum(), b / b.sum())
+    a, b = a / a.sum(), b / b.sum()
+    return np.outer(a, b), (a, b)
 
 
 @pytest.mark.parametrize("n", [5, 31, 32, 33, 127, 128, 129])
 @pytest.mark.parametrize("width", ["1", "n//4", "n-1"])
 @pytest.mark.parametrize("kind", ["random", "gaussian", "anisotropic"])
 def test_convolve_valid_matches_convolve2d(n, width, kind, rng, monkeypatch):
-    """The 2D helper against scipy's convolve2d: in ``apply``'s valid use
+    """The 2D helper against a long-double oracle: in ``apply``'s valid use
     on the padded input, and in ``apply_transpose``'s use, where the valid
     convolution of the input zero-padded by 2m is the full one.  The
     separable kernels convolve by their axis factors, with no ``einsum``;
-    the random one by the ``einsum``.  The oracle runs in long double: in
-    float64 its own rounding over the (2m+1)^2 taps reaches 2e-14 of the
-    output of a unit-sum kernel at m = 127, where the factored sums are
-    within 2e-15.  The full use at m = n - 1 for n >= 127 is left out:
-    ~1e10 multiply-adds, some 10 s each."""
+    the random one by the ``einsum``.  The oracle of a separable kernel is
+    two 1D convolutions by its factors, one per axis, in O(n^2 m); that of
+    the random kernel is scipy's convolve2d.  In float64 convolve2d's own
+    rounding over the (2m+1)^2 taps reaches 2e-14 of the output of a
+    unit-sum kernel at m = 127, where the factored sums are within 2e-15.
+    The random kernel's full use at m = n - 1 for n >= 127 is left out:
+    ~1e10 multiply-adds in convolve2d, some 10 s each."""
     m = {"1": 1, "n//4": max(n // 4, 1), "n-1": n - 1}[width]
-    h = convolution_kernel(kind, m, rng)
+    h, factors = convolution_kernel(kind, m, rng)
     u = rng.standard_normal((n, n))
     ext = np.pad(u, m, mode="reflect", reflect_type="odd")
 
     def oracle(x, mode):
-        wide = convolve2d(x.astype(np.longdouble), h.astype(np.longdouble),
-                          mode=mode)
-        return wide.astype(float)
+        x = x.astype(np.longdouble)
+        if factors is None:
+            return convolve2d(x, h.astype(np.longdouble), mode=mode).astype(float)
+        for axis, k in enumerate(factors):
+            x = np.apply_along_axis(np.convolve, axis, x,
+                                    k.astype(np.longdouble), mode)
+        return x.astype(float)
     uses = [(ext, oracle(ext, "valid"))]
-    if not (width == "n-1" and n >= 127):
+    if not (width == "n-1" and n >= 127 and factors is None):
         uses.append((np.pad(u, 2 * m), oracle(u, "full")))
     einsum, einsum_calls = np.einsum, []
 
@@ -418,10 +436,12 @@ def test_convolve_valid_matches_convolve2d(n, width, kind, rng, monkeypatch):
     assert len(einsum_calls) == (len(uses) if kind == "random" else 0)
 
 
-@pytest.mark.parametrize("n,m", [(5, 1), (33, 8), (64, 8), (129, 16)])
+@pytest.mark.parametrize("n,m", [(5, 1), (5, 4), (33, 8), (33, 32), (64, 8),
+                                 (129, 16)])
 @pytest.mark.parametrize("bc", ALL_BCS)
 def test_2d_apply_transpose_is_the_adjoint(n, m, bc, rng):
-    """<H x, y> = <x, H^T y> to rounding, at the prime-adjacent sizes too."""
+    """<H x, y> = <x, H^T y> to rounding, at the prime-adjacent sizes and
+    at the widest kernel, m = n - 1, too."""
     op = StructuredBlurOperator(gen_psf("gaussian", m, m / 2.0), bc, n)
     x = rng.standard_normal((n, n))
     y = rng.standard_normal((n, n))

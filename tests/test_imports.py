@@ -9,8 +9,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tvdeblur"
 
 #: (module, name) imported but unused: bench/spans.py patches these names
-#: to count transform calls, and the ROADMAP item "Observability built in"
-#: deletes them with it
+#: to count transform calls, and the ROADMAP item "Delete the benchmark's
+#: monkeypatching and the code kept for it" deletes them with it
 KEPT_FOR_THE_SPANS = {("blur", "apply_1d"), ("precond", "apply_1d"),
                       ("precond", "tensor_apply_2d")}
 

@@ -322,26 +322,39 @@ def _nan_after(apply_a, calls):
     (pcg, pcg_loop, True, "nan", SolverDivergenceError),
     (pbicgstab, pbicgstab_loop, False, "nan", SolverDivergenceError),
     (pbicgstab, pbicgstab_loop, False, "skew", SolverBreakdownError),
+    (pcg, pcg_loop, True, "rotated", SolverBreakdownError),
 ])
 def test_solver_errors_match_the_allocating_loop(solver, reference, symmetric,
                                                  shape, case, error):
     """Each error is raised at the reference loop's iteration, with its
-    message: nonpositive curvature, a NaN from the fourth apply on, and
-    a skew-symmetric operator, whose shadow angle vanishes at once."""
+    message: nonpositive curvature, a NaN from the fourth apply on,
+    a skew-symmetric operator, whose shadow angle vanishes at once, and a
+    preconditioner that rotates ``r = e_1`` by 90 degrees in the plane of
+    the first two coordinates, so that ``r . z`` is 0 from the start."""
     shape = _SHAPES[shape]
     apply_a, a = _system(shape, symmetric, seed=shape[0])
     b = np.random.default_rng(11).standard_normal(shape)
-    if case == "skew":  # from e_1, the shadow angle e_1 . (S e_1) is 0
-        a = a - a.T
+    if case in ("skew", "rotated"):
         b = np.zeros(shape)
         b.flat[0] = 1.0
+    if case == "skew":  # from e_1, the shadow angle e_1 . (S e_1) is 0
+        a = a - a.T
+
+    def rotated(w):
+        z = np.zeros_like(w)
+        z.flat[0], z.flat[1] = -w.flat[1], w.flat[0]
+        return z
     operators = {
         "negated": lambda: (lambda w: -apply_a(w)),
         "nan": lambda: _nan_after(apply_a, 4),
         "skew": lambda: (lambda w: (a @ w.ravel()).reshape(shape)),
+        "rotated": lambda: (lambda w: w),
     }
+    apply_minv = rotated if case == "rotated" else None
     config = KrylovConfig(tol=1e-14, max_iterations=50)
     err = _outcomes_match(
-        lambda: solver(operators[case](), None, b, np.zeros(shape), config),
-        lambda: reference(operators[case](), None, b, np.zeros(shape), config))
+        lambda: solver(operators[case](), apply_minv, b, np.zeros(shape),
+                       config),
+        lambda: reference(operators[case](), apply_minv, b, np.zeros(shape),
+                          config))
     assert isinstance(err, error)
