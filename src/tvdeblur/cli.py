@@ -1,5 +1,11 @@
 """Command-line interface: gen / restore / sweep / spectra.
 
+``spectra`` is the whole small-n clustering diagnostic: it probes the
+preconditioned matrix ``M^{-1} A`` of restore's first fixed-point step
+densely (1D, n <= 128), takes its eigenvalues with numpy's LAPACK binding,
+and writes them, a histogram of their real parts and the share within
+``CLUSTER_RADIUS`` of 1.
+
 Exit codes: 0 success; 2 on a ``ConfigurationError``, a bad setting or file;
 3 on a ``NumericalFailure`` or a restore that did not converge.
 """
@@ -9,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import harness
 from .blur import BoundaryCondition, save_psf
@@ -21,9 +29,10 @@ from .pipeline import (
     restore,
     unconverged_reason,
 )
-from .precond import CLUSTER_RADIUS, spectral_diagnostic
-from .transforms import probe_dense
 from .tv import DiffusionBc, DiffusionOperator
+
+#: spectra histogram bins, and the distance from 1 of a clustered eigenvalue
+_BINS, CLUSTER_RADIUS = 20, 0.1
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -106,26 +115,27 @@ def _cmd_spectra(args) -> int:
     if args.n > 128:
         raise ConfigurationError("spectra diagnostic is dense; use n <= 128")
     bc_h, bc_l, formulation, _ = CONFIGURATIONS[args.config]
-    spec = harness.BenchmarkSpec(
-        dimension=1, ns=(args.n,), nsr=args.nsr, seed=args.seed,
-    )
-    psf, observed, _ = harness.make_problem(spec, args.n)
+    spec, (psf, observed, _) = _make_problem(args)
     config = spec.restoration_config(bc_h, bc_l, formulation, args.precond,
                                      args.alpha, args.beta)
     out = harness.make_out_dir(args.out_dir)
     system = StepSystem(psf, config, observed)
     system.freeze(DiffusionOperator(observed, args.beta, bc_l))
-    # the operator and preconditioner of restore's first step
+    # the dense M^{-1} A of restore's first step, one unit vector per column
     apply_a, apply_minv, _, _, _ = system.krylov_problem(observed)
-    diag = spectral_diagnostic(
-        probe_dense(lambda w: apply_minv(apply_a(w)), observed.shape))
-    harness.write_csv(
-        out / "spectrum.csv", ("real", "imag"),
-        [(float(e.real), float(e.imag)) for e in diag.eigenvalues],
-    )
+    dense = np.column_stack([apply_minv(apply_a(e)) for e in np.eye(args.n)])
+    eigs = np.linalg.eigvals(dense)
+    eigs = eigs[np.argsort(eigs.real)]
+    hist, edges = np.histogram(eigs.real, bins=_BINS)
+    top = max(1, int(hist.max()))
+    harness.write_csv(out / "spectrum.csv", ("real", "imag"),
+                      [(float(e.real), float(e.imag)) for e in eigs])
     hist_path = out / "spectrum_histogram.txt"
-    hist_path.write_text("\n".join(diag.histogram_lines()) + "\n", encoding="ascii")
-    print(f"preconditioner {system.kind}: {diag.cluster_fraction:.1%} of "
+    hist_path.write_text("".join(
+        f"[{lo:+.4e}, {hi:+.4e})  {count:6d}  {'#' * round(50 * count / top)}\n"
+        for count, lo, hi in zip(hist, edges, edges[1:])), encoding="ascii")
+    cluster = float(np.mean(np.abs(eigs - 1.0) <= CLUSTER_RADIUS))
+    print(f"preconditioner {system.kind}: {cluster:.1%} of "
           f"eigenvalues within {CLUSTER_RADIUS} of 1; histogram -> {hist_path}")
     return 0
 
@@ -173,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--precond", default="d_x",
                            choices=("x", "d_x", "x_d"))
     p_spectra.add_argument("--out-dir", type=Path, default=Path("out"))
-    p_spectra.set_defaults(func=_cmd_spectra)
+    p_spectra.set_defaults(func=_cmd_spectra, dim=1, psf_m=None, psf_sigma=None)
     return parser
 
 

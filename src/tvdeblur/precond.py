@@ -267,48 +267,3 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
     # kind is the base or its D_ wrap here
     d_sqrt = np.sqrt(scaling_diagonal(l_op, alpha)) if kind != base else None
     return FactoredPreconditioner(kind, transform, eigs, alpha, d_sqrt=d_sqrt)
-
-
-# ---------------------------------------------------------------------------
-# small-n spectral diagnostics
-# ---------------------------------------------------------------------------
-
-
-#: histogram bins, and the distance from 1 of a clustered eigenvalue
-_BINS, CLUSTER_RADIUS = 20, 0.1
-
-
-@dataclass
-class SpectralDiagnostic:
-    """Eigenvalues of a dense preconditioned matrix plus a cluster summary."""
-
-    eigenvalues: np.ndarray
-    histogram: np.ndarray
-    bin_edges: np.ndarray
-    cluster_fraction: float
-
-    def histogram_lines(self) -> list[str]:
-        width = 50
-        top = max(1, int(self.histogram.max()))
-        lines = []
-        for count, lo, hi in zip(self.histogram, self.bin_edges, self.bin_edges[1:]):
-            bar = "#" * int(round(width * count / top))
-            lines.append(f"[{lo:+.4e}, {hi:+.4e})  {count:6d}  {bar}")
-        return lines
-
-
-def spectral_diagnostic(preconditioned: np.ndarray) -> SpectralDiagnostic:
-    """Eigenvalues of the dense ``M^{-1} A``, histogram and cluster-at-one report."""
-    from scipy.linalg import eigvals
-
-    eigs = eigvals(preconditioned)
-    real = np.real(eigs)
-    hist, edges = np.histogram(real, bins=_BINS)
-    fraction = float(np.mean(np.abs(eigs - 1.0) <= CLUSTER_RADIUS))
-    order = np.argsort(real)
-    return SpectralDiagnostic(
-        eigenvalues=eigs[order],
-        histogram=hist,
-        bin_edges=edges,
-        cluster_fraction=fraction,
-    )

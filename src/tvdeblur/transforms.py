@@ -322,20 +322,3 @@ def band_form(kind: TransformKind, band, offset: int, n: int) -> np.ndarray:
     if _takes_products(n, batched=band.ndim > 1):
         return band @ _band_products(kind, d, n)
     return _fft_band_form(kind, band, d, n)
-
-
-def probe_dense(apply, shape) -> np.ndarray:
-    """Dense matrix of the linear map ``apply`` on arrays of ``shape``.
-
-    Column k is the image of the k-th unit vector (row-major order).  Desk
-    scale only: at most 4096 unknowns.
-    """
-    size = int(np.prod(shape))
-    if size > 4096:
-        raise ConfigurationError(f"dense probing is limited to 4096 unknowns, got {size}")
-    out = np.empty((size, size))
-    for k in range(size):
-        e = np.zeros(size)
-        e[k] = 1.0
-        out[:, k] = apply(e.reshape(shape)).reshape(-1)
-    return out

@@ -3,7 +3,8 @@
 These are intentionally independent of the package's fast paths: transforms
 come from their entry formulas, blur matrices from the scalar boundary rules
 and the convolution sum, diffusion matrices from the stencil definition.
-:func:`dense_of` probes an operator's reference apply column by column,
+:func:`probe_dense` is a linear map's dense matrix, one unit vector per
+column; :func:`dense_of` probes an operator's reference apply with it,
 :func:`dense_preconditioner` a factored preconditioner's apply, and
 :func:`el_residual` is the optimality residual on the reference applies.
 :func:`pcg_loop` and :func:`pbicgstab_loop` are the Krylov solvers with an
@@ -22,14 +23,32 @@ import numpy as np
 from scipy import fft
 
 from tvdeblur.krylov import (
+    ConfigurationError,
     IndefiniteOperatorError,
     KrylovConfig,
     SolveOutcome,
     SolverBreakdownError,
     SolverDivergenceError,
 )
-from tvdeblur.transforms import TransformKind, probe_dense
+from tvdeblur.transforms import TransformKind
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
+
+
+def probe_dense(apply, shape) -> np.ndarray:
+    """Dense matrix of the linear map ``apply`` on arrays of ``shape``.
+
+    Column k is the image of the k-th unit vector (row-major order).  Desk
+    scale only: at most 4096 unknowns.
+    """
+    size = int(np.prod(shape))
+    if size > 4096:
+        raise ConfigurationError(f"dense probing is limited to 4096 unknowns, got {size}")
+    out = np.empty((size, size))
+    for k in range(size):
+        e = np.zeros(size)
+        e[k] = 1.0
+        out[:, k] = apply(e.reshape(shape)).reshape(-1)
+    return out
 
 
 def dense_of(op) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
-from tvdeblur import cli, harness
+from tvdeblur import cli, harness, transforms
 from tvdeblur.cli import main as cli_main
 from tvdeblur.pipeline import CONFIGURATIONS
 from tvdeblur.harness import (
@@ -769,7 +769,7 @@ def test_cli_sweep_and_spectra(tmp_path):
     assert cli_main(["spectra", "--n", "48", "--out-dir", str(out2)]) == 0
     header, *rows = read_rows(out2 / "spectrum.csv")
     assert header == ["real", "imag"] and len(rows) == 48
-    assert (out2 / "spectrum_histogram.txt").read_text().count("\n") >= 10
+    assert (out2 / "spectrum_histogram.txt").read_text().count("\n") == 20
 
 
 def test_cli_spectra_x_d_probes_the_scaled_system(tmp_path, capsys):
@@ -842,22 +842,31 @@ def test_cli_sweep_names_n_below_the_smallest_grid(tmp_path, capsys):
 _UNUSED_AT_IMPORT = ("scipy.signal", "scipy.stats", "scipy.fft",
                      "scipy.special", "numpy.f2py")
 
+# after the import, one spectra run (its arguments are the script's): the
+# exit code, then every scipy module loaded but pocketfft's binding
 _IMPORT_CLI = f"""
-import sys
+import contextlib, io, sys
 import tvdeblur.cli
 print(" ".join(m for m in {_UNUSED_AT_IMPORT!r} if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    print(tvdeblur.cli.main(sys.argv[1:]), file=sys.stderr)
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"
+               and m != {transforms._BINDING_NAME!r}))
 """
 
 
-def test_cli_import_leaves_out_unused_scipy_and_numpy_packages():
+def test_cli_import_leaves_out_unused_scipy_and_numpy_packages(tmp_path):
     """scipy.signal (which loads scipy.stats) and the scipy.fft package
     (scipy.special, numpy.f2py) would be most of a cold start's import
     time; the package convolves in numpy and loads pocketfft's binding
-    from its file instead."""
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI],
+    from its file instead.  A spectra run adds no scipy module either: its
+    eigenvalues come from numpy, not ``scipy.linalg``."""
+    argv = ["spectra", "--n", "48", "--out-dir", str(tmp_path / "spectra")]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stderr == "0\n"
+    assert proc.stdout.splitlines() == ["", ""]
 
 
 def test_cli_entry_point_runs():

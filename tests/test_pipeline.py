@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import probe_dense
 from tvdeblur import pipeline
 from tvdeblur.blur import (
     FAST_TRANSFORMS,
@@ -40,7 +41,7 @@ from tvdeblur.precond import (
     InvalidScalingError,
     assemble_preconditioner,
 )
-from tvdeblur.transforms import TransformKind, apply_1d, probe_dense
+from tvdeblur.transforms import TransformKind, apply_1d
 from tvdeblur.tv import MIN_BETA, DiffusionBc, DiffusionOperator
 
 

@@ -16,7 +16,6 @@ from tvdeblur.precond import (
     IndefinitePreconditionerError,
     assemble_preconditioner,
     project,
-    spectral_diagnostic,
 )
 from tvdeblur.transforms import TransformKind
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
@@ -498,21 +497,3 @@ def test_clamping_logs_warning(caplog):
         fp = FactoredPreconditioner("R", TransformKind.DCT, lam, alpha=1e-3)
     assert any("clamped" in rec.message for rec in caplog.records)
     assert np.all(np.isfinite(fp.apply_inverse(np.ones(3))))
-
-
-def test_spectral_diagnostic_runs_at_n64():
-    rng = np.random.default_rng(4)
-    n = 64
-    psf = SymmetricPsf(np.full(5, 0.2))
-    h_op = StructuredBlurOperator(psf, BoundaryCondition.REFLECTIVE, n)
-    l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
-    alpha = 1e-3
-    h = oracles.dense_of(h_op)
-    a = h.T @ h + alpha * oracles.dense_of(l_op)
-    m = oracles.dense_preconditioner(
-        assemble_preconditioner("D_R", h_op, l_op, alpha))
-    diag = spectral_diagnostic(np.linalg.solve(m, a))
-    assert diag.eigenvalues.shape == (n,)
-    lines = diag.histogram_lines()
-    assert len(lines) == len(diag.histogram)
-    assert 0.0 <= diag.cluster_fraction <= 1.0
