@@ -16,9 +16,14 @@ separable Gaussian and its fast blur BCs never take:
   0.01 (labels ``R+disk8`` and ``AR+Reblur+AR+disk8``).
 
 No label of these cells is a configuration of the sweep, so their keys
-cannot collide with its cells.
+cannot collide with its cells.  Twelve spectra records follow: ``tvdeblur
+spectra`` at 1D n=48 for the 4 configurations x ``x``, ``d_x``, ``x_d``
+(its defaults otherwise), run through ``cli.main`` into a temporary
+directory.  Each holds the sha256 of ``spectrum.csv``, of
+``spectrum_histogram.txt`` and of the printed line with the directory cut
+out; their labels, ``spectra <configuration>``, name no restore cell.
 
-It prints one record per cell: the sha256 of
+It prints one record per restore cell: the sha256 of
 ``restored.tobytes()``, the per-step inner iterations, the fixed-point
 steps, the RRE, the per-step and final gradient norms, or the failure of
 a starred cell.  Two checkouts restore identically when their outputs are
@@ -30,20 +35,32 @@ equal:
 record differs: a failure; else the fixed-point steps or, with equal
 steps, the inner iterations (total, and the largest move on one step),
 each with the RRE's relative change; else the RRE alone, the restored
-bytes only, or the gradient norms only.  It exits 0 when every cell is
+bytes only, or the gradient norms only.  For a spectra record it names
+the outputs that differ.  It exits 0 when every cell is
 identical and 1 otherwise:
 
     python3 scripts/restore_digest.py --compare parent.json change.json
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 SELECTORS = ("none", "diag", "x", "d_x", "x_d")
 KEY = ("dim", "n", "config", "alpha", "selector")
+#: field of a spectra record -> the output it fingerprints
+SPECTRA_OUTPUTS = {"spectrum": "spectrum.csv",
+                   "histogram": "spectrum_histogram.txt",
+                   "line": "printed line"}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _record(key: tuple, report, failure: str | None) -> dict:
@@ -54,11 +71,30 @@ def _record(key: tuple, report, failure: str | None) -> dict:
         record["failure"] = failure
     else:
         record.update(
-            sha256=hashlib.sha256(report.restored.tobytes()).hexdigest(),
+            sha256=_sha256(report.restored.tobytes()),
             inner_iterations=report.inner_iterations,
             fp_steps=report.fp_steps, rre=report.rre,
             gradient_norms=report.gradient_norms,
             final_gradient_norm=report.final_gradient_norm)
+    return record
+
+
+def _spectra_record(config: str, selector: str) -> dict:
+    """The record of ``tvdeblur spectra`` at 1D n=48 for one configuration
+    and selector, run through ``cli.main`` into a temporary directory."""
+    from tvdeblur.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "spectra"
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            main(["spectra", "--n", "48", "--config", config, "--precond",
+                  selector, "--out-dir", str(out)])
+        record = dict(zip(KEY, (1, 48, f"spectra {config}", 1e-3, selector)))
+        record.update(
+            spectrum=_sha256((out / "spectrum.csv").read_bytes()),
+            histogram=_sha256((out / "spectrum_histogram.txt").read_bytes()),
+            line=_sha256(printed.getvalue().replace(str(out), "").encode()))
     return record
 
 
@@ -112,6 +148,8 @@ def digest() -> list:
                                             "x_d", 1e-2, 0.01)
         records.append(run((2, 64, f"{label}+disk8", 1e-2, "x_d"), problem,
                            config))
+    records += [_spectra_record(label, selector)
+                for label in CONFIGURATIONS for selector in ("x", "d_x", "x_d")]
     return records
 
 
@@ -123,6 +161,10 @@ def describe(old: dict, new: dict) -> str | None:
     """How the record ``new`` of one cell differs from ``old``, or None."""
     if old == new:
         return None
+    if "line" in old:
+        return "spectra " + ", ".join(
+            output for field, output in SPECTRA_OUTPUTS.items()
+            if old[field] != new[field])
     if "failure" in old or "failure" in new:
         return f"failure {old.get('failure')!r} -> {new.get('failure')!r}"
     parts = []

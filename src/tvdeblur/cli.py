@@ -126,10 +126,10 @@ def _cmd_spectra(args) -> int:
     dense = np.column_stack([apply_minv(apply_a(e)) for e in np.eye(args.n)])
     eigs = np.linalg.eigvals(dense)
     eigs = eigs[np.argsort(eigs.real)]
-    hist, edges = np.histogram(eigs.real, bins=_BINS)
-    top = max(1, int(hist.max()))
     harness.write_csv(out / "spectrum.csv", ("real", "imag"),
                       [(float(e.real), float(e.imag)) for e in eigs])
+    hist, edges = np.histogram(eigs.real, bins=_BINS)
+    top = max(1, int(hist.max()))
     hist_path = out / "spectrum_histogram.txt"
     hist_path.write_text("".join(
         f"[{lo:+.4e}, {hi:+.4e})  {count:6d}  {'#' * round(50 * count / top)}\n"

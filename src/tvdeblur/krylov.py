@@ -13,7 +13,10 @@ cells as ``*``.
 BiCGstab is right-preconditioned (it iterates on ``A M^{-1}``), so the
 residual entering the stopping rule is the true residual of the original
 system.  Genuine breakdowns (vanishing recurrence scalars) raise
-:class:`SolverBreakdownError` with the offending iteration.
+:class:`SolverBreakdownError` with the offending iteration.  BiCGstab's
+two products with the shadow residual, ``rho`` and the shadow angle, are of
+the order ``||r_0||^2`` and vanish below ``1e-30 ||r_0||^2``, so a system
+whose right-hand side is scaled by a power of two takes the same steps.
 
 Each error the package raises, a missing scipy's ImportError aside, derives
 from one of two bases, and callers catch by base: :class:`ConfigurationError`
@@ -197,7 +200,7 @@ def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig())
         p_hat = apply_minv(p)
         v = apply_a(p_hat)
         denom = _dot(r_shadow, v)
-        if abs(denom) < 1e-300:
+        if abs(denom) < 1e-30 * r0_norm * r0_norm:
             raise SolverBreakdownError("pbicgstab", k, "shadow angle vanished")
         alpha = rho_next / denom
         r -= np.multiply(alpha, v, out=work)  # r holds s = r - alpha v

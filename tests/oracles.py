@@ -446,7 +446,7 @@ def pbicgstab_loop(apply_a, apply_minv, b, x0,
         p_hat = apply_minv(p)
         v = apply_a(p_hat)
         denom = _loop_dot(r_shadow, v)
-        if abs(denom) < 1e-300:
+        if abs(denom) < 1e-30 * r0_norm * r0_norm:
             raise SolverBreakdownError("pbicgstab", k, "shadow angle vanished")
         alpha = rho_next / denom
         s = r - alpha * v

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -314,6 +315,56 @@ def test_large_data_restores():
     report = restore(1e150 * observed, psf, cfg, u_true=1e150 * u_true)
     assert report.fp_converged and report.inner_converged
     assert np.all(np.isfinite(report.restored)) and np.isfinite(report.rre)
+
+
+#: dimension -> (n, alpha, beta) of the power-of-two scaling cells
+_SCALING_CELLS = {1: (64, 1e-3, 0.1), 2: (32, 1e-2, 0.01)}
+
+
+@lru_cache(maxsize=None)
+def scaled_restore(dim, label, selector, c):
+    """One cell's restore with its data, alpha, beta and u_true scaled by
+    ``c``.  With ``u`` and beta scaled by c, ``alpha L(u)`` is unchanged, so
+    each step solves the unit-scale system with a right-hand side c times
+    as large."""
+    n, alpha, beta = _SCALING_CELLS[dim]
+    spec = BenchmarkSpec(dimension=dim, ns=(n,))
+    psf, observed, u_true = make_problem(spec, n)
+    config = spec.restoration_config(*pipeline.CONFIGURATIONS[label][:3],
+                                     selector, c * alpha, c * beta)
+    return restore(c * observed, psf, config, u_true=c * u_true)
+
+
+@pytest.mark.parametrize("c", [2.0 ** -400, 2.0 ** -64, 2.0 ** 64],
+                         ids=["2^-400", "2^-64", "2^64"])
+@pytest.mark.parametrize("selector", [s.value for s in PrecondSelector])
+@pytest.mark.parametrize("label", list(pipeline.CONFIGURATIONS))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_restore_is_equivariant_under_power_of_two_scaling(dim, label,
+                                                           selector, c):
+    """Scaling by a power of two is exact in floating point, so the
+    restore of the scaled problem is the unit-scale restore times c, in
+    the same per-step iterations."""
+    unit = scaled_restore(dim, label, selector, 1.0)
+    scaled = scaled_restore(dim, label, selector, c)
+    assert scaled.restored.tobytes() == (c * unit.restored).tobytes()
+    assert scaled.inner_iterations == unit.inner_iterations
+    assert scaled.rre == unit.rre
+    assert scaled.gradient_norms == [c * g for g in unit.gradient_norms]
+    assert scaled.final_gradient_norm == c * unit.final_gradient_norm
+
+
+@pytest.mark.parametrize("selector", ["x", "d_x", "x_d"])
+@pytest.mark.parametrize("label", ["AR+Reblur+ZN", "AR+Reblur+AR"])
+def test_bicgstab_takes_the_unit_scale_steps_at_2_to_the_minus_500(label,
+                                                                  selector):
+    """BiCGstab's shadow angle ``r0 . v`` is of the order ``||r0||^2``,
+    here 2^-1000 = 9.3e-302 times its unit-scale value; it vanishes
+    relative to that scale, as ``rho`` does, not below an absolute 1e-300."""
+    unit = scaled_restore(1, label, selector, 1.0)
+    tiny = scaled_restore(1, label, selector, 2.0 ** -500)
+    assert tiny.fp_steps == unit.fp_steps
+    assert tiny.inner_iterations == unit.inner_iterations
 
 
 def test_oversized_data_fails_before_any_operator(monkeypatch):

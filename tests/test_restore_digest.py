@@ -60,3 +60,21 @@ def test_compare_exit_code_and_lines(tmp_path, capsys):
     assert restore_digest.main(["--compare", str(paths[0]),
                                 str(paths[0])]) == 0
     assert capsys.readouterr().out == "0 of 3 cells differ\n"
+
+
+def spectra_record(**changes):
+    cell = {"dim": 1, "n": 48, "config": "spectra R", "alpha": 0.001,
+            "selector": "x", "spectrum": "aa", "histogram": "bb",
+            "line": "cc"}
+    cell.update(changes)
+    return cell
+
+
+@pytest.mark.parametrize("changes,line", [
+    ({}, None),
+    ({"histogram": "dd"}, "spectra spectrum_histogram.txt"),
+    ({"spectrum": "dd", "line": "dd"}, "spectra spectrum.csv, printed line"),
+])
+def test_describe_names_the_spectra_outputs_that_differ(changes, line):
+    assert restore_digest.describe(spectra_record(),
+                                   spectra_record(**changes)) == line
