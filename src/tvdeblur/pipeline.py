@@ -332,13 +332,30 @@ def _check_reference(data: tuple, u_true: np.ndarray) -> None:
         problem = "u_true must have the data's shape"
     elif not np.all(np.isfinite(u_true)):
         problem = "u_true must be finite"
-    elif np.linalg.norm(u_true.ravel()) == 0:
+    elif not np.any(u_true):
         problem = "u_true must have nonzero norm"
     else:
         return
     raise ConfigurationError(
         f"{problem}: data shape {data}, u_true shape {u_true.shape}"
     )
+
+
+def _scaled_norm(x: np.ndarray) -> tuple[float, int]:
+    """``(||x|| 2^-e, e)`` with ``2^e`` the power of two of ``max|x|``
+    (``np.frexp``): the division is exact, and no square under- or
+    overflows."""
+    exponent = int(np.frexp(np.max(np.abs(x)))[1])
+    return float(np.linalg.norm(np.ldexp(x, -exponent).ravel())), exponent
+
+
+def _rre(u: np.ndarray, u_true: np.ndarray) -> float:
+    """``||u - u_true|| / ||u_true||`` from the two scaled norms: at any
+    scale it is the unit-scale ratio, bit for bit, unless the difference
+    or the ratio itself leaves the normal range."""
+    error, e_error = _scaled_norm(u - u_true)
+    norm, e_norm = _scaled_norm(u_true)
+    return float(np.ldexp(error / norm, e_error - e_norm))
 
 
 def restore(v, psf: SymmetricPsf, config: RestorationConfig,
@@ -399,10 +416,7 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
         system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
         final_gradient = float(np.linalg.norm(el_residual(system, u).ravel()))
 
-        rre = None
-        if u_true is not None:
-            rre = float(np.linalg.norm((u - u_true).ravel())
-                        / np.linalg.norm(u_true.ravel()))
+        rre = None if u_true is None else _rre(u, u_true)
 
         return RestorationReport(
             restored=u,

@@ -367,6 +367,25 @@ def test_bicgstab_takes_the_unit_scale_steps_at_2_to_the_minus_500(label,
     assert tiny.inner_iterations == unit.inner_iterations
 
 
+@pytest.mark.parametrize("c", [2.0 ** -500, 2.0 ** -548, 2.0 ** -1000],
+                         ids=["2^-500", "2^-548", "2^-1000"])
+def test_rre_of_a_tiny_reference_is_its_unit_scale_value(c):
+    """Below about 1e-162 the sum of squares of a unit-scale ``u_true``
+    times c underflows to 0; such a ``u_true`` is still accepted, and at
+    every scale the RRE is the unit-scale RRE of ``restored / c`` against
+    ``u_true``, to the bit (the data and ``u_true`` are scaled by c, alpha
+    and beta not)."""
+    n, alpha, beta = _SCALING_CELLS[1]
+    spec = BenchmarkSpec(dimension=1, ns=(n,))
+    psf, observed, u_true = make_problem(spec, n)
+    config = spec.restoration_config(*pipeline.CONFIGURATIONS["R"][:3], "x",
+                                     alpha, beta)
+    report = restore(c * observed, psf, config, u_true=c * u_true)
+    unit = (np.linalg.norm(report.restored / c - u_true)
+            / np.linalg.norm(u_true))
+    assert report.rre == unit
+
+
 def test_oversized_data_fails_before_any_operator(monkeypatch):
     """At 1e160 the data norm exceeds sqrt(finfo(float).max), and PCG's
     first inner product would overflow."""
