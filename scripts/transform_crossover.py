@@ -6,9 +6,12 @@ band forms and the data term, and the 1D data term against its dense matrix.
 2D tensor applies, by the length and by whether the input is a batch; the
 bounds it reads are printed first.  The first table gives, for each
 transform kind and grid side n, the best-of-k time of one forward 2D
-tensor apply done two ways: the 1D pocketfft transform along each axis,
-and the two products ``m @ G @ m.T`` with the cached dense matrix ``m`` of
-the 1D apply.
+tensor apply done three ways: the 1D pocketfft transform along each axis;
+the two products ``m @ G @ m.T`` with the cached dense matrix ``m`` of the
+1D apply, which no library path takes any more and which stays here as the
+reference; and ``transforms.parity_apply_2d``, the half-size block
+products in the parity layout that the library takes up to the batch
+bound.  Its ratio is the per-axis time over the parity time.
 
 The second table gives the best-of-k time of one 2D
 ``assemble_preconditioner`` call for R, R_D, M_D and P_D, with the band
@@ -234,7 +237,8 @@ def main() -> None:
     print(f"products up to n = {transforms._VECTOR_MAX_N} for one vector, "
           f"n = {transforms._BATCH_MAX_N} for a batch or a 2D grid")
     print(f"\n2D tensor apply, best of {args.repeats}, us")
-    print(f"{'kind':<16}{'n':>5}{'per-axis':>11}{'matrix':>11}{'ratio':>8}")
+    print(f"{'kind':<16}{'n':>5}{'per-axis':>11}{'matrix':>11}"
+          f"{'parity':>11}{'ratio':>8}")
     sizes = args.sizes or SIZES
     rng = np.random.default_rng(0)
     for kind in TransformKind:
@@ -245,8 +249,10 @@ def main() -> None:
                 lambda: apply_1d(kind, apply_1d(kind, g.T).T),
                 args.repeats)
             product = best_us(lambda: m @ g @ m.T, args.repeats)
+            parity = best_us(lambda: transforms.parity_apply_2d(kind, g),
+                             args.repeats)
             print(f"{kind.value:<16}{n:>5}{per_axis:>11.1f}{product:>11.1f}"
-                  f"{per_axis / product:>8.2f}")
+                  f"{parity:>11.1f}{per_axis / parity:>8.2f}")
     print(f"\nassemble_preconditioner, best of {args.repeats}, ms")
     assembly_table(sizes, args.repeats)
     print(f"\nvector band form, best of {args.repeats}, us")

@@ -25,6 +25,12 @@ matrix of :func:`pad_extend`; the reference transpose is ``E^T C^T``, with
 the extensions in ``FAST_TRANSFORMS``, is one :func:`diagonalized` apply
 and must agree with the reference to rounding.
 :func:`diagonalized` binds the transform bodies and the eigenvalues once.
+A 2D fast apply runs its transforms in the parity layout of
+``transforms.parity_apply_2d`` up to n = 144: the flip i -> n-1-i splits
+each axis into a symmetric and an antisymmetric half, two half-size block
+products; the two border eigenvalues of a bordered kind, which differ in
+the bordered sine algebra (the border pair enters the layout as its sum
+and difference), are scaled on the pair unmixed, an O(n) fix-up.
 No apply here, reference or fast, 1D or 2D, writes into its argument.
 
 A separable 2D kernel ``h = a b^T`` (:meth:`SymmetricPsf.factors`) blurs
@@ -45,12 +51,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .krylov import ConfigurationError
-# apply_1d stays importable here for bench/spans.py
+# apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import (  # noqa: F401
     TransformKind,
     apply_1d,
     body_1d,
     tensor_apply_2d,
+    tensor_diagonalized,
 )
 
 
@@ -84,15 +91,17 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
 
     For 1D ``lam`` the analysis, the scaling by ``lam`` and the synthesis
     run in place on one copy of the array, with the transform bodies bound
-    here once.  For a 2D ``lam`` they are the tensor transforms, which
-    allocate.
+    here once.  For a 2D ``lam`` it is ``transforms.tensor_diagonalized``,
+    whose tensor transforms allocate: up to n = 144 the half-size block
+    products of the parity layout, with ``lam`` permuted into the layout
+    once and a bordered kind's border pairs unmixed around the scaling
+    where their eigenvalues differ; above, the per-axis FFTs.
     """
+    if lam.ndim == 2:
+        return tensor_diagonalized(kind, lam, transpose)
     # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
     # synthesis, X or X^{-T}
     into, back = (not transpose, transpose), (transpose, transpose)
-    if lam.ndim == 2:
-        return lambda g: tensor_apply_2d(
-            kind, lam * tensor_apply_2d(kind, g, *into), *back)
     analysis = body_1d(kind, *into, lam.shape[0])
     synthesis = body_1d(kind, *back, lam.shape[0])
 

@@ -41,18 +41,33 @@ applications are safe to share across threads.
 Band forms diag(X^T A X), the algebra projections' eigenvalues, add
 ``sum_i band[i] X[i, t] X[i + d, t]`` for all t per band at offset d of
 ``A`` (:func:`band_form`).  One rule, ``_takes_products``, picks for them
-and for the 2D tensor applies between products with a cached dense n x n
-matrix, whose cost does not depend on how n factors, and FFTs, which form
-nothing dense.  Both bounds were measured by
-scripts/transform_crossover.py.  A batch (a 2D grid is a batch of rows)
-takes products up to n = 144: there the products match or beat the
-per-axis FFTs for the sine-based kinds at every n measured (at n = 128 the
-anti-reflective DST-I is a length-254 FFT), and the DCT loses up to 27% as
-a product at smooth n from 120 to 144 and 30-52% above.  One vector takes
-them up to n = 384: a vector band form of the DCT or the DST-I at offset 1
-took 7-19 us as a product for n = 201 to 384 against 15-50 us as an FFT,
-and 47-55 against 23-28 us at n = 512 (one thread).  A cached matrix at
-n = 384 holds 1.1 MB.
+and for the 2D tensor applies between products with cached matrices,
+whose cost does not depend on how n factors, and FFTs, which form nothing
+dense.  Both bounds were measured by scripts/transform_crossover.py.  A
+batch (a 2D grid is a batch of rows) takes products up to n = 144: there
+the dense products matched or beat the per-axis FFTs for the sine-based
+kinds at every n measured (at n = 128 the anti-reflective DST-I is a
+length-254 FFT), and the DCT lost up to 27% as a product at smooth n from
+120 to 144 and 30-52% above.  One vector takes them up to n = 384: a
+vector band form of the DCT or the DST-I at offset 1 took 7-19 us as a
+product for n = 201 to 384 against 15-50 us as an FFT, and 47-55 against
+23-28 us at n = 512 (one thread).  A cached matrix at n = 384 holds 1.1 MB.
+
+The 2D products run in the parity layout (Cantoni and Butler's
+block-diagonalization of a centrosymmetric matrix, Linear Algebra Appl. 13,
+1976).  The flip i -> n-1-i maps each basis vector of every kind to plus
+or minus itself, except the two border vectors of the bordered kinds, which
+it swaps.  So with the samples paired by the butterfly (the sums and the
+differences of samples i and n-1-i) and the spectral index in parity order
+(:func:`parity_order`; a bordered kind's border pair as its sum and its
+difference over sqrt 2), each 1D apply is two half-size blocks, cached by
+:func:`_parity_blocks`.  :func:`parity_apply_2d` runs a 2D analysis or
+synthesis on them at half the flops of the n x n products, and leaves the
+spectrum in the parity layout; :func:`tensor_diagonalized` scales it
+there, with the eigenvalues permuted once, and :func:`tensor_apply_2d`
+gathers it into natural order.  Where a bordered kind's two border
+eigenvalues differ, :func:`tensor_diagonalized` takes the border pairs back
+to their natural values for the scaling (:func:`_mix_border_pairs`, O(n)).
 """
 
 from __future__ import annotations
@@ -138,6 +153,18 @@ def _ar_corrections(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q_left, q_right
 
 
+def _check_length(kind: TransformKind, n: int) -> None:
+    """Reject an unknown kind, and a length the kind cannot take."""
+    if not isinstance(kind, TransformKind):
+        raise ConfigurationError(f"unknown transform kind: {kind!r}")
+    if kind in _BORDERED:
+        if n < MIN_BORDERED_N:
+            raise ConfigurationError(f"{_BORDERED[kind]} requires length >= "
+                                     f"{MIN_BORDERED_N}, got {n}")
+    elif n == 0:
+        raise ConfigurationError("transform input must be non-empty")
+
+
 @lru_cache(maxsize=64)
 def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     """The one body of the 1D apply of ``kind`` with these flags at length n.
@@ -165,14 +192,7 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     sets the summation order, as it does in ``scipy.fft``'s reference
     form; for a 1D ``v`` there is one order.
     """
-    if not isinstance(kind, TransformKind):
-        raise ConfigurationError(f"unknown transform kind: {kind!r}")
-    if kind in _BORDERED:
-        if n < MIN_BORDERED_N:
-            raise ConfigurationError(f"{_BORDERED[kind]} requires length >= "
-                                     f"{MIN_BORDERED_N}, got {n}")
-    elif n == 0:
-        raise ConfigurationError("transform input must be non-empty")
+    _check_length(kind, n)
     if kind is TransformKind.DST1:
         return lambda v, out: _dst1(out, out)
     if kind is TransformKind.DCT:
@@ -247,24 +267,224 @@ def _matrix_1d(kind: TransformKind, inverse: bool, transpose: bool,
     return m
 
 
-def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
-                    transpose: bool = False) -> np.ndarray:
-    """Apply the tensor product X (x) X to a square grid.
+@lru_cache(maxsize=16)
+def parity_order(kind: TransformKind, n: int) -> np.ndarray:
+    """Read-only natural spectral index of each slot of the parity layout.
 
-    For a grid G this computes ``X G X^T`` and its inverse/transpose
-    variants: the two products ``m @ G @ m.T`` with the cached matrix ``m``
-    of the 1D apply where the rule takes products, else the 1D transform
-    over all columns (the rows of ``G^T``) and then over all rows.
+    The symmetric half comes first: the even indices of the DCT and the
+    DST-I, and for the bordered kinds the border pair, then the odd
+    interior indices.  The antisymmetric half follows from slot
+    ``ceil(n/2)``: the odd indices, or the border pair and the even
+    interior indices.  A bordered kind's slots 0 and ``ceil(n/2)`` hold
+    the border pair (natural indices 0 and n-1) as its sum and its
+    difference over sqrt 2 (:func:`_mix_border_pairs`).
     """
+    _check_length(kind, n)
+    if kind in _BORDERED:
+        plus, minus = [0, *range(1, n - 1, 2)], [n - 1, *range(2, n - 1, 2)]
+    else:
+        plus, minus = range(0, n, 2), range(1, n, 2)
+    order = np.array([*plus, *minus])
+    order.setflags(write=False)
+    return order
+
+
+#: the orthogonal, symmetric 2 x 2 sum and difference over sqrt 2
+_MIX = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
+_MIX.setflags(write=False)
+
+
+def _mix_rows(pair: np.ndarray) -> None:
+    """Replace the two rows of ``pair`` by their sum and difference over
+    sqrt 2, in place."""
+    pair[...] = _MIX @ pair
+
+
+def _mix_border_pairs(y: np.ndarray) -> None:
+    """Take the border pair of a bordered kind's n x n grid, on both axes,
+    between its natural values and its sum and difference over sqrt 2, in
+    place: slots 0 and ``ceil(n/2)`` of each axis (:func:`parity_order`).
+    The map is its own inverse, and O(n)."""
+    p = (y.shape[0] + 1) // 2
+    _mix_rows(y[::p])
+    _mix_rows(y[:, ::p].T)
+
+
+def _synthesizes(inverse: bool, transpose: bool) -> bool:
+    """Whether the apply with these flags is a synthesis, ``X`` or
+    ``X^{-T}``, which takes a spectrum to samples; ``X^{-1}`` and ``X^T``
+    analyze.  (The DST-I and Shat ignore the flags and are exact either
+    way.)"""
+    return inverse == transpose
+
+
+@lru_cache(maxsize=64)
+def _parity_blocks(kind: TransformKind, inverse: bool, transpose: bool,
+                   n: int) -> np.ndarray:
+    """Read-only 2 x p x p stack of the two blocks of the 1D apply with
+    these flags in the parity layout, p = ceil(n/2): the symmetric block,
+    then the antisymmetric one, of order floor(n/2), padded with a zero row
+    and column for odd n.  An analysis stores each block transposed, as
+    its step multiplies by it from the right.
+
+    With the spectral index in parity order (the border pair mixed) the
+    cached matrix of a synthesis pairs row n-1-i with block row i, plus in
+    the symmetric columns and minus in the antisymmetric ones; the columns
+    of an analysis pair the same way.  So a synthesis is the two block
+    products followed by the sums and differences of their rows, and an
+    analysis takes the sums and differences of the samples first.
+    """
+    m = _matrix_1d(kind, inverse, transpose, n)
+    order = parity_order(kind, n)
+    h, p = n // 2, (n + 1) // 2
+    if _synthesizes(inverse, transpose):
+        m = m[:, order]
+        if kind in _BORDERED:
+            _mix_rows(m[:, ::p].T)
+        plus, minus = m[:p, :p], m[:h, p:]
+    else:
+        m = m[order]
+        if kind in _BORDERED:
+            _mix_rows(m[::p])
+        plus, minus = m[:p, :p].T, m[p:, :h].T
+    blocks = np.zeros((2, p, p))
+    blocks[0] = plus
+    blocks[1, :h, :h] = minus
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _analysis_step(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The analysis along axis 0 of ``x``, transposed: the sums and the
+    differences of rows i and n-1-i, then one batched product with the
+    transposed blocks."""
+    n, k = x.shape
+    h, p = n // 2, blocks.shape[1]
+    u = np.empty((2, p, k))
+    top, bottom = x[:h], x[n - 1:n - 1 - h:-1]
+    np.add(top, bottom, out=u[0, :h])
+    np.subtract(top, bottom, out=u[1, :h])
+    if p > h:  # the middle sample, and the zero pad of the differences
+        u[0, h] = x[h]
+        u[1, h] = 0.0
+    out = np.empty((k, 2 * p))
+    np.matmul(u.transpose(0, 2, 1), blocks,
+              out=out.reshape(k, 2, p).transpose(1, 0, 2))
+    return out[:, :n]
+
+
+def _synthesis_step(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The synthesis along axis 1 of ``x``, transposed: the two block
+    products, then rows i and n-1-i as the sum and the difference of
+    their results."""
+    k, n = x.shape
+    h, p = n // 2, blocks.shape[1]
+    plus = blocks[0] @ x[:, :p].T
+    minus = blocks[1, :h, :h] @ x[:, p:].T
+    out = np.empty((n, k))
+    np.add(plus[:h], minus, out=out[:h])
+    np.subtract(plus[:h], minus, out=out[n - 1:n - 1 - h:-1])
+    out[h:p] = plus[h:p]
+    return out
+
+
+def _square_grid(g) -> np.ndarray:
+    """``g`` as a float array, rejected unless it is a square grid."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ConfigurationError(f"tensor transform needs a square grid, got shape {g.shape}")
+    return g
+
+
+def parity_apply_2d(kind: TransformKind, g, inverse: bool = False,
+                    transpose: bool = False) -> np.ndarray:
+    """Apply the tensor product X (x) X to a square grid in the parity
+    layout, with the blocks of :func:`_parity_blocks`.
+
+    An analysis (``X^{-1}``, ``X^T``) takes samples to a spectrum in the
+    parity layout on both axes, a synthesis (``X``, ``X^{-T}``) takes
+    such a spectrum to samples.  Each axis costs two products with
+    half-size blocks and one O(n^2) sum and difference, half the flops of
+    a product with the n x n matrix; no index is gathered.
+    """
+    g = _square_grid(g)
+    blocks = _parity_blocks(kind, inverse, transpose, g.shape[0])
+    step = _synthesis_step if _synthesizes(inverse, transpose) \
+        else _analysis_step
+    return step(step(g, blocks), blocks)
+
+
+def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
+                    transpose: bool = False) -> np.ndarray:
+    """Apply the tensor product X (x) X to a square grid, spectra in
+    natural order.
+
+    For a grid G this computes ``X G X^T`` and its inverse/transpose
+    variants.  Where the rule takes products it is :func:`parity_apply_2d`
+    and one gather of the spectral index (with the border pairs mixed
+    back, :func:`_mix_border_pairs`, for a bordered kind); else the 1D
+    transform over all columns (the rows of ``G^T``) and then over all
+    rows.
+    """
+    g = _square_grid(g)
     n = g.shape[0]
-    if _takes_products(n, batched=True):
-        m = _matrix_1d(kind, inverse, transpose, n)
-        return m @ g @ m.T
-    cols = apply_1d(kind, g.T, inverse=inverse, transpose=transpose).T
-    return apply_1d(kind, cols, inverse=inverse, transpose=transpose)
+    if not _takes_products(n, batched=True):
+        cols = apply_1d(kind, g.T, inverse=inverse, transpose=transpose).T
+        return apply_1d(kind, cols, inverse=inverse, transpose=transpose)
+    order = parity_order(kind, n)
+    if _synthesizes(inverse, transpose):
+        spectrum = g[order][:, order]
+        if kind in _BORDERED:
+            _mix_border_pairs(spectrum)
+        return parity_apply_2d(kind, spectrum, inverse, transpose)
+    spectrum = parity_apply_2d(kind, g, inverse, transpose)
+    if kind in _BORDERED:
+        _mix_border_pairs(spectrum)
+    natural = np.argsort(order)
+    return spectrum[natural][:, natural]
+
+
+def tensor_diagonalized(kind: TransformKind, lam: np.ndarray,
+                        transpose: bool = False):
+    """``X diag(lam) X^{-1}`` (``X^{-T} diag(lam) X^T`` with ``transpose``)
+    on n x n grids, for the n x n eigenvalue grid ``lam`` in natural
+    order: a function of a grid that it leaves alone.
+
+    Where the rule takes products it runs in the parity layout: the
+    analysis and the synthesis are :func:`parity_apply_2d`, and ``lam`` is
+    permuted into the layout here, once.  A bordered kind takes its border
+    pairs from their sum and difference back to their natural values
+    before the scaling and mixes them again after it
+    (:func:`_mix_border_pairs`), so a grid whose two border eigenvalues
+    differ, as the bordered sine algebra's do, scales exactly; where they
+    are equal on both axes the mixing commutes with the scaling and is
+    left out.  Else the analysis and the synthesis are
+    :func:`tensor_apply_2d`'s per-axis FFTs.
+    """
+    # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
+    # synthesis, X or X^{-T}
+    into, back = (not transpose, transpose), (transpose, transpose)
+    n = lam.shape[0]
+    if not _takes_products(n, batched=True):
+        return lambda g: tensor_apply_2d(
+            kind, lam * tensor_apply_2d(kind, g, *into), *back)
+    # the mixing commutes with the scaling where the border pair's two
+    # eigenvalues are equal on both axes, as for the anti-reflective blur
+    # and the anti-reflective algebra
+    mixed = kind in _BORDERED and not (np.array_equal(lam[0], lam[-1]) and
+                                       np.array_equal(lam[:, 0], lam[:, -1]))
+    order = parity_order(kind, n)
+    lam = lam[order][:, order]
+
+    def on_parity(g):
+        spectrum = parity_apply_2d(kind, g, *into)
+        if mixed:
+            _mix_border_pairs(spectrum)
+        spectrum *= lam
+        if mixed:
+            _mix_border_pairs(spectrum)
+        return parity_apply_2d(kind, spectrum, *back)
+    return on_parity
 
 
 @lru_cache(maxsize=16)

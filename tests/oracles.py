@@ -13,7 +13,9 @@ allocating update each, the reference for their in-place loops.
 ``scipy.fft`` calls, the reference for the package's direct pocketfft calls,
 and :func:`scipy_band_form` the same for the projections' FFT band forms.
 :func:`symbol_2d` is the 2D blur symbol as one sum over the kernel, the
-reference for its two-product grid.
+reference for its two-product grid.  :func:`dense_transform` is the dense
+matrix of one 1D transform apply, and :func:`parity_layout` the map of a
+spectrum into the parity layout of the 2D product applies.
 """
 
 import itertools
@@ -167,6 +169,41 @@ def dense_ar(n: int) -> np.ndarray:
     out[1:-1, -1] = p[::-1]
     out[1:-1, 1:-1] = dense_dst1(n - 2)
     return out
+
+
+def dense_transform(kind: TransformKind, n: int, inverse: bool,
+                    transpose: bool) -> np.ndarray:
+    """Dense matrix of one 1D apply, built from the oracle formulas."""
+    if kind is TransformKind.DST1:
+        return dense_dst1(n)
+    if kind is TransformKind.SINE_HAT:
+        return dense_sinehat(n)
+    if kind is TransformKind.DCT:
+        c = dense_dct(n)
+        return c.T if inverse != transpose else c
+    t = dense_ar(n)
+    t = np.linalg.inv(t) if inverse else t
+    return t.T if transpose else t
+
+
+def parity_layout(kind: TransformKind, n: int) -> np.ndarray:
+    """The orthogonal n x n map from a natural spectrum to the parity
+    layout, from its definition: the even spectral indices (DCT, DST-I),
+    or the border pair and the odd interior indices (bordered kinds),
+    then the odd indices, or the border pair and the even interior ones;
+    a bordered kind's border pair enters as its sum and difference over
+    sqrt 2."""
+    p = (n + 1) // 2
+    if kind in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
+        order = [0, *range(1, n - 1, 2), n - 1, *range(2, n - 1, 2)]
+    else:
+        order = [*range(0, n, 2), *range(1, n, 2)]
+    r = np.eye(n)[order]
+    if kind in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
+        r[0, n - 1] = r[p, 0] = 1.0
+        r[p, n - 1] = -1.0
+        r[[0, p]] /= math.sqrt(2.0)
+    return r
 
 
 def _band_cells(offset: tuple, shape) -> tuple:

@@ -11,8 +11,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tvdeblur"
 #: (module, name) imported but unused: bench/spans.py patches these names
 #: to count transform calls, and the ROADMAP item "Delete the benchmark's
 #: monkeypatching and the code kept for it" deletes them with it
-KEPT_FOR_THE_SPANS = {("blur", "apply_1d"), ("precond", "apply_1d"),
-                      ("precond", "tensor_apply_2d")}
+KEPT_FOR_THE_SPANS = {("blur", "apply_1d"), ("blur", "tensor_apply_2d"),
+                      ("precond", "apply_1d"), ("precond", "tensor_apply_2d")}
 
 
 def unused_imports(source: str) -> set[str]:

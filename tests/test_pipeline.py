@@ -679,8 +679,10 @@ def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
                                               separable):
     """A 2D matvec with a separable PSF runs no tensor transform: it is two
     products with the dense 1D data terms.  With a non-separable PSF it runs
-    four, two for ``H`` and two for ``B``, in every configuration."""
-    from tvdeblur import blur
+    four, two for ``H`` and two for ``B``, in every configuration: at this
+    side the transforms of the diagonalized applies run in the parity
+    layout, one ``parity_apply_2d`` each."""
+    from tvdeblur import transforms
 
     n = 16
     bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
@@ -690,13 +692,13 @@ def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
     _, system = step_system(l_op, 1e-2, rng.standard_normal((n, n)),
                             psf, bc_h, formulation)
     calls = []
-    tensor_apply_2d = blur.tensor_apply_2d
+    parity_apply_2d = transforms.parity_apply_2d
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return tensor_apply_2d(*args, **kwargs)
+        return parity_apply_2d(*args, **kwargs)
 
-    monkeypatch.setattr(blur, "tensor_apply_2d", counting)
+    monkeypatch.setattr(transforms, "parity_apply_2d", counting)
     system.apply(rng.standard_normal((n, n)))
     assert len(calls) == (0 if separable else 4)
 

@@ -18,15 +18,19 @@ _spec.loader.exec_module(transform_crossover)
 
 def _table(lines, first_time):
     """(kind, n) of each row of the table whose header names the columns
-    kind, n and ``first_time``, up to the first blank line or the end."""
+    kind, n and ``first_time``, up to the first blank line or the end;
+    every row has a positive number under each of the other columns."""
+    header = next(line.split() for line in lines
+                  if line.split()[:3] == ["kind", "n", first_time])
     start = lines.index(next(line for line in lines
-                             if line.split()[:3] == ["kind", "n", first_time]))
+                             if line.split() == header))
     rows = []
     for line in lines[start + 1:]:
         if not line.strip():
             break
         kind, n, *times = line.split()
-        assert len(times) == 3 and all(float(t) > 0 for t in times), line
+        assert len(times) == len(header) - 2, line
+        assert all(float(t) > 0 for t in times), line
         rows.append((kind, int(n)))
     return rows
 
@@ -41,6 +45,9 @@ def test_main_prints_every_table_and_restores_the_band_form(monkeypatch,
     assert (f"products up to n = {transforms._VECTOR_MAX_N} for one vector, "
             f"n = {transforms._BATCH_MAX_N} for a batch or a 2D grid") in lines
 
+    # per-axis FFTs, the dense product and the parity blocks, with the ratio
+    assert "kind n per-axis matrix parity ratio".split() in [
+        line.split() for line in lines]
     transform_rows = _table(lines, "per-axis")
     assert transform_rows == [(kind.value, 8) for kind in TransformKind]
     # --sizes drives every table, each with the harness PSF of its side

@@ -16,7 +16,9 @@ from oracles import (
     dense_dct,
     dense_dst1,
     dense_sinehat,
+    dense_transform,
     kron_apply_2d,
+    parity_layout,
     scipy_apply_1d,
 )
 from tvdeblur import transforms
@@ -153,20 +155,6 @@ def test_tensor_ar_round_trip(rng):
         atol=1e-10)
 
 
-def dense_transform(kind, n, inverse, transpose):
-    """Dense matrix of one 1D apply, built from the oracle formulas."""
-    if kind is TransformKind.DST1:
-        return dense_dst1(n)
-    if kind is TransformKind.SINE_HAT:
-        return dense_sinehat(n)
-    if kind is TransformKind.DCT:
-        c = dense_dct(n)
-        return c.T if inverse != transpose else c
-    t = dense_ar(n)
-    t = np.linalg.inv(t) if inverse else t
-    return t.T if transpose else t
-
-
 # both sides of the 2D product bound n = 144, the smallest legal sizes and
 # the prime-adjacent lengths around 128
 TENSOR_SIZES = (3, 4, 5, 64, 127, 128, 129, 144, 145)
@@ -192,6 +180,51 @@ def test_tensor_apply_matches_per_axis_and_kronecker(n, rng):
             what = f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
             assert rel(got, per_axis) < 1e-13, what
             assert rel(got, oracle) < 1e-13, what
+
+
+@pytest.mark.parametrize("n", TENSOR_SIZES)
+def test_parity_apply_matches_the_dense_transforms(n, rng):
+    """The half-size blocks, in the parity layout, are the oracle's dense
+    transform: an analysis gives ``R (X G X^T) R^T`` and a synthesis of
+    ``Y`` gives ``X (R^T Y R) X^T``, with ``R`` the oracle's parity map."""
+    g = rng.standard_normal((n, n))
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    for kind in TransformKind:
+        r = parity_layout(kind, n)
+        for inverse, transpose in FLAGS:
+            x = dense_transform(kind, n, inverse, transpose)
+            got = transforms.parity_apply_2d(kind, g, inverse, transpose)
+            if inverse == transpose:  # a synthesis: g is a parity spectrum
+                want = x @ (r.T @ g @ r) @ x.T
+            else:
+                want = r @ (x @ g @ x.T) @ r.T
+            assert rel(got, want) < 1e-13, \
+                f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
+
+
+@pytest.mark.parametrize("n", [5, 128, 144])
+def test_2d_applies_take_no_dense_product(n, rng):
+    """In the product regime the 2D applies read the cached half-size
+    blocks, never the n x n matrix of ``_matrix_1d``."""
+    g = rng.standard_normal((n, n))
+    lam = rng.uniform(0.5, 2.0, (n, n))
+    calls = []
+    for kind in TransformKind:
+        for inverse, transpose in FLAGS:
+            calls.append(lambda x, k=kind, i=inverse, t=transpose:
+                         tensor_apply_2d(k, x, i, t))
+        for transpose in (False, True):
+            calls.append(transforms.tensor_diagonalized(kind, lam, transpose))
+    for call in calls:
+        call(g)  # fill the caches
+    before = transforms._matrix_1d.cache_info()
+    for call in calls:
+        call(g)
+    after = transforms._matrix_1d.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 # the smallest legal sizes, the prime-adjacent lengths around 128 and 256,
@@ -352,10 +385,12 @@ def test_rule_picks_products_by_length_and_batch():
 
 def test_tensor_matrix_cache_is_read_only():
     for kind in TransformKind:
-        m = transforms._matrix_1d(kind, True, False, 8)
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
+        for cached in (transforms._matrix_1d(kind, True, False, 8),
+                       transforms._parity_blocks(kind, True, False, 8),
+                       transforms.parity_order(kind, 8)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[(0,) * cached.ndim] = 1
     out = tensor_apply_2d(TransformKind.DCT, np.eye(8))
     assert out.flags.writeable and not np.shares_memory(
         out, transforms._matrix_1d(TransformKind.DCT, False, False, 8))
@@ -367,7 +402,9 @@ def test_per_size_caches_stay_bounded():
     for n in range(3, 43):
         apply_1d(AR, np.ones(n))
         transforms._matrix_1d(DCT, False, False, n)
-    for cache in (transforms._ar_corrections, transforms._matrix_1d):
+        transforms.parity_order(DCT, n)
+    for cache in (transforms._ar_corrections, transforms._matrix_1d,
+                  transforms.parity_order):
         assert cache.cache_info().currsize == 16
     assert not any(q.flags.writeable for q in transforms._ar_corrections(5))
 
@@ -419,21 +456,26 @@ def test_rejects_empty_and_tiny():
         apply_1d(DST1, np.array([]))
     with pytest.raises(ValueError):
         apply_1d(DCT, np.array([]))
+    tensor_applies = (tensor_apply_2d, transforms.parity_apply_2d)
     for n in (1, 2):
         with pytest.raises(ValueError):
             apply_1d(AR, np.ones(n))
         with pytest.raises(ValueError):
             apply_1d(SINE_HAT, np.ones(n))
-        with pytest.raises(ValueError, match=f"T_n requires length >= 3, got {n}"):
-            tensor_apply_2d(TransformKind.ANTI_REFLECTIVE, np.ones((n, n)))
-        with pytest.raises(ValueError, match=f"Shat_n requires length >= 3, got {n}"):
-            tensor_apply_2d(TransformKind.SINE_HAT, np.ones((n, n)))
+        for apply in tensor_applies:
+            with pytest.raises(ValueError,
+                               match=f"T_n requires length >= 3, got {n}"):
+                apply(TransformKind.ANTI_REFLECTIVE, np.ones((n, n)))
+            with pytest.raises(ValueError,
+                               match=f"Shat_n requires length >= 3, got {n}"):
+                apply(TransformKind.SINE_HAT, np.ones((n, n)))
     for kind in TransformKind:
-        for shape in ((3, 4), (145, 144), (4,), (2, 2, 2)):
-            with pytest.raises(ValueError, match="needs a square grid"):
-                tensor_apply_2d(kind, np.ones(shape))
-        with pytest.raises(ValueError):
-            tensor_apply_2d(kind, np.ones((0, 0)))
+        for apply in tensor_applies:
+            for shape in ((3, 4), (145, 144), (4,), (2, 2, 2)):
+                with pytest.raises(ValueError, match="needs a square grid"):
+                    apply(kind, np.ones(shape))
+            with pytest.raises(ValueError):
+                apply(kind, np.ones((0, 0)))
     with pytest.raises(ValueError, match="unknown transform kind: 'dct'"):
         apply_1d("dct", np.ones(4))
 
