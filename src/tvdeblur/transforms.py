@@ -433,7 +433,7 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
         return apply_1d(kind, cols, inverse=inverse, transpose=transpose)
     order = parity_order(kind, n)
     if _synthesizes(inverse, transpose):
-        spectrum = g[order][:, order]
+        spectrum = g.take(order, 0).take(order, 1)
         if kind in _BORDERED:
             _mix_border_pairs(spectrum)
         return parity_apply_2d(kind, spectrum, inverse, transpose)
@@ -441,7 +441,7 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
     if kind in _BORDERED:
         _mix_border_pairs(spectrum)
     natural = np.argsort(order)
-    return spectrum[natural][:, natural]
+    return spectrum.take(natural, 0).take(natural, 1)
 
 
 def tensor_diagonalized(kind: TransformKind, lam: np.ndarray,
@@ -474,7 +474,7 @@ def tensor_diagonalized(kind: TransformKind, lam: np.ndarray,
     mixed = kind in _BORDERED and not (np.array_equal(lam[0], lam[-1]) and
                                        np.array_equal(lam[:, 0], lam[:, -1]))
     order = parity_order(kind, n)
-    lam = lam[order][:, order]
+    lam = lam.take(order, 0).take(order, 1)
 
     def on_parity(g):
         spectrum = parity_apply_2d(kind, g, *into)
