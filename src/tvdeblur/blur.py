@@ -94,8 +94,8 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
     here once.  For a 2D ``lam`` it is ``transforms.tensor_diagonalized``,
     whose tensor transforms allocate: up to n = 144 the half-size block
     products of the parity layout, with ``lam`` permuted into the layout
-    once and a bordered kind's border pairs unmixed around the scaling
-    where their eigenvalues differ; above, the per-axis FFTs.
+    once and a bordered kind's border pairs unmixed around the scaling;
+    above, the per-axis FFTs.
     """
     if lam.ndim == 2:
         return tensor_diagonalized(kind, lam, transpose)

@@ -65,9 +65,10 @@ difference over sqrt 2), each 1D apply is two half-size blocks, cached by
 synthesis on them at half the flops of the n x n products, and leaves the
 spectrum in the parity layout; :func:`tensor_diagonalized` scales it
 there, with the eigenvalues permuted once, and :func:`tensor_apply_2d`
-gathers it into natural order.  Where a bordered kind's two border
-eigenvalues differ, :func:`tensor_diagonalized` takes the border pairs back
-to their natural values for the scaling (:func:`_mix_border_pairs`, O(n)).
+gathers it into natural order.  As the two border eigenvalues of a grid
+may differ, :func:`tensor_diagonalized` takes a bordered kind's border
+pairs back to their natural values for the scaling
+(:func:`_mix_border_pairs`, O(n)).
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def _synthesizes(inverse: bool, transpose: bool) -> bool:
     return inverse == transpose
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _parity_blocks(kind: TransformKind, inverse: bool, transpose: bool,
                    n: int) -> np.ndarray:
     """Read-only 2 x p x p stack of the two blocks of the 1D apply with
@@ -456,10 +457,9 @@ def tensor_diagonalized(kind: TransformKind, lam: np.ndarray,
     pairs from their sum and difference back to their natural values
     before the scaling and mixes them again after it
     (:func:`_mix_border_pairs`), so a grid whose two border eigenvalues
-    differ, as the bordered sine algebra's do, scales exactly; where they
-    are equal on both axes the mixing commutes with the scaling and is
-    left out.  Else the analysis and the synthesis are
-    :func:`tensor_apply_2d`'s per-axis FFTs.
+    differ, as the bordered sine algebra's do, scales exactly.  Else the
+    analysis and the synthesis are :func:`tensor_apply_2d`'s per-axis
+    FFTs.
     """
     # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
     # synthesis, X or X^{-T}
@@ -468,20 +468,16 @@ def tensor_diagonalized(kind: TransformKind, lam: np.ndarray,
     if not _takes_products(n, batched=True):
         return lambda g: tensor_apply_2d(
             kind, lam * tensor_apply_2d(kind, g, *into), *back)
-    # the mixing commutes with the scaling where the border pair's two
-    # eigenvalues are equal on both axes, as for the anti-reflective blur
-    # and the anti-reflective algebra
-    mixed = kind in _BORDERED and not (np.array_equal(lam[0], lam[-1]) and
-                                       np.array_equal(lam[:, 0], lam[:, -1]))
+    bordered = kind in _BORDERED
     order = parity_order(kind, n)
     lam = lam.take(order, 0).take(order, 1)
 
     def on_parity(g):
         spectrum = parity_apply_2d(kind, g, *into)
-        if mixed:
+        if bordered:
             _mix_border_pairs(spectrum)
         spectrum *= lam
-        if mixed:
+        if bordered:
             _mix_border_pairs(spectrum)
         return parity_apply_2d(kind, spectrum, *back)
     return on_parity

@@ -398,13 +398,15 @@ def test_tensor_matrix_cache_is_read_only():
 
 def test_per_size_caches_stay_bounded():
     """A sweep over many lengths keeps at most 16 sizes of correction
-    columns and of dense matrices, and the columns stay read-only."""
+    columns, of dense matrices and of parity blocks and orders, and the
+    columns stay read-only."""
     for n in range(3, 43):
         apply_1d(AR, np.ones(n))
         transforms._matrix_1d(DCT, False, False, n)
+        transforms._parity_blocks(DCT, False, False, n)
         transforms.parity_order(DCT, n)
     for cache in (transforms._ar_corrections, transforms._matrix_1d,
-                  transforms.parity_order):
+                  transforms._parity_blocks, transforms.parity_order):
         assert cache.cache_info().currsize == 16
     assert not any(q.flags.writeable for q in transforms._ar_corrections(5))
 
