@@ -257,13 +257,19 @@ def _takes_products(n: int, batched: bool) -> bool:
     return n <= (_BATCH_MAX_N if batched else _VECTOR_MAX_N)
 
 
+def _dense_1d(kind: TransformKind, inverse: bool, transpose: bool,
+              n: int) -> np.ndarray:
+    """Dense n x n matrix of the 1D apply with these flags, built anew."""
+    # row i of the batched apply is the image of e_i, i.e. column i of m
+    return np.ascontiguousarray(
+        apply_1d(kind, np.eye(n), inverse=inverse, transpose=transpose).T)
+
+
 @lru_cache(maxsize=16)
 def _matrix_1d(kind: TransformKind, inverse: bool, transpose: bool,
                n: int) -> np.ndarray:
-    """Read-only dense n x n matrix of the 1D apply with these flags."""
-    # row i of the batched apply is the image of e_i, i.e. column i of m
-    m = np.ascontiguousarray(
-        apply_1d(kind, np.eye(n), inverse=inverse, transpose=transpose).T)
+    """Read-only cached :func:`_dense_1d`."""
+    m = _dense_1d(kind, inverse, transpose, n)
     m.setflags(write=False)
     return m
 
@@ -329,13 +335,13 @@ def _parity_blocks(kind: TransformKind, inverse: bool, transpose: bool,
     its step multiplies by it from the right.
 
     With the spectral index in parity order (the border pair mixed) the
-    cached matrix of a synthesis pairs row n-1-i with block row i, plus in
+    dense matrix of a synthesis pairs row n-1-i with block row i, plus in
     the symmetric columns and minus in the antisymmetric ones; the columns
     of an analysis pair the same way.  So a synthesis is the two block
     products followed by the sums and differences of their rows, and an
     analysis takes the sums and differences of the samples first.
     """
-    m = _matrix_1d(kind, inverse, transpose, n)
+    m = _dense_1d(kind, inverse, transpose, n)
     order = parity_order(kind, n)
     h, p = n // 2, (n + 1) // 2
     if _synthesizes(inverse, transpose):
