@@ -13,9 +13,13 @@ with a Krylov method: conjugate gradient when the system is symmetric
 solve; ``el_residual`` is its one optimality residual.  The data term
 ``B H`` is two products with dense n x n factors, one per axis, for 2D
 data with a separable PSF, under every blur BC; for any other PSF it is
-``B`` after ``H``.  No apply of a step's system, of its blur or of its
-preconditioner writes into its argument: the Krylov solvers keep using
-the vectors they pass.  The inner solve starts from the previous iterate
+``B`` after ``H``.  The diffusion term ``alpha L`` is added into the data
+term's output: in 2D by one five-diagonal C loop over the bands of
+``alpha L``, or of ``alpha S L S`` in the scaled system, packed once per
+step (``tv.band_kernel``); in 1D by ``L``'s flux form, which keeps the
+1D results' bytes (the ``tv`` module says why).  No apply of a step's
+system, of its blur or of its preconditioner writes into its argument:
+the Krylov solvers keep using the vectors they pass.  The inner solve starts from the previous iterate
 and may be preconditioned by any of the transform-algebra
 preconditioners; the ``x_d`` selector solves the diagonally scaled system
 instead and maps the solution back, which is spectrally equivalent to the
@@ -39,9 +43,10 @@ from .blur import (FAST_TRANSFORMS, BoundaryCondition, StructuredBlurOperator,
                    SymmetricPsf)
 from .krylov import (ConfigurationError, KrylovConfig, SolverDivergenceError,
                      check_settings, pbicgstab, pcg)
-from .precond import assemble_preconditioner, scaling_diagonal, smallest_order
+from .precond import assemble_preconditioner, smallest_order
 from .transforms import MIN_BORDERED_N
-from .tv import DiffusionBc, DiffusionOperator, check_beta
+from .tv import (DiffusionBc, DiffusionOperator, band_kernel, check_beta,
+                 scaling_diagonal)
 
 
 class Formulation(Enum):
@@ -216,7 +221,10 @@ class StepSystem:
     whatever the blur BC.  Every other PSF, 1D or non-separable 2D, takes
     ``back(forward(w))`` on the applies of ``operator_applies``: fast under
     reflective and anti-reflective blur, the references under zero and
-    periodic blur.
+    periodic blur.  ``apply`` and the scaled apply add the diffusion term
+    into the data term's output, which must therefore be a fresh
+    C-contiguous float64 array: in 2D the kernel that adds it writes
+    through to the array it is given.
     Built once per restoration; ``freeze`` hands it each step's diffusion
     operator ``L``, ``scale`` gives the scaled system
     ``D^{-1/2} A D^{-1/2}``, and ``krylov_problem`` the step's solve.
@@ -238,28 +246,45 @@ class StepSystem:
         self.kind = config.resolved_kind()
         self.rhs = back(v)
         self.l_op = None
+        self._add_diffusion = None
 
     def freeze(self, l_op: DiffusionOperator) -> None:
-        """Take the diffusion operator frozen at the step's iterate."""
+        """Take the diffusion operator frozen at the step's iterate; in 2D
+        pack the bands of ``alpha L`` for the apply."""
         self.l_op = l_op
+        self._add_diffusion = band_kernel(l_op.bands(), self.alpha) \
+            if l_op.ndim == 2 else None
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """``A w``, summed into the data term's own array: ``w`` is left
         alone."""
         out = self.data_term(w)
+        if self._add_diffusion is not None:
+            return self._add_diffusion(w, out)
         diffusion = self.l_op.apply(w)
         diffusion *= self.alpha
         out += diffusion
         return out
 
     def scale(self, u: np.ndarray) -> tuple:
-        """(apply, rhs, start, map back) of ``D^{-1/2} A D^{-1/2}`` from ``u``."""
-        s = scaling_diagonal(self.l_op, self.alpha) ** -0.5
+        """(apply, rhs, start, map back) of ``D^{-1/2} A D^{-1/2}`` from ``u``.
 
-        def apply(w):
-            out = self.apply(s * w)
-            out *= s
-            return out
+        In 2D the scaled apply adds the packed bands of ``alpha S L S``
+        into ``S (B H) S w``; in 1D it is ``S A S w`` on the unscaled
+        apply."""
+        s, scaled_bands = self.l_op.scaling(self.alpha)
+        if self.l_op.ndim == 2:
+            add_diffusion = band_kernel(scaled_bands, self.alpha)
+
+            def apply(w):
+                out = self.data_term(s * w)
+                out *= s
+                return add_diffusion(w, out)
+        else:
+            def apply(w):
+                out = self.apply(s * w)
+                out *= s
+                return out
         return apply, s * self.rhs, u / s, (lambda u_tilde: s * u_tilde)
 
     def krylov_problem(self, u: np.ndarray) -> tuple:

@@ -49,6 +49,7 @@ from .krylov import ConfigurationError, NumericalFailure, check_settings
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import (MIN_BORDERED_N, TransformKind, apply_1d,  # noqa: F401
                          band_form, tensor_apply_2d)
+from .tv import scaling_diagonal
 
 logger = logging.getLogger(__name__)
 
@@ -84,19 +85,6 @@ class IndefinitePreconditionerError(NumericalFailure):
         self.kind = kind
         self.alpha = alpha
         self.min_eigenvalue = min_eigenvalue
-
-
-class InvalidScalingError(NumericalFailure):
-    """Diagonal scaling is not positive, the scaled system is undefined."""
-
-
-def scaling_diagonal(l_op, alpha: float) -> np.ndarray:
-    """``D = I + alpha diag L``, rejected unless every entry is positive."""
-    d = 1.0 + alpha * l_op.diagonal()
-    if np.min(d) <= 0:
-        raise InvalidScalingError("D = I + alpha diag L has nonpositive "
-                                  f"entries (min {float(np.min(d))!r})")
-    return d
 
 
 @lru_cache(maxsize=16)
@@ -218,19 +206,6 @@ class FactoredPreconditioner:
         return y
 
 
-def _scaled_bands(bands: Bands, s: np.ndarray) -> Bands:
-    """``S A S`` with ``S = diag(s)``: each band scaled by ``s`` at its row,
-    then at its column."""
-    out = {}
-    for offset, band in bands.items():
-        rows = tuple(slice(max(0, -d), max(0, -d) + m)
-                     for d, m in zip(offset, band.shape))
-        cols = tuple(slice(max(0, d), max(0, d) + m)
-                     for d, m in zip(offset, band.shape))
-        out[offset] = band * s[rows] * s[cols]
-    return out
-
-
 def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPreconditioner:
     """Build one of the nine factored preconditioners.
 
@@ -256,14 +231,13 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
         )
     lam_h2 = h_op.eigenvalues() ** 2
     n = h_op.n
-    l_bands = l_op.bands()
     if kind.endswith("_D"):
-        s = scaling_diagonal(l_op, alpha) ** -0.5
+        s, scaled_bands = l_op.scaling(alpha)
         lam_d = project(transform, {(0,) * s.ndim: s}, n)
-        lam_lt = project(transform, _scaled_bands(l_bands, s), n)
+        lam_lt = project(transform, scaled_bands, n)
         eigs = lam_h2 * lam_d * lam_d + alpha * lam_lt
         return FactoredPreconditioner(kind, transform, eigs, alpha)
-    eigs = lam_h2 + alpha * project(transform, l_bands, n)
+    eigs = lam_h2 + alpha * project(transform, l_op.bands(), n)
     # kind is the base or its D_ wrap here
     d_sqrt = np.sqrt(scaling_diagonal(l_op, alpha)) if kind != base else None
     return FactoredPreconditioner(kind, transform, eigs, alpha, d_sqrt=d_sqrt)

@@ -88,31 +88,34 @@ from .krylov import ConfigurationError
 _BINDING_NAME = "scipy.fft._pocketfft.pypocketfft"
 
 
-def _load_pocketfft():
-    """pocketfft's binding, loaded from its file in scipy's directory.
+def load_scipy_binding(name: str):
+    """The scipy C extension module ``name`` (its full dotted name),
+    loaded from its file in scipy's directory.
 
-    Importing it by name would first run the ``scipy`` and ``scipy.fft``
-    packages (scipy's array-API layer, ``scipy.special``, ``numpy.testing``,
-    ``numpy.f2py``), which take most of a cold start and which the binding
-    does not need.  ``find_spec`` of the top-level package locates scipy
-    without running it.  The binding keeps its full name, and gives the
-    same bytes whether ``scipy.fft`` is imported before or after it.
+    Importing it by name would first run the packages above it: for
+    pocketfft's binding, ``scipy`` and ``scipy.fft`` (scipy's array-API
+    layer, ``scipy.special``, ``numpy.testing``, ``numpy.f2py``), which take
+    most of a cold start and which the binding does not need.
+    ``find_spec`` of the top-level package locates scipy without running
+    it.  The binding keeps its full name, and gives the same bytes whether
+    its package is imported before or after it.
     """
     scipy_spec = importlib.util.find_spec("scipy")
     roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    folder = name.split(".")[1:-1]
     for root in roots or ():
-        finder = FileFinder(os.path.join(root, "fft", "_pocketfft"),
+        finder = FileFinder(os.path.join(root, *folder),
                             (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(_BINDING_NAME)
+        spec = finder.find_spec(name)
         if spec is not None:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    raise ImportError(f"cannot find pocketfft's binding {_BINDING_NAME} "
-                      "(tvdeblur needs scipy)", name=_BINDING_NAME)
+    raise ImportError(f"cannot find scipy's binding {name} "
+                      "(tvdeblur needs scipy)", name=name)
 
 
-_pocketfft = _load_pocketfft()
+_pocketfft = load_scipy_binding(_BINDING_NAME)
 
 
 class TransformKind(Enum):

@@ -54,9 +54,15 @@ def probe_dense(apply, shape) -> np.ndarray:
 
 
 def dense_of(op) -> np.ndarray:
-    """A blur or diffusion operator's ``apply`` as a dense matrix (small
-    sizes only)."""
-    return probe_dense(op.apply, (op.n,) * op.ndim)
+    """A blur or diffusion operator as a dense matrix (small sizes only):
+    a blur operator's ``apply``, and a diffusion operator's flux form on
+    its coefficients (:func:`diffusion_apply_padded`), which its 2D apply,
+    a five-band kernel, is checked against."""
+    apply = op.apply
+    if isinstance(op, DiffusionOperator):
+        def apply(w):
+            return diffusion_apply_padded(w, op.a, op.bc.value)
+    return probe_dense(apply, (op.n,) * op.ndim)
 
 
 def dense_preconditioner(precond) -> np.ndarray:

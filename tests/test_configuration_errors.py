@@ -20,8 +20,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 BASES = (ConfigurationError, NumericalFailure)
 
 #: (enclosing function, exception class) raised outside the two kinds: the
-#: package cannot import without scipy's pocketfft binding
-EXEMPT = {("_load_pocketfft", ImportError)}
+#: package cannot import without scipy's pocketfft and sparsetools bindings
+EXEMPT = {("load_scipy_binding", ImportError)}
 
 
 def raise_sites(tree: ast.AST, where: str = ""):
@@ -86,7 +86,7 @@ def test_a_foreign_raise_is_found():
               "        raise krylov.NumericalFailure('x')\n"
               "def solve():\n"
               "    raise RuntimeError\n"
-              "def _load_pocketfft():\n"
+              "def load_scipy_binding():\n"
               "    raise ImportError('scipy')\n"
               "def load():\n"
               "    raise ImportError('scipy')\n"

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
-from tvdeblur import cli, harness, transforms
+from tvdeblur import cli, harness, transforms, tv
 from tvdeblur.cli import main as cli_main
 from tvdeblur.pipeline import CONFIGURATIONS
 from tvdeblur.harness import (
@@ -28,7 +28,7 @@ from tvdeblur.harness import (
     write_csv,
     write_pgm,
 )
-from tvdeblur.precond import InvalidScalingError
+from tvdeblur.tv import InvalidScalingError
 
 
 # -- generators -----------------------------------------------------------------
@@ -840,10 +840,13 @@ def test_cli_sweep_names_n_below_the_smallest_grid(tmp_path, capsys):
 
 # modules the package uses none of; each is a large share of a cold start
 _UNUSED_AT_IMPORT = ("scipy.signal", "scipy.stats", "scipy.fft",
-                     "scipy.special", "numpy.f2py")
+                     "scipy.sparse", "scipy.special", "numpy.f2py")
+
+#: the two scipy extension modules the package loads from their files
+_BINDINGS = (transforms._BINDING_NAME, tv._BINDING_NAME)
 
 # after the import, one spectra run (its arguments are the script's): the
-# exit code, then every scipy module loaded but pocketfft's binding
+# exit code, then every scipy module loaded but the two bindings
 _IMPORT_CLI = f"""
 import contextlib, io, sys
 import tvdeblur.cli
@@ -851,15 +854,15 @@ print(" ".join(m for m in {_UNUSED_AT_IMPORT!r} if m in sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
     print(tvdeblur.cli.main(sys.argv[1:]), file=sys.stderr)
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"
-               and m != {transforms._BINDING_NAME!r}))
+               and m not in {_BINDINGS!r}))
 """
 
 
 def test_cli_import_leaves_out_unused_scipy_and_numpy_packages(tmp_path):
-    """scipy.signal (which loads scipy.stats) and the scipy.fft package
-    (scipy.special, numpy.f2py) would be most of a cold start's import
-    time; the package convolves in numpy and loads pocketfft's binding
-    from its file instead.  A spectra run adds no scipy module either: its
+    """scipy.signal (which loads scipy.stats), the scipy.fft package
+    (scipy.special, numpy.f2py) and the scipy.sparse package would be most
+    of a cold start's import time; the package convolves in numpy and
+    loads pocketfft's and sparsetools' bindings from their files instead.  A spectra run adds no scipy module either: its
     eigenvalues come from numpy, not ``scipy.linalg``."""
     argv = ["spectra", "--n", "48", "--out-dir", str(tmp_path / "spectra")]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI, *argv],

@@ -39,11 +39,11 @@ from tvdeblur.pipeline import (
 )
 from tvdeblur.precond import (
     IndefinitePreconditionerError,
-    InvalidScalingError,
     assemble_preconditioner,
 )
 from tvdeblur.transforms import TransformKind, apply_1d
-from tvdeblur.tv import MIN_BETA, DiffusionBc, DiffusionOperator
+from tvdeblur.tv import (MIN_BETA, DiffusionBc, DiffusionOperator,
+                         InvalidScalingError)
 
 
 def small_problem(n=64, nsr=0.01, seed=2023):
@@ -651,8 +651,10 @@ def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l,
                                                  shape, h):
     """In 1D, and in 2D with a non-separable PSF, the data term that runs
     ``H`` and then ``B`` on ``w`` gives the bytes of ``back(forward(w))``
-    on the public applies in every system, and so do ``apply``, the
-    right-hand side and the scaled apply; ``w`` is left alone."""
+    on the public applies in every system, and so does the right-hand
+    side.  ``apply`` and the scaled apply add the diffusion term to it:
+    with the bytes of the flux form in 1D, to 1e-13 relative in 2D, where
+    the five-band kernel adds it.  ``w`` is left alone."""
     alpha = 1e-2
     l_op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc_l)
     v = rng.standard_normal(shape)
@@ -663,13 +665,18 @@ def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l,
     before = w.copy()
     want = back(forward(w))
     np.testing.assert_array_equal(system.data_term(w), want)
-    np.testing.assert_array_equal(system.apply(w),
-                                  want + alpha * l_op.apply(w))
     np.testing.assert_array_equal(system.rhs, back(v))
     s = pipeline.scaling_diagonal(l_op, alpha) ** -0.5
     apply_scaled = system.scale(w)[0]
-    np.testing.assert_array_equal(apply_scaled(w), s * (
-        back(forward(s * w)) + alpha * l_op.apply(s * w)))
+    pairs = [(system.apply(w), want + alpha * l_op.apply(w)),
+             (apply_scaled(w),
+              s * (back(forward(s * w)) + alpha * l_op.apply(s * w)))]
+    for got, expected in pairs:
+        if len(shape) == 1:
+            np.testing.assert_array_equal(got, expected)
+        else:  # the 2D diffusion term runs in the five-band kernel
+            assert np.linalg.norm(got - expected) <= \
+                1e-13 * np.linalg.norm(expected)
     np.testing.assert_array_equal(w, before)
 
 
@@ -759,6 +766,44 @@ def test_2d_kronecker_step_apply_matches_oracle(rng, n, anisotropic, bc_h,
         got = system.apply(w)
         want = oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("separable", [True, False], ids=["gaussian", "disk"])
+@pytest.mark.parametrize("bc_l", list(DiffusionBc), ids=lambda v: v.value)
+@pytest.mark.parametrize("bc_h,formulation", pipeline.DATA_TERMS,
+                         ids=lambda v: v.value)
+def test_2d_step_apply_sums_the_diffusion_term_into_the_data_term(
+        rng, bc_h, formulation, bc_l, separable):
+    """In 2D, ``apply`` and the scaled apply are ``B H + alpha L`` and
+    ``S (B H + alpha L) S`` against dense oracles for every data term, with
+    a separable and with a non-separable PSF.  Both add the diffusion term
+    into the data term's output, so that output must be a fresh
+    C-contiguous float64 array on every call: the kernel writes through
+    to the array it is given, and a copy of it would drop the sum."""
+    n, alpha = 5, 1e-2
+    psf = gen_psf("gaussian", 1, 1.0) if separable \
+        else SymmetricPsf(oracles.disk_kernel(1))
+    assert (psf.factors() is not None) == separable
+    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc_l)
+    h_op, system = step_system(l_op, alpha, rng.standard_normal((n, n)), psf,
+                               bc_h, formulation)
+    h = oracles.dense_of(h_op)
+    b = h.T if bc_h is BoundaryCondition.ANTI_REFLECTIVE and \
+        formulation is Formulation.NORMAL else h
+    l_dense = oracles.dense_of(l_op)
+    a = b @ h + alpha * l_dense
+    s = (1.0 + alpha * np.diag(l_dense)) ** -0.5
+    np.testing.assert_allclose(probe_dense(system.apply, (n, n)), a,
+                               atol=1e-12)
+    apply_scaled = system.scale(np.zeros((n, n)))[0]
+    np.testing.assert_allclose(probe_dense(apply_scaled, (n, n)),
+                               s[:, None] * a * s, atol=1e-12)
+    w = rng.standard_normal((n, n))
+    first, second = system.data_term(w), system.data_term(w)
+    for out in (first, second):
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.flags.writeable and not np.shares_memory(out, w)
+    assert not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("n,h", [
@@ -872,10 +917,13 @@ def test_scalar_diagonal_scaling_commutes(rng):
     """With exactly scalar D the scaled and unscaled solves coincide."""
     n = 12
 
-    class ScalarDiagOperator:
+    class ScalarDiagOperator(DiffusionOperator):
         """SPD stand-in for L whose diagonal reads 3 everywhere."""
         k = rng.standard_normal((n, n))
         k = k @ k.T + n * np.eye(n)
+
+        def __init__(self):
+            super().__init__(np.zeros(n), 0.1)
 
         def apply(self, w):
             return self.k @ w

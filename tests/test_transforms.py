@@ -21,7 +21,7 @@ from oracles import (
     parity_layout,
     scipy_apply_1d,
 )
-from tvdeblur import transforms
+from tvdeblur import transforms, tv
 from tvdeblur.transforms import (
     TransformKind,
     apply_1d,
@@ -350,21 +350,23 @@ def test_binding_keeps_the_bytes_of_scipy_fft_in_either_import_order(order):
     assert proc.stdout.split() == []
 
 
+@pytest.mark.parametrize("name", [transforms._BINDING_NAME, tv._BINDING_NAME])
 @pytest.mark.parametrize("scipy_found", [False, True])
-def test_loader_names_the_binding_it_cannot_find(scipy_found, tmp_path,
+def test_loader_names_the_binding_it_cannot_find(scipy_found, name, tmp_path,
                                                  monkeypatch):
-    """No scipy at all, or a scipy directory whose pocketfft folder is
-    empty: either way the ImportError names the binding."""
+    """No scipy at all, or a scipy directory whose binding folder is empty:
+    either way the ImportError names the binding, pocketfft's or
+    sparsetools'."""
     spec = None
     if scipy_found:
         spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         spec.submodule_search_locations = [str(tmp_path)]
-        (tmp_path / "fft" / "_pocketfft").mkdir(parents=True)
+        tmp_path.joinpath(*name.split(".")[1:-1]).mkdir(parents=True)
     monkeypatch.setattr(importlib.util, "find_spec",
                         lambda name, package=None: spec)
-    with pytest.raises(ImportError, match="pypocketfft") as err:
-        transforms._load_pocketfft()
-    assert err.value.name == transforms._BINDING_NAME
+    with pytest.raises(ImportError, match=name.rpartition(".")[2]) as err:
+        transforms.load_scipy_binding(name)
+    assert err.value.name == name
 
 
 def test_rule_picks_products_by_length_and_batch():

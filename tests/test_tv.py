@@ -9,7 +9,10 @@ from tvdeblur.tv import (
     MIN_BETA,
     DiffusionBc,
     DiffusionOperator,
+    _scaled_bands,
+    band_kernel,
     diffusion_coefficients,
+    scaling_diagonal,
 )
 
 BOTH = (DiffusionBc.ZERO_NEUMANN, DiffusionBc.ANTI_REFLECTIVE)
@@ -85,17 +88,83 @@ def test_apply_matches_row_by_row_oracle(rng):
         np.testing.assert_allclose(oracles.dense_of(op), dense, atol=1e-13)
 
 
-@pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 128, 203])
-def test_apply_is_byte_identical_to_padded_formula(ndim, n, rng):
-    """The ghost differences written in place repeat np.pad's arithmetic."""
-    shape = (n,) * ndim
+def test_1d_apply_is_byte_identical_to_padded_formula(n, rng):
+    """The 1D flux form's ghost differences written in place repeat
+    np.pad's arithmetic."""
     for bc in BOTH:
-        op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc)
+        op = DiffusionOperator(rng.standard_normal(n), 0.1, bc)
         for _ in range(3):
-            w = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            w = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
             expected = oracles.diffusion_apply_padded(w, op.a, bc.value)
             assert op.apply(w).tobytes() == expected.tobytes()
+
+
+def relative_error(got, want) -> float:
+    """``||got - want|| / ||want||``, 0 where both are exactly 0."""
+    error = np.linalg.norm(got - want)
+    return float(error / np.linalg.norm(want)) if error else 0.0
+
+
+# n = 1 and n = 2 are legal 2D restores; at n = 1 the offsets 1 and n
+# coincide and the inner bands are empty
+KERNEL_SIZES = [1, 2, 3, 4, 5, 64, 127, 128]
+
+
+@pytest.mark.parametrize("bc", BOTH)
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_2d_kernel_matches_the_flux_oracle(n, bc, rng):
+    """The 2D apply, the five-band kernel on the operator's own bands, is
+    the padded flux form to 1e-13 relative, on a grid and on a strided
+    view of one; ``w`` is left alone."""
+    op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc)
+    for _ in range(3):
+        grid = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        for w in (grid, grid.T):
+            before = w.tobytes()
+            want = oracles.diffusion_apply_padded(w, op.a, bc.value)
+            assert relative_error(op.apply(w), want) <= 1e-13
+            assert w.tobytes() == before
+
+
+@pytest.mark.parametrize("bc", BOTH)
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_2d_scaled_kernel_adds_s_alpha_l_s(n, bc, rng):
+    """The kernel on the scaled bands, weighted by alpha, adds
+    ``s * alpha * L(s * w)`` into the array it is given and leaves ``w``
+    alone."""
+    alpha = 0.3
+    op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc)
+    s, scaled = op.scaling(alpha)
+    add = band_kernel(scaled, alpha)
+    w = rng.standard_normal((n, n))
+    before = w.tobytes()
+    out = rng.standard_normal((n, n))
+    want = out + s * alpha * oracles.diffusion_apply_padded(s * w, op.a,
+                                                            bc.value)
+    assert add(w, out) is out
+    assert relative_error(out, want) <= 1e-13
+    assert w.tobytes() == before
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_scaling_is_built_once_per_alpha(ndim, rng):
+    """``scaling`` gives ``s = D^{-1/2}`` and the bands of ``S L S`` with
+    the bytes of the rules it caches, read-only, once per alpha."""
+    op = DiffusionOperator(rng.standard_normal((6,) * ndim), 0.1)
+    s, scaled = op.scaling(0.5)
+    assert s.tobytes() == (scaling_diagonal(op, 0.5) ** -0.5).tobytes()
+    fresh = _scaled_bands(op.bands(), s)
+    assert scaled.keys() == fresh.keys()
+    for key, values in scaled.items():
+        assert not values.flags.writeable
+        assert values.tobytes() == fresh[key].tobytes()
+    assert not s.flags.writeable
+    again, scaled_again = op.scaling(0.5)
+    assert again is s
+    assert all(scaled_again[key] is scaled[key] for key in scaled)
+    other, _ = op.scaling(0.25)
+    assert other.tobytes() == (scaling_diagonal(op, 0.25) ** -0.5).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 203])
