@@ -15,8 +15,8 @@ solve; ``el_residual`` is its one optimality residual.  The data term
 data with a separable PSF, under every blur BC; for any other PSF it is
 ``B`` after ``H``.  The diffusion term ``alpha L`` is added into the data
 term's output: in 2D by one five-diagonal C loop over the bands of
-``alpha L``, or of ``alpha S L S`` in the scaled system, packed once per
-step (``tv.band_kernel``); in 1D by ``L``'s flux form, which keeps the
+``alpha L``, packed once per step (``tv.band_kernel``), which the scaled
+system's apply runs on ``S w``; in 1D by ``L``'s flux form, which keeps the
 1D results' bytes (the ``tv`` module says why).  No apply of a step's
 system, of its blur or of its preconditioner writes into its argument:
 the Krylov solvers keep using the vectors they pass.  The inner solve starts from the previous iterate
@@ -267,24 +267,13 @@ class StepSystem:
         return out
 
     def scale(self, u: np.ndarray) -> tuple:
-        """(apply, rhs, start, map back) of ``D^{-1/2} A D^{-1/2}`` from ``u``.
+        """(apply, rhs, start, map back) of ``D^{-1/2} A D^{-1/2}`` from ``u``."""
+        s = self.l_op.scaling(self.alpha)
 
-        In 2D the scaled apply adds the packed bands of ``alpha S L S``
-        into ``S (B H) S w``; in 1D it is ``S A S w`` on the unscaled
-        apply."""
-        s, scaled_bands = self.l_op.scaling(self.alpha)
-        if self.l_op.ndim == 2:
-            add_diffusion = band_kernel(scaled_bands, self.alpha)
-
-            def apply(w):
-                out = self.data_term(s * w)
-                out *= s
-                return add_diffusion(w, out)
-        else:
-            def apply(w):
-                out = self.apply(s * w)
-                out *= s
-                return out
+        def apply(w):
+            out = self.apply(s * w)
+            out *= s
+            return out
         return apply, s * self.rhs, u / s, (lambda u_tilde: s * u_tilde)
 
     def krylov_problem(self, u: np.ndarray) -> tuple:

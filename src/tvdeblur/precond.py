@@ -206,6 +206,19 @@ class FactoredPreconditioner:
         return y
 
 
+def _scaled_bands(bands: Bands, s: np.ndarray) -> Bands:
+    """``S A S`` with ``S = diag(s)``: each band scaled by ``s`` at its row,
+    then at its column."""
+    out = {}
+    for offset, band in bands.items():
+        rows = tuple(slice(max(0, -d), max(0, -d) + m)
+                     for d, m in zip(offset, band.shape))
+        cols = tuple(slice(max(0, d), max(0, d) + m)
+                     for d, m in zip(offset, band.shape))
+        out[offset] = band * s[rows] * s[cols]
+    return out
+
+
 def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPreconditioner:
     """Build one of the nine factored preconditioners.
 
@@ -232,9 +245,9 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
     lam_h2 = h_op.eigenvalues() ** 2
     n = h_op.n
     if kind.endswith("_D"):
-        s, scaled_bands = l_op.scaling(alpha)
+        s = l_op.scaling(alpha)
         lam_d = project(transform, {(0,) * s.ndim: s}, n)
-        lam_lt = project(transform, scaled_bands, n)
+        lam_lt = project(transform, _scaled_bands(l_op.bands(), s), n)
         eigs = lam_h2 * lam_d * lam_d + alpha * lam_lt
         return FactoredPreconditioner(kind, transform, eigs, alpha)
     eigs = lam_h2 + alpha * project(transform, l_op.bands(), n)

@@ -26,10 +26,10 @@ five-point stencil, the textbook case for diagonal (DIA) storage (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 3.4):
 :func:`band_kernel` packs the five bands once into five rows of length
 n^2, and scipy's C loop ``dia_matvec`` adds ``A w`` into an output array
-in one call.  A fixed-point step's system packs ``alpha L`` (and, when it
-is scaled, ``alpha S L S``) so, and adds its diffusion term straight into
-its data term's output.  In 1D the apply keeps the flux form: fluxes
-``a * (difference across each edge)``, then their negated divergence.
+in one call.  A fixed-point step's system packs ``alpha L`` so, and adds
+its diffusion term straight into its data term's output.  In 1D the
+apply keeps the flux form: fluxes ``a * (difference across each edge)``,
+then their negated divergence.
 The 1D benchmark's cells without an algebra preconditioner move their
 Krylov counts past the benchmark gate's one iteration per step under any
 change of rounding, so the 1D apply keeps its bytes until that gate
@@ -138,11 +138,6 @@ def _along(axis: int, index) -> tuple:
     return (slice(None),) * axis + (index,)
 
 
-def _read_only(arrays) -> None:
-    for values in arrays:
-        values.setflags(write=False)
-
-
 class InvalidScalingError(NumericalFailure):
     """Diagonal scaling is not positive, the scaled system is undefined."""
 
@@ -154,19 +149,6 @@ def scaling_diagonal(l_op, alpha: float) -> np.ndarray:
         raise InvalidScalingError("D = I + alpha diag L has nonpositive "
                                   f"entries (min {float(np.min(d))!r})")
     return d
-
-
-def _scaled_bands(bands: dict, s: np.ndarray) -> dict:
-    """``S A S`` with ``S = diag(s)``: each band scaled by ``s`` at its row,
-    then at its column."""
-    out = {}
-    for offset, band in bands.items():
-        rows = tuple(slice(max(0, -d), max(0, -d) + m)
-                     for d, m in zip(offset, band.shape))
-        cols = tuple(slice(max(0, d), max(0, d) + m)
-                     for d, m in zip(offset, band.shape))
-        out[offset] = band * s[rows] * s[cols]
-    return out
 
 
 def band_kernel(bands: dict, weight: float = 1.0):
@@ -208,9 +190,9 @@ class DiffusionOperator:
     Immutable after construction; rebuild per fixed-point step.  ``a[k]``
     holds the edge coefficients across axis k.  ``bands`` is built on first
     use and cached read-only, as a fixed-point step reads it several times
-    (scaling, projection, diagonal wrap, the 2D apply); so are the scaling
-    and the scaled bands of :meth:`scaling`.  Sums over the axes run from
-    the last axis to the first: in 2D the inner (axis 1) terms come first.
+    (scaling, projection, diagonal wrap, the 2D apply); so is the diagonal
+    scaling of :meth:`scaling`.  Sums over the axes run from the last axis
+    to the first: in 2D the inner (axis 1) terms come first.
     """
 
     def __init__(self, u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN) -> None:
@@ -291,24 +273,22 @@ class DiffusionOperator:
     # the name bench/spans.py reads from the class dict to time band builds
     block_banded = bands
 
-    def scaling(self, alpha: float) -> tuple[np.ndarray, dict]:
-        """``(s, bands of S L S)`` with ``s = D^{-1/2}``, ``D = I + alpha
-        diag L`` (:func:`scaling_diagonal`) and ``S = diag(s)``.
+    def scaling(self, alpha: float) -> np.ndarray:
+        """``s = D^{-1/2}`` with ``D = I + alpha diag L``
+        (:func:`scaling_diagonal`), read-only.
 
-        A scaled step's apply and its ``_D`` preconditioner both read them,
-        so they are built once for the last ``alpha`` asked and kept
-        read-only.
+        A scaled step's apply and its ``_D`` preconditioner both read it,
+        so it is built once for the last ``alpha`` asked.
         """
         if self._scaling is None or self._scaling[0] != alpha:
             s = scaling_diagonal(self, alpha) ** -0.5
-            bands = _scaled_bands(self.bands(), s)
-            _read_only((s, *bands.values()))
-            self._scaling = (alpha, s, bands)
-        _, s, bands = self._scaling
-        return s, dict(bands)
+            s.setflags(write=False)
+            self._scaling = (alpha, s)
+        return self._scaling[1]
 
     def _cache(self, bands: dict) -> dict:
         """Freeze ``bands``' arrays and keep them for later calls."""
-        _read_only(bands.values())
+        for values in bands.values():
+            values.setflags(write=False)
         self._bands = bands
         return dict(bands)

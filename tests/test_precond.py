@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tvdeblur import precond, transforms, tv
+from tvdeblur import precond, transforms
 from tvdeblur.blur import (
     BoundaryCondition,
     StructuredBlurOperator,
@@ -305,7 +305,7 @@ def test_scaled_bands_are_the_dense_s_l_s(ndim, n, bc, rng):
     ``s`` at its row and at its column gives ``S L S``, ``S = diag(s)``."""
     l_op = DiffusionOperator(rng.standard_normal((n,) * ndim), 0.2, bc)
     s = rng.uniform(0.5, 2.0, (n,) * ndim)
-    scaled = tv._scaled_bands(l_op.bands(), s)
+    scaled = precond._scaled_bands(l_op.bands(), s)
     assert scaled.keys() == l_op.bands().keys()
     big_s = np.diag(s.reshape(-1))
     np.testing.assert_allclose(oracles.dense_of_bands(scaled, n),

@@ -9,7 +9,6 @@ from tvdeblur.tv import (
     MIN_BETA,
     DiffusionBc,
     DiffusionOperator,
-    _scaled_bands,
     band_kernel,
     diffusion_coefficients,
     scaling_diagonal,
@@ -129,19 +128,17 @@ def test_2d_kernel_matches_the_flux_oracle(n, bc, rng):
 
 @pytest.mark.parametrize("bc", BOTH)
 @pytest.mark.parametrize("n", KERNEL_SIZES)
-def test_2d_scaled_kernel_adds_s_alpha_l_s(n, bc, rng):
-    """The kernel on the scaled bands, weighted by alpha, adds
-    ``s * alpha * L(s * w)`` into the array it is given and leaves ``w``
-    alone."""
+def test_2d_weighted_kernel_adds_into_the_array_it_is_given(n, bc, rng):
+    """The kernel on the bands weighted by alpha adds ``alpha * L w`` into
+    the array it is given, as a step's apply adds its diffusion term into
+    the data term, and leaves ``w`` alone."""
     alpha = 0.3
     op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc)
-    s, scaled = op.scaling(alpha)
-    add = band_kernel(scaled, alpha)
+    add = band_kernel(op.bands(), alpha)
     w = rng.standard_normal((n, n))
     before = w.tobytes()
     out = rng.standard_normal((n, n))
-    want = out + s * alpha * oracles.diffusion_apply_padded(s * w, op.a,
-                                                            bc.value)
+    want = out + alpha * oracles.diffusion_apply_padded(w, op.a, bc.value)
     assert add(w, out) is out
     assert relative_error(out, want) <= 1e-13
     assert w.tobytes() == before
@@ -149,21 +146,14 @@ def test_2d_scaled_kernel_adds_s_alpha_l_s(n, bc, rng):
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_scaling_is_built_once_per_alpha(ndim, rng):
-    """``scaling`` gives ``s = D^{-1/2}`` and the bands of ``S L S`` with
-    the bytes of the rules it caches, read-only, once per alpha."""
+    """``scaling`` gives the bytes of ``scaling_diagonal(op, alpha) **
+    -0.5``, read-only, built once per alpha."""
     op = DiffusionOperator(rng.standard_normal((6,) * ndim), 0.1)
-    s, scaled = op.scaling(0.5)
+    s = op.scaling(0.5)
     assert s.tobytes() == (scaling_diagonal(op, 0.5) ** -0.5).tobytes()
-    fresh = _scaled_bands(op.bands(), s)
-    assert scaled.keys() == fresh.keys()
-    for key, values in scaled.items():
-        assert not values.flags.writeable
-        assert values.tobytes() == fresh[key].tobytes()
     assert not s.flags.writeable
-    again, scaled_again = op.scaling(0.5)
-    assert again is s
-    assert all(scaled_again[key] is scaled[key] for key in scaled)
-    other, _ = op.scaling(0.25)
+    assert op.scaling(0.5) is s
+    other = op.scaling(0.25)
     assert other.tobytes() == (scaling_diagonal(op, 0.25) ** -0.5).tobytes()
 
 
