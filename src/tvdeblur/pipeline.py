@@ -16,14 +16,14 @@ data with a separable PSF, under every blur BC; for any other PSF it is
 ``B`` after ``H``.  The diffusion term ``alpha L`` is added into the data
 term's output: in 2D by one five-diagonal C loop over the bands of
 ``alpha L``, packed once per step (``tv.band_kernel``), which the scaled
-system's apply runs on ``S w``; in 1D by ``L``'s flux form, which keeps the
-1D results' bytes (the ``tv`` module says why).  No apply of a step's
-system, of its blur or of its preconditioner writes into its argument:
-the Krylov solvers keep using the vectors they pass.  The inner solve starts from the previous iterate
-and may be preconditioned by any of the transform-algebra
-preconditioners; the ``x_d`` selector solves the diagonally scaled system
-instead and maps the solution back, which is spectrally equivalent to the
-``d_x`` wrap on the unscaled system.
+system's apply runs on ``S w``; in 1D by ``L``'s flux form, which keeps
+the 1D results' bytes (the ``tv`` module says why).  No apply of a
+step's system, of its blur or of its preconditioner writes into its
+argument: the Krylov solvers keep using the vectors they pass.  The inner
+solve starts from the previous iterate and may be preconditioned by any
+of the transform-algebra preconditioners; the ``x_d`` selector solves the
+diagonally scaled system instead and maps the solution back, which is
+spectrally equivalent to the ``d_x`` wrap on the unscaled system.
 
 The loop starts from ``u_0 = v`` and stops when the relative change
 ``||u_k - u_{k-1}|| / ||u_k||`` drops below ``fp_tol`` or the iterate does

@@ -29,11 +29,11 @@ n^2, and scipy's C loop ``dia_matvec`` adds ``A w`` into an output array
 in one call.  A fixed-point step's system packs ``alpha L`` so, and adds
 its diffusion term straight into its data term's output.  In 1D the
 apply keeps the flux form: fluxes ``a * (difference across each edge)``,
-then their negated divergence.
-The 1D benchmark's cells without an algebra preconditioner move their
-Krylov counts past the benchmark gate's one iteration per step under any
-change of rounding, so the 1D apply keeps its bytes until that gate
-measures regressions rather than rounding.
+then their negated divergence.  The 1D benchmark's cells without an
+algebra preconditioner move their Krylov counts past the benchmark gate's
+one iteration per step under any change of rounding, so the 1D apply
+keeps its bytes until that gate measures regressions rather than
+rounding.
 
 ``dia_matvec`` lives in ``scipy.sparse._sparsetools``, loaded from its
 file (``transforms.load_scipy_binding``).  Importing the ``scipy.sparse``
@@ -163,9 +163,11 @@ def band_kernel(bands: dict, weight: float = 1.0):
     one grid row to the start of the next.  At n = 1 the offsets 1 and n
     coincide, and both bands are empty.
 
-    ``w`` and ``out`` are float64 grids of the operator's shape.  The loop
-    writes through to ``out`` itself, so ``out`` must be the array the
-    caller goes on to use: a reshaped or raveled copy would drop the sum.
+    ``w`` and ``out`` are grids of the operator's shape, ``out`` float64.
+    The C loop reads and writes n^2 values whatever the arrays hold, so
+    their shapes are checked first.  It writes through to ``out`` itself,
+    so ``out`` must be the array the caller goes on to use: a reshaped or
+    raveled copy would drop the sum.
     """
     n = bands[(0, 0)].shape[0]
     data = np.zeros((len(bands), n, n))
@@ -174,10 +176,13 @@ def band_kernel(bands: dict, weight: float = 1.0):
         cells = tuple(slice(max(d, 0), n + min(d, 0)) for d in offset)
         np.multiply(band, weight, out=data[row][cells])
         offsets[row] = offset[0] * n + offset[1]
-    size = n * n
+    size, shape = n * n, (n, n)
     data = data.reshape(len(bands), size)
 
     def add(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if w.shape != shape or out.shape != shape:
+            raise ConfigurationError(f"expected two arrays of shape {shape}, "
+                                     f"got {w.shape} and {out.shape}")
         _sparsetools.dia_matvec(size, size, len(offsets), size, offsets,
                                 data, w, out)
         return out

@@ -144,6 +144,19 @@ def test_2d_weighted_kernel_adds_into_the_array_it_is_given(n, bc, rng):
     assert w.tobytes() == before
 
 
+def test_2d_kernel_rejects_a_grid_of_another_shape(rng):
+    """The C loop reads and writes n^2 values whatever the arrays hold, so
+    an array of another shape is rejected before it runs."""
+    add = band_kernel(DiffusionOperator(rng.standard_normal((4, 4)), 0.1)
+                      .bands())
+    for w, out in ((np.ones(8), np.zeros((4, 4))),
+                   (np.ones((4, 4)), np.zeros(8)),
+                   (np.ones(16), np.zeros((4, 4)))):
+        with pytest.raises(ValueError, match=r"expected two arrays of shape "
+                                             r"\(4, 4\)"):
+            add(w, out)
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_scaling_is_built_once_per_alpha(ndim, rng):
     """``scaling`` gives the bytes of ``scaling_diagonal(op, alpha) **
