@@ -10,6 +10,12 @@ identity does.  Iterations stop when ``||r_k||_2 / ||r_0||_2 < tol`` or at
 ``converged=False`` rather than raised, since benchmark sweeps record such
 cells as ``*``.
 
+Each solver starts from the residual ``r_0 = b - A x_0``, one apply before
+its loop.  A caller that already holds that residual passes it as the
+keyword ``r0``: the solver copies it and trusts it, without an apply to
+check it, so a wrong ``r0`` gives a wrong solve.  ``b`` is then read for
+nothing, and neither ``r0`` nor ``x0`` is written.
+
 BiCGstab is right-preconditioned (it iterates on ``A M^{-1}``), so the
 residual entering the stopping rule is the true residual of the original
 system.  Genuine breakdowns (vanishing recurrence scalars) raise
@@ -130,12 +136,21 @@ def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def pcg(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig()) -> SolveOutcome:
-    """Preconditioned conjugate gradient for SPD operators."""
-    apply_minv = apply_minv or _identity
-    b = np.asarray(b, dtype=float)
+def _start(apply_a, b, x0, r0) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, r)``: copies of ``x0`` and of the start residual ``b - A x0``,
+    which is ``r0`` when the caller has it and one apply otherwise."""
     x = np.array(x0, dtype=float, copy=True)
-    r = b - apply_a(x)
+    if r0 is not None:
+        return x, np.array(r0, dtype=float, copy=True)
+    return x, np.asarray(b, dtype=float) - apply_a(x)
+
+
+def pcg(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig(),
+        *, r0=None) -> SolveOutcome:
+    """Preconditioned conjugate gradient for SPD operators; ``r0``, when
+    given, is taken as ``b - A x0`` (see :func:`_start`)."""
+    apply_minv = apply_minv or _identity
+    x, r = _start(apply_a, b, x0, r0)
     r0_norm = _norm(r)
     history: list[float] = []
     if r0_norm == 0.0:
@@ -172,12 +187,12 @@ def pcg(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig()) -> So
     return SolveOutcome(x, config.max_iterations, np.array(history), False)
 
 
-def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig()) -> SolveOutcome:
-    """Right-preconditioned BiCGstab for general invertible operators."""
+def pbicgstab(apply_a, apply_minv, b, x0, config: KrylovConfig = KrylovConfig(),
+              *, r0=None) -> SolveOutcome:
+    """Right-preconditioned BiCGstab for general invertible operators;
+    ``r0``, when given, is taken as ``b - A x0`` (see :func:`_start`)."""
     apply_minv = apply_minv or _identity
-    b = np.asarray(b, dtype=float)
-    x = np.array(x0, dtype=float, copy=True)
-    r = b - apply_a(x)
+    x, r = _start(apply_a, b, x0, r0)
     r0_norm = _norm(r)
     history: list[float] = []
     if r0_norm == 0.0:

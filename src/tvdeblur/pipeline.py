@@ -10,9 +10,13 @@ with a Krylov method: conjugate gradient when the system is symmetric
 (normal form with the zero-Neumann diffusion operator), BiCGstab otherwise.
 ``CONFIGURATIONS`` is the one table of the benchmark configurations.
 ``StepSystem`` defines each step's system and, in ``krylov_problem``, its
-solve; ``el_residual`` is its one optimality residual.  The data term
+solve; ``el_residual`` is its one optimality residual.  Each step applies
+the system once outside its solve: the residual that gives the step's
+gradient norm is also the solve's start residual (``StepSystem.
+start_residual``), handed to the solver as ``r0``.  The data term
 ``B H`` is two products with dense n x n factors, one per axis, for 2D
-data with a separable PSF, under every blur BC; for any other PSF it is
+data with a separable PSF, under every blur BC, each run over the blocks
+that hold the factor's band (``kronecker_term``); for any other PSF it is
 ``B`` after ``H``.  The diffusion term ``alpha L`` is added into the data
 term's output: in 2D by one five-diagonal C loop over the bands of
 ``alpha L``, packed once per step (``tv.band_kernel``), which the scaled
@@ -202,6 +206,47 @@ def data_matrix(psf: SymmetricPsf, bc_h: BoundaryCondition,
     return (h.T if _transposes(bc_h, formulation) else h) @ h
 
 
+def row_blocks(f: np.ndarray) -> tuple:
+    """``(rows, cols)`` slice pairs whose blocks of the n x n matrix ``f``
+    hold all its nonzeros.
+
+    The half-bandwidth b is read from the nonzeros.  When b < n/2 the
+    rows split in two halves at h = n // 2: rows ``[0, h)`` reach only
+    columns ``[0, h + b)`` and rows ``[h, n)`` only ``[h - b, n)``.  Else,
+    as for the wrapped corners of periodic blur, one block is the whole
+    matrix.
+    """
+    n = f.shape[0]
+    rows, cols = np.nonzero(f)
+    b = int(np.abs(rows - cols).max(initial=0))
+    if 2 * b >= n:
+        return ((slice(0, n), slice(0, n)),)
+    h = n // 2
+    return (slice(0, h), slice(0, h + b)), (slice(h, n), slice(h - b, n))
+
+
+def kronecker_term(f0: np.ndarray, f1: np.ndarray):
+    """``W -> F0 W F1^T`` on the blocks of :func:`row_blocks`.
+
+    ``F0 W`` runs one product per row block of ``F0``, and the product with
+    ``F1^T`` one per row block of ``F1``, which fills a block of the
+    output's columns.  A skipped entry is an exact zero.  The output is a
+    fresh C-contiguous float64 array.
+    """
+    left = [(f0[rows, cols], rows, cols) for rows, cols in row_blocks(f0)]
+    right = [(f1.T[cols, rows], rows, cols) for rows, cols in row_blocks(f1)]
+
+    def term(w: np.ndarray) -> np.ndarray:
+        half = np.empty(w.shape)
+        for block, rows, cols in left:
+            np.matmul(block, w[cols], out=half[rows])
+        out = np.empty(w.shape)
+        for block, rows, cols in right:
+            np.matmul(half[:, cols], block, out=out[:, rows])
+        return out
+    return term
+
+
 class StepSystem:
     """The linear system ``A u = (B H + alpha L) u = B v`` of each step.
 
@@ -218,7 +263,13 @@ class StepSystem:
     is a Kronecker product, ``H W = H_a W H_b^T``, so ``B H`` is
     ``W -> F0 W F1^T`` with the dense n x n 1D data terms ``F = B H`` of
     the two axis kernels (``data_matrix``): two products per matvec,
-    whatever the blur BC.  Every other PSF, 1D or non-separable 2D, takes
+    whatever the blur BC.  ``kronecker_term`` runs each over the row
+    blocks that hold its factor's band (``row_blocks``): two when the
+    half-bandwidth b read from the factor is below n/2, which at the
+    benchmark's b = 2m = n/4 skips a quarter of the flops; one under
+    periodic blur, whose wrapped corners reach across the matrix.  A
+    kernel equal to its transpose has one factor matrix for both axes.
+    Every other PSF, 1D or non-separable 2D, takes
     ``back(forward(w))`` on the applies of ``operator_applies``: fast under
     reflective and anti-reflective blur, the references under zero and
     periodic blur.  ``apply`` and the scaled apply add the diffusion term
@@ -238,9 +289,11 @@ class StepSystem:
         if factors is None:
             self.data_term = lambda w: back(forward(w))
         else:
-            f0, f1 = (data_matrix(factor, h_op.bc, config.formulation, h_op.n)
-                      for factor in factors)
-            self.data_term = lambda w: f0 @ w @ f1.T
+            f0 = data_matrix(factors[0], h_op.bc, config.formulation, h_op.n)
+            h = psf.coefficients
+            f1 = f0 if np.array_equal(h, h.T) else \
+                data_matrix(factors[1], h_op.bc, config.formulation, h_op.n)
+            self.data_term = kronecker_term(f0, f1)
         self.alpha = config.alpha
         self.selector = config.preconditioner
         self.kind = config.resolved_kind()
@@ -276,6 +329,16 @@ class StepSystem:
             return out
         return apply, s * self.rhs, u / s, (lambda u_tilde: s * u_tilde)
 
+    def start_residual(self, gradient: np.ndarray) -> np.ndarray:
+        """``b - A x0`` of the solve that ``krylov_problem(u)`` poses, from
+        the gradient ``g = el_residual(self, u)`` at the same ``u``: ``-g``,
+        or ``S (-g)`` for the scaled system of ``x_d``.  ``gradient`` is
+        left alone."""
+        residual = -gradient
+        if self.selector is PrecondSelector.X_D:
+            residual *= self.l_op.scaling(self.alpha)
+        return residual
+
     def krylov_problem(self, u: np.ndarray) -> tuple:
         """(apply, preconditioner solve or None, right-hand side, start,
         map back) of the step's solve from ``u`` for the configured
@@ -299,7 +362,8 @@ def el_residual(system: StepSystem, u: np.ndarray) -> np.ndarray:
     """First-order optimality residual ``(B H + alpha L) u - B v``.
 
     With ``L`` frozen at ``u`` this is the gradient of the smoothed-TV
-    objective, ``B (H u - v) + alpha L(u) u``; ``restore`` freezes it so.
+    objective, ``B (H u - v) + alpha L(u) u``; ``restore`` freezes it so,
+    and starts the step's solve from it (``StepSystem.start_residual``).
     """
     return system.apply(u) - system.rhs
 
@@ -407,11 +471,12 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
         inner_converged = True
         for _ in range(config.fp_max):
             system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
-            gradient_norms.append(
-                float(np.linalg.norm(el_residual(system, u).ravel())))
+            residual = el_residual(system, u)
+            gradient_norms.append(float(np.linalg.norm(residual.ravel())))
 
             apply_a, apply_minv, rhs, u0, back = system.krylov_problem(u)
-            outcome = solver(apply_a, apply_minv, rhs, u0, config.inner)
+            outcome = solver(apply_a, apply_minv, rhs, u0, config.inner,
+                             r0=system.start_residual(residual))
             u_next = back(outcome.solution)
 
             inner_iterations.append(outcome.iterations)

@@ -11,7 +11,9 @@ diagonalized by one fast transform:
 For the three orthogonal algebras the Frobenius-closest member of the
 algebra to ``A`` has eigenvalues ``diag(X^T A X)``, a sum of one
 ``transforms.band_form`` per band of a banded ``A``; ``transforms`` picks
-a dense product or an FFT for each.  Projections take band dicts only,
+a dense product or an FFT for each.  A band form depends on the band's
+distance |d| from the diagonal only, so the bands at +d and -d are summed
+and take one band form.  Projections take band dicts only,
 keyed by offset tuples as ``tv.DiffusionOperator.bands`` gives them:
 ``{(d,): values}`` in 1D and ``{(block offset, inner offset):
 coefficients}`` in 2D.  Preconditioners apply and solve with
@@ -97,6 +99,16 @@ def _border_weights(length: int) -> np.ndarray:
     return w
 
 
+def _fold(bands: Bands) -> Bands:
+    """``bands`` keyed by the distances ``|d|``, the bands that share one
+    summed in key order."""
+    folded: Bands = {}
+    for offset, band in bands.items():
+        key = tuple(abs(d) for d in offset)
+        folded[key] = band if key not in folded else np.add(folded[key], band)
+    return folded
+
+
 def project(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
     """Algebra eigenvalues of the banded matrix ``bands``, of order n per axis.
 
@@ -112,7 +124,13 @@ def project(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
     n-by-n eigenvalue grid ``lam[s, t]`` aligned with the tensor transform:
     ``s`` indexes the block-level (axis 0) frequency, ``t`` the inner one.
     The block-banded operator is never densified.
+
+    A band's part of the result depends on the distance |d| along each
+    axis, not on the sign, so the bands at +d and -d are summed first and
+    take one band form together: in 2D on both levels, where the five
+    bands of a diffusion stencil take three.
     """
+    bands = _fold(bands)
     if any(len(offset) > 1 for offset in bands):
         by_block_offset: dict[int, Bands] = {}
         for (do, di), band in bands.items():

@@ -306,6 +306,37 @@ def test_solver_matches_the_allocating_loop_on_aliases(solver, reference,
     assert scaled.converged
 
 
+@pytest.mark.parametrize("precond", ["none", "diag", "dense"])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("solver,symmetric", [(pcg, True), (pbicgstab, False)])
+def test_given_start_residual_gives_the_bytes_of_the_b_form(solver, symmetric,
+                                                            shape, precond):
+    """With ``r0 = b - A x0`` given, a solve gives the bytes of the call
+    that forms it, with one apply fewer, and leaves ``r0`` and ``x0``
+    alone."""
+    shape = _SHAPES[shape]
+    apply_a, a = _system(shape, symmetric, seed=len(shape) * 1000 + shape[0])
+    apply_minv = _preconditioner(precond, a, shape, seed=shape[0])
+    rng = np.random.default_rng(5)
+    b, x0 = rng.standard_normal(shape), rng.standard_normal(shape)
+    r0 = b - apply_a(x0)
+    before = (r0.tobytes(), x0.tobytes())
+    applies = []
+
+    def counted(w):
+        applies.append(w)
+        return apply_a(w)
+    config = _CONFIGS["converges"]
+    want = solver(counted, apply_minv, b, x0, config)
+    b_form = len(applies)
+    applies.clear()
+    got = _outcomes_match(
+        lambda: solver(counted, apply_minv, b, x0, config, r0=r0),
+        lambda: want)
+    assert len(applies) == b_form - 1 and got.converged
+    assert (r0.tobytes(), x0.tobytes()) == before
+
+
 def _nan_after(apply_a, calls):
     """``apply_a`` until its ``calls``-th call, then all NaN."""
     count = [0]

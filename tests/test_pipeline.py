@@ -768,6 +768,98 @@ def test_2d_kronecker_step_apply_matches_oracle(rng, n, anisotropic, bc_h,
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+#: side n -> a separable 2D PSF: the harness's Gaussian, whose kernel is
+#: its own transpose; an anisotropic one, whose two axis factors differ;
+#: and a Gaussian of half-width ceil(n/4), whose data terms have
+#: half-bandwidth 2m >= n/2
+DATA_TERM_PSFS = {
+    "gaussian": lambda n: separable_psf(n, False),
+    "anisotropic": lambda n: separable_psf(n, True),
+    "wide": lambda n: gen_psf("gaussian", -(-n // 4), -(-n // 4) / 2.0),
+}
+
+
+@pytest.mark.parametrize("psf_kind", sorted(DATA_TERM_PSFS))
+@pytest.mark.parametrize("n", [5, 16, 64, 127, 128])
+@pytest.mark.parametrize("bc_h,formulation", pipeline.DATA_TERMS,
+                         ids=lambda v: v.value)
+def test_banded_kronecker_term_matches_the_dense_products(rng, bc_h,
+                                                          formulation, n,
+                                                          psf_kind):
+    """The data term of a separable PSF is ``F0 W F1^T`` to 1e-15 relative,
+    with ``F0`` and ``F1`` the dense data terms of the two axis kernels.
+    Each factor of half-bandwidth below n/2 splits into two row blocks;
+    the wide kernel and periodic blur, whose wrapped corners reach across
+    the matrix, take one product.  The anisotropic kernel takes two
+    factor matrices, so an axis swap or a shared factor would show."""
+    psf = DATA_TERM_PSFS[psf_kind](n)
+    f0, f1 = (pipeline.data_matrix(factor, bc_h, formulation, n)
+              for factor in psf.factors())
+    one_product = psf_kind == "wide" or bc_h is BoundaryCondition.PERIODIC
+    assert [len(pipeline.row_blocks(f)) for f in (f0, f1)] == \
+        [1 if one_product else 2] * 2
+    cfg = RestorationConfig(bc_h=bc_h, alpha=1e-2, beta=0.1,
+                            formulation=formulation)
+    system = StepSystem(psf, cfg, rng.standard_normal((n, n)))
+    w = rng.standard_normal((n, n))
+    want = f0 @ w @ f1.T
+    got = system.data_term(w)
+    assert got.flags.c_contiguous
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_row_blocks_cover_the_band():
+    """Two row blocks over the band below half-bandwidth n/2, else one
+    block; the band is read from the nonzeros."""
+    n = 8
+    tridiagonal = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    assert pipeline.row_blocks(tridiagonal) == (
+        (slice(0, 4), slice(0, 5)), (slice(4, 8), slice(3, 8)))
+    corner = np.eye(n)
+    corner[0, n - 1] = 1.0
+    assert pipeline.row_blocks(corner) == ((slice(0, n), slice(0, n)),)
+    assert len(pipeline.row_blocks(np.zeros((n, n)))) == 2
+
+
+@pytest.mark.parametrize("dimension,label,selector", [
+    (1, "R", "none"), (1, "R", "x_d"), (1, "AR+Reblur+AR", "diag"),
+    (1, "AR+Reblur+AR", "x_d"), (2, "AR+Reblur+AR", "x_d"),
+])
+def test_restore_forms_one_residual_per_step(monkeypatch, dimension, label,
+                                             selector):
+    """The solve of each step starts from the residual that the step's
+    gradient norm took: ``StepSystem.apply`` runs once per step for it,
+    once for the final gradient, and otherwise only inside the solver, in
+    a CG (``R``) and a BiCGstab (``AR+Reblur+AR``) restore."""
+    counts = {"system": 0, "solver": 0, "pcg": 0, "pbicgstab": 0}
+    system_apply = StepSystem.apply
+
+    def apply(self, w):
+        counts["system"] += 1
+        return system_apply(self, w)
+    monkeypatch.setattr(StepSystem, "apply", apply)
+    for name in ("pcg", "pbicgstab"):
+        def solver(apply_a, *args, _name=name, _solver=getattr(pipeline, name),
+                   **kwargs):
+            def counted(w):
+                counts["solver"] += 1
+                return apply_a(w)
+            counts[_name] += 1
+            return _solver(counted, *args, **kwargs)
+        monkeypatch.setattr(pipeline, name, solver)
+    n = 64 if dimension == 1 else 32
+    spec = BenchmarkSpec(dimension=dimension, ns=(n,), nsr=0.01, seed=2023)
+    psf, observed, _ = make_problem(spec, n)
+    bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
+    cfg = RestorationConfig(bc_h=bc_h, alpha=1e-2, beta=0.1, bc_l=bc_l,
+                            formulation=formulation,
+                            preconditioner=PrecondSelector(selector), fp_max=5)
+    report = restore(observed, psf, cfg)
+    assert counts["pcg" if label == "R" else "pbicgstab"] == report.fp_steps
+    assert counts["solver"] > report.fp_steps
+    assert counts["system"] == counts["solver"] + report.fp_steps + 1
+
+
 @pytest.mark.parametrize("separable", [True, False], ids=["gaussian", "disk"])
 @pytest.mark.parametrize("bc_l", list(DiffusionBc), ids=lambda v: v.value)
 @pytest.mark.parametrize("bc_h,formulation", pipeline.DATA_TERMS,

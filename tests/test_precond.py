@@ -170,6 +170,51 @@ def test_banded_projection_matches_oracle_across_product_cutoff(kind, n, rng):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
+# both sides of the batched and the vector product bounds, 144 and 384
+FOLD_CASES = [(ndim, n) for ndim in (1, 2)
+              for n in (143, 144, 145, 383, 384, 385)]
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("ndim,n", FOLD_CASES)
+def test_projection_folds_the_bands_at_plus_and_minus_d(kind, ndim, n, rng):
+    """``project`` sums the bands at +d and -d before one band form, on
+    both levels in 2D; the result is the sum of the bands' projections one
+    by one to 1e-13 in norm.  Anti-reflective diffusion bands differ at +d
+    and -d on the border, so a band dropped or counted twice shows.  (Entry
+    by entry, the anti-reflective border eigenvalues are alternating sums
+    over the interior and differ by up to 1.6e-13 of the largest entry in
+    2D at n = 385; the interior entries differ by 2e-15.)"""
+    l_op = DiffusionOperator(rng.standard_normal((n,) * ndim), 0.05,
+                             DiffusionBc.ANTI_REFLECTIVE)
+    bands = l_op.bands()
+    upper, lower = (1,) + (0,) * (ndim - 1), (-1,) + (0,) * (ndim - 1)
+    assert not np.array_equal(bands[upper], bands[lower])
+    got = project(kind, bands, n)
+    want = sum(project(kind, {offset: band}, n)
+               for offset, band in bands.items())
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_2d_scaled_projection_takes_seven_band_forms(monkeypatch, rng):
+    """A ``P_D`` assembly in 2D takes one band form per distance and level:
+    two for ``s`` and five for the five bands of ``S L S``."""
+    calls = []
+    band_form = precond.band_form
+
+    def counted(*args):
+        calls.append(args[2])
+        return band_form(*args)
+    monkeypatch.setattr(precond, "band_form", counted)
+    n = 16
+    h_op = StructuredBlurOperator(gen_psf("gaussian", 2, 1.0),
+                                  BoundaryCondition.ANTI_REFLECTIVE, n)
+    l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1,
+                             DiffusionBc.ANTI_REFLECTIVE)
+    assemble_preconditioner("P_D", h_op, l_op, 1e-2)
+    assert len(calls) == 7 and all(d >= 0 for d in calls)
+
+
 @pytest.mark.parametrize("kind", [TransformKind.DCT, TransformKind.DST1])
 def test_band_products_are_read_only(kind):
     n, d = 126, 1

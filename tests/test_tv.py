@@ -185,6 +185,31 @@ def test_1d_coefficients_are_byte_identical_to_padded_formula(n, rng):
             assert a.tobytes() == (1.0 / np.sqrt(d * d + 0.05 * 0.05)).tobytes()
 
 
+def padded_coefficients_2d(u, beta, pad):
+    """The 2D edge coefficients on the ``np.pad`` extension of ``u``."""
+    ext = np.pad(u, 1, **pad)
+    dh, dv = np.diff(ext, axis=1), np.diff(ext, axis=0)
+    trans_h = 0.25 * (dv[:-1, :-1] + dv[1:, :-1] + dv[:-1, 1:] + dv[1:, 1:])
+    trans_v = 0.25 * (dh[:-1, :-1] + dh[:-1, 1:] + dh[1:, :-1] + dh[1:, 1:])
+    return (1.0 / np.sqrt(dv[:, 1:-1] ** 2 + trans_v ** 2 + beta * beta),
+            1.0 / np.sqrt(dh[1:-1, :] ** 2 + trans_h ** 2 + beta * beta))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_2d_coefficients_are_byte_identical_to_padded_formula(n, rng):
+    """The 2D ghost grid, sliced into one buffer, has the bytes of
+    ``np.pad``'s extension, corners included, under both rules."""
+    pads = {DiffusionBc.ZERO_NEUMANN: {"mode": "symmetric"},
+            DiffusionBc.ANTI_REFLECTIVE: {"mode": "reflect",
+                                          "reflect_type": "odd"}}
+    for bc in BOTH:
+        for _ in range(3):
+            u = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            got = diffusion_coefficients(u, 0.05, bc)
+            want = padded_coefficients_2d(u, 0.05, pads[bc])
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 # n = 1 has no edge inside the grid, so both ghost differences are zero
 # and L = 0 under either rule
 @pytest.mark.parametrize("bc", BOTH)
