@@ -29,7 +29,8 @@ time of one 2D data term ``B H`` done two ways: ``B`` after ``H`` on the
 2D operator's applies ``(H, B)`` (``pipeline.operator_applies``), which a
 non-separable PSF takes, and the Kronecker form ``F0 @ W @ F1.T`` that
 ``pipeline.StepSystem`` takes for the separable harness PSF, with the
-dense 1D data terms of its axis kernels.
+dense 1D data terms of its axis kernels, run on their row blocks
+(``pipeline.kronecker_term``).
 
 The last table gives, for each blur BC and formulation with a fast
 transform, the best-of-k time of one 1D data term ``B H`` done two ways:
@@ -73,6 +74,7 @@ from tvdeblur.pipeline import (
     RestorationConfig,
     StepSystem,
     data_matrix,
+    kronecker_term,
     operator_applies,
 )
 from tvdeblur.precond import (
@@ -183,7 +185,7 @@ def band_form_table(sizes, repeats: int) -> None:
 
 def data_term_table(sizes, repeats: int) -> None:
     """Best-of-k 2D data term, the operator's applies against the
-    Kronecker products."""
+    Kronecker products on the factors' row blocks (``kronecker_term``)."""
     print(f"{'kind':<24}{'n':>5}{'operator':>11}{'kronecker':>11}{'ratio':>8}")
     rng = np.random.default_rng(0)
     for bc, formulation in DATA_TERMS:
@@ -191,12 +193,11 @@ def data_term_table(sizes, repeats: int) -> None:
             psf = harness_psf(n)
             h_op = StructuredBlurOperator(psf, bc, n)
             forward, back = operator_applies(h_op, formulation)
-            f0, f1 = (data_matrix(factor, bc, formulation, n)
-                      for factor in psf.factors())
+            term = kronecker_term(*(data_matrix(factor, bc, formulation, n)
+                                    for factor in psf.factors()))
             w = rng.standard_normal((n, n))
             ms = [best_us(fn, repeats) / 1e3
-                  for fn in (lambda: back(forward(w)),
-                             lambda: f0 @ w @ f1.T)]
+                  for fn in (lambda: back(forward(w)), lambda: term(w))]
             label = f"{bc.value}/{formulation.value}"
             print(f"{label:<24}{n:>5}{ms[0]:>11.3f}{ms[1]:>11.3f}"
                   f"{ms[0] / ms[1]:>8.2f}")
