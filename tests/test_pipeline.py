@@ -823,30 +823,36 @@ def test_row_blocks_cover_the_band():
 
 @pytest.mark.parametrize("dimension,label,selector", [
     (1, "R", "none"), (1, "R", "x_d"), (1, "AR+Reblur+AR", "diag"),
-    (1, "AR+Reblur+AR", "x_d"), (2, "AR+Reblur+AR", "x_d"),
+    (1, "AR+Reblur+AR", "x_d"), (2, "R", "d_x"), (2, "AR+Reblur+AR", "x_d"),
 ])
 def test_restore_forms_one_residual_per_step(monkeypatch, dimension, label,
                                              selector):
     """The solve of each step starts from the residual that the step's
-    gradient norm took: ``StepSystem.apply`` runs once per step for it,
-    once for the final gradient, and otherwise only inside the solver, in
-    a CG (``R``) and a BiCGstab (``AR+Reblur+AR``) restore."""
-    counts = {"system": 0, "solver": 0, "pcg": 0, "pbicgstab": 0}
+    gradient norm took, in a CG (``R``) and a BiCGstab (``AR+Reblur+AR``)
+    restore: ``StepSystem.apply`` runs once per step for it, once for the
+    final gradient, and otherwise only inside the solver, and CG applies
+    once per iteration.  Solvers that form the start residual themselves
+    give the same bytes; under ``x_d``, whose ``S (-g)`` rounds unlike
+    ``S b - S A S (u / s)``, the same to 1e-12."""
+    counts = {"system": 0, "solver": 0, "solves": 0}
     system_apply = StepSystem.apply
 
     def apply(self, w):
         counts["system"] += 1
         return system_apply(self, w)
     monkeypatch.setattr(StepSystem, "apply", apply)
-    for name in ("pcg", "pbicgstab"):
-        def solver(apply_a, *args, _name=name, _solver=getattr(pipeline, name),
-                   **kwargs):
+    solvers = {name: getattr(pipeline, name) for name in ("pcg", "pbicgstab")}
+    cg = label == "R"
+    for name, solver in solvers.items():
+        def counted_solver(apply_a, *args, _solver=solver, _cg=name == "pcg",
+                           **kwargs):
             def counted(w):
                 counts["solver"] += 1
                 return apply_a(w)
-            counts[_name] += 1
+            assert _cg == cg and kwargs["r0"] is not None
+            counts["solves"] += 1
             return _solver(counted, *args, **kwargs)
-        monkeypatch.setattr(pipeline, name, solver)
+        monkeypatch.setattr(pipeline, name, counted_solver)
     n = 64 if dimension == 1 else 32
     spec = BenchmarkSpec(dimension=dimension, ns=(n,), nsr=0.01, seed=2023)
     psf, observed, _ = make_problem(spec, n)
@@ -855,9 +861,21 @@ def test_restore_forms_one_residual_per_step(monkeypatch, dimension, label,
                             formulation=formulation,
                             preconditioner=PrecondSelector(selector), fp_max=5)
     report = restore(observed, psf, cfg)
-    assert counts["pcg" if label == "R" else "pbicgstab"] == report.fp_steps
-    assert counts["solver"] > report.fp_steps
+    assert counts["solves"] == report.fp_steps
     assert counts["system"] == counts["solver"] + report.fp_steps + 1
+    if cg:
+        assert counts["solver"] == sum(report.inner_iterations)
+    for name, solver in solvers.items():
+        monkeypatch.setattr(pipeline, name,
+                            lambda *args, _solver=solver, r0=None, **kwargs:
+                            _solver(*args, **kwargs))
+    own = restore(observed, psf, cfg)
+    assert own.inner_iterations == report.inner_iterations
+    if selector == "x_d":
+        assert np.linalg.norm(report.restored - own.restored) <= \
+            1e-12 * np.linalg.norm(own.restored)
+    else:
+        assert report.restored.tobytes() == own.restored.tobytes()
 
 
 @pytest.mark.parametrize("separable", [True, False], ids=["gaussian", "disk"])
