@@ -12,12 +12,12 @@ with a Krylov method: conjugate gradient when the system is symmetric
 ``StepSystem`` defines each step's system and, in ``krylov_problem``, its
 solve; ``el_residual`` is its one optimality residual.  Each step applies
 the system once outside its solve: the residual that gives the step's
-gradient norm is also the solve's start residual (``StepSystem.
-start_residual``), handed to the solver as ``r0``.  The data term
-``B H`` is two products with dense n x n factors, one per axis, for 2D
-data with a separable PSF, under every blur BC, each run over the blocks
-that hold the factor's band (``kronecker_term``); for any other PSF it is
-``B`` after ``H``.  The diffusion term ``alpha L`` is added into the data
+gradient norm is also the solve's start residual
+(``StepSystem.start_residual``), handed to the solver as ``r0``.  The data
+term ``B H`` is two products with dense n x n factors, one per axis, for
+2D data with a separable PSF, under every blur BC, each run over the
+blocks that hold the factor's band (``kronecker_term``); for any other PSF
+it is ``B`` after ``H``.  The diffusion term ``alpha L`` is added into the data
 term's output: in 2D by one five-diagonal C loop over the bands of
 ``alpha L``, packed once per step (``tv.band_kernel``), which the scaled
 system's apply runs on ``S w``; in 1D by ``L``'s flux form, which keeps
