@@ -26,6 +26,7 @@ from .pipeline import (
     Formulation,
     PrecondSelector,
     StepSystem,
+    el_residual,
     restore,
     unconverged_reason,
 )
@@ -122,7 +123,8 @@ def _cmd_spectra(args) -> int:
     system = StepSystem(psf, config, observed)
     system.freeze(DiffusionOperator(observed, args.beta, bc_l))
     # the dense M^{-1} A of restore's first step, one unit vector per column
-    apply_a, apply_minv, _, _, _ = system.krylov_problem(observed)
+    apply_a, apply_minv, _, _, _, _ = system.krylov_problem(
+        observed, el_residual(system, observed))
     dense = np.column_stack([apply_minv(apply_a(e)) for e in np.eye(args.n)])
     eigs = np.linalg.eigvals(dense)
     eigs = eigs[np.argsort(eigs.real)]

@@ -12,8 +12,8 @@ with a Krylov method: conjugate gradient when the system is symmetric
 ``StepSystem`` defines each step's system and, in ``krylov_problem``, its
 solve; ``el_residual`` is its one optimality residual.  Each step applies
 the system once outside its solve: the residual that gives the step's
-gradient norm is also the solve's start residual
-(``StepSystem.start_residual``), handed to the solver as ``r0``.  The data
+gradient norm is also the solve's start residual, which
+``krylov_problem`` derives from it and hands to the solver as ``r0``.  The data
 term ``B H`` is two products with dense n x n factors, one per axis, for
 2D data with a separable PSF, under every blur BC, each run over the
 blocks that hold the factor's band (``kronecker_term``); for any other PSF
@@ -267,8 +267,7 @@ class StepSystem:
     blocks that hold its factor's band (``row_blocks``): two when the
     half-bandwidth b read from the factor is below n/2, which at the
     benchmark's b = 2m = n/4 skips a quarter of the flops; one under
-    periodic blur, whose wrapped corners reach across the matrix.  A
-    kernel equal to its transpose has one factor matrix for both axes.
+    periodic blur, whose wrapped corners reach across the matrix.
     Every other PSF, 1D or non-separable 2D, takes
     ``back(forward(w))`` on the applies of ``operator_applies``: fast under
     reflective and anti-reflective blur, the references under zero and
@@ -289,10 +288,8 @@ class StepSystem:
         if factors is None:
             self.data_term = lambda w: back(forward(w))
         else:
-            f0 = data_matrix(factors[0], h_op.bc, config.formulation, h_op.n)
-            h = psf.coefficients
-            f1 = f0 if np.array_equal(h, h.T) else \
-                data_matrix(factors[1], h_op.bc, config.formulation, h_op.n)
+            f0, f1 = (data_matrix(factor, h_op.bc, config.formulation, h_op.n)
+                      for factor in factors)
             self.data_term = kronecker_term(f0, f1)
         self.alpha = config.alpha
         self.selector = config.preconditioner
@@ -319,34 +316,32 @@ class StepSystem:
         out += diffusion
         return out
 
-    def scale(self, u: np.ndarray) -> tuple:
-        """(apply, rhs, start, map back) of ``D^{-1/2} A D^{-1/2}`` from ``u``."""
+    def scale(self, u: np.ndarray, gradient: np.ndarray) -> tuple:
+        """(apply, rhs, start, start residual, map back) of
+        ``D^{-1/2} A D^{-1/2}`` from ``u`` and the gradient
+        ``g = el_residual(self, u)`` at the same ``u``: the start residual
+        ``b - A x0`` of the scaled system is ``S (-g)``."""
         s = self.l_op.scaling(self.alpha)
 
         def apply(w):
             out = self.apply(s * w)
             out *= s
             return out
-        return apply, s * self.rhs, u / s, (lambda u_tilde: s * u_tilde)
+        return (apply, s * self.rhs, u / s, s * -gradient,
+                lambda u_tilde: s * u_tilde)
 
-    def start_residual(self, gradient: np.ndarray) -> np.ndarray:
-        """``b - A x0`` of the solve that ``krylov_problem(u)`` poses, from
-        the gradient ``g = el_residual(self, u)`` at the same ``u``: ``-g``,
-        or ``S (-g)`` for the scaled system of ``x_d``.  ``gradient`` is
-        left alone."""
-        residual = -gradient
-        if self.selector is PrecondSelector.X_D:
-            residual *= self.l_op.scaling(self.alpha)
-        return residual
-
-    def krylov_problem(self, u: np.ndarray) -> tuple:
+    def krylov_problem(self, u: np.ndarray, gradient: np.ndarray) -> tuple:
         """(apply, preconditioner solve or None, right-hand side, start,
-        map back) of the step's solve from ``u`` for the configured
-        preconditioner selector."""
+        start residual, map back) of the step's solve from ``u`` for the
+        configured preconditioner selector.  ``gradient`` is
+        ``g = el_residual(self, u)``, left alone; the start residual
+        ``b - A x0`` is ``-g``, or ``S (-g)`` for the scaled system of
+        ``x_d`` (``scale``)."""
         if self.selector is PrecondSelector.X_D:
-            apply, rhs, start, back = self.scale(u)
+            apply, rhs, start, r0, back = self.scale(u, gradient)
         else:
-            apply, rhs, start, back = self.apply, self.rhs, u, lambda x: x
+            apply, rhs, start, r0, back = (self.apply, self.rhs, u, -gradient,
+                                           lambda x: x)
         if self.selector is PrecondSelector.NONE:
             solve = None
         elif self.selector is PrecondSelector.DIAG:
@@ -355,7 +350,7 @@ class StepSystem:
         else:
             solve = assemble_preconditioner(self.kind, self.h_op, self.l_op,
                                             self.alpha).apply_inverse
-        return apply, solve, rhs, start, back
+        return apply, solve, rhs, start, r0, back
 
 
 def el_residual(system: StepSystem, u: np.ndarray) -> np.ndarray:
@@ -363,7 +358,7 @@ def el_residual(system: StepSystem, u: np.ndarray) -> np.ndarray:
 
     With ``L`` frozen at ``u`` this is the gradient of the smoothed-TV
     objective, ``B (H u - v) + alpha L(u) u``; ``restore`` freezes it so,
-    and starts the step's solve from it (``StepSystem.start_residual``).
+    and starts the step's solve from it (``StepSystem.krylov_problem``).
     """
     return system.apply(u) - system.rhs
 
@@ -474,9 +469,10 @@ def restore(v, psf: SymmetricPsf, config: RestorationConfig,
             residual = el_residual(system, u)
             gradient_norms.append(float(np.linalg.norm(residual.ravel())))
 
-            apply_a, apply_minv, rhs, u0, back = system.krylov_problem(u)
+            apply_a, apply_minv, rhs, u0, r0, back = \
+                system.krylov_problem(u, residual)
             outcome = solver(apply_a, apply_minv, rhs, u0, config.inner,
-                             r0=system.start_residual(residual))
+                             r0=r0)
             u_next = back(outcome.solution)
 
             inner_iterations.append(outcome.iterations)

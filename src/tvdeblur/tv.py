@@ -63,6 +63,12 @@ class DiffusionBc(Enum):
     ANTI_REFLECTIVE = "anti_reflective"
 
 
+_PAD = {
+    DiffusionBc.ZERO_NEUMANN: {"mode": "symmetric"},
+    DiffusionBc.ANTI_REFLECTIVE: {"mode": "reflect", "reflect_type": "odd"},
+}
+
+
 #: smallest beta whose square is a normal float: below it ``beta * beta``
 #: loses its bits and reaches 0 near 1e-162, and the coefficients of flat
 #: edges, ``1 / sqrt(0 + beta^2)``, overflow or divide by zero
@@ -79,12 +85,9 @@ def check_beta(beta: float) -> None:
 
 
 def _ghost_diff(w: np.ndarray, bc: DiffusionBc, d: np.ndarray) -> np.ndarray:
-    """``np.diff`` along axis 0 of ``w`` padded by one ghost line per side
-    under ``bc`` (``np.pad`` in mode ``symmetric`` for zero Neumann,
-    ``reflect`` with ``reflect_type="odd"`` for anti-reflection), taken on
-    w's own lines, unpadded, and written to ``d``, which has one line more
-    than ``w`` along axis 0.  The 1D coefficients and the apply take their
-    differences here.
+    """``np.diff(np.pad(w, 1, **_PAD[bc]), axis=0)`` on w's own lines,
+    unpadded, written to ``d``, which has one line more than ``w`` along
+    axis 0.  The 1D coefficients and the apply take their differences here.
 
     The two ghost differences repeat ``np.pad``'s arithmetic, so the bytes
     are the same: a symmetric ghost equals the border sample, giving 0.0;
@@ -100,28 +103,6 @@ def _ghost_diff(w: np.ndarray, bc: DiffusionBc, d: np.ndarray) -> np.ndarray:
         d[0] = first - (2 * first - w[1])
         d[-1] = (2 * last - w[-2]) - last
     return d
-
-
-def _ghost_grid(u: np.ndarray, bc: DiffusionBc) -> np.ndarray:
-    """The square grid ``u`` padded by one ghost line per side under
-    ``bc``, by slicing into one (n+2) x (n+2) buffer, with the bytes of
-    ``np.pad`` (see :func:`_ghost_diff`).
-
-    As ``np.pad`` does, the ghost rows are filled over the grid's columns
-    first, and the ghost columns then over every row, corners included.  A
-    length-1 axis is extended by its edge value under both rules.
-    """
-    n = u.shape[0]
-    ext = np.empty((n + 2, n + 2))
-    ext[1:-1, 1:-1] = u
-    odd = bc is DiffusionBc.ANTI_REFLECTIVE and n > 1
-    for axis, view in ((0, ext[:, 1:-1]), (1, ext)):
-        for ghost, edge, inner in ((0, 1, 2), (-1, -2, -3)):
-            side = view[_along(axis, edge)]
-            if odd:
-                side = 2 * side - view[_along(axis, inner)]
-            view[_along(axis, ghost)] = side
-    return ext
 
 
 def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN):
@@ -140,7 +121,7 @@ def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NE
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ConfigurationError(f"expected a square grid, got shape {u.shape}")
     # the corner ghosts of the transverse averages need the padded grid
-    ext = _ghost_grid(u, bc)
+    ext = np.pad(u, 1, **_PAD[bc])
     dh = np.diff(ext, axis=1)  # (n+2) x (n+1)
     dv = np.diff(ext, axis=0)  # (n+1) x (n+2)
     # transverse gradient at an edge midpoint: four-point average of the

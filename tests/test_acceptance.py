@@ -21,6 +21,7 @@ from tvdeblur.pipeline import (
     PrecondSelector,
     RestorationConfig,
     StepSystem,
+    el_residual,
     restore,
 )
 from tvdeblur.precond import assemble_preconditioner, project
@@ -420,7 +421,8 @@ def test_criterion_10_scaled_equivalence():
         direct = solver(system.apply, wrapped.apply_inverse, system.rhs,
                         observed, cfg)
 
-        apply_scaled, rhs, u0, unscale = system.scale(observed)
+        apply_scaled, rhs, u0, _, unscale = system.scale(
+            observed, el_residual(system, observed))
         plain = assemble_preconditioner(base, h_op, l_op, alpha)
         scaled = solver(apply_scaled, plain.apply_inverse, rhs, u0, cfg)
         diff = np.abs(direct.solution - unscale(scaled.solution)).max()

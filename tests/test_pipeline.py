@@ -519,11 +519,13 @@ def test_step_system_scaling_dense_identity(rng):
     np.testing.assert_allclose(probe_dense(system.apply, (n,)), a, atol=1e-12)
     s = (1.0 + alpha * np.diag(l_dense)) ** -0.5
     u = rng.standard_normal(n)
-    apply_scaled, rhs, u_scaled, unscale = system.scale(u)
+    gradient = pipeline.el_residual(system, u)
+    apply_scaled, rhs, u_scaled, r0, unscale = system.scale(u, gradient)
     np.testing.assert_allclose(probe_dense(apply_scaled, (n,)),
                                np.diag(s) @ a @ np.diag(s), atol=1e-12)
     np.testing.assert_allclose(rhs, s * system.rhs, atol=1e-14)
     np.testing.assert_allclose(u_scaled, u / s, atol=1e-14)
+    np.testing.assert_allclose(r0, rhs - apply_scaled(u_scaled), atol=1e-12)
     np.testing.assert_allclose(unscale(u_scaled), u, atol=1e-14)
 
 
@@ -531,7 +533,8 @@ def test_step_system_small_alpha_scaling_is_identity(rng):
     n = 6
     l_op = DiffusionOperator(rng.standard_normal(n), 0.1)
     _, system = step_system(l_op, 1e-300, np.ones(n))
-    apply_scaled, rhs, u_scaled, _ = system.scale(np.ones(n))
+    apply_scaled, rhs, u_scaled, _, _ = system.scale(np.ones(n),
+                                                     np.zeros(n))
     np.testing.assert_allclose(u_scaled, np.ones(n), atol=1e-12)
     np.testing.assert_allclose(apply_scaled(np.ones(n)),
                                system.apply(np.ones(n)), atol=1e-12)
@@ -543,7 +546,9 @@ def check_krylov_problem(rng, n, h, label, selector):
     and operator ``A`` it returns multiply to ``A``, ``D^{-1} A``,
     ``X^{-1} A`` or ``D_X^{-1} A`` on the unscaled system, and to
     ``X_D^{-1} S A S`` with ``S = D^{-1/2}`` for ``x_d``, whose start and
-    map back go through ``S``.  ``D`` and ``A`` come from dense oracles."""
+    map back go through ``S``.  The start residual it derives from the
+    gradient, which it leaves alone, is ``b - A x0`` of that system.  ``D``
+    and ``A`` come from dense oracles."""
     alpha = 1e-2
     shape = (n,) * h.ndim
     bc_h, bc_l, formulation, family = pipeline.CONFIGURATIONS[label]
@@ -556,7 +561,10 @@ def check_krylov_problem(rng, n, h, label, selector):
     a = b @ h_dense + alpha * l_dense
     s = ((1.0 + alpha * np.diag(l_dense)) ** -0.5).reshape(shape)
     u = rng.standard_normal(shape)
-    apply_a, solve, rhs, start, back = system.krylov_problem(u)
+    gradient = pipeline.el_residual(system, u)
+    before = gradient.tobytes()
+    apply_a, solve, rhs, start, r0, back = system.krylov_problem(u, gradient)
+    assert gradient.tobytes() == before
     kind = {PrecondSelector.X: family, PrecondSelector.D_X: f"D_{family}",
             PrecondSelector.X_D: f"{family}_D"}.get(selector)
     m = (np.eye(n ** h.ndim) if selector is PrecondSelector.NONE
@@ -574,6 +582,7 @@ def check_krylov_problem(rng, n, h, label, selector):
     np.testing.assert_allclose(precond_a, np.linalg.solve(m, a), atol=1e-9)
     np.testing.assert_allclose(rhs, want_rhs, atol=1e-14)
     np.testing.assert_allclose(start, want_start, atol=1e-14)
+    np.testing.assert_allclose(r0, rhs - apply_a(start), atol=1e-12)
     np.testing.assert_allclose(back(start), u, atol=1e-14)
 
 
@@ -596,7 +605,7 @@ def test_x_d_step_builds_the_diffusion_bands_once(ndim, rng, monkeypatch):
     psf = SymmetricPsf(np.full((3,) * ndim, 1 / 3.0 ** ndim))
     _, system = step_system(l_op, 1e-2, rng.standard_normal(shape), psf,
                             selector=PrecondSelector.X_D)
-    system.krylov_problem(rng.standard_normal(shape))
+    system.krylov_problem(rng.standard_normal(shape), np.zeros(shape))
     assert builds == [ndim]
     l_op.bands().clear()
     cached = l_op.bands()
@@ -667,7 +676,7 @@ def test_1d_step_apply_composes_two_blur_applies(rng, bc_h, formulation, bc_l,
     np.testing.assert_array_equal(system.data_term(w), want)
     np.testing.assert_array_equal(system.rhs, back(v))
     s = pipeline.scaling_diagonal(l_op, alpha) ** -0.5
-    apply_scaled = system.scale(w)[0]
+    apply_scaled = system.scale(w, pipeline.el_residual(system, w))[0]
     pairs = [(system.apply(w), want + alpha * l_op.apply(w)),
              (apply_scaled(w),
               s * (back(forward(s * w)) + alpha * l_op.apply(s * w)))]
@@ -905,7 +914,7 @@ def test_2d_step_apply_sums_the_diffusion_term_into_the_data_term(
     s = (1.0 + alpha * np.diag(l_dense)) ** -0.5
     np.testing.assert_allclose(probe_dense(system.apply, (n, n)), a,
                                atol=1e-12)
-    apply_scaled = system.scale(np.zeros((n, n)))[0]
+    apply_scaled = system.scale(np.zeros((n, n)), -system.rhs)[0]
     np.testing.assert_allclose(probe_dense(apply_scaled, (n, n)),
                                s[:, None] * a * s, atol=1e-12)
     w = rng.standard_normal((n, n))
@@ -1044,7 +1053,8 @@ def test_scalar_diagonal_scaling_commutes(rng):
     _, system = step_system(ScalarDiagOperator(), 0.5, rng.standard_normal(n))
     cfg = KrylovConfig(tol=1e-10, max_iterations=200)
     plain = pcg(system.apply, None, system.rhs, np.zeros(n), cfg)
-    apply_scaled, rhs, u0, unscale = system.scale(np.zeros(n))
+    apply_scaled, rhs, u0, _, unscale = system.scale(np.zeros(n),
+                                                     -system.rhs)
     scaled = pcg(apply_scaled, None, rhs, u0, cfg)
     assert plain.iterations == scaled.iterations
     np.testing.assert_allclose(unscale(scaled.solution), plain.solution,
@@ -1188,7 +1198,7 @@ def test_applies_leave_read_only_input_alone(rng, label, shape, h):
     for selector in PrecondSelector:
         _, system = step_system(l_op, 1e-2, v, psf, bc_h, formulation,
                                 selector)
-        apply, solve, *_ = system.krylov_problem(x)
+        apply, solve, *_ = system.krylov_problem(x, x)
         applies += [apply] if solve is None else [apply, solve]
     for apply in applies:
         apply(x)
