@@ -7,9 +7,9 @@ band forms and the data term, and the 1D data term against its dense matrix.
 bounds it reads are printed first.  The first table gives, for each
 transform kind and grid side n, the best-of-k time of one forward 2D
 tensor apply done three ways: the 1D pocketfft transform along each axis;
-the two products ``m @ G @ m.T`` with the cached dense matrix ``m`` of the
-1D apply, which no library path takes any more and which stays here as the
-reference; and ``transforms.parity_apply_2d``, the half-size block
+the two products ``m @ G @ m.T`` with the dense matrix ``m`` of the 1D
+apply (``transforms._dense_1d``, built before the timing), which no library
+path takes any more and which stays here as the reference; and ``transforms.parity_apply_2d``, the half-size block
 products in the parity layout that the library takes up to the batch
 bound.  Its ratio is the per-axis time over the parity time.
 
@@ -245,7 +245,7 @@ def main() -> None:
     for kind in TransformKind:
         for n in sizes:
             g = rng.standard_normal((n, n))
-            m = transforms._matrix_1d(kind, False, False, n)
+            m = transforms._dense_1d(kind, False, False, n)
             per_axis = best_us(
                 lambda: apply_1d(kind, apply_1d(kind, g.T).T),
                 args.repeats)

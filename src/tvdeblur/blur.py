@@ -22,15 +22,8 @@ rule that :meth:`SymmetricPsf.factors` applies too.  Along an axis the
 blur is ``C E``, the valid convolution ``C`` after ``E``, the (n+2m) x n
 matrix of :func:`pad_extend`; the reference transpose is ``E^T C^T``, with
 ``C^T`` the full convolution of a symmetric kernel.  The fast path, for
-the extensions in ``FAST_TRANSFORMS``, is one :func:`diagonalized` apply
-and must agree with the reference to rounding.
-:func:`diagonalized` binds the transform bodies and the eigenvalues once.
-A 2D fast apply runs its transforms in the parity layout of
-``transforms.parity_apply_2d`` up to n = 144: the flip i -> n-1-i splits
-each axis into a symmetric and an antisymmetric half, two half-size block
-products; the two border eigenvalues of a bordered kind, which differ in
-the bordered sine algebra (the border pair enters the layout as its sum
-and difference), are scaled on the pair unmixed, an O(n) fix-up.
+the extensions in ``FAST_TRANSFORMS``, is one ``transforms.diagonalized``
+apply, bound once, and must agree with the reference to rounding.
 No apply here, reference or fast, 1D or 2D, writes into its argument.
 
 A separable 2D kernel ``h = a b^T`` (:meth:`SymmetricPsf.factors`) blurs
@@ -55,9 +48,8 @@ from .krylov import ConfigurationError
 from .transforms import (  # noqa: F401
     TransformKind,
     apply_1d,
-    body_1d,
+    diagonalized,
     tensor_apply_2d,
-    tensor_diagonalized,
 )
 
 
@@ -81,35 +73,6 @@ FAST_TRANSFORMS = {
     BoundaryCondition.REFLECTIVE: TransformKind.DCT,
     BoundaryCondition.ANTI_REFLECTIVE: TransformKind.ANTI_REFLECTIVE,
 }
-
-
-def diagonalized(kind: TransformKind, lam: np.ndarray,
-                 transpose: bool = False):
-    """``X diag(lam) X^{-1}`` (``X^{-T} diag(lam) X^T`` with ``transpose``)
-    for transform ``kind``: the apply of every fast blur and preconditioner,
-    as a function of a float64 array that it leaves alone.
-
-    For 1D ``lam`` the analysis, the scaling by ``lam`` and the synthesis
-    run in place on one copy of the array, with the transform bodies bound
-    here once.  For a 2D ``lam`` it is ``transforms.tensor_diagonalized``,
-    whose tensor transforms allocate: up to n = 144 the half-size block
-    products of the parity layout, with ``lam`` permuted into the layout
-    once and a bordered kind's border pairs unmixed around the scaling;
-    above, the per-axis FFTs.
-    """
-    if lam.ndim == 2:
-        return tensor_diagonalized(kind, lam, transpose)
-    # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
-    # synthesis, X or X^{-T}
-    into, back = (not transpose, transpose), (transpose, transpose)
-    analysis = body_1d(kind, *into, lam.shape[0])
-    synthesis = body_1d(kind, *back, lam.shape[0])
-
-    def on_copy(u):
-        out = analysis(u, u.copy())
-        out *= lam
-        return synthesis(out, out)
-    return on_copy
 
 
 class SymmetricPsf:
@@ -266,8 +229,8 @@ class StructuredBlurOperator:
     """Matrix-free blur under a chosen boundary extension.
 
     ``apply`` is the pad/convolve/crop reference; ``apply_fast`` is one
-    :func:`diagonalized` apply in the transform ``FAST_TRANSFORMS`` gives
-    the extension, bound once in ``fast_applies``, whose applies the
+    ``transforms.diagonalized`` apply in the transform ``FAST_TRANSFORMS``
+    gives the extension, bound once in ``fast_applies``, whose applies the
     restore's data term calls.  ``apply_transpose`` is the exact
     algebraic transpose ``E^T C^T``, with the dense ``E`` that ``matrix``
     builds too: O(n (n+2m)) memory and, in 2D, ``E^T (C^T u) E`` in
@@ -345,8 +308,8 @@ class StructuredBlurOperator:
         return self._eigenvalues
 
     def fast_applies(self) -> tuple:
-        """``(H, H^T)`` as :func:`diagonalized` applies, functions of a
-        float64 array of the operator's shape that they leave alone.
+        """``(H, H^T)`` as ``transforms.diagonalized`` applies, functions
+        of a float64 array of the operator's shape that they leave alone.
         Bound on first use and kept."""
         if self._fast_applies is None:
             kind, lam = self.transform, self.eigenvalues()

@@ -17,7 +17,7 @@ and take one band form.  Projections take band dicts only,
 keyed by offset tuples as ``tv.DiffusionOperator.bands`` gives them:
 ``{(d,): values}`` in 1D and ``{(block offset, inner offset):
 coefficients}`` in 2D.  Preconditioners apply and solve with
-``blur.diagonalized``, as the blur operators do, and leave their
+``transforms.diagonalized``, as the blur operators do, and leave their
 argument alone; the solve is bound once per preconditioner.
 
 The anti-reflective map is not a Frobenius projection (the transform is not
@@ -46,11 +46,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blur import BoundaryCondition, diagonalized
+from .blur import BoundaryCondition
 from .krylov import ConfigurationError, NumericalFailure, check_settings
 # apply_1d and tensor_apply_2d stay importable here for bench/spans.py
 from .transforms import (MIN_BORDERED_N, TransformKind, apply_1d,  # noqa: F401
-                         band_form, tensor_apply_2d)
+                         band_form, diagonalized, tensor_apply_2d)
 from .tv import scaling_diagonal
 
 logger = logging.getLogger(__name__)

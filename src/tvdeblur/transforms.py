@@ -21,10 +21,11 @@ Four one-dimensional transforms and their tensor-product (2D) extensions:
 
 Each kind has one 1D body per (inverse, transpose) pair, built and cached
 per length by :func:`body_1d` with its DCT type or its anti-reflective
-correction columns bound.  A body transforms an array in place, so the
-blur and preconditioner applies bind their bodies once and run them on one
-buffer.  :func:`apply_1d`, the one-off 1D apply of every kind, runs the
-body on a copy of its input: no apply writes into its argument.
+correction columns bound.  A body transforms an array in place.
+:func:`apply_1d`, the one-off 1D apply of every kind, runs the body on a
+copy of its input: no apply writes into its argument.
+:func:`diagonalized`, ``X diag(lam) X^{-1}`` in 1D and 2D, is the one
+apply of every fast blur and preconditioner solve.
 
 The transforms run in O(n log n) in pocketfft's C routines, called through
 the binding that ``scipy.fft`` dispatches to
@@ -63,12 +64,11 @@ differences of samples i and n-1-i) and the spectral index in parity order
 difference over sqrt 2), each 1D apply is two half-size blocks, cached by
 :func:`_parity_blocks`.  :func:`parity_apply_2d` runs a 2D analysis or
 synthesis on them at half the flops of the n x n products, and leaves the
-spectrum in the parity layout; :func:`tensor_diagonalized` scales it
-there, with the eigenvalues permuted once, and :func:`tensor_apply_2d`
-gathers it into natural order.  As the two border eigenvalues of a grid
-may differ, :func:`tensor_diagonalized` takes a bordered kind's border
-pairs back to their natural values for the scaling
-(:func:`_mix_border_pairs`, O(n)).
+spectrum in the parity layout; :func:`diagonalized` scales it there, with
+the eigenvalues permuted once, and :func:`tensor_apply_2d` gathers it into
+natural order.  As the two border eigenvalues of a grid may differ,
+:func:`diagonalized` takes a bordered kind's border pairs back to their
+natural values for the scaling (:func:`_mix_border_pairs`, O(n)).
 """
 
 from __future__ import annotations
@@ -269,15 +269,6 @@ def _dense_1d(kind: TransformKind, inverse: bool, transpose: bool,
 
 
 @lru_cache(maxsize=16)
-def _matrix_1d(kind: TransformKind, inverse: bool, transpose: bool,
-               n: int) -> np.ndarray:
-    """Read-only cached :func:`_dense_1d`."""
-    m = _dense_1d(kind, inverse, transpose, n)
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=16)
 def parity_order(kind: TransformKind, n: int) -> np.ndarray:
     """Read-only natural spectral index of each slot of the parity layout.
 
@@ -454,26 +445,34 @@ def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
     return spectrum.take(natural, 0).take(natural, 1)
 
 
-def tensor_diagonalized(kind: TransformKind, lam: np.ndarray,
-                        transpose: bool = False):
+def diagonalized(kind: TransformKind, lam: np.ndarray,
+                 transpose: bool = False):
     """``X diag(lam) X^{-1}`` (``X^{-T} diag(lam) X^T`` with ``transpose``)
-    on n x n grids, for the n x n eigenvalue grid ``lam`` in natural
-    order: a function of a grid that it leaves alone.
+    for the eigenvalues ``lam`` in natural order, a vector or an n x n
+    grid: the apply of every fast blur and preconditioner solve, as a
+    function of a float64 array that it leaves alone.
 
-    Where the rule takes products it runs in the parity layout: the
-    analysis and the synthesis are :func:`parity_apply_2d`, and ``lam`` is
-    permuted into the layout here, once.  A bordered kind takes its border
-    pairs from their sum and difference back to their natural values
-    before the scaling and mixes them again after it
-    (:func:`_mix_border_pairs`), so a grid whose two border eigenvalues
-    differ, as the bordered sine algebra's do, scales exactly.  Else the
-    analysis and the synthesis are :func:`tensor_apply_2d`'s per-axis
-    FFTs.
+    For a vector the analysis, the scaling and the synthesis run in place
+    on one copy, with the bodies of :func:`body_1d` bound here once.  A
+    grid takes products where the rule says so: two
+    :func:`parity_apply_2d`, with ``lam`` permuted into the parity layout
+    here once and a bordered kind's border pairs unmixed around the
+    scaling (:func:`_mix_border_pairs`), so that unequal border
+    eigenvalues scale exactly.  Else it runs :func:`tensor_apply_2d`'s
+    per-axis FFTs.
     """
     # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
     # synthesis, X or X^{-T}
     into, back = (not transpose, transpose), (transpose, transpose)
     n = lam.shape[0]
+    if lam.ndim == 1:
+        analysis, synthesis = body_1d(kind, *into, n), body_1d(kind, *back, n)
+
+        def on_copy(u):
+            out = analysis(u, u.copy())
+            out *= lam
+            return synthesis(out, out)
+        return on_copy
     if not _takes_products(n, batched=True):
         return lambda g: tensor_apply_2d(
             kind, lam * tensor_apply_2d(kind, g, *into), *back)
@@ -494,9 +493,9 @@ def tensor_diagonalized(kind: TransformKind, lam: np.ndarray,
 
 @lru_cache(maxsize=16)
 def _band_products(kind: TransformKind, d: int, n: int) -> np.ndarray:
-    """Read-only ``P_d[i, t] = X[i, t] * X[i + d, t]`` for the cached
-    matrix X of the 1D forward apply (C or S): ``band @ P_d`` is a band form."""
-    m = _matrix_1d(kind, False, False, n)
+    """Read-only ``P_d[i, t] = X[i, t] * X[i + d, t]`` for the matrix X of
+    the 1D forward apply (C or S): ``band @ P_d`` is a band form."""
+    m = _dense_1d(kind, False, False, n)
     p = m[: n - d] * m[d:]
     p.setflags(write=False)
     return p

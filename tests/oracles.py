@@ -14,8 +14,10 @@ allocating update each, the reference for their in-place loops.
 and :func:`scipy_band_form` the same for the projections' FFT band forms.
 :func:`symbol_2d` is the 2D blur symbol as one sum over the kernel, the
 reference for its two-product grid.  :func:`dense_transform` is the dense
-matrix of one 1D transform apply, and :func:`parity_layout` the map of a
-spectrum into the parity layout of the 2D product applies.
+matrix of one 1D transform apply, :func:`dense_diagonalized` the
+transform-diagonalized apply ``X diag(lam) X^{-1}`` built on it, and
+:func:`parity_layout` the map of a spectrum into the parity layout of the
+2D product applies.
 """
 
 import itertools
@@ -190,6 +192,19 @@ def dense_transform(kind: TransformKind, n: int, inverse: bool,
     t = dense_ar(n)
     t = np.linalg.inv(t) if inverse else t
     return t.T if transpose else t
+
+
+def dense_diagonalized(kind: TransformKind, lam: np.ndarray, u: np.ndarray,
+                       transpose: bool = False) -> np.ndarray:
+    """``X diag(lam) X^{-1} u`` (``X^{-T} diag(lam) X^T u`` with
+    ``transpose``) with the dense forward ``X`` of :func:`dense_transform`,
+    on both axes of a grid ``u``."""
+    x = dense_transform(kind, lam.shape[0], False, False)
+    left, right = (np.linalg.inv(x).T, x.T) if transpose else \
+        (x, np.linalg.inv(x))
+    if lam.ndim == 1:
+        return left @ (lam * (right @ u))
+    return left @ (lam * (right @ u @ right.T)) @ left.T
 
 
 def parity_layout(kind: TransformKind, n: int) -> np.ndarray:

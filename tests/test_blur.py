@@ -10,14 +10,13 @@ from tvdeblur.blur import (
     StructuredBlurOperator,
     SymmetricPsf,
     convolve_valid,
-    diagonalized,
     save_psf,
     symbol_eval,
 )
 from tvdeblur.harness import gen_psf
 from tvdeblur.krylov import ConfigurationError
 from tvdeblur.precond import assemble_preconditioner
-from tvdeblur.transforms import TransformKind, _matrix_1d
+from tvdeblur.transforms import TransformKind, _dense_1d, diagonalized
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 ALL_BCS = list(BoundaryCondition)
@@ -483,7 +482,7 @@ def test_diagonalized_apply_matches_dense(kind, transpose, ndim, n, rng):
     """``X diag(lam) X^{-1} u`` (``X^{-T} diag(lam) X^T u`` transposed) from
     the dense transform matrix, on both sides of the 2D dense-product
     cutoff; in 2D ``X`` acts on both axes.  ``u`` keeps its bytes."""
-    x = _matrix_1d(kind, False, False, n)
+    x = _dense_1d(kind, False, False, n)
     left, right = (np.linalg.inv(x).T, x.T) if transpose else \
         (x, np.linalg.inv(x))
     shape = (n,) * ndim

@@ -7,7 +7,6 @@ from tvdeblur.blur import (
     BoundaryCondition,
     StructuredBlurOperator,
     SymmetricPsf,
-    diagonalized,
 )
 from tvdeblur.harness import gen_psf
 from tvdeblur.krylov import ConfigurationError
@@ -17,7 +16,7 @@ from tvdeblur.precond import (
     assemble_preconditioner,
     project,
 )
-from tvdeblur.transforms import TransformKind
+from tvdeblur.transforms import TransformKind, diagonalized
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 AR = TransformKind.ANTI_REFLECTIVE

@@ -1,19 +1,22 @@
 import importlib.machinery
 import importlib.util
+import math
 import subprocess
 import sys
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
     dense_ar,
     dense_dct,
+    dense_diagonalized,
     dense_dst1,
     dense_sinehat,
     dense_transform,
@@ -206,9 +209,9 @@ def test_parity_apply_matches_the_dense_transforms(n, rng):
 
 
 @pytest.mark.parametrize("n", [5, 128, 144])
-def test_2d_applies_take_no_dense_product(n, rng):
+def test_2d_applies_take_no_dense_product(n, rng, monkeypatch):
     """In the product regime the 2D applies read the cached half-size
-    blocks, never the n x n matrix of ``_matrix_1d``."""
+    blocks: once the caches are warm, no n x n matrix is built."""
     g = rng.standard_normal((n, n))
     lam = rng.uniform(0.5, 2.0, (n, n))
     calls = []
@@ -217,14 +220,59 @@ def test_2d_applies_take_no_dense_product(n, rng):
             calls.append(lambda x, k=kind, i=inverse, t=transpose:
                          tensor_apply_2d(k, x, i, t))
         for transpose in (False, True):
-            calls.append(transforms.tensor_diagonalized(kind, lam, transpose))
+            calls.append(transforms.diagonalized(kind, lam, transpose))
     for call in calls:
         call(g)  # fill the caches
-    before = transforms._matrix_1d.cache_info()
+    builds = []
+    dense_1d = transforms._dense_1d
+
+    def counting(*args):
+        builds.append(args)
+        return dense_1d(*args)
+    monkeypatch.setattr(transforms, "_dense_1d", counting)
     for call in calls:
         call(g)
-    after = transforms._matrix_1d.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses
+    assert builds == []
+
+
+def _primes_and_neighbours(top: int) -> list[int]:
+    primes = [p for p in range(2, top + 1)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    return sorted({m for p in primes for m in (p - 1, p, p + 1)})
+
+
+#: sides of the diagonalized apply: the smallest lengths, the primes up to
+#: 257 and their neighbours, and the 2D product bound and its neighbours
+DIAGONALIZED_SIZES = st.one_of(
+    st.integers(1, 6),
+    st.sampled_from(_primes_and_neighbours(257)),
+    st.sampled_from([transforms._BATCH_MAX_N + k for k in (-1, 0, 1)]))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("kind", list(TransformKind))
+@settings(derandomize=True)
+@given(n=DIAGONALIZED_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_diagonalized_matches_the_dense_oracle(kind, transpose, ndim, n,
+                                               seed):
+    """``diagonalized`` is the dense ``X diag(lam) X^{-1}`` of the oracle
+    to 1e-12 relative at generated sides, and leaves its input alone.  A
+    grid of side n <= ``_BATCH_MAX_N`` runs the two parity applies of the
+    product path, a larger grid and a vector none."""
+    assume(kind not in (AR, SINE_HAT) or n >= transforms.MIN_BORDERED_N)
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 2.0, (n,) * ndim)
+    u = rng.standard_normal((n,) * ndim)
+    before = u.tobytes()
+    with mock.patch.object(transforms, "parity_apply_2d",
+                           wraps=transforms.parity_apply_2d) as parity:
+        got = transforms.diagonalized(kind, lam, transpose)(u)
+    want = dense_diagonalized(kind, lam, u, transpose)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert u.tobytes() == before
+    products = ndim == 2 and n <= transforms._BATCH_MAX_N
+    assert parity.call_count == (2 if products else 0)
 
 
 # the smallest legal sizes, the prime-adjacent lengths around 128 and 256,
@@ -387,7 +435,7 @@ def test_rule_picks_products_by_length_and_batch():
 
 def test_tensor_matrix_cache_is_read_only():
     for kind in TransformKind:
-        for cached in (transforms._matrix_1d(kind, True, False, 8),
+        for cached in (transforms._band_products(kind, 1, 8),
                        transforms._parity_blocks(kind, True, False, 8),
                        transforms.parity_order(kind, 8)):
             assert not cached.flags.writeable
@@ -395,19 +443,22 @@ def test_tensor_matrix_cache_is_read_only():
                 cached[(0,) * cached.ndim] = 1
     out = tensor_apply_2d(TransformKind.DCT, np.eye(8))
     assert out.flags.writeable and not np.shares_memory(
-        out, transforms._matrix_1d(TransformKind.DCT, False, False, 8))
+        out, transforms._parity_blocks(TransformKind.DCT, False, False, 8))
+    form = transforms.band_form(DCT, np.ones(7), 1, 8)
+    assert form.flags.writeable and not np.shares_memory(
+        form, transforms._band_products(DCT, 1, 8))
 
 
 def test_per_size_caches_stay_bounded():
     """A sweep over many lengths keeps at most 16 sizes of correction
-    columns, of dense matrices and of parity blocks and orders, and the
+    columns, of band products and of parity blocks and orders, and the
     columns stay read-only."""
     for n in range(3, 43):
         apply_1d(AR, np.ones(n))
-        transforms._matrix_1d(DCT, False, False, n)
+        transforms._band_products(DCT, 1, n)
         transforms._parity_blocks(DCT, False, False, n)
         transforms.parity_order(DCT, n)
-    for cache in (transforms._ar_corrections, transforms._matrix_1d,
+    for cache in (transforms._ar_corrections, transforms._band_products,
                   transforms._parity_blocks, transforms.parity_order):
         assert cache.cache_info().currsize == 16
     assert not any(q.flags.writeable for q in transforms._ar_corrections(5))
