@@ -8,10 +8,10 @@ bounds it reads are printed first.  The first table gives, for each
 transform kind and grid side n, the best-of-k time of one forward 2D
 tensor apply done three ways: the 1D pocketfft transform along each axis;
 the two products ``m @ G @ m.T`` with the dense matrix ``m`` of the 1D
-apply (``transforms._dense_1d``, built before the timing), which no library
-path takes any more and which stays here as the reference; and ``transforms.parity_apply_2d``, the half-size block
-products in the parity layout that the library takes up to the batch
-bound.  Its ratio is the per-axis time over the parity time.
+apply (``transforms._dense_1d``, built before the timing), which no
+library path takes any more and which stays here as the reference; and
+``transforms.parity_apply_2d``, the half-size block products in the
+parity layout that the library takes up to the batch bound.  Its ratio is the per-axis time over the parity time.
 
 The second table gives the best-of-k time of one 2D
 ``assemble_preconditioner`` call for R, R_D, M_D and P_D, with the band
