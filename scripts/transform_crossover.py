@@ -130,7 +130,8 @@ def fft_band_form(kind, band, offset, n):
 
 def product_band_form(kind, band, offset, n):
     """The band form's product path, whatever the rule picks."""
-    return band @ transforms._band_products(kind, abs(offset), n)
+    return transforms._product_band_form(kind, np.asarray(band, dtype=float),
+                                         abs(offset), n)
 
 
 def assembly_table(sizes, repeats: int) -> None:

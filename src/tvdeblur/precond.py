@@ -132,37 +132,92 @@ def project(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
     """
     bands = _fold(bands)
     if any(len(offset) > 1 for offset in bands):
-        by_block_offset: dict[int, Bands] = {}
-        for (do, di), band in bands.items():
-            by_block_offset.setdefault(do, {})[(di,)] = band
-        # level 1 gives the eigenvalues of every block A_{k, k+do}, batched
-        # over k; the regrouped matrices G_t have lam_blocks[:, t] on block
-        # offset do, and level 2 projects them, giving grid[t, s]
-        regrouped = {(do,): project(kind, inner_bands, n).T
-                     for do, inner_bands in by_block_offset.items()}
-        return project(kind, regrouped, n).T
+        return _project_2d(kind, bands, n)
     if kind in (TransformKind.DCT, TransformKind.DST1):
-        parts = [band_form(kind, b, d, n) for (d,), b in bands.items()]
-        return sum(parts) if parts else np.zeros(n)
-    if kind not in (TransformKind.SINE_HAT, TransformKind.ANTI_REFLECTIVE):
+        return _sum_of_forms(kind, bands, n)
+    _check_bordered(kind, n)
+    interiors = {(d,): np.asarray(band, dtype=float)[..., 1: n - 1 - d]
+                 for (d,), band in bands.items()}
+    return _bordered(kind, interiors, bands.get((0,)), n)
+
+
+def _project_2d(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
+    """:func:`project` of folded 2D bands: blockwise, regrouped, blockwise.
+
+    Level 1 gives the eigenvalues of every block A_{k, k+do}, batched over
+    k; the regrouped matrices G_t have ``lam_blocks[:, t]`` on block offset
+    do, and level 2 projects them, giving ``grid[t, s]``.
+
+    The anti-reflective map borders the sine eigenvalues of the interior
+    on each level, and each border is linear in them (``lam_int @ w``).
+    So its two levels are the 2D sine projection of the bands' interior,
+    of order n - 2, bordered along the inner axis by ``lam_int @ w`` and
+    then along the block axis by ``w @`` the bordered rows: only the
+    interior takes band forms."""
+    if kind is TransformKind.ANTI_REFLECTIVE:
+        _check_bordered(kind, n)
+        interior = {(do, di): np.asarray(band, dtype=float)[1: n - 1 - do,
+                                                            1: n - 1 - di]
+                    for (do, di), band in bands.items()}
+        lam_int = project(TransformKind.DST1, interior, n - 2)
+        w = _border_weights(n - 2)
+        out = np.empty((n, n))
+        out[1:-1, 1:-1] = lam_int
+        out[1:-1, 0] = out[1:-1, -1] = lam_int @ w
+        out[0] = out[-1] = w @ out[1:-1]
+        return out
+    by_block_offset: dict[int, Bands] = {}
+    for (do, di), band in bands.items():
+        by_block_offset.setdefault(do, {})[(di,)] = band
+    regrouped = {(do,): project(kind, inner_bands, n).T
+                 for do, inner_bands in by_block_offset.items()}
+    return project(kind, regrouped, n).T
+
+
+def _check_bordered(kind: TransformKind, n: int) -> None:
+    """Reject a kind that is not a projection's, or an order n below the
+    bordered kind's smallest."""
+    if kind not in MIN_PROJECTION_N:
         raise ConfigurationError(f"unknown projection kind: {kind!r}")
     smallest = MIN_PROJECTION_N[kind]
     if n < smallest:
         raise ConfigurationError(f"{kind.value} projection requires n >= {smallest}")
-    shape = next(iter(bands.values())).shape[:-1] if bands else ()
-    lam_int = np.zeros(shape + (n - 2,))
-    for (d,), band in bands.items():
-        interior = np.asarray(band, dtype=float)[..., 1: n - 1 - abs(d)]
-        lam_int += band_form(TransformKind.DST1, interior, d, n - 2)
-    out = np.zeros(shape + (n,))
-    out[..., 1:-1] = lam_int
-    if kind is TransformKind.SINE_HAT:
-        diag_band = bands.get((0,))
-        if diag_band is not None:
-            out[..., 0] = diag_band[..., 0]
-            out[..., -1] = diag_band[..., -1]
+
+
+def _sum_of_forms(kind: TransformKind, bands: Bands, n: int) -> np.ndarray:
+    """The band forms at order n of ``bands`` (keyed ``(d,)``, d >= 0)
+    summed in key order into the first form; zeros for no bands."""
+    forms = (band_form(kind, band, d, n) for (d,), band in bands.items())
+    total = next(forms, None)
+    if total is None:
+        return np.zeros(n)
+    for form in forms:
+        total += form
+    return total
+
+
+def _bordered(kind: TransformKind, interiors: Bands, diagonal, n: int) -> np.ndarray:
+    """Eigenvalues of a bordered kind of order n from its interior bands,
+    ``band[..., 1 : n-1-d]`` keyed ``(d,)``: the sine eigenvalues of the
+    interior, summed in the first band's form and copied once into the
+    output's interior, bordered by the diagonal band's end samples
+    (bordered sine; 0 without a ``diagonal``) or by ``lam_int @ w``
+    (anti-reflective)."""
+    first = next(iter(interiors.values()), np.zeros(0))
+    if first.ndim == 2 and first.strides[0] < first.strides[1]:
+        # a transposed batch gives its forms transposed: so is ``out``
+        out = np.empty((n, first.shape[0])).T
     else:
+        out = np.empty(first.shape[:-1] + (n,))
+    lam_int = out[..., 1:-1]
+    lam_int[...] = _sum_of_forms(TransformKind.DST1, interiors, n - 2)
+    if kind is TransformKind.ANTI_REFLECTIVE:
         out[..., 0] = out[..., -1] = lam_int @ _border_weights(n - 2)
+    elif diagonal is None:
+        out[..., 0] = out[..., -1] = 0.0
+    else:
+        out[..., 0] = diagonal[..., 0]
+        out[..., -1] = diagonal[..., -1]
     return out
 
 
@@ -196,15 +251,17 @@ class FactoredPreconditioner:
         if smallest <= 0.0:
             raise IndefinitePreconditionerError(self.kind, self.alpha, smallest)
         floor = 1e-14 * float(lam.max())
-        clamped = int(np.count_nonzero(lam < floor))
-        if clamped:
+        if smallest < floor:
             logger.warning(
                 "preconditioner %s: clamped %d eigenvalue(s) below %.3e",
-                self.kind, clamped, floor,
+                self.kind, int(np.count_nonzero(lam < floor)), floor,
             )
+            inverse = 1.0 / np.maximum(lam, floor)
+        else:  # no eigenvalue below the floor: the clamp would copy lam
+            inverse = 1.0 / lam
         self.eigenvalues = lam
-        self._inverse_eigenvalues = 1.0 / np.maximum(lam, floor)
-        self._solve = diagonalized(self.transform, self._inverse_eigenvalues)
+        self._inverse_eigenvalues = inverse
+        self._solve = diagonalized(self.transform, inverse)
 
     def apply(self, b) -> np.ndarray:
         """Multiply by the preconditioner matrix."""
@@ -225,15 +282,28 @@ class FactoredPreconditioner:
 
 
 def _scaled_bands(bands: Bands, s: np.ndarray) -> Bands:
-    """``S A S`` with ``S = diag(s)``: each band scaled by ``s`` at its row,
-    then at its column."""
-    out = {}
+    """``S A S`` with ``S = diag(s)``: each band times ``s`` at its row and
+    at its column.  The bands at offsets d and -d meet the same two
+    factors, so they are summed first, under the larger of the two
+    offsets, and scaled once in place; a projection takes the sum as it
+    takes any band (:func:`_fold`)."""
+    pairs: dict[tuple[int, ...], list[np.ndarray]] = {}
     for offset, band in bands.items():
+        key = max(offset, tuple(-d for d in offset))
+        pairs.setdefault(key, []).append(band)
+    out = {}
+    for offset, (band, *mirror) in pairs.items():
         rows = tuple(slice(max(0, -d), max(0, -d) + m)
                      for d, m in zip(offset, band.shape))
         cols = tuple(slice(max(0, d), max(0, d) + m)
                      for d, m in zip(offset, band.shape))
-        out[offset] = band * s[rows] * s[cols]
+        if mirror:
+            scaled = np.add(band, *mirror)
+            scaled *= s[rows]
+        else:
+            scaled = band * s[rows]
+        scaled *= s[cols]
+        out[offset] = scaled
     return out
 
 
@@ -266,9 +336,17 @@ def assemble_preconditioner(kind: str, h_op, l_op, alpha: float) -> FactoredPrec
         s = l_op.scaling(alpha)
         lam_d = project(transform, {(0,) * s.ndim: s}, n)
         lam_lt = project(transform, _scaled_bands(l_op.bands(), s), n)
-        eigs = lam_h2 * lam_d * lam_d + alpha * lam_lt
+        # |lam_H|^2 |lam_D|^2 + alpha lam_LT, in place
+        eigs = lam_h2
+        eigs *= lam_d
+        eigs *= lam_d
+        lam_lt *= alpha
+        eigs += lam_lt
         return FactoredPreconditioner(kind, transform, eigs, alpha)
-    eigs = lam_h2 + alpha * project(transform, l_op.bands(), n)
+    lam_l = project(transform, l_op.bands(), n)
+    lam_l *= alpha
+    eigs = lam_h2
+    eigs += lam_l
     # kind is the base or its D_ wrap here
     d_sqrt = np.sqrt(scaling_diagonal(l_op, alpha)) if kind != base else None
     return FactoredPreconditioner(kind, transform, eigs, alpha, d_sqrt=d_sqrt)

@@ -52,7 +52,12 @@ length-254 FFT), and the DCT lost up to 27% as a product at smooth n from
 120 to 144 and 30-52% above.  One vector takes them up to n = 384: a
 vector band form of the DCT or the DST-I at offset 1 took 7-19 us as a
 product for n = 201 to 384 against 15-50 us as an FFT, and 47-55 against
-23-28 us at n = 512 (one thread).  A cached matrix at n = 384 holds 1.1 MB.
+23-28 us at n = 512 (one thread); these bounds were measured on full-size
+products.  A band form's product runs at half size: every column of the
+DCT and the DST-I is even or odd under the flip i -> n-1-i (see the parity
+layout below), so rows i and n-d-1-i of ``X[i, t] X[i + d, t]`` are
+equal, and the band, added to its own reverse, meets the first half of
+them (:func:`_product_band_form`).  A cached half at n = 384 holds 0.6 MB.
 
 The 2D products run in the parity layout (Cantoni and Butler's
 block-diagonalization of a centrosymmetric matrix, Linear Algebra Appl. 13,
@@ -493,12 +498,62 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
 
 @lru_cache(maxsize=16)
 def _band_products(kind: TransformKind, d: int, n: int) -> np.ndarray:
-    """Read-only ``P_d[i, t] = X[i, t] * X[i + d, t]`` for the matrix X of
-    the 1D forward apply (C or S): ``band @ P_d`` is a band form."""
+    """Read-only first ceil((n-d)/2) rows of ``P_d[i, t] = X[i, t] *
+    X[i + d, t]`` for the matrix X of the 1D forward apply (C or S).
+
+    Every column of the DCT and of the DST-I is even or odd under the flip
+    i -> n-1-i, so ``P_d`` is unchanged by the flip i -> n-d-1-i of its
+    rows: these rows hold all of it (:func:`_product_band_form`)."""
     m = _dense_1d(kind, False, False, n)
-    p = m[: n - d] * m[d:]
+    half = (n - d + 1) // 2
+    p = m[:half] * m[d:d + half]
     p.setflags(write=False)
     return p
+
+
+def _product_band_form(kind: TransformKind, band: np.ndarray, d: int,
+                       n: int) -> np.ndarray:
+    """:func:`band_form` of a float band at offset +-d as one product with
+    the half-size ``P_d`` of :func:`_band_products`: sample i of the band
+    and its mirror n-d-1-i meet the same row of ``P_d``, so the band is
+    added to its own reverse first, the middle sample of an odd length
+    counted once.
+
+    A DST-I form takes only its first ceil(n/2) entries as products: as
+    ``S[i, n-1-t] = (-1)^i S[i, t]``, column n-1-t of ``P_d`` is
+    ``(-1)^d`` times column t, and so is the form's entry.
+
+    A 2D batch whose band axis is the slower one in memory (a transposed
+    array, as the second level of a 2D projection reads) is folded along
+    its rows and multiplied from the left, and its form comes back in the
+    same layout; no transposed copy is made."""
+    length = band.shape[-1]
+    h, half = length // 2, (length + 1) // 2
+    cols = (n + 1) // 2 if kind is TransformKind.DST1 else n
+    products = _band_products(kind, d, n)[:, :cols]
+    if band.ndim == 2 and band.strides[0] < band.strides[1]:
+        rows = band.T
+        folded = np.empty((half, rows.shape[1]))
+        np.add(rows[:h], rows[:half - 1:-1], out=folded[:h])
+        folded[h:] = rows[h:half]
+        spectrum = np.empty((n, rows.shape[1]))
+        np.matmul(products.T, folded, out=spectrum[:cols])
+        form = spectrum.T
+    else:
+        folded = np.empty(band.shape[:-1] + (half,))
+        # the first h samples plus the last h reversed, then the middle one
+        np.add(band[..., :h], band[..., :half - 1:-1], out=folded[..., :h])
+        folded[..., h:] = band[..., h:half]
+        form = np.empty(band.shape[:-1] + (n,))
+        np.matmul(folded, products, out=form[..., :cols])
+        spectrum = form.T
+    if cols < n:  # the DST-I's mirrored entries, spectral index on axis 0
+        mirrored = spectrum[:n - cols][::-1]
+        if d % 2:
+            np.negative(mirrored, out=spectrum[cols:])
+        else:
+            spectrum[cols:] = mirrored
+    return form
 
 
 def _rfft(arr: np.ndarray) -> np.ndarray:
@@ -533,9 +588,9 @@ def band_form(kind: TransformKind, band, offset: int, n: int) -> np.ndarray:
     """Contribution of one band to diag(X^T A X), batched over leading axes.
 
     X is C (DCT) or S (DST-I) of order n, and ``band[i]`` couples i and
-    i + |offset|; an empty band gives zeros.  It is ``band @ P_d`` with the
-    cached ``P_d = X[:n-d] * X[d:]`` where the rule takes products, else
-    one FFT."""
+    i + |offset|; an empty band gives zeros.  It is ``band @ P_d`` with
+    ``P_d = X[:n-d] * X[d:]`` where the rule takes products, run at half
+    size (:func:`_product_band_form`), else one FFT."""
     d = abs(offset)
     band = np.asarray(band, dtype=float)
     length = n - d
@@ -544,5 +599,5 @@ def band_form(kind: TransformKind, band, offset: int, n: int) -> np.ndarray:
     if band.shape[-1] != length:
         raise ConfigurationError(f"band for offset {offset} must have length {length}")
     if _takes_products(n, batched=band.ndim > 1):
-        return band @ _band_products(kind, d, n)
+        return _product_band_form(kind, band, d, n)
     return _fft_band_form(kind, band, d, n)

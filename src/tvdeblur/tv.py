@@ -120,17 +120,61 @@ def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NE
         return (1.0 / np.sqrt(d * d + beta * beta),)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ConfigurationError(f"expected a square grid, got shape {u.shape}")
-    # the corner ghosts of the transverse averages need the padded grid
-    ext = np.pad(u, 1, **_PAD[bc])
-    dh = np.diff(ext, axis=1)  # (n+2) x (n+1)
-    dv = np.diff(ext, axis=0)  # (n+1) x (n+2)
-    # transverse gradient at an edge midpoint: four-point average of the
-    # one-sided differences at the edge endpoints
-    trans_h = 0.25 * (dv[:-1, :-1] + dv[1:, :-1] + dv[:-1, 1:] + dv[1:, 1:])
-    horizontal = 1.0 / np.sqrt(dh[1:-1, :] ** 2 + trans_h ** 2 + beta * beta)
-    trans_v = 0.25 * (dh[:-1, :-1] + dh[:-1, 1:] + dh[1:, :-1] + dh[1:, 1:])
-    vertical = 1.0 / np.sqrt(dv[:, 1:-1] ** 2 + trans_v ** 2 + beta * beta)
-    return vertical, horizontal
+    # The corner ghosts of the transverse averages need the padded grid.
+    # Flattened, with its rows of width w = n + 2, a shift along either
+    # axis is a contiguous slice: the differences across axis 1 and 0 at
+    # cell (r, c) sit at flat index r w + c of dh and dv, and so does every
+    # edge value, computed over whole rows of w.  The transverse averages
+    # read the differences first; then the differences across the edges
+    # are squared in place.
+    n = u.shape[0]
+    w = n + 2
+    flat = np.pad(u, 1, **_PAD[bc]).ravel()
+    dh = flat[1:] - flat[:-1]
+    dv = flat[w:] - flat[:-w]
+    del flat
+    horizontal = _squared_transverse((dv, dv[w:], dv[1:], dv[w + 1:]),
+                                     n, n + 1, w)
+    vertical = _squared_transverse((dh, dh[1:], dh[w:], dh[w + 1:]),
+                                   n + 1, n, w)
+    np.multiply(dh, dh, out=dh)
+    np.multiply(dv, dv, out=dv)
+    return (_edge_coefficients(vertical, dv[1:], n, beta),
+            _edge_coefficients(horizontal, dh[w:], n + 1, beta))
+
+
+def _squared_transverse(ends: tuple, rows: int, cols: int,
+                        w: int) -> np.ndarray:
+    """A rows x w buffer whose flat entry r w + c holds, for edge (r, c)
+    of one axis's rows x cols edges, the squared transverse gradient
+    ``(0.25 * (e0 + e1 + e2 + e3)) ** 2``: the four-point average of the
+    flat one-sided differences ``ends`` at the edge's endpoints.  The
+    entries past each row's last edge are not edges, and the last w - cols
+    are not written."""
+    out = np.empty((rows, w))
+    trans = out.reshape(-1)[:out.size - (w - cols)]
+    np.add(ends[0][:trans.size], ends[1][:trans.size], out=trans)
+    for end in ends[2:]:
+        trans += end[:trans.size]
+    trans *= 0.25
+    trans *= trans
+    return out
+
+
+def _edge_coefficients(out: np.ndarray, squares: np.ndarray, cols: int,
+                       beta: float) -> np.ndarray:
+    """``1 / sqrt(across^2 + trans^2 + beta^2)``, in place in the buffer of
+    :func:`_squared_transverse`, from the flat squared differences across
+    the edges; returns the edges, a view.  The bytes are those of the
+    written-out formula: ``across^2 + trans^2`` sums as ``trans^2 +
+    across^2``."""
+    w = out.shape[1]
+    edges = out.reshape(-1)[:out.size - (w - cols)]
+    edges += squares[:edges.size]
+    edges += beta * beta
+    np.sqrt(edges, out=edges)
+    np.divide(1.0, edges, out=edges)
+    return out[:, :cols]
 
 
 def _along(axis: int, index) -> tuple:
@@ -144,7 +188,8 @@ class InvalidScalingError(NumericalFailure):
 
 def scaling_diagonal(l_op, alpha: float) -> np.ndarray:
     """``D = I + alpha diag L``, rejected unless every entry is positive."""
-    d = 1.0 + alpha * l_op.diagonal()
+    d = l_op.diagonal() * alpha
+    d += 1.0
     if np.min(d) <= 0:
         raise InvalidScalingError("D = I + alpha diag L has nonpositive "
                                   f"entries (min {float(np.min(d))!r})")
@@ -170,11 +215,17 @@ def band_kernel(bands: dict, weight: float = 1.0):
     raveled copy would drop the sum.
     """
     n = bands[(0, 0)].shape[0]
-    data = np.zeros((len(bands), n, n))
+    data = np.empty((len(bands), n, n))
     offsets = np.empty(len(bands), dtype=np.intc)
     for row, (offset, band) in enumerate(bands.items()):
         cells = tuple(slice(max(d, 0), n + min(d, 0)) for d in offset)
         np.multiply(band, weight, out=data[row][cells])
+        # zeros in the first or last |d| lines along each axis, which the
+        # band does not cover
+        for axis, d in enumerate(offset):
+            if d:
+                data[row][_along(axis, slice(None, d) if d > 0
+                                 else slice(d, None))] = 0.0
         offsets[row] = offset[0] * n + offset[1]
     size, shape = n * n, (n, n)
     data = data.reshape(len(bands), size)
@@ -258,8 +309,11 @@ class DiffusionOperator:
             a = self.a[axis]
             lo = a[_along(axis, slice(None, -1))]
             hi = a[_along(axis, slice(1, None))]
-            diag = bands[zero]
-            bands[zero] = lo + hi if diag is None else diag + lo + hi
+            if bands[zero] is None:
+                bands[zero] = lo + hi
+            else:  # diag + lo + hi, in place
+                bands[zero] += lo
+                bands[zero] += hi
             upper = -a[_along(axis, slice(1, -1))]
             lower = -a[_along(axis, slice(1, -1))]
             if odd:  # the ghost 2 w[0] - w[1] couples the border to w[1]
@@ -286,7 +340,8 @@ class DiffusionOperator:
         so it is built once for the last ``alpha`` asked.
         """
         if self._scaling is None or self._scaling[0] != alpha:
-            s = scaling_diagonal(self, alpha) ** -0.5
+            s = scaling_diagonal(self, alpha)
+            np.power(s, -0.5, out=s)
             s.setflags(write=False)
             self._scaling = (alpha, s)
         return self._scaling[1]

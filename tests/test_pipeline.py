@@ -1249,10 +1249,37 @@ cell = run_cell(spec, "AR+Reblur+AR", 1e-2, 0.01, 64, "x_d",
 sys.stdout.buffer.write(cell.report.restored.tobytes())
 """
 
+# one step's system, P_D assembly and solve at side n on data that no
+# BLAS call made: the image of the harness, a seeded perturbation
+_STEP_2D_BYTES = """
+import sys
+import numpy as np
+from tvdeblur.harness import default_half_width, gen_image_2d, gen_psf
+from tvdeblur.pipeline import (CONFIGURATIONS, PrecondSelector,
+                               RestorationConfig, StepSystem)
+from tvdeblur.precond import assemble_preconditioner
+from tvdeblur.tv import DiffusionOperator
+n = int(sys.argv[1])
+m = default_half_width(n, 2)
+image, fov = gen_image_2d(n, m)
+rng = np.random.default_rng(7)
+u = image[fov] + 1e-3 * rng.standard_normal((n, n))
+w = rng.standard_normal((n, n))
+bc_h, bc_l, formulation, _ = CONFIGURATIONS["AR+Reblur+AR"]
+config = RestorationConfig(bc_h=bc_h, alpha=1e-2, beta=0.01, bc_l=bc_l,
+                           formulation=formulation,
+                           preconditioner=PrecondSelector.X_D)
+system = StepSystem(gen_psf("gaussian", m, m / 2), config, u)
+system.freeze(DiffusionOperator(u, config.beta, bc_l))
+p_d = assemble_preconditioner("P_D", system.h_op, system.l_op, config.alpha)
+for out in (system.apply(w), p_d.eigenvalues, p_d.apply_inverse(w)):
+    sys.stdout.buffer.write(out.tobytes())
+"""
 
-def test_2d_restore_is_byte_identical_across_blas_threads():
-    """2D transforms run as BLAS matrix products; a fixed-seed restore must
-    not depend on how many threads BLAS uses."""
+
+def bytes_by_blas_threads(code: str, *args: str) -> list[bytes]:
+    """The standard output of ``code`` run in a fresh interpreter with
+    BLAS pinned to one thread and with BLAS's own thread count."""
     outputs = []
     for pinned in (True, False):
         env = dict(os.environ)
@@ -1261,9 +1288,30 @@ def test_2d_restore_is_byte_identical_across_blas_threads():
                 env[var] = "1"
             else:
                 env.pop(var, None)
-        proc = subprocess.run([sys.executable, "-c", _RESTORE_2D_BYTES],
+        proc = subprocess.run([sys.executable, "-c", code, *args],
                               env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_2d_restore_is_byte_identical_across_blas_threads():
+    """2D transforms run as BLAS matrix products; a fixed-seed restore must
+    not depend on how many threads BLAS uses."""
+    outputs = bytes_by_blas_threads(_RESTORE_2D_BYTES)
     assert len(outputs[0]) == 64 * 64 * 8
+    assert outputs[0] == outputs[1]
+
+
+def test_2d_step_at_the_workload_side_is_byte_identical_across_blas_threads():
+    """At the benchmark's side n = 128 a step's apply, its ``P_D``
+    eigenvalues (the half-size band products) and its preconditioner
+    solve (the parity products) are large enough for threaded BLAS to
+    split, and must give the same bytes with one BLAS thread and with
+    BLAS's own count.  (A whole restore at this side does not: above
+    about 10^4 samples OpenBLAS splits the sum of a dot product, and the
+    data's noise scaling and the Krylov solvers take their norms and
+    inner products so.)"""
+    outputs = bytes_by_blas_threads(_STEP_2D_BYTES, "128")
+    assert len(outputs[0]) == 3 * 128 * 128 * 8
     assert outputs[0] == outputs[1]

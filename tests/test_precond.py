@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -169,27 +171,48 @@ def test_banded_projection_matches_oracle_across_product_cutoff(kind, n, rng):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
-# both sides of the batched and the vector product bounds, 144 and 384
+@lru_cache(maxsize=8)
+def oracle_band_products(kind, d, n):
+    """The full-size ``X[:n-d] * X[d:]`` of the dense oracle X."""
+    x = oracles.dense_dct(n) if kind is TransformKind.DCT \
+        else oracles.dense_dst1(n)
+    return x[: n - d] * x[d:]
+
+
+def full_size_band_form(kind, band, offset, n):
+    """A band form as one full-size product with the oracle's matrix:
+    every sample of the band meets its own row, none is folded."""
+    band = np.asarray(band, dtype=float)
+    if n - abs(offset) <= 0 or band.shape[-1] == 0:
+        return np.zeros(band.shape[:-1] + (n,))
+    return band @ oracle_band_products(kind, abs(offset), n)
+
+
+# the smallest anti-reflective projection, the workload sides 64 and
+# 128 with the prime 127, and both sides of the batched and the vector
+# product bounds, 144 and 384
 FOLD_CASES = [(ndim, n) for ndim in (1, 2)
-              for n in (143, 144, 145, 383, 384, 385)]
+              for n in (5, 64, 127, 128, 143, 144, 145, 383, 384, 385)]
 
 
 @pytest.mark.parametrize("kind", list(TransformKind))
 @pytest.mark.parametrize("ndim,n", FOLD_CASES)
-def test_projection_folds_the_bands_at_plus_and_minus_d(kind, ndim, n, rng):
-    """``project`` sums the bands at +d and -d before one band form, on
-    both levels in 2D; the result is the sum of the bands' projections one
-    by one to 1e-13 in norm.  Anti-reflective diffusion bands differ at +d
-    and -d on the border, so a band dropped or counted twice shows.  (Entry
-    by entry, the anti-reflective border eigenvalues are alternating sums
-    over the interior and differ by up to 1.6e-13 of the largest entry in
-    2D at n = 385; the interior entries differ by 2e-15.)"""
+def test_projection_folds_the_bands_at_plus_and_minus_d(kind, ndim, n, rng,
+                                                        monkeypatch):
+    """``project`` sums the bands at +d and -d before one half-size band
+    form, on both levels in 2D; the result is the sum of the bands'
+    projections one by one, each band form a full-size product with the
+    oracle's matrix, to 1e-13 in norm.  Anti-reflective diffusion bands
+    differ at +d and -d on the border, so a band dropped or counted twice
+    shows.  (Entry by entry, the anti-reflective border eigenvalues are
+    alternating sums over the interior and differ most.)"""
     l_op = DiffusionOperator(rng.standard_normal((n,) * ndim), 0.05,
                              DiffusionBc.ANTI_REFLECTIVE)
     bands = l_op.bands()
     upper, lower = (1,) + (0,) * (ndim - 1), (-1,) + (0,) * (ndim - 1)
     assert not np.array_equal(bands[upper], bands[lower])
     got = project(kind, bands, n)
+    monkeypatch.setattr(precond, "band_form", full_size_band_form)
     want = sum(project(kind, {offset: band}, n)
                for offset, band in bands.items())
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -216,11 +239,15 @@ def test_2d_scaled_projection_takes_seven_band_forms(monkeypatch, rng):
 
 @pytest.mark.parametrize("kind", [TransformKind.DCT, TransformKind.DST1])
 def test_band_products_are_read_only(kind):
+    """The cached products are the first ceil((n-d)/2) rows of
+    ``X[:n-d] * X[d:]``, which the flip of its rows leaves unchanged."""
     n, d = 126, 1
     p = transforms._band_products(kind, d, n)
     x = oracles.dense_dct(n) if kind is TransformKind.DCT \
         else oracles.dense_dst1(n)
-    np.testing.assert_allclose(p, x[: n - d] * x[d:], rtol=0, atol=1e-15)
+    full = x[: n - d] * x[d:]
+    np.testing.assert_allclose(full, full[::-1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p, full[: (n - d + 1) // 2], rtol=0, atol=1e-15)
     assert not p.flags.writeable
     with pytest.raises(ValueError):
         p[0, 0] = 1.0
@@ -346,15 +373,21 @@ SCALING_CASES = [(1, n) for n in (1, 2, 3, 9)] + [(2, n) for n in (1, 2, 6)]
 @pytest.mark.parametrize("ndim,n", SCALING_CASES)
 def test_scaled_bands_are_the_dense_s_l_s(ndim, n, bc, rng):
     """One scaling rule for both dimensions: every band of ``L`` scaled by
-    ``s`` at its row and at its column gives ``S L S``, ``S = diag(s)``."""
+    ``s`` at its row and at its column gives ``S L S``, ``S = diag(s)``,
+    with the bands at d and -d summed under the larger offset."""
     l_op = DiffusionOperator(rng.standard_normal((n,) * ndim), 0.2, bc)
     s = rng.uniform(0.5, 2.0, (n,) * ndim)
     scaled = precond._scaled_bands(l_op.bands(), s)
-    assert scaled.keys() == l_op.bands().keys()
     big_s = np.diag(s.reshape(-1))
-    np.testing.assert_allclose(oracles.dense_of_bands(scaled, n),
-                               big_s @ oracles.dense_of(l_op) @ big_s,
-                               atol=1e-13)
+    want = oracles.bands_of(big_s @ oracles.dense_of(l_op) @ big_s, ndim)
+    assert scaled.keys() == {max(o, tuple(-d for d in o))
+                             for o in l_op.bands()}
+    for offset, band in scaled.items():
+        # at n = 1 the bands at +-1 are empty, and the dense matrix has none
+        mirror = tuple(-d for d in offset)
+        expected = want.get(offset, 0) + (want.get(mirror, 0)
+                                          if mirror != offset else 0)
+        np.testing.assert_allclose(band, expected, atol=1e-13)
 
 
 def make_1d_ops(base, n=8, beta=0.1, seed=11):

@@ -275,6 +275,41 @@ def test_diagonalized_matches_the_dense_oracle(kind, transpose, ndim, n,
     assert parity.call_count == (2 if products else 0)
 
 
+#: lengths of the band forms: the smallest, the primes up to 400 and their
+#: neighbours, and both product bounds and their neighbours
+BAND_FORM_SIZES = st.one_of(
+    st.integers(1, 6),
+    st.sampled_from(_primes_and_neighbours(400)),
+    st.sampled_from([bound + k for bound in (transforms._VECTOR_MAX_N,
+                                             transforms._BATCH_MAX_N)
+                     for k in (-1, 0, 1)]))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(kind=st.sampled_from([DCT, DST1]), n=BAND_FORM_SIZES,
+       d=st.integers(0, 3), layout=st.sampled_from(
+           ["vector", "batch", "transposed batch"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_form_matches_the_dense_oracle(kind, n, d, layout, seed):
+    """``band_form`` is ``band @ (X[:n-d] * X[d:])``, the band's part of
+    diag(X^T A X), with the dense oracle X, to 1e-12 relative in norm at
+    generated lengths: on both sides of each product bound, for a vector,
+    a batch and a transposed batch, at offsets +-d.  An odd band length
+    has a middle sample that the half-size product counts once."""
+    rng = np.random.default_rng(seed)
+    length = max(n - d, 0)
+    band = {"vector": lambda: rng.standard_normal(length),
+            "batch": lambda: rng.standard_normal((3, length)),
+            "transposed batch": lambda: rng.standard_normal((length, 3)).T,
+            }[layout]()
+    x = dense_dct(n) if kind is DCT else dense_dst1(n)
+    want = band @ (x[:length] * x[d:])
+    for offset in (d, -d):
+        got = transforms.band_form(kind, band, offset, n)
+        assert got.shape == band.shape[:-1] + (n,)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # the smallest legal sizes, the prime-adjacent lengths around 128 and 256,
 # the table1d length 203 with its anti-reflective interior 201, and a long
 # smooth length

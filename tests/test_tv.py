@@ -185,6 +185,43 @@ def test_1d_coefficients_are_byte_identical_to_padded_formula(n, rng):
             assert a.tobytes() == (1.0 / np.sqrt(d * d + 0.05 * 0.05)).tobytes()
 
 
+@pytest.mark.parametrize("bc", BOTH)
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_2d_coefficients_are_byte_identical_to_padded_formula(n, bc, rng):
+    """The 2D coefficients, built on a flat ghost grid in few arrays, give
+    the bytes of the written-out formula on the ``np.pad`` extension."""
+    pads = {DiffusionBc.ZERO_NEUMANN: {"mode": "symmetric"},
+            DiffusionBc.ANTI_REFLECTIVE: {"mode": "reflect",
+                                          "reflect_type": "odd"}}
+    for _ in range(3):
+        u = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        ext = np.pad(u, 1, **pads[bc])
+        dh, dv = np.diff(ext, axis=1), np.diff(ext, axis=0)
+        trans_h = 0.25 * (dv[:-1, :-1] + dv[1:, :-1] + dv[:-1, 1:] + dv[1:, 1:])
+        trans_v = 0.25 * (dh[:-1, :-1] + dh[:-1, 1:] + dh[1:, :-1] + dh[1:, 1:])
+        want = (1.0 / np.sqrt(dv[:, 1:-1] ** 2 + trans_v ** 2 + 0.05 * 0.05),
+                1.0 / np.sqrt(dh[1:-1, :] ** 2 + trans_h ** 2 + 0.05 * 0.05))
+        got = diffusion_coefficients(u, 0.05, bc)
+        assert [a.shape for a in got] == [(n + 1, n), (n, n + 1)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+def test_2d_kernel_packs_zeros_where_no_band_reaches(n, rng):
+    """The packed bands leave zeros wherever a band does not reach, also
+    in memory that held other values: freed NaNs of the packed size come
+    back to the kernel's buffer, and its apply stays the flux oracle."""
+    op = DiffusionOperator(rng.standard_normal((n, n)), 0.1,
+                           DiffusionBc.ANTI_REFLECTIVE)
+    for _ in range(3):
+        junk = np.full((5, n, n), np.nan)
+        del junk
+        add = band_kernel(op.bands(), 0.5)
+        w = rng.standard_normal((n, n))
+        want = 0.5 * oracles.diffusion_apply_padded(w, op.a, "anti_reflective")
+        assert relative_error(add(w, np.zeros((n, n))), want) <= 1e-13
+
+
 # n = 1 has no edge inside the grid, so both ghost differences are zero
 # and L = 0 under either rule
 @pytest.mark.parametrize("bc", BOTH)
