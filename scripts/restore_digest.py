@@ -2,9 +2,14 @@
 """Fingerprint a fixed grid of restorations as JSON, for byte-identity checks.
 
 Runs the 4 configurations x 5 preconditioner selectors at 1D n=203
-(alpha 1e-1 and 1e-3, beta 0.1) and at 2D n=64 (alpha 1e-2, beta 0.01), all
-at noise seed 2023.  Ten more cells reach the data terms that the sweep's
-separable Gaussian and its fast blur BCs never take:
+(alpha 1e-1 and 1e-3, beta 0.1) and at 2D n=64 (alpha 1e-2, beta 0.01), and
+the cell of the benchmark workload ``img2d-ar128``: 2D n=128,
+``AR+Reblur+AR`` with ``x_d``, alpha 1e-2, beta 0.01, NSR 1e-3.  All run at
+noise seed 2023, with the BLAS and OpenMP thread variables set to 1 before
+numpy loads, as ``bench/run.py`` sets them, so that a threaded dot product
+cannot change a cell's bytes from one host to another.  Ten more cells
+reach the data terms that the sweep's separable Gaussian and its fast blur
+BCs never take:
 
 * the reference data term: zero and periodic blur at 1D n=203, normal
   form with the zero-Neumann diffusion BC, selectors ``none`` and
@@ -22,6 +27,7 @@ spectra`` at 1D n=48 for the 4 configurations x ``x``, ``d_x``, ``x_d``
 directory.  Each holds the sha256 of ``spectrum.csv``, of
 ``spectrum_histogram.txt`` and of the printed line with the directory cut
 out; their labels, ``spectra <configuration>``, name no restore cell.
+That makes 83 records in all.
 
 It prints one record per restore cell: the sha256 of
 ``restored.tobytes()``, the per-step inner iterations, the fixed-point
@@ -47,12 +53,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 SELECTORS = ("none", "diag", "x", "d_x", "x_d")
 KEY = ("dim", "n", "config", "alpha", "selector")
+#: set to 1 before numpy loads, as bench/run.py sets them
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 #: field of a spectra record -> the output it fingerprints
 SPECTRA_OUTPUTS = {"spectrum": "spectrum.csv",
                    "histogram": "spectrum_histogram.txt",
@@ -100,6 +110,9 @@ def _spectra_record(config: str, selector: str) -> dict:
 
 def digest() -> list:
     # imported here, so that --compare runs without the package on the path
+    # and BLAS reads the thread variables when numpy loads it
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
     import numpy as np
 
     from tvdeblur.blur import BoundaryCondition, SymmetricPsf
@@ -116,9 +129,13 @@ def digest() -> list:
                             betas=(0.01,),
                             configurations=tuple(CONFIGURATIONS),
                             preconditioners=SELECTORS)
+    spec_128 = BenchmarkSpec(dimension=2, ns=(128,), nsr=1e-3,
+                             alphas=(1e-2,), betas=(0.01,),
+                             configurations=("AR+Reblur+AR",),
+                             preconditioners=("x_d",))
     records = [_record((spec.dimension, cell.n, cell.config, cell.alpha,
                         cell.preconditioner), cell.report, cell.failure)
-               for spec in (spec_1d, spec_2d)
+               for spec in (spec_1d, spec_2d, spec_128)
                for cell in run_sweep(spec).cells]
 
     def run(key, problem, config):

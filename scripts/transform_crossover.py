@@ -10,8 +10,10 @@ tensor apply done three ways: the 1D pocketfft transform along each axis;
 the two products ``m @ G @ m.T`` with the dense matrix ``m`` of the 1D
 apply (``transforms._dense_1d``, built before the timing), which no
 library path takes any more and which stays here as the reference; and
-``transforms.parity_apply_2d``, the half-size block products in the
-parity layout that the library takes up to the batch bound.  Its ratio is the per-axis time over the parity time.
+the forward apply in the parity layout that ``transforms.diagonalized``
+takes up to the batch bound: ``transforms._synthesis_step`` on each axis
+with the half-size blocks of ``transforms._parity_blocks``, also built
+before the timing.  The ratio is the per-axis time over the parity time.
 
 The second table gives the best-of-k time of one 2D
 ``assemble_preconditioner`` call for R, R_D, M_D and P_D, with the band
@@ -247,11 +249,13 @@ def main() -> None:
         for n in sizes:
             g = rng.standard_normal((n, n))
             m = transforms._dense_1d(kind, False, False, n)
+            blocks = transforms._parity_blocks(kind, False, False, n)
+            step = transforms._synthesis_step
             per_axis = best_us(
                 lambda: apply_1d(kind, apply_1d(kind, g.T).T),
                 args.repeats)
             product = best_us(lambda: m @ g @ m.T, args.repeats)
-            parity = best_us(lambda: transforms.parity_apply_2d(kind, g),
+            parity = best_us(lambda: step(step(g, blocks), blocks),
                              args.repeats)
             print(f"{kind.value:<16}{n:>5}{per_axis:>11.1f}{product:>11.1f}"
                   f"{parity:>11.1f}{per_axis / parity:>8.2f}")

@@ -242,7 +242,6 @@ class FactoredPreconditioner:
     eigenvalues: np.ndarray
     alpha: float
     d_sqrt: np.ndarray | None = None
-    _inverse_eigenvalues: np.ndarray = field(init=False, repr=False)
     _solve: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -260,7 +259,6 @@ class FactoredPreconditioner:
         else:  # no eigenvalue below the floor: the clamp would copy lam
             inverse = 1.0 / lam
         self.eigenvalues = lam
-        self._inverse_eigenvalues = inverse
         self._solve = diagonalized(self.transform, inverse)
 
     def apply(self, b) -> np.ndarray:

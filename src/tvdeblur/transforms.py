@@ -20,7 +20,7 @@ Four one-dimensional transforms and their tensor-product (2D) extensions:
   self-inverse.
 
 Each kind has one 1D body per (inverse, transpose) pair, built and cached
-per length by :func:`body_1d` with its DCT type or its anti-reflective
+per length by :func:`_body_1d` with its DCT type or its anti-reflective
 correction columns bound.  A body transforms an array in place.
 :func:`apply_1d`, the one-off 1D apply of every kind, runs the body on a
 copy of its input: no apply writes into its argument.
@@ -42,7 +42,7 @@ applications are safe to share across threads.
 Band forms diag(X^T A X), the algebra projections' eigenvalues, add
 ``sum_i band[i] X[i, t] X[i + d, t]`` for all t per band at offset d of
 ``A`` (:func:`band_form`).  One rule, ``_takes_products``, picks for them
-and for the 2D tensor applies between products with cached matrices,
+and for the 2D grids of a fast apply between products with cached matrices,
 whose cost does not depend on how n factors, and FFTs, which form nothing
 dense.  Both bounds were measured by scripts/transform_crossover.py.  A
 batch (a 2D grid is a batch of rows) takes products up to n = 144: there
@@ -65,15 +65,15 @@ block-diagonalization of a centrosymmetric matrix, Linear Algebra Appl. 13,
 or minus itself, except the two border vectors of the bordered kinds, which
 it swaps.  So with the samples paired by the butterfly (the sums and the
 differences of samples i and n-1-i) and the spectral index in parity order
-(:func:`parity_order`; a bordered kind's border pair as its sum and its
+(:func:`_parity_order`; a bordered kind's border pair as its sum and its
 difference over sqrt 2), each 1D apply is two half-size blocks, cached by
-:func:`_parity_blocks`.  :func:`parity_apply_2d` runs a 2D analysis or
-synthesis on them at half the flops of the n x n products, and leaves the
-spectrum in the parity layout; :func:`diagonalized` scales it there, with
-the eigenvalues permuted once, and :func:`tensor_apply_2d` gathers it into
-natural order.  As the two border eigenvalues of a grid may differ,
-:func:`diagonalized` takes a bordered kind's border pairs back to their
-natural values for the scaling (:func:`_mix_border_pairs`, O(n)).
+:func:`_parity_blocks`.  :func:`diagonalized`, the one reader of this
+layout, runs the analysis on both axes (:func:`_analysis_step`) at half
+the flops of the n x n products, scales the spectrum there with the
+eigenvalues permuted once, and runs the synthesis (:func:`_synthesis_step`);
+no index is gathered.  As the two border eigenvalues of a grid may differ,
+it takes a bordered kind's border pairs back to their natural values for
+the scaling (:func:`_mix_border_pairs`, O(n)).
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _check_length(kind: TransformKind, n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
+def _body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
     """The one body of the 1D apply of ``kind`` with these flags at length n.
 
     It is a function ``body(v, out)`` of float64 arrays whose last axis has
@@ -248,20 +248,20 @@ def body_1d(kind: TransformKind, inverse: bool, transpose: bool, n: int):
 def apply_1d(kind: TransformKind, v, inverse: bool = False,
              transpose: bool = False) -> np.ndarray:
     """Apply the 1D transform ``kind`` along the last axis of ``v``: the
-    body :func:`body_1d` on one copy of ``v``, which is left alone; the C
+    body :func:`_body_1d` on one copy of ``v``, which is left alone; the C
     routines read only that copy, aligned native float64."""
     v = np.asarray(v, dtype=float)
-    return body_1d(kind, inverse, transpose, v.shape[-1])(v, v.copy())
+    return _body_1d(kind, inverse, transpose, v.shape[-1])(v, v.copy())
 
 
 #: longest length taken as products with a cached dense matrix, for one
-#: vector and for a batch (a 2D tensor apply is a batch of rows)
+#: vector and for a batch (a 2D grid is a batch of rows)
 _VECTOR_MAX_N, _BATCH_MAX_N = 384, 144
 
 
 def _takes_products(n: int, batched: bool) -> bool:
-    """Whether a band form of length n, or a 2D tensor apply of side n, is
-    a product with a cached n x n matrix, not FFTs."""
+    """Whether a band form of length n, or a 2D grid of side n in
+    :func:`diagonalized`, takes products with cached matrices, not FFTs."""
     return n <= (_BATCH_MAX_N if batched else _VECTOR_MAX_N)
 
 
@@ -274,7 +274,7 @@ def _dense_1d(kind: TransformKind, inverse: bool, transpose: bool,
 
 
 @lru_cache(maxsize=16)
-def parity_order(kind: TransformKind, n: int) -> np.ndarray:
+def _parity_order(kind: TransformKind, n: int) -> np.ndarray:
     """Read-only natural spectral index of each slot of the parity layout.
 
     The symmetric half comes first: the even indices of the DCT and the
@@ -309,19 +309,11 @@ def _mix_rows(pair: np.ndarray) -> None:
 def _mix_border_pairs(y: np.ndarray) -> None:
     """Take the border pair of a bordered kind's n x n grid, on both axes,
     between its natural values and its sum and difference over sqrt 2, in
-    place: slots 0 and ``ceil(n/2)`` of each axis (:func:`parity_order`).
+    place: slots 0 and ``ceil(n/2)`` of each axis (:func:`_parity_order`).
     The map is its own inverse, and O(n)."""
     p = (y.shape[0] + 1) // 2
     _mix_rows(y[::p])
     _mix_rows(y[:, ::p].T)
-
-
-def _synthesizes(inverse: bool, transpose: bool) -> bool:
-    """Whether the apply with these flags is a synthesis, ``X`` or
-    ``X^{-T}``, which takes a spectrum to samples; ``X^{-1}`` and ``X^T``
-    analyze.  (The DST-I and Shat ignore the flags and are exact either
-    way.)"""
-    return inverse == transpose
 
 
 @lru_cache(maxsize=16)
@@ -341,9 +333,9 @@ def _parity_blocks(kind: TransformKind, inverse: bool, transpose: bool,
     analysis takes the sums and differences of the samples first.
     """
     m = _dense_1d(kind, inverse, transpose, n)
-    order = parity_order(kind, n)
+    order = _parity_order(kind, n)
     h, p = n // 2, (n + 1) // 2
-    if _synthesizes(inverse, transpose):
+    if inverse == transpose:  # a synthesis, X or X^{-T}
         m = m[:, order]
         if kind in _BORDERED:
             _mix_rows(m[:, ::p].T)
@@ -402,52 +394,19 @@ def _square_grid(g) -> np.ndarray:
     return g
 
 
-def parity_apply_2d(kind: TransformKind, g, inverse: bool = False,
-                    transpose: bool = False) -> np.ndarray:
-    """Apply the tensor product X (x) X to a square grid in the parity
-    layout, with the blocks of :func:`_parity_blocks`.
-
-    An analysis (``X^{-1}``, ``X^T``) takes samples to a spectrum in the
-    parity layout on both axes, a synthesis (``X``, ``X^{-T}``) takes
-    such a spectrum to samples.  Each axis costs two products with
-    half-size blocks and one O(n^2) sum and difference, half the flops of
-    a product with the n x n matrix; no index is gathered.
-    """
-    g = _square_grid(g)
-    blocks = _parity_blocks(kind, inverse, transpose, g.shape[0])
-    step = _synthesis_step if _synthesizes(inverse, transpose) \
-        else _analysis_step
-    return step(step(g, blocks), blocks)
-
-
 def tensor_apply_2d(kind: TransformKind, g, inverse: bool = False,
                     transpose: bool = False) -> np.ndarray:
     """Apply the tensor product X (x) X to a square grid, spectra in
     natural order.
 
     For a grid G this computes ``X G X^T`` and its inverse/transpose
-    variants.  Where the rule takes products it is :func:`parity_apply_2d`
-    and one gather of the spectral index (with the border pairs mixed
-    back, :func:`_mix_border_pairs`, for a bordered kind); else the 1D
-    transform over all columns (the rows of ``G^T``) and then over all
-    rows.
+    variants: the 1D transform over all columns (the rows of ``G^T``) and
+    then over all rows, at every side.  A restore reaches it only through
+    :func:`diagonalized` above the batch bound.
     """
     g = _square_grid(g)
-    n = g.shape[0]
-    if not _takes_products(n, batched=True):
-        cols = apply_1d(kind, g.T, inverse=inverse, transpose=transpose).T
-        return apply_1d(kind, cols, inverse=inverse, transpose=transpose)
-    order = parity_order(kind, n)
-    if _synthesizes(inverse, transpose):
-        spectrum = g.take(order, 0).take(order, 1)
-        if kind in _BORDERED:
-            _mix_border_pairs(spectrum)
-        return parity_apply_2d(kind, spectrum, inverse, transpose)
-    spectrum = parity_apply_2d(kind, g, inverse, transpose)
-    if kind in _BORDERED:
-        _mix_border_pairs(spectrum)
-    natural = np.argsort(order)
-    return spectrum.take(natural, 0).take(natural, 1)
+    cols = apply_1d(kind, g.T, inverse=inverse, transpose=transpose).T
+    return apply_1d(kind, cols, inverse=inverse, transpose=transpose)
 
 
 def diagonalized(kind: TransformKind, lam: np.ndarray,
@@ -458,20 +417,23 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
     function of a float64 array that it leaves alone.
 
     For a vector the analysis, the scaling and the synthesis run in place
-    on one copy, with the bodies of :func:`body_1d` bound here once.  A
-    grid takes products where the rule says so: two
-    :func:`parity_apply_2d`, with ``lam`` permuted into the parity layout
-    here once and a bordered kind's border pairs unmixed around the
-    scaling (:func:`_mix_border_pairs`), so that unequal border
-    eigenvalues scale exactly.  Else it runs :func:`tensor_apply_2d`'s
-    per-axis FFTs.
+    on one copy, with the bodies of :func:`_body_1d` bound here once.  A
+    grid takes products where the rule says so: the blocks of the analysis
+    and of the synthesis (:func:`_parity_blocks`) and ``lam``, permuted
+    into the parity layout, are bound here once; each call runs
+    :func:`_analysis_step` on both axes, scales, and runs
+    :func:`_synthesis_step` on both axes, with a bordered kind's border
+    pairs unmixed around the scaling (:func:`_mix_border_pairs`), so that
+    unequal border eigenvalues scale exactly.  Else it runs
+    :func:`tensor_apply_2d`'s per-axis FFTs.
     """
     # (inverse, transpose) of the analysis, X^{-1} or X^T, and of the
     # synthesis, X or X^{-T}
     into, back = (not transpose, transpose), (transpose, transpose)
     n = lam.shape[0]
     if lam.ndim == 1:
-        analysis, synthesis = body_1d(kind, *into, n), body_1d(kind, *back, n)
+        analysis = _body_1d(kind, *into, n)
+        synthesis = _body_1d(kind, *back, n)
 
         def on_copy(u):
             out = analysis(u, u.copy())
@@ -481,18 +443,22 @@ def diagonalized(kind: TransformKind, lam: np.ndarray,
     if not _takes_products(n, batched=True):
         return lambda g: tensor_apply_2d(
             kind, lam * tensor_apply_2d(kind, g, *into), *back)
+    analysis = _parity_blocks(kind, *into, n)
+    synthesis = _parity_blocks(kind, *back, n)
     bordered = kind in _BORDERED
-    order = parity_order(kind, n)
+    order = _parity_order(kind, n)
     lam = lam.take(order, 0).take(order, 1)
 
     def on_parity(g):
-        spectrum = parity_apply_2d(kind, g, *into)
+        g = _square_grid(g)
+        spectrum = _analysis_step(_analysis_step(g, analysis), analysis)
         if bordered:
             _mix_border_pairs(spectrum)
         spectrum *= lam
         if bordered:
             _mix_border_pairs(spectrum)
-        return parity_apply_2d(kind, spectrum, *back)
+        return _synthesis_step(_synthesis_step(spectrum, synthesis),
+                               synthesis)
     return on_parity
 
 

@@ -17,13 +17,15 @@ reference for its two-product grid.  :func:`dense_transform` is the dense
 matrix of one 1D transform apply, :func:`dense_diagonalized` the
 transform-diagonalized apply ``X diag(lam) X^{-1}`` built on it, and
 :func:`parity_layout` the map of a spectrum into the parity layout of the
-2D product applies.
+2D product applies.  :func:`generated_sides` is the Hypothesis draw of
+sizes that the fast paths are checked against these oracles at.
 """
 
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import fft
 
 from tvdeblur.krylov import (
@@ -34,8 +36,26 @@ from tvdeblur.krylov import (
     SolverBreakdownError,
     SolverDivergenceError,
 )
-from tvdeblur.transforms import TransformKind
+from tvdeblur.transforms import _BATCH_MAX_N, TransformKind
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
+
+
+def primes_and_neighbours(top: int) -> list[int]:
+    """Every prime up to ``top`` and its two neighbours, sorted."""
+    primes = [p for p in range(2, top + 1)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    return sorted({m for p in primes for m in (p - 1, p, p + 1)})
+
+
+def generated_sides(smallest: int):
+    """Sizes from ``smallest`` up: the lengths up to 6, the primes up to
+    257 and their neighbours (prime-adjacent FFT lengths), and the 2D
+    product bound ``_BATCH_MAX_N`` and its neighbours."""
+    return st.one_of(
+        st.integers(smallest, 6),
+        st.sampled_from([m for m in primes_and_neighbours(257)
+                         if m >= smallest]),
+        st.sampled_from([_BATCH_MAX_N + k for k in (-1, 0, 1)]))
 
 
 def probe_dense(apply, shape) -> np.ndarray:

@@ -697,7 +697,7 @@ def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
     products with the dense 1D data terms.  With a non-separable PSF it runs
     four, two for ``H`` and two for ``B``, in every configuration: at this
     side the transforms of the diagonalized applies run in the parity
-    layout, one ``parity_apply_2d`` each."""
+    layout, one parity step per axis each."""
     from tvdeblur import transforms
 
     n = 16
@@ -707,16 +707,14 @@ def test_2d_step_apply_tensor_transform_count(monkeypatch, rng, label,
     l_op = DiffusionOperator(rng.standard_normal((n, n)), 0.1, bc_l)
     _, system = step_system(l_op, 1e-2, rng.standard_normal((n, n)),
                             psf, bc_h, formulation)
-    calls = []
-    parity_apply_2d = transforms.parity_apply_2d
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return parity_apply_2d(*args, **kwargs)
-
-    monkeypatch.setattr(transforms, "parity_apply_2d", counting)
+    steps = []
+    for name in ("_analysis_step", "_synthesis_step"):
+        def counting(*args, step=getattr(transforms, name)):
+            steps.append(step)
+            return step(*args)
+        monkeypatch.setattr(transforms, name, counting)
     system.apply(rng.standard_normal((n, n)))
-    assert len(calls) == (0 if separable else 4)
+    assert len(steps) == (0 if separable else 4 * 2)
 
 
 def oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha):

@@ -1,6 +1,5 @@
 import importlib.machinery
 import importlib.util
-import math
 import subprocess
 import sys
 import threading
@@ -20,8 +19,10 @@ from oracles import (
     dense_dst1,
     dense_sinehat,
     dense_transform,
+    generated_sides,
     kron_apply_2d,
     parity_layout,
+    primes_and_neighbours,
     scipy_apply_1d,
 )
 from tvdeblur import transforms, tv
@@ -158,15 +159,22 @@ def test_tensor_ar_round_trip(rng):
         atol=1e-10)
 
 
-# both sides of the 2D product bound n = 144, the smallest legal sizes and
-# the prime-adjacent lengths around 128
-TENSOR_SIZES = (3, 4, 5, 64, 127, 128, 129, 144, 145)
 FLAGS = [(False, False), (True, False), (False, True), (True, True)]
 
 
-@pytest.mark.parametrize("n", TENSOR_SIZES)
-def test_tensor_apply_matches_per_axis_and_kronecker(n, rng):
-    g = rng.standard_normal((n, n))
+#: sides of the diagonalized apply, whose vectors start at n = 1, and of
+#: the tensor apply
+DIAGONALIZED_SIZES = generated_sides(1)
+GRID_SIDES = generated_sides(transforms.MIN_BORDERED_N)
+
+
+@settings(derandomize=True)
+@given(n=GRID_SIDES, seed=st.integers(0, 2**32 - 1))
+def test_tensor_apply_matches_the_dense_oracle(n, seed):
+    """``tensor_apply_2d`` is ``X G X^T`` for the oracle's dense 1D apply
+    X, to 1e-13 relative, for every kind and flag pair at generated
+    sides."""
+    g = np.random.default_rng(seed).standard_normal((n, n))
 
     def rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -174,18 +182,29 @@ def test_tensor_apply_matches_per_axis_and_kronecker(n, rng):
     for kind in TransformKind:
         for inverse, transpose in FLAGS:
             got = tensor_apply_2d(kind, g, inverse=inverse, transpose=transpose)
-            per_axis = apply_1d(kind, apply_1d(kind, g.T, inverse, transpose).T,
-                                inverse, transpose)
             x = dense_transform(kind, n, inverse, transpose)
             # the explicit Kronecker product costs n^4; past n = 64 use the
             # identity (X kron X) vec(G) = vec(X G X^T) on the oracle matrix
             oracle = kron_apply_2d(x, g) if n <= 64 else x @ g @ x.T
-            what = f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
-            assert rel(got, per_axis) < 1e-13, what
-            assert rel(got, oracle) < 1e-13, what
+            assert rel(got, oracle) < 1e-13, \
+                f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
 
 
-@pytest.mark.parametrize("n", TENSOR_SIZES)
+#: both sides of the 2D product bound n = 144, the smallest legal sizes and
+#: the prime-adjacent lengths around 128
+PARITY_SIZES = (3, 4, 5, 64, 127, 128, 129, 144, 145)
+
+
+def _parity_apply(kind, g, inverse, transpose):
+    """The 2D analysis or synthesis in the parity layout: the step of
+    ``diagonalized`` on both axes, with the blocks of these flags."""
+    blocks = transforms._parity_blocks(kind, inverse, transpose, g.shape[0])
+    step = transforms._synthesis_step if inverse == transpose \
+        else transforms._analysis_step
+    return step(step(g, blocks), blocks)
+
+
+@pytest.mark.parametrize("n", PARITY_SIZES)
 def test_parity_apply_matches_the_dense_transforms(n, rng):
     """The half-size blocks, in the parity layout, are the oracle's dense
     transform: an analysis gives ``R (X G X^T) R^T`` and a synthesis of
@@ -199,7 +218,7 @@ def test_parity_apply_matches_the_dense_transforms(n, rng):
         r = parity_layout(kind, n)
         for inverse, transpose in FLAGS:
             x = dense_transform(kind, n, inverse, transpose)
-            got = transforms.parity_apply_2d(kind, g, inverse, transpose)
+            got = _parity_apply(kind, g, inverse, transpose)
             if inverse == transpose:  # a synthesis: g is a parity spectrum
                 want = x @ (r.T @ g @ r) @ x.T
             else:
@@ -210,17 +229,13 @@ def test_parity_apply_matches_the_dense_transforms(n, rng):
 
 @pytest.mark.parametrize("n", [5, 128, 144])
 def test_2d_applies_take_no_dense_product(n, rng, monkeypatch):
-    """In the product regime the 2D applies read the cached half-size
-    blocks: once the caches are warm, no n x n matrix is built."""
+    """In the product regime the diagonalized 2D applies read the cached
+    half-size blocks: once the caches are warm, no n x n matrix is
+    built."""
     g = rng.standard_normal((n, n))
     lam = rng.uniform(0.5, 2.0, (n, n))
-    calls = []
-    for kind in TransformKind:
-        for inverse, transpose in FLAGS:
-            calls.append(lambda x, k=kind, i=inverse, t=transpose:
-                         tensor_apply_2d(k, x, i, t))
-        for transpose in (False, True):
-            calls.append(transforms.diagonalized(kind, lam, transpose))
+    calls = [transforms.diagonalized(kind, lam, transpose)
+             for kind in TransformKind for transpose in (False, True)]
     for call in calls:
         call(g)  # fill the caches
     builds = []
@@ -235,20 +250,6 @@ def test_2d_applies_take_no_dense_product(n, rng, monkeypatch):
     assert builds == []
 
 
-def _primes_and_neighbours(top: int) -> list[int]:
-    primes = [p for p in range(2, top + 1)
-              if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    return sorted({m for p in primes for m in (p - 1, p, p + 1)})
-
-
-#: sides of the diagonalized apply: the smallest lengths, the primes up to
-#: 257 and their neighbours, and the 2D product bound and its neighbours
-DIAGONALIZED_SIZES = st.one_of(
-    st.integers(1, 6),
-    st.sampled_from(_primes_and_neighbours(257)),
-    st.sampled_from([transforms._BATCH_MAX_N + k for k in (-1, 0, 1)]))
-
-
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("kind", list(TransformKind))
@@ -258,28 +259,33 @@ def test_diagonalized_matches_the_dense_oracle(kind, transpose, ndim, n,
                                                seed):
     """``diagonalized`` is the dense ``X diag(lam) X^{-1}`` of the oracle
     to 1e-12 relative at generated sides, and leaves its input alone.  A
-    grid of side n <= ``_BATCH_MAX_N`` runs the two parity applies of the
-    product path, a larger grid and a vector none."""
+    grid of side n <= ``_BATCH_MAX_N`` runs the product path, a parity
+    step per axis for the analysis and the synthesis each, a larger grid
+    and a vector none."""
     assume(kind not in (AR, SINE_HAT) or n >= transforms.MIN_BORDERED_N)
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.5, 2.0, (n,) * ndim)
     u = rng.standard_normal((n,) * ndim)
     before = u.tobytes()
-    with mock.patch.object(transforms, "parity_apply_2d",
-                           wraps=transforms.parity_apply_2d) as parity:
-        got = transforms.diagonalized(kind, lam, transpose)(u)
+    apply = transforms.diagonalized(kind, lam, transpose)
+    with mock.patch.object(transforms, "_analysis_step",
+                           wraps=transforms._analysis_step) as analysis, \
+            mock.patch.object(transforms, "_synthesis_step",
+                              wraps=transforms._synthesis_step) as synthesis:
+        got = apply(u)
     want = dense_diagonalized(kind, lam, u, transpose)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert u.tobytes() == before
     products = ndim == 2 and n <= transforms._BATCH_MAX_N
-    assert parity.call_count == (2 if products else 0)
+    assert analysis.call_count == synthesis.call_count == (2 if products
+                                                           else 0)
 
 
 #: lengths of the band forms: the smallest, the primes up to 400 and their
 #: neighbours, and both product bounds and their neighbours
 BAND_FORM_SIZES = st.one_of(
     st.integers(1, 6),
-    st.sampled_from(_primes_and_neighbours(400)),
+    st.sampled_from(primes_and_neighbours(400)),
     st.sampled_from([bound + k for bound in (transforms._VECTOR_MAX_N,
                                              transforms._BATCH_MAX_N)
                      for k in (-1, 0, 1)]))
@@ -355,7 +361,7 @@ def test_in_place_body_keeps_the_bytes_of_scipy_fft(rows, n, kind, inverse,
     buffer = rng.standard_normal(lead + (n + 3,))
     view = buffer[..., 2:2 + n]
     v, outside = view.copy(), np.delete(buffer, np.s_[2:2 + n], axis=-1)
-    out = transforms.body_1d(kind, inverse, transpose, n)(view, view)
+    out = transforms._body_1d(kind, inverse, transpose, n)(view, view)
     assert np.shares_memory(out, buffer) and out.shape == v.shape
     want = scipy_apply_1d(kind, v, inverse=inverse, transpose=transpose)
     assert np.array_equal(view, want)
@@ -472,13 +478,14 @@ def test_tensor_matrix_cache_is_read_only():
     for kind in TransformKind:
         for cached in (transforms._band_products(kind, 1, 8),
                        transforms._parity_blocks(kind, True, False, 8),
-                       transforms.parity_order(kind, 8)):
+                       transforms._parity_order(kind, 8)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[(0,) * cached.ndim] = 1
-    out = tensor_apply_2d(TransformKind.DCT, np.eye(8))
-    assert out.flags.writeable and not np.shares_memory(
-        out, transforms._parity_blocks(TransformKind.DCT, False, False, 8))
+    out = transforms.diagonalized(DCT, np.ones((8, 8)))(np.eye(8))
+    assert out.flags.writeable and not any(
+        np.shares_memory(out, transforms._parity_blocks(DCT, i, False, 8))
+        for i in (False, True))
     form = transforms.band_form(DCT, np.ones(7), 1, 8)
     assert form.flags.writeable and not np.shares_memory(
         form, transforms._band_products(DCT, 1, 8))
@@ -492,9 +499,9 @@ def test_per_size_caches_stay_bounded():
         apply_1d(AR, np.ones(n))
         transforms._band_products(DCT, 1, n)
         transforms._parity_blocks(DCT, False, False, n)
-        transforms.parity_order(DCT, n)
+        transforms._parity_order(DCT, n)
     for cache in (transforms._ar_corrections, transforms._band_products,
-                  transforms._parity_blocks, transforms.parity_order):
+                  transforms._parity_blocks, transforms._parity_order):
         assert cache.cache_info().currsize == 16
     assert not any(q.flags.writeable for q in transforms._ar_corrections(5))
 
@@ -506,7 +513,7 @@ def test_body_cache_stays_bounded():
         for inverse in (False, True):
             for transpose in (False, True):
                 apply_1d(AR, np.ones(n), inverse, transpose)
-    info = transforms.body_1d.cache_info()
+    info = transforms._body_1d.cache_info()
     assert info.maxsize == info.currsize == 64
 
 
@@ -517,7 +524,7 @@ def test_shared_anti_reflective_body_is_thread_safe(inverse, transpose, rng):
     (two vectors and a batch), gives each thread the bytes of a one-thread
     run: the body keeps no work buffer between calls."""
     n, calls = 203, 200
-    body = transforms.body_1d(AR, inverse, transpose, n)
+    body = transforms._body_1d(AR, inverse, transpose, n)
     inputs = (rng.standard_normal(n), rng.standard_normal(n),
               rng.standard_normal((3, n)))
     want = [body(v, v.copy()).tobytes() for v in inputs]
@@ -546,7 +553,10 @@ def test_rejects_empty_and_tiny():
         apply_1d(DST1, np.array([]))
     with pytest.raises(ValueError):
         apply_1d(DCT, np.array([]))
-    tensor_applies = (tensor_apply_2d, transforms.parity_apply_2d)
+    # the tensor apply, and the diagonalized grid apply bound on the
+    # eigenvalues of a grid of that side
+    tensor_applies = (tensor_apply_2d,
+                      lambda kind, g: transforms.diagonalized(kind, g)(g))
     for n in (1, 2):
         with pytest.raises(ValueError):
             apply_1d(AR, np.ones(n))
@@ -560,10 +570,14 @@ def test_rejects_empty_and_tiny():
                                match=f"Shat_n requires length >= 3, got {n}"):
                 apply(TransformKind.SINE_HAT, np.ones((n, n)))
     for kind in TransformKind:
-        for apply in tensor_applies:
-            for shape in ((3, 4), (145, 144), (4,), (2, 2, 2)):
+        # a grid apply on products and one on the per-axis FFTs
+        grid_applies = [transforms.diagonalized(kind, np.ones((n, n)))
+                        for n in (4, 145)]
+        for shape in ((3, 4), (145, 144), (4,), (2, 2, 2)):
+            for apply in (lambda g: tensor_apply_2d(kind, g), *grid_applies):
                 with pytest.raises(ValueError, match="needs a square grid"):
-                    apply(kind, np.ones(shape))
+                    apply(np.ones(shape))
+        for apply in tensor_applies:
             with pytest.raises(ValueError):
                 apply(kind, np.ones((0, 0)))
     with pytest.raises(ValueError, match="unknown transform kind: 'dct'"):
