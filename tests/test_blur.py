@@ -16,7 +16,8 @@ from tvdeblur.blur import (
 from tvdeblur.harness import PSF_KINDS, default_half_width, gen_psf
 from tvdeblur.krylov import ConfigurationError
 from tvdeblur.precond import assemble_preconditioner
-from tvdeblur.transforms import TransformKind, _dense_1d, diagonalized
+from tvdeblur.transforms import (MIN_BORDERED_N, TransformKind, _dense_1d,
+                                 diagonalized)
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
 ALL_BCS = list(BoundaryCondition)
@@ -485,7 +486,7 @@ GENERATED_KERNELS = {
 
 
 @settings(derandomize=True, max_examples=100)
-@given(n=oracles.generated_sides(3),
+@given(n=oracles.generated_sides(MIN_BORDERED_N),
        bc=st.sampled_from([BoundaryCondition.REFLECTIVE,
                            BoundaryCondition.ANTI_REFLECTIVE]),
        kernel=st.sampled_from(list(GENERATED_KERNELS)),

@@ -162,14 +162,9 @@ def test_tensor_ar_round_trip(rng):
 FLAGS = [(False, False), (True, False), (False, True), (True, True)]
 
 
-#: sides of the diagonalized apply, whose vectors start at n = 1, and of
-#: the tensor apply
-DIAGONALIZED_SIZES = generated_sides(1)
-GRID_SIDES = generated_sides(transforms.MIN_BORDERED_N)
-
-
 @settings(derandomize=True)
-@given(n=GRID_SIDES, seed=st.integers(0, 2**32 - 1))
+@given(n=generated_sides(transforms.MIN_BORDERED_N),
+       seed=st.integers(0, 2**32 - 1))
 def test_tensor_apply_matches_the_dense_oracle(n, seed):
     """``tensor_apply_2d`` is ``X G X^T`` for the oracle's dense 1D apply
     X, to 1e-13 relative, for every kind and flag pair at generated
@@ -248,6 +243,10 @@ def test_2d_applies_take_no_dense_product(n, rng, monkeypatch):
     for call in calls:
         call(g)
     assert builds == []
+
+
+#: sides of the diagonalized apply, whose vectors start at n = 1
+DIAGONALIZED_SIZES = generated_sides(1)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
