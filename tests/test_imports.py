@@ -96,3 +96,35 @@ def test_a_private_read_is_found():
               "blur._pad(np._x, blur.diagonalized, tv._extend, transforms.__doc__)\n")
     assert private_reads(source) == {"krylov._norm", "blur._pad",
                                      "tv._extend"}
+
+
+#: the transform bodies and the parity layout: ``transforms`` owns them,
+#: and every other module applies them through ``transforms.diagonalized``
+#: or the tensor and 1D applies
+LAYOUT_NAMES = {"_body_1d", "_parity_order", "_parity_blocks",
+                "_analysis_step", "_synthesis_step"}
+
+
+def layout_reads(source: str) -> set[str]:
+    """The names of ``LAYOUT_NAMES`` that ``source`` imports, or reads as
+    an attribute of any object."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & LAYOUT_NAMES
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "transforms"], ids=lambda path: path.stem)
+def test_only_transforms_reads_the_transform_layout(path):
+    assert layout_reads(path.read_text(encoding="utf-8")) == set()
+
+
+def test_a_layout_read_is_found():
+    source = ("from .transforms import _body_1d, diagonalized\n"
+              "t = transforms\nt._parity_order(kind, n)\n")
+    assert layout_reads(source) == {"_body_1d", "_parity_order"}

@@ -159,7 +159,32 @@ def test_tensor_ar_round_trip(rng):
         atol=1e-10)
 
 
+#: both sides of the 2D product bound n = 144, the smallest legal sizes and
+#: the prime-adjacent lengths around 128
+TENSOR_SIZES = (3, 4, 5, 64, 127, 128, 129, 144, 145)
 FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("n", TENSOR_SIZES)
+def test_tensor_apply_matches_per_axis_and_kronecker(n, rng):
+    """``tensor_apply_2d`` is the 1D apply along each axis in turn and the
+    oracle's ``X G X^T``, to 1e-13 relative, for every kind and flag pair
+    at the named sides."""
+    g = rng.standard_normal((n, n))
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    for kind in TransformKind:
+        for inverse, transpose in FLAGS:
+            got = tensor_apply_2d(kind, g, inverse=inverse, transpose=transpose)
+            per_axis = apply_1d(kind, apply_1d(kind, g.T, inverse, transpose).T,
+                                inverse, transpose)
+            x = dense_transform(kind, n, inverse, transpose)
+            oracle = kron_apply_2d(x, g) if n <= 64 else x @ g @ x.T
+            what = f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
+            assert rel(got, per_axis) < 1e-13, what
+            assert rel(got, oracle) < 1e-13, what
 
 
 @settings(derandomize=True)
@@ -185,11 +210,6 @@ def test_tensor_apply_matches_the_dense_oracle(n, seed):
                 f"{kind.name} inverse={inverse} transpose={transpose} n={n}"
 
 
-#: both sides of the 2D product bound n = 144, the smallest legal sizes and
-#: the prime-adjacent lengths around 128
-PARITY_SIZES = (3, 4, 5, 64, 127, 128, 129, 144, 145)
-
-
 def _parity_apply(kind, g, inverse, transpose):
     """The 2D analysis or synthesis in the parity layout: the step of
     ``diagonalized`` on both axes, with the blocks of these flags."""
@@ -199,7 +219,7 @@ def _parity_apply(kind, g, inverse, transpose):
     return step(step(g, blocks), blocks)
 
 
-@pytest.mark.parametrize("n", PARITY_SIZES)
+@pytest.mark.parametrize("n", TENSOR_SIZES)
 def test_parity_apply_matches_the_dense_transforms(n, rng):
     """The half-size blocks, in the parity layout, are the oracle's dense
     transform: an analysis gives ``R (X G X^T) R^T`` and a synthesis of
