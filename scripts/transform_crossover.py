@@ -86,7 +86,7 @@ from tvdeblur.precond import (
 from tvdeblur.transforms import TransformKind, apply_1d
 from tvdeblur.tv import DiffusionBc, DiffusionOperator
 
-SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256)
+SIZES = (64, 96, 120, 127, 128, 129, 136, 144, 150, 160, 192, 256, 384, 512)
 SIZES_1D = (64, 128, 203, 256, 512, 1024, 2048)
 BAND_SIZES = (144, 201, 203, 256, 384, 512, 768, 1024)
 ASSEMBLY_KINDS = ("R", "R_D", "M_D", "P_D")

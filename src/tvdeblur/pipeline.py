@@ -327,9 +327,8 @@ class StepSystem:
             out = self.apply(s * w)
             out *= s
             return out
-        r0 = s * gradient
-        np.negative(r0, out=r0)
-        return (apply, s * self.rhs, u / s, r0, lambda u_tilde: s * u_tilde)
+        return (apply, s * self.rhs, u / s, s * -gradient,
+                lambda u_tilde: s * u_tilde)
 
     def krylov_problem(self, u: np.ndarray, gradient: np.ndarray) -> tuple:
         """(apply, preconditioner solve or None, right-hand side, start,

@@ -204,11 +204,7 @@ def _bordered(kind: TransformKind, interiors: Bands, diagonal, n: int) -> np.nda
     (bordered sine; 0 without a ``diagonal``) or by ``lam_int @ w``
     (anti-reflective)."""
     first = next(iter(interiors.values()), np.zeros(0))
-    if first.ndim == 2 and first.strides[0] < first.strides[1]:
-        # a transposed batch gives its forms transposed: so is ``out``
-        out = np.empty((n, first.shape[0])).T
-    else:
-        out = np.empty(first.shape[:-1] + (n,))
+    out = np.empty(first.shape[:-1] + (n,))
     lam_int = out[..., 1:-1]
     lam_int[...] = _sum_of_forms(TransformKind.DST1, interiors, n - 2)
     if kind is TransformKind.ANTI_REFLECTIVE:

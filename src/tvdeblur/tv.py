@@ -215,17 +215,11 @@ def band_kernel(bands: dict, weight: float = 1.0):
     raveled copy would drop the sum.
     """
     n = bands[(0, 0)].shape[0]
-    data = np.empty((len(bands), n, n))
+    data = np.zeros((len(bands), n, n))
     offsets = np.empty(len(bands), dtype=np.intc)
     for row, (offset, band) in enumerate(bands.items()):
         cells = tuple(slice(max(d, 0), n + min(d, 0)) for d in offset)
         np.multiply(band, weight, out=data[row][cells])
-        # zeros in the first or last |d| lines along each axis, which the
-        # band does not cover
-        for axis, d in enumerate(offset):
-            if d:
-                data[row][_along(axis, slice(None, d) if d > 0
-                                 else slice(d, None))] = 0.0
         offsets[row] = offset[0] * n + offset[1]
     size, shape = n * n, (n, n)
     data = data.reshape(len(bands), size)

@@ -28,6 +28,8 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy import fft
 
+from tvdeblur.blur import SymmetricPsf
+from tvdeblur.harness import PSF_KINDS, default_half_width, gen_psf
 from tvdeblur.krylov import (
     ConfigurationError,
     IndefiniteOperatorError,
@@ -335,6 +337,16 @@ def disk_kernel(m: int) -> np.ndarray:
     idx = np.arange(-m, m + 1)
     h = (idx[:, None] ** 2 + idx[None, :] ** 2 <= m * m).astype(float)
     return h / h.sum()
+
+
+#: the kernels of the generated-side cases: the harness's 1D kernel, its
+#: separable 2D Gaussian and a non-separable disk, each for side n
+GENERATED_KERNELS = {
+    "harness 1D": lambda n: gen_psf(PSF_KINDS[1], default_half_width(n, 1)),
+    "harness 2D": lambda n: gen_psf(PSF_KINDS[2], default_half_width(n, 2),
+                                    default_half_width(n, 2) / 2.0),
+    "disk": lambda n: SymmetricPsf(disk_kernel(2)),
+}
 
 
 def two_gaussians_kernel(m: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from tvdeblur.blur import (
     save_psf,
     symbol_eval,
 )
-from tvdeblur.harness import PSF_KINDS, default_half_width, gen_psf
+from tvdeblur.harness import gen_psf
 from tvdeblur.krylov import ConfigurationError
 from tvdeblur.precond import assemble_preconditioner
 from tvdeblur.transforms import (MIN_BORDERED_N, TransformKind, _dense_1d,
@@ -475,21 +475,11 @@ def test_2d_fast_paths_across_dense_product_cutoff(n, bc, kind, l_bc, rng):
                                atol=1e-9 * scale)
 
 
-#: the kernels of the generated fast-blur cases: the harness's 1D kernel,
-#: its separable 2D Gaussian and a non-separable disk, each for side n
-GENERATED_KERNELS = {
-    "harness 1D": lambda n: gen_psf(PSF_KINDS[1], default_half_width(n, 1)),
-    "harness 2D": lambda n: gen_psf(PSF_KINDS[2], default_half_width(n, 2),
-                                    default_half_width(n, 2) / 2.0),
-    "disk": lambda n: SymmetricPsf(oracles.disk_kernel(2)),
-}
-
-
 @settings(derandomize=True, max_examples=100)
 @given(n=oracles.generated_sides(MIN_BORDERED_N),
        bc=st.sampled_from([BoundaryCondition.REFLECTIVE,
                            BoundaryCondition.ANTI_REFLECTIVE]),
-       kernel=st.sampled_from(list(GENERATED_KERNELS)),
+       kernel=st.sampled_from(list(oracles.GENERATED_KERNELS)),
        seed=st.integers(0, 2**32 - 1))
 def test_fast_blur_matches_the_reference_at_generated_sides(n, bc, kernel,
                                                             seed):
@@ -497,7 +487,7 @@ def test_fast_blur_matches_the_reference_at_generated_sides(n, bc, kernel,
     ``apply`` and ``apply_transpose`` to 1e-12 relative in norm, under both
     fast BCs, at generated sides: on both sides of the 2D product bound,
     odd and even, with a separable and a non-separable 2D kernel."""
-    op = StructuredBlurOperator(GENERATED_KERNELS[kernel](n), bc, n)
+    op = StructuredBlurOperator(oracles.GENERATED_KERNELS[kernel](n), bc, n)
     u = np.random.default_rng(seed).standard_normal((n,) * op.ndim)
     for fast, reference in ((op.apply_fast, op.apply),
                             (op.apply_transpose_fast, op.apply_transpose)):

@@ -1,5 +1,6 @@
-"""Every name a module of ``tvdeblur`` imports is used in that module, and
-no module reads an underscore name of another."""
+"""Every name a module of ``tvdeblur`` or a script under ``scripts/``
+imports is used in that module, and no module reads an underscore name of
+another."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tvdeblur"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 #: (module, name) imported but unused: bench/spans.py patches these names
 #: to count transform calls, and the ROADMAP item "Delete the benchmark's
@@ -35,7 +37,8 @@ def unused_imports(source: str) -> set[str]:
     return imported - used
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
+                         + sorted(SCRIPTS.glob("*.py")),
                          ids=lambda path: path.stem)
 def test_module_imports_no_name_it_does_not_use(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))

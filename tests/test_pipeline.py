@@ -41,7 +41,8 @@ from tvdeblur.precond import (
     IndefinitePreconditionerError,
     assemble_preconditioner,
 )
-from tvdeblur.transforms import TransformKind, apply_1d
+from tvdeblur.transforms import (_BATCH_MAX_N, MIN_BORDERED_N, TransformKind,
+                                 apply_1d)
 from tvdeblur.tv import (MIN_BETA, DiffusionBc, DiffusionOperator,
                          InvalidScalingError)
 
@@ -773,6 +774,68 @@ def test_2d_kronecker_step_apply_matches_oracle(rng, n, anisotropic, bc_h,
         got = system.apply(w)
         want = oracle_step_apply(w, psf, bc_h, formulation, l_op, alpha)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def oracle_scaling(l_op, alpha):
+    """``S = (I + alpha diag L)^{-1/2}`` on the flux-form oracle: in 2D the
+    five-point stencil couples a cell only to cells of the other colour of
+    a checkerboard, so two probes give the diagonal."""
+    if l_op.ndim == 1:
+        diagonal = np.diag(oracles.dense_of(l_op))
+    else:
+        i, j = np.indices((l_op.n, l_op.n))
+        masks = [((i + j) % 2 == colour).astype(float) for colour in (0, 1)]
+        diagonal = sum(mask * oracles.diffusion_apply_padded(
+            mask, l_op.a, l_op.bc.value) for mask in masks)
+    return (1.0 + alpha * diagonal) ** -0.5
+
+
+#: (ndim, n): any generated side in 1D; in 2D up to one past the product
+#: bound, as the scalar-rule blur oracle loops over every pixel
+STEP_SIDES = st.one_of(
+    st.tuples(st.just(1), oracles.generated_sides(MIN_BORDERED_N)),
+    st.tuples(st.just(2), oracles.generated_sides(MIN_BORDERED_N).filter(
+        lambda n: n <= _BATCH_MAX_N + 1)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(side=STEP_SIDES,
+       data_term=st.sampled_from(pipeline.DATA_TERMS),
+       bc_l=st.sampled_from(list(DiffusionBc)),
+       disk=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_applies_match_the_oracles_at_generated_sides(side, data_term,
+                                                           bc_l, disk, seed):
+    """``StepSystem.apply`` is ``B H + alpha L`` and the ``x_d`` scaled
+    apply from ``scale`` is ``S (B H + alpha L) S`` to 1e-12 relative, for
+    every data term and diffusion BC at generated sides: in 1D on the
+    dense oracles with the harness's kernel, in 2D on the scalar-rule
+    oracles with its separable Gaussian (the Kronecker data term) or the
+    non-separable disk.  One oracle apply at ``x = S w`` checks both."""
+    ndim, n = side
+    (bc_h, formulation), alpha = data_term, 1e-2
+    rng = np.random.default_rng(seed)
+    kernel = "harness 1D" if ndim == 1 else "disk" if disk else "harness 2D"
+    psf = oracles.GENERATED_KERNELS[kernel](n)
+    shape = (n,) * ndim
+    l_op = DiffusionOperator(rng.standard_normal(shape), 0.1, bc_l)
+    h_op, system = step_system(l_op, alpha, rng.standard_normal(shape), psf,
+                               bc_h, formulation)
+    s = oracle_scaling(l_op, alpha)
+    w = rng.standard_normal(shape)
+    x = s * w
+    if ndim == 1:
+        h = oracles.dense_of(h_op)
+        b = h.T if bc_h is BoundaryCondition.ANTI_REFLECTIVE and \
+            formulation is Formulation.NORMAL else h
+        want = (b @ h + alpha * oracles.dense_of(l_op)) @ x
+    else:
+        want = oracle_step_apply(x, psf, bc_h, formulation, l_op, alpha)
+    apply_scaled = system.scale(w, pipeline.el_residual(system, w))[0]
+    for got, expected in ((system.apply(x), want),
+                          (apply_scaled(w), s * want)):
+        assert np.linalg.norm(got - expected) <= \
+            1e-12 * np.linalg.norm(expected)
 
 
 #: side n -> a separable 2D PSF: the harness's Gaussian, whose kernel is
