@@ -18,7 +18,8 @@ matrix of one 1D transform apply, :func:`dense_diagonalized` the
 transform-diagonalized apply ``X diag(lam) X^{-1}`` built on it, and
 :func:`parity_layout` the map of a spectrum into the parity layout of the
 2D product applies.  :func:`generated_sides` is the Hypothesis draw of
-sizes that the fast paths are checked against these oracles at.
+sizes that the fast paths are checked against these oracles at, and
+``GENERATED_KERNELS`` the kernels drawn with it.
 """
 
 import itertools
