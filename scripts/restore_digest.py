@@ -4,8 +4,15 @@
 Runs the 4 configurations x 5 preconditioner selectors at 1D n=203
 (alpha 1e-1 and 1e-3, beta 0.1) and at 2D n=64 (alpha 1e-2, beta 0.01), and
 the cell of the benchmark workload ``img2d-ar128``: 2D n=128,
-``AR+Reblur+AR`` with ``x_d``, alpha 1e-2, beta 0.01, NSR 1e-3.  All run at
-noise seed 2023, with the BLAS and OpenMP thread variables set to 1 before
+``AR+Reblur+AR`` with ``x_d``, alpha 1e-2, beta 0.01, NSR 1e-3.  Seventeen
+capped cells stop the fixed-point loop after ``CAPPED_STEPS`` = 2 steps,
+each with ``x_d``, alpha 1e-2 and beta 0.01: the 4 configurations at 2D
+n=150 and n=256 and ``AR+Sine+ZN`` at 2D n=128 (NSR 1e-3), and the 4
+configurations at 1D n=400 and n=1024 (NSR 0.01).  They reach the branches
+that no uncapped cell runs: the 2D FFT path of the diagonalized applies
+and of the batched band forms (n > 144), the 1D FFT band forms (n > 384),
+and a 2D ``M``-family step at n=128.  Their labels end in ``fp_max=2``,
+which no configuration of a sweep does.  All run at noise seed 2023, with the BLAS and OpenMP thread variables set to 1 before
 numpy loads, as ``bench/run.py`` sets them, so that a threaded dot product
 cannot change a cell's bytes from one host to another.  Ten more cells
 reach the data terms that the sweep's separable Gaussian and its fast blur
@@ -27,7 +34,7 @@ spectra`` at 1D n=48 for the 4 configurations x ``x``, ``d_x``, ``x_d``
 directory.  Each holds the sha256 of ``spectrum.csv``, of
 ``spectrum_histogram.txt`` and of the printed line with the directory cut
 out; their labels, ``spectra <configuration>``, name no restore cell.
-That makes 83 records in all.
+That makes 100 records in all.
 
 It prints one record per restore cell: the sha256 of
 ``restored.tobytes()``, the per-step inner iterations, the fixed-point
@@ -50,6 +57,7 @@ identical and 1 otherwise:
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -67,10 +75,19 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 SPECTRA_OUTPUTS = {"spectrum": "spectrum.csv",
                    "histogram": "spectrum_histogram.txt",
                    "line": "printed line"}
+#: fixed-point steps of the capped cells
+CAPPED_STEPS = 2
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _label(config: str, spec) -> str:
+    """A cell's configuration label, marked with the cap of a capped cell,
+    so that its key cannot collide with an uncapped cell's."""
+    return f"{config} fp_max={CAPPED_STEPS}" if spec.fp_max == CAPPED_STEPS \
+        else config
 
 
 def _record(key: tuple, report, failure: str | None) -> dict:
@@ -118,8 +135,12 @@ def digest() -> list:
     from tvdeblur.blur import BoundaryCondition, SymmetricPsf
     from tvdeblur.harness import BenchmarkSpec, make_problem, run_sweep
     from tvdeblur.krylov import NumericalFailure
-    from tvdeblur.pipeline import CONFIGURATIONS, Formulation, restore
-    from tvdeblur.tv import DiffusionBc
+    from tvdeblur.pipeline import CONFIGURATIONS, restore
+
+    def x_d_spec(dimension, ns, configurations=tuple(CONFIGURATIONS), **kw):
+        return BenchmarkSpec(dimension=dimension, ns=ns, alphas=(1e-2,),
+                             betas=(0.01,), configurations=configurations,
+                             preconditioners=("x_d",), **kw)
 
     spec_1d = BenchmarkSpec(dimension=1, ns=(203,), nsr=0.01,
                             alphas=(1e-1, 1e-3), betas=(0.1,),
@@ -129,14 +150,16 @@ def digest() -> list:
                             betas=(0.01,),
                             configurations=tuple(CONFIGURATIONS),
                             preconditioners=SELECTORS)
-    spec_128 = BenchmarkSpec(dimension=2, ns=(128,), nsr=1e-3,
-                             alphas=(1e-2,), betas=(0.01,),
-                             configurations=("AR+Reblur+AR",),
-                             preconditioners=("x_d",))
-    records = [_record((spec.dimension, cell.n, cell.config, cell.alpha,
-                        cell.preconditioner), cell.report, cell.failure)
-               for spec in (spec_1d, spec_2d, spec_128)
-               for cell in run_sweep(spec).cells]
+    specs = (spec_1d, spec_2d,
+             x_d_spec(2, (128,), ("AR+Reblur+AR",), nsr=1e-3),
+             x_d_spec(2, (150, 256), nsr=1e-3, fp_max=CAPPED_STEPS),
+             x_d_spec(2, (128,), ("AR+Sine+ZN",), nsr=1e-3,
+                      fp_max=CAPPED_STEPS),
+             x_d_spec(1, (400, 1024), nsr=0.01, fp_max=CAPPED_STEPS))
+    records = [_record((spec.dimension, cell.n, _label(cell.config, spec),
+                        cell.alpha, cell.preconditioner),
+                       cell.report, cell.failure)
+               for spec in specs for cell in run_sweep(spec).cells]
 
     def run(key, problem, config):
         psf, observed, u_true = problem
@@ -150,9 +173,8 @@ def digest() -> list:
     for bc in (BoundaryCondition.ZERO_DIRICHLET, BoundaryCondition.PERIODIC):
         for selector in ("none", "diag"):
             for alpha in spec_1d.alphas:
-                config = spec_1d.restoration_config(
-                    bc, DiffusionBc.ZERO_NEUMANN, Formulation.NORMAL,
-                    selector, alpha, 0.1)
+                config = dataclasses.replace(spec_1d.restoration_config(
+                    "R", selector, alpha, 0.1), bc_h=bc)
                 records.append(run((1, 203, f"{bc.value}+ZN", alpha,
                                     selector), problem, config))
 
@@ -161,8 +183,7 @@ def digest() -> list:
     _, observed, u_true = make_problem(spec_2d, 64)
     problem = SymmetricPsf(disk / disk.sum()), observed, u_true
     for label in ("R", "AR+Reblur+AR"):
-        config = spec_2d.restoration_config(*CONFIGURATIONS[label][:3],
-                                            "x_d", 1e-2, 0.01)
+        config = spec_2d.restoration_config(label, "x_d", 1e-2, 0.01)
         records.append(run((2, 64, f"{label}+disk8", 1e-2, "x_d"), problem,
                            config))
     records += [_spectra_record(label, selector)

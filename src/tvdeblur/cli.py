@@ -19,18 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .blur import BoundaryCondition, save_psf
+from .blur import save_psf
 from .krylov import ConfigurationError, NumericalFailure
 from .pipeline import (
     CONFIGURATIONS,
-    Formulation,
     PrecondSelector,
     StepSystem,
     el_residual,
     restore,
     unconverged_reason,
 )
-from .tv import DiffusionBc, DiffusionOperator
+from .tv import DiffusionOperator
 
 #: spectra histogram bins, and the distance from 1 of a clustered eigenvalue
 _BINS, CLUSTER_RADIUS = 20, 0.1
@@ -75,15 +74,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_restore(args) -> int:
     spec, (psf, observed, u_true) = _make_problem(args, fp_max=args.fp_max)
-    config = spec.restoration_config(
-        BoundaryCondition(args.bc), DiffusionBc(args.l_bc),
-        Formulation(args.formulation), args.precond, args.alpha, args.beta)
+    config = spec.restoration_config(args.config, args.precond, args.alpha,
+                                     args.beta)
     out = harness.make_out_dir(args.out_dir)
     report = restore(observed, psf, config, u_true=u_true)
     harness.write_field(out / "restored", report.restored, u_true)
     summary = [
-        f"config: bc={args.bc} l_bc={args.l_bc} formulation={args.formulation} "
-        f"precond={args.precond} alpha={args.alpha!r} beta={args.beta!r} n={args.n}",
+        f"config: {args.config} precond={args.precond} alpha={args.alpha!r} "
+        f"beta={args.beta!r} n={args.n}",
         f"fp_steps: {report.fp_steps}",
         f"avg_inner: {report.avg_inner!r}",
         f"fp_converged: {report.fp_converged}",
@@ -115,13 +113,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectra(args) -> int:
     if args.n > 128:
         raise ConfigurationError("spectra diagnostic is dense; use n <= 128")
-    bc_h, bc_l, formulation, _ = CONFIGURATIONS[args.config]
     spec, (psf, observed, _) = _make_problem(args)
-    config = spec.restoration_config(bc_h, bc_l, formulation, args.precond,
-                                     args.alpha, args.beta)
+    config = spec.restoration_config(args.config, args.precond, args.alpha,
+                                     args.beta)
     out = harness.make_out_dir(args.out_dir)
     system = StepSystem(psf, config, observed)
-    system.freeze(DiffusionOperator(observed, args.beta, bc_l))
+    system.freeze(DiffusionOperator(observed, args.beta, config.bc_l))
     # the dense M^{-1} A of restore's first step, one unit vector per column
     apply_a, apply_minv, _, _, _, _ = system.krylov_problem(
         observed, el_residual(system, observed))
@@ -155,12 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_restore = sub.add_parser("restore", help="run a single restoration")
     _add_problem_flags(p_restore)
-    p_restore.add_argument("--bc", default="reflective",
-                           choices=sorted(bc.value for bc in BoundaryCondition))
-    p_restore.add_argument("--l-bc", default="zero_neumann",
-                           choices=sorted(bc.value for bc in DiffusionBc))
-    p_restore.add_argument("--formulation", default="normal",
-                           choices=[f.value for f in Formulation])
+    p_restore.add_argument("--config", default="R",
+                           choices=sorted(CONFIGURATIONS))
     p_restore.add_argument("--precond", default="none",
                            choices=[s.value for s in PrecondSelector])
     p_restore.add_argument("--alpha", type=float, required=True)

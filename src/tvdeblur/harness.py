@@ -33,13 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .blur import BoundaryCondition, SymmetricPsf, convolve_valid
+from .blur import SymmetricPsf, convolve_valid
 from .krylov import (ConfigurationError, KrylovConfig, NumericalFailure,
                      check_settings)
-from .pipeline import (CONFIGURATIONS, Formulation, PrecondSelector,
-                       RestorationConfig, RestorationReport, restore,
-                       unconverged_reason)
-from .tv import DiffusionBc
+from .pipeline import (CONFIGURATIONS, PrecondSelector, RestorationConfig,
+                       RestorationReport, restore, unconverged_reason)
 
 TABLE_HEADER = ("config", "alpha", "beta", "n", "fp_steps", "avg_inner", "rre")
 
@@ -231,9 +229,6 @@ class BenchmarkSpec:
         for axis in ("ns", "alphas", "betas", "configurations", "preconditioners"):
             if not getattr(self, axis):
                 raise ConfigurationError(f"sweep axis {axis!r} is empty")
-        unknown = [c for c in self.configurations if c not in CONFIGURATIONS]
-        if unknown:
-            raise ConfigurationError(f"unknown configuration labels: {unknown}")
         selectors = {s.value for s in PrecondSelector}
         unknown = [p for p in self.preconditioners if p not in selectors]
         if unknown:
@@ -250,18 +245,23 @@ class BenchmarkSpec:
                     f"psf_sigma is the width of the 2D gaussian psf; 1D sweeps "
                     f"use the {PSF_KINDS[1]!r} psf, which takes none")
             check_settings(("psf_sigma", self.psf_sigma, "real > 0"))
-        cell = *CONFIGURATIONS[self.configurations[0]][:3], self.preconditioners[0]
-        for alpha, beta in itertools.product(self.alphas, self.betas):
-            self.restoration_config(*cell, alpha, beta)
+        for label, alpha, beta in itertools.product(self.configurations,
+                                                    self.alphas, self.betas):
+            self.restoration_config(label, self.preconditioners[0], alpha, beta)
 
     def resolve_half_width(self, n: int) -> int:
         return self.psf_half_width if self.psf_half_width is not None \
             else default_half_width(n, self.dimension)
 
-    def restoration_config(self, bc_h: BoundaryCondition, bc_l: DiffusionBc,
-                           formulation: Formulation, selector: str,
+    def restoration_config(self, config_label: str, selector: str,
                            alpha: float, beta: float) -> RestorationConfig:
-        """The restore settings of one cell, with this spec's tolerances."""
+        """The restore settings of one cell, with this spec's tolerances:
+        the one place that resolves a ``CONFIGURATIONS`` label."""
+        if config_label not in CONFIGURATIONS:
+            raise ConfigurationError(
+                f"unknown configuration label {config_label!r}; the known "
+                f"labels are {', '.join(CONFIGURATIONS)}")
+        bc_h, bc_l, formulation, _ = CONFIGURATIONS[config_label]
         return RestorationConfig(
             bc_h=bc_h,
             bc_l=bc_l,
@@ -351,10 +351,8 @@ def make_problem(spec: BenchmarkSpec, n: int):
 def run_cell(spec: BenchmarkSpec, config_label: str, alpha: float, beta: float,
              n: int, selector_label: str, problem) -> SweepCell:
     """Run one cell on ``make_problem(spec, n)``; numerical failures are starred."""
-    bc_h, bc_l, formulation, _ = CONFIGURATIONS[config_label]
     psf, observed, u_true = problem
-    config = spec.restoration_config(bc_h, bc_l, formulation, selector_label,
-                                     alpha, beta)
+    config = spec.restoration_config(config_label, selector_label, alpha, beta)
     started = time.perf_counter()
     try:
         report = restore(observed, psf, config, u_true=u_true)

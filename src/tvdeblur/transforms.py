@@ -116,8 +116,13 @@ def load_scipy_binding(name: str):
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    raise ImportError(f"cannot find scipy's binding {name} "
-                      "(tvdeblur needs scipy)", name=name)
+    from importlib import metadata
+    try:
+        installed = f"scipy {metadata.version('scipy')} is installed"
+    except metadata.PackageNotFoundError:
+        installed = "no scipy is installed"
+    raise ImportError(f"cannot find scipy's binding {name}: tvdeblur calls it "
+                      f"as scipy 1.17 lays it out, and {installed}", name=name)
 
 
 _pocketfft = load_scipy_binding(_BINDING_NAME)

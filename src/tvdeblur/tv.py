@@ -115,11 +115,12 @@ def diffusion_coefficients(u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NE
     """
     check_beta(beta)
     u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.size == 0 or u.shape != u.shape[:1] * u.ndim:
+        raise ConfigurationError(f"expected a nonempty 1D or square 2D grid, "
+                                 f"got shape {u.shape}")
     if u.ndim == 1:
         d = _ghost_diff(u, bc, np.empty(len(u) + 1))
         return (1.0 / np.sqrt(d * d + beta * beta),)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ConfigurationError(f"expected a square grid, got shape {u.shape}")
     # The corner ghosts of the transverse averages need the padded grid.
     # Flattened, with its rows of width w = n + 2, a shift along either
     # axis is a contiguous slice: the differences across axis 1 and 0 at
@@ -247,10 +248,10 @@ class DiffusionOperator:
 
     def __init__(self, u, beta: float, bc: DiffusionBc = DiffusionBc.ZERO_NEUMANN) -> None:
         u = np.asarray(u, dtype=float)
+        self.a = diffusion_coefficients(u, beta, bc)
         self.bc = bc
         self.ndim = u.ndim
         self.n = u.shape[0]
-        self.a = diffusion_coefficients(u, beta, bc)
         self._axes = range(self.ndim - 1, -1, -1)
         self._bands: dict | None = None
         self._scaling: tuple | None = None

@@ -18,15 +18,13 @@ from tvdeblur.harness import BenchmarkSpec, make_problem, run_sweep
 from tvdeblur.krylov import KrylovConfig, pbicgstab, pcg
 from tvdeblur.pipeline import (
     CONFIGURATIONS,
-    PrecondSelector,
-    RestorationConfig,
     StepSystem,
     el_residual,
     restore,
 )
 from tvdeblur.precond import assemble_preconditioner, project
 from tvdeblur.transforms import TransformKind
-from tvdeblur.tv import DiffusionBc, DiffusionOperator
+from tvdeblur.tv import DiffusionOperator
 
 SELECTOR_LABELS = (("I", "none"), ("D", "diag"), ("X", "x"),
                    ("D_X", "d_x"), ("X_D", "x_d"))
@@ -42,13 +40,8 @@ XD_ANCHOR = {"R": 8.0, "AR+Sine+ZN": 14.0, "AR+Reblur+ZN": 4.0,
 def run_benchmark_cell(problem, config_label, alpha, selector, n,
                        max_iterations=20000, beta=0.1):
     psf, observed, u_true = problem
-    bc_h, bc_l, formulation, _ = CONFIGURATIONS[config_label]
-    config = RestorationConfig(
-        bc_h=bc_h, bc_l=bc_l, formulation=formulation,
-        preconditioner=PrecondSelector(selector),
-        alpha=alpha, beta=beta,
-        inner=KrylovConfig(tol=1e-6, max_iterations=max_iterations),
-    )
+    config = BenchmarkSpec(inner_max=max_iterations) \
+        .restoration_config(config_label, selector, alpha, beta)
     return restore(observed, psf, config, u_true=u_true)
 
 
@@ -407,14 +400,13 @@ def test_criterion_10_scaled_equivalence():
     alpha, beta = 1e-3, 0.1
     failures = []
     for label in ("R", "AR+Reblur+AR"):
-        bc_h, bc_l, formulation, base = CONFIGURATIONS[label]
-        l_op = DiffusionOperator(observed, beta, bc_l)
-        system = StepSystem(psf, RestorationConfig(
-            bc_h=bc_h, bc_l=bc_l, formulation=formulation, alpha=alpha,
-            beta=beta), observed)
+        config = spec.restoration_config(label, "none", alpha, beta)
+        base = CONFIGURATIONS[label][3]
+        l_op = DiffusionOperator(observed, beta, config.bc_l)
+        system = StepSystem(psf, config, observed)
         system.freeze(l_op)
         h_op = system.h_op
-        solver = pbicgstab if formulation.value == "reblur" else pcg
+        solver = pbicgstab if config.formulation.value == "reblur" else pcg
         cfg = KrylovConfig(tol=1e-8, max_iterations=3000)
 
         wrapped = assemble_preconditioner(f"D_{base}", h_op, l_op, alpha)

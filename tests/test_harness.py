@@ -15,6 +15,7 @@ from scipy.signal import convolve2d
 
 from tvdeblur import cli, harness, transforms, tv
 from tvdeblur.cli import main as cli_main
+from tvdeblur.krylov import ConfigurationError
 from tvdeblur.pipeline import CONFIGURATIONS
 from tvdeblur.harness import (
     BenchmarkSpec,
@@ -349,8 +350,10 @@ def test_sweep_2d_writes_pgm(tmp_path):
 def test_spec_validation():
     with pytest.raises(ValueError):
         BenchmarkSpec(dimension=3)
-    with pytest.raises(ValueError):
-        BenchmarkSpec(configurations=("bogus",))
+    # every label is checked, not only the first
+    with pytest.raises(ValueError, match=r"^unknown configuration label "
+                                         r"'bogus'; the known labels are "):
+        BenchmarkSpec(configurations=("R", "bogus"))
     with pytest.raises(ValueError):
         BenchmarkSpec(preconditioners=("bogus",))
     # a beta whose square underflows is rejected, naming beta and the bound
@@ -385,15 +388,22 @@ def test_spec_validation():
      1e-2, (1e-3, 9)),
 ])
 def test_restoration_config_takes_the_spec_settings(settings, fp_tol, inner):
-    bc_h, bc_l, formulation, _ = CONFIGURATIONS["AR+Reblur+AR"]
     spec = BenchmarkSpec(**settings)
-    config = spec.restoration_config(bc_h, bc_l, formulation, "d_x", 1e-2, 0.3)
+    config = spec.restoration_config("AR+Reblur+AR", "d_x", 1e-2, 0.3)
     assert (config.bc_h, config.bc_l, config.formulation) == \
-        (bc_h, bc_l, formulation)
+        CONFIGURATIONS["AR+Reblur+AR"][:3]
     assert config.preconditioner.value == "d_x"
     assert (config.alpha, config.beta) == (1e-2, 0.3)
     assert (config.fp_tol, config.fp_max) == (fp_tol, spec.fp_max)
     assert (config.inner.tol, config.inner.max_iterations) == inner
+
+
+def test_restoration_config_rejects_an_unknown_label():
+    with pytest.raises(ConfigurationError,
+                       match=r"^unknown configuration label 'AR'; the known "
+                             r"labels are R, AR\+Sine\+ZN, AR\+Reblur\+ZN, "
+                             r"AR\+Reblur\+AR$"):
+        BenchmarkSpec().restoration_config("AR", "x", 1e-2, 0.1)
 
 
 @pytest.mark.parametrize("settings,message", [
@@ -598,7 +608,7 @@ def test_cli_gen_and_restore(tmp_path):
 
     out2 = tmp_path / "run"
     code = cli_main([
-        "restore", "--n", "64", "--bc", "reflective", "--precond", "x_d",
+        "restore", "--n", "64", "--config", "R", "--precond", "x_d",
         "--alpha", "1e-3", "--beta", "0.1", "--out-dir", str(out2),
     ])
     assert code == 0
@@ -607,8 +617,39 @@ def test_cli_gen_and_restore(tmp_path):
     assert "rre:" in report and "fp_steps:" in report
 
 
+RESTORE_ARGS = ["restore", "--n", "64", "--alpha", "1e-3", "--beta", "0.1"]
+
+
+def test_cli_restore_takes_a_configuration_label(capsys):
+    """``restore`` names its configuration by a ``CONFIGURATIONS`` label,
+    and takes none of the per-field flags."""
+    with pytest.raises(SystemExit) as done:
+        cli_main(["restore", "--help"])
+    assert done.value.code == 0
+    options = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert "--config" in options
+    assert not options & {"--bc", "--l-bc", "--formulation"}
+    with pytest.raises(SystemExit) as done:
+        cli_main([*RESTORE_ARGS, "--config", "reflective"])
+    assert done.value.code == 2
+    assert "invalid choice: 'reflective'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", list(CONFIGURATIONS))
+def test_cli_restore_runs_the_configuration_it_names(tmp_path, label):
+    """``restore --config`` restores as the sweep's cell of that label."""
+    code = cli_main([*RESTORE_ARGS, "--config", label, "--precond", "x_d",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert report[0] == f"config: {label} precond=x_d alpha=0.001 beta=0.1 n=64"
+    spec = BenchmarkSpec(ns=(64,))
+    cell = harness.run_cell(spec, label, 1e-3, 0.1, 64, "x_d",
+                            harness.make_problem(spec, 64))
+    assert f"rre: {cell.report.rre!r}" in report
+
+
 @pytest.mark.parametrize("flags,message", [
-    (["--formulation", "reblur"], "re-blurred formulation requires"),
     (["--alpha", "nan"], "alpha must be finite and positive, got nan"),
     (["--beta", "inf"], "beta must be finite and positive, got inf"),
     (["--beta", "1e-300"], "beta must be at least sqrt(finfo(float).tiny)"),
@@ -631,7 +672,7 @@ def test_cli_gen_and_restore(tmp_path):
 def test_cli_exit_code_on_configuration_error(tmp_path, capsys, flags,
                                               message):
     code = cli_main([
-        "restore", "--n", "64", "--bc", "reflective", "--alpha", "1e-3",
+        "restore", "--n", "64", "--config", "R", "--alpha", "1e-3",
         "--beta", "0.1", "--out-dir", str(tmp_path), *flags,
     ])
     assert code == 2
@@ -657,7 +698,7 @@ def test_cli_gen_writes_nothing_on_a_bad_setting(tmp_path, capsys, flags,
 
 def test_cli_exit_code_on_nonconvergence(tmp_path, capsys):
     code = cli_main([
-        "restore", "--n", "64", "--bc", "reflective", "--alpha", "1e-3",
+        "restore", "--n", "64", "--config", "R", "--alpha", "1e-3",
         "--beta", "0.1", "--fp-max", "1", "--out-dir", str(tmp_path),
     ])
     assert code == 3
@@ -665,9 +706,6 @@ def test_cli_exit_code_on_nonconvergence(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "warning: run did not converge: fixed-point loop did not reach "
         "tolerance 0.001 in 1 steps\n")
-
-
-RESTORE_ARGS = ["restore", "--n", "64", "--alpha", "1e-3", "--beta", "0.1"]
 
 
 @pytest.mark.parametrize("command", ["gen", "restore", "sweep", "spectra"])

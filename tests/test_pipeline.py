@@ -54,9 +54,6 @@ def small_problem(n=64, nsr=0.01, seed=2023):
 
 def test_config_invariants():
     with pytest.raises(ConfigurationError):
-        RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE, alpha=1e-3,
-                          beta=0.1, formulation=Formulation.REBLUR)
-    with pytest.raises(ConfigurationError):
         RestorationConfig(bc_h=BoundaryCondition.PERIODIC, alpha=1e-3,
                           beta=0.1, preconditioner=PrecondSelector.X)
     with pytest.raises(ConfigurationError):
@@ -72,6 +69,16 @@ def test_config_invariants():
                 RestorationConfig(bc_h=BoundaryCondition.REFLECTIVE,
                                   alpha=1e-3, beta=0.1,
                                   formulation=Formulation.REBLUR))
+
+
+@pytest.mark.parametrize("bc_h", [bc for bc in BoundaryCondition
+                                  if bc is not BoundaryCondition.ANTI_REFLECTIVE])
+def test_reblur_needs_anti_reflective_blur(bc_h):
+    with pytest.raises(ConfigurationError,
+                       match=r"^the re-blurred formulation requires "
+                             r"anti-reflective blur BCs$"):
+        RestorationConfig(bc_h=bc_h, alpha=1e-3, beta=0.1,
+                          formulation=Formulation.REBLUR)
 
 
 @pytest.mark.parametrize("count", [2.5, True])
@@ -237,10 +244,8 @@ def test_small_sizes_run_or_fail_before_any_operator(monkeypatch, n, label,
     """A size below a configuration's limit fails as a configuration error
     naming n, the configuration and the first limit it misses, before any
     operator; a size at or above every limit restores."""
-    bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
-    cfg = RestorationConfig(bc_h=bc_h, bc_l=bc_l, formulation=formulation,
-                            preconditioner=PrecondSelector(selector),
-                            alpha=1e-2, beta=0.1)
+    cfg = BenchmarkSpec().restoration_config(label, selector, 1e-2, 0.1)
+    bc_h, formulation = cfg.bc_h, cfg.formulation
     v = np.linspace(1.0, 2.0, n)
     psf = SymmetricPsf([0.25, 0.5, 0.25])
     missed = [limit for limit in _size_limits(label, selector) if n < limit]
@@ -297,10 +302,7 @@ def test_size_errors_name_the_limit(monkeypatch, shape, coefficients, label,
         raise AssertionError("blur operator built before the size check")
 
     monkeypatch.setattr("tvdeblur.pipeline.StructuredBlurOperator", no_operator)
-    bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
-    cfg = RestorationConfig(bc_h=bc_h, bc_l=bc_l, formulation=formulation,
-                            preconditioner=PrecondSelector(selector),
-                            alpha=1e-2, beta=0.1)
+    cfg = BenchmarkSpec().restoration_config(label, selector, 1e-2, 0.1)
     with pytest.raises(ConfigurationError,
                        match=rf"^n={shape[0]} is too small for {problem} "
                              rf"\(.*\): it needs n >= {shape[0] + 1}$"):
@@ -331,8 +333,7 @@ def scaled_restore(dim, label, selector, c):
     n, alpha, beta = _SCALING_CELLS[dim]
     spec = BenchmarkSpec(dimension=dim, ns=(n,))
     psf, observed, u_true = make_problem(spec, n)
-    config = spec.restoration_config(*pipeline.CONFIGURATIONS[label][:3],
-                                     selector, c * alpha, c * beta)
+    config = spec.restoration_config(label, selector, c * alpha, c * beta)
     return restore(c * observed, psf, config, u_true=c * u_true)
 
 
@@ -379,8 +380,7 @@ def test_rre_of_a_tiny_reference_is_its_unit_scale_value(c):
     n, alpha, beta = _SCALING_CELLS[1]
     spec = BenchmarkSpec(dimension=1, ns=(n,))
     psf, observed, u_true = make_problem(spec, n)
-    config = spec.restoration_config(*pipeline.CONFIGURATIONS["R"][:3], "x",
-                                     alpha, beta)
+    config = spec.restoration_config("R", "x", alpha, beta)
     report = restore(c * observed, psf, config, u_true=c * u_true)
     unit = (np.linalg.norm(report.restored / c - u_true)
             / np.linalg.norm(u_true))
@@ -926,10 +926,8 @@ def test_restore_forms_one_residual_per_step(monkeypatch, dimension, label,
     n = 64 if dimension == 1 else 32
     spec = BenchmarkSpec(dimension=dimension, ns=(n,), nsr=0.01, seed=2023)
     psf, observed, _ = make_problem(spec, n)
-    bc_h, bc_l, formulation, _ = pipeline.CONFIGURATIONS[label]
-    cfg = RestorationConfig(bc_h=bc_h, alpha=1e-2, beta=0.1, bc_l=bc_l,
-                            formulation=formulation,
-                            preconditioner=PrecondSelector(selector), fp_max=5)
+    cfg = BenchmarkSpec(fp_max=5).restoration_config(label, selector, 1e-2,
+                                                     0.1)
     report = restore(observed, psf, cfg)
     assert counts["solves"] == report.fp_steps
     assert counts["system"] == counts["solver"] + report.fp_steps + 1
@@ -1315,9 +1313,9 @@ sys.stdout.buffer.write(cell.report.restored.tobytes())
 _STEP_2D_BYTES = """
 import sys
 import numpy as np
-from tvdeblur.harness import default_half_width, gen_image_2d, gen_psf
-from tvdeblur.pipeline import (CONFIGURATIONS, PrecondSelector,
-                               RestorationConfig, StepSystem)
+from tvdeblur.harness import (BenchmarkSpec, default_half_width, gen_image_2d,
+                              gen_psf)
+from tvdeblur.pipeline import StepSystem
 from tvdeblur.precond import assemble_preconditioner
 from tvdeblur.tv import DiffusionOperator
 n = int(sys.argv[1])
@@ -1326,12 +1324,9 @@ image, fov = gen_image_2d(n, m)
 rng = np.random.default_rng(7)
 u = image[fov] + 1e-3 * rng.standard_normal((n, n))
 w = rng.standard_normal((n, n))
-bc_h, bc_l, formulation, _ = CONFIGURATIONS["AR+Reblur+AR"]
-config = RestorationConfig(bc_h=bc_h, alpha=1e-2, beta=0.01, bc_l=bc_l,
-                           formulation=formulation,
-                           preconditioner=PrecondSelector.X_D)
+config = BenchmarkSpec().restoration_config("AR+Reblur+AR", "x_d", 1e-2, 0.01)
 system = StepSystem(gen_psf("gaussian", m, m / 2), config, u)
-system.freeze(DiffusionOperator(u, config.beta, bc_l))
+system.freeze(DiffusionOperator(u, config.beta, config.bc_l))
 p_d = assemble_preconditioner("P_D", system.h_op, system.l_op, config.alpha)
 for out in (system.apply(w), p_d.eigenvalues, p_d.apply_inverse(w)):
     sys.stdout.buffer.write(out.tobytes())

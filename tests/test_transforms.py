@@ -1,8 +1,10 @@
 import importlib.machinery
+import importlib.metadata
 import importlib.util
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -475,6 +477,22 @@ def test_loader_names_the_binding_it_cannot_find(scipy_found, name, tmp_path,
     with pytest.raises(ImportError, match=name.rpartition(".")[2]) as err:
         transforms.load_scipy_binding(name)
     assert err.value.name == name
+    assert f"scipy {importlib.metadata.version('scipy')} is installed" in \
+        str(err.value)
+
+
+def test_installed_scipy_is_inside_the_pyproject_bound():
+    """The private bindings are called in one scipy series' argument
+    order, so ``pyproject.toml`` bounds scipy to the series the tests ran."""
+    tomllib = pytest.importorskip("tomllib")
+    from packaging.requirements import Requirement
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["dependencies"]
+    (scipy,) = [r for r in map(Requirement, dependencies) if r.name == "scipy"]
+    assert len(scipy.specifier) == 2, "scipy needs a lower and an upper bound"
+    assert importlib.metadata.version("scipy") in scipy.specifier
 
 
 def test_rule_picks_products_by_length_and_batch():

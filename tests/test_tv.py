@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from tvdeblur.krylov import ConfigurationError
 from tvdeblur.tv import (
     MIN_BETA,
     DiffusionBc,
@@ -272,3 +275,13 @@ def test_shape_mismatch_rejected(rng):
     op = DiffusionOperator(rng.standard_normal(6), 0.1)
     with pytest.raises(ValueError):
         op.apply(np.zeros(7))
+
+
+@pytest.mark.parametrize("bc", BOTH)
+@pytest.mark.parametrize("shape", [(), (0,), (0, 0)])
+def test_degenerate_grid_is_a_configuration_error(shape, bc):
+    """A 0-d or an empty grid fails at construction, naming its shape."""
+    with pytest.raises(ConfigurationError,
+                       match=rf"^expected a nonempty 1D or square 2D grid, "
+                             rf"got shape {re.escape(str(shape))}$"):
+        DiffusionOperator(np.zeros(shape), 0.1, bc)
